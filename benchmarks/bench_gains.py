@@ -151,8 +151,7 @@ def test_state_build_slab_vs_sequential(ensemble):
 
     ``state_for`` now hands the whole seed set to the backend in one
     call (a view-slab ``np.minimum.reduce`` for contiguous runs,
-    allocation-free row folds for scattered seeds, world-shardable
-    across workers) instead of issuing one ``add_seed`` per seed with
+    allocation-free row folds for scattered seeds) instead of issuing one ``add_seed`` per seed with
     its per-seed bookkeeping; ``evaluate_at``, ``utilities_for`` and
     the sweep helpers all rebuild states through it.  Measured on the
     two rebuild workloads the figures run: a B=30 budget solution and

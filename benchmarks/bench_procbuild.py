@@ -15,14 +15,12 @@ pretending to per-variant deltas.
 
 Every timed build also asserts bit-identical worlds and stores across
 process counts, so the benchmark doubles as an end-to-end determinism
-smoke.  As with ``bench_threads.py``, the hard floor asserted in CI is
-only robustness ("process sharding is never a catastrophic
+smoke.  The hard floor asserted in CI is only robustness ("process sharding is never a catastrophic
 pessimisation"): on a single-core container, fork + pickle overhead is
 all a pool can add, so real speedups are recorded, not asserted.
-Regenerate on quiet multi-core hardware (together with
-``BENCH_threads.json``, per the ROADMAP note) with::
+Regenerate on quiet multi-core hardware with::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_procbuild.py benchmarks/bench_threads.py --benchmark-disable
+    PYTHONPATH=src python -m pytest benchmarks/bench_procbuild.py --benchmark-disable
 """
 
 import os
@@ -42,7 +40,7 @@ N_WORLDS = 24
 BUILD_COUNTS = (1, 2, 4)
 
 #: CI floor: a process-sharded build may lose at most this factor to
-#: serial.  Laxer than the thread benches' floor — every extra process
+#: serial.  Lax on purpose — every extra process
 #: pays a real fork + graph-pickle toll that a single-core runner can
 #: never win back.
 MAX_SLOWDOWN = 3.0

@@ -47,10 +47,6 @@ from repro.errors import ConfigError, EstimationError
 from repro.graph.delta import GraphDelta
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.factory import make_estimator
-from repro.influence.parallel import (
-    LIBRARY_DEFAULT_WORKERS,
-    resolve_workers,
-)
 from repro.influence.procbuild import (
     LIBRARY_DEFAULT_BUILD_WORKERS,
     resolve_build_workers,
@@ -204,7 +200,7 @@ class RunResult:
             f"{self.problem} on {self.spec.ensemble.dataset!r} "
             f"[{execution.backend} backend, "
             f"{estimator}, "
-            f"workers={execution.workers}, block_size={execution.block_size}, "
+            f"block_size={execution.block_size}, "
             f"build_workers={execution.build_workers}]",
             f"  seeds ({self.seed_count}): "
             f"{[_jsonify_label(s) for s in self.seeds]}",
@@ -299,9 +295,9 @@ class Session:
         """Collapse the chain to concrete values.
 
         ``spec > session > process defaults > library default`` per
-        field; the result has no ``None`` left (``workers`` may still
-        be the symbolic ``"auto"``, resolved against ``n_worlds`` at
-        build/solve time).
+        field; the result has no ``None`` left.  ``workers`` is accepted
+        for input compatibility only and always resolves to ``1``:
+        queries run serially.
         """
         spec = execution or ExecutionSpec()
 
@@ -317,7 +313,7 @@ class Session:
 
         return ExecutionSpec(
             backend=chain("backend", "auto"),
-            workers=chain("workers", LIBRARY_DEFAULT_WORKERS),
+            workers=1,
             block_size=chain("block_size", DEFAULT_BLOCK_SIZE),
             build_workers=chain("build_workers", LIBRARY_DEFAULT_BUILD_WORKERS),
         )
@@ -455,7 +451,6 @@ class Session:
             graph,
             assignment,
             backend=resolved.backend,
-            workers=resolved.workers,
             build_workers=resolved.build_workers,
         )
         with self._lock:
@@ -471,7 +466,6 @@ class Session:
         candidates: Optional[Sequence[Any]] = None,
         model: str = "ic",
         backend: Optional[str] = None,
-        workers=None,
         build_workers=None,
     ) -> WorldEnsemble:
         """Ensemble construction for callers holding a *graph object*
@@ -483,12 +477,9 @@ class Session:
         the object is collected, which the cache itself prevents).
         Non-integer seeds (generators, ``None``) are inherently
         unreplayable, so those builds bypass the cache.  The requested
-        ``workers`` and ``build_workers`` settings are part of the key:
-        they are perf-only, but sharing one ensemble across different
-        settings would mean mutating the earlier caller's knob under it
-        (``set_workers`` is deliberately not synchronised), so each
-        setting gets its own entry — experiments pass a constant
-        setting, so sharing is unaffected in practice.
+        ``build_workers`` setting is part of the key, so each setting
+        gets its own entry — experiments pass a constant setting, so
+        sharing is unaffected in practice.
         """
         resolved_backend = backend
         if resolved_backend is None:
@@ -496,7 +487,7 @@ class Session:
         if resolved_backend is None:
             resolved_backend = execution_defaults.get("backend", "auto")
         # Like backend, build_workers is a build-time knob, so it chains
-        # through the session here (workers is pinned per solve instead).
+        # through the session here.
         if build_workers is None:
             build_workers = self.execution.build_workers
 
@@ -512,7 +503,6 @@ class Session:
                 model,
                 None if candidates is None else tuple(candidates),
                 resolved_backend,
-                workers,
                 build_workers,
             )
             cached = self._cache_get(key)
@@ -526,7 +516,6 @@ class Session:
             model=model,
             seed=seed,
             backend=resolved_backend,
-            workers=workers,
             build_workers=build_workers,
         )
         with self._lock:
@@ -696,7 +685,6 @@ class Session:
                 estimator,
                 spec.solver,
                 block_size=resolved.block_size,
-                workers=resolved.workers,
                 **solver_kwargs,
             )
         else:
@@ -704,7 +692,6 @@ class Session:
                 estimator,
                 spec.solver,
                 block_size=resolved.block_size,
-                workers=resolved.workers,
                 **solver_kwargs,
             )
         solve_seconds = time.perf_counter() - started
@@ -724,9 +711,7 @@ class Session:
             solver=solver_echo,
             execution=ExecutionSpec(
                 backend=getattr(estimator, "backend_name", resolved.backend),
-                workers=resolve_workers(
-                    resolved.workers, getattr(estimator, "n_worlds", 1)
-                ),
+                workers=resolved.workers,
                 block_size=resolved.block_size,
                 # What the build actually engaged (1 for cached /
                 # serial-fallback / rrset builds), not a re-resolution.

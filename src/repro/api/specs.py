@@ -11,8 +11,8 @@ a *value*:
 - :class:`SolverSpec` — what to solve: budget (P1/P4) or cover
   (P2/P6), fair or unfair, with the paper's knobs (deadline, concave
   wrapper, weights, method, discount, quota, slack).
-- :class:`ExecutionSpec` — how to run it: backend / workers /
-  block_size, every field optional (``None`` defers down the config
+- :class:`ExecutionSpec` — how to run it: backend / block_size /
+  build_workers, every field optional (``None`` defers down the config
   chain).  Execution never changes results, which is why it is a
   separate bundle: two runs with equal ensemble+solver specs are
   comparable regardless of execution.
@@ -44,7 +44,6 @@ from repro.core.greedy import check_block_size
 from repro.errors import ConfigError, EstimationError, OptimizationError
 from repro.influence.backends import check_backend_name
 from repro.influence.factory import estimator_kinds
-from repro.influence.parallel import check_workers
 from repro.influence.procbuild import check_build_workers
 from repro.rng import check_seed
 
@@ -62,6 +61,34 @@ PROBLEM_CHOICES = ("budget", "cover")
 def _config_error(exc: Exception) -> ConfigError:
     """Re-type a lower-layer validation failure as configuration."""
     return ConfigError(str(exc))
+
+
+#: ``ExecutionSpec.workers`` sentinel, accepted for compatibility.
+AUTO_WORKERS = "auto"
+
+
+def check_workers(
+    workers: Optional[Union[int, str]], allow_none: bool = False
+) -> Optional[Union[int, str]]:
+    """Validate a ``workers`` setting (``int >= 1`` or ``"auto"``).
+
+    The field has no effect — queries run serially — but spec files
+    and CLI invocations that set it stay valid under the same rule
+    they always had.
+    """
+    if workers is None:
+        if allow_none:
+            return None
+        raise EstimationError("workers must be a positive int or 'auto', got None")
+    if workers == AUTO_WORKERS:
+        return AUTO_WORKERS
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise EstimationError(
+            f"workers must be a positive int or 'auto', got {workers!r}"
+        )
+    if workers < 1:
+        raise EstimationError(f"workers must be >= 1, got {workers}")
+    return int(workers)
 
 
 def _check_with(checker, value, *args, **kwargs):
@@ -85,6 +112,8 @@ def _decode_deadline(value: Any) -> float:
         raise ConfigError(f"deadline must be a number or 'inf', got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"deadline must be a number or 'inf', got {value!r}")
+    if math.isnan(value):
+        raise ConfigError("deadline must be a number or 'inf', got NaN")
     return float(value)
 
 
@@ -444,15 +473,18 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How to run a solve — backend / workers / block_size / build_workers.
+    """How to run a solve — backend / block_size / build_workers.
 
     Pure speed/memory knobs: no field ever changes a seed set, a trace,
     or an estimate (the library's determinism contract), which is why
     they live apart from the result-defining specs.  ``None`` defers
     down the chain: spec > session > process defaults
     (:data:`repro.config.execution_defaults`) > library default.
-    ``workers`` threads the query path; ``build_workers`` process-shards
-    world construction (see :mod:`repro.influence.procbuild`).
+    ``build_workers`` process-shards world construction (see
+    :mod:`repro.influence.procbuild`).  ``workers`` is accepted for
+    compatibility with existing spec files and has no effect: queries
+    run serially, and results echo ``workers: 1``.  It stays in
+    :meth:`to_dict` because sweep cell fingerprints hash this section.
     """
 
     backend: Optional[str] = None
@@ -584,8 +616,8 @@ def spec_template(problem: str = "budget") -> RunSpec:
     ``repro spec init | repro solve -`` works as a smoke test anywhere.
     Execution is left entirely unset (all ``null`` in the JSON): the
     chain then resolves through the session — which is what keeps the
-    CLI's ``--backend``/``--workers``/``--block-size`` flags in charge
-    when solving a template-derived spec.
+    CLI's ``--backend``/``--block-size``/``--build-workers`` flags in
+    charge when solving a template-derived spec.
     """
     if problem == "budget":
         solver = SolverSpec(problem="budget", deadline=20.0, fair=True, budget=10)

@@ -61,12 +61,12 @@ from repro.api import (
     Session,
     spec_template,
 )
+from repro.api.specs import AUTO_WORKERS, check_workers
 from repro.config import execution_defaults
 from repro.errors import ConfigError, EstimationError, OptimizationError, ReproError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.graph.delta import GraphDelta
 from repro.influence.backends import BACKEND_CHOICES
-from repro.influence.parallel import AUTO_WORKERS, check_workers
 from repro.influence.procbuild import AUTO_BUILD_WORKERS, check_build_workers
 from repro.core.greedy import DEFAULT_BLOCK_SIZE, check_block_size
 from repro.rng import check_seed
@@ -213,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--seed", type=_seed_arg, default=0, help="master RNG seed (non-negative int)"
     )
-    # run keeps its historical default of auto workers; solve defers to
-    # the config chain (None) so spec files stay in charge.
-    _add_execution_flags(run, workers_default=AUTO_WORKERS)
+    _add_execution_flags(run)
 
     solve = sub.add_parser(
         "solve", help="run declarative RunSpec JSON files ('-' reads stdin)"
@@ -403,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_execution_flags(
-    parser: argparse.ArgumentParser, workers_default=None
-) -> None:
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """The shared execution knobs (``run`` sets process defaults with
     them; ``solve`` builds its session's :class:`ExecutionSpec`)."""
     parser.add_argument(
@@ -432,13 +428,11 @@ def _add_execution_flags(
     parser.add_argument(
         "--workers",
         type=_workers_arg,
-        default=workers_default,
+        default=None,
         metavar="N|auto",
         help=(
-            "worker threads for world-sharded estimator evaluation "
-            "(default: auto = min(cpu count, n_worlds) for 'run', the "
-            "config chain for 'solve'; 1 runs fully serial; results are "
-            "bit-identical at every worker count)"
+            "accepted for compatibility; no effect (queries run serially, "
+            "results echo workers=1)"
         ),
     )
     parser.add_argument(
@@ -500,7 +494,6 @@ def _cmd_run(args) -> int:
         execution_defaults.set("block_size", args.block_size)
     if args.build_workers is not None:
         execution_defaults.set("build_workers", args.build_workers)
-    execution_defaults.set("workers", args.workers)
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
     failures = 0
     for experiment_id in ids:

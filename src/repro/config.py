@@ -1,16 +1,10 @@
 """Process-wide execution defaults behind one thread-safe store.
 
-Historically three mutable module globals configured the library's
-execution knobs: the estimator backend
-(``repro.experiments.common.set_default_backend``), the greedy block
-size (``repro.core.greedy.set_default_block_size``) and the worker
-count (``repro.influence.parallel.set_default_workers``).  Plain
-globals are unserializable, unauditable, and racy under concurrent
-configuration — the opposite of what a service surface needs.
-
-This module replaces all three with a single lock-protected store,
-:data:`execution_defaults`.  The legacy setters live on as thin
-deprecation shims that validate and delegate here, and the declarative
+Plain mutable module globals are unserializable, unauditable, and racy
+under concurrent configuration — the opposite of what a service
+surface needs.  The library's execution knobs (estimator backend,
+greedy block size, build-worker count) therefore live in a single
+lock-protected store, :data:`execution_defaults`, and the declarative
 layer (:mod:`repro.api`) resolves every knob through an explicit
 chain::
 
@@ -20,8 +14,8 @@ chain::
 
 The store itself is deliberately dumb: it holds raw values under a
 lock and knows nothing about validation (callers validate with the
-canonical checkers — ``check_backend_name`` / ``check_workers`` /
-``check_block_size`` — before writing), which keeps this module free
+canonical checkers — ``check_backend_name`` / ``check_block_size`` /
+``check_build_workers`` — before writing), which keeps this module free
 of imports and therefore importable from every layer.
 """
 
@@ -34,7 +28,7 @@ from typing import Any, Dict, Iterator, Tuple
 #: Knob names the library itself reads.  The store accepts any name
 #: (extensions may register their own), but these are the documented
 #: ones.
-KNOWN_KNOBS: Tuple[str, ...] = ("backend", "workers", "block_size", "build_workers")
+KNOWN_KNOBS: Tuple[str, ...] = ("backend", "block_size", "build_workers")
 
 _UNSET = object()
 
@@ -78,8 +72,7 @@ class ExecutionDefaults:
 
         The override is visible to *every* thread for its duration —
         it is a scoped version of :meth:`set`, not a thread-local
-        (per-thread scoping belongs to the api layer's sessions and
-        the estimators' pinned workers).
+        (per-thread scoping belongs to the api layer's sessions).
         """
         with self._lock:
             had = name in self._values
@@ -95,5 +88,5 @@ class ExecutionDefaults:
                     self._values.pop(name, None)
 
 
-#: The process-wide store every legacy shim and the api layer share.
+#: The process-wide store the CLI, experiments and api layer share.
 execution_defaults = ExecutionDefaults()

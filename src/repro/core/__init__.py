@@ -43,7 +43,6 @@ from repro.core.greedy import (
     get_default_block_size,
     lazy_greedy,
     plain_greedy,
-    set_default_block_size,
     trace_tap,
 )
 from repro.core.metrics import FairnessComparison, compare_solutions
@@ -82,7 +81,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "check_block_size",
     "get_default_block_size",
-    "set_default_block_size",
     "FairnessComparison",
     "compare_solutions",
     "TheoremCheck",

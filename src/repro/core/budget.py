@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 from repro.errors import OptimizationError
 from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
-from repro.influence.parallel import WorkersLike
 from repro.influence.utility import UtilityReport, utility_report
 from repro.core.concave import ConcaveFunction, by_name as _concave_by_name, log1p
 from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy, plain_greedy
@@ -68,7 +67,6 @@ def _solve(
     method: str,
     discount: Optional[float] = None,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     if budget < 1:
@@ -99,7 +97,6 @@ def _solve(
         max_seeds=budget,
         discount=discount,
         block_size=block_size,
-        workers=workers,
         **kwargs,
     )
     if trace.size == 0:
@@ -136,7 +133,6 @@ def solve_budget_spec(
     ensemble: UtilityEstimator,
     spec,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve a declarative budget request (P1 or P4) on a built estimator.
@@ -147,8 +143,8 @@ def solve_budget_spec(
     resolved by name, and the remaining knobs map one-to-one onto
     :func:`solve_tcim_budget` / :func:`solve_fair_tcim_budget` — the
     output is bit-identical to the equivalent kwarg call.
-    ``block_size``/``workers`` are execution overrides the caller
-    resolved through the config chain (speed only, never results).
+    ``block_size`` is an execution override the caller resolved
+    through the config chain (speed only, never results).
     """
     if getattr(spec, "problem", None) != "budget":
         raise OptimizationError(
@@ -166,8 +162,7 @@ def solve_budget_spec(
             method=spec.method,
             discount=spec.discount,
             block_size=block_size,
-            workers=workers,
-            warm_start=warm_start,
+                warm_start=warm_start,
         )
     return solve_tcim_budget(
         ensemble,
@@ -176,7 +171,6 @@ def solve_budget_spec(
         method=spec.method,
         discount=spec.discount,
         block_size=block_size,
-        workers=workers,
         warm_start=warm_start,
     )
 
@@ -188,7 +182,6 @@ def solve_tcim_budget(
     method: str = "celf",
     discount: Optional[float] = None,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve P1: maximise total time-critical influence with ``|S| <= B``.
@@ -201,8 +194,7 @@ def solve_tcim_budget(
     worth ``gamma**t``) named in the paper's conclusions; the returned
     report still scores the seeds with the step utility so solutions
     remain comparable.  ``block_size`` tunes the batched gain oracle
-    and ``workers`` its world-sharded thread pool (both speed only —
-    see :func:`repro.core.greedy.lazy_greedy`).
+    (speed only — see :func:`repro.core.greedy.lazy_greedy`).
     """
     problem = "TCIM-BUDGET(P1)" if discount is None else f"TCIM-BUDGET(P1,gamma={discount:g})"
     return _solve(
@@ -214,7 +206,6 @@ def solve_tcim_budget(
         method=method,
         discount=discount,
         block_size=block_size,
-        workers=workers,
         warm_start=warm_start,
     )
 
@@ -228,7 +219,6 @@ def solve_fair_tcim_budget(
     method: str = "celf",
     discount: Optional[float] = None,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve P4: maximise ``sum_i w_i H(f_tau(S; V_i, G))`` with ``|S| <= B``.
@@ -253,6 +243,5 @@ def solve_fair_tcim_budget(
         method=method,
         discount=discount,
         block_size=block_size,
-        workers=workers,
         warm_start=warm_start,
     )

@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import OptimizationError
 from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
-from repro.influence.parallel import WorkersLike
 from repro.influence.utility import UtilityReport, utility_report
 from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy, plain_greedy
 from repro.core.objectives import TotalCoverageObjective, TruncatedCoverageObjective
@@ -103,7 +102,6 @@ def solve_cover_spec(
     ensemble: UtilityEstimator,
     spec,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve a declarative cover request (P2 or P6) on a built estimator.
@@ -129,7 +127,6 @@ def solve_cover_spec(
         slack=DEFAULT_SLACK if slack is None else slack,
         method=spec.method,
         block_size=block_size,
-        workers=workers,
         warm_start=warm_start,
     )
 
@@ -142,7 +139,6 @@ def solve_tcim_cover(
     slack: float = DEFAULT_SLACK,
     method: str = "celf",
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve P2: smallest greedy seed set with ``f_tau(S;V,G)/|V| >= Q``.
@@ -170,7 +166,6 @@ def solve_tcim_cover(
         stop=stop,
         require_stop=True,
         block_size=block_size,
-        workers=workers,
         **kwargs,
     )
     return _finalize("TCIM-COVER(P2)", ensemble, trace, deadline, quota)
@@ -184,7 +179,6 @@ def solve_fair_tcim_cover(
     slack: float = DEFAULT_SLACK,
     method: str = "celf",
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve P6: smallest greedy seed set reaching quota ``Q`` in *every*
@@ -214,7 +208,6 @@ def solve_fair_tcim_cover(
         stop=stop,
         require_stop=True,
         block_size=block_size,
-        workers=workers,
         **kwargs,
     )
     return _finalize("FAIRTCIM-COVER(P6)", ensemble, trace, deadline, quota)

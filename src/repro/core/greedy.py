@@ -22,12 +22,8 @@ bit-identical to the scalar path, so traces are unchanged; estimators
 that do not implement it (feature-detected with ``getattr``) fall back
 to per-candidate queries automatically, as does ``block_size=1``.
 
-Both engines also take a ``workers=`` knob that pins the estimator's
-world-sharded thread pool for the duration of the solve (see
-:mod:`repro.influence.parallel`).  Like ``block_size``, it is purely a
-speed knob: the sharded folds and histogram sums are exact, so seed
-sets, gains, evaluation counts and stop reasons are bit-identical at
-every worker count — ``workers=1`` *is* the serial path.
+Both engines run serially on the caller thread; their speed comes
+from submodularity (CELF's lazy re-evaluation) and the batched oracle.
 
 Tie-breaking is deterministic everywhere: equal gains resolve to the
 lowest candidate position, so runs are exactly reproducible.
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -48,7 +43,6 @@ from repro.config import execution_defaults
 from repro.errors import InfeasibleError, OptimizationError
 from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
-from repro.influence.parallel import WorkersLike, estimator_workers
 from repro.core.objectives import Objective
 
 #: Marginal gains below this are treated as zero (Monte Carlo noise floor).
@@ -84,33 +78,6 @@ def check_block_size(
     if block_size < 1:
         raise OptimizationError(f"block_size must be >= 1, got {block_size}")
     return int(block_size)
-
-
-def set_default_block_size(block_size: int) -> None:
-    """Set the process-wide block size for batched gain evaluation.
-
-    .. deprecated::
-        Mutable process-wide knobs are being retired in favour of the
-        explicit config chain: pass ``block_size=`` per solve, use
-        :class:`repro.api.ExecutionSpec` on a
-        :class:`repro.api.Session`, or — for a genuinely process-wide
-        setting — ``repro.config.execution_defaults.set("block_size",
-        n)`` after validating with :func:`check_block_size`.  This
-        shim validates, warns, and delegates to that store (so it is
-        now thread-safe, unlike the module global it replaced).
-
-    ``1`` disables batching entirely (pure scalar path — what the
-    equivalence tests diff against).
-    """
-    value = check_block_size(block_size)
-    warnings.warn(
-        "set_default_block_size is deprecated; pass block_size= explicitly, "
-        "use repro.api.ExecutionSpec/Session, or set "
-        "repro.config.execution_defaults",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    execution_defaults.set("block_size", value)
 
 
 def get_default_block_size() -> int:
@@ -292,7 +259,6 @@ def lazy_greedy(
     require_stop: bool = False,
     discount: Optional[float] = None,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> SelectionTrace:
     """CELF lazy greedy maximisation.
@@ -323,19 +289,8 @@ def lazy_greedy(
     block_size:
         Candidate block size for the batched gain oracle that scores
         the CELF first round (``None`` — the process default, see
-        :func:`set_default_block_size`; ``1`` — pure scalar path).
+        :func:`get_default_block_size`; ``1`` — pure scalar path).
         Never changes the output, only the speed.
-    workers:
-        Worker-thread count for the estimator's world-sharded
-        evaluation, pinned for the duration of this solve (``None`` —
-        leave the estimator's own setting; ``"auto"`` —
-        ``min(available_cpus(), n_worlds)``).  Estimators without a
-        ``set_workers`` method ignore it.  Like ``block_size``, this
-        never changes the output: traces are bit-identical at every
-        worker count (the sharded folds are exact elementwise
-        operations and the one BLAS contraction is never split along
-        its reduction-order-sensitive axis — see
-        :mod:`repro.influence.parallel`).
     warm_start:
         Prior first-round gains (see :class:`WarmStart`): only the
         listed ``refresh`` positions are re-scored in the first round,
@@ -348,85 +303,6 @@ def lazy_greedy(
     of ``"budget"``, ``"stop-condition"``, ``"no-gain"``,
     ``"exhausted"``.
     """
-    with estimator_workers(ensemble, workers):
-        return _lazy_greedy_impl(
-            ensemble,
-            objective,
-            deadline,
-            max_seeds,
-            stop,
-            require_stop,
-            discount,
-            block_size,
-            warm_start,
-        )
-
-
-def _first_round_gains(
-    ensemble: UtilityEstimator,
-    state,
-    objective: Objective,
-    deadline: float,
-    discount: Optional[float],
-    base_value: float,
-    block_size: int,
-    warm_start: Optional[WarmStart],
-) -> Tuple[np.ndarray, int]:
-    """Every candidate's empty-state gain, warm-started when possible.
-
-    Cold: score all candidates through the batched oracle.  Warm: copy
-    the prior gains and re-score only the ``refresh`` positions (in
-    ascending order, through the same oracle — refreshed values are
-    bit-identical to a cold scoring).  Returns the gains and how many
-    evaluations were actually performed.
-    """
-    n = ensemble.n_candidates
-    if warm_start is not None:
-        prior = np.asarray(warm_start.gains, dtype=np.float64)
-        if prior.shape != (n,):
-            raise OptimizationError(
-                f"warm-start gains must have shape ({n},), got {prior.shape}"
-            )
-        if warm_start.refresh is None:
-            refresh = np.arange(n, dtype=np.int64)
-        else:
-            refresh = np.unique(np.asarray(warm_start.refresh, dtype=np.int64))
-            if refresh.size and (refresh[0] < 0 or refresh[-1] >= n):
-                raise OptimizationError(
-                    f"warm-start refresh positions out of range [0, {n}): "
-                    f"{refresh[(refresh < 0) | (refresh >= n)]}"
-                )
-        gains = prior.copy()
-    else:
-        refresh = np.arange(n, dtype=np.int64)
-        gains = np.empty(n, dtype=np.float64)
-    evaluations = 0
-    for position, gain in _iter_gain_blocks(
-        ensemble,
-        state,
-        refresh,
-        objective,
-        deadline,
-        discount,
-        base_value,
-        block_size,
-    ):
-        evaluations += 1
-        gains[position] = gain
-    return gains, evaluations
-
-
-def _lazy_greedy_impl(
-    ensemble: UtilityEstimator,
-    objective: Objective,
-    deadline: float,
-    max_seeds: int,
-    stop: Optional[StopCondition],
-    require_stop: bool,
-    discount: Optional[float],
-    block_size: Optional[int],
-    warm_start: Optional[WarmStart] = None,
-) -> SelectionTrace:
     _check_arguments(ensemble, max_seeds)
     if block_size is None:
         block_size = get_default_block_size()
@@ -508,6 +384,60 @@ def _lazy_greedy_impl(
     return trace
 
 
+def _first_round_gains(
+    ensemble: UtilityEstimator,
+    state,
+    objective: Objective,
+    deadline: float,
+    discount: Optional[float],
+    base_value: float,
+    block_size: int,
+    warm_start: Optional[WarmStart],
+) -> Tuple[np.ndarray, int]:
+    """Every candidate's empty-state gain, warm-started when possible.
+
+    Cold: score all candidates through the batched oracle.  Warm: copy
+    the prior gains and re-score only the ``refresh`` positions (in
+    ascending order, through the same oracle — refreshed values are
+    bit-identical to a cold scoring).  Returns the gains and how many
+    evaluations were actually performed.
+    """
+    n = ensemble.n_candidates
+    if warm_start is not None:
+        prior = np.asarray(warm_start.gains, dtype=np.float64)
+        if prior.shape != (n,):
+            raise OptimizationError(
+                f"warm-start gains must have shape ({n},), got {prior.shape}"
+            )
+        if warm_start.refresh is None:
+            refresh = np.arange(n, dtype=np.int64)
+        else:
+            refresh = np.unique(np.asarray(warm_start.refresh, dtype=np.int64))
+            if refresh.size and (refresh[0] < 0 or refresh[-1] >= n):
+                raise OptimizationError(
+                    f"warm-start refresh positions out of range [0, {n}): "
+                    f"{refresh[(refresh < 0) | (refresh >= n)]}"
+                )
+        gains = prior.copy()
+    else:
+        refresh = np.arange(n, dtype=np.int64)
+        gains = np.empty(n, dtype=np.float64)
+    evaluations = 0
+    for position, gain in _iter_gain_blocks(
+        ensemble,
+        state,
+        refresh,
+        objective,
+        deadline,
+        discount,
+        base_value,
+        block_size,
+    ):
+        evaluations += 1
+        gains[position] = gain
+    return gains, evaluations
+
+
 def plain_greedy(
     ensemble: UtilityEstimator,
     objective: Objective,
@@ -517,7 +447,6 @@ def plain_greedy(
     require_stop: bool = False,
     discount: Optional[float] = None,
     block_size: Optional[int] = None,
-    workers: Optional[WorkersLike] = None,
 ) -> SelectionTrace:
     """Reference greedy: every candidate re-evaluated every round.
 
@@ -525,32 +454,8 @@ def plain_greedy(
     quadratically more utility evaluations.  Kept as the test oracle
     and for the CELF ablation.  Every round's full re-evaluation runs
     through the batched gain oracle (see :func:`lazy_greedy`'s
-    ``block_size`` and ``workers``), which is what keeps the oracle
-    usable at all.
+    ``block_size``), which is what keeps the oracle usable at all.
     """
-    with estimator_workers(ensemble, workers):
-        return _plain_greedy_impl(
-            ensemble,
-            objective,
-            deadline,
-            max_seeds,
-            stop,
-            require_stop,
-            discount,
-            block_size,
-        )
-
-
-def _plain_greedy_impl(
-    ensemble: UtilityEstimator,
-    objective: Objective,
-    deadline: float,
-    max_seeds: int,
-    stop: Optional[StopCondition],
-    require_stop: bool,
-    discount: Optional[float],
-    block_size: Optional[int],
-) -> SelectionTrace:
     _check_arguments(ensemble, max_seeds)
     if block_size is None:
         block_size = get_default_block_size()

@@ -11,15 +11,13 @@ Every ensemble an experiment builds flows through
 explicit config chain (per-call ``backend=`` > session execution >
 process defaults in :data:`repro.config.execution_defaults`).  The
 default backend is ``"auto"`` — dense for the paper-scale graphs,
-sparse/lazy as footprints grow.  :func:`set_default_backend` survives
-as a deprecation shim; :func:`use_backend` remains the scoped override
-the CLI's ``--backend`` flag uses.
+sparse/lazy as footprints grow.  :func:`use_backend` is the scoped
+override the CLI's ``--backend`` flag uses.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -32,7 +30,6 @@ from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
 from repro.influence.backends import UtilityEstimator, check_backend_name
 from repro.influence.ensemble import InfluenceState, WorldEnsemble
-from repro.influence.parallel import WorkersLike
 from repro.influence.procbuild import BuildWorkersLike
 from repro.core.budget import BudgetSolution, solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import ConcaveFunction, log1p, sqrt
@@ -56,30 +53,6 @@ def check_backend_config(backend: str) -> str:
         return check_backend_name(backend)
     except EstimationError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def set_default_backend(backend: str) -> None:
-    """Set the process-wide estimator backend for experiment ensembles.
-
-    .. deprecated::
-        Mutable process-wide knobs are being retired in favour of the
-        explicit config chain: pass ``backend=`` per ensemble, use
-        :class:`repro.api.ExecutionSpec` on a
-        :class:`repro.api.Session`, or — for a genuinely process-wide
-        setting — ``repro.config.execution_defaults.set("backend",
-        name)`` after validating with :func:`check_backend_config`.
-        This shim validates, warns, and delegates to that store (so it
-        is now thread-safe, unlike the module global it replaced).
-    """
-    check_backend_config(backend)
-    warnings.warn(
-        "set_default_backend is deprecated; pass backend= explicitly, use "
-        "repro.api.ExecutionSpec/Session, or set "
-        "repro.config.execution_defaults",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    execution_defaults.set("backend", backend)
 
 
 def get_default_backend() -> str:
@@ -124,7 +97,6 @@ def build_ensemble(
     candidates: Optional[Sequence[NodeId]] = None,
     model: str = "ic",
     backend: Optional[str] = None,
-    workers: Optional[WorkersLike] = None,
     build_workers: Optional[BuildWorkersLike] = None,
 ) -> WorldEnsemble:
     """Single point of ensemble construction for every experiment.
@@ -139,10 +111,9 @@ def build_ensemble(
     down the config chain (session execution, then the process default
     in :data:`repro.config.execution_defaults` — what the CLI's
     ``--backend`` flag and :func:`use_backend` set); any explicit name
-    wins.  Likewise ``workers=None`` / ``build_workers=None`` defer to
-    the chain.  Backends and worker counts — thread or process — change
-    memory/speed only, never the estimates, so figures are identical
-    under all of them.
+    wins.  Likewise ``build_workers=None`` defers to the chain.
+    Backends and build-worker counts change memory/speed only, never
+    the estimates, so figures are identical under all of them.
     """
     from repro.api.session import default_session
 
@@ -154,7 +125,6 @@ def build_ensemble(
         candidates=candidates,
         model=model,
         backend=backend,
-        workers=workers,
         build_workers=build_workers,
     )
 

@@ -46,14 +46,6 @@ from repro.influence.backends import (
 )
 from repro.influence.deadlines import clip_deadline, simulation_horizon
 from repro.influence.ensemble import InfluenceState, WorldEnsemble
-from repro.influence.parallel import (
-    AUTO_WORKERS,
-    WorkerPool,
-    get_default_workers,
-    resolve_workers,
-    set_default_workers,
-    shard_slices,
-)
 from repro.influence.procbuild import (
     AUTO_BUILD_WORKERS,
     ProcessBuildUnavailable,
@@ -107,12 +99,6 @@ __all__ = [
     "make_estimator",
     "register_estimator",
     "estimator_kinds",
-    "AUTO_WORKERS",
-    "WorkerPool",
-    "get_default_workers",
-    "resolve_workers",
-    "set_default_workers",
-    "shard_slices",
     "AUTO_BUILD_WORKERS",
     "ProcessBuildUnavailable",
     "SharedSegment",

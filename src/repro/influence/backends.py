@@ -63,7 +63,6 @@ from scipy import sparse
 from repro.errors import EstimationError
 from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld
 from repro.graph.digraph import NodeId
-from repro.influence.parallel import WorkerPool
 
 #: Recognised backend names (plus the ``"auto"`` selector).
 BACKEND_NAMES = ("dense", "sparse", "lazy")
@@ -174,11 +173,6 @@ class BatchGainEstimator(UtilityEstimator, Protocol):
     ) -> np.ndarray: ...
 
 
-def _world_span(world_slice: Optional[slice]) -> slice:
-    """Normalise a world shard (``None`` means "every world")."""
-    return slice(None) if world_slice is None else world_slice
-
-
 class DistanceBackend:
     """Storage strategy for per-candidate activation-time rows.
 
@@ -186,14 +180,6 @@ class DistanceBackend:
     footprint report; everything else (group masks, discounting,
     deadlines, state bookkeeping) stays in the ensemble and is shared
     by every backend, which is what makes their outputs bit-identical.
-
-    The bulk primitives (:meth:`min_with_block`, :meth:`reduce_rows`,
-    :meth:`empty_state_histogram`) take an optional ``world_slice`` so
-    the ensemble's :class:`~repro.influence.parallel.WorkerPool` can
-    run them per contiguous world shard: restricting to a shard only
-    restricts *which worlds are read and written* — every operation is
-    an exact elementwise fold or integer count, so any world partition
-    reproduces the serial result bit for bit.
     """
 
     name: str = "abstract"
@@ -211,95 +197,43 @@ class DistanceBackend:
         best: np.ndarray,
         positions: Sequence[int],
         out: np.ndarray,
-        world_slice: Optional[slice] = None,
     ) -> np.ndarray:
         """Blocked fold: ``out[i] = minimum(best, D[:, positions[i], :])``.
 
         ``out`` must be a ``(len(positions), R, n)`` uint8 buffer the
         caller owns (the ensemble keeps one per block size and reuses
         it), so a whole candidate block is scored without any per-call
-        allocation.  With ``world_slice`` only worlds ``[lo, hi)`` are
-        read and only ``out[:, lo:hi]`` is written — disjoint shards
-        can therefore fill one shared buffer concurrently.  The base
-        implementation handles the serial (``world_slice=None``) case
-        by copying ``best`` into each slab and applying
-        :meth:`min_into`; backends override it where a genuinely
-        blocked or shard-restricted fold is cheaper.  Values are
-        bit-identical to ``min_with`` called per position.
+        allocation.  The base implementation copies ``best`` into each
+        slab and applies :meth:`min_into`; backends override it where a
+        genuinely blocked fold is cheaper.  Values are bit-identical to
+        ``min_with`` called per position.
         """
-        if world_slice is not None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not implement world-sharded folds"
-            )
         for i, position in enumerate(positions):
             np.copyto(out[i], best)
             self.min_into(out[i], position)
         return out
 
-    def reduce_rows(
-        self,
-        positions: Sequence[int],
-        out: np.ndarray,
-        world_slice: Optional[slice] = None,
-    ) -> np.ndarray:
+    def reduce_rows(self, positions: Sequence[int], out: np.ndarray) -> np.ndarray:
         """Slab fold of whole seed sets: ``out = min(out, min_p D[:, p, :])``.
 
         Folds *every* candidate in ``positions`` into ``out`` (a full
         ``(R, n)`` state buffer) in one call — the bulk seed-state
-        build behind ``WorldEnsemble.state_for``.  With ``world_slice``
-        only ``out[lo:hi]`` is read/written.  The minimum is exact on
-        ``uint8``, so the result equals a sequential :meth:`min_into`
-        chain bit for bit, in any order and under any sharding.
+        build behind ``WorldEnsemble.state_for``.  The minimum is exact
+        on ``uint8``, so the result equals a sequential :meth:`min_into`
+        chain bit for bit, in any order.
         """
-        if world_slice is not None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not implement world-sharded folds"
-            )
         for position in positions:
             self.min_into(out, int(position))
         return out
 
-    def can_shard_block(self, positions: Sequence[int]) -> bool:
-        """Whether world-sharding a fold over ``positions`` is sane.
-
-        ``False`` by default: sharded folds require the
-        ``world_slice``-aware primitives, which the base
-        implementations do not provide — a subclass that implements
-        them opts in by overriding this (the dense and sparse stores
-        always shard; the lazy store declines blocks larger than its
-        row cache, where sharded workers would each rebuild the
-        evicted rows — up to ``workers``-fold duplicate BFS work).
-        Declining only costs speed: the ensemble runs the block
-        serially.
-        """
-        return False
-
-    def prefetch(
-        self, positions: Sequence[int], pool: Optional[WorkerPool] = None
-    ) -> None:
-        """Materialise whatever :meth:`min_with_block` will need for
-        ``positions`` *before* sharded workers start.
-
-        A no-op for precomputed stores; the lazy backend builds missing
-        cache rows here (world-sharded across ``pool``) so that worker
-        threads only ever hit the cache — workers must never submit
-        back into the pool they run on (see
-        :class:`~repro.influence.parallel.WorkerPool`).
-        """
-
     def empty_state_histogram(
-        self,
-        group_index: np.ndarray,
-        n_groups: int,
-        world_slice: Optional[slice] = None,
+        self, group_index: np.ndarray, n_groups: int
     ) -> Optional[np.ndarray]:
         """Per-candidate activation-time histogram of the *empty* state.
 
         Returns ``hist[c, g, t]`` — how many nodes of group ``g`` each
         candidate ``c`` activates at exactly time ``t``, summed over
-        the worlds in ``world_slice`` (all worlds when ``None``; the
-        ensemble sums per-shard histograms in shard order, exact in
-        integers) — or ``None`` when the backend cannot produce it
+        every world — or ``None`` when the backend cannot produce it
         without defeating its own design (the lazy store would have to
         materialise every row).  Against the empty state the fold is
         the identity (``min(UNREACHABLE, D_c) = D_c``), so this table
@@ -313,7 +247,6 @@ class DistanceBackend:
         self,
         updates: Dict[int, LiveEdgeWorld],
         candidate_indices: np.ndarray,
-        pool: Optional[WorkerPool] = None,
     ) -> Optional[np.ndarray]:
         """Patch the store after worlds ``updates`` changed in place.
 
@@ -323,9 +256,6 @@ class DistanceBackend:
         recomputed — the incremental-repair layer
         (:mod:`repro.influence.incremental`) guarantees every other
         world's live-edge set (and hence its distances) is unchanged.
-        With ``pool``, per-world recomputation is sharded across worker
-        threads; results are applied in world order, so the repaired
-        store is bit-identical at any worker count.
 
         Returns the sorted candidate positions whose rows changed in at
         least one world (the set a warm-started solver must refresh),
@@ -339,38 +269,10 @@ class DistanceBackend:
         raise NotImplementedError
 
 
-def _rebuild_sharded(
-    items: Sequence[int],
-    rebuild,
-    pool: Optional[WorkerPool] = None,
-) -> List[tuple]:
-    """Map ``rebuild`` over world indices, optionally pool-sharded.
-
-    ``rebuild`` takes a list of world indices and returns ``(index,
-    result)`` pairs; shards are interleaved round-robin (repair batches
-    are small and per-world cost is even) and results are re-sorted by
-    world index so application order never depends on the worker count.
-    """
-    items = list(items)
-    if pool is None or pool.workers <= 1 or len(items) <= 1:
-        pairs = rebuild(items)
-    else:
-        shards = [items[i :: pool.workers] for i in range(pool.workers)]
-        pairs = [
-            pair
-            for shard in pool.run(rebuild, [s for s in shards if s])
-            for pair in shard
-        ]
-    return sorted(pairs, key=lambda pair: pair[0])
-
-
 class DenseBackend(DistanceBackend):
     """The original dense tensor ``D[r, c, v]`` (uint8, UNREACHABLE-padded)."""
 
     name = "dense"
-
-    def can_shard_block(self, positions: Sequence[int]) -> bool:
-        return True
 
     def __init__(
         self,
@@ -407,9 +309,7 @@ class DenseBackend(DistanceBackend):
         best: np.ndarray,
         positions: Sequence[int],
         out: np.ndarray,
-        world_slice: Optional[slice] = None,
     ) -> np.ndarray:
-        span = _world_span(world_slice)
         positions = np.asarray(positions)
         if positions.size and np.array_equal(
             positions, np.arange(positions[0], positions[0] + positions.size)
@@ -419,29 +319,18 @@ class DenseBackend(DistanceBackend):
             # fold is one blocked minimum with zero copies beyond the
             # reusable scratch buffer.
             slab = self._distances[
-                span, int(positions[0]) : int(positions[0]) + positions.size, :
+                :, int(positions[0]) : int(positions[0]) + positions.size, :
             ].transpose(1, 0, 2)
-            np.minimum(slab, best[np.newaxis, span], out=out[:, span])
+            np.minimum(slab, best[np.newaxis], out=out)
             return out
         # Scattered positions (later plain-greedy rounds): fancy
         # indexing would copy the slab, so fold row views one by one —
         # still allocation-free and bit-identical.
         for i, position in enumerate(positions):
-            np.minimum(
-                best[span],
-                self._distances[span, int(position), :],
-                out=out[i, span],
-            )
+            np.minimum(best, self._distances[:, int(position), :], out=out[i])
         return out
 
-    def reduce_rows(
-        self,
-        positions: Sequence[int],
-        out: np.ndarray,
-        world_slice: Optional[slice] = None,
-    ) -> np.ndarray:
-        span = _world_span(world_slice)
-        view = out[span]
+    def reduce_rows(self, positions: Sequence[int], out: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and np.array_equal(
             np.sort(positions),
@@ -451,21 +340,18 @@ class DenseBackend(DistanceBackend):
             # slab is a *view* of the tensor, so the whole seed set
             # folds in one ``minimum.reduce`` with zero copies.
             lo = int(positions.min())
-            slab = self._distances[span, lo : lo + positions.size, :]
-            np.minimum(view, np.minimum.reduce(slab, axis=1), out=view)
+            slab = self._distances[:, lo : lo + positions.size, :]
+            np.minimum(out, np.minimum.reduce(slab, axis=1), out=out)
             return out
         # Scattered seeds (what greedy traces produce): fancy indexing
         # would copy an ``(R, |S|, n)`` slab — measurably slower than
         # folding row views one by one, which is allocation-free.
         for position in positions:
-            np.minimum(view, self._distances[span, int(position), :], out=view)
+            np.minimum(out, self._distances[:, int(position), :], out=out)
         return out
 
     def empty_state_histogram(
-        self,
-        group_index: np.ndarray,
-        n_groups: int,
-        world_slice: Optional[slice] = None,
+        self, group_index: np.ndarray, n_groups: int
     ) -> np.ndarray:
         # Only finite entries matter (cutoffs never reach the
         # UNREACHABLE sentinel), and on live-edge worlds they are a few
@@ -479,7 +365,7 @@ class DenseBackend(DistanceBackend):
         # 1/R of the tensor instead of materialising a full-tensor bool
         # mask next to a store that may already be near its memory
         # ceiling.
-        for world in self._distances[_world_span(world_slice)]:
+        for world in self._distances:
             finite = world != UNREACHABLE
             c_idx, v_idx = np.nonzero(finite)
             codes = (c_idx * n_groups + group_index[v_idx]) * 256
@@ -488,10 +374,7 @@ class DenseBackend(DistanceBackend):
         return hist.reshape(n_candidates, n_groups, 256)
 
     def repair_worlds(
-        self,
-        updates: Dict[int, LiveEdgeWorld],
-        candidate_indices: np.ndarray,
-        pool: Optional[WorkerPool] = None,
+        self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
     ) -> np.ndarray:
         if not updates:
             return np.empty(0, dtype=np.int64)
@@ -500,15 +383,9 @@ class DenseBackend(DistanceBackend):
             # memory may be read-only; repair proceeds in a private
             # copy (the segment itself stays pristine for its owner).
             self._distances = self._distances.copy()
-
-        def rebuild(indices: Sequence[int]):
-            return [
-                (r, updates[r].distances_from(candidate_indices))
-                for r in indices
-            ]
-
         affected = np.zeros(self._distances.shape[1], dtype=bool)
-        for r, slab in _rebuild_sharded(sorted(updates), rebuild, pool):
+        for r in sorted(updates):
+            slab = updates[r].distances_from(candidate_indices)
             changed = np.flatnonzero((slab != self._distances[r]).any(axis=1))
             affected[changed] = True
             self._distances[r] = slab
@@ -565,24 +442,16 @@ class SparseBackend(DistanceBackend):
 
     name = "sparse"
 
-    def can_shard_block(self, positions: Sequence[int]) -> bool:
-        return True
-
     def __init__(
         self,
         worlds: Sequence[LiveEdgeWorld],
         candidate_indices: np.ndarray,
         n: int,
         first_world_rows: Optional[sparse.csr_matrix] = None,
-        pool: Optional[WorkerPool] = None,
         rows: Optional[Sequence[sparse.csr_matrix]] = None,
     ) -> None:
         # ``first_world_rows`` lets the "auto" probe hand over world 0's
         # already-built CSR instead of BFSing that world a second time.
-        # ``pool`` shards the per-world BFS materialisation across
-        # worker threads (worlds are independent; the frontier matmuls
-        # run in scipy's C code) — the result is assembled in world
-        # order, so construction is identical at any worker count.
         # ``rows`` hands over fully prebuilt per-world CSR matrices
         # (the process-sharded build layer passes zero-copy views into
         # shared-memory segments) and skips the BFS entirely.
@@ -595,21 +464,11 @@ class SparseBackend(DistanceBackend):
                 )
             self._rows = list(rows)
             return
-
-        def build(world_slice: slice) -> List[sparse.csr_matrix]:
-            return [
-                first_world_rows
-                if i == 0 and first_world_rows is not None
-                else _batched_bfs_distances(worlds[i], candidate_indices)
-                for i in range(*world_slice.indices(len(worlds)))
-            ]
-
-        if pool is None or pool.workers <= 1:
-            built = [build(slice(0, len(worlds)))]
-        else:
-            built = pool.run(build, pool.world_shards(len(worlds)))
         self._rows: List[sparse.csr_matrix] = [
-            mat for shard in built for mat in shard
+            first_world_rows
+            if i == 0 and first_world_rows is not None
+            else _batched_bfs_distances(world, candidate_indices)
+            for i, world in enumerate(worlds)
         ]
 
     def min_into(self, best: np.ndarray, position: int) -> None:
@@ -630,19 +489,15 @@ class SparseBackend(DistanceBackend):
         best: np.ndarray,
         positions: Sequence[int],
         out: np.ndarray,
-        world_slice: Optional[slice] = None,
     ) -> np.ndarray:
         # One broadcast copy of the state, then per-world CSR row
         # minimums for every candidate in the block.  Only the stored
         # (finite) entries are touched, so the inner work is O(nnz of
         # the block), not O(block * R * n).
-        span = _world_span(world_slice)
-        lo_w, hi_w, _ = span.indices(len(self._rows))
-        np.copyto(out[:, span], best[np.newaxis, span])
+        np.copyto(out, best[np.newaxis])
         for i, position in enumerate(positions):
             position = int(position)
-            for r in range(lo_w, hi_w):
-                mat = self._rows[r]
+            for r, mat in enumerate(self._rows):
                 lo, hi = mat.indptr[position], mat.indptr[position + 1]
                 idx = mat.indices[lo:hi]
                 out[i, r, idx] = np.minimum(
@@ -650,19 +505,11 @@ class SparseBackend(DistanceBackend):
                 )
         return out
 
-    def reduce_rows(
-        self,
-        positions: Sequence[int],
-        out: np.ndarray,
-        world_slice: Optional[slice] = None,
-    ) -> np.ndarray:
+    def reduce_rows(self, positions: Sequence[int], out: np.ndarray) -> np.ndarray:
         # World-outer, seed-inner: each world's CSR rows are folded
         # back to back while its state row is hot in cache.  Scatter
         # minimums over stored entries only — exact, order-free.
-        lo_w, hi_w, _ = _world_span(world_slice).indices(len(self._rows))
-        for r in range(lo_w, hi_w):
-            mat = self._rows[r]
-            row = out[r]
+        for mat, row in zip(self._rows, out):
             for position in positions:
                 position = int(position)
                 lo, hi = mat.indptr[position], mat.indptr[position + 1]
@@ -671,17 +518,14 @@ class SparseBackend(DistanceBackend):
         return out
 
     def empty_state_histogram(
-        self,
-        group_index: np.ndarray,
-        n_groups: int,
-        world_slice: Optional[slice] = None,
+        self, group_index: np.ndarray, n_groups: int
     ) -> np.ndarray:
         # The CSR stores exactly the finite (candidate, node, time)
-        # triples the histogram needs; one fused bincount over the
-        # selected worlds' entries builds it in O(nnz).
+        # triples the histogram needs; one fused bincount over every
+        # world's entries builds it in O(nnz).
         n_candidates = self._rows[0].shape[0]
         per_world_codes = []
-        for mat in self._rows[_world_span(world_slice)]:
+        for mat in self._rows:
             rows = np.repeat(
                 np.arange(n_candidates, dtype=np.int64), np.diff(mat.indptr)
             )
@@ -695,22 +539,13 @@ class SparseBackend(DistanceBackend):
         return hist.reshape(n_candidates, n_groups, 256)
 
     def repair_worlds(
-        self,
-        updates: Dict[int, LiveEdgeWorld],
-        candidate_indices: np.ndarray,
-        pool: Optional[WorkerPool] = None,
+        self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
     ) -> np.ndarray:
         if not updates:
             return np.empty(0, dtype=np.int64)
-
-        def rebuild(indices: Sequence[int]):
-            return [
-                (r, _batched_bfs_distances(updates[r], candidate_indices))
-                for r in indices
-            ]
-
         affected = np.zeros(self._rows[0].shape[0], dtype=bool)
-        for r, mat in _rebuild_sharded(sorted(updates), rebuild, pool):
+        for r in sorted(updates):
+            mat = _batched_bfs_distances(updates[r], candidate_indices)
             # Both operands come from ``_batched_bfs_distances`` (or the
             # procbuild equivalent), which never stores explicit zeros,
             # so sparse ``!=`` sees exactly the semantic differences.
@@ -753,38 +588,20 @@ class LazyBackend(DistanceBackend):
         self._candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
         self.cache_size = int(cache_size)
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        # Guards the LRU dict and the hit/miss counters: sharded
-        # workers of one query (and concurrent queries on a shared
-        # ensemble) all read through the cache.  Row materialisation
-        # itself runs outside the lock — two threads racing on the
-        # same cold row both build it and one result wins, which is
-        # wasteful but correct (rows are deterministic).
+        # Guards the LRU dict and the hit/miss counters: concurrent
+        # queries on a shared ensemble all read through the cache.  Row
+        # materialisation itself runs outside the lock — two threads
+        # racing on the same cold row both build it and one result
+        # wins, which is wasteful but correct (rows are deterministic).
         self._cache_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def _build_rows(
-        self, position: int, pool: Optional[WorkerPool] = None
-    ) -> np.ndarray:
-        """BFS candidate ``position`` in every stored world.
-
-        With ``pool``, worlds are sharded across worker threads
-        (scipy's C BFS does the per-world work) and reassembled in
-        world order — identical bytes at any worker count.  Never
-        called with a pool from inside a pool worker.
-        """
+    def _build_rows(self, position: int) -> np.ndarray:
+        """BFS candidate ``position`` in every stored world."""
         source = [int(self._candidate_indices[position])]
-
-        def build(world_slice: slice) -> np.ndarray:
-            lo, hi, _ = world_slice.indices(len(self._worlds))
-            return np.concatenate(
-                [self._worlds[r].distances_from(source) for r in range(lo, hi)]
-            )
-
-        if pool is None or pool.workers <= 1:
-            return build(slice(0, len(self._worlds)))
         return np.concatenate(
-            pool.run(build, pool.world_shards(len(self._worlds)))
+            [world.distances_from(source) for world in self._worlds]
         )
 
     def _cache_store(self, position: int, rows: np.ndarray) -> None:
@@ -805,50 +622,6 @@ class LazyBackend(DistanceBackend):
             self._cache_store(position, rows)
         return rows
 
-    def _peek_rows(self, position: int) -> np.ndarray:
-        """Cache read for sharded workers: no stats, no LRU reorder.
-
-        Every worker of one sharded fold walks the same positions, so
-        routing them through :meth:`_rows_for` would serialise the
-        workers on ``move_to_end`` and inflate the hit counter by the
-        worker count.  Prefetch already counted the block's misses and
-        warmed the LRU order; workers just need the arrays.  A row
-        evicted between prefetch and read (block near the cache
-        capacity) falls back to a counted rebuild.
-        """
-        with self._cache_lock:
-            cached = self._cache.get(position)
-        return cached if cached is not None else self._rows_for(position)
-
-    def can_shard_block(self, positions: Sequence[int]) -> bool:
-        # A block that doesn't fit the cache would be evicted while
-        # prefetching, and every sharded worker would then rebuild the
-        # same evicted rows — up to ``workers``-fold duplicate BFS
-        # work.  The ensemble runs such blocks serially (one rebuild
-        # per miss, like the scalar path).
-        return len(set(int(p) for p in positions)) <= self.cache_size
-
-    def prefetch(
-        self, positions: Sequence[int], pool: Optional[WorkerPool] = None
-    ) -> None:
-        # Materialise the block's missing rows *before* the sharded
-        # fold starts, so pool workers only ever take the cache-hit
-        # path; each cold row's per-world BFS is itself world-sharded
-        # across the pool.  Blocks larger than the cache never get
-        # here (``can_shard_block``), so prefetched rows survive until
-        # the fold reads them.
-        if pool is None or pool.workers <= 1:
-            return
-        for position in dict.fromkeys(int(p) for p in positions):
-            with self._cache_lock:
-                if position in self._cache:
-                    continue
-            rows = self._build_rows(position, pool)
-            with self._cache_lock:
-                if position not in self._cache:
-                    self.misses += 1
-                    self._cache_store(position, rows)
-
     def min_into(self, best: np.ndarray, position: int) -> None:
         np.minimum(best, self._rows_for(position), out=best)
 
@@ -860,37 +633,21 @@ class LazyBackend(DistanceBackend):
         best: np.ndarray,
         positions: Sequence[int],
         out: np.ndarray,
-        world_slice: Optional[slice] = None,
     ) -> np.ndarray:
         # Row batches flow through the same LRU cache as scalar
         # queries, so a CELF first round in blocks warms exactly the
-        # rows later lazy re-evaluations will hit.  Sharded workers
-        # (world_slice set) peek instead — see :meth:`_peek_rows`.
-        span = _world_span(world_slice)
-        fetch = self._rows_for if world_slice is None else self._peek_rows
+        # rows later lazy re-evaluations will hit.
         for i, position in enumerate(positions):
-            rows = fetch(int(position))
-            np.minimum(best[span], rows[span], out=out[i, span])
+            np.minimum(best, self._rows_for(int(position)), out=out[i])
         return out
 
-    def reduce_rows(
-        self,
-        positions: Sequence[int],
-        out: np.ndarray,
-        world_slice: Optional[slice] = None,
-    ) -> np.ndarray:
-        span = _world_span(world_slice)
-        fetch = self._rows_for if world_slice is None else self._peek_rows
-        view = out[span]
+    def reduce_rows(self, positions: Sequence[int], out: np.ndarray) -> np.ndarray:
         for position in positions:
-            np.minimum(view, fetch(int(position))[span], out=view)
+            np.minimum(out, self._rows_for(int(position)), out=out)
         return out
 
     def repair_worlds(
-        self,
-        updates: Dict[int, LiveEdgeWorld],
-        candidate_indices: np.ndarray,
-        pool: Optional[WorkerPool] = None,
+        self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
     ) -> None:
         if not updates:
             return None
@@ -908,15 +665,8 @@ class LazyBackend(DistanceBackend):
         items = sorted(int(r) for r in updates)
         for position, rows in cached:
             source = [int(self._candidate_indices[position])]
-
-            def rebuild(indices: Sequence[int]):
-                return [
-                    (r, self._worlds[r].distances_from(source)[0])
-                    for r in indices
-                ]
-
-            for r, row in _rebuild_sharded(items, rebuild, pool):
-                rows[r] = row
+            for r in items:
+                rows[r] = self._worlds[r].distances_from(source)[0]
         # Uncached candidates were never materialised, so the affected
         # set cannot be enumerated without defeating the lazy design.
         return None
@@ -1046,7 +796,6 @@ def make_backend(
     candidate_indices: np.ndarray,
     n: int,
     options: Optional[Dict[str, Any]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> DistanceBackend:
     """Instantiate a named backend.
 
@@ -1054,10 +803,7 @@ def make_backend(
     ``dense_limit`` / ``sparse_limit`` ride in ``options``) and then
     silently drops options that don't apply to the backend it picked
     (e.g. ``cache_size`` when auto lands on dense).  An explicitly
-    named backend rejects unknown options instead.  ``pool`` (from the
-    owning ensemble's worker setting) shards the sparse backend's
-    per-world BFS materialisation across threads; construction output
-    is identical at any worker count.
+    named backend rejects unknown options instead.
     """
     check_backend_name(backend)
     options = dict(options or {})
@@ -1079,8 +825,6 @@ def make_backend(
         cls = DenseBackend
     elif backend == "sparse":
         cls = SparseBackend
-        if pool is not None:
-            options["pool"] = pool
     else:
         cls = LazyBackend
     try:

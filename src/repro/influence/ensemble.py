@@ -36,15 +36,12 @@ world ``r``), and
 and ``"auto"`` picks by estimated footprint.  All backends produce
 bit-identical utilities; they trade memory against query speed.
 
-*Where* the hot primitives run is delegated to a
-:class:`~repro.influence.parallel.WorkerPool` (``workers=``): worlds
-are i.i.d., so the block folds, weight fills, histogram bincounts and
-sparse BFS builds are sharded along the world axis across threads
-(numpy releases the GIL in all of them), while the one BLAS
-contraction is sharded along the candidate axis.  Worker counts change
-wall-clock time only — ``workers=1`` runs the serial path byte for
-byte, and ``workers>1`` is bit-identical to it (see
-:mod:`repro.influence.parallel` for the determinism contract).
+Queries run serially on the caller thread.  The speed comes from
+submodularity (lazy CELF re-evaluation) and the batched oracle, not
+from threads: world-sharding the numpy primitives never beat the
+serial path on the measured workloads (see ``docs/PERFORMANCE.md``).
+Concurrent queries on one shared ensemble (``repro serve --threads``)
+are safe — scratch buffers are per caller thread.
 
 This estimator is unbiased for Eq. 1 for every ``tau``
 simultaneously, which is what lets one ensemble serve a whole
@@ -55,7 +52,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -85,14 +81,6 @@ from repro.influence.backends import (
     make_backend,
 )
 from repro.influence.deadlines import clip_deadline as _clip_deadline
-from repro.influence.parallel import (
-    WorkerPool,
-    WorkersLike,
-    check_workers,
-    effective_workers,
-    resolve_workers,
-    shard_slices,
-)
 from repro.influence.procbuild import (
     BuildWorkersLike,
     ProcessBuildUnavailable,
@@ -166,14 +154,6 @@ class WorldEnsemble:
         Extra keyword arguments for the backend constructor (e.g.
         ``{"cache_size": 128}`` for ``"lazy"``, ``{"dense_limit": ...}``
         for ``"auto"``).
-    workers:
-        Worker-thread count for world-sharded evaluation: a positive
-        int, ``"auto"`` (= ``min(available_cpus(), n_worlds)``), or
-        ``None`` to defer to the process default
-        (:func:`repro.influence.parallel.set_default_workers`, itself
-        ``1`` unless the CLI's ``--workers`` or ``REPRO_WORKERS`` set
-        it).  Affects wall-clock time only: every estimate, trace and
-        sweep is bit-identical at every worker count.
     build_workers:
         Worker-*process* count for world **construction** (sampling +
         distance-store builds, which hold the GIL and therefore cannot
@@ -185,12 +165,11 @@ class WorldEnsemble:
         it).  With more than one build worker the distance store is
         published in shared-memory segments (zero-copy for the workers
         that built it); call :meth:`close` — or use the ensemble as a
-        context manager — to unlink them deterministically.  Like
-        ``workers``, this is a pure speed knob: worlds, stores, traces
-        and estimates are byte-identical at every build-worker count,
-        and the build degrades to the serial path (with a
-        ``RuntimeWarning``) where processes or shared memory are
-        unavailable.
+        context manager — to unlink them deterministically.  This is a
+        pure speed knob: worlds, stores, traces and estimates are
+        byte-identical at every build-worker count, and the build
+        degrades to the serial path (with a ``RuntimeWarning``) where
+        processes or shared memory are unavailable.
     """
 
     def __init__(
@@ -203,21 +182,14 @@ class WorldEnsemble:
         seed: RngLike = None,
         backend: str = "dense",
         backend_options: Optional[Dict[str, Any]] = None,
-        workers: Optional[WorkersLike] = None,
         build_workers: Optional[BuildWorkersLike] = None,
     ) -> None:
         if n_worlds < 1:
             raise EstimationError(f"n_worlds must be >= 1, got {n_worlds}")
         check_backend_name(backend)  # fail fast, before world sampling
-        self._workers_setting = check_workers(workers, allow_none=True)
         self._build_workers_setting = check_build_workers(
             build_workers, allow_none=True
         )
-        # Per-thread pin stack for the solvers' workers= knob: each
-        # solving thread sees its own pin, so concurrent solves on one
-        # shared ensemble never race on (or leak into) the persistent
-        # setting above.
-        self._workers_pins = threading.local()
         assignment.validate_for(graph)
         self.graph = graph
         self.assignment = assignment
@@ -284,15 +256,13 @@ class WorldEnsemble:
             self._build_workers_used = 1
             self.worlds = [sampler(graph, seed=child) for child in children]
             # Activation-time store D[r, c, v] behind the backend
-            # interface.  The pool shards the sparse backend's
-            # per-world BFS builds.
+            # interface.
             self._backend = make_backend(
                 backend,
                 self.worlds,
                 self._candidate_indices,
                 self.n,
                 backend_options,
-                pool=self._pool(),
             )
         # Group masks as float32 (k, n) for fast masked counting, plus
         # group sizes for normalisation.
@@ -498,71 +468,6 @@ class WorldEnsemble:
         self.close()
 
     @property
-    def workers(self) -> int:
-        """Concrete worker count for this ensemble's sharded evaluation.
-
-        Resolved at query time — the calling thread's pin
-        (:meth:`pinned_workers`) if one is active, else the ensemble's
-        own setting, else the process default — so a later
-        :func:`repro.influence.parallel.set_default_workers` (e.g. the
-        CLI's ``--workers``) applies to already-built ensembles too.
-        """
-        pins = getattr(self._workers_pins, "stack", None)
-        if pins:
-            return resolve_workers(pins[-1], self.n_worlds)
-        return resolve_workers(self._workers_setting, self.n_worlds)
-
-    def set_workers(
-        self, workers: Optional[WorkersLike]
-    ) -> Optional[WorkersLike]:
-        """Set this ensemble's worker setting; returns the previous one.
-
-        ``None`` defers to the process default again.  This is the
-        *persistent* knob and is not synchronised — configure it from
-        one thread; for a per-solve override use :meth:`pinned_workers`
-        (what the greedy engines' ``workers=`` knob routes through),
-        which is safe under concurrent solves.
-        """
-        previous = self._workers_setting
-        self._workers_setting = check_workers(workers, allow_none=True)
-        return previous
-
-    @contextmanager
-    def pinned_workers(self, workers: Optional[WorkersLike]):
-        """Pin the *calling thread's* worker count for a code block.
-
-        ``None`` is a no-op.  Pins are thread-local and stack, so
-        concurrent solves on one shared ensemble each see their own
-        worker count and the persistent :meth:`set_workers` setting is
-        never touched (or leaked) by a solve.
-        """
-        if workers is None:
-            yield
-            return
-        check_workers(workers)
-        stack = getattr(self._workers_pins, "stack", None)
-        if stack is None:
-            stack = self._workers_pins.stack = []
-        stack.append(workers)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    def _pool(self, n_items: Optional[int] = None) -> WorkerPool:
-        """Pool sized to the worker setting, gated by workload size.
-
-        ``n_items`` is the elementwise work of the operation about to
-        run; operations too small to amortise a thread handoff (see
-        :func:`repro.influence.parallel.effective_workers`) get a
-        serial pool.  Gating never changes results, only dispatch.
-        """
-        workers = self.workers
-        if n_items is not None:
-            workers = effective_workers(workers, n_items)
-        return WorkerPool(workers)
-
-    @property
     def n_candidates(self) -> int:
         return len(self.candidate_labels)
 
@@ -590,8 +495,7 @@ class WorldEnsemble:
         """State of an arbitrary seed set (each seed must be a candidate).
 
         Built as one slab fold (``DistanceBackend.reduce_rows``) over
-        all seed rows — world-sharded across the worker pool — instead
-        of the old one-:meth:`add_seed`-per-seed chain.  ``uint8``
+        all seed rows instead of one :meth:`add_seed` per seed.  ``uint8``
         minimum is exact, so the state is bit-identical to the
         sequential build; ``evaluate_at`` / :meth:`utilities_for` /
         the sweep helpers all sit on this.
@@ -609,18 +513,7 @@ class WorldEnsemble:
         state = self.empty_state()
         if not positions:
             return state
-        pool = self._pool(len(positions) * self.n_worlds * self.n)
-        if pool.workers > 1 and self._backend.can_shard_block(positions):
-            pos_arr = np.asarray(positions, dtype=np.int64)
-            self._backend.prefetch(pos_arr, pool)
-            pool.run(
-                lambda span: self._backend.reduce_rows(
-                    pos_arr, state.best_time, world_slice=span
-                ),
-                pool.world_shards(self.n_worlds),
-            )
-        else:
-            self._backend.reduce_rows(positions, state.best_time)
+        self._backend.reduce_rows(positions, state.best_time)
         state.seed_positions.extend(positions)
         return state
 
@@ -774,9 +667,7 @@ class WorldEnsemble:
         queries allocate nothing beyond the tiny per-block outputs.
         Buffers are keyed per *caller thread* (``threading.local``), so
         any number of concurrent batched queries can share one
-        ensemble without corrupting each other; the worker pool's
-        shard threads never allocate scratch — they receive disjoint
-        world-slice views of the caller's buffers.
+        ensemble without corrupting each other.
         """
         local = self._scratch
         times = getattr(local, "times", None)
@@ -829,37 +720,15 @@ class WorldEnsemble:
                     hist = (
                         None
                         if table_bytes > self.EMPTY_TABLE_BYTE_LIMIT
-                        else self._empty_state_histogram()
+                        else self._backend.empty_state_histogram(
+                            self._group_index, len(self.group_names)
+                        )
                     )
                     if hist is None:
                         self._empty_gain_table_missing = True
                     else:
                         self._empty_gain_table = np.cumsum(hist, axis=2)
         return self._empty_gain_table
-
-    def _empty_state_histogram(self) -> Optional[np.ndarray]:
-        """Backend empty-state histogram, world-sharded across the pool.
-
-        Per-shard histograms are exact integer counts summed in shard
-        order, so the table is identical at any worker count.
-        """
-        n_groups = len(self.group_names)
-        pool = self._pool(self.n_candidates * self.n_worlds * self.n)
-        shards = pool.world_shards(self.n_worlds)
-        if len(shards) <= 1:
-            return self._backend.empty_state_histogram(self._group_index, n_groups)
-        parts = pool.run(
-            lambda span: self._backend.empty_state_histogram(
-                self._group_index, n_groups, world_slice=span
-            ),
-            shards,
-        )
-        if any(part is None for part in parts):
-            return None
-        total = parts[0]
-        for part in parts[1:]:
-            total += part
-        return total
 
     def candidate_group_utilities_batch(
         self,
@@ -889,15 +758,6 @@ class WorldEnsemble:
           ``einsum``/``tensordot``, whose different reduction order
           changes low bits), replacing ``B`` per-candidate allocations
           and matmuls.
-
-        With ``workers > 1`` the general path runs world-sharded: each
-        worker folds and weights a contiguous world slice of the
-        shared scratch (elementwise — exact under any partition), the
-        GEMM is then sharded along the *candidate* axis (numpy's 3-d
-        ``matmul`` is one independent GEMM per stack item, so a
-        stack-axis slice issues the very same per-candidate GEMMs the
-        serial path issues), and the world-mean runs un-sharded on the
-        caller thread.  Bit-identical at every worker count.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
@@ -930,29 +790,9 @@ class WorldEnsemble:
                 ).astype(np.float32)
                 return per_candidate.astype(np.float64)
         times, active, weights, per_world = self._batch_scratch(int(positions.size))
-        pool = self._pool(int(positions.size) * self.n_worlds * self.n)
-        shards = pool.world_shards(self.n_worlds)
-        if len(shards) > 1 and self._backend.can_shard_block(positions):
-            self._backend.prefetch(positions, pool)
-
-            def fold(span: slice) -> None:
-                self._backend.min_with_block(
-                    state.best_time, positions, times, world_slice=span
-                )
-                self._activation_weights_into(
-                    times[:, span], cutoff, discount, active[:, span], weights[:, span]
-                )
-
-            pool.run(fold, shards)
-
-            def contract(span: slice) -> None:
-                np.matmul(weights[span], self._masks_f, out=per_world[span])
-
-            pool.run(contract, shard_slices(int(positions.size), pool.workers))
-        else:
-            self._backend.min_with_block(state.best_time, positions, times)
-            self._activation_weights_into(times, cutoff, discount, active, weights)
-            np.matmul(weights, self._masks_f, out=per_world)  # (B, R, k)
+        self._backend.min_with_block(state.best_time, positions, times)
+        self._activation_weights_into(times, cutoff, discount, active, weights)
+        np.matmul(weights, self._masks_f, out=per_world)  # (B, R, k)
         return per_world.mean(axis=1).astype(np.float64)
 
     def candidate_gains_batch(
@@ -989,54 +829,38 @@ class WorldEnsemble:
     # ------------------------------------------------------------------
     # deadline sweeps
     # ------------------------------------------------------------------
-    def _hist_shard(self, best_time: np.ndarray, span: slice) -> np.ndarray:
-        """Activation-time histogram of one contiguous world shard."""
-        n_groups = len(self.group_names)
-        block = best_time[span]
-        finite = block != UNREACHABLE
-        n_finite = np.count_nonzero(finite)
-        if 4 * n_finite < finite.size:
-            # Sparse activation (the common live-edge regime): extract
-            # the few finite entries and bincount only those.
-            idx = np.flatnonzero(finite.ravel())
-            codes = self._sweep_code_base[idx % self.n] + block.ravel()[idx]
-        else:
-            # Dense activation: a full-array bincount beats extraction.
-            # The UNREACHABLE entries land in each group's bin 255,
-            # which the caller zeroes (no cutoff ever reaches it —
-            # cutoffs are <= 254).
-            codes = (self._sweep_code_base + block).ravel()
-        hist = np.bincount(codes, minlength=n_groups * 256)
-        return hist.reshape(n_groups, 256)
-
     def _state_time_histogram(self, state: InfluenceState) -> np.ndarray:
         """Activation-time histogram of the current seed set, ``(k, 256)``.
 
         ``hist[g, t]`` counts, summed over all worlds, the nodes of
         group ``g`` activated at exactly time ``t`` (finite times only;
-        the ``UNREACHABLE`` bin is pinned to zero).  Per world shard
-        it's one ``np.bincount`` over fused ``(group, time)`` codes —
-        the code space is just ``k * 256`` (L1-resident counters) —
-        with shard histograms summed in shard order (exact integers).
-        The result is cached on the state and maintained incrementally
-        by :meth:`add_seed`, so only the *first* sweep of a state pays
-        for the full bincount.
+        the ``UNREACHABLE`` bin is pinned to zero).  It's one
+        ``np.bincount`` over fused ``(group, time)`` codes — the code
+        space is just ``k * 256`` (L1-resident counters).  The result
+        is cached on the state and maintained incrementally by
+        :meth:`add_seed`, so only the *first* sweep of a state pays for
+        the full bincount.
         """
         if state.time_hist is not None:
             return state.time_hist
         if self._sweep_code_base is None:
             self._sweep_code_base = self._group_index * 256  # (n,) int64
-        pool = self._pool(state.best_time.size)
-        shards = pool.world_shards(self.n_worlds)
-        if len(shards) > 1:
-            parts = pool.run(
-                lambda span: self._hist_shard(state.best_time, span), shards
-            )
-            hist = parts[0]
-            for part in parts[1:]:
-                hist += part
+        n_groups = len(self.group_names)
+        best = state.best_time
+        finite = best != UNREACHABLE
+        n_finite = np.count_nonzero(finite)
+        if 4 * n_finite < finite.size:
+            # Sparse activation (the common live-edge regime): extract
+            # the few finite entries and bincount only those.
+            idx = np.flatnonzero(finite.ravel())
+            codes = self._sweep_code_base[idx % self.n] + best.ravel()[idx]
         else:
-            hist = self._hist_shard(state.best_time, slice(None))
+            # Dense activation: a full-array bincount beats extraction.
+            # The UNREACHABLE entries land in each group's bin 255,
+            # zeroed below (no cutoff ever reaches it — cutoffs are
+            # <= 254).
+            codes = (self._sweep_code_base + best).ravel()
+        hist = np.bincount(codes, minlength=n_groups * 256).reshape(n_groups, 256)
         hist[:, UNREACHABLE] = 0
         state.time_hist = hist
         return hist

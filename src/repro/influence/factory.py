@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 from repro.config import execution_defaults
 from repro.errors import EstimationError
 
-#: builder(spec, graph, assignment, *, backend, workers, backend_options,
+#: builder(spec, graph, assignment, *, backend, backend_options,
 #: build_workers)
 EstimatorBuilder = Callable[..., Any]
 
@@ -71,7 +71,6 @@ def make_estimator(
     graph: Any,
     assignment: Any,
     backend: Optional[str] = None,
-    workers: Optional[Any] = None,
     backend_options: Optional[Dict[str, Any]] = None,
     build_workers: Optional[Any] = None,
 ):
@@ -81,8 +80,8 @@ def make_estimator(
     :class:`repro.api.EnsembleSpec` fields — ``kind``, ``n_worlds``,
     ``model``, ``world_seed``, ``candidates``), which keeps this layer
     importable without the api package.  ``backend=None`` defers to the
-    process default; ``workers``/``backend_options`` pass through to
-    the builder.
+    process default; ``backend_options``/``build_workers`` pass
+    through to the builder.
     """
     kind = getattr(spec, "kind", "worlds")
     try:
@@ -97,7 +96,6 @@ def make_estimator(
         graph,
         assignment,
         backend=backend,
-        workers=workers,
         backend_options=backend_options,
         build_workers=build_workers,
     )
@@ -108,7 +106,6 @@ def _build_world_ensemble(
     graph: Any,
     assignment: Any,
     backend: Optional[str] = None,
-    workers: Optional[Any] = None,
     backend_options: Optional[Dict[str, Any]] = None,
     build_workers: Optional[Any] = None,
 ):
@@ -127,7 +124,6 @@ def _build_world_ensemble(
         if backend is not None
         else execution_defaults.get("backend", "auto"),
         backend_options=backend_options,
-        workers=workers,
         build_workers=build_workers,
     )
 

@@ -195,9 +195,8 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
             updates[r] = patch_world(ensemble.worlds[r], plan, kept_old, kept_new)
         for r, world in updates.items():
             ensemble.worlds[r] = world
-        pool = ensemble._pool(len(updates) * ensemble.n_candidates * ensemble.n)
         affected = ensemble._backend.repair_worlds(
-            updates, ensemble._candidate_indices, pool=pool
+            updates, ensemble._candidate_indices
         )
     ensemble._note_repair(graph.version, delta.fingerprint(), affected)
     return RepairReport(

@@ -1,16 +1,14 @@
 """Process-sharded world construction with shared-memory publication.
 
-PR 3's thread pool scales the *query* path — uint8 folds, bincounts
-and GEMMs release the GIL — but world **construction** does not: the
-live-edge samplers and the batched-BFS CSR builds spend their time in
-numpy/scipy *glue* (fancy indexing, ``csr_matrix`` assembly, Python
-loops over worlds) that holds the GIL, so thread counts cannot speed a
-build up.  This module shards construction across **processes**
-instead, and publishes the built distance stores in named
-:mod:`multiprocessing.shared_memory` segments so the parent — and, on
-one host, any other process that learns the segment names — attaches
-zero-copy instead of paying a serialize/deserialize round trip per
-ensemble.
+World **construction** is GIL-bound: the live-edge samplers and the
+batched-BFS CSR builds spend their time in numpy/scipy *glue* (fancy
+indexing, ``csr_matrix`` assembly, Python loops over worlds) that holds
+the GIL, so threads cannot speed a build up.  This module shards
+construction across **processes** instead, and publishes the built
+distance stores in named :mod:`multiprocessing.shared_memory` segments
+so the parent — and, on one host, any other process that learns the
+segment names — attaches zero-copy instead of paying a
+serialize/deserialize round trip per ensemble.
 
 Determinism contract
 --------------------
@@ -79,7 +77,6 @@ from scipy import sparse
 
 from repro.config import execution_defaults
 from repro.errors import EstimationError
-from repro.influence.parallel import available_cpus, shard_slices
 
 #: Sentinel: resolve to ``min(available_cpus(), n_worlds)``, gated by
 #: the work floor below.
@@ -105,6 +102,39 @@ MIN_PROC_BUILD_ITEMS = 1 << 22
 SEGMENT_PREFIX = "repro-pb"
 
 
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    Respects CPU affinity masks and (via them) container/cgroup
+    limits where the platform exposes them — ``os.cpu_count()`` would
+    report the whole host and oversubscribe a pinned container.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def shard_slices(n_items: int, n_shards: int) -> List[slice]:
+    """Split ``range(n_items)`` into ``<= n_shards`` contiguous slices.
+
+    Balanced to within one item, deterministic, and empty-free — the
+    partition depends only on the two arguments, so a fixed-order
+    assembly over the shards is reproducible run to run.
+    """
+    n_items = int(n_items)
+    n_shards = max(1, min(int(n_shards), n_items)) if n_items else 1
+    base, extra = divmod(n_items, n_shards)
+    slices = []
+    start = 0
+    for i in range(n_shards):
+        stop = start + base + (1 if i < extra else 0)
+        if stop > start:
+            slices.append(slice(start, stop))
+        start = stop
+    return slices or [slice(0, 0)]
+
+
 class ProcessBuildUnavailable(RuntimeError):
     """Process-sharded construction cannot run here (no processes, no
     shared memory, broken pool); callers fall back to the serial build."""
@@ -115,9 +145,9 @@ def check_build_workers(
 ) -> Optional[BuildWorkersLike]:
     """Validate a build-worker setting (``int >= 1`` or ``"auto"``).
 
-    Same phrasing family as
-    :func:`repro.influence.parallel.check_workers`, so the spec/CLI
-    layers surface one consistent message shape for both knobs.
+    Same phrasing family as :func:`repro.api.specs.check_workers`, so
+    the spec/CLI layers surface one consistent message shape for both
+    knobs.
     """
     if build_workers is None:
         if allow_none:

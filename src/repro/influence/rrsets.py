@@ -861,7 +861,6 @@ def build_rrset_estimator(
     graph: DiGraph,
     assignment,
     backend: Optional[str] = None,
-    workers=None,
     backend_options=None,
     build_workers=None,
 ) -> RRSetEstimator:
@@ -869,8 +868,7 @@ def build_rrset_estimator(
 
     Registered with :mod:`repro.influence.factory`; every spec,
     session and CLI path reaches here.  The distance-backend knobs
-    (``backend`` / ``workers`` / ``backend_options`` /
-    ``build_workers``) are accepted for signature compatibility but
+    (``backend`` / ``backend_options`` / ``build_workers``) are accepted for signature compatibility but
     unused — the RR estimator owns its
     storage (a reverse CSR plus inverted coverage indices) and its
     sampling is already vectorised.

@@ -1,13 +1,7 @@
 """Shared fixtures: small deterministic graphs used across the suite.
 
-Setting ``REPRO_WORKERS`` (a positive int or ``auto``) runs the whole
-suite with that process-wide worker count for world-sharded estimator
-evaluation — CI uses it to exercise every tier-1 test threaded.  The
-results must not change: worker counts are a pure speed knob (see
-:mod:`repro.influence.parallel`), so the suite passing identically
-under ``REPRO_WORKERS=2`` is itself a determinism check.
-
-``REPRO_BUILD_WORKERS`` is the same lever for the process-sharded
+Setting ``REPRO_BUILD_WORKERS`` (a positive int or ``auto``) runs the
+whole suite with that process-wide count for the process-sharded
 world-construction path (:mod:`repro.influence.procbuild`): CI runs a
 leg with ``REPRO_BUILD_WORKERS=2`` and every test must pass
 byte-identically, worlds built in worker processes through shared
@@ -23,15 +17,7 @@ import pytest
 from repro.config import execution_defaults
 from repro.graph.digraph import DiGraph
 from repro.graph.groups import GroupAssignment
-from repro.influence.parallel import check_workers
 from repro.influence.procbuild import check_build_workers
-
-_workers_env = os.environ.get("REPRO_WORKERS")
-if _workers_env:
-    execution_defaults.set(
-        "workers",
-        check_workers(_workers_env if _workers_env == "auto" else int(_workers_env)),
-    )
 
 _build_workers_env = os.environ.get("REPRO_BUILD_WORKERS")
 if _build_workers_env:

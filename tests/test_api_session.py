@@ -8,7 +8,6 @@ sharing an :class:`EnsembleSpec` share one built ensemble.
 
 import math
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +347,35 @@ class TestConfigChain:
         # The echoed spec is still a valid, serializable RunSpec.
         assert RunSpec.from_json(result.spec.to_json()) == result.spec
 
+    def test_workers_is_accepted_for_compatibility(self, tmp_path, capsys):
+        # ``workers`` survives only so existing spec files and CLI calls
+        # stay valid: validated as before, no effect, echoed as 1.
+        import json
+
+        from repro.cli import main as cli_main
+
+        for bad in (0, "x"):
+            with pytest.raises(ConfigError, match="workers"):
+                ExecutionSpec(workers=bad)
+        spec = RunSpec(
+            ensemble=ensemble_spec(),
+            solver=SolverSpec(problem="budget", deadline=DEADLINE, budget=3),
+        )
+
+        def answer(payload):
+            return {key: value for key, value in payload.items() if key != "timings"}
+
+        default = Session().solve(spec).to_dict()
+        pinned = Session().solve(spec.with_execution(workers=4)).to_dict()
+        assert answer(pinned) == answer(default)
+        assert default["spec"]["execution"]["workers"] == 1
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+        assert cli_main(["solve", str(spec_path), "--json", "--workers", "4"]) == 0
+        (from_cli,) = json.loads(capsys.readouterr().out)
+        assert answer(from_cli) == answer(default)
+
     def test_result_to_dict_is_json_safe(self):
         import json
 
@@ -441,78 +469,6 @@ class TestEstimatorFactory:
 
 
 class TestDeprecationShims:
-    def test_backend_shim_warns_and_delegates(self):
-        from repro.experiments.common import get_default_backend, set_default_backend
-
-        previous = execution_defaults.get("backend")
-        try:
-            with pytest.warns(DeprecationWarning, match="set_default_backend"):
-                set_default_backend("sparse")
-            assert get_default_backend() == "sparse"
-            assert execution_defaults.get("backend") == "sparse"
-        finally:
-            if previous is None:
-                execution_defaults.unset("backend")
-            else:
-                execution_defaults.set("backend", previous)
-
-    def test_backend_shim_validates_before_warning(self):
-        from repro.experiments.common import get_default_backend, set_default_backend
-
-        before = get_default_backend()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would fail the test
-            with pytest.raises(ConfigError):
-                set_default_backend("tensorflow")
-        assert get_default_backend() == before
-
-    def test_block_size_shim_warns_and_delegates(self):
-        from repro.core.greedy import get_default_block_size, set_default_block_size
-
-        previous = execution_defaults.get("block_size")
-        try:
-            with pytest.warns(DeprecationWarning, match="set_default_block_size"):
-                set_default_block_size(32)
-            assert get_default_block_size() == 32
-        finally:
-            if previous is None:
-                execution_defaults.unset("block_size")
-            else:
-                execution_defaults.set("block_size", previous)
-
-    def test_shims_are_thread_safe(self):
-        from repro.core.greedy import get_default_block_size, set_default_block_size
-
-        previous = execution_defaults.get("block_size")
-        valid = set(range(2, 10))
-        errors = []
-
-        def hammer(value):
-            try:
-                for _ in range(50):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        set_default_block_size(value)
-                    got = get_default_block_size()
-                    if got not in valid:
-                        errors.append(got)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(v,)) for v in valid]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        try:
-            assert not errors
-            assert get_default_block_size() in valid
-        finally:
-            if previous is None:
-                execution_defaults.unset("block_size")
-            else:
-                execution_defaults.set("block_size", previous)
-
     def test_scoped_override_restores(self):
         from repro.experiments.common import get_default_backend, use_backend
 

@@ -257,6 +257,13 @@ class TestSolverSpecValidation:
             cover_spec(quota=1.5)
         with pytest.raises(ConfigError, match="deadline"):
             budget_spec(deadline=-1.0)
+        with pytest.raises(ConfigError, match="deadline"):
+            budget_spec(deadline=math.nan)
+        with pytest.raises(ConfigError, match="deadline"):
+            # json.loads accepts the non-standard NaN literal.
+            SolverSpec.from_dict(
+                json.loads('{"problem": "budget", "deadline": NaN, "budget": 5}')
+            )
         with pytest.raises(ConfigError, match="discount"):
             budget_spec(discount=1.5)
         with pytest.raises(ConfigError, match="method"):
@@ -308,6 +315,18 @@ class TestExecutionSpecValidation:
             assert str(build_err.value) == str(workers_err.value).replace(
                 "workers", "build_workers"
             )
+
+    def test_check_workers_rejects_bad_values(self):
+        from repro.api.specs import AUTO_WORKERS, check_workers
+        from repro.errors import EstimationError
+
+        for bad in (0, -1, 2.5, "fast", True):
+            with pytest.raises(EstimationError):
+                check_workers(bad)
+        with pytest.raises(EstimationError):
+            check_workers(None)  # allow_none defaults to False
+        assert check_workers(None, allow_none=True) is None
+        assert check_workers(AUTO_WORKERS) == AUTO_WORKERS
 
     def test_build_workers_round_trips(self):
         for value in (None, 1, 4, "auto"):

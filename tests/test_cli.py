@@ -79,7 +79,7 @@ class TestParser:
             build_parser().parse_args(["run", "fig1", "--backend", "tensorflow"])
 
     def test_workers_flag(self):
-        assert build_parser().parse_args(["run", "fig1"]).workers == "auto"
+        assert build_parser().parse_args(["run", "fig1"]).workers is None
         args = build_parser().parse_args(["run", "fig1", "--workers", "4"])
         assert args.workers == 4
         args = build_parser().parse_args(["run", "fig1", "--workers", "auto"])

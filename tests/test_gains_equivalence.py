@@ -15,12 +15,8 @@ that the *numbers never change*:
 - consequently the greedy engines produce *identical traces* — seeds,
   gains, evaluation counts, stop reasons — whether they run batched or
   scalar (``block_size=1``);
-- the world-sharded thread pool (``workers``) extends the same
-  contract: sharded folds/histograms are exact and the BLAS
-  contraction is only ever split along its bit-safe stack axis, so
-  every utility, sweep column, state and trace is bit-identical at
-  every worker count — and concurrent queries on one shared ensemble
-  (per-thread scratch) don't corrupt each other.
+- concurrent queries on one shared ensemble (per-thread scratch) don't
+  corrupt each other.
 """
 
 import math
@@ -39,7 +35,6 @@ from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 BACKENDS = ("dense", "sparse", "lazy")
 DEADLINES = (2, 2.5, 20, math.inf)
 DISCOUNTS = (None, 0.8)
-WORKER_COUNTS = (1, 2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -336,126 +331,48 @@ def test_min_with_block_matches_min_with_per_backend():
             )
 
 
-@pytest.fixture
-def tiny_shard_floor(monkeypatch):
-    """Force the pool to engage even on this suite's small ensembles.
-
-    Production gating (``effective_workers``) keeps tiny workloads
-    inline; the equivalence tests are exactly about exercising the
-    *sharded* code paths, so they drop the per-worker work floor to 1.
-    """
-    from repro.influence import parallel
-
-    monkeypatch.setattr(parallel, "MIN_SHARD_ITEMS", 1)
-
-
-@pytest.fixture
-def pinned_workers(ensembles):
-    """Restore every shared ensemble's worker setting after the test."""
-    previous = {}
-    for backend, ensemble in ensembles.items():
-        setting = ensemble.set_workers(None)
-        ensemble.set_workers(setting)  # peek-and-put-back
-        previous[backend] = setting
-    yield
-    for backend, setting in previous.items():
-        ensembles[backend].set_workers(setting)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestThreadedEquivalence:
-    """workers>1 must be bit-identical to workers=1 on every backend."""
+class TestStateBuilds:
+    """Bulk state builds and cached sweep histograms equal the slow paths."""
 
-    def test_batch_utilities_bitwise_across_workers(
-        self, ensembles, pinned_workers, tiny_shard_floor, backend
-    ):
-        ensemble = ensembles[backend]
-        state = ensemble.state_for(ensemble.candidate_labels[:3])
-        positions = range(0, 130)
-        for discount in DISCOUNTS:
-            reference = None
-            for workers in WORKER_COUNTS:
-                ensemble.set_workers(workers)
-                batch = ensemble.candidate_group_utilities_batch(
-                    state, positions, 5, discount
-                )
-                if reference is None:
-                    reference = batch
-                else:
-                    np.testing.assert_array_equal(
-                        batch,
-                        reference,
-                        err_msg=f"{backend} workers={workers} discount={discount}",
-                    )
-
-    def test_sweep_bitwise_across_workers(self, ensembles, pinned_workers, tiny_shard_floor, backend):
-        ensemble = ensembles[backend]
-        deadlines = [0, 1, 2, 2.5, 5, 20, math.inf]
-        reference = None
-        for workers in WORKER_COUNTS:
-            ensemble.set_workers(workers)
-            # Fresh state per worker count: the sweep histogram is
-            # cached on the state, and a cached histogram would defeat
-            # the cross-worker comparison.
-            state = ensemble.state_for(ensemble.candidate_labels[:4])
-            sweep = ensemble.group_utilities_sweep(state, deadlines)
-            if reference is None:
-                reference = sweep
-            else:
-                np.testing.assert_array_equal(
-                    sweep, reference, err_msg=f"{backend} workers={workers}"
-                )
-
-    def test_state_for_slab_matches_sequential_adds(
-        self, ensembles, pinned_workers, tiny_shard_floor, backend
-    ):
-        # The slab reduce_rows build (at any worker count) must equal
-        # the one-add_seed-per-seed chain bit for bit.
+    def test_state_for_slab_matches_sequential_adds(self, ensembles, backend):
+        # The slab reduce_rows build must equal the one-add_seed-per-seed
+        # chain bit for bit.
         ensemble = ensembles[backend]
         seeds = ensemble.candidate_labels[:6]
         sequential = ensemble.empty_state()
         for node in seeds:
             ensemble.add_seed(sequential, ensemble.position(node))
-        for workers in WORKER_COUNTS:
-            ensemble.set_workers(workers)
-            slab = ensemble.state_for(seeds)
-            np.testing.assert_array_equal(
-                slab.best_time,
-                sequential.best_time,
-                err_msg=f"{backend} workers={workers}",
-            )
-            assert slab.seed_positions == sequential.seed_positions
+        slab = ensemble.state_for(seeds)
+        np.testing.assert_array_equal(
+            slab.best_time, sequential.best_time, err_msg=backend
+        )
+        assert slab.seed_positions == sequential.seed_positions
 
-    def test_incremental_histogram_matches_full_rebuild(
-        self, ensembles, pinned_workers, tiny_shard_floor, backend
-    ):
+    def test_incremental_histogram_matches_full_rebuild(self, ensembles, backend):
         # sweep -> add_seed -> sweep exercises the incrementally
         # maintained state histogram; it must agree bit-for-bit with a
         # cold rebuild *and* with the scalar per-deadline path.
         ensemble = ensembles[backend]
         deadlines = [0, 1, 2, 5, 20, math.inf]
-        for workers in (1, 2):
-            ensemble.set_workers(workers)
-            state = ensemble.state_for(ensemble.candidate_labels[:2])
-            ensemble.group_utilities_sweep(state, deadlines)  # builds the hist
-            assert state.time_hist is not None
-            extra = ensemble.position(ensemble.candidate_labels[10])
-            ensemble.add_seed(state, extra)
-            incremental = ensemble.group_utilities_sweep(state, deadlines)
-            cold = ensemble.state_for(
-                ensemble.candidate_labels[:2] + [ensemble.candidate_labels[10]]
-            )
-            rebuilt = ensemble.group_utilities_sweep(cold, deadlines)
-            np.testing.assert_array_equal(incremental, rebuilt)
-            np.testing.assert_array_equal(state.time_hist, cold.time_hist)
-            scalar = np.stack(
-                [ensemble.group_utilities(state, deadline) for deadline in deadlines]
-            )
-            np.testing.assert_array_equal(incremental, scalar)
+        state = ensemble.state_for(ensemble.candidate_labels[:2])
+        ensemble.group_utilities_sweep(state, deadlines)  # builds the hist
+        assert state.time_hist is not None
+        extra = ensemble.position(ensemble.candidate_labels[10])
+        ensemble.add_seed(state, extra)
+        incremental = ensemble.group_utilities_sweep(state, deadlines)
+        cold = ensemble.state_for(
+            ensemble.candidate_labels[:2] + [ensemble.candidate_labels[10]]
+        )
+        rebuilt = ensemble.group_utilities_sweep(cold, deadlines)
+        np.testing.assert_array_equal(incremental, rebuilt)
+        np.testing.assert_array_equal(state.time_hist, cold.time_hist)
+        scalar = np.stack(
+            [ensemble.group_utilities(state, deadline) for deadline in deadlines]
+        )
+        np.testing.assert_array_equal(incremental, scalar)
 
-    def test_copied_state_histogram_is_independent(
-        self, ensembles, pinned_workers, tiny_shard_floor, backend
-    ):
+    def test_copied_state_histogram_is_independent(self, ensembles, backend):
         ensemble = ensembles[backend]
         state = ensemble.state_for(ensemble.candidate_labels[:2])
         ensemble.group_utilities_sweep(state, [5, 20])
@@ -469,132 +386,17 @@ class TestThreadedEquivalence:
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
-def test_threaded_celf_trace_equals_serial(
-    ensembles, pinned_workers, tiny_shard_floor, backend, discount
-):
-    """The workers= solver knob: traces bit-identical at 1, 2, 4 workers."""
-    ensemble = ensembles[backend]
-    objective = TotalInfluenceObjective()
-    serial = lazy_greedy(
-        ensemble, objective, deadline=20, max_seeds=5, discount=discount, workers=1
-    )
-    for workers in WORKER_COUNTS[1:]:
-        threaded = lazy_greedy(
-            ensemble,
-            objective,
-            deadline=20,
-            max_seeds=5,
-            discount=discount,
-            workers=workers,
-        )
-        assert_traces_identical(threaded, serial)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
-def test_threaded_plain_greedy_trace_equals_serial(
-    ensembles, pinned_workers, tiny_shard_floor, backend, discount
-):
-    ensemble = ensembles[backend]
-    objective = ConcaveSumObjective()
-    serial = plain_greedy(
-        ensemble, objective, deadline=20, max_seeds=3, discount=discount, workers=1
-    )
-    for workers in WORKER_COUNTS[1:]:
-        threaded = plain_greedy(
-            ensemble,
-            objective,
-            deadline=20,
-            max_seeds=3,
-            discount=discount,
-            workers=workers,
-        )
-        assert_traces_identical(threaded, serial)
-
-
-def test_solver_workers_knob_restores_setting(ensembles, pinned_workers):
-    ensemble = ensembles["dense"]
-    ensemble.set_workers(3)
-    lazy_greedy(ensemble, TotalInfluenceObjective(), 20, 2, workers=2)
-    assert ensemble.workers == min(3, ensemble.n_worlds)
-
-
-def test_concurrent_solver_pins_do_not_leak(ensembles, pinned_workers):
-    """Two simultaneous solves with different workers= pins on one
-    shared ensemble: pins are thread-local, so neither solve can leave
-    its worker count installed on the ensemble afterwards."""
-    ensemble = ensembles["dense"]
-    ensemble.set_workers(1)
-    objective = TotalInfluenceObjective()
-    expected = lazy_greedy(ensemble, objective, 20, 3).seeds
-    errors = []
-    barrier = threading.Barrier(2)
-
-    def solve(workers):
-        try:
-            barrier.wait(timeout=30)
-            for _ in range(3):
-                trace = lazy_greedy(ensemble, objective, 20, 3, workers=workers)
-                assert trace.seeds == expected
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    threads = [threading.Thread(target=solve, args=(w,)) for w in (2, 4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive(), "concurrent solve deadlocked"
-    assert not errors, errors[0]
-    assert ensemble.workers == 1  # neither pin leaked
-
-
-def test_lazy_backend_declines_sharding_oversized_blocks():
-    """A lazy block larger than the row cache runs serially (sharded
-    workers would each rebuild the evicted rows) — and still produces
-    bit-identical results."""
-    graph, assignment = illustrative_graph()
-    ensemble = WorldEnsemble(
-        graph,
-        assignment,
-        n_worlds=12,
-        seed=3,
-        backend="lazy",
-        backend_options={"cache_size": 2},
-        workers=4,
-    )
-    assert not ensemble.backend.can_shard_block([0, 1, 2])
-    assert ensemble.backend.can_shard_block([0, 1])
-    state = ensemble.empty_state()
-    positions = list(range(min(6, ensemble.n_candidates)))
-    batch = ensemble.candidate_group_utilities_batch(state, positions, 5)
-    scalar = np.stack(
-        [
-            ensemble.candidate_group_utilities(state, position, 5)
-            for position in positions
-        ]
-    )
-    np.testing.assert_array_equal(batch, scalar)
-
-
-@pytest.mark.parametrize("workers", (1, 2))
-def test_concurrent_batched_queries_on_shared_ensemble(
-    ensembles, pinned_workers, tiny_shard_floor, workers
-):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_concurrent_batched_queries_on_shared_ensemble(ensembles, copies):
     """Stress the per-thread scratch: many caller threads, one ensemble.
 
-    Before the per-worker scratch fix, two in-flight batched queries on
-    one ensemble silently corrupted each other's buffers (the old
-    contract was "one in-flight batched query per ensemble").  Here
-    several caller threads hammer the same ensemble — at ``workers=2``
-    their world shards also interleave on the shared executor — and
-    every thread must reproduce the serially computed answers exactly.
+    ``repro serve --threads`` runs concurrent solves on shared
+    ensembles, so two in-flight batched queries must never corrupt each
+    other's buffers.  Here ``4 * copies`` caller threads hammer the same
+    ensemble, and every thread must reproduce the serially computed
+    answers exactly.
     """
     ensemble = ensembles["dense"]
-    ensemble.set_workers(workers)
-    objective = TotalInfluenceObjective()
     states = [
         ensemble.empty_state(),
         ensemble.state_for(ensemble.candidate_labels[:2]),
@@ -610,7 +412,13 @@ def test_concurrent_batched_queries_on_shared_ensemble(
         for state, positions, deadline, discount in queries
     ]
     errors = []
-    barrier = threading.Barrier(4)
+    orders = [
+        list(range(len(queries))),
+        list(reversed(range(len(queries)))),
+        [0, 2, 4, 1, 3, 5],
+        [5, 3, 1, 4, 2, 0],
+    ] * copies
+    barrier = threading.Barrier(len(orders))
 
     def hammer(order):
         try:
@@ -625,15 +433,7 @@ def test_concurrent_batched_queries_on_shared_ensemble(
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=hammer, args=(order,))
-        for order in (
-            list(range(len(queries))),
-            list(reversed(range(len(queries)))),
-            [0, 2, 4, 1, 3, 5],
-            [5, 3, 1, 4, 2, 0],
-        )
-    ]
+    threads = [threading.Thread(target=hammer, args=(order,)) for order in orders]
     for thread in threads:
         thread.start()
     for thread in threads:

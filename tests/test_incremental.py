@@ -4,12 +4,9 @@ The headline contract of :mod:`repro.influence.incremental`: an
 ensemble repaired in place through :meth:`WorldEnsemble.apply_delta` is
 **bit-identical** to a :class:`WorldEnsemble` built from scratch on the
 mutated graph with the same seed — same worlds, same distance store,
-same utilities, on every backend, at every worker count, with and
-without discounting.  Warm-started CELF re-solves select bit-identical
-seeds to cold solves; only the ``evaluations`` counters may differ.
-
-CI runs this file in its own leg with ``REPRO_WORKERS=2`` to exercise
-the threaded repair path.
+same utilities, on every backend, with and without discounting.
+Warm-started CELF re-solves select bit-identical seeds to cold solves;
+only the ``evaluations`` counters may differ.
 """
 
 import json
@@ -123,23 +120,6 @@ class TestRepairEqualsRebuild:
         )
         assert_bit_identical(ensemble, fresh, discount)
         assert ensemble.delta_lineage == (delta.fingerprint(),)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_counts(self, workers):
-        graph, groups = sbm()
-        ensemble = WorldEnsemble(
-            graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
-            backend="dense", workers=workers,
-        )
-        ensemble.apply_delta(make_delta(graph))
-
-        fresh_graph, fresh_groups = sbm()
-        fresh_graph.apply_delta(make_delta(fresh_graph))
-        fresh = WorldEnsemble(
-            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
-            backend="dense",
-        )
-        assert_bit_identical(ensemble, fresh, None)
 
     def test_stacked_deltas(self):
         """Several repairs compose: lineage grows, state tracks the

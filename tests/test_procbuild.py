@@ -1,7 +1,6 @@
 """Process-sharded world construction: bit-identity, lifecycle, hygiene.
 
-Mirrors ``test_gains_equivalence.py``'s threaded matrix for the build
-path: worlds, backend contents and full greedy traces must be
+Worlds, backend contents and full greedy traces must be
 byte-identical for ``build_workers`` in {1, 2, 4} x {step, discount},
 under every distance backend.  On top of that, the shared-memory
 lifecycle must never leak a segment — not on ``close()``, not on
@@ -25,7 +24,7 @@ from repro.errors import EstimationError
 from repro.graph.generators import two_block_sbm
 from repro.influence import procbuild
 from repro.influence.ensemble import WorldEnsemble
-from repro.influence.parallel import check_workers
+from repro.api.specs import check_workers
 from repro.influence.procbuild import (
     AUTO_BUILD_WORKERS,
     MIN_PROC_BUILD_ITEMS,
@@ -36,6 +35,7 @@ from repro.influence.procbuild import (
     get_default_build_workers,
     new_segment_name,
     resolve_build_workers,
+    shard_slices,
     unlink_by_name,
 )
 
@@ -96,6 +96,30 @@ def assert_worlds_identical(a, b):
     for wa, wb in zip(a.worlds, b.worlds):
         assert wa.n == wb.n
         assert (wa.adjacency != wb.adjacency).nnz == 0
+
+
+class TestShardSlices:
+    def test_partitions_exactly(self):
+        for n_items in (1, 2, 7, 100, 101):
+            for n_shards in (1, 2, 3, 8, 200):
+                slices = shard_slices(n_items, n_shards)
+                covered = []
+                for s in slices:
+                    assert s.stop > s.start  # no empty shards
+                    covered.extend(range(s.start, s.stop))
+                assert covered == list(range(n_items))
+                assert len(slices) == min(n_shards, n_items)
+
+    def test_balanced_within_one(self):
+        slices = shard_slices(103, 4)
+        sizes = [s.stop - s.start for s in slices]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_deterministic(self):
+        assert shard_slices(100, 3) == shard_slices(100, 3)
+
+    def test_zero_items(self):
+        assert shard_slices(0, 4) == [slice(0, 0)]
 
 
 class TestValidation:

@@ -301,6 +301,15 @@ class TestHttpErrors:
         assert status == 400
         assert "invalid spec" in body["error"]["message"]
 
+    def test_nan_deadline_is_400(self, server):
+        # json.dumps writes the non-standard NaN literal the server's
+        # json.loads accepts; the spec layer must reject it up front.
+        spec = spec_dict()
+        spec["solver"]["deadline"] = float("nan")
+        status, body = post(server.url, "/v1/solve", spec)
+        assert status == 400
+        assert "deadline" in body["error"]["message"]
+
     def test_bad_json_is_400(self, server):
         status, body = post(server.url, "/v1/solve", None, raw=b"{nope")
         assert status == 400
