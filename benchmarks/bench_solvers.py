@@ -71,18 +71,16 @@ def test_celf_end_to_end_batched_vs_scalar(ensemble):
     """
     objective = TotalInfluenceObjective()
 
-    def run(block_size):
-        return lazy_greedy(
-            ensemble, objective, DEFAULT_DEADLINE, 15, block_size=block_size
-        )
+    def run(**scalar):
+        return lazy_greedy(ensemble, objective, DEFAULT_DEADLINE, 15, **scalar)
 
-    batched = run(None)
-    scalar = run(1)
+    batched = run()
+    scalar = run(block_size=1)
     assert batched.seeds == scalar.seeds
     assert batched.stopped_reason == scalar.stopped_reason
 
-    batched_s = best_of(lambda: run(None))
-    scalar_s = best_of(lambda: run(1))
+    batched_s = best_of(run)
+    scalar_s = best_of(lambda: run(block_size=1))
     record_bench(
         "celf_end_to_end",
         {
@@ -100,17 +98,15 @@ def test_plain_greedy_end_to_end_batched_vs_scalar(ensemble):
     best case end-to-end."""
     objective = TotalInfluenceObjective()
 
-    def run(block_size):
-        return plain_greedy(
-            ensemble, objective, DEFAULT_DEADLINE, 10, block_size=block_size
-        )
+    def run(**scalar):
+        return plain_greedy(ensemble, objective, DEFAULT_DEADLINE, 10, **scalar)
 
-    batched = run(None)
-    scalar = run(1)
+    batched = run()
+    scalar = run(block_size=1)
     assert batched.seeds == scalar.seeds
 
-    batched_s = best_of(lambda: run(None), repeats=2)
-    scalar_s = best_of(lambda: run(1), repeats=2)
+    batched_s = best_of(run, repeats=2)
+    scalar_s = best_of(lambda: run(block_size=1), repeats=2)
     record_bench(
         "plain_greedy_end_to_end",
         {

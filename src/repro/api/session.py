@@ -42,7 +42,7 @@ from repro.api.specs import EnsembleSpec, ExecutionSpec, RunSpec
 from repro.config import execution_defaults
 from repro.core.budget import solve_budget_spec
 from repro.core.cover import solve_cover_spec
-from repro.core.greedy import DEFAULT_BLOCK_SIZE, SelectionTrace, WarmStart
+from repro.core.greedy import SelectionTrace, WarmStart
 from repro.errors import ConfigError, EstimationError
 from repro.graph.delta import GraphDelta
 from repro.influence.ensemble import WorldEnsemble
@@ -200,7 +200,6 @@ class RunResult:
             f"{self.problem} on {self.spec.ensemble.dataset!r} "
             f"[{execution.backend} backend, "
             f"{estimator}, "
-            f"block_size={execution.block_size}, "
             f"build_workers={execution.build_workers}]",
             f"  seeds ({self.seed_count}): "
             f"{[_jsonify_label(s) for s in self.seeds]}",
@@ -314,7 +313,6 @@ class Session:
         return ExecutionSpec(
             backend=chain("backend", "auto"),
             workers=1,
-            block_size=chain("block_size", DEFAULT_BLOCK_SIZE),
             build_workers=chain("build_workers", LIBRARY_DEFAULT_BUILD_WORKERS),
         )
 
@@ -553,9 +551,9 @@ class Session:
         were true) and a weakref to the estimator itself, so a trace
         can never warm a rebuilt ensemble that merely reuses the key.
         """
-        gains = getattr(trace, "first_round_gains", None)
+        gains = trace.first_round_gains
         if gains is None or not hasattr(estimator, "repair_log"):
-            return  # plain-greedy trace, or a non-repairable estimator
+            return  # no first round was scored, or a non-repairable estimator
         with self._lock:
             self._warm_traces[(key, self._solver_fingerprint(spec))] = (
                 np.array(gains, dtype=np.float64, copy=True),
@@ -571,8 +569,6 @@ class Session:
         not report its footprint (lazy backend) forces a full refresh,
         which is still warm in bookkeeping but evaluates like cold.
         """
-        if spec.solver.method != "celf":
-            return None
         with self._lock:
             entry = self._warm_traces.get((key, self._solver_fingerprint(spec)))
         if entry is None:
@@ -675,25 +671,13 @@ class Session:
         warm_start: Optional[WarmStart] = None,
         repair_report: Any = None,
     ) -> RunResult:
-        solver_kwargs: Dict[str, Any] = {}
-        if warm_start is not None:
-            solver_kwargs["warm_start"] = warm_start
-
         started = time.perf_counter()
-        if spec.solver.problem == "budget":
-            solution = solve_budget_spec(
-                estimator,
-                spec.solver,
-                block_size=resolved.block_size,
-                **solver_kwargs,
-            )
-        else:
-            solution = solve_cover_spec(
-                estimator,
-                spec.solver,
-                block_size=resolved.block_size,
-                **solver_kwargs,
-            )
+        solve_spec = (
+            solve_budget_spec
+            if spec.solver.problem == "budget"
+            else solve_cover_spec
+        )
+        solution = solve_spec(estimator, spec.solver, warm_start=warm_start)
         solve_seconds = time.perf_counter() - started
         self._record_warm_trace(key, spec, estimator, solution.trace)
 
@@ -712,7 +696,6 @@ class Session:
             execution=ExecutionSpec(
                 backend=getattr(estimator, "backend_name", resolved.backend),
                 workers=resolved.workers,
-                block_size=resolved.block_size,
                 # What the build actually engaged (1 for cached /
                 # serial-fallback / rrset builds), not a re-resolution.
                 build_workers=getattr(estimator, "build_workers_used", 1),

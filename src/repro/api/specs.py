@@ -10,12 +10,12 @@ a *value*:
   model, world seed, and optional candidate pool.
 - :class:`SolverSpec` — what to solve: budget (P1/P4) or cover
   (P2/P6), fair or unfair, with the paper's knobs (deadline, concave
-  wrapper, weights, method, discount, quota, slack).
-- :class:`ExecutionSpec` — how to run it: backend / block_size /
-  build_workers, every field optional (``None`` defers down the config
-  chain).  Execution never changes results, which is why it is a
-  separate bundle: two runs with equal ensemble+solver specs are
-  comparable regardless of execution.
+  wrapper, weights, discount, quota, slack).
+- :class:`ExecutionSpec` — how to run it: backend / build_workers,
+  every field optional (``None`` defers down the config chain).
+  Execution never changes results, which is why it is a separate
+  bundle: two runs with equal ensemble+solver specs are comparable
+  regardless of execution.
 - :class:`RunSpec` — the whole request: ensemble + solver + execution.
 
 Every spec validates eagerly in ``__post_init__`` (fail fast, with
@@ -25,7 +25,7 @@ Every spec validates eagerly in ``__post_init__`` (fail fast, with
 :class:`repro.api.Session` shares ensembles under.
 
 Validation reuses the library's canonical checkers
-(``check_backend_name`` / ``check_workers`` / ``check_block_size`` /
+(``check_backend_name`` / ``check_workers`` / ``check_build_workers`` /
 ``check_seed`` / ``concave.by_name``) so a spec accepts exactly what
 the underlying layer accepts — one rule, every surface.
 """
@@ -40,7 +40,6 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.datasets import dataset_names
 from repro.core.concave import by_name as _concave_by_name
-from repro.core.greedy import check_block_size
 from repro.errors import ConfigError, EstimationError, OptimizationError
 from repro.influence.backends import check_backend_name
 from repro.influence.factory import estimator_kinds
@@ -340,7 +339,6 @@ class SolverSpec:
     slack: Optional[float] = None
     concave: Optional[str] = None
     weights: Optional[Tuple[float, ...]] = None
-    method: str = "celf"
     discount: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -353,10 +351,6 @@ class SolverSpec:
             raise ConfigError(f"deadline must be >= 0, got {self.deadline}")
         if not isinstance(self.fair, bool):
             raise ConfigError(f"fair must be a bool, got {self.fair!r}")
-        if self.method not in ("celf", "plain"):
-            raise ConfigError(
-                f"method must be 'celf' or 'plain', got {self.method!r}"
-            )
         if self.concave is not None:
             _check_with(_concave_by_name, self.concave)  # resolvable name
             if self.problem != "budget" or not self.fair:
@@ -374,12 +368,14 @@ class SolverSpec:
         if self.weights is not None:
             try:
                 weights = tuple(float(w) for w in self.weights)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"weights must be a list of numbers, got {self.weights!r}"
                 ) from None
-            if any(w < 0 for w in weights):
-                raise ConfigError(f"weights must be non-negative, got {weights}")
+            if not all(0 <= w < math.inf for w in weights):
+                raise ConfigError(
+                    f"weights must be finite and non-negative, got {weights}"
+                )
             object.__setattr__(self, "weights", weights)
 
         if self.problem == "budget":
@@ -426,8 +422,10 @@ class SolverSpec:
                     self.slack, bool
                 ):
                     raise ConfigError(f"slack must be a number, got {self.slack!r}")
-                if self.slack < 0:
-                    raise ConfigError(f"slack must be >= 0, got {self.slack}")
+                if not 0 <= self.slack < math.inf:
+                    raise ConfigError(
+                        f"slack must be finite and >= 0, got {self.slack}"
+                    )
                 object.__setattr__(self, "slack", float(self.slack))
             if self.discount is not None:
                 raise ConfigError(
@@ -450,7 +448,6 @@ class SolverSpec:
             "slack": self.slack,
             "concave": self.concave,
             "weights": None if self.weights is None else list(self.weights),
-            "method": self.method,
             "discount": self.discount,
         }
 
@@ -473,7 +470,7 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How to run a solve — backend / block_size / build_workers.
+    """How to run a solve — backend / build_workers.
 
     Pure speed/memory knobs: no field ever changes a seed set, a trace,
     or an estimate (the library's determinism contract), which is why
@@ -489,21 +486,18 @@ class ExecutionSpec:
 
     backend: Optional[str] = None
     workers: Optional[Union[int, str]] = None
-    block_size: Optional[int] = None
     build_workers: Optional[Union[int, str]] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
             _check_with(check_backend_name, self.backend)
         _check_with(check_workers, self.workers, allow_none=True)
-        _check_with(check_block_size, self.block_size, allow_none=True)
         _check_with(check_build_workers, self.build_workers, allow_none=True)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "block_size": self.block_size,
             "build_workers": self.build_workers,
         }
 
@@ -616,8 +610,8 @@ def spec_template(problem: str = "budget") -> RunSpec:
     ``repro spec init | repro solve -`` works as a smoke test anywhere.
     Execution is left entirely unset (all ``null`` in the JSON): the
     chain then resolves through the session — which is what keeps the
-    CLI's ``--backend``/``--block-size``/``--build-workers`` flags in
-    charge when solving a template-derived spec.
+    CLI's ``--backend``/``--build-workers`` flags in charge when
+    solving a template-derived spec.
     """
     if problem == "budget":
         solver = SolverSpec(problem="budget", deadline=20.0, fair=True, budget=10)

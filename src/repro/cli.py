@@ -3,11 +3,11 @@
 Usage::
 
     python -m repro.cli list
-    python -m repro.cli run fig4a [--quick] [--seed N] [--backend auto|dense|sparse|lazy] [--block-size N] [--workers N|auto] [--build-workers N|auto]
+    python -m repro.cli run fig4a [--quick] [--seed N] [--backend auto|dense|sparse|lazy] [--workers N|auto] [--build-workers N|auto]
     python -m repro.cli run all [--quick]
     python -m repro.cli spec init [--problem budget|cover|sweep] [--out FILE]
     python -m repro.cli spec validate FILE [FILE ...]
-    python -m repro.cli solve SPEC [SPEC ...] [--json] [--delta FILE] [--backend ...] [--workers N|auto] [--block-size N] [--build-workers N|auto]
+    python -m repro.cli solve SPEC [SPEC ...] [--json] [--delta FILE] [--backend ...] [--workers N|auto] [--build-workers N|auto]
     python -m repro.cli sweep SPEC --out DIR [--cell FINGERPRINT] [--fresh] [--json] [--backend ...]
     python -m repro.cli serve [--host H] [--port P] [--cache-bytes SIZE] [--threads N] [--max-pending N] [--timeout S] [--backend ...]
 
@@ -63,12 +63,11 @@ from repro.api import (
 )
 from repro.api.specs import AUTO_WORKERS, check_workers
 from repro.config import execution_defaults
-from repro.errors import ConfigError, EstimationError, OptimizationError, ReproError
+from repro.errors import ConfigError, EstimationError, ReproError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.graph.delta import GraphDelta
 from repro.influence.backends import BACKEND_CHOICES
 from repro.influence.procbuild import AUTO_BUILD_WORKERS, check_build_workers
-from repro.core.greedy import DEFAULT_BLOCK_SIZE, check_block_size
 from repro.rng import check_seed
 from repro.sweep import SweepSpec, is_sweep_dict, run_cell, run_sweep, sweep_template
 from repro.service.config import (
@@ -110,19 +109,6 @@ def _build_workers_arg(value: str):
         return check_build_workers(candidate)
     except EstimationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _block_size_arg(value: str) -> int:
-    """``--block-size``: the spec layer's ``check_block_size`` rule."""
-    try:
-        return check_block_size(int(value))
-    except (ValueError, OptimizationError) as exc:
-        message = (
-            f"block_size must be a positive int, got {value!r}"
-            if isinstance(exc, ValueError)
-            else str(exc)
-        )
-        raise argparse.ArgumentTypeError(message) from None
 
 
 def _size_arg(value: str) -> int:
@@ -415,17 +401,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--block-size",
-        type=_block_size_arg,
-        default=None,
-        metavar="N",
-        help=(
-            "candidate block size for the batched gain oracle in the "
-            f"greedy solvers (default: {DEFAULT_BLOCK_SIZE}; 1 disables "
-            "batching; results are identical at every block size)"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=_workers_arg,
         default=None,
@@ -490,8 +465,6 @@ def _cmd_run(args) -> int:
     # The run pipeline reads the process-wide chain (experiments build
     # ensembles through the default session), so the flags land in
     # execution_defaults — already validated by the argparse types.
-    if args.block_size is not None:
-        execution_defaults.set("block_size", args.block_size)
     if args.build_workers is not None:
         execution_defaults.set("build_workers", args.build_workers)
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
@@ -537,7 +510,6 @@ def _cmd_solve(args) -> int:
         execution=ExecutionSpec(
             backend=args.backend,
             workers=args.workers,
-            block_size=args.block_size,
             build_workers=args.build_workers,
         )
     )
@@ -561,7 +533,6 @@ def _cmd_sweep(args) -> int:
         execution=ExecutionSpec(
             backend=args.backend,
             workers=args.workers,
-            block_size=args.block_size,
             build_workers=args.build_workers,
         )
     )
@@ -627,7 +598,6 @@ def _cmd_serve(args) -> int:
         execution=ExecutionSpec(
             backend=args.backend,
             workers=args.workers,
-            block_size=args.block_size,
             build_workers=args.build_workers,
         ),
         cache_bytes=args.cache_bytes,

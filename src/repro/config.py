@@ -2,11 +2,10 @@
 
 Plain mutable module globals are unserializable, unauditable, and racy
 under concurrent configuration — the opposite of what a service
-surface needs.  The library's execution knobs (estimator backend,
-greedy block size, build-worker count) therefore live in a single
-lock-protected store, :data:`execution_defaults`, and the declarative
-layer (:mod:`repro.api`) resolves every knob through an explicit
-chain::
+surface needs.  The library's execution knobs (estimator backend and
+build-worker count) therefore live in a single lock-protected store,
+:data:`execution_defaults`, and the declarative layer
+(:mod:`repro.api`) resolves every knob through an explicit chain::
 
     per-call kwarg  >  per-object setting  >  RunSpec.execution
                     >  Session execution   >  execution_defaults
@@ -14,9 +13,9 @@ chain::
 
 The store itself is deliberately dumb: it holds raw values under a
 lock and knows nothing about validation (callers validate with the
-canonical checkers — ``check_backend_name`` / ``check_block_size`` /
-``check_build_workers`` — before writing), which keeps this module free
-of imports and therefore importable from every layer.
+canonical checkers — ``check_backend_name`` / ``check_build_workers``
+— before writing), which keeps this module free of imports and
+therefore importable from every layer.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Any, Dict, Iterator, Tuple
 #: Knob names the library itself reads.  The store accepts any name
 #: (extensions may register their own), but these are the documented
 #: ones.
-KNOWN_KNOBS: Tuple[str, ...] = ("backend", "block_size", "build_workers")
+KNOWN_KNOBS: Tuple[str, ...] = ("backend", "build_workers")
 
 _UNSET = object()
 

@@ -39,8 +39,6 @@ from repro.core.greedy import (
     SelectionStep,
     SelectionTrace,
     WarmStart,
-    check_block_size,
-    get_default_block_size,
     lazy_greedy,
     plain_greedy,
     trace_tap,
@@ -79,8 +77,6 @@ __all__ = [
     "lazy_greedy",
     "plain_greedy",
     "DEFAULT_BLOCK_SIZE",
-    "check_block_size",
-    "get_default_block_size",
     "FairnessComparison",
     "compare_solutions",
     "TheoremCheck",

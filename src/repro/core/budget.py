@@ -22,7 +22,7 @@ from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
 from repro.influence.utility import UtilityReport, utility_report
 from repro.core.concave import ConcaveFunction, by_name as _concave_by_name, log1p
-from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy, plain_greedy
+from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 
 
@@ -64,9 +64,7 @@ def _solve(
     budget: int,
     deadline: float,
     problem: str,
-    method: str,
     discount: Optional[float] = None,
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     if budget < 1:
@@ -76,28 +74,13 @@ def _solve(
             f"budget {budget} exceeds the candidate pool "
             f"({ensemble.n_candidates})"
         )
-    if method == "celf":
-        engine = lazy_greedy
-    elif method == "plain":
-        engine = plain_greedy
-    else:
-        raise OptimizationError(f"method must be 'celf' or 'plain', got {method!r}")
-    kwargs = {}
-    if warm_start is not None:
-        if method != "celf":
-            raise OptimizationError(
-                "warm starts apply to the CELF engine only, not "
-                f"method={method!r}"
-            )
-        kwargs["warm_start"] = warm_start
-    trace = engine(
+    trace = lazy_greedy(
         ensemble,
         objective,
         deadline=deadline,
         max_seeds=budget,
         discount=discount,
-        block_size=block_size,
-        **kwargs,
+        warm_start=warm_start,
     )
     if trace.size == 0:
         raise OptimizationError(
@@ -132,7 +115,6 @@ def _solve(
 def solve_budget_spec(
     ensemble: UtilityEstimator,
     spec,
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve a declarative budget request (P1 or P4) on a built estimator.
@@ -143,8 +125,6 @@ def solve_budget_spec(
     resolved by name, and the remaining knobs map one-to-one onto
     :func:`solve_tcim_budget` / :func:`solve_fair_tcim_budget` — the
     output is bit-identical to the equivalent kwarg call.
-    ``block_size`` is an execution override the caller resolved
-    through the config chain (speed only, never results).
     """
     if getattr(spec, "problem", None) != "budget":
         raise OptimizationError(
@@ -159,18 +139,14 @@ def solve_budget_spec(
             # None means "the paper's default wrapper" — resolve to log.
             concave=_concave_by_name(spec.concave or "log"),
             weights=spec.weights,
-            method=spec.method,
             discount=spec.discount,
-            block_size=block_size,
-                warm_start=warm_start,
+            warm_start=warm_start,
         )
     return solve_tcim_budget(
         ensemble,
         spec.budget,
         spec.deadline,
-        method=spec.method,
         discount=spec.discount,
-        block_size=block_size,
         warm_start=warm_start,
     )
 
@@ -179,9 +155,7 @@ def solve_tcim_budget(
     ensemble: UtilityEstimator,
     budget: int,
     deadline: float,
-    method: str = "celf",
     discount: Optional[float] = None,
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve P1: maximise total time-critical influence with ``|S| <= B``.
@@ -193,8 +167,7 @@ def solve_tcim_budget(
     to the time-discounted extension (a node activated at ``t`` is
     worth ``gamma**t``) named in the paper's conclusions; the returned
     report still scores the seeds with the step utility so solutions
-    remain comparable.  ``block_size`` tunes the batched gain oracle
-    (speed only — see :func:`repro.core.greedy.lazy_greedy`).
+    remain comparable.
     """
     problem = "TCIM-BUDGET(P1)" if discount is None else f"TCIM-BUDGET(P1,gamma={discount:g})"
     return _solve(
@@ -203,9 +176,7 @@ def solve_tcim_budget(
         budget,
         deadline,
         problem=problem,
-        method=method,
         discount=discount,
-        block_size=block_size,
         warm_start=warm_start,
     )
 
@@ -216,9 +187,7 @@ def solve_fair_tcim_budget(
     deadline: float,
     concave: ConcaveFunction = log1p,
     weights: Optional[Sequence[float]] = None,
-    method: str = "celf",
     discount: Optional[float] = None,
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve P4: maximise ``sum_i w_i H(f_tau(S; V_i, G))`` with ``|S| <= B``.
@@ -240,8 +209,6 @@ def solve_fair_tcim_budget(
         budget,
         deadline,
         problem=problem,
-        method=method,
         discount=discount,
-        block_size=block_size,
         warm_start=warm_start,
     )

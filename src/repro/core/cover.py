@@ -27,7 +27,7 @@ from repro.errors import OptimizationError
 from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
 from repro.influence.utility import UtilityReport, utility_report
-from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy, plain_greedy
+from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy
 from repro.core.objectives import TotalCoverageObjective, TruncatedCoverageObjective
 
 #: Default relative slack on the quota stop test.
@@ -101,7 +101,6 @@ def _finalize(
 def solve_cover_spec(
     ensemble: UtilityEstimator,
     spec,
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve a declarative cover request (P2 or P6) on a built estimator.
@@ -125,8 +124,6 @@ def solve_cover_spec(
         spec.deadline,
         max_seeds=spec.max_seeds,
         slack=DEFAULT_SLACK if slack is None else slack,
-        method=spec.method,
-        block_size=block_size,
         warm_start=warm_start,
     )
 
@@ -137,8 +134,6 @@ def solve_tcim_cover(
     deadline: float,
     max_seeds: Optional[int] = None,
     slack: float = DEFAULT_SLACK,
-    method: str = "celf",
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve P2: smallest greedy seed set with ``f_tau(S;V,G)/|V| >= Q``.
@@ -156,17 +151,14 @@ def solve_tcim_cover(
     def stop(group_utilities: np.ndarray) -> bool:
         return objective.satisfied(group_utilities, slack=slack)
 
-    engine = _pick_engine(method)
-    kwargs = _warm_kwargs(method, warm_start)
-    trace = engine(
+    trace = lazy_greedy(
         ensemble,
         objective,
         deadline=deadline,
         max_seeds=cap,
         stop=stop,
         require_stop=True,
-        block_size=block_size,
-        **kwargs,
+        warm_start=warm_start,
     )
     return _finalize("TCIM-COVER(P2)", ensemble, trace, deadline, quota)
 
@@ -177,8 +169,6 @@ def solve_fair_tcim_cover(
     deadline: float,
     max_seeds: Optional[int] = None,
     slack: float = DEFAULT_SLACK,
-    method: str = "celf",
-    block_size: Optional[int] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve P6: smallest greedy seed set reaching quota ``Q`` in *every*
@@ -198,17 +188,14 @@ def solve_fair_tcim_cover(
     def stop(group_utilities: np.ndarray) -> bool:
         return objective.satisfied(group_utilities, slack=slack)
 
-    engine = _pick_engine(method)
-    kwargs = _warm_kwargs(method, warm_start)
-    trace = engine(
+    trace = lazy_greedy(
         ensemble,
         objective,
         deadline=deadline,
         max_seeds=cap,
         stop=stop,
         require_stop=True,
-        block_size=block_size,
-        **kwargs,
+        warm_start=warm_start,
     )
     return _finalize("FAIRTCIM-COVER(P6)", ensemble, trace, deadline, quota)
 
@@ -217,20 +204,3 @@ def _check_quota(quota: float) -> None:
     if not 0.0 < quota <= 1.0:
         raise OptimizationError(f"quota must be in (0, 1], got {quota}")
 
-
-def _warm_kwargs(method: str, warm_start: Optional[WarmStart]) -> dict:
-    if warm_start is None:
-        return {}
-    if method != "celf":
-        raise OptimizationError(
-            f"warm starts apply to the CELF engine only, not method={method!r}"
-        )
-    return {"warm_start": warm_start}
-
-
-def _pick_engine(method: str):
-    if method == "celf":
-        return lazy_greedy
-    if method == "plain":
-        return plain_greedy
-    raise OptimizationError(f"method must be 'celf' or 'plain', got {method!r}")

@@ -11,16 +11,18 @@ candidate whose *stale* upper bound is already below the best fresh
 gain need not be re-evaluated.  On the paper's workloads this cuts
 utility evaluations by one to two orders of magnitude;
 :func:`plain_greedy` is retained as the reference oracle (identical
-output under identical tie-breaking) and for the CELF ablation bench.
+output under identical tie-breaking, up to gains that tie within
+float32 rounding — see ``tests/test_properties.py``) and for the CELF
+ablation bench.
 
 Both engines drive their bulk evaluations — CELF's first round, every
 plain-greedy round — through the estimator's *batched gain oracle*
-(``candidate_gains_batch``) in blocks of ``block_size`` candidates,
-which replaces per-candidate array allocations and matmuls with one
-blocked fold and one stacked contraction per block.  The oracle is
-bit-identical to the scalar path, so traces are unchanged; estimators
-that do not implement it (feature-detected with ``getattr``) fall back
-to per-candidate queries automatically, as does ``block_size=1``.
+(``candidate_gains_batch``) in blocks of :data:`DEFAULT_BLOCK_SIZE`
+candidates, which replaces per-candidate array allocations and matmuls
+with one blocked fold and one stacked contraction per block.  The
+oracle is bit-identical to the scalar path, so traces are unchanged;
+``block_size=1`` runs the per-candidate scalar reference path the
+equivalence tests and benches compare against.
 
 Both engines run serially on the caller thread; their speed comes
 from submodularity (CELF's lazy re-evaluation) and the batched oracle.
@@ -39,7 +41,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import execution_defaults
 from repro.errors import InfeasibleError, OptimizationError
 from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
@@ -58,37 +59,6 @@ DEFAULT_BLOCK_SIZE = 64
 StopCondition = Callable[[np.ndarray], bool]
 
 
-def check_block_size(
-    block_size: Optional[int], allow_none: bool = False
-) -> Optional[int]:
-    """Validate a block-size setting (``int >= 1``) and return it.
-
-    The single source of truth for the rule — shared by the greedy
-    engines, the CLI's ``--block-size`` parser, and the declarative
-    spec validators (:class:`repro.api.ExecutionSpec`).
-    """
-    if block_size is None:
-        if allow_none:
-            return None
-        raise OptimizationError("block_size must be a positive int, got None")
-    if isinstance(block_size, bool) or not isinstance(block_size, int):
-        raise OptimizationError(
-            f"block_size must be a positive int, got {block_size!r}"
-        )
-    if block_size < 1:
-        raise OptimizationError(f"block_size must be >= 1, got {block_size}")
-    return int(block_size)
-
-
-def get_default_block_size() -> int:
-    """The block size used when an engine is not given one explicitly.
-
-    Reads the process-wide store (:data:`repro.config.
-    execution_defaults`), falling back to :data:`DEFAULT_BLOCK_SIZE`.
-    """
-    return execution_defaults.get("block_size", DEFAULT_BLOCK_SIZE)
-
-
 def _iter_gain_blocks(
     ensemble: UtilityEstimator,
     state,
@@ -101,14 +71,12 @@ def _iter_gain_blocks(
 ) -> Iterator[Tuple[int, float]]:
     """Yield ``(position, gain)`` for every candidate in ``positions``.
 
-    Routes through ``candidate_gains_batch`` in ``block_size`` chunks
-    when the estimator provides it, and falls back to per-candidate
-    scalar queries otherwise — yielding identical values in identical
-    order either way, which is what keeps batched and scalar greedy
-    traces bit-for-bit equal.
+    Routes through ``candidate_gains_batch`` in ``block_size`` chunks;
+    ``block_size <= 1`` makes per-candidate scalar queries instead —
+    yielding identical values in identical order either way, which is
+    what keeps batched and scalar greedy traces bit-for-bit equal.
     """
-    batch_oracle = getattr(ensemble, "candidate_gains_batch", None)
-    if batch_oracle is None or block_size <= 1:
+    if block_size <= 1:
         for position in positions:
             utilities = ensemble.candidate_group_utilities(
                 state, position, deadline, discount
@@ -118,7 +86,7 @@ def _iter_gain_blocks(
     positions = list(positions)
     for start in range(0, len(positions), block_size):
         block = positions[start : start + block_size]
-        gains = batch_oracle(
+        gains = ensemble.candidate_gains_batch(
             state, block, deadline, objective, discount, base_value=base_value
         )
         for position, gain in zip(block, gains):
@@ -258,7 +226,7 @@ def lazy_greedy(
     stop: Optional[StopCondition] = None,
     require_stop: bool = False,
     discount: Optional[float] = None,
-    block_size: Optional[int] = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     warm_start: Optional[WarmStart] = None,
 ) -> SelectionTrace:
     """CELF lazy greedy maximisation.
@@ -288,9 +256,9 @@ def lazy_greedy(
         semantics).
     block_size:
         Candidate block size for the batched gain oracle that scores
-        the CELF first round (``None`` — the process default, see
-        :func:`get_default_block_size`; ``1`` — pure scalar path).
-        Never changes the output, only the speed.
+        the CELF first round (``1`` — the scalar reference path).
+        Never changes the output, only the speed; a test seam, not a
+        tuning knob.
     warm_start:
         Prior first-round gains (see :class:`WarmStart`): only the
         listed ``refresh`` positions are re-scored in the first round,
@@ -304,8 +272,6 @@ def lazy_greedy(
     ``"exhausted"``.
     """
     _check_arguments(ensemble, max_seeds)
-    if block_size is None:
-        block_size = get_default_block_size()
     state = ensemble.empty_state()
     current_value = objective.value(ensemble.group_utilities(state, deadline, discount))
     trace = SelectionTrace()
@@ -446,19 +412,18 @@ def plain_greedy(
     stop: Optional[StopCondition] = None,
     require_stop: bool = False,
     discount: Optional[float] = None,
-    block_size: Optional[int] = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SelectionTrace:
     """Reference greedy: every candidate re-evaluated every round.
 
-    Semantically identical to :func:`lazy_greedy` (same tie-breaking),
-    quadratically more utility evaluations.  Kept as the test oracle
+    Semantically identical to :func:`lazy_greedy` (same tie-breaking;
+    see the module docstring for float32 near-ties), quadratically
+    more utility evaluations.  Kept as the test oracle
     and for the CELF ablation.  Every round's full re-evaluation runs
     through the batched gain oracle (see :func:`lazy_greedy`'s
     ``block_size``), which is what keeps the oracle usable at all.
     """
     _check_arguments(ensemble, max_seeds)
-    if block_size is None:
-        block_size = get_default_block_size()
     state = ensemble.empty_state()
     current_value = objective.value(ensemble.group_utilities(state, deadline, discount))
     trace = SelectionTrace()

@@ -190,18 +190,11 @@ def deadline_sweep_fractions(
     Returns ``(totals, fractions)`` with shapes ``(T,)`` and ``(T, k)``
     for ``T`` deadlines.  Activation times are fixed once the ensemble
     is sampled, so the whole sweep is answered from one
-    ``group_utilities_sweep`` histogram — O(1) per extra deadline —
-    falling back to per-deadline scalar queries for estimators without
-    the sweep oracle.
+    ``group_utilities_sweep`` histogram — O(1) per extra deadline.
     """
-    state = ensemble.state_for(seeds)
-    sweep = getattr(ensemble, "group_utilities_sweep", None)
-    if sweep is not None:
-        utilities = sweep(state, deadlines)
-    else:
-        utilities = np.stack(
-            [ensemble.group_utilities(state, deadline) for deadline in deadlines]
-        )
+    utilities = ensemble.group_utilities_sweep(
+        ensemble.state_for(seeds), deadlines
+    )
     population = float(ensemble.group_sizes.sum())
     totals = utilities.sum(axis=1) / population
     fractions = utilities / ensemble.group_sizes[np.newaxis, :]

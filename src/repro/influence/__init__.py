@@ -34,7 +34,6 @@ Plus the fairness measurements of Section 4:
 from repro.influence.backends import (
     BACKEND_CHOICES,
     BACKEND_NAMES,
-    BatchGainEstimator,
     DenseBackend,
     DistanceBackend,
     LazyBackend,
@@ -86,7 +85,6 @@ __all__ = [
     "WorldEnsemble",
     "InfluenceState",
     "UtilityEstimator",
-    "BatchGainEstimator",
     "DistanceBackend",
     "DenseBackend",
     "SparseBackend",

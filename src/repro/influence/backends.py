@@ -90,7 +90,10 @@ class UtilityEstimator(Protocol):
     :class:`~repro.influence.rrsets.RRSetEstimator` satisfies it from
     group-tagged RR sets — both plug into ``lazy_greedy`` /
     ``plain_greedy`` / the budget and cover solvers unchanged, as can
-    any further estimator implementing the same surface.
+    any further estimator implementing the same surface.  The batched
+    gain oracle (``candidate_gains_batch``) and the deadline sweep
+    (``group_utilities_sweep``) are required: the greedy engines and
+    sweep helpers call them directly.
     """
 
     group_names: List[Hashable]
@@ -129,24 +132,6 @@ class UtilityEstimator(Protocol):
         self, state: Any, deadline: float
     ) -> np.ndarray: ...
 
-    def memory_bytes(self) -> int: ...
-
-
-@runtime_checkable
-class BatchGainEstimator(UtilityEstimator, Protocol):
-    """A :class:`UtilityEstimator` with the batched accelerations.
-
-    The batched gain oracle and the deadline sweep are *optional*: the
-    greedy engines and sweep helpers feature-detect them with
-    ``getattr`` and fall back to per-candidate / per-deadline scalar
-    queries, so a minimal estimator that satisfies only
-    :class:`UtilityEstimator` still plugs in — it just runs the slow
-    path.  Do not subclass this protocol to inherit stub methods;
-    implement the methods for real (the feature detection trusts their
-    presence).  :class:`~repro.influence.ensemble.WorldEnsemble`
-    satisfies it under every distance backend.
-    """
-
     def candidate_group_utilities_batch(
         self,
         state: Any,
@@ -171,6 +156,8 @@ class BatchGainEstimator(UtilityEstimator, Protocol):
         deadlines: Sequence[float],
         discount: Optional[float] = None,
     ) -> np.ndarray: ...
+
+    def memory_bytes(self) -> int: ...
 
 
 class DistanceBackend:

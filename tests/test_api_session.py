@@ -319,13 +319,13 @@ class TestEvictionRacesInFlightSolves:
 
 class TestConfigChain:
     def test_spec_beats_session_beats_process(self):
-        session = Session(execution=ExecutionSpec(backend="sparse", block_size=8))
+        session = Session(execution=ExecutionSpec(backend="sparse", build_workers=2))
         with execution_defaults.override("backend", "lazy"):
             resolved = session.resolve_execution(ExecutionSpec(backend="dense"))
             assert resolved.backend == "dense"  # spec wins
             resolved = session.resolve_execution(ExecutionSpec())
             assert resolved.backend == "sparse"  # session beats process
-            assert resolved.block_size == 8
+            assert resolved.build_workers == 2
         plain = Session()
         with execution_defaults.override("backend", "lazy"):
             assert plain.resolve_execution().backend == "lazy"  # process
@@ -343,7 +343,7 @@ class TestConfigChain:
         echo = result.spec.execution
         assert echo.backend in BACKEND_NAMES  # "auto" resolved to a real store
         assert isinstance(echo.workers, int) and echo.workers >= 1
-        assert isinstance(echo.block_size, int) and echo.block_size >= 1
+        assert isinstance(echo.build_workers, int) and echo.build_workers >= 1
         # The echoed spec is still a valid, serializable RunSpec.
         assert RunSpec.from_json(result.spec.to_json()) == result.spec
 

@@ -52,10 +52,9 @@ class TestRoundTrip:
                 budget=3,
                 concave="sqrt",
                 weights=(1.0, 2.0),
-                method="plain",
                 discount=0.9,
             ),
-            execution=ExecutionSpec(backend="sparse", workers=2, block_size=16),
+            execution=ExecutionSpec(backend="sparse", workers=2, build_workers=2),
         )
 
     def test_dict_round_trip_is_identity(self):
@@ -266,8 +265,26 @@ class TestSolverSpecValidation:
             )
         with pytest.raises(ConfigError, match="discount"):
             budget_spec(discount=1.5)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ConfigError, match="weights"):
+                budget_spec(weights=[bad, 1.0])
+            with pytest.raises(ConfigError, match="slack"):
+                cover_spec(slack=bad)
+        with pytest.raises(ConfigError, match="weights"):
+            SolverSpec.from_dict(
+                json.loads(
+                    '{"problem": "budget", "deadline": 5, "budget": 2, '
+                    '"weights": [NaN, 1]}'
+                )
+            )
+        # The greedy engine and its block size are no longer spec
+        # fields: old spec files carrying them fail the strict key check.
         with pytest.raises(ConfigError, match="method"):
-            budget_spec(method="greasy")
+            SolverSpec.from_dict(
+                {"problem": "budget", "deadline": 5, "budget": 2, "method": "celf"}
+            )
+        with pytest.raises(ConfigError, match="block_size"):
+            ExecutionSpec.from_dict({"block_size": 64})
         with pytest.raises(ConfigError, match="concave"):
             budget_spec(concave="cos")
 
@@ -292,15 +309,13 @@ class TestExecutionSpecValidation:
     def test_all_fields_optional(self):
         spec = ExecutionSpec()
         assert spec.backend is None and spec.workers is None
-        assert spec.block_size is None and spec.build_workers is None
+        assert spec.build_workers is None
 
     def test_shared_validators(self):
         with pytest.raises(ConfigError, match="backend"):
             ExecutionSpec(backend="gpu")
         with pytest.raises(ConfigError, match="workers"):
             ExecutionSpec(workers=0)
-        with pytest.raises(ConfigError, match="block_size"):
-            ExecutionSpec(block_size=0)
         with pytest.raises(ConfigError, match="build_workers"):
             ExecutionSpec(build_workers=0)
 

@@ -301,14 +301,16 @@ class TestNumericFlagValidation:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_bad_block_size_is_a_usage_error(self, capsys):
-        for bad in ("0", "-4", "huge"):
+        # The flag is gone: greedy always batches in DEFAULT_BLOCK_SIZE
+        # blocks, so every value is an unrecognized argument.
+        for value in ("0", "16", "huge"):
             with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(["run", "fig1", "--block-size", bad])
+                build_parser().parse_args(["run", "fig1", "--block-size", value])
             assert excinfo.value.code == 2
-        assert "block_size" in capsys.readouterr().err
+        assert "unrecognized arguments: --block-size" in capsys.readouterr().err
 
     def test_valid_values_accepted(self):
         args = build_parser().parse_args(
-            ["run", "fig1", "--seed", "3", "--block-size", "16", "--workers", "2"]
+            ["run", "fig1", "--seed", "3", "--build-workers", "2", "--workers", "2"]
         )
-        assert (args.seed, args.block_size, args.workers) == (3, 16, 2)
+        assert (args.seed, args.build_workers, args.workers) == (3, 2, 2)

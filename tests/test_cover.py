@@ -7,7 +7,9 @@ import pytest
 from repro.errors import InfeasibleError, OptimizationError
 from repro.influence.ensemble import WorldEnsemble
 from repro.graph.generators import two_block_sbm
-from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
+from repro.core.cover import DEFAULT_SLACK, solve_fair_tcim_cover, solve_tcim_cover
+from repro.core.greedy import plain_greedy
+from repro.core.objectives import TotalCoverageObjective
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +51,18 @@ class TestSolveTcimCover:
             solve_tcim_cover(sbm_ensemble, quota=1.5, deadline=5)
 
     def test_methods_agree(self, sbm_ensemble):
-        celf = solve_tcim_cover(sbm_ensemble, quota=0.25, deadline=5, method="celf")
-        plain = solve_tcim_cover(sbm_ensemble, quota=0.25, deadline=5, method="plain")
+        # The solver runs CELF; plain greedy is the reference engine.
+        celf = solve_tcim_cover(sbm_ensemble, quota=0.25, deadline=5)
+        population = float(sbm_ensemble.group_sizes.sum())
+        objective = TotalCoverageObjective(quota=0.25, population=population)
+        plain = plain_greedy(
+            sbm_ensemble,
+            objective,
+            deadline=5,
+            max_seeds=sbm_ensemble.n_candidates,
+            stop=lambda utilities: objective.satisfied(utilities, slack=DEFAULT_SLACK),
+            require_stop=True,
+        )
         assert celf.seeds == plain.seeds
 
     def test_deadline_zero_counts_seeds_only(self, sbm_ensemble):

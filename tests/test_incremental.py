@@ -22,8 +22,8 @@ from repro.api import (
     SolverSpec,
 )
 from repro.cli import main as cli_main
-from repro.core.budget import solve_budget_spec, solve_fair_tcim_budget
-from repro.core.greedy import WarmStart, lazy_greedy
+from repro.core.budget import solve_budget_spec
+from repro.core.greedy import WarmStart, lazy_greedy, plain_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 from repro.core.concave import log1p
 from repro.datasets.synthetic import synthetic_sbm
@@ -267,11 +267,13 @@ class TestWarmStartedCelf:
             )
 
     def test_plain_greedy_rejects_warm_start(self):
+        # Warm starts seed CELF's first round; the reference engine
+        # rescores every candidate every round and has none to seed.
         graph, groups = sbm()
         ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
-        with pytest.raises(OptimizationError, match="CELF"):
-            solve_fair_tcim_budget(
-                ensemble, budget=2, deadline=DEADLINE, method="plain",
+        with pytest.raises(TypeError, match="warm_start"):
+            plain_greedy(
+                ensemble, TotalInfluenceObjective(), DEADLINE, max_seeds=2,
                 warm_start=WarmStart(gains=np.zeros(ensemble.n_candidates)),
             )
 
@@ -348,14 +350,6 @@ class TestSessionResolve:
         result = session.resolve(spec, delta=make_delta(graph))
         assert not result.warm_started  # no trace recorded yet
         assert result.repaired_worlds is not None
-
-    def test_greedy_method_never_warm_starts(self):
-        session = Session()
-        spec = run_spec(method="plain")
-        session.solve(spec)
-        graph, _ = sbm()
-        result = session.resolve(spec, delta=make_delta(graph))
-        assert not result.warm_started
 
     def test_clear_cache_drops_warm_traces(self):
         session = Session()

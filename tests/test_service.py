@@ -310,6 +310,25 @@ class TestHttpErrors:
         assert status == 400
         assert "deadline" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "field, solver",
+        [
+            ("weights", {"weights": [float("nan"), 1.0]}),
+            ("weights", {"weights": [float("inf"), 1.0]}),
+            ("slack", {"problem": "cover", "budget": None, "concave": None,
+                       "quota": 0.3, "slack": float("nan")}),
+            ("slack", {"problem": "cover", "budget": None, "concave": None,
+                       "quota": 0.3, "slack": float("inf")}),
+        ],
+    )
+    def test_non_finite_solver_number_is_400(self, server, field, solver):
+        # Same route as the NaN deadline: rejected before any build.
+        spec = spec_dict()
+        spec["solver"].update(solver)
+        status, body = post(server.url, "/v1/solve", spec)
+        assert status == 400
+        assert field in body["error"]["message"]
+
     def test_bad_json_is_400(self, server):
         status, body = post(server.url, "/v1/solve", None, raw=b"{nope")
         assert status == 400
