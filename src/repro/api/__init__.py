@@ -32,6 +32,7 @@ from repro.api.session import (
     solve_many,
 )
 from repro.api.specs import (
+    ESTIMATOR_KINDS,
     MODEL_CHOICES,
     PROBLEM_CHOICES,
     SPEC_VERSION,
@@ -60,6 +61,7 @@ __all__ = [
     "register_dataset",
     "build_dataset",
     "SPEC_VERSION",
+    "ESTIMATOR_KINDS",
     "MODEL_CHOICES",
     "PROBLEM_CHOICES",
 ]

@@ -46,11 +46,8 @@ from repro.core.greedy import SelectionTrace, WarmStart
 from repro.errors import ConfigError, EstimationError
 from repro.graph.delta import GraphDelta
 from repro.influence.ensemble import WorldEnsemble
-from repro.influence.factory import make_estimator
-from repro.influence.procbuild import (
-    LIBRARY_DEFAULT_BUILD_WORKERS,
-    resolve_build_workers,
-)
+from repro.influence.procbuild import LIBRARY_DEFAULT_BUILD_WORKERS
+from repro.influence.rrsets import build_rrset_estimator
 
 #: Ensembles a session keeps alive at once (LRU beyond this).  Small on
 #: purpose: each entry can hold a multi-hundred-MiB distance store.
@@ -444,13 +441,19 @@ class Session:
         graph, assignment = build_dataset(
             spec.dataset, spec.dataset_params, spec.dataset_seed
         )
-        estimator = make_estimator(
-            spec,
-            graph,
-            assignment,
-            backend=resolved.backend,
-            build_workers=resolved.build_workers,
-        )
+        if spec.kind == "rrset":
+            estimator = build_rrset_estimator(spec, graph, assignment)
+        else:
+            estimator = WorldEnsemble(
+                graph,
+                assignment,
+                n_worlds=spec.n_worlds,
+                candidates=spec.candidates,
+                model=spec.model,
+                seed=spec.world_seed,
+                backend=resolved.backend,
+                build_workers=resolved.build_workers,
+            )
         with self._lock:
             self.cache_builds += 1
         return self._cache_put(key, estimator), False, key

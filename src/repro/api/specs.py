@@ -42,7 +42,6 @@ from repro.api.datasets import dataset_names
 from repro.core.concave import by_name as _concave_by_name
 from repro.errors import ConfigError, EstimationError, OptimizationError
 from repro.influence.backends import check_backend_name
-from repro.influence.factory import estimator_kinds
 from repro.influence.procbuild import check_build_workers
 from repro.rng import check_seed
 
@@ -52,6 +51,10 @@ SPEC_VERSION = 1
 
 #: Diffusion models an EnsembleSpec may name.
 MODEL_CHOICES = ("ic", "lt")
+
+#: Estimator kinds an EnsembleSpec may name: the common-random-numbers
+#: world ensemble and the group-tagged RR-set estimator.
+ESTIMATOR_KINDS = ("worlds", "rrset")
 
 #: Problems a SolverSpec may name.
 PROBLEM_CHOICES = ("budget", "cover")
@@ -177,10 +180,10 @@ class EnsembleSpec:
                 f"unknown dataset {self.dataset!r}; registered datasets: "
                 f"{', '.join(sorted(dataset_names()))}"
             )
-        if self.kind not in estimator_kinds():
+        if self.kind not in ESTIMATOR_KINDS:
             raise ConfigError(
-                f"unknown estimator kind {self.kind!r}; registered kinds: "
-                f"{', '.join(sorted(estimator_kinds()))}"
+                f"unknown estimator kind {self.kind!r}; choose from "
+                f"{', '.join(ESTIMATOR_KINDS)}"
             )
         params = _require_mapping(self.dataset_params, "dataset_params")
         for key in params:

@@ -22,7 +22,8 @@ Four estimators, all agreeing in expectation:
   expectation by enumerating every live-edge world on tiny graphs;
   the ground truth for tests and for the Figure-1 example.
 
-Solvers are typed against the
+:class:`repro.api.Session` builds one of the first two per
+``EnsembleSpec.kind``.  Solvers are typed against the
 :class:`~repro.influence.backends.UtilityEstimator` protocol, so any
 estimator slots in without touching the solver layer.  Deadline
 rounding is defined once in :mod:`~repro.influence.deadlines`.
@@ -60,11 +61,6 @@ from repro.influence.incremental import (
     plan_against,
     repair_ensemble,
 )
-from repro.influence.factory import (
-    estimator_kinds,
-    make_estimator,
-    register_estimator,
-)
 from repro.influence.montecarlo import monte_carlo_group_utilities, monte_carlo_utility
 from repro.influence.rrsets import (
     RRCollection,
@@ -94,9 +90,6 @@ __all__ = [
     "check_backend_name",
     "make_backend",
     "select_backend",
-    "make_estimator",
-    "register_estimator",
-    "estimator_kinds",
     "AUTO_BUILD_WORKERS",
     "ProcessBuildUnavailable",
     "SharedSegment",

@@ -724,57 +724,36 @@ def _probe_sparse_bytes(
     return int(entry_bytes + indptr_bytes) * n_worlds, None
 
 
-def sparse_bytes_estimate(
-    worlds: Sequence[LiveEdgeWorld], candidate_indices: np.ndarray
-) -> int:
-    """Estimate the CSR store's footprint by probing one world."""
-    return _probe_sparse_bytes(worlds, candidate_indices)[0]
-
-
 def _select_with_probe(
-    worlds: Sequence[LiveEdgeWorld],
-    candidate_indices: np.ndarray,
-    n: int,
-    dense_limit: int,
-    sparse_limit: int,
+    worlds: Sequence[LiveEdgeWorld], candidate_indices: np.ndarray, n: int
 ):
     """The ``"auto"`` rule, returning the world-0 probe when one was built."""
-    if dense_bytes_estimate(len(worlds), len(candidate_indices), n) <= dense_limit:
+    if (
+        dense_bytes_estimate(len(worlds), len(candidate_indices), n)
+        <= DEFAULT_DENSE_LIMIT
+    ):
         return "dense", None
     estimate, probe = _probe_sparse_bytes(worlds, candidate_indices)
-    if estimate <= sparse_limit:
+    if estimate <= DEFAULT_SPARSE_LIMIT:
         return "sparse", probe
     return "lazy", None
 
 
 def select_backend(
-    worlds: Sequence[LiveEdgeWorld],
-    candidate_indices: np.ndarray,
-    n: int,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    sparse_limit: int = DEFAULT_SPARSE_LIMIT,
+    worlds: Sequence[LiveEdgeWorld], candidate_indices: np.ndarray, n: int
 ) -> str:
     """The ``"auto"`` rule: cheapest backend whose footprint fits.
 
-    1. ``dense`` while ``R * C * n`` bytes stay under ``dense_limit``
-       (fastest queries; the default limit is 256 MiB);
+    1. ``dense`` while ``R * C * n`` bytes stay under
+       :data:`DEFAULT_DENSE_LIMIT` (fastest queries; 256 MiB);
     2. otherwise ``sparse`` while the probed CSR estimate stays under
-       ``sparse_limit`` (1 GiB by default);
+       :data:`DEFAULT_SPARSE_LIMIT` (1 GiB);
     3. otherwise ``lazy`` (bounded memory regardless of graph size).
+
+    The limits are read at call time, so patching them on this module
+    moves the thresholds for serial and process builds alike.
     """
-    return _select_with_probe(
-        worlds, candidate_indices, n, dense_limit, sparse_limit
-    )[0]
-
-
-#: Options each backend constructor accepts (beyond the positional
-#: worlds/candidates/n).  ``"auto"`` uses this to drop options that
-#: don't apply to whichever backend it resolved to.
-_BACKEND_OPTION_NAMES: Dict[str, frozenset] = {
-    "dense": frozenset(),
-    "sparse": frozenset({"first_world_rows"}),
-    "lazy": frozenset({"cache_size"}),
-}
+    return _select_with_probe(worlds, candidate_indices, n)[0]
 
 
 def make_backend(
@@ -782,41 +761,26 @@ def make_backend(
     worlds: Sequence[LiveEdgeWorld],
     candidate_indices: np.ndarray,
     n: int,
-    options: Optional[Dict[str, Any]] = None,
+    store: Optional[Any] = None,
 ) -> DistanceBackend:
-    """Instantiate a named backend.
+    """Instantiate a named backend — the one constructor for every build.
 
-    ``"auto"`` resolves via :func:`select_backend` (selection knobs
-    ``dense_limit`` / ``sparse_limit`` ride in ``options``) and then
-    silently drops options that don't apply to the backend it picked
-    (e.g. ``cache_size`` when auto lands on dense).  An explicitly
-    named backend rejects unknown options instead.
+    ``"auto"`` resolves via :func:`select_backend` against
+    :data:`DEFAULT_DENSE_LIMIT` / :data:`DEFAULT_SPARSE_LIMIT`, and the
+    lazy backend gets :data:`DEFAULT_CACHE_SIZE` rows; all three are
+    read at call time.  ``store`` hands over a store a process build
+    already filled (:mod:`repro.influence.procbuild`): the dense
+    ``(R, C, n)`` tensor or the per-world CSR list for a concrete
+    ``backend``, so nothing is built twice.
     """
     check_backend_name(backend)
-    options = dict(options or {})
-    resolved_by_auto = backend == "auto"
-    if resolved_by_auto:
-        backend, probe = _select_with_probe(
-            worlds,
-            candidate_indices,
-            n,
-            dense_limit=options.pop("dense_limit", DEFAULT_DENSE_LIMIT),
-            sparse_limit=options.pop("sparse_limit", DEFAULT_SPARSE_LIMIT),
-        )
-        options = {
-            k: v for k, v in options.items() if k in _BACKEND_OPTION_NAMES[backend]
-        }
-        if probe is not None:
-            options["first_world_rows"] = probe
+    first_world_rows = None
+    if backend == "auto":
+        backend, first_world_rows = _select_with_probe(worlds, candidate_indices, n)
     if backend == "dense":
-        cls = DenseBackend
-    elif backend == "sparse":
-        cls = SparseBackend
-    else:
-        cls = LazyBackend
-    try:
-        return cls(worlds, candidate_indices, n, **options)
-    except TypeError as exc:
-        raise EstimationError(
-            f"invalid options for the {cls.name!r} backend: {sorted(options)} ({exc})"
-        ) from None
+        return DenseBackend(worlds, candidate_indices, n, distances=store)
+    if backend == "sparse":
+        return SparseBackend(
+            worlds, candidate_indices, n, first_world_rows=first_world_rows, rows=store
+        )
+    return LazyBackend(worlds, candidate_indices, n, cache_size=DEFAULT_CACHE_SIZE)

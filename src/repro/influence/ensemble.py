@@ -150,10 +150,8 @@ class WorldEnsemble:
         ``"lazy"``, or ``"auto"`` (pick by estimated memory footprint —
         see :func:`repro.influence.backends.select_backend`).  The
         choice affects memory and speed only, never the estimates.
-    backend_options:
-        Extra keyword arguments for the backend constructor (e.g.
-        ``{"cache_size": 128}`` for ``"lazy"``, ``{"dense_limit": ...}``
-        for ``"auto"``).
+        The ``"auto"`` limits and the lazy cache size are the
+        ``DEFAULT_*`` constants of :mod:`repro.influence.backends`.
     build_workers:
         Worker-*process* count for world **construction** (sampling +
         distance-store builds, which hold the GIL and therefore cannot
@@ -161,11 +159,11 @@ class WorldEnsemble:
         (= ``min(available_cpus(), n_worlds)``, gated by a work floor),
         or ``None`` to defer to the process default
         (``execution_defaults``, itself ``1`` — fully serial — unless
-        the CLI's ``--build-workers`` or ``REPRO_BUILD_WORKERS`` set
-        it).  With more than one build worker the distance store is
-        published in shared-memory segments (zero-copy for the workers
-        that built it); call :meth:`close` — or use the ensemble as a
-        context manager — to unlink them deterministically.  This is a
+        the CLI's ``--build-workers`` sets it).  With more than one
+        build worker the distance store is published in shared-memory
+        segments (zero-copy for the workers that built it); call
+        :meth:`close` — or use the ensemble as a context manager — to
+        unlink them deterministically.  This is a
         pure speed knob: worlds, stores, traces and estimates are
         byte-identical at every build-worker count, and the build
         degrades to the serial path (with a ``RuntimeWarning``) where
@@ -181,7 +179,6 @@ class WorldEnsemble:
         model: str = "ic",
         seed: RngLike = None,
         backend: str = "dense",
-        backend_options: Optional[Dict[str, Any]] = None,
         build_workers: Optional[BuildWorkersLike] = None,
     ) -> None:
         if n_worlds < 1:
@@ -226,7 +223,7 @@ class WorldEnsemble:
         self._world_children = children
         self._shared_segments: List[SharedSegment] = []
         self._closed = False
-        built = None
+        store = None
         n_build = resolve_build_workers(
             self._build_workers_setting,
             n_worlds,
@@ -234,7 +231,7 @@ class WorldEnsemble:
         )
         if n_build > 1:
             try:
-                built = process_build(
+                backend, self.worlds, store, self._shared_segments = process_build(
                     graph,
                     self._candidate_indices,
                     self.n,
@@ -243,27 +240,20 @@ class WorldEnsemble:
                     children,
                     backend,
                     n_build,
-                    backend_options,
                 )
             except ProcessBuildUnavailable as exc:
                 warn_serial_fallback(str(exc))
-        if built is not None:
-            self.worlds: List[LiveEdgeWorld] = built.worlds
-            self._backend = built.backend
-            self._shared_segments = built.segments
-            self._build_workers_used = n_build
-        else:
-            self._build_workers_used = 1
-            self.worlds = [sampler(graph, seed=child) for child in children]
-            # Activation-time store D[r, c, v] behind the backend
-            # interface.
-            self._backend = make_backend(
-                backend,
-                self.worlds,
-                self._candidate_indices,
-                self.n,
-                backend_options,
-            )
+                n_build = 1
+        self._build_workers_used = n_build
+        if n_build == 1:
+            self.worlds: List[LiveEdgeWorld] = [
+                sampler(graph, seed=child) for child in children
+            ]
+        # Activation-time store D[r, c, v] behind the backend interface;
+        # a process build hands over the store its workers filled.
+        self._backend = make_backend(
+            backend, self.worlds, self._candidate_indices, self.n, store
+        )
         # Group masks as float32 (k, n) for fast masked counting, plus
         # group sizes for normalisation.
         self._masks_bool = assignment.masks(graph)

@@ -465,17 +465,6 @@ def _clone_generator(rng: np.random.Generator) -> np.random.Generator:
     return pickle.loads(pickle.dumps(rng))
 
 
-class ProcessBuildResult:
-    """What one process-sharded build hands back to the ensemble."""
-
-    __slots__ = ("worlds", "backend", "segments")
-
-    def __init__(self, worlds, backend, segments: List[SharedSegment]) -> None:
-        self.worlds = worlds
-        self.backend = backend
-        self.segments = segments
-
-
 def _ensure_resource_tracker() -> None:
     """Start the stdlib resource tracker *before* the pool forks.
 
@@ -509,8 +498,7 @@ def process_build(
     children: Sequence[np.random.Generator],
     backend: str,
     build_workers: int,
-    backend_options: Optional[Dict[str, Any]] = None,
-) -> ProcessBuildResult:
+) -> Tuple[str, List, Optional[Any], List[SharedSegment]]:
     """Build worlds + distance store across ``build_workers`` processes.
 
     ``children`` are the per-world RNG generators the *caller* spawned
@@ -518,6 +506,15 @@ def process_build(
     the serial sampler makes), so a failed process build can fall back
     to the serial path on the very same generators and still produce
     the very same worlds.
+
+    Returns ``(resolved, worlds, store, segments)``: the concrete
+    backend name (``"auto"`` resolved by the same
+    :func:`~repro.influence.backends.select_backend` rule as the serial
+    path), the sampled worlds, the store the workers filled (the dense
+    tensor, the per-world CSR list, or ``None`` for ``lazy``, which
+    only samples worlds here) and the shared segments backing it.  The
+    caller hands ``resolved`` and ``store`` to
+    :func:`~repro.influence.backends.make_backend`.
 
     The caller has already resolved ``build_workers`` to a concrete
     count ``>= 2`` (``1`` means "run the serial path" and never reaches
@@ -527,16 +524,7 @@ def process_build(
     construction errors after unlinking every segment this build
     created.
     """
-    from repro.influence.backends import (
-        _BACKEND_OPTION_NAMES,
-        DEFAULT_DENSE_LIMIT,
-        DEFAULT_SPARSE_LIMIT,
-        DenseBackend,
-        LazyBackend,
-        SparseBackend,
-        dense_bytes_estimate,
-        sparse_bytes_estimate,
-    )
+    from repro.influence.backends import select_backend
 
     if model not in ("ic", "lt"):
         raise EstimationError(f"model must be 'ic' or 'lt', got {model!r}")
@@ -544,36 +532,17 @@ def process_build(
         raise EstimationError(
             f"need one RNG child per world: got {len(children)} for {n_worlds}"
         )
-    options = dict(backend_options or {})
     candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
     n_candidates = len(candidate_indices)
 
     resolved = backend
     if resolved == "auto":
-        dense_limit = options.pop("dense_limit", DEFAULT_DENSE_LIMIT)
-        sparse_limit = options.pop("sparse_limit", DEFAULT_SPARSE_LIMIT)
-        if dense_bytes_estimate(n_worlds, n_candidates, n) <= dense_limit:
-            resolved = "dense"
-        else:
-            # Probe world 0 from a *clone* of its child so the worker
-            # still samples it from the pristine state — the selection
-            # sees the very world the build will contain.
-            probe_world = _probe_first_world(graph, model, children[0])
-            estimate = sparse_bytes_estimate(
-                [probe_world] * n_worlds, candidate_indices
-            )
-            resolved = "sparse" if estimate <= sparse_limit else "lazy"
-        options = {
-            k: v for k, v in options.items() if k in _BACKEND_OPTION_NAMES[resolved]
-        }
-    # The workers rebuild world 0's rows themselves (identically), so a
-    # caller-provided probe has nothing to contribute here.
-    options.pop("first_world_rows", None)
-    unknown = set(options) - set(_BACKEND_OPTION_NAMES.get(resolved, frozenset()))
-    if unknown:
-        raise EstimationError(
-            f"invalid options for the {resolved!r} backend: {sorted(unknown)}"
-        )
+        # Probe world 0 from a *clone* of its child so the worker still
+        # samples it from the pristine state — the selection sees the
+        # very world the build will contain.  The rule only reads world
+        # 0 and the world count.
+        probe_world = _probe_first_world(graph, model, children[0])
+        resolved = select_backend([probe_world] * n_worlds, candidate_indices, n)
 
     shards = shard_slices(n_worlds, build_workers)
     payload = pickle.dumps((graph, candidate_indices, model))
@@ -589,6 +558,7 @@ def process_build(
 
     segments: List[SharedSegment] = []
     issued_names: List[str] = []
+    store: Optional[Any] = None
     try:
         try:
             if resolved == "dense":
@@ -602,14 +572,10 @@ def process_build(
                     segments,
                     issued_names,
                 )
-                backend_obj = DenseBackend(
-                    worlds, candidate_indices, n, distances=store
-                )
             elif resolved == "sparse":
-                worlds, rows = _parent_build_sparse(
+                worlds, store = _parent_build_sparse(
                     executor, shards, children, segments, issued_names
                 )
-                backend_obj = SparseBackend(worlds, candidate_indices, n, rows=rows)
             else:  # lazy: process-parallel world sampling only
                 results = _run_tasks(
                     executor,
@@ -617,7 +583,6 @@ def process_build(
                     [(children[s.start : s.stop],) for s in shards],
                 )
                 worlds = [world for shard in results for world in shard]
-                backend_obj = LazyBackend(worlds, candidate_indices, n, **options)
         except BrokenProcessPool as exc:
             raise ProcessBuildUnavailable(f"build process pool broke ({exc})") from exc
     except BaseException:
@@ -631,7 +596,7 @@ def process_build(
         raise
     else:
         executor.shutdown(wait=True)
-    return ProcessBuildResult(worlds, backend_obj, segments)
+    return resolved, worlds, store, segments
 
 
 def _probe_first_world(graph, model: str, child: np.random.Generator):

@@ -856,36 +856,26 @@ class RRSetEstimator:
         )
 
 
-def build_rrset_estimator(
-    spec,
-    graph: DiGraph,
-    assignment,
-    backend: Optional[str] = None,
-    backend_options=None,
-    build_workers=None,
-) -> RRSetEstimator:
-    """Factory endpoint for ``EnsembleSpec(kind="rrset")``.
+def build_rrset_estimator(spec, graph: DiGraph, assignment) -> RRSetEstimator:
+    """Build the estimator for ``EnsembleSpec(kind="rrset")``.
 
-    Registered with :mod:`repro.influence.factory`; every spec,
-    session and CLI path reaches here.  The distance-backend knobs
-    (``backend`` / ``backend_options`` / ``build_workers``) are accepted for signature compatibility but
-    unused — the RR estimator owns its
-    storage (a reverse CSR plus inverted coverage indices) and its
-    sampling is already vectorised.
+    :class:`repro.api.Session` calls this for every rrset spec.  The
+    RR estimator owns its storage (a reverse CSR plus inverted coverage
+    indices) and its sampling is already vectorised, so no
+    distance-backend or build-worker knob applies.
     """
-    model = getattr(spec, "model", "ic")
-    if model != "ic":
+    if spec.model != "ic":
         raise EstimationError(
             f"the RR-set estimator supports the IC model only, got "
-            f"model={model!r}; use EnsembleSpec(kind='worlds') for LT runs"
+            f"model={spec.model!r}; use EnsembleSpec(kind='worlds') for LT runs"
         )
     return RRSetEstimator(
         graph,
         assignment,
-        candidates=getattr(spec, "candidates", None),
-        epsilon=getattr(spec, "epsilon", None),
-        delta=getattr(spec, "delta", None),
-        theta=getattr(spec, "theta", None),
-        max_theta=getattr(spec, "max_theta", None),
-        seed=getattr(spec, "world_seed", 0),
+        candidates=spec.candidates,
+        epsilon=spec.epsilon,
+        delta=spec.delta,
+        theta=spec.theta,
+        max_theta=spec.max_theta,
+        seed=spec.world_seed,
     )

@@ -23,7 +23,7 @@ from repro.config import execution_defaults
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.cover import solve_fair_tcim_cover
 from repro.datasets.synthetic import synthetic_sbm
-from repro.errors import ConfigError, EstimationError
+from repro.errors import ConfigError
 from repro.influence.backends import BACKEND_NAMES
 from repro.influence.ensemble import WorldEnsemble
 
@@ -393,27 +393,29 @@ class TestConfigChain:
 
 class TestEstimatorFactory:
     def test_kinds_registered(self):
-        from repro.influence.factory import estimator_kinds
+        from repro.api import ESTIMATOR_KINDS
+        from repro.influence.rrsets import RRSetEstimator
 
-        assert set(estimator_kinds()) >= {"worlds", "rrset"}
+        assert ESTIMATOR_KINDS == ("worlds", "rrset")
+        session = Session()
+        assert isinstance(session.ensemble_for(ensemble_spec()), WorldEnsemble)
+        assert isinstance(
+            session.ensemble_for(ensemble_spec(kind="rrset", theta=50)),
+            RRSetEstimator,
+        )
 
     def test_worlds_kind_builds_world_ensemble(self):
-        from repro.influence.factory import make_estimator
-
-        spec = ensemble_spec(model="ic")
-        graph, groups = synthetic_sbm(seed=DATASET_SEED, **SYN_PARAMS)
-        estimator = make_estimator(spec, graph, groups, backend="dense")
+        estimator = Session().ensemble_for(
+            ensemble_spec(model="ic"), ExecutionSpec(backend="dense")
+        )
         assert isinstance(estimator, WorldEnsemble)
         assert estimator.n_worlds == N_WORLDS
         assert estimator.backend_name == "dense"
 
     def test_rrset_kind_builds_rrset_estimator(self):
-        from repro.influence.factory import make_estimator
         from repro.influence.rrsets import RRSetEstimator
 
-        spec = ensemble_spec(kind="rrset", theta=500)
-        graph, groups = synthetic_sbm(seed=DATASET_SEED, **SYN_PARAMS)
-        estimator = make_estimator(spec, graph, groups)
+        estimator = Session().ensemble_for(ensemble_spec(kind="rrset", theta=500))
         assert isinstance(estimator, RRSetEstimator)
         assert estimator.fixed_theta == 500
         # No backend_name: the session echo must keep reporting the
@@ -442,30 +444,6 @@ class TestEstimatorFactory:
                     problem="budget", deadline=DEADLINE, budget=2, discount=0.9
                 ),
             )
-
-    def test_duplicate_registration_rejected(self):
-        from repro.influence import factory
-
-        with pytest.raises(EstimationError, match="already registered"):
-            factory.register_estimator("worlds", lambda *a, **k: None)
-
-    def test_register_and_unregister_custom_kind(self):
-        from repro.influence import factory
-
-        calls = []
-
-        def builder(spec, graph, assignment, **kwargs):
-            calls.append(kwargs["backend"])
-            return "estimator"
-
-        factory.register_estimator("test-kind", builder)
-        try:
-            spec = ensemble_spec(kind="test-kind")
-            graph, groups = synthetic_sbm(seed=0, n=20)
-            out = factory.make_estimator(spec, graph, groups, backend="dense")
-            assert out == "estimator" and calls == ["dense"]
-        finally:
-            del factory._BUILDERS["test-kind"]
 
 
 class TestDeprecationShims:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.datasets.example import illustrative_graph
 from repro.datasets.synthetic import default_synthetic
+from repro.influence import backends
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
@@ -142,15 +143,11 @@ class TestPaperScaleSynthetic:
         )
         assert ensemble.backend_name == "dense"
 
-    def test_auto_falls_to_sparse_under_tight_limit(self):
+    def test_auto_falls_to_sparse_under_tight_limit(self, monkeypatch):
+        monkeypatch.setattr(backends, "DEFAULT_DENSE_LIMIT", 1024)
         graph, assignment = default_synthetic(seed=0)
         ensemble = WorldEnsemble(
-            graph,
-            assignment,
-            n_worlds=10,
-            seed=9,
-            backend="auto",
-            backend_options={"dense_limit": 1024},
+            graph, assignment, n_worlds=10, seed=9, backend="auto"
         )
         assert ensemble.backend_name == "sparse"
         # The auto path reuses the selection probe as world 0's rows;
@@ -163,31 +160,13 @@ class TestPaperScaleSynthetic:
             ensemble.utilities_for(seeds, 20), explicit.utilities_for(seeds, 20)
         )
 
-    def test_auto_drops_inapplicable_options(self):
-        # cache_size only applies to lazy; auto resolving to dense must
-        # ignore it rather than crash after sampling worlds.
-        graph, assignment = default_synthetic(seed=0)
-        ensemble = WorldEnsemble(
-            graph,
-            assignment,
-            n_worlds=5,
-            seed=9,
-            backend="auto",
-            backend_options={"cache_size": 16},
-        )
-        assert ensemble.backend_name == "dense"
-
-    def test_auto_probe_reuse_on_small_candidate_pools(self):
+    def test_auto_probe_reuse_on_small_candidate_pools(self, monkeypatch):
         # With <= 256 candidates the auto probe is world 0's full CSR
         # and is handed to the sparse backend; results stay identical.
+        monkeypatch.setattr(backends, "DEFAULT_DENSE_LIMIT", 16)
         graph, assignment = illustrative_graph()
         auto = WorldEnsemble(
-            graph,
-            assignment,
-            n_worlds=15,
-            seed=5,
-            backend="auto",
-            backend_options={"dense_limit": 16},
+            graph, assignment, n_worlds=15, seed=5, backend="auto"
         )
         explicit = WorldEnsemble(
             graph, assignment, n_worlds=15, seed=5, backend="sparse"
@@ -204,14 +183,11 @@ class TestPaperScaleSynthetic:
         with pytest.raises(EstimationError, match="backend must be one of"):
             WorldEnsemble(graph, assignment, n_worlds=10**9, seed=9, backend="gpu")
 
-    def test_auto_falls_to_lazy_under_tightest_limits(self):
+    def test_auto_falls_to_lazy_under_tightest_limits(self, monkeypatch):
+        monkeypatch.setattr(backends, "DEFAULT_DENSE_LIMIT", 1024)
+        monkeypatch.setattr(backends, "DEFAULT_SPARSE_LIMIT", 1024)
         graph, assignment = default_synthetic(seed=0)
         ensemble = WorldEnsemble(
-            graph,
-            assignment,
-            n_worlds=10,
-            seed=9,
-            backend="auto",
-            backend_options={"dense_limit": 1024, "sparse_limit": 1024},
+            graph, assignment, n_worlds=10, seed=9, backend="auto"
         )
         assert ensemble.backend_name == "lazy"

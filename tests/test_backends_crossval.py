@@ -21,6 +21,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.groups import GroupAssignment
+from repro.influence import backends
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_group_utilities, exact_utility
 from repro.influence.montecarlo import monte_carlo_group_utilities, monte_carlo_utility
@@ -203,16 +204,12 @@ class TestBoundaryDeadlines:
 
 
 class TestLazyCache:
-    def test_cache_eviction_keeps_results_exact(self):
+    def test_cache_eviction_keeps_results_exact(self, monkeypatch):
+        monkeypatch.setattr(backends, "DEFAULT_CACHE_SIZE", 2)
         graph, assignment, labels = random_instance(9)
         dense = WorldEnsemble(graph, assignment, n_worlds=30, seed=81)
         tiny_cache = WorldEnsemble(
-            graph,
-            assignment,
-            n_worlds=30,
-            seed=81,
-            backend="lazy",
-            backend_options={"cache_size": 2},
+            graph, assignment, n_worlds=30, seed=81, backend="lazy"
         )
         s_ref, s_lazy = dense.state_for(labels[:4]), tiny_cache.state_for(labels[:4])
         np.testing.assert_array_equal(s_ref.best_time, s_lazy.best_time)

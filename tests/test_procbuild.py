@@ -22,7 +22,7 @@ from repro.core.greedy import lazy_greedy
 from repro.core.objectives import TotalInfluenceObjective
 from repro.errors import EstimationError
 from repro.graph.generators import two_block_sbm
-from repro.influence import procbuild
+from repro.influence import backends, procbuild
 from repro.influence.ensemble import WorldEnsemble
 from repro.api.specs import check_workers
 from repro.influence.procbuild import (
@@ -381,6 +381,30 @@ class TestKnobChain:
         )
         assert proc.backend_name == serial.backend_name
         assert_worlds_identical(proc, serial)
+        proc.close()
+
+    @pytest.mark.parametrize("expected", ("sparse", "lazy"))
+    def test_auto_backend_resolves_identically_under_tight_limits(
+        self, monkeypatch, expected
+    ):
+        monkeypatch.setattr(backends, "DEFAULT_DENSE_LIMIT", 1024)
+        if expected == "lazy":
+            monkeypatch.setattr(backends, "DEFAULT_SPARSE_LIMIT", 1024)
+        graph, assignment = small_graph()
+        proc = WorldEnsemble(
+            graph, assignment, n_worlds=8, seed=11, backend="auto", build_workers=2
+        )
+        serial = WorldEnsemble(
+            graph, assignment, n_worlds=8, seed=11, backend="auto", build_workers=1
+        )
+        assert proc.build_workers_used == 2
+        assert proc.backend_name == serial.backend_name == expected
+        assert_worlds_identical(proc, serial)
+        state_proc = proc.state_for(proc.candidate_labels[:3])
+        state_serial = serial.state_for(serial.candidate_labels[:3])
+        np.testing.assert_array_equal(
+            proc.group_utilities(state_proc, 3), serial.group_utilities(state_serial, 3)
+        )
         proc.close()
 
     def test_lt_model_identical(self):

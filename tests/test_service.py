@@ -192,10 +192,22 @@ class TestBitIdentity:
 
 
 class TestDedupAndBatching:
-    def test_identical_concurrent_requests_share_one_solve(self, server):
+    def test_identical_concurrent_requests_share_one_solve(
+        self, server, monkeypatch
+    ):
         spec = spec_dict(world_seed=11)
         service = server.service
         results = []
+        # Hold the first request's ensemble build until all six requests
+        # have arrived, so every one of them joins the same flight.
+        release = threading.Event()
+        build = service.session.ensemble_for
+
+        def held_build(*args, **kwargs):
+            release.wait(timeout=60)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(service.session, "ensemble_for", held_build)
 
         def worker():
             results.append(post(server.url, "/v1/solve", spec))
@@ -203,8 +215,13 @@ class TestDedupAndBatching:
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 30
+        while service.counters["solve_requests"] < 6 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
 
         assert [status for status, _ in results] == [200] * 6
         assert len({json.dumps(body["seeds"]) for _, body in results}) == 1
