@@ -108,7 +108,8 @@ def test_repair_vs_rebuild_latency():
                 DEFAULT_DEADLINE,
                 max_seeds=BUDGET,
                 warm_start=WarmStart(
-                    gains=prior.first_round_gains, refresh=report.affected
+                    utilities=prior.first_round_utilities,
+                    refresh=report.affected,
                 ),
             )
             repair_best = min(repair_best, time.perf_counter() - started)
@@ -130,10 +131,10 @@ def test_repair_vs_rebuild_latency():
             )
             rebuild_best = min(rebuild_best, time.perf_counter() - started)
 
-            # Equivalence on every repeat: same seeds, same gains.
+            # Equivalence on every repeat: same seeds, same first round.
             assert warm.seeds == cold.seeds
             np.testing.assert_array_equal(
-                warm.first_round_gains, cold.first_round_gains
+                warm.first_round_utilities, cold.first_round_utilities
             )
             assert warm.total_evaluations <= cold.total_evaluations
 

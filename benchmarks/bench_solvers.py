@@ -4,9 +4,12 @@ Quantifies the CELF speedup DESIGN.md claims and times the four paper
 solvers end-to-end on the default synthetic dataset.  The batched
 vs scalar engine comparisons additionally record their wall times into
 ``BENCH_solvers.json`` (next to ``bench_gains.py``'s oracle-level
-numbers) and assert identical outputs.
+numbers) and assert identical outputs, and ``celf_bounds`` records
+CELF's oracle calls and per-group re-bounds against plain greedy's
+while asserting the two traces are bit-identical.
 """
 
+import numpy as np
 import pytest
 
 from conftest import best_of, record_bench
@@ -14,10 +17,14 @@ from conftest import best_of, record_bench
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
-from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
-from repro.core.concave import log1p
+from repro.core.cover import DEFAULT_SLACK, solve_fair_tcim_cover, solve_tcim_cover
+from repro.core.concave import log1p, sqrt
 from repro.core.greedy import lazy_greedy, plain_greedy
-from repro.core.objectives import TotalInfluenceObjective
+from repro.core.objectives import (
+    ConcaveSumObjective,
+    TotalInfluenceObjective,
+    TruncatedCoverageObjective,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +128,55 @@ def test_plain_greedy_end_to_end_batched_vs_scalar(ensemble):
     # table-fast), so the margin is within shared-runner noise.  The
     # perf gate lives in bench_gains.py where the margin is 20x; here
     # the identity assert above is the contract.
+
+
+def test_celf_bounds_match_plain_greedy(ensemble):
+    """CELF oracle calls and per-group re-bounds against plain greedy.
+
+    Budget 30 for the log, sqrt and total objectives and the fair cover
+    quota 0.1, at tau 5 and 20.  ``celf_evaluations`` counts oracle
+    calls including the 500-candidate first round; ``bound_rescores``
+    counts the O(k) re-bounds that replaced the others.  The traces
+    must be bit-identical: seeds, gains, utilities and stop reason.
+    """
+    quota = 0.1
+    cover = TruncatedCoverageObjective(quota, ensemble.group_sizes)
+    problems = {
+        "log": (ConcaveSumObjective(log1p), None),
+        "sqrt": (ConcaveSumObjective(sqrt), None),
+        "total": (TotalInfluenceObjective(), None),
+        "cover": (cover, lambda u: cover.satisfied(u, slack=DEFAULT_SLACK)),
+    }
+    runs = []
+    for name, (objective, stop) in problems.items():
+        for tau in (5, 20):
+            budget = ensemble.n_candidates if stop else 30
+            celf, plain = (
+                engine(ensemble, objective, tau, budget, stop=stop)
+                for engine in (lazy_greedy, plain_greedy)
+            )
+            assert celf.stopped_reason == plain.stopped_reason
+            assert [s.position for s in celf.steps] == [
+                s.position for s in plain.steps
+            ]
+            for ours, reference in zip(celf.steps, plain.steps):
+                assert ours.gain == reference.gain
+                assert ours.objective_value == reference.objective_value
+                np.testing.assert_array_equal(
+                    ours.group_utilities, reference.group_utilities
+                )
+            runs.append(
+                {
+                    "objective": name,
+                    "tau": tau,
+                    "seeds": celf.size,
+                    "celf_evaluations": celf.total_evaluations,
+                    "bound_rescores": celf.total_bound_rescores,
+                    "plain_evaluations": plain.total_evaluations,
+                }
+            )
+            assert celf.total_evaluations < plain.total_evaluations
+    record_bench(
+        "celf_bounds",
+        {"budget": 30, "quota": quota, "n_worlds": ensemble.n_worlds, "runs": runs},
+    )

@@ -105,8 +105,11 @@ class RunResult:
     """Everything one solve produced, in a stable, mostly-plain shape.
 
     ``spec`` is the *resolved* request: every execution field concrete
-    (the actual backend after ``"auto"``, the actual worker count, the
-    actual block size), so the result alone documents how it was made.
+    (the actual backend after ``"auto"``, the actual build-worker
+    count), so the result alone documents how it was made.
+    ``evaluations`` counts oracle calls (utility evaluations);
+    ``bound_rescores`` counts CELF's per-group re-bounds, which call no
+    oracle.
     ``trace`` and ``solution`` carry the full solver objects for
     callers that want them; :meth:`to_dict` is the JSON-safe summary
     (what ``repro solve --json`` prints).
@@ -124,6 +127,7 @@ class RunResult:
     objective: float
     stopped_reason: str
     evaluations: int
+    bound_rescores: int
     ensemble_cached: bool
     build_seconds: float
     solve_seconds: float
@@ -167,6 +171,7 @@ class RunResult:
             "objective": self.objective,
             "stopped_reason": self.stopped_reason,
             "evaluations": self.evaluations,
+            "bound_rescores": self.bound_rescores,
             "timings": {
                 "build_seconds": self.build_seconds,
                 "solve_seconds": self.solve_seconds,
@@ -212,7 +217,9 @@ class RunResult:
         lines.append(
             f"  build {self.build_seconds:.2f}s{cached}   "
             f"solve {self.solve_seconds:.2f}s   "
-            f"evaluations {self.evaluations}   stop: {self.stopped_reason}"
+            f"evaluations {self.evaluations}   "
+            f"bound re-scores {self.bound_rescores}   "
+            f"stop: {self.stopped_reason}"
         )
         if self.repaired_worlds is not None:
             warm = " (warm-started)" if self.warm_started else ""
@@ -540,26 +547,26 @@ class Session:
     def _solver_fingerprint(spec: RunSpec) -> str:
         """What a recorded trace may warm: the exact solver request.
 
-        Execution knobs are excluded on purpose — block size and worker
-        count never change gains, so a trace recorded under one setting
-        warms a re-solve under another.
+        Execution knobs are excluded on purpose — the backend and the
+        build-worker count never change utilities, so a trace recorded
+        under one setting warms a re-solve under another.
         """
         return json.dumps(spec.solver.to_dict(), sort_keys=True)
 
     def _record_warm_trace(self, key, spec, estimator, trace) -> None:
-        """Remember this solve's first-round gains for later re-solves.
+        """Remember this solve's first-round utilities for later re-solves.
 
         Recorded per (ensemble cache key, solver fingerprint) with the
-        repair epoch (how many deltas were folded in when the gains
+        repair epoch (how many deltas were folded in when the utilities
         were true) and a weakref to the estimator itself, so a trace
         can never warm a rebuilt ensemble that merely reuses the key.
         """
-        gains = trace.first_round_gains
-        if gains is None or not hasattr(estimator, "repair_log"):
+        utilities = trace.first_round_utilities
+        if utilities is None or not hasattr(estimator, "repair_log"):
             return  # no first round was scored, or a non-repairable estimator
         with self._lock:
             self._warm_traces[(key, self._solver_fingerprint(spec))] = (
-                np.array(gains, dtype=np.float64, copy=True),
+                np.array(utilities, dtype=np.float64, copy=True),
                 len(estimator.repair_log),
                 weakref.ref(estimator),
             )
@@ -576,7 +583,7 @@ class Session:
             entry = self._warm_traces.get((key, self._solver_fingerprint(spec)))
         if entry is None:
             return None
-        gains, epoch, ref = entry
+        utilities, epoch, ref = entry
         if ref() is not estimator:
             return None  # evicted and rebuilt under the same key
         log = estimator.repair_log
@@ -589,7 +596,7 @@ class Session:
             refresh = np.unique(np.concatenate(tail))
         else:
             refresh = np.empty(0, dtype=np.int64)
-        return WarmStart(gains=gains, refresh=refresh)
+        return WarmStart(utilities=utilities, refresh=refresh)
 
     def solve(self, spec: RunSpec) -> RunResult:
         """Run one declarative request end to end.
@@ -719,6 +726,7 @@ class Session:
             objective=float(solution.trace.final_objective),
             stopped_reason=solution.trace.stopped_reason,
             evaluations=int(solution.trace.total_evaluations),
+            bound_rescores=int(solution.trace.total_bound_rescores),
             ensemble_cached=was_cached,
             build_seconds=build_seconds,
             solve_seconds=solve_seconds,

@@ -48,9 +48,7 @@ class ConcaveFunction:
                 f"H({self.name}) is only defined on non-negative inputs"
             )
         result = self.fn(np.maximum(values, 0.0))
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return float(result)
-        return result
+        return float(result) if values.ndim == 0 else result
 
     def dominated_by_identity_at(self, z: float) -> bool:
         """Whether ``H(z) <= z`` holds at ``z`` (Theorem 1 precondition)."""

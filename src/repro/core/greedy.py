@@ -5,30 +5,42 @@ adding the candidate with the largest marginal gain (Section 3.4's
 greedy heuristic).  For monotone submodular objectives this carries the
 classic guarantees the paper's Theorems 1 and 2 build on.
 
-:func:`lazy_greedy` implements CELF (Leskovec et al. 2007): marginal
-gains can only shrink as the seed set grows (submodularity), so a
-candidate whose *stale* upper bound is already below the best fresh
-gain need not be re-evaluated.  On the paper's workloads this cuts
-utility evaluations by one to two orders of magnitude;
-:func:`plain_greedy` is retained as the reference oracle (identical
-output under identical tie-breaking, up to gains that tie within
-float32 rounding — see ``tests/test_properties.py``) and for the CELF
-ablation bench.
+**Selection rule.**  Each round both engines take the largest marginal
+gain and treat gains within ``tol = GAIN_TOLERANCE * max(1, |F(S)|)``
+of it as ties, which go to the lowest candidate position.  Step-model
+utilities are exact counts divided once in float64 (see
+:mod:`repro.influence.ensemble`), so the rounding left in a gain is
+~1e-16 relative — far inside ``tol`` — and the rule picks the same
+candidate however the gain was reached.
 
-Both engines drive their bulk evaluations — CELF's first round, every
-plain-greedy round — through the estimator's *batched gain oracle*
-(``candidate_gains_batch``) in blocks of :data:`DEFAULT_BLOCK_SIZE`
-candidates, which replaces per-candidate array allocations and matmuls
-with one blocked fold and one stacked contraction per block.  The
-oracle is bit-identical to the scalar path, so traces are unchanged;
-``block_size=1`` runs the per-candidate scalar reference path the
-equivalence tests and benches compare against.
+:func:`lazy_greedy` is CELF (Leskovec et al. 2007) with per-group
+bounds.  It keeps each candidate's per-group marginal vector
+``delta_c = u(S + c) - u(S)`` from its last oracle call.  Every group's
+utility is submodular in the seed set, so ``delta_c`` only shrinks as
+``S`` grows, and as the objective is monotone,
+``objective(u + delta_c) - objective(u)`` bounds the candidate's
+current gain from above.  The re-bound costs O(k); for the concave
+fair objectives, which are separable over groups, it is much tighter
+than CELF's stale scalar gain.  A stale heap top is first re-bounded,
+and the oracle (``candidate_group_utilities``) is called only if the
+bound is still on top.  Before it picks, CELF rescores every entry
+stored within ``2 * tol`` of the fresh top that could win the tie, so
+its choice — seeds, gains and utilities — is plain greedy's bit for
+bit.  Discounted utilities are float32 means, not exact counts, so
+with ``discount`` the bound step is skipped and stale entries go
+straight to the oracle (classic CELF, which agrees with plain greedy
+up to float32 near-ties).
 
-Both engines run serially on the caller thread; their speed comes
-from submodularity (CELF's lazy re-evaluation) and the batched oracle.
+:func:`plain_greedy` rescores every candidate every round: the
+reference oracle for the tests and the CELF ablation bench.
 
-Tie-breaking is deterministic everywhere: equal gains resolve to the
-lowest candidate position, so runs are exactly reproducible.
+Bulk scoring — CELF's first round and every plain-greedy round — goes
+through ``candidate_group_utilities_batch`` in blocks of
+:data:`DEFAULT_BLOCK_SIZE` candidates; at the empty state the world
+ensemble answers it from a cached O(k)-per-candidate table.  Batched
+rows are bit-identical to the scalar path, so ``block_size=1`` (the
+per-candidate reference the equivalence tests compare against) changes
+no trace.  Both engines run serially on the caller thread.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ import heapq
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +58,13 @@ from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
 from repro.core.objectives import Objective
 
-#: Marginal gains below this are treated as zero (Monte Carlo noise floor).
+#: Marginal gains below this are treated as zero (Monte Carlo noise
+#: floor).  Scaled by ``max(1, |F(S)|)`` it is also the tie tolerance
+#: of the selection rule.
 GAIN_TOLERANCE = 1e-12
 
-#: Default candidate-block size for the batched gain oracle.  Tuned on
-#: the synthetic SBM bench (see ``benchmarks/bench_gains.py``): the
+#: Default candidate-block size for the batched utility oracle.  Tuned
+#: on the synthetic SBM bench (see ``benchmarks/bench_gains.py``): the
 #: speedup curve is flat from ~32 upward, so 64 keeps scratch buffers
 #: small (``block_size * R * n`` bytes each) without leaving speed on
 #: the table.
@@ -59,68 +73,75 @@ DEFAULT_BLOCK_SIZE = 64
 StopCondition = Callable[[np.ndarray], bool]
 
 
-def _iter_gain_blocks(
+def _tie_tolerance(objective_value: float) -> float:
+    """Gains this close to the best one tie (see the selection rule)."""
+    return GAIN_TOLERANCE * max(1.0, abs(objective_value))
+
+
+def _candidate_utilities(
     ensemble: UtilityEstimator,
     state,
     positions: Sequence[int],
-    objective: Objective,
     deadline: float,
     discount: Optional[float],
-    base_value: float,
     block_size: int,
-) -> Iterator[Tuple[int, float]]:
-    """Yield ``(position, gain)`` for every candidate in ``positions``.
+) -> np.ndarray:
+    """``(len(positions), k)`` group utilities of ``seeds(state) + {c}``.
 
-    Routes through ``candidate_gains_batch`` in ``block_size`` chunks;
-    ``block_size <= 1`` makes per-candidate scalar queries instead —
-    yielding identical values in identical order either way, which is
-    what keeps batched and scalar greedy traces bit-for-bit equal.
+    Routes through ``candidate_group_utilities_batch`` in
+    ``block_size`` chunks; ``block_size <= 1`` makes per-candidate
+    scalar queries instead.  The rows are identical either way.
     """
     if block_size <= 1:
-        for position in positions:
-            utilities = ensemble.candidate_group_utilities(
-                state, position, deadline, discount
+        rows = [
+            ensemble.candidate_group_utilities(state, int(position), deadline, discount)
+            for position in positions
+        ]
+    else:
+        rows = [
+            ensemble.candidate_group_utilities_batch(
+                state, positions[start : start + block_size], deadline, discount
             )
-            yield position, objective.value(utilities) - base_value
-        return
-    positions = list(positions)
-    for start in range(0, len(positions), block_size):
-        block = positions[start : start + block_size]
-        gains = ensemble.candidate_gains_batch(
-            state, block, deadline, objective, discount, base_value=base_value
-        )
-        for position, gain in zip(block, gains):
-            yield position, float(gain)
+            for start in range(0, len(positions), block_size)
+        ]
+    if not rows:
+        return np.empty((0, len(ensemble.group_names)), dtype=np.float64)
+    return np.vstack(rows)
 
 
 @dataclass(frozen=True)
 class WarmStart:
-    """Prior first-round gains to seed a CELF solve with.
+    """Prior first-round utilities to seed a CELF solve with.
 
-    ``gains[c]`` is candidate ``c``'s *empty-state* marginal gain from
-    an earlier solve of the **same** (objective, deadline, discount)
-    problem on the same estimator (a prior trace's
-    :attr:`SelectionTrace.first_round_gains`); ``refresh`` lists the
-    positions whose gains may have changed since — after an
-    incremental ensemble repair, the union of the repair log's
-    affected sets — and ``None`` means "refresh everything" (which
-    degenerates to a cold first round).
+    ``utilities[c]`` is candidate ``c``'s *empty-state* group-utility
+    vector (shape ``(C, k)``) from an earlier solve at the same deadline
+    and discount on the same estimator — a prior trace's
+    :attr:`SelectionTrace.first_round_utilities`.  ``refresh`` lists the
+    positions whose utilities may have changed since — after an
+    incremental ensemble repair, the union of the repair log's affected
+    sets — and ``None`` means "refresh everything" (which degenerates
+    to a cold first round).
 
-    Empty-state gains of candidates whose distance rows did not change
-    are bit-identical before and after a repair (the empty state's
-    utilities are zero regardless of the graph, so the base value
-    cannot drift), which is why a warm CELF run re-evaluates only
-    ``refresh`` yet selects **bit-identical seeds** to a cold run —
-    only the per-step ``evaluations`` counters differ.
+    Empty-state utilities of candidates whose distance rows did not
+    change are bit-identical before and after a repair, so a warm CELF
+    run starts from the same gains *and* the same per-group bounds as a
+    cold one.  It re-evaluates only ``refresh`` yet selects
+    **bit-identical seeds** — only the per-step ``evaluations``
+    counters differ.
     """
 
-    gains: np.ndarray
+    utilities: np.ndarray
     refresh: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class SelectionStep:
-    """One greedy iteration: which seed was added and what it bought."""
+    """One greedy iteration: which seed was added and what it bought.
+
+    ``evaluations`` counts oracle calls (utility evaluations) made for
+    this step; ``bound_rescores`` counts CELF's O(k) per-group
+    re-bounds, which call no oracle.
+    """
 
     node: NodeId
     position: int
@@ -128,6 +149,7 @@ class SelectionStep:
     gain: float
     group_utilities: np.ndarray
     evaluations: int
+    bound_rescores: int = 0
 
 
 @dataclass
@@ -141,12 +163,12 @@ class SelectionTrace:
 
     steps: List[SelectionStep] = field(default_factory=list)
     stopped_reason: str = ""
-    #: Every candidate's empty-state gain as scored by the first CELF
-    #: round (``None`` when the run never completed one, e.g. a cover
-    #: quota met by the empty set).  Feed it back as a
-    #: :class:`WarmStart` to re-solve after an incremental ensemble
-    #: repair without re-scoring the unaffected candidates.
-    first_round_gains: Optional[np.ndarray] = None
+    #: Every candidate's empty-state group utilities, ``(C, k)``, as
+    #: scored by the first CELF round (``None`` when the run never
+    #: completed one, e.g. a cover quota met by the empty set).  Feed it
+    #: back as a :class:`WarmStart` to re-solve after an incremental
+    #: ensemble repair without re-scoring the unaffected candidates.
+    first_round_utilities: Optional[np.ndarray] = None
 
     @property
     def seeds(self) -> List[NodeId]:
@@ -171,6 +193,10 @@ class SelectionTrace:
     @property
     def total_evaluations(self) -> int:
         return sum(step.evaluations for step in self.steps)
+
+    @property
+    def total_bound_rescores(self) -> int:
+        return sum(step.bound_rescores for step in self.steps)
 
 
 # Per-thread observer stack for streaming traces: a tap registered on
@@ -229,7 +255,7 @@ def lazy_greedy(
     block_size: int = DEFAULT_BLOCK_SIZE,
     warm_start: Optional[WarmStart] = None,
 ) -> SelectionTrace:
-    """CELF lazy greedy maximisation.
+    """CELF lazy greedy maximisation with per-group bounds.
 
     Parameters
     ----------
@@ -255,17 +281,16 @@ def lazy_greedy(
         semantics).  If ``False`` the trace is returned as-is (budget
         semantics).
     block_size:
-        Candidate block size for the batched gain oracle that scores
+        Candidate block size for the batched utility oracle that scores
         the CELF first round (``1`` — the scalar reference path).
         Never changes the output, only the speed; a test seam, not a
         tuning knob.
     warm_start:
-        Prior first-round gains (see :class:`WarmStart`): only the
+        Prior first-round utilities (see :class:`WarmStart`): only the
         listed ``refresh`` positions are re-scored in the first round,
-        the rest reuse their recorded gains as initial CELF bounds.
-        Seed sets and per-step gains are bit-identical to a cold run —
-        stale bounds are re-evaluated before selection exactly as
-        always — so only the ``evaluations`` counters change.
+        the rest reuse their recorded utilities.  Seed sets and
+        per-step gains are bit-identical to a cold run, so only the
+        ``evaluations`` counters change.
 
     Returns the :class:`SelectionTrace`; ``trace.stopped_reason`` is one
     of ``"budget"``, ``"stop-condition"``, ``"no-gain"``,
@@ -273,54 +298,88 @@ def lazy_greedy(
     """
     _check_arguments(ensemble, max_seeds)
     state = ensemble.empty_state()
-    current_value = objective.value(ensemble.group_utilities(state, deadline, discount))
+    utilities = ensemble.group_utilities(state, deadline, discount)
+    current_value = objective.value(utilities)
     trace = SelectionTrace()
 
-    if stop is not None and stop(ensemble.group_utilities(state, deadline, discount)):
+    if stop is not None and stop(utilities):
         trace.stopped_reason = "stop-condition"
         return trace
 
-    # Heap entries: (-gain_upper_bound, position, round_when_scored).
-    # The first round scores every candidate (or, warm-started, only
-    # the refreshed ones), so it goes through the batched oracle; CELF
-    # re-evaluations after that touch one stale candidate at a time
-    # and stay scalar.
-    round_no = 0
-    gains, evaluations = _first_round_gains(
-        ensemble,
-        state,
-        objective,
-        deadline,
-        discount,
-        current_value,
-        block_size,
-        warm_start,
+    first, evaluations = _first_round_utilities(
+        ensemble, state, deadline, discount, block_size, warm_start
     )
-    trace.first_round_gains = gains.copy()
-    heap: List[tuple] = [
-        (-float(gains[position]), position, round_no)
-        for position in range(ensemble.n_candidates)
+    trace.first_round_utilities = first.copy()
+    # Each candidate's per-group marginal vector from its last oracle
+    # call; ``utilities + deltas[c]`` bounds its utilities from above.
+    deltas = first - utilities
+    use_bounds = discount is None
+    bound_rescores = 0
+    round_no = 0
+
+    # Heap entries: (-key, position, round scored, is an oracle gain).
+    # The key is an oracle gain or, when the flag is off, a per-group
+    # bound.  An entry is *fresh* when it is an oracle gain scored this
+    # round; anything else is an upper bound on the current gain.
+    heap: List[Tuple[float, int, int, bool]] = [
+        (-(objective.value(row) - current_value), position, round_no, True)
+        for position, row in enumerate(first)
     ]
     heapq.heapify(heap)
 
-    chosen = set()
+    def is_fresh(entry: Tuple[float, int, int, bool]) -> bool:
+        return entry[2] == round_no and entry[3]
+
+    def rescore(entry: Tuple[float, int, int, bool]) -> Tuple[float, int, int, bool]:
+        """Tighten a non-fresh entry one stage: stale -> bound -> gain."""
+        nonlocal evaluations, bound_rescores
+        position = entry[1]
+        if use_bounds and entry[2] != round_no:
+            bound_rescores += 1
+            bound = objective.value(utilities + deltas[position]) - current_value
+            return (-bound, position, round_no, False)
+        row = ensemble.candidate_group_utilities(state, position, deadline, discount)
+        evaluations += 1
+        deltas[position] = row - utilities
+        return (-(objective.value(row) - current_value), position, round_no, True)
+
     while trace.size < max_seeds and heap:
-        neg_gain, position, scored_round = heapq.heappop(heap)
-        if position in chosen:
+        if not is_fresh(heap[0]):
+            entry = rescore(heapq.heappop(heap))
+            if not entry[3] and not (heap and heap[0] < entry):
+                entry = rescore(entry)  # the bound is still on top
+            heapq.heappush(heap, entry)
             continue
-        if scored_round != round_no:
-            # Stale bound: re-evaluate against the current seed set.
-            utilities = ensemble.candidate_group_utilities(state, position, deadline, discount)
-            gain = objective.value(utilities) - current_value
-            evaluations += 1
-            heapq.heappush(heap, (-gain, position, round_no))
-            continue
-        gain = -neg_gain
-        if gain <= GAIN_TOLERANCE:
+        best = -heap[0][0]
+        if best <= GAIN_TOLERANCE:
             trace.stopped_reason = "no-gain"
             break
+        # Everything left is bounded by ``best`` (up to float64
+        # rounding).  Entries stored within 2 * tol of it may still tie;
+        # one with a lower position than the best fresh tie could win
+        # it, so it is rescored and the loop looks again.
+        tol = _tie_tolerance(current_value)
+        window = []
+        while heap and -heap[0][0] >= best - 2.0 * tol:
+            window.append(heapq.heappop(heap))
+        pick = min(
+            (e for e in window if is_fresh(e) and -e[0] >= best - tol),
+            key=lambda e: e[1],
+        )
+        pending = False
+        for entry in window:
+            if entry is pick:
+                continue
+            if not is_fresh(entry) and entry[1] < pick[1]:
+                entry = rescore(entry)
+                pending = True
+            heapq.heappush(heap, entry)
+        if pending:
+            heapq.heappush(heap, pick)
+            continue
+
+        position = pick[1]
         ensemble.add_seed(state, position)
-        chosen.add(position)
         utilities = ensemble.group_utilities(state, deadline, discount)
         current_value = objective.value(utilities)
         round_no += 1
@@ -328,13 +387,15 @@ def lazy_greedy(
             node=ensemble.label(position),
             position=position,
             objective_value=current_value,
-            gain=gain,
+            gain=-pick[0],
             group_utilities=utilities,
             evaluations=evaluations,
+            bound_rescores=bound_rescores,
         )
         trace.steps.append(step)
         _notify_step(step)
         evaluations = 0
+        bound_rescores = 0
         if stop is not None and stop(utilities):
             trace.stopped_reason = "stop-condition"
             break
@@ -350,30 +411,32 @@ def lazy_greedy(
     return trace
 
 
-def _first_round_gains(
+def _first_round_utilities(
     ensemble: UtilityEstimator,
     state,
-    objective: Objective,
     deadline: float,
     discount: Optional[float],
-    base_value: float,
     block_size: int,
     warm_start: Optional[WarmStart],
 ) -> Tuple[np.ndarray, int]:
-    """Every candidate's empty-state gain, warm-started when possible.
+    """Every candidate's empty-state utilities, warm-started when possible.
 
     Cold: score all candidates through the batched oracle.  Warm: copy
-    the prior gains and re-score only the ``refresh`` positions (in
-    ascending order, through the same oracle — refreshed values are
-    bit-identical to a cold scoring).  Returns the gains and how many
-    evaluations were actually performed.
+    the prior utilities and re-score only the ``refresh`` positions (in
+    ascending order, through the same oracle — refreshed rows are
+    bit-identical to a cold scoring).  Returns the ``(C, k)`` matrix
+    and how many evaluations were actually performed.
     """
     n = ensemble.n_candidates
-    if warm_start is not None:
-        prior = np.asarray(warm_start.gains, dtype=np.float64)
-        if prior.shape != (n,):
+    k = len(ensemble.group_names)
+    if warm_start is None:
+        refresh = np.arange(n, dtype=np.int64)
+        first = np.empty((n, k), dtype=np.float64)
+    else:
+        prior = np.asarray(warm_start.utilities, dtype=np.float64)
+        if prior.shape != (n, k):
             raise OptimizationError(
-                f"warm-start gains must have shape ({n},), got {prior.shape}"
+                f"warm-start utilities must have shape ({n}, {k}), got {prior.shape}"
             )
         if warm_start.refresh is None:
             refresh = np.arange(n, dtype=np.int64)
@@ -384,24 +447,11 @@ def _first_round_gains(
                     f"warm-start refresh positions out of range [0, {n}): "
                     f"{refresh[(refresh < 0) | (refresh >= n)]}"
                 )
-        gains = prior.copy()
-    else:
-        refresh = np.arange(n, dtype=np.int64)
-        gains = np.empty(n, dtype=np.float64)
-    evaluations = 0
-    for position, gain in _iter_gain_blocks(
-        ensemble,
-        state,
-        refresh,
-        objective,
-        deadline,
-        discount,
-        base_value,
-        block_size,
-    ):
-        evaluations += 1
-        gains[position] = gain
-    return gains, evaluations
+        first = prior.copy()
+    first[refresh] = _candidate_utilities(
+        ensemble, state, refresh, deadline, discount, block_size
+    )
+    return first, int(refresh.size)
 
 
 def plain_greedy(
@@ -416,60 +466,55 @@ def plain_greedy(
 ) -> SelectionTrace:
     """Reference greedy: every candidate re-evaluated every round.
 
-    Semantically identical to :func:`lazy_greedy` (same tie-breaking;
-    see the module docstring for float32 near-ties), quadratically
-    more utility evaluations.  Kept as the test oracle
-    and for the CELF ablation.  Every round's full re-evaluation runs
-    through the batched gain oracle (see :func:`lazy_greedy`'s
-    ``block_size``), which is what keeps the oracle usable at all.
+    Same selection rule as :func:`lazy_greedy` (see the module
+    docstring), quadratically more utility evaluations.  Kept as the
+    test oracle and for the CELF ablation.  Every round's full
+    re-evaluation runs through the batched utility oracle (see
+    :func:`lazy_greedy`'s ``block_size``), which is what keeps the
+    oracle usable at all.
     """
     _check_arguments(ensemble, max_seeds)
     state = ensemble.empty_state()
-    current_value = objective.value(ensemble.group_utilities(state, deadline, discount))
+    utilities = ensemble.group_utilities(state, deadline, discount)
+    current_value = objective.value(utilities)
     trace = SelectionTrace()
 
-    if stop is not None and stop(ensemble.group_utilities(state, deadline, discount)):
+    if stop is not None and stop(utilities):
         trace.stopped_reason = "stop-condition"
         return trace
 
     chosen = set()
     while trace.size < max_seeds:
-        best_gain = -np.inf
-        best_position = -1
-        evaluations = 0
         remaining = [
             position
             for position in range(ensemble.n_candidates)
             if position not in chosen
         ]
-        for position, gain in _iter_gain_blocks(
-            ensemble,
-            state,
-            remaining,
-            objective,
-            deadline,
-            discount,
-            current_value,
-            block_size,
-        ):
-            evaluations += 1
-            if gain > best_gain + GAIN_TOLERANCE:
-                best_gain = gain
-                best_position = position
-        if best_position < 0 or best_gain <= GAIN_TOLERANCE:
-            trace.stopped_reason = "no-gain" if best_position >= 0 else "exhausted"
+        if not remaining:
+            trace.stopped_reason = "exhausted"
             break
-        ensemble.add_seed(state, best_position)
-        chosen.add(best_position)
+        rows = _candidate_utilities(
+            ensemble, state, remaining, deadline, discount, block_size
+        )
+        gains = np.array([objective.value(row) - current_value for row in rows])
+        best = gains.max()
+        if best <= GAIN_TOLERANCE:
+            trace.stopped_reason = "no-gain"
+            break
+        # Lowest position among the gains tied with the best.
+        index = int(np.argmax(gains >= best - _tie_tolerance(current_value)))
+        position = remaining[index]
+        ensemble.add_seed(state, position)
+        chosen.add(position)
         utilities = ensemble.group_utilities(state, deadline, discount)
         current_value = objective.value(utilities)
         step = SelectionStep(
-            node=ensemble.label(best_position),
-            position=best_position,
+            node=ensemble.label(position),
+            position=position,
             objective_value=current_value,
-            gain=best_gain,
+            gain=float(gains[index]),
             group_utilities=utilities,
-            evaluations=evaluations,
+            evaluations=len(remaining),
         )
         trace.steps.append(step)
         _notify_step(step)

@@ -15,7 +15,7 @@ familiar with that library can navigate it, but it is self-contained.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -46,8 +46,9 @@ class DiGraph:
         self._pred: List[Dict[int, float]] = []
         self._edge_count = 0
         self._version = 0
-        # (version, matrix) pairs for the forward / reverse CSR exports.
-        self._matrix_cache: Dict[str, Tuple[int, sparse.csr_matrix]] = {}
+        # (version, export) pairs for the edge-array and forward /
+        # reverse CSR exports.
+        self._matrix_cache: Dict[str, Tuple[int, Any]] = {}
 
     @property
     def version(self) -> int:
@@ -271,8 +272,14 @@ class DiGraph:
         """Edges as parallel arrays ``(sources, targets, probabilities)``.
 
         This is the format the world sampler consumes: one Bernoulli
-        draw per array position materialises a live-edge world.
+        draw per array position materialises a live-edge world.  The
+        sampler asks once per world, so the export is cached on
+        :attr:`version` like :meth:`probability_matrix`; the arrays are
+        read-only, since mutating them would poison the cache.
         """
+        cached = self._matrix_cache.get("edges")
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         m = self._edge_count
         src = np.empty(m, dtype=np.int64)
         dst = np.empty(m, dtype=np.int64)
@@ -284,6 +291,9 @@ class DiGraph:
                 dst[k] = vi
                 prob[k] = p
                 k += 1
+        for array in (src, dst, prob):
+            array.flags.writeable = False
+        self._matrix_cache["edges"] = (self._version, (src, dst, prob))
         return src, dst, prob
 
     def group_labels_array(self) -> List[Optional[Hashable]]:

@@ -9,7 +9,7 @@ operations on per-candidate activation-time rows:
 - the same non-mutating fold for a whole *block* of candidates at once
   (:meth:`DistanceBackend.min_with_block`), writing into a
   caller-provided scratch buffer — the primitive behind the batched
-  gain oracle that the greedy solvers' hot loops run on.
+  utility oracle the greedy solvers score whole rounds with.
 
 How those rows are stored is what limits scale.  This module isolates
 the storage decision behind :class:`DistanceBackend` with three
@@ -91,9 +91,13 @@ class UtilityEstimator(Protocol):
     group-tagged RR sets — both plug into ``lazy_greedy`` /
     ``plain_greedy`` / the budget and cover solvers unchanged, as can
     any further estimator implementing the same surface.  The batched
-    gain oracle (``candidate_gains_batch``) and the deadline sweep
+    oracles (``candidate_group_utilities_batch``,
+    ``candidate_gains_batch``) and the deadline sweep
     (``group_utilities_sweep``) are required: the greedy engines and
-    sweep helpers call them directly.
+    sweep helpers call them directly.  CELF's per-group bounds assume
+    what the paper's estimators guarantee: every group utility is
+    monotone submodular in the seed set, and step-model utilities are
+    exact (the same float64 bits on every query path).
     """
 
     group_names: List[Hashable]

@@ -21,8 +21,8 @@ world ``r``), and
 - the marginal utilities of a whole *block* of candidates are one
   blocked fold plus one stacked ``(B, R, n) @ (n, k)`` contraction
   (:meth:`WorldEnsemble.candidate_group_utilities_batch`) into
-  reusable scratch buffers — the batched gain oracle the greedy hot
-  loops run on, bit-identical to the per-candidate path;
+  reusable scratch buffers — the batched oracle the greedy engines
+  score whole rounds with, bit-identical to the per-candidate path;
 - a whole *deadline sweep* for a fixed seed set is one ``uint8``
   bincount into a per-group activation-time histogram plus a
   cumulative sum (:meth:`WorldEnsemble.group_utilities_sweep`) — O(k)
@@ -46,6 +46,17 @@ are safe — scratch buffers are per caller thread.
 This estimator is unbiased for Eq. 1 for every ``tau``
 simultaneously, which is what lets one ensemble serve a whole
 deadline sweep (Fig. 4c / 5a / 7c).
+
+Step-model utilities are *exact*: every per-world group total is an
+integer count of at most ``n`` (held exactly by the float32 matrix
+product below ``2**24`` nodes, by float64 beyond), the counts are
+summed over worlds exactly in float64, and the sum is divided by ``R``
+once.  Every query path — scalar, batched, the
+empty-state table and the deadline sweep — therefore returns the same
+float64 bits for the same seed set, whatever order it counted in.
+That is what makes CELF's per-group bounds sound (see
+:mod:`repro.core.greedy`).  Discounted utilities (``gamma**t``
+weights) are not integers and keep a float32 world mean.
 """
 
 from __future__ import annotations
@@ -254,10 +265,13 @@ class WorldEnsemble:
         self._backend = make_backend(
             backend, self.worlds, self._candidate_indices, self.n, store
         )
-        # Group masks as float32 (k, n) for fast masked counting, plus
-        # group sizes for normalisation.
+        # Group masks (n, k) for masked counting by matrix product, plus
+        # group sizes for normalisation.  A float32 GEMM counts exactly
+        # while a world's totals stay below 2**24.
         self._masks_bool = assignment.masks(graph)
-        self._masks_f = self._masks_bool.T.astype(np.float32)  # (n, k)
+        self._masks_f = self._masks_bool.T.astype(
+            np.float32 if self.n < 2**24 else np.float64
+        )
         self.group_names: List[Hashable] = assignment.groups
         self.group_sizes = assignment.sizes().astype(np.float64)
         # Groups partition the nodes, so each column of the mask matrix
@@ -274,7 +288,7 @@ class WorldEnsemble:
         # first greedy round at any deadline) and the fused
         # (world, group) code base for sweep histograms.  The lock
         # keeps concurrent callers from building the table twice.
-        self._empty_gain_table: Optional[np.ndarray] = None  # (C, k, 256) cumsum
+        self._empty_gain_table: Optional[np.ndarray] = None  # (C, k, T) cumsum
         self._empty_gain_table_missing = False
         self._empty_table_lock = threading.Lock()
         self._sweep_code_base: Optional[np.ndarray] = None  # (n,) int64
@@ -611,6 +625,18 @@ class WorldEnsemble:
         np.power(np.float32(discount), times, out=out, where=active, dtype=np.float32)
         return out
 
+    def _world_mean(self, per_world: np.ndarray, discount) -> np.ndarray:
+        """Mean over the world axis (``-2``) of per-world group totals.
+
+        Step model: the totals are exact integer counts, so the float64
+        sum is exact and the one division rounds once — the same bits
+        whichever path counted them.  Discounted totals keep the
+        float32 mean.
+        """
+        if discount is None:
+            return per_world.sum(axis=-2, dtype=np.float64) / self.n_worlds
+        return per_world.mean(axis=-2).astype(np.float64)
+
     def group_utilities(
         self,
         state: InfluenceState,
@@ -628,8 +654,7 @@ class WorldEnsemble:
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
         weights = self._activation_weights(state.best_time, cutoff, discount)
-        per_world = weights @ self._masks_f  # (R, k)
-        return per_world.mean(axis=0).astype(np.float64)
+        return self._world_mean(weights @ self._masks_f, discount)
 
     def candidate_group_utilities(
         self,
@@ -643,8 +668,7 @@ class WorldEnsemble:
         cutoff = _clip_deadline(deadline)
         hypothetical = self._backend.min_with(state.best_time, position)
         weights = self._activation_weights(hypothetical, cutoff, discount)
-        per_world = weights @ self._masks_f
-        return per_world.mean(axis=0).astype(np.float64)
+        return self._world_mean(weights @ self._masks_f, discount)
 
     # ------------------------------------------------------------------
     # batched gain oracle
@@ -667,7 +691,8 @@ class WorldEnsemble:
             local.active = np.empty(shape, dtype=bool)
             local.weights = np.empty(shape, dtype=np.float32)
             local.per_world = np.empty(
-                (block, self.n_worlds, len(self.group_names)), dtype=np.float32
+                (block, self.n_worlds, len(self.group_names)),
+                dtype=self._masks_f.dtype,
             )
         return (
             local.times[:block],
@@ -682,22 +707,19 @@ class WorldEnsemble:
     #: store it accelerates.
     EMPTY_TABLE_BYTE_LIMIT = 128 * 1024 * 1024
 
-    #: Histogram fast paths replay the scalar pipeline's float32 world
-    #: mean from exact integer counts; that replay is bit-exact only
-    #: while every count (bounded by ``R * n``) is exactly
-    #: representable in float32.  Past this, they fall back to the
-    #: scalar path.
-    FLOAT32_EXACT_LIMIT = 2**24
-
     def _empty_state_table(self) -> Optional[np.ndarray]:
-        """Cumulative per-candidate time histogram, ``(C, k, 256)``.
+        """Cumulative per-candidate time histogram, ``(C, k, T)``.
 
-        ``table[c, g, cutoff]`` is the *exact* total (over worlds) of
-        nodes of group ``g`` that candidate ``c`` alone activates by
-        ``cutoff`` — the whole first greedy round at every deadline, as
-        integers.  Built once per ensemble from the distance store
+        ``table[c, g, min(cutoff, T - 1)]`` is the *exact* total (over
+        worlds) of nodes of group ``g`` that candidate ``c`` alone
+        activates by ``cutoff`` — the whole first greedy round at every
+        deadline, as integers.  ``T`` is one past the largest finite
+        activation time in the store: later cutoffs count the same
+        nodes, so the table stops there (a few dozen bins instead of
+        256 on the paper's graphs — it is kept for the ensemble's
+        lifetime).  Built once per ensemble from the distance store
         (``None`` for backends that cannot afford it, e.g. lazy, or
-        when the table itself would exceed
+        when the full histogram would exceed
         :attr:`EMPTY_TABLE_BYTE_LIMIT`).
         """
         if self._empty_gain_table is None and not self._empty_gain_table_missing:
@@ -717,7 +739,11 @@ class WorldEnsemble:
                     if hist is None:
                         self._empty_gain_table_missing = True
                     else:
-                        self._empty_gain_table = np.cumsum(hist, axis=2)
+                        used = np.flatnonzero(hist.any(axis=(0, 1)))
+                        last = int(used[-1]) if used.size else 0
+                        self._empty_gain_table = np.cumsum(
+                            hist[:, :, : last + 1], axis=2
+                        )
         return self._empty_gain_table
 
     def candidate_group_utilities_batch(
@@ -738,16 +764,16 @@ class WorldEnsemble:
         - **empty state, step model** (every CELF / plain-greedy first
           round): ``min(best, D_c) = D_c``, so answers come from the
           cached state-independent histogram table — O(k) per
-          candidate, no tensor traffic at all.  Counts are exact
-          integers, and the float32 world-mean they imply is replayed
-          with the same rounding as the scalar path.
+          candidate, no tensor traffic at all.  The table holds the
+          exact counts the scalar path sums.
         - **general**: one backend block fold + one stacked
-          ``(B, R, n) @ (n, k)`` ``np.matmul`` into reusable scratch.
-          The stacked matmul runs the very same GEMM per block row
-          that the scalar path runs per candidate (unlike
-          ``einsum``/``tensordot``, whose different reduction order
-          changes low bits), replacing ``B`` per-candidate allocations
-          and matmuls.
+          ``(B, R, n) @ (n, k)`` ``np.matmul`` into reusable scratch,
+          replacing ``B`` per-candidate allocations and matmuls.  Step
+          counts are exact in any order; for discounted weights the
+          stacked matmul runs the very same GEMM per block row that
+          the scalar path runs per candidate (unlike
+          ``einsum``/``tensordot``, whose reduction order changes low
+          bits).
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
@@ -764,26 +790,16 @@ class WorldEnsemble:
                 f"candidate positions out of range [0, {self.n_candidates}): "
                 f"{positions[(positions < 0) | (positions >= self.n_candidates)]}"
             )
-        if (
-            discount is None
-            and not state.seed_positions
-            and self.n_worlds * self.n < self.FLOAT32_EXACT_LIMIT
-        ):
+        if discount is None and not state.seed_positions:
             table = self._empty_state_table()
             if table is not None:
-                counts = table[positions, :, cutoff]  # (B, k) exact ints
-                # Replay the scalar pipeline's rounding: float32 world
-                # sums are exact here, and numpy's float32 mean divides
-                # in float64 before storing float32.
-                per_candidate = (
-                    counts.astype(np.float64) / self.n_worlds
-                ).astype(np.float32)
-                return per_candidate.astype(np.float64)
+                last = table.shape[2] - 1
+                return table[positions, :, min(cutoff, last)] / self.n_worlds
         times, active, weights, per_world = self._batch_scratch(int(positions.size))
         self._backend.min_with_block(state.best_time, positions, times)
         self._activation_weights_into(times, cutoff, discount, active, weights)
         np.matmul(weights, self._masks_f, out=per_world)  # (B, R, k)
-        return per_world.mean(axis=1).astype(np.float64)
+        return self._world_mean(per_world, discount)
 
     def candidate_gains_batch(
         self,
@@ -872,14 +888,11 @@ class WorldEnsemble:
         figures (4c / 5a / 7c) cheap.
 
         Without ``discount`` the rows are *bit-identical* to the scalar
-        path: the counts are exact integers (exactly representable in
-        float32 while ``R * n < 2**24`` — past that the method falls
-        back to per-deadline scalar queries), and the scalar pipeline's
-        float32 world-mean is replayed with identical rounding.  With
-        ``discount`` the histogram weighting accumulates in float64 —
-        at least as accurate as the scalar float32 GEMM but not
-        bit-equal to it (the summation order differs); agreement is
-        within float32 rounding.
+        path: both divide the same exact integer counts by ``R`` once.
+        With ``discount`` the histogram weighting accumulates in
+        float64 — at least as accurate as the scalar float32 GEMM but
+        not bit-equal to it (the summation order differs); agreement
+        is within float32 rounding.
         """
         self._check_fresh()
         cutoffs = [_clip_deadline(deadline) for deadline in deadlines]
@@ -888,21 +901,11 @@ class WorldEnsemble:
         out = np.empty((len(cutoffs), k), dtype=np.float64)
         if not cutoffs:
             return out
-        if self.n_worlds * self.n >= self.FLOAT32_EXACT_LIMIT:
-            for i, deadline in enumerate(deadlines):
-                out[i] = self.group_utilities(state, deadline, discount)
-            return out
         hist = self._state_time_histogram(state)
         if discount is None:
             cumulative = np.cumsum(hist, axis=1)  # (k, 256) exact ints
             for i, cutoff in enumerate(cutoffs):
-                # Replay the scalar float32 mean (exact counts, float64
-                # division, float32 store) bit-for-bit.
-                out[i] = (
-                    (cumulative[:, cutoff].astype(np.float64) / self.n_worlds)
-                    .astype(np.float32)
-                    .astype(np.float64)
-                )
+                out[i] = cumulative[:, cutoff] / self.n_worlds
             return out
         powers = np.power(float(discount), np.arange(256, dtype=np.float64))
         powers[UNREACHABLE] = 0.0  # the sentinel never counts

@@ -736,7 +736,7 @@ class RRSetEstimator:
         Row ``i`` is bit-identical to
         ``candidate_group_utilities(state, positions[i], ...)``; the
         batch shares one coverage bind and one scale factor, so the
-        greedy engines' blocked gain oracle never rebuilds state.
+        greedy engines' blocked utility oracle never rebuilds state.
         """
         self._check_discount(discount)
         positions = np.asarray(positions, dtype=np.int64)

@@ -148,6 +148,20 @@ class TestNumericalExports:
         assert src.shape == dst.shape == prob.shape == (2,)
         assert set(prob.tolist()) == {0.2, 0.7}
 
+    def test_edge_arrays_cached_read_only_until_mutation(self):
+        graph = DiGraph()
+        graph.add_edge("a", "b", 0.2)
+        first = graph.edge_arrays()
+        assert all(a is b for a, b in zip(graph.edge_arrays(), first))
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        graph.add_edge("b", "c", 0.7)
+        src, dst, prob = graph.edge_arrays()
+        assert prob.tolist() == [0.2, 0.7]
+        assert first[2].tolist() == [0.2]
+
     def test_group_labels_array(self):
         graph = DiGraph()
         graph.add_node("a", group="x")

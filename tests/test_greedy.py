@@ -148,3 +148,71 @@ class TestCelfMatchesPlain:
         celf = lazy_greedy(ensemble, objective, deadline=2, max_seeds=8)
         plain = plain_greedy(ensemble, objective, deadline=2, max_seeds=8)
         assert celf.total_evaluations < plain.total_evaluations
+
+
+class TestSelectionRuleRegressions:
+    """Two places where CELF and plain greedy once picked different
+    seeds on the default synthetic graph (500 nodes, 100 worlds, world
+    seed 1).  Both engines now take the largest gain and give ties
+    within the tolerance to the lowest position, and CELF rescores
+    every entry that could win such a tie before it picks."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self):
+        from repro.api import EnsembleSpec, Session
+
+        return Session().ensemble_for(
+            EnsembleSpec(dataset="synthetic", n_worlds=100, world_seed=1)
+        )
+
+    @staticmethod
+    def assert_bit_identical(celf, plain):
+        assert celf.stopped_reason == plain.stopped_reason
+        assert [s.position for s in celf.steps] == [s.position for s in plain.steps]
+        for ours, reference in zip(celf.steps, plain.steps):
+            assert ours.gain == reference.gain
+            assert ours.objective_value == reference.objective_value
+            np.testing.assert_array_equal(
+                ours.group_utilities, reference.group_utilities
+            )
+
+    @staticmethod
+    def state_before(ensemble, trace, step):
+        state = ensemble.empty_state()
+        for position in [s.position for s in trace.steps[:step]]:
+            ensemble.add_seed(state, position)
+        return state
+
+    def test_identical_counts_go_to_the_lowest_position(self, synthetic):
+        # Fair log, tau 10, B 30: at step 15 positions 2, 160 and 162
+        # have identical counts.  Position 2's stale CELF entry sat one
+        # ulp below its current gain, so CELF used to take 162.
+        objective = ConcaveSumObjective(concave=log1p)
+        celf = lazy_greedy(synthetic, objective, deadline=10, max_seeds=30)
+        plain = plain_greedy(synthetic, objective, deadline=10, max_seeds=30)
+        state = self.state_before(synthetic, plain, 15)
+        rows = synthetic.candidate_group_utilities_batch(state, [2, 160, 162], 10)
+        np.testing.assert_array_equal(
+            np.rint(rows * synthetic.n_worlds), [[1990, 1194]] * 3
+        )
+        assert celf.steps[15].position == plain.steps[15].position == 2
+        self.assert_bit_identical(celf, plain)
+
+    def test_float_near_tie_is_a_tie(self, synthetic):
+        # Total objective, tau 5, B 30: at step 18 counts [4091, 36]
+        # (position 88) and [4092, 35] (position 114) tie, but their
+        # float gains differ by a few ulps in 114's favour.  Plain's old
+        # running-best rule kept 88 while CELF's heap took 114.
+        objective = TotalInfluenceObjective()
+        celf = lazy_greedy(synthetic, objective, deadline=5, max_seeds=30)
+        plain = plain_greedy(synthetic, objective, deadline=5, max_seeds=30)
+        state = self.state_before(synthetic, plain, 18)
+        rows = synthetic.candidate_group_utilities_batch(state, [88, 114], 5)
+        np.testing.assert_array_equal(
+            np.rint(rows * synthetic.n_worlds), [[4091, 36], [4092, 35]]
+        )
+        base = objective.value(synthetic.group_utilities(state, 5))
+        gain_88, gain_114 = (objective.value(row) - base for row in rows)
+        assert 0 < gain_114 - gain_88 < 1e-12
+        assert celf.steps[18].position == plain.steps[18].position == 88
+        self.assert_bit_identical(celf, plain)

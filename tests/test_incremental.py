@@ -226,7 +226,7 @@ class TestWarmStartedCelf:
             DEADLINE,
             max_seeds=5,
             warm_start=WarmStart(
-                gains=cold0.first_round_gains,
+                utilities=cold0.first_round_utilities,
                 refresh=report.affected if refresh_from_report else None,
             ),
         )
@@ -235,7 +235,9 @@ class TestWarmStartedCelf:
     def test_warm_equals_cold(self):
         cold, warm = self.solve_pair()
         assert warm.seeds == cold.seeds
-        assert np.array_equal(warm.first_round_gains, cold.first_round_gains)
+        assert np.array_equal(
+            warm.first_round_utilities, cold.first_round_utilities
+        )
         for s_cold, s_warm in zip(cold.steps, warm.steps):
             assert s_warm.position == s_cold.position
             assert s_warm.gain == s_cold.gain
@@ -246,22 +248,29 @@ class TestWarmStartedCelf:
     def test_refresh_none_still_identical(self):
         cold, warm = self.solve_pair(refresh_from_report=False)
         assert warm.seeds == cold.seeds
-        assert np.array_equal(warm.first_round_gains, cold.first_round_gains)
+        assert np.array_equal(
+            warm.first_round_utilities, cold.first_round_utilities
+        )
 
     def test_warm_start_validation(self):
         graph, groups = sbm()
         ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
         objective = TotalInfluenceObjective()
-        with pytest.raises(OptimizationError, match="gains"):
-            lazy_greedy(
-                ensemble, objective, DEADLINE, max_seeds=2,
-                warm_start=WarmStart(gains=np.zeros(3)),
-            )
+        shape = (ensemble.n_candidates, len(ensemble.group_names))
+        # The prior is the (C, k) first-round utility matrix: a gain
+        # vector, a wrong width or a wrong height is refused.
+        for bad in (np.zeros(ensemble.n_candidates), np.zeros((3, shape[1])),
+                    np.zeros((shape[0], shape[1] + 1))):
+            with pytest.raises(OptimizationError, match=r"utilities must have shape"):
+                lazy_greedy(
+                    ensemble, objective, DEADLINE, max_seeds=2,
+                    warm_start=WarmStart(utilities=bad),
+                )
         with pytest.raises(OptimizationError, match="refresh"):
             lazy_greedy(
                 ensemble, objective, DEADLINE, max_seeds=2,
                 warm_start=WarmStart(
-                    gains=np.zeros(ensemble.n_candidates),
+                    utilities=np.zeros(shape),
                     refresh=np.array([ensemble.n_candidates + 5]),
                 ),
             )
@@ -274,7 +283,11 @@ class TestWarmStartedCelf:
         with pytest.raises(TypeError, match="warm_start"):
             plain_greedy(
                 ensemble, TotalInfluenceObjective(), DEADLINE, max_seeds=2,
-                warm_start=WarmStart(gains=np.zeros(ensemble.n_candidates)),
+                warm_start=WarmStart(
+                    utilities=np.zeros(
+                        (ensemble.n_candidates, len(ensemble.group_names))
+                    )
+                ),
             )
 
 
