@@ -5,7 +5,7 @@ solvers end-to-end on the default synthetic dataset.  The batched
 vs scalar engine comparisons additionally record their wall times into
 ``BENCH_solvers.json`` (next to ``bench_gains.py``'s oracle-level
 numbers) and assert identical outputs, and ``celf_bounds`` records
-CELF's oracle calls and per-group re-bounds against plain greedy's
+CELF's oracle calls and wall time against plain greedy's oracle calls
 while asserting the two traces are bit-identical.
 """
 
@@ -131,13 +131,14 @@ def test_plain_greedy_end_to_end_batched_vs_scalar(ensemble):
 
 
 def test_celf_bounds_match_plain_greedy(ensemble):
-    """CELF oracle calls and per-group re-bounds against plain greedy.
+    """CELF oracle calls and wall time against plain greedy.
 
     Budget 30 for the log, sqrt and total objectives and the fair cover
     quota 0.1, at tau 5 and 20.  ``celf_evaluations`` counts oracle
-    calls including the 500-candidate first round; ``bound_rescores``
-    counts the O(k) re-bounds that replaced the others.  The traces
-    must be bit-identical: seeds, gains, utilities and stop reason.
+    calls including the 500-candidate first round; ``celf_s`` is the
+    best-of-3 CELF solve time (recorded, not asserted: the margin over
+    plain greedy is the oracle-call count).  The traces must be
+    bit-identical: seeds, gains, utilities and stop reason.
     """
     quota = 0.1
     cover = TruncatedCoverageObjective(quota, ensemble.group_sizes)
@@ -165,13 +166,16 @@ def test_celf_bounds_match_plain_greedy(ensemble):
                 np.testing.assert_array_equal(
                     ours.group_utilities, reference.group_utilities
                 )
+            celf_s = best_of(
+                lambda: lazy_greedy(ensemble, objective, tau, budget, stop=stop)
+            )
             runs.append(
                 {
                     "objective": name,
                     "tau": tau,
                     "seeds": celf.size,
                     "celf_evaluations": celf.total_evaluations,
-                    "bound_rescores": celf.total_bound_rescores,
+                    "celf_s": round(celf_s, 6),
                     "plain_evaluations": plain.total_evaluations,
                 }
             )

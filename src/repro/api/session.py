@@ -107,9 +107,7 @@ class RunResult:
     ``spec`` is the *resolved* request: every execution field concrete
     (the actual backend after ``"auto"``, the actual build-worker
     count), so the result alone documents how it was made.
-    ``evaluations`` counts oracle calls (utility evaluations);
-    ``bound_rescores`` counts CELF's per-group re-bounds, which call no
-    oracle.
+    ``evaluations`` counts oracle calls (utility evaluations).
     ``trace`` and ``solution`` carry the full solver objects for
     callers that want them; :meth:`to_dict` is the JSON-safe summary
     (what ``repro solve --json`` prints).
@@ -127,7 +125,6 @@ class RunResult:
     objective: float
     stopped_reason: str
     evaluations: int
-    bound_rescores: int
     ensemble_cached: bool
     build_seconds: float
     solve_seconds: float
@@ -140,7 +137,7 @@ class RunResult:
     #: Edge coins re-thresholded during the repair
     #: (touched edges × worlds); ``None`` on plain solves.
     resampled_edges: Optional[int] = None
-    #: Whether the CELF heap was seeded from a prior trace (perf-only:
+    #: Whether CELF's first round was seeded from a prior trace (perf-only:
     #: seeds and gains are bit-identical either way).
     warm_started: bool = False
     #: Fingerprints of every delta folded into the ensemble this result
@@ -171,7 +168,6 @@ class RunResult:
             "objective": self.objective,
             "stopped_reason": self.stopped_reason,
             "evaluations": self.evaluations,
-            "bound_rescores": self.bound_rescores,
             "timings": {
                 "build_seconds": self.build_seconds,
                 "solve_seconds": self.solve_seconds,
@@ -218,7 +214,6 @@ class RunResult:
             f"  build {self.build_seconds:.2f}s{cached}   "
             f"solve {self.solve_seconds:.2f}s   "
             f"evaluations {self.evaluations}   "
-            f"bound re-scores {self.bound_rescores}   "
             f"stop: {self.stopped_reason}"
         )
         if self.repaired_worlds is not None:
@@ -277,12 +272,13 @@ class Session:
         self.cache_bytes = check_cache_bytes(cache_bytes, allow_none=True)
         self._lock = threading.RLock()
         self._ensembles: "OrderedDict[Tuple, Any]" = OrderedDict()
-        # (cache key, solver fingerprint) -> (first-round gains, repair
-        # epoch, weakref to the estimator they were recorded on).  Warm
-        # starts for `resolve`: the gains seed the CELF heap, the epoch
-        # says which repairs are already folded in, and the weakref
-        # guards against an evicted-and-rebuilt ensemble under the same
-        # key (different worlds would make the bounds meaningless).
+        # (cache key, solver fingerprint) -> (first-round utilities,
+        # repair epoch, weakref to the estimator they were recorded on).
+        # Warm starts for `resolve`: the utilities seed CELF's first
+        # round, the epoch says which repairs are already folded in, and
+        # the weakref guards against an evicted-and-rebuilt ensemble
+        # under the same key (different worlds would make the bounds
+        # meaningless).
         self._warm_traces: Dict[Tuple, Tuple[np.ndarray, int, Any]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -726,7 +722,6 @@ class Session:
             objective=float(solution.trace.final_objective),
             stopped_reason=solution.trace.stopped_reason,
             evaluations=int(solution.trace.total_evaluations),
-            bound_rescores=int(solution.trace.total_bound_rescores),
             ensemble_cached=was_cached,
             build_seconds=build_seconds,
             solve_seconds=solve_seconds,

@@ -14,22 +14,28 @@ utilities are exact counts divided once in float64 (see
 candidate however the gain was reached.
 
 :func:`lazy_greedy` is CELF (Leskovec et al. 2007) with per-group
-bounds.  It keeps each candidate's per-group marginal vector
-``delta_c = u(S + c) - u(S)`` from its last oracle call.  Every group's
-utility is submodular in the seed set, so ``delta_c`` only shrinks as
-``S`` grows, and as the objective is monotone,
-``objective(u + delta_c) - objective(u)`` bounds the candidate's
-current gain from above.  The re-bound costs O(k); for the concave
-fair objectives, which are separable over groups, it is much tighter
-than CELF's stale scalar gain.  A stale heap top is first re-bounded,
-and the oracle (``candidate_group_utilities``) is called only if the
-bound is still on top.  Before it picks, CELF rescores every entry
-stored within ``2 * tol`` of the fresh top that could win the tie, so
-its choice — seeds, gains and utilities — is plain greedy's bit for
-bit.  Discounted utilities are float32 means, not exact counts, so
-with ``discount`` the bound step is skipped and stale entries go
-straight to the oracle (classic CELF, which agrees with plain greedy
-up to float32 near-ties).
+bounds, kept in flat per-candidate arrays rather than a heap: a key
+(an oracle gain or an upper bound on the current gain) and a flag
+saying whether the key is this round's oracle gain.  It keeps each
+candidate's per-group marginal vector ``delta_c = u(S + c) - u(S)``
+from its last oracle call.  Every group's utility is submodular in the
+seed set, so ``delta_c`` only shrinks as ``S`` grows, and as the
+objective is monotone, ``objective(u + delta_c) - objective(u)`` bounds
+the candidate's current gain from above.  For the concave fair
+objectives, which are separable over groups, this is much tighter than
+CELF's stale scalar gain.  After every pick one row-wise
+:meth:`~repro.core.objectives.Objective.values` call over the
+``(C, k)`` matrix ``u + deltas`` re-bounds every candidate at once.
+Each step then takes the candidate with the largest key (the first on
+equal keys); while that key is a bound, the candidate is scored by the
+oracle (``candidate_group_utilities``).  Once the top key is a fresh
+gain, CELF scores every stale candidate within ``2 * tol`` of it at a
+lower position than the pick, which could win the tie, so its choice —
+seeds, gains and utilities — is plain greedy's bit for bit.
+Discounted utilities are float32 means, not exact counts, so with
+``discount`` the re-bound is skipped and stale keys keep their last
+oracle gain (classic CELF, which agrees with plain greedy up to float32
+near-ties).
 
 :func:`plain_greedy` rescores every candidate every round: the
 reference oracle for the tests and the CELF ablation bench.
@@ -45,7 +51,6 @@ no trace.  Both engines run serially on the caller thread.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,11 +68,11 @@ from repro.core.objectives import Objective
 #: of the selection rule.
 GAIN_TOLERANCE = 1e-12
 
-#: Default candidate-block size for the batched utility oracle.  Tuned
-#: on the synthetic SBM bench (see ``benchmarks/bench_gains.py``): the
-#: speedup curve is flat from ~32 upward, so 64 keeps scratch buffers
-#: small (``block_size * R * n`` bytes each) without leaving speed on
-#: the table.
+#: Default candidate-block size for the batched utility oracle.  On the
+#: synthetic SBM bench (``benchmarks/bench_gains.py``) a whole 500-
+#: candidate first round takes ~0.25 ms at 64; larger blocks only trim
+#: that per-call overhead while scratch buffers grow with the block
+#: (``block_size * R * n`` bytes each).
 DEFAULT_BLOCK_SIZE = 64
 
 StopCondition = Callable[[np.ndarray], bool]
@@ -139,8 +144,7 @@ class SelectionStep:
     """One greedy iteration: which seed was added and what it bought.
 
     ``evaluations`` counts oracle calls (utility evaluations) made for
-    this step; ``bound_rescores`` counts CELF's O(k) per-group
-    re-bounds, which call no oracle.
+    this step.
     """
 
     node: NodeId
@@ -149,7 +153,6 @@ class SelectionStep:
     gain: float
     group_utilities: np.ndarray
     evaluations: int
-    bound_rescores: int = 0
 
 
 @dataclass
@@ -193,10 +196,6 @@ class SelectionTrace:
     @property
     def total_evaluations(self) -> int:
         return sum(step.evaluations for step in self.steps)
-
-    @property
-    def total_bound_rescores(self) -> int:
-        return sum(step.bound_rescores for step in self.steps)
 
 
 # Per-thread observer stack for streaming traces: a tap registered on
@@ -314,93 +313,70 @@ def lazy_greedy(
     # call; ``utilities + deltas[c]`` bounds its utilities from above.
     deltas = first - utilities
     use_bounds = discount is None
-    bound_rescores = 0
-    round_no = 0
+    # ``key[c]`` is an oracle gain when ``fresh[c]``, else an upper
+    # bound on the current gain; chosen candidates hold -inf.
+    key = objective.values(first) - current_value
+    fresh = np.ones(ensemble.n_candidates, dtype=bool)
+    chosen = np.zeros(ensemble.n_candidates, dtype=bool)
 
-    # Heap entries: (-key, position, round scored, is an oracle gain).
-    # The key is an oracle gain or, when the flag is off, a per-group
-    # bound.  An entry is *fresh* when it is an oracle gain scored this
-    # round; anything else is an upper bound on the current gain.
-    heap: List[Tuple[float, int, int, bool]] = [
-        (-(objective.value(row) - current_value), position, round_no, True)
-        for position, row in enumerate(first)
-    ]
-    heapq.heapify(heap)
-
-    def is_fresh(entry: Tuple[float, int, int, bool]) -> bool:
-        return entry[2] == round_no and entry[3]
-
-    def rescore(entry: Tuple[float, int, int, bool]) -> Tuple[float, int, int, bool]:
-        """Tighten a non-fresh entry one stage: stale -> bound -> gain."""
-        nonlocal evaluations, bound_rescores
-        position = entry[1]
-        if use_bounds and entry[2] != round_no:
-            bound_rescores += 1
-            bound = objective.value(utilities + deltas[position]) - current_value
-            return (-bound, position, round_no, False)
+    def score(position: int) -> None:
+        nonlocal evaluations
         row = ensemble.candidate_group_utilities(state, position, deadline, discount)
         evaluations += 1
         deltas[position] = row - utilities
-        return (-(objective.value(row) - current_value), position, round_no, True)
+        key[position] = objective.value(row) - current_value
+        fresh[position] = True
 
-    while trace.size < max_seeds and heap:
-        if not is_fresh(heap[0]):
-            entry = rescore(heapq.heappop(heap))
-            if not entry[3] and not (heap and heap[0] < entry):
-                entry = rescore(entry)  # the bound is still on top
-            heapq.heappush(heap, entry)
+    while trace.size < max_seeds:
+        top = int(key.argmax())
+        if chosen[top]:
+            trace.stopped_reason = "exhausted"
+            break
+        if not fresh[top]:
+            score(top)
             continue
-        best = -heap[0][0]
+        best = key[top]
         if best <= GAIN_TOLERANCE:
             trace.stopped_reason = "no-gain"
             break
-        # Everything left is bounded by ``best`` (up to float64
-        # rounding).  Entries stored within 2 * tol of it may still tie;
-        # one with a lower position than the best fresh tie could win
-        # it, so it is rescored and the loop looks again.
+        # Every key bounds its candidate's gain, so nothing beats
+        # ``best`` (up to float64 rounding).  The pick is the lowest
+        # fresh position within ``tol``; a stale key within ``2 * tol``
+        # at a lower position could still win the tie, so it is scored
+        # first and the step looks again.
         tol = _tie_tolerance(current_value)
-        window = []
-        while heap and -heap[0][0] >= best - 2.0 * tol:
-            window.append(heapq.heappop(heap))
-        pick = min(
-            (e for e in window if is_fresh(e) and -e[0] >= best - tol),
-            key=lambda e: e[1],
-        )
-        pending = False
-        for entry in window:
-            if entry is pick:
-                continue
-            if not is_fresh(entry) and entry[1] < pick[1]:
-                entry = rescore(entry)
-                pending = True
-            heapq.heappush(heap, entry)
-        if pending:
-            heapq.heappush(heap, pick)
+        pick = int(np.argmax(fresh & (key >= best - tol)))
+        behind = np.flatnonzero(~fresh[:pick] & (key[:pick] >= best - 2.0 * tol))
+        if behind.size:
+            for position in behind:
+                score(int(position))
             continue
 
-        position = pick[1]
-        ensemble.add_seed(state, position)
+        gain = float(key[pick])
+        ensemble.add_seed(state, pick)
+        chosen[pick] = True
         utilities = ensemble.group_utilities(state, deadline, discount)
         current_value = objective.value(utilities)
-        round_no += 1
+        fresh[:] = False
+        if use_bounds:
+            key = objective.values(utilities + deltas) - current_value
+        key[chosen] = -np.inf
         step = SelectionStep(
-            node=ensemble.label(position),
-            position=position,
+            node=ensemble.label(pick),
+            position=pick,
             objective_value=current_value,
-            gain=-pick[0],
+            gain=gain,
             group_utilities=utilities,
             evaluations=evaluations,
-            bound_rescores=bound_rescores,
         )
         trace.steps.append(step)
         _notify_step(step)
         evaluations = 0
-        bound_rescores = 0
         if stop is not None and stop(utilities):
             trace.stopped_reason = "stop-condition"
             break
     else:
-        trace.stopped_reason = "budget" if trace.size >= max_seeds else "exhausted"
+        trace.stopped_reason = "budget"
 
     if require_stop and trace.stopped_reason != "stop-condition":
         raise InfeasibleError(
@@ -496,7 +472,7 @@ def plain_greedy(
         rows = _candidate_utilities(
             ensemble, state, remaining, deadline, discount, block_size
         )
-        gains = np.array([objective.value(row) - current_value for row in rows])
+        gains = objective.values(rows) - current_value
         best = gains.max()
         if best <= GAIN_TOLERANCE:
             trace.stopped_reason = "no-gain"

@@ -14,14 +14,20 @@ world-wise and hence in expectation); an :class:`Objective` is the
   problem P6's constraint re-written as in the Theorem 2 proof
   (truncation preserves monotone submodularity).
 
+Every objective maps a batch of utility rows to one value per row
+(:meth:`Objective.values`, ``(m, k) -> (m,)``); CELF re-bounds all its
+stale candidates with one such call per round.  The scalar
+:meth:`Objective.value` is the same arithmetic on one row, so both
+agree bit for bit.
+
 Objectives must be non-decreasing in every coordinate — that is what
-makes CELF's lazy evaluation sound — and :func:`validate_monotone`
-spot-checks it for custom objectives.
+makes CELF's lazy evaluation sound.  :func:`validate_monotone` is a
+spot-check of that property for custom objectives; no solver runs it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,15 +35,23 @@ from repro.errors import ConfigError
 from repro.core.concave import ConcaveFunction, identity
 
 
-class Objective(Protocol):
-    """Scalarisation of a per-group utility vector."""
+class Objective:
+    """Scalarisation of per-group utility vectors.
+
+    Subclasses implement :meth:`values` over the last axis; a row's
+    value never depends on the other rows.
+    """
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """Objective value of each row of an ``(m, k)`` utility matrix."""
+        raise NotImplementedError
 
     def value(self, group_utilities: np.ndarray) -> float:
-        """Objective value for the given per-group expected utilities."""
-        ...
+        """Objective value for one per-group expected-utility vector."""
+        return float(self.values(group_utilities))
 
 
-class TotalInfluenceObjective:
+class TotalInfluenceObjective(Objective):
     """``sum_i f_i`` — the classic influence objective (P1, P2).
 
     Because groups partition the population, the sum over group
@@ -46,14 +60,14 @@ class TotalInfluenceObjective:
 
     name = "total-influence"
 
-    def value(self, group_utilities: np.ndarray) -> float:
-        return float(np.asarray(group_utilities, dtype=np.float64).sum())
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        return np.asarray(rows, dtype=np.float64).sum(axis=-1)
 
     def __repr__(self) -> str:
         return "TotalInfluenceObjective()"
 
 
-class ConcaveSumObjective:
+class ConcaveSumObjective(Objective):
     """``sum_i w_i * H(f_i)`` — the FAIRTCIM-BUDGET surrogate (P4).
 
     Parameters
@@ -79,22 +93,22 @@ class ConcaveSumObjective:
             raise ConfigError("group weights must be non-negative")
         self.name = f"concave-sum[{concave.name}]"
 
-    def value(self, group_utilities: np.ndarray) -> float:
-        transformed = self.concave(np.asarray(group_utilities, dtype=np.float64))
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        transformed = self.concave(np.asarray(rows, dtype=np.float64))
         if self.weights is not None:
-            if transformed.shape != self.weights.shape:
+            if transformed.shape[-1:] != self.weights.shape:
                 raise ConfigError(
                     f"weights shape {self.weights.shape} does not match "
-                    f"{transformed.shape} groups"
+                    f"{transformed.shape[-1:]} groups"
                 )
             transformed = transformed * self.weights
-        return float(transformed.sum())
+        return transformed.sum(axis=-1)
 
     def __repr__(self) -> str:
         return f"ConcaveSumObjective(concave={self.concave.name!r})"
 
 
-class TruncatedCoverageObjective:
+class TruncatedCoverageObjective(Objective):
     """``sum_i min(f_i / |V_i|, Q)`` — the FAIRTCIM-COVER surrogate (P6).
 
     The greedy cover algorithm maximises this and stops when it reaches
@@ -116,9 +130,9 @@ class TruncatedCoverageObjective:
         """The saturation value ``k * Q``."""
         return self.quota * self.group_sizes.size
 
-    def value(self, group_utilities: np.ndarray) -> float:
-        fractions = np.asarray(group_utilities, dtype=np.float64) / self.group_sizes
-        return float(np.minimum(fractions, self.quota).sum())
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        fractions = np.asarray(rows, dtype=np.float64) / self.group_sizes
+        return np.minimum(fractions, self.quota).sum(axis=-1)
 
     def satisfied(self, group_utilities: np.ndarray, slack: float = 0.0) -> bool:
         """Whether every group meets the quota (within ``slack``)."""
@@ -129,7 +143,7 @@ class TruncatedCoverageObjective:
         return f"TruncatedCoverageObjective(quota={self.quota})"
 
 
-class TotalCoverageObjective:
+class TotalCoverageObjective(Objective):
     """``min(sum_i f_i / |V|, Q)`` — the *unfair* cover constraint (P2).
 
     Saturates once the whole-population quota is met; group membership
@@ -149,9 +163,9 @@ class TotalCoverageObjective:
     def target(self) -> float:
         return self.quota
 
-    def value(self, group_utilities: np.ndarray) -> float:
-        fraction = float(np.asarray(group_utilities, dtype=np.float64).sum()) / self.population
-        return min(fraction, self.quota)
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        totals = np.asarray(rows, dtype=np.float64).sum(axis=-1)
+        return np.minimum(totals / self.population, self.quota)
 
     def satisfied(self, group_utilities: np.ndarray, slack: float = 0.0) -> bool:
         fraction = float(np.asarray(group_utilities, dtype=np.float64).sum()) / self.population
@@ -167,19 +181,22 @@ def validate_monotone(
     trials: int = 64,
     seed: int = 0,
 ) -> None:
-    """Spot-check that ``objective`` is coordinate-wise non-decreasing.
+    """Spot-check that a custom ``objective`` is coordinate-wise non-decreasing.
 
-    Raises :class:`ConfigError` on a violation.  Used when accepting
-    user-supplied objectives into the greedy engine, where monotonicity
-    is a soundness requirement for lazy evaluation.
+    Scores ``trials`` random utility rows and the same rows with one
+    coordinate raised, as two batches through :meth:`Objective.values`
+    (the method CELF calls), and raises :class:`ConfigError` if any
+    raised row scores lower.  Monotonicity is what makes lazy
+    evaluation sound; the solvers trust it rather than check it.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        base = rng.uniform(0.0, 50.0, size=dimension)
-        bump = base.copy()
-        bump[int(rng.integers(dimension))] += rng.uniform(0.0, 10.0)
-        if objective.value(bump) < objective.value(base) - 1e-9:
-            raise ConfigError(
-                f"objective {objective!r} is not coordinate-wise monotone; "
-                "lazy greedy would be unsound"
-            )
+    base = rng.uniform(0.0, 50.0, size=(trials, dimension))
+    bump = base.copy()
+    bump[np.arange(trials), rng.integers(dimension, size=trials)] += rng.uniform(
+        0.0, 10.0, size=trials
+    )
+    if (objective.values(bump) < objective.values(base) - 1e-9).any():
+        raise ConfigError(
+            f"objective {objective!r} is not coordinate-wise monotone; "
+            "lazy greedy would be unsound"
+        )

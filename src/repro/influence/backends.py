@@ -91,13 +91,14 @@ class UtilityEstimator(Protocol):
     group-tagged RR sets — both plug into ``lazy_greedy`` /
     ``plain_greedy`` / the budget and cover solvers unchanged, as can
     any further estimator implementing the same surface.  The batched
-    oracles (``candidate_group_utilities_batch``,
-    ``candidate_gains_batch``) and the deadline sweep
+    oracle (``candidate_group_utilities_batch``) and the deadline sweep
     (``group_utilities_sweep``) are required: the greedy engines and
-    sweep helpers call them directly.  CELF's per-group bounds assume
-    what the paper's estimators guarantee: every group utility is
-    monotone submodular in the seed set, and step-model utilities are
-    exact (the same float64 bits on every query path).
+    sweep helpers call them directly.  ``candidate_gains_batch`` turns
+    a batch into objective gains (:func:`batch_gains` is the shared
+    body).  CELF's per-group bounds assume what the paper's estimators
+    guarantee: every group utility is monotone submodular in the seed
+    set, and step-model utilities are exact (the same float64 bits on
+    every query path).
     """
 
     group_names: List[Hashable]
@@ -162,6 +163,34 @@ class UtilityEstimator(Protocol):
     ) -> np.ndarray: ...
 
     def memory_bytes(self) -> int: ...
+
+
+def batch_gains(
+    estimator: UtilityEstimator,
+    state: Any,
+    positions: Sequence[int],
+    deadline: float,
+    objective: Any,
+    discount: Optional[float] = None,
+    base_value: Optional[float] = None,
+) -> np.ndarray:
+    """Marginal objective gains for a block of candidates.
+
+    The body of every estimator's ``candidate_gains_batch``:
+    ``objective.values`` (see :mod:`repro.core.objectives`) over the
+    batched utilities, minus ``base_value`` — the objective of the
+    current state, computed when not given.  Row-wise values equal
+    ``objective.value`` on each row bit for bit, so gains are exactly
+    ``objective.value(candidate_group_utilities(...)) - base_value``.
+    """
+    utilities = estimator.candidate_group_utilities_batch(
+        state, positions, deadline, discount
+    )
+    if base_value is None:
+        base_value = objective.value(
+            estimator.group_utilities(state, deadline, discount)
+        )
+    return objective.values(utilities) - base_value
 
 
 class DistanceBackend:

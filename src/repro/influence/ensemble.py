@@ -88,6 +88,7 @@ from repro.diffusion.worlds import (
 )
 from repro.influence.backends import (
     DistanceBackend,
+    batch_gains,
     check_backend_name,
     make_backend,
 )
@@ -812,24 +813,10 @@ class WorldEnsemble:
     ) -> np.ndarray:
         """Marginal objective gains for a block of candidates.
 
-        ``objective`` is anything with a ``value(group_utilities)``
-        method (see :mod:`repro.core.objectives`); ``base_value`` is the
-        objective of the current state and is computed when not given
-        (pass it in hot loops — the greedy engines do).  Gains are
-        bit-identical to the scalar path
-        ``objective.value(candidate_group_utilities(...)) - base_value``.
+        See :func:`~repro.influence.backends.batch_gains`.
         """
-        utilities = self.candidate_group_utilities_batch(
-            state, positions, deadline, discount
-        )
-        if base_value is None:
-            base_value = objective.value(
-                self.group_utilities(state, deadline, discount)
-            )
-        return np.fromiter(
-            (objective.value(row) - base_value for row in utilities),
-            dtype=np.float64,
-            count=utilities.shape[0],
+        return batch_gains(
+            self, state, positions, deadline, objective, discount, base_value
         )
 
     # ------------------------------------------------------------------

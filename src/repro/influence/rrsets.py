@@ -50,6 +50,7 @@ import numpy as np
 from repro.errors import EstimationError, OptimizationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
+from repro.influence.backends import batch_gains
 from repro.influence.deadlines import simulation_horizon
 from repro.rng import RngLike, derive_seed, ensure_rng
 
@@ -777,21 +778,10 @@ class RRSetEstimator:
     ) -> np.ndarray:
         """Marginal objective gains for a block of candidates.
 
-        Mirrors :meth:`WorldEnsemble.candidate_gains_batch`: gains are
-        ``objective.value(candidate_group_utilities(...)) - base_value``
-        exactly, so the greedy engines treat both estimators alike.
+        See :func:`~repro.influence.backends.batch_gains`.
         """
-        utilities = self.candidate_group_utilities_batch(
-            state, positions, deadline, discount
-        )
-        if base_value is None:
-            base_value = objective.value(
-                self.group_utilities(state, deadline, discount)
-            )
-        return np.fromiter(
-            (objective.value(row) - base_value for row in utilities),
-            dtype=np.float64,
-            count=utilities.shape[0],
+        return batch_gains(
+            self, state, positions, deadline, objective, discount, base_value
         )
 
     def group_utilities_sweep(

@@ -320,7 +320,7 @@ class SolveService:
 
         Folds the edge mutations into the spec's cached world ensemble
         (in-place repair, bit-identical to rebuilding the mutated graph
-        from scratch) and solves with a warm-started CELF heap —
+        from scratch) and solves with a warm-started CELF —
         ``Session.resolve(spec, delta=...)`` over HTTP.  Responds 200
         with the RunResult dict, whose ``delta_lineage`` records every
         delta fingerprint folded into that ensemble so far.

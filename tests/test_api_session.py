@@ -390,25 +390,6 @@ class TestConfigChain:
         assert payload["timings"]["ensemble_cached"] is False
         assert payload["spec"]["solver"]["budget"] == 2
 
-    def test_result_reports_bound_rescores(self):
-        result = Session().solve(
-            RunSpec(
-                ensemble=ensemble_spec(),
-                solver=SolverSpec(
-                    problem="budget", deadline=DEADLINE, budget=4, fair=True
-                ),
-            )
-        )
-        trace = result.trace
-        # Oracle calls and O(k) re-bounds are counted apart.
-        assert result.evaluations == trace.total_evaluations
-        assert result.bound_rescores == trace.total_bound_rescores
-        assert result.bound_rescores == sum(s.bound_rescores for s in trace.steps)
-        assert result.bound_rescores > 0
-        payload = result.to_dict()
-        assert payload["bound_rescores"] == result.bound_rescores
-        assert f"bound re-scores {result.bound_rescores}" in result.as_text()
-
 
 class TestEstimatorFactory:
     def test_kinds_registered(self):

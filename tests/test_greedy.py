@@ -216,3 +216,26 @@ class TestSelectionRuleRegressions:
         assert 0 < gain_114 - gain_88 < 1e-12
         assert celf.steps[18].position == plain.steps[18].position == 88
         self.assert_bit_identical(celf, plain)
+
+
+class TestExhausted:
+    def test_budget_beyond_the_pool_takes_every_candidate(self):
+        # Five isolated nodes: every gain is exactly 1 (the seed itself),
+        # so each round is a tie that goes to the lowest position.
+        graph = DiGraph()
+        for node in range(5):
+            graph.add_node(node, group="a" if node % 2 else "b")
+        ensemble = WorldEnsemble(
+            graph, GroupAssignment.from_graph(graph), n_worlds=4, seed=0
+        )
+        celf, plain = (
+            engine(ensemble, TotalInfluenceObjective(), deadline=3, max_seeds=8)
+            for engine in (lazy_greedy, plain_greedy)
+        )
+        for trace in (celf, plain):
+            assert trace.stopped_reason == "exhausted"
+            assert [step.position for step in trace.steps] == list(range(5))
+            assert [step.gain for step in trace.steps] == [1.0] * 5
+        assert [s.objective_value for s in celf.steps] == [
+            s.objective_value for s in plain.steps
+        ]

@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.core.concave import log1p, sqrt
 from repro.core.objectives import (
     ConcaveSumObjective,
+    Objective,
     TotalCoverageObjective,
     TotalInfluenceObjective,
     TruncatedCoverageObjective,
@@ -105,9 +106,9 @@ class TestTotalCoverage:
 
 class TestValidateMonotone:
     def test_rejects_decreasing_objective(self):
-        class Bad:
-            def value(self, utilities):
-                return -float(np.sum(utilities))
+        class Bad(Objective):
+            def values(self, rows):
+                return -np.sum(rows, axis=-1)
 
         with pytest.raises(ConfigError, match="not coordinate-wise monotone"):
             validate_monotone(Bad(), dimension=2)

@@ -18,6 +18,9 @@ These verify the mathematical structure everything rests on:
   (discounted runs: up to a float32 near-tie);
 - a stale per-group marginal vector bounds the current gain from above
   (up to the tie tolerance), which is what makes CELF's re-bounds sound;
+- every objective's row-wise ``values`` equals its scalar ``value`` on
+  each row bit for bit, so CELF's batched re-bounds and its scalar
+  oracle gains are the same arithmetic;
 - any feasible FAIRTCIM-COVER solution has disparity at most ``1 - Q``.
 """
 
@@ -29,15 +32,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.brute import brute_force_budget
-from repro.core.concave import identity, log1p, power, sqrt
+from repro.core.concave import identity, log1p, power, scaled_log, sqrt
 from repro.core.greedy import GAIN_TOLERANCE, lazy_greedy, plain_greedy
 from repro.core.objectives import (
     ConcaveSumObjective,
+    TotalCoverageObjective,
     TotalInfluenceObjective,
     TruncatedCoverageObjective,
 )
+from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import two_block_sbm
 from repro.graph.groups import GroupAssignment
@@ -363,6 +369,82 @@ class TestStaleBoundsAreUpperBounds:
         )
         bound = objective.value(utilities + delta_stale) - value
         assert bound >= true_gain - GAIN_TOLERANCE * max(1.0, abs(value))
+
+
+class TestObjectiveRowsMatchScalar:
+    """``objective.values(rows)[i]`` is ``objective.value(rows[i])`` bit
+    for bit, for every objective family and every ``H``, weighted or
+    not: CELF re-bounds with the first and scores oracle gains with the
+    second, and the selection rule relies on both agreeing."""
+
+    KINDS = [
+        "total",
+        "identity",
+        "log",
+        "sqrt",
+        "power",
+        "scaled_log",
+        "truncated-coverage",
+        "total-coverage",
+    ]
+
+    @staticmethod
+    def build(kind, k, data):
+        if kind == "total":
+            return TotalInfluenceObjective()
+        positive = st.floats(min_value=0.1, max_value=1e4)
+        if kind == "truncated-coverage":
+            return TruncatedCoverageObjective(
+                quota=data.draw(st.floats(min_value=0.01, max_value=1.0)),
+                group_sizes=data.draw(st.lists(positive, min_size=k, max_size=k)),
+            )
+        if kind == "total-coverage":
+            return TotalCoverageObjective(
+                quota=data.draw(st.floats(min_value=0.01, max_value=1.0)),
+                population=data.draw(positive),
+            )
+        concave = {
+            "identity": lambda: identity,
+            "log": lambda: log1p,
+            "sqrt": lambda: sqrt,
+            "power": lambda: power(data.draw(st.floats(min_value=0.05, max_value=1.0))),
+            "scaled_log": lambda: scaled_log(data.draw(positive)),
+        }[kind]()
+        weights = data.draw(
+            st.none()
+            | st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=k, max_size=k)
+        )
+        return ConcaveSumObjective(concave=concave, weights=weights)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_values_equal_value_row_by_row(self, kind, data):
+        k = data.draw(st.integers(1, 6))
+        objective = self.build(kind, k, data)
+        rows = data.draw(
+            arrays(
+                np.float64,
+                (data.draw(st.integers(0, 8)), k),
+                elements=st.floats(min_value=0.0, max_value=1e6),
+            )
+        )
+        assert objective.values(rows[:0]).shape == (0,)
+        values = objective.values(rows)
+        assert values.shape == (rows.shape[0],)
+        assert values.dtype == np.float64
+        for row, batched in zip(rows, values):
+            scalar = objective.value(row)
+            assert isinstance(scalar, float)
+            assert np.float64(scalar).tobytes() == batched.tobytes()
+
+    def test_weights_mismatch_is_a_config_error(self):
+        objective = ConcaveSumObjective(concave=log1p, weights=[1.0, 2.0])
+        for rows in (np.ones((4, 3)), np.empty((0, 3)), np.ones(3)):
+            with pytest.raises(ConfigError, match="weights shape"):
+                objective.values(rows)
+        with pytest.raises(ConfigError, match="weights shape"):
+            objective.value(np.ones(3))
 
 
 class TestCoverDisparityBound:
