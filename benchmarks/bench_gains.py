@@ -8,7 +8,12 @@ default synthetic SBM and committed to ``BENCH_solvers.json``:
   the acceptance bar is >= 3x;
 - a 6-point deadline sweep through ``group_utilities_sweep`` (one
   histogram + cumulative sum) vs six scalar ``group_utilities`` calls —
-  the acceptance bar is >= 5x.
+  the acceptance bar is >= 5x;
+- the scalar CELF re-evaluation at a 15-seed state, scored from the
+  candidate's reach-index entries vs the dense-row reference (fold the
+  candidate's ``(R, n)`` rows, weight, GEMM), plus the one-scan build
+  of the reach index and gain table vs the previous per-world
+  ``C * k * 256``-bin histogram build.
 
 Every timed pair also asserts bit-identical outputs, so the benchmark
 doubles as an end-to-end equivalence smoke: in CI (``--benchmark-disable``
@@ -19,13 +24,17 @@ real ratios measured on quiet hardware.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import best_of, record_bench
 
+from repro.api import EnsembleSpec, Session
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
+from repro.diffusion.worlds import UNREACHABLE
+from repro.influence.deadlines import clip_deadline
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.cover import solve_fair_tcim_cover
 from repro.core.greedy import DEFAULT_BLOCK_SIZE, lazy_greedy
@@ -47,6 +56,7 @@ def ensemble():
             "directed_edges": graph.number_of_edges(),
             "n_worlds": N_WORLDS,
             "n_candidates": ens.n_candidates,
+            "cpu_count": os.cpu_count(),
         },
     )
     return ens
@@ -286,3 +296,118 @@ def test_deadline_sweep_vs_per_tau(ensemble):
         "deadline_sweep",
         {"n_deadlines": len(DEADLINE_SWEEP), "workloads": workloads},
     )
+
+
+def dense_row_utilities(ensemble, state, position, deadline):
+    """The dense-row reference oracle: ``min_with`` + weights + GEMM."""
+    folded = ensemble.backend.min_with(state.best_time, position)
+    weights = ensemble._activation_weights(folded, clip_deadline(deadline), None)
+    per_world = weights @ ensemble._masks_f
+    return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
+
+
+def test_scalar_oracle_index_vs_dense_rows(ensemble):
+    """CELF's scalar re-evaluation at a 15-seed state, per call."""
+    seeds = lazy_greedy(
+        ensemble, TotalInfluenceObjective(), DEFAULT_DEADLINE, 15
+    ).seeds
+    state = ensemble.state_for(seeds)
+    positions = range(ensemble.n_candidates)
+
+    def index_pass():
+        return [
+            ensemble.candidate_group_utilities(state, p, DEFAULT_DEADLINE)
+            for p in positions
+        ]
+
+    def dense_pass():
+        return [
+            dense_row_utilities(ensemble, state, p, DEFAULT_DEADLINE)
+            for p in positions
+        ]
+
+    np.testing.assert_array_equal(np.stack(index_pass()), np.stack(dense_pass()))
+    index_us = best_of(index_pass) / ensemble.n_candidates * 1e6
+    dense_us = best_of(dense_pass) / ensemble.n_candidates * 1e6
+    reach = ensemble._reach_index()
+    record_bench(
+        "scalar_oracle",
+        {
+            "seed_set_size": len(seeds),
+            "index_us_per_call": round(index_us, 2),
+            "dense_rows_us_per_call": round(dense_us, 2),
+            "speedup": round(dense_us / index_us, 2),
+            "entries_per_candidate": round(
+                reach.flat.size / ensemble.n_candidates, 1
+            ),
+            "finite_share": round(
+                reach.flat.size / (ensemble.n_candidates * ensemble.n_worlds * ensemble.n),
+                5,
+            ),
+        },
+    )
+    # CI floor: the index path must never be slower than the rows it
+    # replaces.
+    assert index_us <= dense_us, (
+        f"reach-index oracle slower than dense rows: "
+        f"{index_us:.1f} vs {dense_us:.1f} us/call"
+    )
+
+
+def per_world_histogram_table(ensemble):
+    """The previous gain-table build: a ``C * k * 256``-bin bincount
+    added up world by world over the dense store, then cut and summed."""
+    distances = ensemble.backend._distances
+    n_candidates, k = ensemble.n_candidates, len(ensemble.group_names)
+    size = n_candidates * k * 256
+    hist = np.zeros(size, dtype=np.int64)
+    for world in distances:
+        finite = world != UNREACHABLE
+        c_idx, v_idx = np.nonzero(finite)
+        codes = (c_idx * k + ensemble._group_index[v_idx]) * 256
+        codes += world[finite]
+        hist += np.bincount(codes, minlength=size)
+    hist = hist.reshape(n_candidates, k, 256)
+    used = np.flatnonzero(hist.any(axis=(0, 1)))
+    last = int(used[-1]) if used.size else 0
+    return np.cumsum(hist[:, :, : last + 1], axis=2)
+
+
+def test_reach_index_build_vs_histogram_build():
+    """One scan + one bincount builds the index and the gain table."""
+    session = Session()
+    rows = {}
+    for name, dataset, n_worlds in (
+        ("synthetic-500", "synthetic", 100),
+        ("rice-1205", "rice", 50),
+    ):
+        ens = session.ensemble_for(
+            EnsembleSpec(dataset=dataset, n_worlds=n_worlds, world_seed=1)
+        )
+        assert ens.backend_name == "dense"
+
+        def index_build():
+            ens._reach, ens._reach_missing = None, False
+            return ens._reach_index()
+
+        np.testing.assert_array_equal(
+            index_build().table, per_world_histogram_table(ens)
+        )
+        index_s = best_of(index_build)
+        histogram_s = best_of(lambda: per_world_histogram_table(ens))
+        reach = ens._reach_index()
+        rows[name] = {
+            "n_worlds": n_worlds,
+            "n_candidates": ens.n_candidates,
+            "entries": int(reach.flat.size),
+            "index_bytes": reach.nbytes,
+            "store_bytes": ens.memory_bytes(),
+            "index_build_s": round(index_s, 6),
+            "histogram_build_s": round(histogram_s, 6),
+            "speedup": round(histogram_s / index_s, 2),
+        }
+        assert index_s <= histogram_s, (
+            f"{name}: index build slower than the per-world histogram: "
+            f"{index_s:.4f}s vs {histogram_s:.4f}s"
+        )
+    record_bench("reach_index_build", rows)

@@ -1,7 +1,7 @@
 """Pluggable estimator backends for the world-ensemble distance store.
 
 The common-random-numbers estimator (:class:`~repro.influence.ensemble.
-WorldEnsemble`) reduces every utility query to three primitive
+WorldEnsemble`) reduces every utility query to four primitive
 operations on per-candidate activation-time rows:
 
 - fold candidate ``c``'s times into a state: ``best = min(best, D[:, c, :])``;
@@ -9,7 +9,12 @@ operations on per-candidate activation-time rows:
 - the same non-mutating fold for a whole *block* of candidates at once
   (:meth:`DistanceBackend.min_with_block`), writing into a
   caller-provided scratch buffer — the primitive behind the batched
-  utility oracle the greedy solvers score whole rounds with.
+  utility oracle the greedy solvers score whole rounds with;
+- list every *finite* entry as raw ``(candidate, r * n + v, time)``
+  triples (:meth:`DistanceBackend.finite_entries`), optionally for a
+  few worlds only.  The ensemble builds its candidate-major reach
+  index and empty-state gain table from them, and after a repair it
+  rescans just the repaired worlds.
 
 How those rows are stored is what limits scale.  This module isolates
 the storage decision behind :class:`DistanceBackend` with three
@@ -54,6 +59,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -79,6 +85,21 @@ DEFAULT_SPARSE_LIMIT = 1024 * 1024 * 1024
 
 #: Default number of cached candidate rows in the lazy backend.
 DEFAULT_CACHE_SIZE = 64
+
+
+#: ``(candidate, flat, time)`` arrays from
+#: :meth:`DistanceBackend.finite_entries`.
+Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def compact_uint(size: int) -> np.dtype:
+    """Smallest unsigned integer dtype holding ``0 .. size - 1``."""
+    return np.min_scalar_type(max(int(size) - 1, 0))
+
+
+def flat_index_dtype(n_worlds: int, n: int) -> type:
+    """``int32`` for flat ``r * n + v`` indices while they fit, else ``int64``."""
+    return np.int32 if int(n_worlds) * int(n) < 2**31 else np.int64
 
 
 @runtime_checkable
@@ -246,20 +267,27 @@ class DistanceBackend:
             self.min_into(out, int(position))
         return out
 
-    def empty_state_histogram(
-        self, group_index: np.ndarray, n_groups: int
-    ) -> Optional[np.ndarray]:
-        """Per-candidate activation-time histogram of the *empty* state.
+    def finite_entries(
+        self, worlds: Sequence[int], max_entries: int
+    ) -> Optional[Entries]:
+        """Every finite activation entry of ``worlds``, as raw triples.
 
-        Returns ``hist[c, g, t]`` — how many nodes of group ``g`` each
-        candidate ``c`` activates at exactly time ``t``, summed over
-        every world — or ``None`` when the backend cannot produce it
+        Returns ``(candidate, flat, time)`` arrays: entry ``i`` says
+        candidate ``candidate[i]`` activates node ``v`` of world ``r``
+        at hop ``time[i]``, where ``flat[i] = r * n + v``.  ``worlds``
+        must be non-empty and ascending; entries come world by world in
+        that order, and in one fixed order within a world, so a rescan
+        of one world yields that world's entries exactly as a full scan
+        does.  Dtypes are compact (:func:`compact_uint`
+        candidates, ``int32`` flats while ``R * n < 2**31``, ``uint8``
+        times).
+
+        Returns ``None`` when the entries would exceed ``max_entries``
+        (checked before the arrays are built, so an oversized store
+        never allocates them) or when the backend cannot produce them
         without defeating its own design (the lazy store would have to
-        materialise every row).  Against the empty state the fold is
-        the identity (``min(UNREACHABLE, D_c) = D_c``), so this table
-        answers a first greedy round at *any* deadline with exact
-        integer counts: the ensemble caches its cumulative sum as a
-        state-independent gain table.
+        materialise every row).  The ensemble builds its candidate-major
+        reach index and the empty-state gain table from these triples.
         """
         return None
 
@@ -370,28 +398,30 @@ class DenseBackend(DistanceBackend):
             np.minimum(out, self._distances[:, int(position), :], out=out)
         return out
 
-    def empty_state_histogram(
-        self, group_index: np.ndarray, n_groups: int
-    ) -> np.ndarray:
+    def finite_entries(
+        self, worlds: Sequence[int], max_entries: int
+    ) -> Optional[Entries]:
         # Only finite entries matter (cutoffs never reach the
-        # UNREACHABLE sentinel), and on live-edge worlds they are a few
-        # percent of the tensor: one boolean scan finds them, one
-        # bincount over fused (candidate, group, time) codes counts
-        # them.
-        n_candidates = self._distances.shape[1]
-        size = n_candidates * n_groups * 256
-        hist = np.zeros(size, dtype=np.int64)
-        # One world at a time keeps the transient mask/index arrays at
-        # 1/R of the tensor instead of materialising a full-tensor bool
-        # mask next to a store that may already be near its memory
-        # ceiling.
-        for world in self._distances:
-            finite = world != UNREACHABLE
-            c_idx, v_idx = np.nonzero(finite)
-            codes = (c_idx * n_groups + group_index[v_idx]) * 256
-            codes += world[finite]
-            hist += np.bincount(codes, minlength=size)
-        return hist.reshape(n_candidates, n_groups, 256)
+        # UNREACHABLE sentinel), and on live-edge worlds they are well
+        # under a percent of the tensor.  One world at a time keeps the
+        # transient mask at 1/R of the tensor, and the scan stops as
+        # soon as the entries outgrow ``max_entries``.
+        n_worlds, n_candidates, n = self._distances.shape
+        flat_dtype = flat_index_dtype(n_worlds, n)
+        candidates, flats, times = [], [], []
+        total = 0
+        for r in worlds:
+            r = int(r)
+            world = self._distances[r].reshape(-1)
+            idx = np.flatnonzero(world != UNREACHABLE)  # (c, v) row-major
+            total += idx.size
+            if total > max_entries:
+                return None
+            c_idx, v_idx = np.divmod(idx, n)
+            candidates.append(c_idx.astype(compact_uint(n_candidates)))
+            flats.append((v_idx + r * n).astype(flat_dtype))
+            times.append(world[idx])
+        return np.concatenate(candidates), np.concatenate(flats), np.concatenate(times)
 
     def repair_worlds(
         self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
@@ -537,26 +567,23 @@ class SparseBackend(DistanceBackend):
                 row[idx] = np.minimum(row[idx], mat.data[lo:hi] - np.uint8(1))
         return out
 
-    def empty_state_histogram(
-        self, group_index: np.ndarray, n_groups: int
-    ) -> np.ndarray:
-        # The CSR stores exactly the finite (candidate, node, time)
-        # triples the histogram needs; one fused bincount over every
-        # world's entries builds it in O(nnz).
-        n_candidates = self._rows[0].shape[0]
-        per_world_codes = []
-        for mat in self._rows:
-            rows = np.repeat(
-                np.arange(n_candidates, dtype=np.int64), np.diff(mat.indptr)
-            )
-            codes = (rows * n_groups + group_index[mat.indices]) * 256
-            codes += mat.data.astype(np.int64) - 1  # stored as distance + 1
-            per_world_codes.append(codes)
-        hist = np.bincount(
-            np.concatenate(per_world_codes),
-            minlength=n_candidates * n_groups * 256,
-        )
-        return hist.reshape(n_candidates, n_groups, 256)
+    def finite_entries(
+        self, worlds: Sequence[int], max_entries: int
+    ) -> Optional[Entries]:
+        # The CSRs store exactly the finite (candidate, node, time)
+        # triples, so the entries are a relabelling of their arrays.
+        n_candidates, n = self._rows[0].shape
+        if sum(self._rows[int(r)].nnz for r in worlds) > max_entries:
+            return None
+        flat_dtype = flat_index_dtype(len(self._rows), n)
+        row_ids = np.arange(n_candidates, dtype=compact_uint(n_candidates))
+        candidates, flats, times = [], [], []
+        for r in worlds:
+            mat = self._rows[int(r)]
+            candidates.append(np.repeat(row_ids, np.diff(mat.indptr)))
+            flats.append(mat.indices.astype(flat_dtype) + flat_dtype(int(r) * n))
+            times.append(mat.data - np.uint8(1))  # stored as distance + 1
+        return np.concatenate(candidates), np.concatenate(flats), np.concatenate(times)
 
     def repair_worlds(
         self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray

@@ -8,25 +8,36 @@ standard fix: sample ``R`` live-edge worlds **once**, fix the per-world
 activation times of every candidate, and evaluate every seed set on
 the same fixed worlds.
 
-The state of a partially built seed set is just the per-world
+The state of a partially built seed set is the per-world
 earliest-activation vector ``best[r, v] = min_{s in S} D[r, s, v]``
 (where ``D[r, c, v]`` is candidate ``c``'s BFS distance to ``v`` in
-world ``r``), and
+world ``r``) plus its per-group activation-time histogram.  On
+live-edge worlds only a fraction of a percent of ``D`` is finite, so
+the ensemble keeps a candidate-major **reach index**: each candidate's
+finite entries ``(r * n + v, time, group)``, built by one scan of the
+store.  For the step model:
 
-- adding a seed is an elementwise ``min`` — O(R·n);
-- the expected group utilities of ``S`` are a masked count of
-  ``best <= tau`` — O(R·n·k) via one matrix product;
-- the *marginal* utilities of a candidate are the same count on
-  ``min(best, D[:, c, :])`` without mutating the state;
-- the marginal utilities of a whole *block* of candidates are one
-  blocked fold plus one stacked ``(B, R, n) @ (n, k)`` contraction
-  (:meth:`WorldEnsemble.candidate_group_utilities_batch`) into
-  reusable scratch buffers — the batched oracle the greedy engines
-  score whole rounds with, bit-identical to the per-candidate path;
-- a whole *deadline sweep* for a fixed seed set is one ``uint8``
-  bincount into a per-group activation-time histogram plus a
-  cumulative sum (:meth:`WorldEnsemble.group_utilities_sweep`) — O(k)
-  per additional deadline after the histogram.
+- adding a seed lowers ``best`` and moves histogram bins at the
+  candidate's own entries only — O(entries of ``c``);
+- the expected group utilities of ``S`` are the histogram's cumulative
+  sum at the deadline — O(k·tau), cached on the state per cutoff, on
+  every store;
+- the *marginal* utilities of a candidate are those counts plus the
+  groups of the entries it newly activates (``time <= tau < best``) —
+  O(entries of ``c``), without mutating the state;
+- the first greedy round at *any* deadline is a lookup in the
+  empty-state gain table the index build derives with one bincount;
+- a whole *deadline sweep* for a fixed seed set is one cumulative sum
+  over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
+  — O(k) per additional deadline.
+
+The dense-row path remains for what the index does not cover:
+discounted utilities, the lazy store (which never lists its entries),
+and blocks of candidates at non-empty states, scored as one blocked
+fold plus one stacked ``(B, R, n) @ (n, k)`` contraction
+(:meth:`WorldEnsemble.candidate_group_utilities_batch`) — O(B·R·n·k).
+It is also the reference the equivalence tests and ``plain_greedy``
+compare the index path against.
 
 *How* ``D`` is stored is delegated to a pluggable
 :class:`~repro.influence.backends.DistanceBackend` (``backend=``):
@@ -37,24 +48,26 @@ and ``"auto"`` picks by estimated footprint.  All backends produce
 bit-identical utilities; they trade memory against query speed.
 
 Queries run serially on the caller thread.  The speed comes from
-submodularity (lazy CELF re-evaluation) and the batched oracle, not
-from threads: world-sharding the numpy primitives never beat the
-serial path on the measured workloads (see ``docs/PERFORMANCE.md``).
+submodularity (lazy CELF re-evaluation), the reach index and the
+batched oracle, not from threads: world-sharding the numpy primitives
+never beat the serial path on the measured workloads (see
+``docs/PERFORMANCE.md``).
 Concurrent queries on one shared ensemble (``repro serve --threads``)
-are safe — scratch buffers are per caller thread.
+are safe — scratch buffers are per caller thread, and a repair swaps in
+a patched reach index with one assignment.
 
 This estimator is unbiased for Eq. 1 for every ``tau``
 simultaneously, which is what lets one ensemble serve a whole
 deadline sweep (Fig. 4c / 5a / 7c).
 
-Step-model utilities are *exact*: every per-world group total is an
-integer count of at most ``n`` (held exactly by the float32 matrix
-product below ``2**24`` nodes, by float64 beyond), the counts are
-summed over worlds exactly in float64, and the sum is divided by ``R``
-once.  Every query path — scalar, batched, the
-empty-state table and the deadline sweep — therefore returns the same
-float64 bits for the same seed set, whatever order it counted in.
-That is what makes CELF's per-group bounds sound (see
+Step-model utilities are *exact*: every path counts integers.  The
+index paths, the empty-state table and the deadline sweep count in
+int64; the dense-row path counts each world's group totals (at most
+``n``) exactly in a float32 matrix product below ``2**24`` nodes
+(float64 beyond) and sums them over worlds exactly in float64.  Either
+way the total is divided by ``R`` once, so every query path returns
+the same float64 bits for the same seed set, whatever order it counted
+in.  That is what makes CELF's per-group bounds sound (see
 :mod:`repro.core.greedy`).  Discounted utilities (``gamma**t``
 weights) are not integers and keep a float32 world mean.
 """
@@ -70,6 +83,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -90,6 +104,8 @@ from repro.influence.backends import (
     DistanceBackend,
     batch_gains,
     check_backend_name,
+    compact_uint,
+    flat_index_dtype,
     make_backend,
 )
 from repro.influence.deadlines import clip_deadline as _clip_deadline
@@ -113,28 +129,67 @@ class InfluenceState:
     in world ``r`` under the current seeds (``UNREACHABLE`` if none).
 
     ``time_hist`` is the state's per-group activation-time histogram
-    (``(k, 256)`` int64, finite times only), lazily built by the first
-    deadline sweep and thereafter maintained *incrementally* by
-    ``WorldEnsemble.add_seed`` — so repeated sweeps on a growing seed
-    set never rebuild it from the full ``(R, n)`` tensor.  ``None``
-    until a sweep asks for it; states that never sweep never pay for
-    it.
+    (``(k, 256)`` int64, finite times only): ``time_hist[g, t]`` counts,
+    over all worlds, the nodes of group ``g`` first activated at ``t``.
+    ``WorldEnsemble.empty_state`` starts it at zero and
+    ``WorldEnsemble.add_seed`` keeps it up to date, so step-model
+    utilities and deadline sweeps never rescan the ``(R, n)`` state.
+    ``None`` (e.g. after ``state_for``) means "not built yet": the
+    first query that needs it bincounts ``best_time`` once.
+
+    ``counts`` caches ``(cutoff, per-group activated totals)`` — the
+    histogram's cumulative sum at one cutoff — until the next
+    ``add_seed``.
     """
 
     best_time: np.ndarray
     seed_positions: List[int] = field(default_factory=list)
     time_hist: Optional[np.ndarray] = None
+    counts: Optional[Tuple[int, np.ndarray]] = None
 
     def copy(self) -> "InfluenceState":
+        # ``counts`` arrays are replaced, never written in place, so
+        # the copy may share them.
         return InfluenceState(
             best_time=self.best_time.copy(),
             seed_positions=list(self.seed_positions),
             time_hist=None if self.time_hist is None else self.time_hist.copy(),
+            counts=self.counts,
         )
 
     @property
     def size(self) -> int:
         return len(self.seed_positions)
+
+
+class _ReachIndex(NamedTuple):
+    """Candidate-major finite activation entries and the table built
+    from them.
+
+    Candidate ``c`` owns entries ``offsets[c]:offsets[c + 1]``: each
+    says ``c`` activates node ``flat % n`` of world ``flat // n`` at
+    hop ``time``, and ``group`` is that node's group.  Within a
+    candidate, entries run world by world in ascending order.
+    ``table`` is the ``(C, k, T)`` cumulative per-candidate time
+    histogram (see :meth:`WorldEnsemble._empty_state_table`).  The
+    ensemble swaps a whole index in with one assignment, so a
+    concurrent reader sees either the old index or the new one.
+    """
+
+    offsets: np.ndarray  # (C + 1,) int64
+    flat: np.ndarray  # int32 while R * n < 2**31, else int64
+    time: np.ndarray  # uint8
+    group: np.ndarray  # smallest unsigned type holding k
+    table: np.ndarray  # (C, k, T) int64
+
+    @property
+    def nbytes(self) -> int:
+        return int(sum(array.nbytes for array in self))
+
+    def entries(self, position: int):
+        """``(flat, time, group)`` views of one candidate's entries."""
+        lo, hi = self.offsets[position], self.offsets[position + 1]
+        return self.flat[lo:hi], self.time[lo:hi], self.group[lo:hi]
 
 
 class WorldEnsemble:
@@ -284,13 +339,14 @@ class WorldEnsemble:
         # thread* (see ``_batch_scratch``) — concurrent batched queries
         # on one shared ensemble each get their own buffers.
         self._scratch = threading.local()
-        # Lazily built caches: the state-independent empty-state gain
-        # table (cumulative per-candidate time histogram — answers any
-        # first greedy round at any deadline) and the fused
-        # (world, group) code base for sweep histograms.  The lock
-        # keeps concurrent callers from building the table twice.
-        self._empty_gain_table: Optional[np.ndarray] = None  # (C, k, T) cumsum
-        self._empty_gain_table_missing = False
+        # Lazily built caches: the reach index (every candidate's
+        # finite activation entries plus the state-independent
+        # empty-state gain table derived from them — see
+        # ``_reach_index``) and the fused (world, group) code base for
+        # sweep histograms.  The lock keeps concurrent callers from
+        # building the index twice and serialises repair patches.
+        self._reach: Optional[_ReachIndex] = None
+        self._reach_missing = False
         self._empty_table_lock = threading.Lock()
         self._sweep_code_base: Optional[np.ndarray] = None  # (n,) int64
         # Streaming-delta bookkeeping: the graph version this store was
@@ -377,21 +433,36 @@ class WorldEnsemble:
         return repair_ensemble(self, delta)
 
     def _note_repair(
-        self, version: int, fingerprint: str, affected: Optional[np.ndarray]
+        self,
+        version: int,
+        fingerprint: str,
+        affected: Optional[np.ndarray],
+        worlds: Optional[Sequence[int]] = None,
     ) -> None:
-        """Record a completed repair (called by the incremental layer)."""
+        """Record a completed repair (called by the incremental layer).
+
+        ``worlds`` names the world indices whose store slices the repair
+        recomputed.  The reach index (and its gain table) summarises
+        the store, so those worlds' entries are rescanned and patched
+        in; every other world's entries are unchanged.  When the repair
+        cannot name its worlds or affected candidates, the index is
+        dropped and the next query rebuilds it from the repaired store.
+        (The sweep code base depends only on the group partition and
+        survives.)
+        """
         self._graph_version = version
         self._delta_lineage.append(fingerprint)
         self._repair_log.append(
             None if affected is None else np.asarray(affected, dtype=np.int64)
         )
-        # The empty-state gain table summarises the distance store;
-        # drop it so the next first-round query rebuilds it from the
-        # repaired store.  (The sweep code base depends only on the
-        # group partition and survives.)
         with self._empty_table_lock:
-            self._empty_gain_table = None
-            self._empty_gain_table_missing = False
+            reach = self._reach
+            if reach is None or affected is None or worlds is None:
+                self._reach = None
+                self._reach_missing = False
+            elif len(worlds):
+                self._reach = self._patched_reach(reach, worlds)
+                self._reach_missing = self._reach is None
 
     def _check_fresh(self) -> None:
         """Refuse to serve estimates for a graph the store doesn't match.
@@ -486,14 +557,24 @@ class WorldEnsemble:
     def label(self, position: int) -> NodeId:
         return self.candidate_labels[position]
 
+    def _check_position(self, position: int) -> int:
+        position = int(position)
+        if not 0 <= position < self.n_candidates:
+            raise EstimationError(
+                f"candidate position {position} out of range "
+                f"[0, {self.n_candidates})"
+            )
+        return position
+
     # ------------------------------------------------------------------
     # state management
     # ------------------------------------------------------------------
     def empty_state(self) -> InfluenceState:
-        """State of the empty seed set."""
+        """State of the empty seed set (with its all-zero histogram)."""
         self._check_fresh()
         return InfluenceState(
-            best_time=np.full((self.n_worlds, self.n), UNREACHABLE, dtype=np.uint8)
+            best_time=np.full((self.n_worlds, self.n), UNREACHABLE, dtype=np.uint8),
+            time_hist=np.zeros((len(self.group_names), 256), dtype=np.int64),
         )
 
     def state_for(self, seeds: Iterable[NodeId]) -> InfluenceState:
@@ -520,55 +601,71 @@ class WorldEnsemble:
             return state
         self._backend.reduce_rows(positions, state.best_time)
         state.seed_positions.extend(positions)
+        state.time_hist = None  # built from best_time on first use
         return state
 
     def add_seed(self, state: InfluenceState, position: int) -> None:
         """Mutate ``state`` to include candidate ``position`` as a seed.
 
-        When the state already carries a sweep histogram (built by the
-        first ``group_utilities_sweep`` on it), the histogram is
-        updated *incrementally* from exactly the entries the fold
-        lowered — integer moves between bins, bit-identical to a full
-        rebuild — so sweep → add seed → sweep loops never re-bincount
-        the whole ``(R, n)`` state.
+        With the reach index, only the candidate's own finite entries
+        are visited: ``best_time`` is lowered there, and the state's
+        histogram (when it has one) moves exactly those entries between
+        bins — integer moves, bit-identical to a full rebuild.  Without
+        it (lazy store, or an index over the footprint limit) the whole
+        ``(R, n)`` state is folded and compared.
         """
         self._check_fresh()
+        position = self._check_position(position)
         if position in state.seed_positions:
             raise EstimationError(
                 f"candidate {self.label(position)!r} is already a seed"
             )
-        if state.time_hist is None:
+        hist = state.time_hist
+        reach = self._reach_index()
+        if reach is not None:
+            flat, times, groups = reach.entries(position)
+            best = state.best_time.reshape(-1)  # a view: states are contiguous
+            previous = best[flat]
+            lower = times < previous
+            times = times[lower]
+            best[flat[lower]] = times
+            if hist is not None:
+                self._move_hist(hist, groups[lower], previous[lower], times)
+        elif hist is None:
             self._backend.min_into(state.best_time, position)
         else:
             previous = state.best_time.copy()
             self._backend.min_into(state.best_time, position)
-            self._update_time_hist(state.time_hist, previous, state.best_time)
+            changed = state.best_time < previous
+            _, v_idx = np.nonzero(changed)
+            self._move_hist(
+                hist,
+                self._group_index[v_idx],
+                previous[changed],
+                state.best_time[changed],
+            )
         state.seed_positions.append(position)
+        state.counts = None
 
-    def _update_time_hist(
-        self, hist: np.ndarray, previous: np.ndarray, current: np.ndarray
+    @staticmethod
+    def _move_hist(
+        hist: np.ndarray,
+        groups: np.ndarray,
+        old_times: np.ndarray,
+        new_times: np.ndarray,
     ) -> None:
-        """Move histogram counts for every entry the fold lowered.
+        """Move histogram counts for entries lowered from old to new times.
 
-        ``current < previous`` exactly where the new seed improved an
-        activation time; the old (finite) time's bin loses the node
-        and the new time's bin gains it.  Newly reached nodes come out
-        of nowhere — the histogram counts finite times only (its
-        ``UNREACHABLE`` bin is pinned to zero and never read).
+        The old time's bin loses the node and the new time's bin gains
+        it.  Newly reached nodes come out of nowhere: their old time is
+        ``UNREACHABLE``, whose bin the histogram pins to zero (no cutoff
+        reaches it), so it is reset after the move.
         """
-        changed = current < previous
-        if not changed.any():
-            return
-        _, v_idx = np.nonzero(changed)
-        groups = self._group_index[v_idx]
-        size = hist.size
-        new_codes = groups * 256 + current[changed]
-        hist += np.bincount(new_codes, minlength=size).reshape(hist.shape)
-        old_times = previous[changed]
-        finite = old_times != UNREACHABLE
-        if finite.any():
-            old_codes = groups[finite] * 256 + old_times[finite]
-            hist -= np.bincount(old_codes, minlength=size).reshape(hist.shape)
+        codes = np.multiply(groups, 256, dtype=np.int64)
+        flat = hist.reshape(-1)
+        flat += np.bincount(codes + new_times, minlength=flat.size)
+        flat -= np.bincount(codes + old_times, minlength=flat.size)
+        hist[:, UNREACHABLE] = 0
 
     def seeds_of(self, state: InfluenceState) -> List[NodeId]:
         return [self.candidate_labels[p] for p in state.seed_positions]
@@ -651,11 +748,32 @@ class WorldEnsemble:
         on the ensemble; with ``discount=gamma`` each activated node
         contributes ``gamma**t_v`` instead of 1 (see
         :meth:`_activation_weights`).
+
+        Step-model utilities are read from the state's histogram
+        (:meth:`_state_counts`); discounted ones take the dense
+        ``(R, n) @ (n, k)`` product.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
+        if discount is None:
+            return self._state_counts(state, cutoff) / self.n_worlds
         weights = self._activation_weights(state.best_time, cutoff, discount)
         return self._world_mean(weights @ self._masks_f, discount)
+
+    def _state_counts(self, state: InfluenceState, cutoff: int) -> np.ndarray:
+        """Exact per-group totals (over worlds) activated by ``cutoff``.
+
+        The integer cumulative sum of the state's histogram at
+        ``cutoff``, cached on the state until the next
+        :meth:`add_seed`.  Divided once by ``R`` it gives the same
+        float64 bits as the per-world GEMM counts summed in float64.
+        """
+        cached = state.counts
+        if cached is not None and cached[0] == cutoff:
+            return cached[1]
+        counts = self._state_time_histogram(state)[:, : cutoff + 1].sum(axis=1)
+        state.counts = (cutoff, counts)
+        return counts
 
     def candidate_group_utilities(
         self,
@@ -664,12 +782,32 @@ class WorldEnsemble:
         deadline: float,
         discount: Optional[float] = None,
     ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {candidate}`` without mutation."""
+        """Group utilities of ``seeds(state) + {candidate}`` without mutation.
+
+        Step model with the reach index (dense and sparse stores): a
+        node of world ``r`` is newly activated exactly when the
+        candidate reaches it by the cutoff and the state does not, so
+        ``u(S + c) = (counts_S + bincount(group[newly])) / R`` over the
+        candidate's own finite entries — O(entries of ``c``) instead of
+        O(R·n·k), and the same exact integers as the dense path.
+        Otherwise (discount, lazy store) it folds the candidate's full
+        ``(R, n)`` rows and takes the GEMM.
+        """
         self._check_fresh()
+        position = self._check_position(position)
         cutoff = _clip_deadline(deadline)
-        hypothetical = self._backend.min_with(state.best_time, position)
-        weights = self._activation_weights(hypothetical, cutoff, discount)
-        return self._world_mean(weights @ self._masks_f, discount)
+        reach = None if discount is not None else self._reach_index()
+        if reach is None:
+            hypothetical = self._backend.min_with(state.best_time, position)
+            weights = self._activation_weights(hypothetical, cutoff, discount)
+            return self._world_mean(weights @ self._masks_f, discount)
+        flat, times, groups = reach.entries(position)
+        limit = np.uint8(cutoff)  # a uint8 scalar compares without casts
+        newly = np.less_equal(times, limit)
+        newly &= np.greater(state.best_time.reshape(-1)[flat], limit)
+        counts = np.bincount(groups[newly], minlength=len(self.group_names))
+        counts += self._state_counts(state, cutoff)
+        return counts / self.n_worlds
 
     # ------------------------------------------------------------------
     # batched gain oracle
@@ -702,11 +840,103 @@ class WorldEnsemble:
             local.per_world[:block],
         )
 
-    #: The empty-state gain table is skipped beyond this footprint —
-    #: on memory-constrained backends (sparse at web scale) a
-    #: ``(C, k, 256)`` int64 table could otherwise dwarf the distance
-    #: store it accelerates.
+    #: The reach index and its gain table are skipped beyond this
+    #: footprint (their bytes together) — on memory-constrained
+    #: backends (sparse at web scale) they could otherwise dwarf the
+    #: distance store they accelerate.
     EMPTY_TABLE_BYTE_LIMIT = 128 * 1024 * 1024
+
+    def _max_reach_entries(self) -> int:
+        """How many entries fit under :attr:`EMPTY_TABLE_BYTE_LIMIT`,
+        next to a full 256-bin table and the offsets."""
+        k = len(self.group_names)
+        fixed = self.n_candidates * (k * 256 + 1) * 8
+        per_entry = (
+            np.dtype(flat_index_dtype(self.n_worlds, self.n)).itemsize
+            + 1
+            + compact_uint(k).itemsize
+        )
+        return (self.EMPTY_TABLE_BYTE_LIMIT - fixed) // per_entry
+
+    def _reach_index(self) -> Optional[_ReachIndex]:
+        """The candidate-major reach index, built on first use.
+
+        One :meth:`~repro.influence.backends.DistanceBackend.finite_entries`
+        scan lists every finite ``(candidate, r * n + v, time)`` entry
+        world by world; a stable sort on the candidate makes them
+        candidate-major, and one ``np.bincount`` derives the gain
+        table.  ``None`` for backends that cannot list their entries
+        (lazy) or when the index would exceed
+        :attr:`EMPTY_TABLE_BYTE_LIMIT`; queries then take the dense
+        row path.  Kept for the ensemble's lifetime and patched by
+        repairs (:meth:`_note_repair`).
+        """
+        reach = self._reach
+        if reach is None and not self._reach_missing:
+            with self._empty_table_lock:
+                if self._reach is None and not self._reach_missing:
+                    entries = self._backend.finite_entries(
+                        range(self.n_worlds), self._max_reach_entries()
+                    )
+                    if entries is None:
+                        self._reach_missing = True
+                    else:
+                        candidate, flat, time = entries
+                        order = np.argsort(candidate, kind="stable")
+                        self._reach = self._assemble_reach(
+                            candidate[order], flat[order], time[order]
+                        )
+                reach = self._reach
+        return reach
+
+    def _assemble_reach(
+        self, candidate: np.ndarray, flat: np.ndarray, time: np.ndarray
+    ) -> _ReachIndex:
+        """Offsets, groups and the gain table for candidate-sorted entries."""
+        n_candidates, k = self.n_candidates, len(self.group_names)
+        offsets = np.zeros(n_candidates + 1, dtype=np.int64)
+        np.cumsum(np.bincount(candidate, minlength=n_candidates), out=offsets[1:])
+        group = self._group_index[flat % self.n].astype(compact_uint(k))
+        n_bins = int(time.max()) + 1 if time.size else 1
+        codes = (candidate.astype(np.int64) * k + group) * n_bins + time
+        table = np.bincount(codes, minlength=n_candidates * k * n_bins)
+        table = table.reshape(n_candidates, k, n_bins)
+        np.cumsum(table, axis=2, out=table)
+        return _ReachIndex(offsets, flat, time, group, table)
+
+    def _patched_reach(
+        self, reach: _ReachIndex, worlds: Sequence[int]
+    ) -> Optional[_ReachIndex]:
+        """``reach`` with the entries of ``worlds`` rescanned from the store.
+
+        Drops those worlds' entries, lists their new ones, and merges
+        them in at their ``(candidate, world)`` key — the order a fresh
+        build produces — so the result equals a full rebuild array for
+        array.  ``None`` if the patched index outgrows the limit.
+        """
+        worlds = sorted({int(r) for r in worlds})
+        repaired = np.zeros(self.n_worlds, dtype=bool)
+        repaired[worlds] = True
+        world_of = reach.flat // self.n
+        keep = ~repaired[world_of]
+        entries = self._backend.finite_entries(
+            worlds, self._max_reach_entries() - int(np.count_nonzero(keep))
+        )
+        if entries is None:
+            return None
+        candidate, flat, time = entries
+        kept_candidate = np.repeat(
+            np.arange(self.n_candidates, dtype=np.int64), np.diff(reach.offsets)
+        )[keep]
+        kept_key = kept_candidate * self.n_worlds + world_of[keep]
+        new_key = candidate.astype(np.int64) * self.n_worlds + flat // self.n
+        order = np.argsort(new_key, kind="stable")
+        at = np.searchsorted(kept_key, new_key[order])
+        return self._assemble_reach(
+            np.insert(kept_candidate, at, candidate[order]),
+            np.insert(reach.flat[keep], at, flat[order]),
+            np.insert(reach.time[keep], at, time[order]),
+        )
 
     def _empty_state_table(self) -> Optional[np.ndarray]:
         """Cumulative per-candidate time histogram, ``(C, k, T)``.
@@ -717,35 +947,11 @@ class WorldEnsemble:
         deadline, as integers.  ``T`` is one past the largest finite
         activation time in the store: later cutoffs count the same
         nodes, so the table stops there (a few dozen bins instead of
-        256 on the paper's graphs — it is kept for the ensemble's
-        lifetime).  Built once per ensemble from the distance store
-        (``None`` for backends that cannot afford it, e.g. lazy, or
-        when the full histogram would exceed
-        :attr:`EMPTY_TABLE_BYTE_LIMIT`).
+        256 on the paper's graphs).  Part of the reach index (``None``
+        without one).
         """
-        if self._empty_gain_table is None and not self._empty_gain_table_missing:
-            with self._empty_table_lock:
-                if (
-                    self._empty_gain_table is None
-                    and not self._empty_gain_table_missing
-                ):
-                    table_bytes = self.n_candidates * len(self.group_names) * 256 * 8
-                    hist = (
-                        None
-                        if table_bytes > self.EMPTY_TABLE_BYTE_LIMIT
-                        else self._backend.empty_state_histogram(
-                            self._group_index, len(self.group_names)
-                        )
-                    )
-                    if hist is None:
-                        self._empty_gain_table_missing = True
-                    else:
-                        used = np.flatnonzero(hist.any(axis=(0, 1)))
-                        last = int(used[-1]) if used.size else 0
-                        self._empty_gain_table = np.cumsum(
-                            hist[:, :, : last + 1], axis=2
-                        )
-        return self._empty_gain_table
+        reach = self._reach_index()
+        return None if reach is None else reach.table
 
     def candidate_group_utilities_batch(
         self,
@@ -945,8 +1151,8 @@ class WorldEnsemble:
     @property
     def nbytes(self) -> int:
         """Total resident bytes this ensemble pins: the distance store
-        (dense slab / sparse CSR / lazy LRU cache) plus the sampled
-        worlds' kept-edge CSRs.
+        (dense slab / sparse CSR / lazy LRU cache), the reach index and
+        gain table once built, plus the sampled worlds' kept-edge CSRs.
 
         Process-built stores live inside shared-memory segments; those
         are accounted by *segment size* (what the kernel actually
@@ -961,7 +1167,9 @@ class WorldEnsemble:
             store = sum(segment.size for segment in self._shared_segments)
         else:
             store = self._backend.memory_bytes()
-        return int(store + sum(world.nbytes for world in self.worlds))
+        reach = self._reach
+        caches = 0 if reach is None else reach.nbytes
+        return int(store + caches + sum(world.nbytes for world in self.worlds))
 
     def __repr__(self) -> str:
         return (

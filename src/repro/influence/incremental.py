@@ -198,7 +198,7 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
         affected = ensemble._backend.repair_worlds(
             updates, ensemble._candidate_indices
         )
-    ensemble._note_repair(graph.version, delta.fingerprint(), affected)
+    ensemble._note_repair(graph.version, delta.fingerprint(), affected, sorted(updates))
     return RepairReport(
         delta_fingerprint=delta.fingerprint(),
         edges_touched=plan.n_edges,

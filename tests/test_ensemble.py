@@ -157,3 +157,41 @@ class TestAgainstExact:
         )
         state = ensemble.state_for(["h"])
         assert ensemble.total_utility(state, math.inf) >= 1.0
+
+
+class TestCandidatePositions:
+    """Out-of-range candidate positions are refused by every estimator."""
+
+    @pytest.mark.parametrize("kind", ["worlds", "rrset"])
+    def test_out_of_range_positions_raise(self, kind):
+        from repro.datasets.synthetic import synthetic_sbm
+        from repro.influence.rrsets import RRSetEstimator
+
+        graph, assignment = synthetic_sbm(n=40, seed=1)
+        if kind == "worlds":
+            estimator = WorldEnsemble(graph, assignment, n_worlds=5, seed=2)
+        else:
+            estimator = RRSetEstimator(graph, assignment, theta=200, seed=2)
+        state = estimator.empty_state()
+        for position in (-1, estimator.n_candidates):
+            with pytest.raises(EstimationError, match="out of range"):
+                estimator.candidate_group_utilities(state, position, 3)
+            with pytest.raises(EstimationError, match="out of range"):
+                estimator.add_seed(state, position)
+        assert state.seed_positions == []
+
+
+class TestCacheAccounting:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_nbytes_counts_reach_index(self, backend):
+        from repro.datasets.synthetic import synthetic_sbm
+
+        graph, assignment = synthetic_sbm(n=60, seed=1)
+        ensemble = WorldEnsemble(
+            graph, assignment, n_worlds=6, seed=2, backend=backend
+        )
+        before = ensemble.nbytes
+        reach = ensemble._reach_index()
+        assert reach is not None
+        assert ensemble.nbytes == before + reach.nbytes
+        assert reach.nbytes >= reach.table.nbytes + reach.flat.nbytes

@@ -444,6 +444,60 @@ def test_concurrent_batched_queries_on_shared_ensemble(ensembles, copies):
     assert not errors, errors[0]
 
 
+def test_concurrent_scalar_queries_share_one_reach_index():
+    """Six caller threads race the first reach-index build and then
+    share states whose histogram and count caches fill lazily; every
+    answer must equal the dense-row reference computed serially."""
+    import sys
+
+    graph, assignment = default_synthetic(seed=0)
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=12, seed=5)
+    states = [
+        ensemble.state_for(ensemble.candidate_labels[:3]),
+        ensemble.state_for(ensemble.candidate_labels[10:12]),
+    ]
+    positions = range(0, ensemble.n_candidates, 7)
+
+    def reference(state, position, cutoff):
+        folded = ensemble.backend.min_with(state.best_time, position)
+        per_world = ensemble._activation_weights(folded, cutoff, None) @ ensemble._masks_f
+        return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
+
+    expected = {
+        (i, p, cutoff): reference(state, p, cutoff)
+        for i, state in enumerate(states)
+        for p in positions
+        for cutoff in (2, 20)
+    }
+    assert ensemble._reach is None  # the threads race its build
+    errors = []
+    barrier = threading.Barrier(6)
+
+    def hammer(offset):
+        try:
+            barrier.wait(timeout=30)
+            for (i, p, cutoff), want in list(expected.items())[offset::2]:
+                got = ensemble.candidate_group_utilities(states[i], p, cutoff)
+                np.testing.assert_array_equal(got, want)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(k % 2,)) for k in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "concurrent query deadlocked"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+
+
 def test_standard_errors_step_unchanged_and_discount_supported(ensembles):
     ensemble = ensembles["dense"]
     state = ensemble.state_for(ensemble.candidate_labels[:3])

@@ -183,6 +183,49 @@ class TestRepairEqualsRebuild:
         assert np.array_equal(before, after)
 
 
+class TestReachIndexRepair:
+    """The reach index (and the gain table derived from it) is patched
+    world by world on repair, never left stale."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_patched_index_equals_fresh_build(self, backend):
+        graph, groups = sbm()
+        ensemble = WorldEnsemble(
+            graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED, backend=backend
+        )
+        assert ensemble._reach_index() is not None  # built before the repair
+        report = ensemble.apply_delta(make_delta(graph))
+        assert report.repaired_worlds > 0
+        patched = ensemble._reach
+        assert patched is not None  # patched in place, not dropped
+
+        fresh_graph, fresh_groups = sbm()
+        fresh_graph.apply_delta(make_delta(fresh_graph))
+        fresh = WorldEnsemble(
+            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
+            backend=backend,
+        )
+        rebuilt = fresh._reach_index()
+        for name in rebuilt._fields:
+            np.testing.assert_array_equal(
+                getattr(patched, name), getattr(rebuilt, name), err_msg=name
+            )
+            assert getattr(patched, name).dtype == getattr(rebuilt, name).dtype
+
+    def test_unnamed_repair_drops_the_index(self):
+        graph, groups = sbm()
+        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
+        state = ensemble.empty_state()
+        before = ensemble.candidate_group_utilities_batch(state, [0, 1], DEADLINE)
+        assert ensemble._reach is not None
+        ensemble._note_repair(graph.version, "unnamed", None)
+        assert ensemble._reach is None and not ensemble._reach_missing
+        # The next query rebuilds it from the (unchanged) store.
+        after = ensemble.candidate_group_utilities_batch(state, [0, 1], DEADLINE)
+        np.testing.assert_array_equal(after, before)
+        assert ensemble._reach is not None
+
+
 class TestStaleness:
     def test_direct_mutation_poisons_queries(self):
         graph, groups = sbm()

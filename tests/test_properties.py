@@ -493,3 +493,101 @@ class TestBruteGreedyConsistency:
             if other != best_single
         )
         assert best_pair_value <= optimum.total_utility + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reach-index oracle = dense-row reference
+# ---------------------------------------------------------------------------
+def _random_backend_ensemble(seed: int, n: int, backend: str) -> WorldEnsemble:
+    rng = np.random.default_rng(seed)
+    graph = DiGraph()
+    for node in range(n):
+        graph.add_node(node, group=("a", "b", "c")[node % 3])
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.2:
+                graph.add_edge(u, v, float(rng.uniform(0.1, 0.9)))
+    assignment = GroupAssignment.from_graph(graph)
+    return WorldEnsemble(graph, assignment, n_worlds=12, seed=seed + 1, backend=backend)
+
+
+def _dense_reference(ensemble, best_time, cutoff):
+    """``min_with`` + ``_activation_weights`` + GEMM, summed in float64."""
+    weights = ensemble._activation_weights(best_time, cutoff, None)
+    per_world = weights @ ensemble._masks_f
+    return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
+
+
+class TestReachIndexOracle:
+    """The step-model oracle scores a candidate from its own finite
+    entries and the state's histogram.  It must equal the dense-row
+    reference (fold the candidate's ``(R, n)`` rows, weight, GEMM) bit
+    for bit, and ``add_seed``'s sparse update must leave the same state
+    a full fold plus a fresh histogram would."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 30),
+        backend=st.sampled_from(["dense", "sparse"]),
+        data=st.data(),
+    )
+    def test_index_oracle_equals_dense_rows(self, seed, n, backend, data):
+        ensemble = _random_backend_ensemble(seed, n, backend)
+        reach = ensemble._reach_index()
+        assert reach is not None
+        last = int(reach.time.max()) if reach.time.size else 0
+        cutoffs = (0, 1, max(last // 2, 2), math.inf)
+        order = data.draw(st.permutations(range(ensemble.n_candidates)))
+        n_seeds = data.draw(st.integers(0, min(4, ensemble.n_candidates - 1)))
+        state = ensemble.empty_state()
+        for position in order[:n_seeds]:
+            ensemble.add_seed(state, position)
+        for deadline in cutoffs:
+            cutoff = min(deadline, 254)
+            for position in range(ensemble.n_candidates):
+                folded = ensemble.backend.min_with(state.best_time, position)
+                np.testing.assert_array_equal(
+                    ensemble.candidate_group_utilities(state, position, deadline),
+                    _dense_reference(ensemble, folded, cutoff),
+                    err_msg=f"{backend} c={position} tau={deadline}",
+                )
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 30),
+        backend=st.sampled_from(["dense", "sparse"]),
+        data=st.data(),
+    )
+    def test_add_seed_matches_fold_and_fresh_histogram(self, seed, n, backend, data):
+        ensemble = _random_backend_ensemble(seed, n, backend)
+        order = data.draw(st.permutations(range(ensemble.n_candidates)))
+        state = ensemble.empty_state()
+        reference = ensemble.empty_state().best_time
+        for position in order[: min(5, len(order))]:
+            ensemble.add_seed(state, position)
+            ensemble.backend.min_into(reference, position)
+            np.testing.assert_array_equal(state.best_time, reference)
+            fresh = ensemble._state_time_histogram(
+                type(state)(best_time=reference.copy())
+            )
+            np.testing.assert_array_equal(state.time_hist, fresh)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "lazy"])
+    def test_group_utilities_match_gemm(self, backend):
+        ensemble = _random_backend_ensemble(3, 24, backend)
+        state = ensemble.empty_state()
+        for position in (5, 0, 17):
+            ensemble.add_seed(state, position)
+            for deadline in (0, 1, 2, 3, math.inf):
+                np.testing.assert_array_equal(
+                    ensemble.group_utilities(state, deadline),
+                    _dense_reference(ensemble, state.best_time, min(deadline, 254)),
+                )
+        # A ``state_for`` state builds its histogram from ``best_time``.
+        rebuilt = ensemble.state_for([ensemble.label(p) for p in (5, 0, 17)])
+        np.testing.assert_array_equal(
+            ensemble.group_utilities(rebuilt, 2),
+            _dense_reference(ensemble, rebuilt.best_time, 2),
+        )
