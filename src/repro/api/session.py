@@ -280,6 +280,16 @@ class Session:
         # under the same key (different worlds would make the bounds
         # meaningless).
         self._warm_traces: Dict[Tuple, Tuple[np.ndarray, int, Any]] = {}
+        # (dataset, params, seed) -> the frozen graph every estimator
+        # built from that dataset shares, and each such graph's group
+        # assignment; entries live exactly as long as some estimator
+        # holds the graph (see ``_dataset``).
+        self._graphs: "weakref.WeakValueDictionary[Tuple, Any]" = (
+            weakref.WeakValueDictionary()
+        )
+        self._assignments: "weakref.WeakKeyDictionary[Any, Any]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_builds = 0
@@ -441,9 +451,7 @@ class Session:
         cached = self._cache_get(key)
         if cached is not None:
             return cached, True, key
-        graph, assignment = build_dataset(
-            spec.dataset, spec.dataset_params, spec.dataset_seed
-        )
+        graph, assignment = self._dataset(spec)
         if spec.kind == "rrset":
             estimator = build_rrset_estimator(spec, graph, assignment)
         else:
@@ -460,6 +468,34 @@ class Session:
         with self._lock:
             self.cache_builds += 1
         return self._cache_put(key, estimator), False, key
+
+    def _dataset(self, spec: EnsembleSpec) -> Tuple[Any, Any]:
+        """The spec's ``(graph, assignment)``, shared by every estimator
+        built from the same ``(dataset, dataset_params, dataset_seed)``.
+
+        A dataset is a pure function of those three, so estimators that
+        differ only in worlds, seeds, kind or backend share one graph —
+        on small ensembles the graph is a quarter of the footprint.
+        The shared graph is frozen: no holder can mutate it under the
+        others, and a delta repair gives its ensemble a private copy
+        first.
+        """
+        key = (
+            spec.dataset,
+            json.dumps(spec.dataset_params, sort_keys=True),
+            spec.dataset_seed,
+        )
+        with self._lock:
+            graph = self._graphs.get(key)
+            if graph is not None:
+                return graph, self._assignments[graph]
+        graph, assignment = build_dataset(
+            spec.dataset, spec.dataset_params, spec.dataset_seed
+        )
+        graph.freeze()
+        with self._lock:
+            graph = self._graphs.setdefault(key, graph)
+            return graph, self._assignments.setdefault(graph, assignment)
 
     def build_ensemble(
         self,

@@ -25,7 +25,7 @@ across every candidate evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -78,18 +78,7 @@ class LiveEdgeWorld:
             raise EstimationError(
                 f"source index out of range [0, {self.n}): {sources}"
             )
-        raw = csgraph.shortest_path(
-            self.adjacency,
-            method="D",
-            directed=True,
-            unweighted=True,
-            indices=sources,
-        )
-        out = np.full(raw.shape, UNREACHABLE, dtype=np.uint8)
-        finite = np.isfinite(raw)
-        np.minimum(raw, UNREACHABLE - 1, out=raw, where=finite)
-        out[finite] = raw[finite].astype(np.uint8)
-        return out
+        return hop_distances(self.adjacency, sources)
 
     def reachable_within(self, sources: Sequence[int], deadline: float) -> np.ndarray:
         """Boolean mask of nodes within ``deadline`` hops of ``sources``."""
@@ -101,6 +90,24 @@ class LiveEdgeWorld:
 
     def kept_edge_count(self) -> int:
         return int(self.adjacency.nnz)
+
+
+def hop_distances(adjacency: sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
+    """``uint8`` BFS hop distances from ``sources`` over ``adjacency``.
+
+    One scipy C shortest-path call; ``(len(sources), adjacency.shape[1])``
+    with :data:`UNREACHABLE` for unreachable nodes and finite distances
+    clipped to ``UNREACHABLE - 1``.  The float64 result scipy returns is
+    the call's transient peak, so callers bound ``sources x width``.
+    """
+    raw = csgraph.shortest_path(
+        adjacency, method="D", directed=True, unweighted=True, indices=sources
+    )
+    out = np.full(raw.shape, UNREACHABLE, dtype=np.uint8)
+    finite = np.isfinite(raw)
+    np.minimum(raw, UNREACHABLE - 1, out=raw, where=finite)
+    out[finite] = raw[finite].astype(np.uint8)
+    return out
 
 
 def ic_world_key(seed: RngLike = None) -> int:
@@ -143,7 +150,7 @@ def edge_codes(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 
 
 def keyed_edge_uniforms(
-    world_key: int, src: np.ndarray, dst: np.ndarray, n: int
+    world_key: Union[int, np.ndarray], src: np.ndarray, dst: np.ndarray, n: int
 ) -> np.ndarray:
     """The uniform coin in [0, 1) for each edge in world ``world_key``.
 
@@ -154,15 +161,25 @@ def keyed_edge_uniforms(
     reweight elsewhere) never changes the coin of an untouched edge,
     and re-thresholding the same uniform against a new probability is
     exactly what a from-scratch resample of the mutated graph would do.
+
+    ``world_key`` may also be an array of ``R`` keys: the result is then
+    ``(R, E)`` in one vectorised pass, row ``r`` bit-identical to a call
+    with ``world_key[r]`` alone.
     """
     codes = edge_codes(src, dst, n)
+    keys = np.asarray(world_key, dtype=np.uint64)[..., np.newaxis]
     with np.errstate(over="ignore"):
-        z = np.uint64(world_key) + (codes + np.uint64(1)) * _SM64_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _SM64_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
+        codes += np.uint64(1)
+        codes *= _SM64_GAMMA
+        z = keys + codes
+        z ^= z >> np.uint64(30)
+        z *= _SM64_MIX1
+        z ^= z >> np.uint64(27)
+        z *= _SM64_MIX2
         z ^= z >> np.uint64(31)
     # Top 53 bits -> float64 in [0, 1), the standard construction.
-    return (z >> np.uint64(11)) * (2.0**-53)
+    z >>= np.uint64(11)
+    return z * (2.0**-53)
 
 
 def sample_ic_world_from_key(graph: DiGraph, world_key: int) -> LiveEdgeWorld:

@@ -46,6 +46,7 @@ class DiGraph:
         self._pred: List[Dict[int, float]] = []
         self._edge_count = 0
         self._version = 0
+        self._frozen = False
         # (version, export) pairs for the edge-array and forward /
         # reverse CSR exports.
         self._matrix_cache: Dict[str, Tuple[int, Any]] = {}
@@ -64,6 +65,28 @@ class DiGraph:
     def _bump_version(self) -> None:
         self._version += 1
 
+    @property
+    def frozen(self) -> bool:
+        """Whether the graph refuses mutation (see :meth:`freeze`)."""
+        return self._frozen
+
+    def freeze(self) -> None:
+        """Refuse every further mutation with :class:`GraphError`.
+
+        For graphs shared by several holders — the ``Session`` hands
+        one frozen graph per dataset to every estimator built from it —
+        so no holder can mutate the others' graph under them.  Take a
+        :meth:`copy` to mutate.
+        """
+        self._frozen = True
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise GraphError(
+                "graph is frozen (shared by cached estimators); mutate a "
+                "copy() instead"
+            )
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -74,6 +97,8 @@ class DiGraph:
         label is updated.
         """
         idx = self._index.get(node)
+        if idx is None or group is not None:
+            self._check_mutable()
         if idx is None:
             idx = len(self._labels)
             self._index[node] = idx
@@ -94,6 +119,7 @@ class DiGraph:
         Self-loops are rejected: they are meaningless under IC (a node
         cannot re-activate itself) and would corrupt distance semantics.
         """
+        self._check_mutable()
         if u == v:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         prob = self.default_probability if p is None else float(p)
@@ -112,6 +138,7 @@ class DiGraph:
         self.add_edge(v, u, p)
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
+        self._check_mutable()
         ui, vi = self._require(u), self._require(v)
         if vi not in self._succ[ui]:
             raise GraphError(f"edge {u!r} -> {v!r} does not exist")
@@ -203,6 +230,7 @@ class DiGraph:
         return self._groups[self._require(node)]
 
     def set_group(self, node: NodeId, group: Hashable) -> None:
+        self._check_mutable()
         self._groups[self._require(node)] = group
         self._bump_version()
 
@@ -212,6 +240,7 @@ class DiGraph:
         Validates every operation against the current graph first and
         applies all-or-nothing; see :meth:`GraphDelta.apply_to`.
         """
+        self._check_mutable()
         delta.apply_to(self)
 
     # ------------------------------------------------------------------
@@ -304,6 +333,8 @@ class DiGraph:
     # transformations
     # ------------------------------------------------------------------
     def copy(self) -> "DiGraph":
+        """An independent, mutable copy (same nodes, order, groups and
+        edges; its own :attr:`version` counter)."""
         other = DiGraph(default_probability=self.default_probability)
         for node, group in zip(self._labels, self._groups):
             other.add_node(node, group=group)

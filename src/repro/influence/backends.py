@@ -1,7 +1,7 @@
 """Pluggable estimator backends for the world-ensemble distance store.
 
 The common-random-numbers estimator (:class:`~repro.influence.ensemble.
-WorldEnsemble`) reduces every utility query to four primitive
+WorldEnsemble`) reduces every utility query and repair to five primitive
 operations on per-candidate activation-time rows:
 
 - fold candidate ``c``'s times into a state: ``best = min(best, D[:, c, :])``;
@@ -12,9 +12,11 @@ operations on per-candidate activation-time rows:
   utility oracle the greedy solvers score whole rounds with;
 - list every *finite* entry as raw ``(candidate, r * n + v, time)``
   triples (:meth:`DistanceBackend.finite_entries`), optionally for a
-  few worlds only.  The ensemble builds its candidate-major reach
-  index and empty-state gain table from them, and after a repair it
-  rescans just the repaired worlds.
+  few ``(world, candidate)`` rows only.  The ensemble builds its
+  candidate-major reach index and empty-state gain table from them,
+  and after a repair it lists just the store rows that changed;
+- after a graph delta, recompute the rows that reach a re-flipped edge
+  (:meth:`DistanceBackend.repair_worlds`).
 
 How those rows are stored is what limits scale.  This module isolates
 the storage decision behind :class:`DistanceBackend` with three
@@ -67,7 +69,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import EstimationError
-from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld
+from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld, hop_distances
 from repro.graph.digraph import NodeId
 
 #: Recognised backend names (plus the ``"auto"`` selector).
@@ -91,6 +93,9 @@ DEFAULT_CACHE_SIZE = 64
 #: :meth:`DistanceBackend.finite_entries`.
 Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: ``(world, position)`` arrays naming store rows ``D[world[i], position[i], :]``.
+Rows = Tuple[np.ndarray, np.ndarray]
+
 
 def compact_uint(size: int) -> np.dtype:
     """Smallest unsigned integer dtype holding ``0 .. size - 1``."""
@@ -100,6 +105,119 @@ def compact_uint(size: int) -> np.dtype:
 def flat_index_dtype(n_worlds: int, n: int) -> type:
     """``int32`` for flat ``r * n + v`` indices while they fit, else ``int64``."""
     return np.int32 if int(n_worlds) * int(n) < 2**31 else np.int64
+
+
+def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(l, h) for l, h in zip(lo, hi)])``, vectorised."""
+    lengths = np.asarray(hi, dtype=np.int64) - lo
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(lo - ends + lengths, lengths) + np.arange(total)
+
+
+def splice(
+    array: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """``array`` with each segment ``[lo[i], hi[i])`` replaced.
+
+    Segment ``i`` gets the next ``counts[i]`` items of ``values``.  The
+    segments must be ascending and disjoint (empty ones insert at
+    ``lo[i]``); the result keeps ``array``'s dtype.
+    """
+    keep = np.ones(array.size, dtype=bool)
+    keep[concat_ranges(lo, hi)] = False
+    removed = np.asarray(hi, dtype=np.int64) - lo
+    at = np.asarray(lo, dtype=np.int64) - (np.cumsum(removed) - removed)
+    return np.insert(array[keep], np.repeat(at, counts), values)
+
+
+def replace_csr_rows(
+    matrix: sparse.csr_matrix,
+    rows: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    counts: np.ndarray,
+) -> sparse.csr_matrix:
+    """A copy of ``matrix`` with rows ``rows`` (ascending) replaced.
+
+    Row ``rows[i]`` gets the next ``counts[i]`` ``(indices, data)``
+    pairs; every other row keeps its entries, and the index dtypes stay
+    those of ``matrix``.
+    """
+    lo, hi = matrix.indptr[rows], matrix.indptr[rows + 1]
+    row_nnz = np.diff(matrix.indptr)
+    row_nnz[rows] = counts
+    indptr = np.zeros_like(matrix.indptr)
+    np.cumsum(row_nnz, out=indptr[1:])
+    return sparse.csr_matrix(
+        (
+            splice(matrix.data, lo, hi, data, counts),
+            splice(matrix.indices, lo, hi, indices, counts),
+            indptr,
+        ),
+        shape=matrix.shape,
+    )
+
+
+def _block_diagonal(adjacencies: Sequence[sparse.csr_matrix]) -> sparse.csr_matrix:
+    """The ``n x n`` adjacencies side by side as one CSR graph.
+
+    Built from the CSR arrays directly: ``scipy.sparse.block_diag``
+    goes through COO and costs ~10x more at repair sizes.
+    """
+    n = adjacencies[0].shape[0]
+    offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
+    return sparse.csr_matrix(
+        (
+            np.concatenate([adj.data for adj in adjacencies]),
+            np.concatenate(
+                [adj.indices.astype(np.int64) + i * n for i, adj in enumerate(adjacencies)]
+            ),
+            np.concatenate(
+                [[0]] + [adj.indptr[1:] + offsets[i] for i, adj in enumerate(adjacencies)]
+            ),
+        ),
+        shape=(len(adjacencies) * n,) * 2,
+    )
+
+
+def bfs_rows(
+    worlds: Dict[int, LiveEdgeWorld],
+    world: np.ndarray,
+    source: np.ndarray,
+    max_cells: int,
+) -> np.ndarray:
+    """``uint8`` hop-distance rows: row ``i`` BFSes ``source[i]`` in
+    ``worlds[world[i]]``.
+
+    ``world`` must be ascending.  The worlds' adjacencies are laid side
+    by side as one block-diagonal graph and every row is one source of
+    a single ``csgraph.shortest_path`` call, so a repair pays scipy's
+    per-call overhead once instead of once per world.  Worlds are cut
+    into consecutive chunks whose float64 result (rows x union width)
+    stays within ``max_cells``; one world's rows always fit when
+    ``max_cells`` is at least their count times ``n``.
+    """
+    n = next(iter(worlds.values())).n
+    out = np.empty((world.size, n), dtype=np.uint8)
+    ids, starts = np.unique(world, return_index=True)
+    bounds = np.append(starts, world.size)
+    a = 0
+    while a < ids.size:
+        b = a + 1
+        while b < ids.size and (bounds[b + 1] - bounds[a]) * (b + 1 - a) * n <= max_cells:
+            b += 1
+        union = _block_diagonal([worlds[int(r)].adjacency for r in ids[a:b]])
+        lo, hi = bounds[a], bounds[b]
+        block = np.repeat(np.arange(b - a), np.diff(bounds[a : b + 1]))
+        hops = hop_distances(union, block * n + source[lo:hi])
+        out[lo:hi] = hops.reshape(hi - lo, b - a, n)[np.arange(hi - lo), block]
+        a = b
+    return out
 
 
 @runtime_checkable
@@ -268,26 +386,27 @@ class DistanceBackend:
         return out
 
     def finite_entries(
-        self, worlds: Sequence[int], max_entries: int
+        self, max_entries: int, rows: Optional[Rows] = None
     ) -> Optional[Entries]:
-        """Every finite activation entry of ``worlds``, as raw triples.
+        """Every finite activation entry of the store, as raw triples.
 
         Returns ``(candidate, flat, time)`` arrays: entry ``i`` says
         candidate ``candidate[i]`` activates node ``v`` of world ``r``
-        at hop ``time[i]``, where ``flat[i] = r * n + v``.  ``worlds``
-        must be non-empty and ascending; entries come world by world in
-        that order, and in one fixed order within a world, so a rescan
-        of one world yields that world's entries exactly as a full scan
-        does.  Dtypes are compact (:func:`compact_uint`
-        candidates, ``int32`` flats while ``R * n < 2**31``, ``uint8``
-        times).
+        at hop ``time[i]``, where ``flat[i] = r * n + v``.  Without
+        ``rows`` the whole store is listed world by world, in one fixed
+        order within a world; with ``rows`` only those store rows are
+        listed, row by row in the given order, each row's entries in
+        the order a full scan lists them.  Dtypes are compact
+        (:func:`compact_uint` candidates, ``int32`` flats while
+        ``R * n < 2**31``, ``uint8`` times).
 
         Returns ``None`` when the entries would exceed ``max_entries``
         (checked before the arrays are built, so an oversized store
         never allocates them) or when the backend cannot produce them
         without defeating its own design (the lazy store would have to
         materialise every row).  The ensemble builds its candidate-major
-        reach index and the empty-state gain table from these triples.
+        reach index and the empty-state gain table from these triples,
+        and after a repair it lists just the changed rows.
         """
         return None
 
@@ -295,21 +414,49 @@ class DistanceBackend:
         self,
         updates: Dict[int, LiveEdgeWorld],
         candidate_indices: np.ndarray,
-    ) -> Optional[np.ndarray]:
+        tails: Dict[int, np.ndarray],
+    ) -> Optional[Rows]:
         """Patch the store after worlds ``updates`` changed in place.
 
         ``updates`` maps world index -> the world's *new*
         :class:`LiveEdgeWorld` (the repaired live-edge set after a
-        graph delta).  Only those worlds' slices of the store are
-        recomputed — the incremental-repair layer
+        graph delta), and ``tails[r]`` lists the tail nodes of the
+        edges whose coins re-thresholded in world ``r``.  A BFS from a
+        candidate that, in the *old* world, never reaches one of those
+        tails never reads a changed edge, so its row is unchanged; only
+        the rows that do reach one (a column read on the store) are
+        recomputed, all in one :func:`bfs_rows` call, and written back
+        in place.  The incremental-repair layer
         (:mod:`repro.influence.incremental`) guarantees every other
-        world's live-edge set (and hence its distances) is unchanged.
+        world is unchanged.
 
-        Returns the sorted candidate positions whose rows changed in at
-        least one world (the set a warm-started solver must refresh),
-        or ``None`` when the backend cannot enumerate them without
+        Returns the rows whose distances changed, as ``(world,
+        position)`` arrays sorted by world then position (their
+        positions are what a warm-started solver must refresh), or
+        ``None`` when the backend cannot enumerate them without
         materialising rows it never stored (the lazy store).
         """
+        if not updates:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        world, position = self._rows_reaching(tails)
+        new_rows = bfs_rows(
+            updates,
+            world,
+            candidate_indices[position],
+            len(candidate_indices) * next(iter(updates.values())).n,
+        )
+        return self._write_rows(world, position, new_rows)
+
+    def _rows_reaching(self, tails: Dict[int, np.ndarray]) -> Rows:
+        """Stored rows (sorted by world, then position) that reach one
+        of ``tails[r]`` in world ``r``."""
+        raise NotImplementedError
+
+    def _write_rows(
+        self, world: np.ndarray, position: np.ndarray, new_rows: np.ndarray
+    ) -> Optional[Rows]:
+        """Store ``new_rows`` (``uint8`` hops) at ``(world, position)``;
+        return the rows whose values changed."""
         raise NotImplementedError
 
     def memory_bytes(self) -> int:
@@ -399,7 +546,7 @@ class DenseBackend(DistanceBackend):
         return out
 
     def finite_entries(
-        self, worlds: Sequence[int], max_entries: int
+        self, max_entries: int, rows: Optional[Rows] = None
     ) -> Optional[Entries]:
         # Only finite entries matter (cutoffs never reach the
         # UNREACHABLE sentinel), and on live-edge worlds they are well
@@ -408,10 +555,20 @@ class DenseBackend(DistanceBackend):
         # soon as the entries outgrow ``max_entries``.
         n_worlds, n_candidates, n = self._distances.shape
         flat_dtype = flat_index_dtype(n_worlds, n)
+        if rows is not None:
+            world, position = rows
+            block = self._distances[world, position]  # (rows, n) gather
+            row, v_idx = np.nonzero(block != UNREACHABLE)
+            if row.size > max_entries:
+                return None
+            return (
+                position[row].astype(compact_uint(n_candidates)),
+                (world[row] * n + v_idx).astype(flat_dtype),
+                block[row, v_idx],
+            )
         candidates, flats, times = [], [], []
         total = 0
-        for r in worlds:
-            r = int(r)
+        for r in range(n_worlds):
             world = self._distances[r].reshape(-1)
             idx = np.flatnonzero(world != UNREACHABLE)  # (c, v) row-major
             total += idx.size
@@ -423,23 +580,28 @@ class DenseBackend(DistanceBackend):
             times.append(world[idx])
         return np.concatenate(candidates), np.concatenate(flats), np.concatenate(times)
 
-    def repair_worlds(
-        self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
-    ) -> np.ndarray:
-        if not updates:
-            return np.empty(0, dtype=np.int64)
+    def _rows_reaching(self, tails: Dict[int, np.ndarray]) -> Rows:
+        worlds, positions = [], []
+        for r in sorted(tails):
+            hit = np.flatnonzero(
+                (self._distances[r][:, tails[r]] != UNREACHABLE).any(axis=1)
+            )
+            worlds.append(np.full(hit.size, r, dtype=np.int64))
+            positions.append(hit)
+        return np.concatenate(worlds), np.concatenate(positions)
+
+    def _write_rows(
+        self, world: np.ndarray, position: np.ndarray, new_rows: np.ndarray
+    ) -> Rows:
         if not self._distances.flags.writeable:
             # A zero-copy view into the process-sharded build's shared
             # memory may be read-only; repair proceeds in a private
             # copy (the segment itself stays pristine for its owner).
             self._distances = self._distances.copy()
-        affected = np.zeros(self._distances.shape[1], dtype=bool)
-        for r in sorted(updates):
-            slab = updates[r].distances_from(candidate_indices)
-            changed = np.flatnonzero((slab != self._distances[r]).any(axis=1))
-            affected[changed] = True
-            self._distances[r] = slab
-        return np.flatnonzero(affected)
+        changed = (self._distances[world, position] != new_rows).any(axis=1)
+        world, position = world[changed], position[changed]
+        self._distances[world, position] = new_rows[changed]
+        return world, position
 
     def memory_bytes(self) -> int:
         return int(self._distances.nbytes)
@@ -568,38 +730,81 @@ class SparseBackend(DistanceBackend):
         return out
 
     def finite_entries(
-        self, worlds: Sequence[int], max_entries: int
+        self, max_entries: int, rows: Optional[Rows] = None
     ) -> Optional[Entries]:
         # The CSRs store exactly the finite (candidate, node, time)
         # triples, so the entries are a relabelling of their arrays.
         n_candidates, n = self._rows[0].shape
-        if sum(self._rows[int(r)].nnz for r in worlds) > max_entries:
-            return None
         flat_dtype = flat_index_dtype(len(self._rows), n)
-        row_ids = np.arange(n_candidates, dtype=compact_uint(n_candidates))
+        candidate_dtype = compact_uint(n_candidates)
         candidates, flats, times = [], [], []
-        for r in worlds:
-            mat = self._rows[int(r)]
-            candidates.append(np.repeat(row_ids, np.diff(mat.indptr)))
-            flats.append(mat.indices.astype(flat_dtype) + flat_dtype(int(r) * n))
-            times.append(mat.data - np.uint8(1))  # stored as distance + 1
+        if rows is not None:
+            spans = [
+                (r, p, self._rows[r].indptr[p], self._rows[r].indptr[p + 1])
+                for r, p in zip(rows[0].tolist(), rows[1].tolist())
+            ]
+            if sum(hi - lo for _, _, lo, hi in spans) > max_entries:
+                return None
+            for r, p, lo, hi in spans:
+                mat = self._rows[r]
+                candidates.append(np.full(hi - lo, p, dtype=candidate_dtype))
+                flats.append(mat.indices[lo:hi].astype(flat_dtype) + flat_dtype(r * n))
+                times.append(mat.data[lo:hi] - np.uint8(1))  # stored as distance + 1
+        else:
+            if sum(mat.nnz for mat in self._rows) > max_entries:
+                return None
+            row_ids = np.arange(n_candidates, dtype=candidate_dtype)
+            for r, mat in enumerate(self._rows):
+                candidates.append(np.repeat(row_ids, np.diff(mat.indptr)))
+                flats.append(mat.indices.astype(flat_dtype) + flat_dtype(r * n))
+                times.append(mat.data - np.uint8(1))
         return np.concatenate(candidates), np.concatenate(flats), np.concatenate(times)
 
-    def repair_worlds(
-        self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
-    ) -> np.ndarray:
-        if not updates:
-            return np.empty(0, dtype=np.int64)
-        affected = np.zeros(self._rows[0].shape[0], dtype=bool)
-        for r in sorted(updates):
-            mat = _batched_bfs_distances(updates[r], candidate_indices)
-            # Both operands come from ``_batched_bfs_distances`` (or the
-            # procbuild equivalent), which never stores explicit zeros,
-            # so sparse ``!=`` sees exactly the semantic differences.
-            diff = (self._rows[r] != mat).tocsr()
-            affected[np.flatnonzero(np.diff(diff.indptr))] = True
-            self._rows[r] = mat
-        return np.flatnonzero(affected)
+    def _rows_reaching(self, tails: Dict[int, np.ndarray]) -> Rows:
+        worlds, positions = [], []
+        for r in sorted(tails):
+            mat = self._rows[r]
+            is_tail = np.zeros(mat.shape[1], dtype=bool)
+            is_tail[tails[r]] = True
+            # Running count of tail entries: a row reaches a tail iff
+            # the count grows across the row's span.
+            seen = np.concatenate(([0], np.cumsum(is_tail[mat.indices])))
+            hit = np.flatnonzero(seen[mat.indptr[1:]] > seen[mat.indptr[:-1]])
+            worlds.append(np.full(hit.size, r, dtype=np.int64))
+            positions.append(hit)
+        return np.concatenate(worlds), np.concatenate(positions)
+
+    def _write_rows(
+        self, world: np.ndarray, position: np.ndarray, new_rows: np.ndarray
+    ) -> Rows:
+        changed_world = [np.empty(0, dtype=np.int64)]
+        changed_position = [np.empty(0, dtype=np.int64)]
+        ids, starts = np.unique(world, return_index=True)
+        for r, lo, hi in zip(ids.tolist(), starts, np.append(starts[1:], world.size)):
+            mat, rows, new = self._rows[r], position[lo:hi], new_rows[lo:hi]
+            a, b = mat.indptr[rows], mat.indptr[rows + 1]
+            entries = concat_ranges(a, b)
+            old = np.full(new.shape, UNREACHABLE, dtype=np.uint8)
+            old[np.repeat(np.arange(rows.size), b - a), mat.indices[entries]] = (
+                mat.data[entries] - np.uint8(1)
+            )
+            changed = (old != new).any(axis=1)
+            if not changed.any():
+                continue
+            rows, new = rows[changed], new[changed]
+            row, v_idx = np.nonzero(new != UNREACHABLE)
+            # A fresh CSR per repaired world: the old one may be a
+            # read-only view into a process build's shared memory.
+            self._rows[r] = replace_csr_rows(
+                mat,
+                rows,
+                v_idx,
+                new[row, v_idx] + np.uint8(1),
+                np.bincount(row, minlength=rows.size),
+            )
+            changed_world.append(np.full(rows.size, r, dtype=np.int64))
+            changed_position.append(rows)
+        return np.concatenate(changed_world), np.concatenate(changed_position)
 
     def memory_bytes(self) -> int:
         return int(
@@ -694,28 +899,47 @@ class LazyBackend(DistanceBackend):
         return out
 
     def repair_worlds(
-        self, updates: Dict[int, LiveEdgeWorld], candidate_indices: np.ndarray
+        self,
+        updates: Dict[int, LiveEdgeWorld],
+        candidate_indices: np.ndarray,
+        tails: Dict[int, np.ndarray],
     ) -> None:
-        if not updates:
-            return None
         # Swap in the new worlds first: any row rebuilt from here on
         # (including a cache miss racing this repair) sees the repaired
-        # live-edge sets.
+        # live-edge sets.  Then patch the *cached* rows that reach a
+        # re-flipped edge; uncached candidates were never materialised,
+        # so the changed rows cannot be enumerated without defeating
+        # the lazy design.
         for r, world in updates.items():
             self._worlds[int(r)] = world
-        # Patch the changed worlds' rows of every *cached* entry in
-        # place — a repair touches a handful of worlds, so re-BFSing
-        # just those rows is far cheaper than evicting whole entries
-        # and rebuilding all R worlds on the next hit.
+        super().repair_worlds(updates, candidate_indices, tails)
+        return None
+
+    def _rows_reaching(self, tails: Dict[int, np.ndarray]) -> Rows:
         with self._cache_lock:
             cached = list(self._cache.items())
-        items = sorted(int(r) for r in updates)
+        ids = sorted(tails)
+        n = self._worlds[0].n
+        flat_tails = np.concatenate([r * n + tails[r] for r in ids])
+        tail_world = np.repeat(ids, [tails[r].size for r in ids])
+        worlds, positions = [], []
         for position, rows in cached:
-            source = [int(self._candidate_indices[position])]
-            for r in items:
-                rows[r] = self._worlds[r].distances_from(source)[0]
-        # Uncached candidates were never materialised, so the affected
-        # set cannot be enumerated without defeating the lazy design.
+            hit = np.unique(tail_world[rows.reshape(-1)[flat_tails] != UNREACHABLE])
+            worlds.append(hit)
+            positions.append(np.full(hit.size, position, dtype=np.int64))
+        world = np.concatenate(worlds + [np.empty(0, dtype=np.int64)])
+        position = np.concatenate(positions + [np.empty(0, dtype=np.int64)])
+        order = np.lexsort((position, world))
+        return world[order], position[order]
+
+    def _write_rows(
+        self, world: np.ndarray, position: np.ndarray, new_rows: np.ndarray
+    ) -> None:
+        with self._cache_lock:
+            for r, p, row in zip(world.tolist(), position.tolist(), new_rows):
+                rows = self._cache.get(p)
+                if rows is not None:
+                    rows[r] = row
         return None
 
     @property

@@ -102,11 +102,14 @@ from repro.diffusion.worlds import (
 )
 from repro.influence.backends import (
     DistanceBackend,
+    Rows,
     batch_gains,
     check_backend_name,
     compact_uint,
+    concat_ranges,
     flat_index_dtype,
     make_backend,
+    splice,
 )
 from repro.influence.deadlines import clip_deadline as _clip_deadline
 from repro.influence.procbuild import (
@@ -283,11 +286,15 @@ class WorldEnsemble:
         sampler = sampler_for(model)  # validates the model up front
         rng = ensure_rng(seed)
         children = rng.spawn(n_worlds)
-        # Kept so the incremental-repair layer can recover each world's
-        # sampling key at any time: the key is a pure function of a
-        # child's SeedSequence, never of its draw position (see
-        # ``repro.diffusion.worlds.ic_world_key``).
-        self._world_children = children
+        # Each IC world's sampling key, kept for the incremental-repair
+        # layer.  The key is a pure function of a child's SeedSequence,
+        # never of its draw position (see
+        # ``repro.diffusion.worlds.ic_world_key``), so it equals the key
+        # the (serial or worker-process) sampler uses, and the
+        # generators themselves need not outlive the build.
+        self._world_keys: Optional[List[int]] = (
+            [ic_world_key(child) for child in children] if model == "ic" else None
+        )
         self._shared_segments: List[SharedSegment] = []
         self._closed = False
         store = None
@@ -354,7 +361,6 @@ class WorldEnsemble:
         # deltas, and each repair's affected-candidate set (``None`` =
         # unknown; warm-started solvers must then refresh everything).
         self._graph_version = graph.version
-        self._world_keys: Optional[List[int]] = None
         self._delta_lineage: List[str] = []
         self._repair_log: List[Optional[np.ndarray]] = []
 
@@ -401,20 +407,16 @@ class WorldEnsemble:
     def world_keys(self) -> List[int]:
         """Each world's 64-bit sampling key (IC ensembles only).
 
-        Recovered idempotently from the per-world RNG children — valid
+        Derived at build time from the per-world RNG children — valid
         whether the worlds were built serially or by worker processes
-        (workers receive pickled child *copies*; the parent's children
-        are never consumed).
+        (workers receive pickled child *copies* with the same seed
+        sequences).
         """
-        if self.model != "ic":
+        if self._world_keys is None:
             raise EstimationError(
                 f"world keys exist only for the keyed IC sampler, not "
                 f"model {self.model!r}"
             )
-        if self._world_keys is None:
-            self._world_keys = [
-                ic_world_key(child) for child in self._world_children
-            ]
         return self._world_keys
 
     def apply_delta(self, delta) -> "Any":
@@ -423,46 +425,43 @@ class WorldEnsemble:
 
         Re-flips only the touched edges' coins (one keyed draw per
         (world, edge) pair), swaps the worlds whose live-edge set
-        changed, and recomputes only those worlds' slices of the
-        distance store — after which every query answers exactly as a
-        fresh build on the mutated graph would, bit for bit.  Returns
-        the :class:`~repro.influence.incremental.RepairReport`.
+        changed, and recomputes only the distance rows of candidates
+        that reach a re-flipped edge — after which every query answers
+        exactly as a fresh build on the mutated graph would, bit for
+        bit.  Returns the :class:`~repro.influence.incremental.RepairReport`.
         """
         from repro.influence.incremental import repair_ensemble
 
         return repair_ensemble(self, delta)
 
     def _note_repair(
-        self,
-        version: int,
-        fingerprint: str,
-        affected: Optional[np.ndarray],
-        worlds: Optional[Sequence[int]] = None,
-    ) -> None:
+        self, version: int, fingerprint: str, rows: Optional[Rows]
+    ) -> Optional[np.ndarray]:
         """Record a completed repair (called by the incremental layer).
 
-        ``worlds`` names the world indices whose store slices the repair
-        recomputed.  The reach index (and its gain table) summarises
-        the store, so those worlds' entries are rescanned and patched
-        in; every other world's entries are unchanged.  When the repair
-        cannot name its worlds or affected candidates, the index is
-        dropped and the next query rebuilds it from the repaired store.
-        (The sweep code base depends only on the group partition and
-        survives.)
+        ``rows`` are the ``(world, position)`` store rows the repair
+        changed.  The reach index (and its gain table) summarises the
+        store, so exactly those rows' entries are re-listed and patched
+        in; every other row's entries are unchanged.  When the repair
+        cannot name its rows (lazy store, or an unnamed repair), the
+        index is dropped and the next query rebuilds it from the
+        repaired store.  (The sweep code base depends only on the group
+        partition and survives.)  Returns the affected candidate
+        positions it logged (``None`` = unknown).
         """
+        affected = None if rows is None else np.unique(rows[1])
         self._graph_version = version
         self._delta_lineage.append(fingerprint)
-        self._repair_log.append(
-            None if affected is None else np.asarray(affected, dtype=np.int64)
-        )
+        self._repair_log.append(affected)
         with self._empty_table_lock:
             reach = self._reach
-            if reach is None or affected is None or worlds is None:
+            if reach is None or rows is None:
                 self._reach = None
                 self._reach_missing = False
-            elif len(worlds):
-                self._reach = self._patched_reach(reach, worlds)
+            elif rows[0].size:
+                self._reach = self._patched_reach(reach, rows)
                 self._reach_missing = self._reach is None
+        return affected
 
     def _check_fresh(self) -> None:
         """Refuse to serve estimates for a graph the store doesn't match.
@@ -876,7 +875,7 @@ class WorldEnsemble:
             with self._empty_table_lock:
                 if self._reach is None and not self._reach_missing:
                     entries = self._backend.finite_entries(
-                        range(self.n_worlds), self._max_reach_entries()
+                        self._max_reach_entries()
                     )
                     if entries is None:
                         self._reach_missing = True
@@ -898,44 +897,82 @@ class WorldEnsemble:
         np.cumsum(np.bincount(candidate, minlength=n_candidates), out=offsets[1:])
         group = self._group_index[flat % self.n].astype(compact_uint(k))
         n_bins = int(time.max()) + 1 if time.size else 1
-        codes = (candidate.astype(np.int64) * k + group) * n_bins + time
-        table = np.bincount(codes, minlength=n_candidates * k * n_bins)
-        table = table.reshape(n_candidates, k, n_bins)
-        np.cumsum(table, axis=2, out=table)
+        table = self._time_table(candidate, n_candidates, group, time, n_bins)
         return _ReachIndex(offsets, flat, time, group, table)
 
-    def _patched_reach(
-        self, reach: _ReachIndex, worlds: Sequence[int]
-    ) -> Optional[_ReachIndex]:
-        """``reach`` with the entries of ``worlds`` rescanned from the store.
+    def _time_table(
+        self,
+        row: np.ndarray,
+        n_rows: int,
+        group: np.ndarray,
+        time: np.ndarray,
+        n_bins: int,
+    ) -> np.ndarray:
+        """Cumulative ``(n_rows, k, n_bins)`` time histogram of entries
+        ``(row, group, time)`` — the gain-table rows, by one bincount."""
+        k = len(self.group_names)
+        codes = (row.astype(np.int64) * k + group) * n_bins + time
+        table = np.bincount(codes, minlength=n_rows * k * n_bins)
+        table = table.reshape(n_rows, k, n_bins)
+        np.cumsum(table, axis=2, out=table)
+        return table
 
-        Drops those worlds' entries, lists their new ones, and merges
-        them in at their ``(candidate, world)`` key — the order a fresh
-        build produces — so the result equals a full rebuild array for
-        array.  ``None`` if the patched index outgrows the limit.
+    def _patched_reach(self, reach: _ReachIndex, rows: Rows) -> Optional[_ReachIndex]:
+        """``reach`` with the entries of store ``rows`` re-listed.
+
+        Entries are sorted by ``(candidate, world)``, so each changed
+        row owns one contiguous segment: it is cut out and the row's
+        new entries are spliced in at the same place — the order a
+        fresh build produces.  Offsets move by each candidate's count
+        change, and only the changed candidates' gain-table rows are
+        recounted (the others are re-cut to the new bin count, which is
+        exact because their entries did not move), so the result equals
+        a full rebuild array for array.  ``None`` if the patched index
+        outgrows the limit.
         """
-        worlds = sorted({int(r) for r in worlds})
-        repaired = np.zeros(self.n_worlds, dtype=bool)
-        repaired[worlds] = True
-        world_of = reach.flat // self.n
-        keep = ~repaired[world_of]
+        n_worlds, n = self.n_worlds, self.n
+        world, position = (np.asarray(part, dtype=np.int64) for part in rows)
+        row_key = position * n_worlds + world
+        order = np.argsort(row_key)
+        row_key, world, position = row_key[order], world[order], position[order]
+        entry_key = np.repeat(
+            np.arange(self.n_candidates, dtype=np.int64) * n_worlds,
+            np.diff(reach.offsets),
+        ) + reach.flat // n
+        lo = np.searchsorted(entry_key, row_key, side="left")
+        hi = np.searchsorted(entry_key, row_key, side="right")
+        kept = reach.flat.size - int((hi - lo).sum())
         entries = self._backend.finite_entries(
-            worlds, self._max_reach_entries() - int(np.count_nonzero(keep))
+            self._max_reach_entries() - kept, (world, position)
         )
         if entries is None:
             return None
         candidate, flat, time = entries
-        kept_candidate = np.repeat(
-            np.arange(self.n_candidates, dtype=np.int64), np.diff(reach.offsets)
-        )[keep]
-        kept_key = kept_candidate * self.n_worlds + world_of[keep]
-        new_key = candidate.astype(np.int64) * self.n_worlds + flat // self.n
-        order = np.argsort(new_key, kind="stable")
-        at = np.searchsorted(kept_key, new_key[order])
-        return self._assemble_reach(
-            np.insert(kept_candidate, at, candidate[order]),
-            np.insert(reach.flat[keep], at, flat[order]),
-            np.insert(reach.time[keep], at, time[order]),
+        new_key = candidate.astype(np.int64) * n_worlds + flat // n
+        counts = np.searchsorted(new_key, row_key, side="right") - np.searchsorted(
+            new_key, row_key, side="left"
+        )
+        time = splice(reach.time, lo, hi, time, counts)
+        group = splice(reach.group, lo, hi, self._group_index[flat % n], counts)
+        growth = np.zeros(self.n_candidates + 1, dtype=np.int64)
+        np.add.at(growth, position + 1, counts - (hi - lo))
+        offsets = reach.offsets + np.cumsum(growth)
+        n_bins = int(time.max()) + 1 if time.size else 1
+        table = reach.table[
+            :, :, np.minimum(np.arange(n_bins), reach.table.shape[2] - 1)
+        ]
+        changed = np.unique(position)
+        starts, stops = offsets[changed], offsets[changed + 1]
+        at = concat_ranges(starts, stops)
+        table[changed] = self._time_table(
+            np.repeat(np.arange(changed.size), stops - starts),
+            changed.size,
+            group[at],
+            time[at],
+            n_bins,
+        )
+        return _ReachIndex(
+            offsets, splice(reach.flat, lo, hi, flat, counts), time, group, table
         )
 
     def _empty_state_table(self) -> Optional[np.ndarray]:

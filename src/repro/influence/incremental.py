@@ -17,12 +17,18 @@ u, v)``, independent of every other edge.  Applying a
 1. resolve the delta against the pre-mutation graph into per-edge
    ``(p_old, p_new)`` pairs (``0.0`` encodes absent / removed);
 2. draw the touched edges' uniforms in every world (one SplitMix64
-   evaluation per (world, edge) pair — the only "resampling" done);
+   evaluation per (world, edge) pair, all worlds in one vectorised
+   pass — the only "resampling" done);
 3. worlds where ``(U < p_old) != (U < p_new)`` somewhere have a changed
-   live-edge set; patch exactly those edges in exactly those worlds;
-4. hand the changed worlds to the distance backend's
-   :meth:`~repro.influence.backends.DistanceBackend.repair_worlds`,
-   which recomputes only their slices of the store.
+   live-edge set; patch exactly those edges in exactly those worlds'
+   adjacency rows;
+4. hand the changed worlds, with the tails of their re-flipped edges,
+   to the distance backend's
+   :meth:`~repro.influence.backends.DistanceBackend.repair_worlds`.
+   A candidate's row can change only if it reaches such a tail in the
+   old world, so only those rows are recomputed (one batched BFS over
+   every changed world) and written back; the reach index then
+   re-lists exactly the rows whose distances changed.
 
 Because untouched edges keep their coins and touched edges re-threshold
 the *same* coin a from-scratch build would draw, the repaired ensemble
@@ -36,16 +42,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import EstimationError
-from repro.diffusion.worlds import (
-    LiveEdgeWorld,
-    _world_from_edges,
-    edge_codes,
-    keyed_edge_uniforms,
-)
+from repro.diffusion.worlds import LiveEdgeWorld, keyed_edge_uniforms
 from repro.graph.delta import GraphDelta
 from repro.graph.digraph import DiGraph
+from repro.influence.backends import Rows, concat_ranges, splice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.influence.ensemble import WorldEnsemble
@@ -130,25 +133,43 @@ def patch_world(
 ) -> LiveEdgeWorld:
     """The world's live-edge set after re-thresholding the plan's edges.
 
-    Drops edges whose coin kept them under ``p_old`` but not ``p_new``,
-    adds the converse, and rebuilds the adjacency through the very same
-    COO→CSR constructor as a from-scratch sample — so the patched world
-    is bit-identical to resampling the mutated graph under the world's
-    key.
+    Drops edges whose coin kept them under ``p_old`` but not ``p_new``
+    and adds the converse, as single-entry edits of the world's
+    canonical CSR (rows sorted, no duplicates): a dropped edge was live
+    and is cut out, an added one was not and is spliced in at its
+    sorted place.  The patched adjacency is bit-identical to
+    resampling the mutated graph under the world's key.
     """
-    coo = world.adjacency.tocoo()
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
-    drop = kept_old & ~kept_new
-    add = ~kept_old & kept_new
-    if drop.any():
-        old_codes = edge_codes(rows, cols, world.n)
-        keep = ~np.isin(old_codes, edge_codes(plan.src[drop], plan.dst[drop], world.n))
-        rows, cols = rows[keep], cols[keep]
-    if add.any():
-        rows = np.concatenate([rows, plan.src[add]])
-        cols = np.concatenate([cols, plan.dst[add]])
-    return _world_from_edges(world.n, rows, cols)
+    adjacency, n = world.adjacency, world.n
+    indptr = adjacency.indptr
+    flipped = np.flatnonzero(kept_old != kept_new)
+    order = np.argsort(plan.src[flipped] * n + plan.dst[flipped])
+    flipped = flipped[order]
+    src, dst, add = plan.src[flipped], plan.dst[flipped], kept_new[flipped]
+    # Each edit's place in the CSR: its row start plus the rank of its
+    # column among the row's columns (the row's exact slot for a drop,
+    # the sorted insertion slot for an add).  Sorted by edge code, the
+    # edits are ascending, disjoint segments for ``splice``.
+    rows = np.unique(src)
+    lo, hi = indptr[rows], indptr[rows + 1]
+    codes = np.repeat(rows * n, hi - lo) + adjacency.indices[concat_ranges(lo, hi)]
+    at = indptr[src] + (
+        np.searchsorted(codes, src * n + dst) - np.searchsorted(codes, src * n)
+    )
+    indices = splice(adjacency.indices, at, at + ~add, dst[add], add.astype(np.int64))
+    shift = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(shift, src + 1, np.where(add, 1, -1))
+    return LiveEdgeWorld(
+        n=n,
+        adjacency=sparse.csr_matrix(
+            (
+                np.ones(indices.size, dtype=adjacency.data.dtype),
+                indices,
+                (indptr + np.cumsum(shift)).astype(indptr.dtype),
+            ),
+            shape=adjacency.shape,
+        ),
+    )
 
 
 def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairReport:
@@ -156,9 +177,10 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
 
     The public entry point is
     :meth:`~repro.influence.ensemble.WorldEnsemble.apply_delta`, which
-    delegates here.  Mutates the graph (bumping its version), swaps the
-    changed worlds, patches the distance store, and records the delta
-    in the ensemble's lineage — after which the ensemble answers every
+    delegates here.  Mutates the graph (bumping its version; a frozen
+    graph is first replaced by a private copy), swaps the changed
+    worlds, patches the distance store, and records the delta in the
+    ensemble's lineage — after which the ensemble answers every
     query exactly as a fresh build on the mutated graph would.
     """
     if ensemble.closed:
@@ -177,28 +199,38 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
             "can no longer be trusted — rebuild the ensemble"
         )
     plan = plan_against(graph, delta)
+    if graph.frozen:
+        # A shared graph (a Session's per-dataset graph) is never
+        # mutated: the ensemble repairs against a private copy.
+        graph = ensemble.graph = graph.copy()
     graph.apply_delta(delta)
     # From here on the graph is mutated.  If anything below fails, we
     # deliberately do NOT record the new version on the ensemble: the
     # staleness guard then rejects every query on the half-repaired
     # store instead of serving wrong numbers.
     updates: Dict[int, LiveEdgeWorld] = {}
+    tails: Dict[int, np.ndarray] = {}
     if plan.n_edges == 0:
-        affected: Optional[np.ndarray] = np.empty(0, dtype=np.int64)
+        rows: Optional[Rows] = (np.empty(0, dtype=np.int64),) * 2
     else:
-        for r, key in enumerate(ensemble.world_keys):
-            uniforms = keyed_edge_uniforms(key, plan.src, plan.dst, ensemble.n)
-            kept_old = uniforms < plan.p_old
-            kept_new = uniforms < plan.p_new
-            if not (kept_old != kept_new).any():
-                continue
-            updates[r] = patch_world(ensemble.worlds[r], plan, kept_old, kept_new)
+        uniforms = keyed_edge_uniforms(
+            np.asarray(ensemble.world_keys, dtype=np.uint64),
+            plan.src,
+            plan.dst,
+            ensemble.n,
+        )  # (R, E)
+        kept_old = uniforms < plan.p_old
+        kept_new = uniforms < plan.p_new
+        flipped = kept_old != kept_new
+        for r in np.flatnonzero(flipped.any(axis=1)).tolist():
+            updates[r] = patch_world(ensemble.worlds[r], plan, kept_old[r], kept_new[r])
+            tails[r] = np.unique(plan.src[flipped[r]])
         for r, world in updates.items():
             ensemble.worlds[r] = world
-        affected = ensemble._backend.repair_worlds(
-            updates, ensemble._candidate_indices
+        rows = ensemble._backend.repair_worlds(
+            updates, ensemble._candidate_indices, tails
         )
-    ensemble._note_repair(graph.version, delta.fingerprint(), affected, sorted(updates))
+    affected = ensemble._note_repair(graph.version, delta.fingerprint(), rows)
     return RepairReport(
         delta_fingerprint=delta.fingerprint(),
         edges_touched=plan.n_edges,

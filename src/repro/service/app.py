@@ -35,9 +35,10 @@ steps, so every client always sees the complete trace.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.api.session import RunResult, Session, _jsonify_label
 from repro.api.specs import RunSpec
@@ -127,7 +128,9 @@ class SolveService:
         )
         self._flights: Dict[str, _Flight] = {}
         self._builds: Dict[Tuple[str, Any], "asyncio.Task[Any]"] = {}
-        self._delta_locks: Dict[Tuple[str, Any], asyncio.Lock] = {}
+        # Per-ensemble delta locks with their holder + waiter counts;
+        # an entry lives only while someone holds or awaits it.
+        self._delta_locks: Dict[Tuple[str, Any], Tuple[asyncio.Lock, int]] = {}
         self._active = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -343,10 +346,8 @@ class SolveService:
             # never deduped — two identical deltas are two mutations (the
             # second fails validation against the mutated graph, which is
             # the correct answer, not a cache hit).
-            key = self._build_key(spec)
-            lock = self._delta_locks.setdefault(key, asyncio.Lock())
             loop = asyncio.get_running_loop()
-            async with lock:
+            async with self._delta_lock(self._build_key(spec)):
                 self.counters["solves"] += 1
                 work = loop.run_in_executor(
                     self._executor, self.session.resolve, spec, delta
@@ -363,6 +364,23 @@ class SolveService:
             raise HttpError(422, str(exc)) from None
         finally:
             self._release()
+
+    @contextlib.asynccontextmanager
+    async def _delta_lock(self, key: Tuple[str, Any]) -> AsyncIterator[None]:
+        """Hold ``key``'s delta lock; drop its entry when the last holder
+        releases with no waiter left (every ensemble that ever saw a
+        delta would otherwise keep one forever)."""
+        lock, users = self._delta_locks.get(key, (asyncio.Lock(), 0))
+        self._delta_locks[key] = (lock, users + 1)
+        try:
+            async with lock:
+                yield
+        finally:
+            lock, users = self._delta_locks[key]
+            if users == 1:
+                del self._delta_locks[key]
+            else:
+                self._delta_locks[key] = (lock, users - 1)
 
     # ------------------------------------------------------------------
     # flights

@@ -7,7 +7,9 @@ sharing an :class:`EnsembleSpec` share one built ensemble.
 """
 
 import math
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.cover import solve_fair_tcim_cover
 from repro.datasets.synthetic import synthetic_sbm
 from repro.errors import ConfigError
+from repro.graph.delta import GraphDelta
 from repro.influence.backends import BACKEND_NAMES
 from repro.influence.ensemble import WorldEnsemble
 
@@ -184,6 +187,65 @@ class TestEnsembleCache:
         session.ensemble_for(ensemble_spec())
         session.clear_cache()
         assert session.cache_info["entries"] == 0
+
+
+class TestSharedDatasetGraphs:
+    """Estimators built from one dataset share a frozen graph; a delta
+    repairs its ensemble against a private copy."""
+
+    def test_one_frozen_graph_per_dataset(self):
+        session = Session()
+        a = session.ensemble_for(ensemble_spec(world_seed=1))
+        b = session.ensemble_for(ensemble_spec(world_seed=2, n_worlds=4))
+        rr = session.ensemble_for(ensemble_spec(kind="rrset", theta=50))
+        other = session.ensemble_for(ensemble_spec(dataset_seed=DATASET_SEED + 1))
+        assert a.graph is b.graph is rr.graph
+        assert a.graph.frozen
+        assert other.graph is not a.graph
+        # The memo holds graphs only while an estimator does.
+        del a, b, rr, other
+        session.clear_cache()
+        assert len(session._graphs) == 0
+
+    def test_delta_leaves_siblings_on_the_pristine_graph(self):
+        session = Session()
+        spec = RunSpec(
+            ensemble=ensemble_spec(world_seed=1),
+            solver=SolverSpec(problem="budget", deadline=DEADLINE, budget=3),
+        )
+        sibling = RunSpec(ensemble=ensemble_spec(world_seed=2), solver=spec.solver)
+        session.solve(spec)
+        before = session.solve(sibling)
+        shared = session.ensemble_for(sibling.ensemble).graph
+        version = shared.version
+        u, v, _ = next(iter(shared.edges()))
+        session.resolve(spec, GraphDelta(reweights=((u, v, 0.9),)))
+        repaired = session.ensemble_for(spec.ensemble).graph
+        assert repaired is not shared and not repaired.frozen
+        assert repaired.edge_probability(u, v) == 0.9
+        assert shared.version == version and shared.edge_probability(u, v) != 0.9
+        after = session.solve(sibling)
+        assert after.seeds == before.seeds and after.objective == before.objective
+        assert session.ensemble_for(ensemble_spec(world_seed=3)).graph is shared
+
+    def test_concurrent_builds_share_one_graph(self):
+        # More threads than cores, switching often: racing first builds
+        # of one dataset must still end on a single shared graph.  Serial
+        # builds: forking build workers from racing threads can hang.
+        session = Session(execution=ExecutionSpec(build_workers=1))
+        specs = [ensemble_spec(world_seed=seed, n_worlds=2) for seed in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(session.ensemble_for, spec) for spec in specs]
+                ensembles = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(ensemble.graph) for ensemble in ensembles}) == 1
+        reference = Session().ensemble_for(specs[5])
+        for mine, theirs in zip(ensembles[5].worlds, reference.worlds):
+            assert (mine.adjacency != theirs.adjacency).nnz == 0
 
 
 class FakeEstimator:

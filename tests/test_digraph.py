@@ -209,3 +209,42 @@ class TestTransformations:
     def test_repr(self, tiny_path):
         assert "n=4" in repr(tiny_path)
         assert "m=3" in repr(tiny_path)
+
+
+class TestFreezeAndCopy:
+    def graph(self):
+        graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)], p=0.4)
+        graph.set_group(0, "a")
+        return graph
+
+    def test_frozen_graph_refuses_every_mutation(self):
+        from repro.graph.delta import GraphDelta
+
+        graph = self.graph()
+        graph.freeze()
+        version = graph.version
+        mutations = [
+            lambda: graph.add_node(9),
+            lambda: graph.add_node(0, group="b"),
+            lambda: graph.add_edge(0, 2),
+            lambda: graph.add_undirected_edge(1, 0),
+            lambda: graph.remove_edge(0, 1),
+            lambda: graph.set_group(1, "b"),
+            lambda: graph.apply_delta(GraphDelta(removes=((0, 1),))),
+        ]
+        for mutate in mutations:
+            with pytest.raises(GraphError, match="frozen"):
+                mutate()
+        assert graph.version == version
+        assert graph.number_of_nodes() == 3 and graph.number_of_edges() == 3
+        assert graph.add_node(0) == 0  # re-adding without a group is a no-op
+
+    def test_copy_of_a_frozen_graph_is_mutable(self):
+        graph = self.graph()
+        graph.freeze()
+        twin = graph.copy()
+        assert not twin.frozen
+        assert list(twin.edges()) == list(graph.edges())
+        assert twin.nodes() == graph.nodes() and twin.group_of(0) == "a"
+        twin.remove_edge(0, 1)
+        assert graph.has_edge(0, 1) and not twin.has_edge(0, 1)

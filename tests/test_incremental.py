@@ -30,7 +30,7 @@ from repro.datasets.synthetic import synthetic_sbm
 from repro.errors import EstimationError, OptimizationError
 from repro.graph.delta import GraphDelta
 from repro.graph.groups import GroupAssignment
-from repro.influence.backends import BACKEND_NAMES
+from repro.influence.backends import BACKEND_NAMES, bfs_rows
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.rrsets import RRSetEstimator
 
@@ -224,6 +224,25 @@ class TestReachIndexRepair:
         after = ensemble.candidate_group_utilities_batch(state, [0, 1], DEADLINE)
         np.testing.assert_array_equal(after, before)
         assert ensemble._reach is not None
+
+
+class TestBfsRows:
+    """The batched repair BFS equals one BFS per row, however the
+    worlds are cut into block-diagonal chunks."""
+
+    @pytest.mark.parametrize("max_cells", [1, 90 * 4, 10**9])
+    def test_matches_per_world_bfs(self, max_cells):
+        graph, groups = sbm()
+        ensemble = WorldEnsemble(graph, groups, n_worlds=5, seed=WORLD_SEED)
+        worlds = dict(enumerate(ensemble.worlds))
+        world = np.array([0, 0, 1, 3, 3, 3, 4])
+        source = np.array([5, 17, 0, 2, 40, 89, 33])
+        expected = np.stack(
+            [worlds[int(r)].distances_from([int(v)])[0] for r, v in zip(world, source)]
+        )
+        np.testing.assert_array_equal(
+            bfs_rows(worlds, world, source, max_cells), expected
+        )
 
 
 class TestStaleness:

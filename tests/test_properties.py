@@ -591,3 +591,129 @@ class TestReachIndexOracle:
             ensemble.group_utilities(rebuilt, 2),
             _dense_reference(ensemble, rebuilt.best_time, 2),
         )
+
+
+# ---------------------------------------------------------------------------
+# incremental repair = fresh build on the mutated graph
+# ---------------------------------------------------------------------------
+def _repair_graph(seed: int, n: int) -> DiGraph:
+    rng = np.random.default_rng(seed)
+    graph = DiGraph()
+    for node in range(n):
+        graph.add_node(node, group=("a", "b")[node % 2])
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.25:
+                graph.add_edge(u, v, float(rng.choice([1.0, rng.uniform(0.05, 0.95)])))
+    return graph
+
+
+@st.composite
+def _delta_for(draw, graph):
+    """One valid delta on ``graph``: inserts, removes and reweights.
+
+    Probabilities of 1.0 (and removals of p = 1 edges) re-flip the edge
+    in every world; 0.0 re-flips it in every world that kept it.
+    """
+    from repro.graph.delta import GraphDelta
+
+    nodes = graph.nodes()
+    present = sorted((u, v) for u, v, _ in graph.edges())
+    absent = [(u, v) for u in nodes for v in nodes if u != v and not graph.has_edge(u, v)]
+    probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+    touched = draw(
+        st.lists(st.sampled_from(present), unique=True, max_size=min(4, len(present)))
+        if present else st.just([])
+    )
+    split = draw(st.integers(0, len(touched)))
+    inserts = draw(
+        st.lists(st.sampled_from(absent), unique=True, max_size=min(3, len(absent)))
+        if absent else st.just([])
+    )
+    return GraphDelta(
+        inserts=tuple((u, v, draw(probability)) for u, v in inserts),
+        removes=tuple(touched[:split]),
+        reweights=tuple((u, v, draw(probability)) for u, v in touched[split:]),
+    )
+
+
+def _store_rows(ensemble) -> np.ndarray:
+    """The ``(R, C, n)`` store, read through the backend's own fold."""
+    unreachable = np.full((ensemble.n_worlds, ensemble.n), 255, dtype=np.uint8)
+    return np.stack(
+        [ensemble.backend.min_with(unreachable, p) for p in range(ensemble.n_candidates)],
+        axis=1,
+    )
+
+
+def _assert_same_arrays(left, right, what):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(left, name), getattr(right, name)
+        np.testing.assert_array_equal(a, b, err_msg=f"{what}.{name}")
+        assert a.dtype == b.dtype, f"{what}.{name}: {a.dtype} != {b.dtype}"
+
+
+class TestRepairEqualsFreshBuild:
+    """An ensemble repaired through a sequence of deltas equals a fresh
+    build on the mutated graph array for array: worlds, store, reach
+    index, and ``RepairReport.affected`` is exactly the set of
+    candidates whose rows changed."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 14),
+        backend=st.sampled_from(["dense", "sparse", "lazy"]),
+        data=st.data(),
+    )
+    def test_repaired_equals_fresh(self, seed, n, backend, data):
+        graph = _repair_graph(seed, n)
+        # A candidate subset leaves some tails reachable from no candidate.
+        candidates = data.draw(
+            st.lists(st.sampled_from(graph.nodes()), min_size=1, max_size=n, unique=True)
+        )
+        build = dict(n_worlds=6, seed=seed + 1, backend=backend, candidates=candidates)
+        ensemble = WorldEnsemble(graph, GroupAssignment.from_graph(graph), **build)
+        if backend == "lazy":
+            ensemble.candidate_group_utilities_batch(
+                ensemble.empty_state(), range(0, ensemble.n_candidates, 2), 3
+            )
+        else:
+            assert ensemble._reach_index() is not None
+        deltas = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            delta = data.draw(_delta_for(graph))
+            before = None if backend == "lazy" else _store_rows(ensemble)
+            report = ensemble.apply_delta(delta)
+            deltas.append(delta)
+            if backend == "lazy":
+                # Lazy stores cannot name uncached rows; an empty delta
+                # changes none.
+                assert report.affected is None or report.edges_touched == 0
+            else:
+                changed = (before != _store_rows(ensemble)).any(axis=(0, 2))
+                np.testing.assert_array_equal(report.affected, np.flatnonzero(changed))
+
+        fresh_graph = _repair_graph(seed, n)
+        for delta in deltas:
+            fresh_graph.apply_delta(delta)
+        fresh = WorldEnsemble(fresh_graph, GroupAssignment.from_graph(fresh_graph), **build)
+        for r, (mine, theirs) in enumerate(zip(ensemble.worlds, fresh.worlds)):
+            _assert_same_arrays(mine.adjacency, theirs.adjacency, f"world {r}")
+        store, reference = ensemble.backend, fresh.backend
+        if backend == "dense":
+            np.testing.assert_array_equal(store._distances, reference._distances)
+        elif backend == "sparse":
+            for r, (mine, theirs) in enumerate(zip(store._rows, reference._rows)):
+                _assert_same_arrays(mine, theirs, f"store world {r}")
+        else:
+            for position, rows in store._cache.items():
+                np.testing.assert_array_equal(rows, reference._build_rows(position))
+            return
+        patched, rebuilt = ensemble._reach, fresh._reach_index()
+        assert patched is not None
+        for name in rebuilt._fields:
+            np.testing.assert_array_equal(
+                getattr(patched, name), getattr(rebuilt, name), err_msg=name
+            )
+            assert getattr(patched, name).dtype == getattr(rebuilt, name).dtype, name

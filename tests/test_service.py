@@ -14,6 +14,7 @@ Everything runs against an in-process server on an ephemeral port
 assumptions beyond loopback.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -29,6 +30,7 @@ from repro.api import (
     Session,
     SolverSpec,
 )
+from repro.api.datasets import build_dataset
 from repro.errors import ConfigError
 from repro.graph.delta import GraphDelta
 from repro.service import (
@@ -392,6 +394,60 @@ class TestHttpErrors:
         post(server.url, "/v1/solve", {"bogus": 1})
         status, stats = get(server.url, "/v1/stats")
         assert stats["counters"]["errors"] >= 1
+
+
+class TestDeltaLocks:
+    """Per-ensemble delta locks live only while a delta holds or awaits
+    them."""
+
+    def test_deltas_on_distinct_specs_leave_no_locks(self, server):
+        graph, _ = build_dataset("synthetic", SYN_PARAMS, 0)
+        u, v, _ = next(iter(graph.edges()))
+        good = {"reweights": [[int(u), int(v), 0.9]]}
+        missing = next(
+            (a, b) for a in graph.nodes() for b in graph.nodes()
+            if a != b and not graph.has_edge(a, b)
+        )
+        # Well-formed, but removes a missing edge: 422 after the lock.
+        bad = {"removes": [[int(missing[0]), int(missing[1])]]}
+        statuses = [
+            post(
+                server.url,
+                "/v1/delta",
+                {"spec": spec_dict(world_seed=seed), "delta": delta},
+            )[0]
+            for seed, delta in ((31, good), (32, bad), (33, good), (34, bad))
+        ]
+        assert statuses == [200, 422, 200, 422]
+        assert server.service._delta_locks == {}
+
+    def test_entry_outlives_waiters_and_cancellation(self):
+        service = SolveService(ServiceConfig())
+        key = ("fingerprint", "dense")
+        entered = []
+
+        async def enter(tag):
+            async with service._delta_lock(key):
+                entered.append(tag)
+
+        async def scenario():
+            async with service._delta_lock(key):
+                waiter = asyncio.ensure_future(enter("waiter"))
+                cancelled = asyncio.ensure_future(enter("cancelled"))
+                await asyncio.sleep(0)
+                assert service._delta_locks[key][1] == 3
+                cancelled.cancel()
+                await asyncio.sleep(0)
+                assert service._delta_locks[key][1] == 2
+                assert entered == []
+            await waiter
+            assert entered == ["waiter"]
+            assert service._delta_locks == {}
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            service._executor.shutdown()
 
 
 class TestBackpressure:

@@ -12,6 +12,7 @@ from repro.errors import EstimationError
 from repro.diffusion.models import simulate_ic
 from repro.diffusion.worlds import (
     UNREACHABLE,
+    keyed_edge_uniforms,
     sample_ic_world,
     sample_lt_world,
     sample_worlds,
@@ -40,6 +41,36 @@ class TestSampleIcWorld:
         a = sample_ic_world(graph, seed=3)
         b = sample_ic_world(graph, seed=3)
         assert (a.adjacency != b.adjacency).nnz == 0
+
+
+class TestKeyedEdgeUniforms:
+    SRC = np.array([0, 3, 7, 2**20])
+    DST = np.array([1, 0, 5, 9])
+    N = 2**21
+    #: SplitMix64 coins pinned as hex floats: worlds sampled, repaired
+    #: and compared against committed answers all rest on these bits.
+    PINNED = {
+        0: ["0x1.b9e279aa86e58p-2", "0x1.843bdbc9fb562p-1",
+            "0x1.c92ce5a7de26bp-1", "0x1.711eba36d4155p-1"],
+        12345: ["0x1.a376e72fb89fcp-3", "0x1.61caefdf2beadp-1",
+                "0x1.7ffbead080152p-2", "0x1.457c5d876236ap-2"],
+        2**64 - 1: ["0x1.d33ff0cfb7ed0p-1", "0x1.25d537fa2a1fap-1",
+                    "0x1.a3999b7244ffcp-1", "0x1.a0040d47b73bep-1"],
+    }
+
+    def test_pinned_values(self):
+        for key, expected in self.PINNED.items():
+            coins = keyed_edge_uniforms(key, self.SRC, self.DST, self.N)
+            assert [float(c).hex() for c in coins] == expected
+
+    def test_key_array_matches_one_call_per_key(self):
+        keys = np.array(list(self.PINNED), dtype=np.uint64)
+        coins = keyed_edge_uniforms(keys, self.SRC, self.DST, self.N)
+        assert coins.shape == (keys.size, self.SRC.size)
+        for row, key in zip(coins, self.PINNED):
+            np.testing.assert_array_equal(
+                row, keyed_edge_uniforms(key, self.SRC, self.DST, self.N)
+            )
 
 
 class TestDistances:
