@@ -12,16 +12,29 @@ The memory-footprint test additionally *asserts* the sparse backend's
 core promise (its store must be well under the dense tensor on the
 synthetic benchmark graph) and records the measured footprints in
 ``BENCH_estimator.json`` next to this file.
+
+The cold-build test times the two builds a cold request pays for — the
+dense distance store (``store_build``) and one horizon's RR index
+(``rr_index_build``) — against the code they replaced: one csgraph BFS
+per world, and an RR sampler that scans a dense ``visited`` matrix.
+It asserts equal outputs and that the frontier builds are no slower
+(the CI floor), and records both in the same JSON with ``cpu_count``.
 """
 
 import json
 import math
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import best_of, record_bench
+from repro.api.datasets import build_dataset
 from repro.datasets.synthetic import default_synthetic
-from repro.influence.backends import BACKEND_NAMES
+from repro.diffusion.worlds import sample_worlds
+from repro.influence import rrsets
+from repro.influence.backends import BACKEND_NAMES, DenseBackend
 from repro.influence.ensemble import WorldEnsemble
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_estimator.json"
@@ -153,7 +166,105 @@ def test_backend_memory_footprint(dataset):
         "sparse_over_dense": footprints["sparse"] / footprints["dense"],
         "lazy_cache_entries": lazy.backend.cache_entries,
     }
-    RESULTS_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    for key, value in record.items():
+        record_bench(key, value, RESULTS_PATH)
+
+
+def _dense_visited_rr_batch(
+    rev_indptr, rev_indices, rev_data, targets, depth_cap, rng, n
+):
+    """The RR batch sampler before the frontier change: the same level
+    loop, ending in one ``np.nonzero`` scan of the ``(batch, n)``
+    ``visited`` matrix (tests/test_frontier.py pins the equality)."""
+    batch = int(targets.size)
+    visited = np.zeros((batch, n), dtype=bool)
+    frontier_sets = np.arange(batch, dtype=np.int64)
+    frontier_nodes = targets.astype(np.int64)
+    visited[frontier_sets, frontier_nodes] = True
+    depth = 0
+    while frontier_nodes.size and depth < depth_cap:
+        depth += 1
+        starts = rev_indptr[frontier_nodes]
+        counts = rev_indptr[frontier_nodes + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        segment = np.repeat(np.arange(frontier_nodes.size), counts)
+        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        edges = starts[segment] + offsets
+        fires = rng.random(total) < rev_data[edges]
+        hit_sets = frontier_sets[segment][fires]
+        hit_nodes = rev_indices[edges][fires]
+        if hit_nodes.size == 0:
+            break
+        fresh = ~visited[hit_sets, hit_nodes]
+        hit_sets, hit_nodes = hit_sets[fresh], hit_nodes[fresh]
+        if hit_nodes.size == 0:
+            break
+        codes = np.unique(hit_sets * np.int64(n) + hit_nodes)
+        hit_sets, hit_nodes = codes // n, codes % n
+        visited[hit_sets, hit_nodes] = True
+        frontier_sets, frontier_nodes = hit_sets, hit_nodes
+    set_ids, nodes = np.nonzero(visited)
+    return set_ids.astype(np.int64), nodes.astype(np.int64)
+
+
+#: Cold-build cases: perfbench's sweep-cold graph shape and the two
+#: solve-warm ensembles.  RR indexes use sweep-cold's theta and horizon.
+COLD_CASES = (
+    ("synthetic-400", "synthetic", {"n": 400}, 30),
+    ("synthetic-500", "synthetic", {}, 100),
+    ("rice-1205", "rice", {}, 50),
+)
+RR_THETA, RR_HORIZON = 16000, 10
+
+
+def test_cold_builds_frontier_vs_reference(monkeypatch):
+    """Frontier store and RR-index builds: equal outputs, no slower."""
+    record = {"cpu_count": os.cpu_count(), "repeats": 5}
+    for name, dataset, params, n_worlds in COLD_CASES:
+        graph, assignment = build_dataset(dataset, params, 0)
+        n = graph.number_of_nodes()
+        worlds = sample_worlds(graph, n_worlds, seed=1)
+        candidates = np.arange(n)
+
+        def reference_store():
+            return np.stack([world.distances_from(candidates) for world in worlds])
+
+        def frontier_store():
+            return DenseBackend(worlds, candidates, n)._distances
+
+        np.testing.assert_array_equal(frontier_store(), reference_store())
+        store = {
+            "reference_s": round(best_of(reference_store, 5), 6),
+            "frontier_s": round(best_of(frontier_store, 5), 6),
+        }
+
+        estimator = rrsets.RRSetEstimator(graph, assignment, theta=RR_THETA, seed=1)
+
+        def rr_index():
+            return estimator._build_index(RR_HORIZON)
+
+        frontier_index = rr_index()
+        rr = {"frontier_s": round(best_of(rr_index, 5), 6)}
+        with monkeypatch.context() as patch:
+            patch.setattr(rrsets, "_sample_rr_batch", _dense_visited_rr_batch)
+            reference_index = rr_index()
+            rr["reference_s"] = round(best_of(rr_index, 5), 6)
+        for field in ("set_group", "cand_indptr", "cand_sets"):
+            np.testing.assert_array_equal(
+                getattr(frontier_index, field), getattr(reference_index, field)
+            )
+        for section in (store, rr):
+            section["speedup"] = round(section["reference_s"] / section["frontier_s"], 2)
+            assert section["frontier_s"] <= section["reference_s"], (name, section)
+        record[name] = {
+            "nodes": n,
+            "n_worlds": n_worlds,
+            "store_build": store,
+            "rr_index_build": rr,
+        }
+    record_bench("cold_builds", record, RESULTS_PATH)
 
 
 def test_rr_set_sampling(benchmark, dataset):

@@ -46,7 +46,6 @@ from repro.core.greedy import SelectionTrace, WarmStart
 from repro.errors import ConfigError, EstimationError
 from repro.graph.delta import GraphDelta
 from repro.influence.ensemble import WorldEnsemble
-from repro.influence.procbuild import LIBRARY_DEFAULT_BUILD_WORKERS
 from repro.influence.rrsets import build_rrset_estimator
 
 #: Ensembles a session keeps alive at once (LRU beyond this).  Small on
@@ -265,8 +264,8 @@ class Session:
         self.max_cached_ensembles = int(max_cached_ensembles)
         #: Byte bound on the ensemble cache (``None`` = entry-count LRU
         #: only).  Enforced on insertion: oldest entries are evicted —
-        #: shared-memory segments unlinked, warm traces pruned, exactly
-        #: as entry-count eviction — until the cache fits.  The newest
+        #: warm traces pruned, exactly as entry-count eviction — until
+        #: the cache fits.  The newest
         #: entry always stays (a single over-budget ensemble is served,
         #: not thrashed); live byte usage is in :attr:`cache_info`.
         self.cache_bytes = check_cache_bytes(cache_bytes, allow_none=True)
@@ -306,7 +305,9 @@ class Session:
         ``spec > session > process defaults > library default`` per
         field; the result has no ``None`` left.  ``workers`` is accepted
         for input compatibility only and always resolves to ``1``:
-        queries run serially.
+        queries run serially.  ``build_workers`` still resolves through
+        the chain (default ``1``) but has no effect either: builds run
+        in-process, and results echo ``build_workers: 1``.
         """
         spec = execution or ExecutionSpec()
 
@@ -323,7 +324,7 @@ class Session:
         return ExecutionSpec(
             backend=chain("backend", "auto"),
             workers=1,
-            build_workers=chain("build_workers", LIBRARY_DEFAULT_BUILD_WORKERS),
+            build_workers=chain("build_workers", 1),
         )
 
     # ------------------------------------------------------------------
@@ -341,11 +342,12 @@ class Session:
 
     @staticmethod
     def _release(estimator: Any) -> None:
-        """Unlink an evicted entry's shared-memory segments (if any).
+        """Call an evicted entry's optional ``unlink_shared`` hook.
 
-        ``unlink_shared`` drops the *names* only — live references keep
-        their mappings until they are collected, so an in-flight solve
-        on the evicted ensemble is unaffected.
+        The hook may release names the entry holds outside the heap;
+        live references stay usable, so an in-flight solve on the
+        evicted entry is unaffected.  The library's own estimators
+        hold everything on the heap and have no hook.
         """
         unlink = getattr(estimator, "unlink_shared", None)
         if unlink is not None:
@@ -394,11 +396,8 @@ class Session:
             del self._warm_traces[trace_key]
 
     def clear_cache(self) -> None:
-        """Drop every cached ensemble (counters are kept).
-
-        Shared-memory segments backing process-built ensembles are
-        unlinked as their entries drop, same as LRU eviction.
-        """
+        """Drop every cached ensemble (counters are kept), releasing
+        each entry as LRU eviction does."""
         with self._lock:
             for estimator in self._ensembles.values():
                 self._release(estimator)
@@ -463,7 +462,6 @@ class Session:
                 model=spec.model,
                 seed=spec.world_seed,
                 backend=resolved.backend,
-                build_workers=resolved.build_workers,
             )
         with self._lock:
             self.cache_builds += 1
@@ -506,7 +504,6 @@ class Session:
         candidates: Optional[Sequence[Any]] = None,
         model: str = "ic",
         backend: Optional[str] = None,
-        build_workers=None,
     ) -> WorldEnsemble:
         """Ensemble construction for callers holding a *graph object*
         (the experiment layer), through the same cache and chain.
@@ -516,20 +513,13 @@ class Session:
         entry keeps its graph alive (an ``id`` can only be reused after
         the object is collected, which the cache itself prevents).
         Non-integer seeds (generators, ``None``) are inherently
-        unreplayable, so those builds bypass the cache.  The requested
-        ``build_workers`` setting is part of the key, so each setting
-        gets its own entry — experiments pass a constant setting, so
-        sharing is unaffected in practice.
+        unreplayable, so those builds bypass the cache.
         """
         resolved_backend = backend
         if resolved_backend is None:
             resolved_backend = self.execution.backend
         if resolved_backend is None:
             resolved_backend = execution_defaults.get("backend", "auto")
-        # Like backend, build_workers is a build-time knob, so it chains
-        # through the session here.
-        if build_workers is None:
-            build_workers = self.execution.build_workers
 
         cacheable = isinstance(seed, int) and not isinstance(seed, bool)
         key = None
@@ -543,7 +533,6 @@ class Session:
                 model,
                 None if candidates is None else tuple(candidates),
                 resolved_backend,
-                build_workers,
             )
             cached = self._cache_get(key)
             if cached is not None:
@@ -556,7 +545,6 @@ class Session:
             model=model,
             seed=seed,
             backend=resolved_backend,
-            build_workers=build_workers,
         )
         with self._lock:
             self.cache_builds += 1
@@ -738,9 +726,7 @@ class Session:
             execution=ExecutionSpec(
                 backend=getattr(estimator, "backend_name", resolved.backend),
                 workers=resolved.workers,
-                # What the build actually engaged (1 for cached /
-                # serial-fallback / rrset builds), not a re-resolution.
-                build_workers=getattr(estimator, "build_workers_used", 1),
+                build_workers=1,  # every build runs in-process
             ),
         )
         report = solution.report

@@ -11,7 +11,7 @@ a *value*:
 - :class:`SolverSpec` — what to solve: budget (P1/P4) or cover
   (P2/P6), fair or unfair, with the paper's knobs (deadline, concave
   wrapper, weights, discount, quota, slack).
-- :class:`ExecutionSpec` — how to run it: backend / build_workers,
+- :class:`ExecutionSpec` — how to run it: the backend,
   every field optional (``None`` defers down the config chain).
   Execution never changes results, which is why it is a separate
   bundle: two runs with equal ensemble+solver specs are comparable
@@ -42,7 +42,6 @@ from repro.api.datasets import dataset_names
 from repro.core.concave import by_name as _concave_by_name
 from repro.errors import ConfigError, EstimationError, OptimizationError
 from repro.influence.backends import check_backend_name
-from repro.influence.procbuild import check_build_workers
 from repro.rng import check_seed
 
 #: Spec schema version written by ``to_dict`` and accepted by
@@ -65,8 +64,28 @@ def _config_error(exc: Exception) -> ConfigError:
     return ConfigError(str(exc))
 
 
-#: ``ExecutionSpec.workers`` sentinel, accepted for compatibility.
+#: ``ExecutionSpec.workers`` / ``build_workers`` sentinel, accepted
+#: for compatibility.
 AUTO_WORKERS = "auto"
+
+
+def _check_count(
+    name: str, value: Optional[Union[int, str]], allow_none: bool
+) -> Optional[Union[int, str]]:
+    """One rule for both worker knobs: ``int >= 1`` or ``"auto"``."""
+    if value is None:
+        if allow_none:
+            return None
+        raise EstimationError(f"{name} must be a positive int or 'auto', got None")
+    if value == AUTO_WORKERS:
+        return AUTO_WORKERS
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise EstimationError(
+            f"{name} must be a positive int or 'auto', got {value!r}"
+        )
+    if value < 1:
+        raise EstimationError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def check_workers(
@@ -78,19 +97,18 @@ def check_workers(
     and CLI invocations that set it stay valid under the same rule
     they always had.
     """
-    if workers is None:
-        if allow_none:
-            return None
-        raise EstimationError("workers must be a positive int or 'auto', got None")
-    if workers == AUTO_WORKERS:
-        return AUTO_WORKERS
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise EstimationError(
-            f"workers must be a positive int or 'auto', got {workers!r}"
-        )
-    if workers < 1:
-        raise EstimationError(f"workers must be >= 1, got {workers}")
-    return int(workers)
+    return _check_count("workers", workers, allow_none)
+
+
+def check_build_workers(
+    build_workers: Optional[Union[int, str]], allow_none: bool = False
+) -> Optional[Union[int, str]]:
+    """Validate a ``build_workers`` setting, by the ``workers`` rule.
+
+    The field has no effect — every build runs in-process — but spec
+    files and CLI invocations that set it stay valid.
+    """
+    return _check_count("build_workers", build_workers, allow_none)
 
 
 def _check_with(checker, value, *args, **kwargs):
@@ -473,17 +491,16 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How to run a solve — backend / build_workers.
+    """How to run a solve — the backend.
 
     Pure speed/memory knobs: no field ever changes a seed set, a trace,
     or an estimate (the library's determinism contract), which is why
     they live apart from the result-defining specs.  ``None`` defers
     down the chain: spec > session > process defaults
     (:data:`repro.config.execution_defaults`) > library default.
-    ``build_workers`` process-shards world construction (see
-    :mod:`repro.influence.procbuild`).  ``workers`` is accepted for
-    compatibility with existing spec files and has no effect: queries
-    run serially, and results echo ``workers: 1``.  It stays in
+    ``workers`` and ``build_workers`` are accepted for compatibility
+    with existing spec files and have no effect: queries and builds
+    run in-process, and results echo ``1`` for both.  Both stay in
     :meth:`to_dict` because sweep cell fingerprints hash this section.
     """
 

@@ -61,13 +61,11 @@ from repro.api import (
     Session,
     spec_template,
 )
-from repro.api.specs import AUTO_WORKERS, check_workers
-from repro.config import execution_defaults
+from repro.api.specs import AUTO_WORKERS, check_build_workers, check_workers
 from repro.errors import ConfigError, EstimationError, ReproError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.graph.delta import GraphDelta
 from repro.influence.backends import BACKEND_CHOICES
-from repro.influence.procbuild import AUTO_BUILD_WORKERS, check_build_workers
 from repro.rng import check_seed
 from repro.sweep import SweepSpec, is_sweep_dict, run_cell, run_sweep, sweep_template
 from repro.service.config import (
@@ -79,36 +77,27 @@ from repro.service.config import (
 )
 
 
-def _workers_arg(value: str):
-    """``--workers`` values: whatever ``check_workers`` accepts.
+def _count_arg(check):
+    """An argparse type for a worker-count flag: whatever ``check``
+    accepts (positive int or ``"auto"``).
 
-    One source of truth for the rules (positive int or ``"auto"``) —
-    only the error type is translated for argparse.
+    One source of truth for the rules — only the error type is
+    translated for argparse.
     """
-    candidate: object = value
-    if value != AUTO_WORKERS:
-        try:
-            candidate = int(value)
-        except ValueError:
-            pass  # let check_workers produce the canonical message
-    try:
-        return check_workers(candidate)
-    except EstimationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _build_workers_arg(value: str):
-    """``--build-workers``: whatever ``check_build_workers`` accepts."""
-    candidate: object = value
-    if value != AUTO_BUILD_WORKERS:
+    def parse(value: str):
+        candidate: object = value
+        if value != AUTO_WORKERS:
+            try:
+                candidate = int(value)
+            except ValueError:
+                pass  # let the checker produce the canonical message
         try:
-            candidate = int(value)
-        except ValueError:
-            pass  # let check_build_workers produce the canonical message
-    try:
-        return check_build_workers(candidate)
-    except EstimationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+            return check(candidate)
+        except EstimationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _size_arg(value: str) -> int:
@@ -402,7 +391,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=_count_arg(check_workers),
         default=None,
         metavar="N|auto",
         help=(
@@ -412,14 +401,12 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--build-workers",
-        type=_build_workers_arg,
+        type=_count_arg(check_build_workers),
         default=None,
         metavar="N|auto",
         help=(
-            "worker processes for shared-memory world construction "
-            "(default: the config chain, i.e. serial; 'auto' shards "
-            "across cores when the build is large enough; results are "
-            "bit-identical at every process count)"
+            "accepted for compatibility; no effect (builds run "
+            "in-process, results echo build_workers=1)"
         ),
     )
 
@@ -462,11 +449,6 @@ def _read_sweep(path: str) -> SweepSpec:
 
 
 def _cmd_run(args) -> int:
-    # The run pipeline reads the process-wide chain (experiments build
-    # ensembles through the default session), so the flags land in
-    # execution_defaults — already validated by the argparse types.
-    if args.build_workers is not None:
-        execution_defaults.set("build_workers", args.build_workers)
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
     failures = 0
     for experiment_id in ids:

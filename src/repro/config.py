@@ -2,8 +2,9 @@
 
 Plain mutable module globals are unserializable, unauditable, and racy
 under concurrent configuration — the opposite of what a service
-surface needs.  The library's execution knobs (estimator backend and
-build-worker count) therefore live in a single lock-protected store,
+surface needs.  The library's execution knobs (the estimator backend,
+and the ``build_workers`` setting sessions still resolve and ignore)
+therefore live in a single lock-protected store,
 :data:`execution_defaults`, and the declarative layer
 (:mod:`repro.api`) resolves every knob through an explicit chain::
 

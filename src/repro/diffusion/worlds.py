@@ -16,10 +16,13 @@ every node keeps at most one incoming edge, chosen with probability
 proportional to its weight.
 
 :class:`LiveEdgeWorld` wraps one sampled world as a
-``scipy.sparse.csr_matrix`` and exposes vectorised BFS distances, which
-is what makes the greedy sweeps in this library fast: distance tensors
-are computed once per world in C (``scipy.sparse.csgraph``) and reused
-across every candidate evaluation.
+``scipy.sparse.csr_matrix`` and exposes BFS distances through
+``scipy.sparse.csgraph`` (:meth:`LiveEdgeWorld.distances_from`,
+:func:`hop_distances`) — the public reference.  The distance stores
+behind the greedy solvers are built once per ensemble by a vectorised
+level-synchronous BFS over every ``(world, candidate)`` row at once
+(:func:`repro.influence.backends.bfs_rows`), equal to that reference
+array for array, and reused across every candidate evaluation.
 """
 
 from __future__ import annotations
@@ -117,9 +120,8 @@ def ic_world_key(seed: RngLike = None) -> int:
     a *pure function* of how the generator was seeded, independent of
     how many draws it has produced.  That idempotence is what lets the
     incremental-repair layer recover the key of an already-sampled
-    world from its RNG child at any time, in any process (the
-    process-sharded build pickles children to workers; parent and
-    worker copies share the seed sequence and therefore the key).
+    world from its RNG child at any time, in any process (a pickled
+    copy of a child shares its seed sequence and therefore its key).
     """
     rng = ensure_rng(seed)
     seed_seq = getattr(rng.bit_generator, "seed_seq", None) or getattr(

@@ -30,7 +30,6 @@ from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
 from repro.influence.backends import UtilityEstimator, check_backend_name
 from repro.influence.ensemble import InfluenceState, WorldEnsemble
-from repro.influence.procbuild import BuildWorkersLike
 from repro.core.budget import BudgetSolution, solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import ConcaveFunction, log1p, sqrt
 from repro.core.greedy import SelectionTrace
@@ -97,7 +96,6 @@ def build_ensemble(
     candidates: Optional[Sequence[NodeId]] = None,
     model: str = "ic",
     backend: Optional[str] = None,
-    build_workers: Optional[BuildWorkersLike] = None,
 ) -> WorldEnsemble:
     """Single point of ensemble construction for every experiment.
 
@@ -111,9 +109,8 @@ def build_ensemble(
     down the config chain (session execution, then the process default
     in :data:`repro.config.execution_defaults` — what the CLI's
     ``--backend`` flag and :func:`use_backend` set); any explicit name
-    wins.  Likewise ``build_workers=None`` defers to the chain.
-    Backends and build-worker counts change memory/speed only, never
-    the estimates, so figures are identical under all of them.
+    wins.  Backends change memory/speed only, never the estimates, so
+    figures are identical under all of them.
     """
     from repro.api.session import default_session
 
@@ -125,7 +122,6 @@ def build_ensemble(
         candidates=candidates,
         model=model,
         backend=backend,
-        build_workers=build_workers,
     )
 
 

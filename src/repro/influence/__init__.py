@@ -46,14 +46,6 @@ from repro.influence.backends import (
 )
 from repro.influence.deadlines import clip_deadline, simulation_horizon
 from repro.influence.ensemble import InfluenceState, WorldEnsemble
-from repro.influence.procbuild import (
-    AUTO_BUILD_WORKERS,
-    ProcessBuildUnavailable,
-    SharedSegment,
-    check_build_workers,
-    get_default_build_workers,
-    resolve_build_workers,
-)
 from repro.influence.exact import exact_group_utilities, exact_utility
 from repro.influence.incremental import (
     EdgePlan,
@@ -90,12 +82,6 @@ __all__ = [
     "check_backend_name",
     "make_backend",
     "select_backend",
-    "AUTO_BUILD_WORKERS",
-    "ProcessBuildUnavailable",
-    "SharedSegment",
-    "check_build_workers",
-    "get_default_build_workers",
-    "resolve_build_workers",
     "clip_deadline",
     "simulation_horizon",
     "exact_utility",

@@ -30,8 +30,8 @@ implementations:
     One ``scipy.sparse`` CSR matrix per world holding only the
     *finite* activation times (stored as ``distance + 1`` so the
     implicit zeros mean "unreachable") — O(total reachable pairs)
-    memory.  Rows are built by a batched frontier BFS: one sparse
-    matmul per BFS level advances every candidate's frontier at once.
+    memory.  Each world's rows come from the shared frontier BFS
+    (:func:`bfs_rows`), one world at a time.
     Right when worlds are sparse (low activation probability), which
     is exactly when the dense tensor wastes most of its bytes on the
     ``UNREACHABLE`` sentinel.
@@ -62,6 +62,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    Union,
     runtime_checkable,
 )
 
@@ -69,7 +70,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import EstimationError
-from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld, hop_distances
+from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld
 from repro.graph.digraph import NodeId
 
 #: Recognised backend names (plus the ``"auto"`` selector).
@@ -163,60 +164,85 @@ def replace_csr_rows(
     )
 
 
-def _block_diagonal(adjacencies: Sequence[sparse.csr_matrix]) -> sparse.csr_matrix:
-    """The ``n x n`` adjacencies side by side as one CSR graph.
+#: Byte budget for one frontier-BFS chunk's transients.  A row expands
+#: each node of its world at most once, so every level of a chunk
+#: gathers at most its rows' kept edges; rows are cut into chunks whose
+#: worlds' kept edges (plus one per row, for the source) times
+#: :data:`FRONTIER_EDGE_BYTES` stay within this budget.  A single row
+#: always runs, whatever its world's size.
+FRONTIER_CHUNK_BYTES = 32 << 20
 
-    Built from the CSR arrays directly: ``scipy.sparse.block_diag``
-    goes through COO and costs ~10x more at repair sizes.
-    """
-    n = adjacencies[0].shape[0]
-    offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
-    return sparse.csr_matrix(
-        (
-            np.concatenate([adj.data for adj in adjacencies]),
-            np.concatenate(
-                [adj.indices.astype(np.int64) + i * n for i, adj in enumerate(adjacencies)]
-            ),
-            np.concatenate(
-                [[0]] + [adj.indptr[1:] + offsets[i] for i, adj in enumerate(adjacencies)]
-            ),
-        ),
-        shape=(len(adjacencies) * n,) * 2,
-    )
+#: Upper bound on the transient bytes one gathered edge costs inside a
+#: BFS level (int64 ranges, rows and flat codes plus a sort copy).
+FRONTIER_EDGE_BYTES = 48
 
 
 def bfs_rows(
-    worlds: Dict[int, LiveEdgeWorld],
+    worlds: Union[Sequence[LiveEdgeWorld], Dict[int, LiveEdgeWorld]],
     world: np.ndarray,
     source: np.ndarray,
-    max_cells: int,
+    reached: Optional[List[np.ndarray]] = None,
 ) -> np.ndarray:
     """``uint8`` hop-distance rows: row ``i`` BFSes ``source[i]`` in
     ``worlds[world[i]]``.
 
-    ``world`` must be ascending.  The worlds' adjacencies are laid side
-    by side as one block-diagonal graph and every row is one source of
-    a single ``csgraph.shortest_path`` call, so a repair pays scipy's
-    per-call overhead once instead of once per world.  Worlds are cut
-    into consecutive chunks whose float64 result (rows x union width)
-    stays within ``max_cells``; one world's rows always fit when
-    ``max_cells`` is at least their count times ``n``.
+    The one BFS behind every distance store and repair.  The CSR arrays
+    of the named worlds are laid end to end, and all rows advance
+    level by level together: each level gathers the frontier's
+    out-edges with one ``np.repeat``, keeps the targets a row has not
+    reached yet and dedupes them with one ``np.unique``.  The output
+    doubles as the visited set; hops past ``UNREACHABLE - 1`` clip to
+    it, as in :func:`~repro.diffusion.worlds.hop_distances`.  Rows run
+    in chunks sized by :data:`FRONTIER_CHUNK_BYTES`.
+
+    With a ``reached`` list, the flat indices ``i * n + v`` of every
+    finite output entry are appended to it (in no particular order), so
+    a sparse store gets its entries without scanning the rows; they
+    cost 8 bytes each on top of the chunk budget.
     """
-    n = next(iter(worlds.values())).n
-    out = np.empty((world.size, n), dtype=np.uint8)
-    ids, starts = np.unique(world, return_index=True)
-    bounds = np.append(starts, world.size)
-    a = 0
-    while a < ids.size:
-        b = a + 1
-        while b < ids.size and (bounds[b + 1] - bounds[a]) * (b + 1 - a) * n <= max_cells:
-            b += 1
-        union = _block_diagonal([worlds[int(r)].adjacency for r in ids[a:b]])
-        lo, hi = bounds[a], bounds[b]
-        block = np.repeat(np.arange(b - a), np.diff(bounds[a : b + 1]))
-        hops = hop_distances(union, block * n + source[lo:hi])
-        out[lo:hi] = hops.reshape(hi - lo, b - a, n)[np.arange(hi - lo), block]
-        a = b
+    world = np.asarray(world, dtype=np.int64)
+    source = np.asarray(source, dtype=np.int64)
+    n = (next(iter(worlds.values())) if isinstance(worlds, dict) else worlds[0]).n
+    out = np.full((world.size, n), UNREACHABLE, dtype=np.uint8)
+    if world.size == 0:
+        return out
+    out[np.arange(world.size), source] = 0
+    ids, local = np.unique(world, return_inverse=True)
+    adjacencies = [worlds[int(r)].adjacency for r in ids]
+    edge_offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [adj.indptr[1:] + offset for adj, offset in zip(adjacencies, edge_offsets)]
+    )
+    indices = np.concatenate([adj.indices for adj in adjacencies])
+    row_cost = (np.diff(edge_offsets)[local] + 1) * FRONTIER_EDGE_BYTES
+    spent = np.cumsum(row_cost)
+    hops, base = out.reshape(-1), local * n
+    lo = 0
+    while lo < world.size:
+        budget = FRONTIER_CHUNK_BYTES + (spent[lo - 1] if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(spent, budget, side="right")))
+        # Level-synchronous BFS of rows lo..hi; ``flat`` indexes ``hops``.
+        rows, nodes = np.arange(lo, hi, dtype=np.int64), source[lo:hi]
+        if reached is not None:
+            reached.append(rows * n + nodes)
+        level = 0
+        while rows.size:
+            level += 1
+            at = base[rows] + nodes
+            starts, ends = indptr[at], indptr[at + 1]
+            edges = concat_ranges(starts, ends)
+            flat = np.repeat(rows, ends - starts)
+            del at, starts, ends
+            flat *= n
+            flat += indices[edges]
+            del edges
+            flat = np.unique(flat[hops[flat] == UNREACHABLE])
+            hops[flat] = min(level, UNREACHABLE - 1)
+            if reached is not None:
+                reached.append(flat)
+            rows, nodes = np.divmod(flat, n)
+        lo = hi
     return out
 
 
@@ -439,12 +465,7 @@ class DistanceBackend:
         if not updates:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         world, position = self._rows_reaching(tails)
-        new_rows = bfs_rows(
-            updates,
-            world,
-            candidate_indices[position],
-            len(candidate_indices) * next(iter(updates.values())).n,
-        )
+        new_rows = bfs_rows(updates, world, candidate_indices[position])
         return self._write_rows(world, position, new_rows)
 
     def _rows_reaching(self, tails: Dict[int, np.ndarray]) -> Rows:
@@ -474,24 +495,13 @@ class DenseBackend(DistanceBackend):
         worlds: Sequence[LiveEdgeWorld],
         candidate_indices: np.ndarray,
         n: int,
-        distances: Optional[np.ndarray] = None,
     ) -> None:
-        # ``distances`` lets the process-sharded build layer
-        # (:mod:`repro.influence.procbuild`) hand over an already-built
-        # ``(R, C, n)`` uint8 tensor — typically a zero-copy view into a
-        # shared-memory segment — instead of re-BFSing every world here.
-        if distances is not None:
-            expected = (len(worlds), len(candidate_indices), n)
-            if distances.shape != expected or distances.dtype != np.uint8:
-                raise EstimationError(
-                    f"prebuilt distances must be uint8 with shape {expected}, "
-                    f"got {distances.dtype} {distances.shape}"
-                )
-            self._distances = distances
-            return
-        self._distances = np.stack(
-            [world.distances_from(candidate_indices) for world in worlds]
-        )
+        n_worlds, n_candidates = len(worlds), len(candidate_indices)
+        self._distances = bfs_rows(
+            worlds,
+            np.repeat(np.arange(n_worlds), n_candidates),
+            np.tile(candidate_indices, n_worlds),
+        ).reshape(n_worlds, n_candidates, n)
 
     def min_into(self, best: np.ndarray, position: int) -> None:
         np.minimum(best, self._distances[:, position, :], out=best)
@@ -593,11 +603,6 @@ class DenseBackend(DistanceBackend):
     def _write_rows(
         self, world: np.ndarray, position: np.ndarray, new_rows: np.ndarray
     ) -> Rows:
-        if not self._distances.flags.writeable:
-            # A zero-copy view into the process-sharded build's shared
-            # memory may be read-only; repair proceeds in a private
-            # copy (the segment itself stays pristine for its owner).
-            self._distances = self._distances.copy()
         changed = (self._distances[world, position] != new_rows).any(axis=1)
         world, position = world[changed], position[changed]
         self._distances[world, position] = new_rows[changed]
@@ -607,46 +612,28 @@ class DenseBackend(DistanceBackend):
         return int(self._distances.nbytes)
 
 
-def _batched_bfs_distances(
+def sparse_hops(
     world: LiveEdgeWorld, candidate_indices: np.ndarray
 ) -> sparse.csr_matrix:
     """Hop distances from every candidate in one world, as shifted CSR.
 
-    Runs one breadth-first search *per level* for all candidates at
-    once: the frontier is a ``(C, n)`` sparse indicator advanced by a
-    single sparse matmul against the world's adjacency.  The result
-    stores ``distance + 1`` for every reachable ``(candidate, node)``
-    pair (so the CSR's implicit zeros unambiguously mean unreachable),
-    with distances clipped to ``UNREACHABLE - 1`` exactly like
-    :meth:`LiveEdgeWorld.distances_from`.
+    Stores ``distance + 1`` for every reachable ``(candidate, node)``
+    pair, so the CSR's implicit zeros unambiguously mean unreachable;
+    distances come from :func:`bfs_rows` (clipped to
+    ``UNREACHABLE - 1``), and the BFS lists the reached pairs itself,
+    so the ``(C, n)`` rows are never scanned.
     """
-    n = world.n
-    n_candidates = len(candidate_indices)
-    adjacency = world.adjacency.astype(np.int32)
-    dist = np.full((n_candidates, n), UNREACHABLE, dtype=np.uint8)
-    rows0 = np.arange(n_candidates)
-    dist[rows0, candidate_indices] = 0
-    frontier = sparse.csr_matrix(
-        (np.ones(n_candidates, dtype=np.int32), (rows0, candidate_indices)),
-        shape=(n_candidates, n),
+    reached: List[np.ndarray] = []
+    dist = bfs_rows(
+        [world],
+        np.zeros(len(candidate_indices), dtype=np.int64),
+        candidate_indices,
+        reached,
     )
-    level = 0
-    while frontier.nnz:
-        level += 1
-        reached = frontier @ adjacency
-        rows, cols = reached.nonzero()
-        fresh = dist[rows, cols] == UNREACHABLE
-        rows, cols = rows[fresh], cols[fresh]
-        if rows.size == 0:
-            break
-        dist[rows, cols] = min(level, UNREACHABLE - 1)
-        frontier = sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.int32), (rows, cols)),
-            shape=(n_candidates, n),
-        )
-    r_idx, c_idx = np.nonzero(dist != UNREACHABLE)
-    data = dist[r_idx, c_idx] + np.uint8(1)
-    return sparse.csr_matrix((data, (r_idx, c_idx)), shape=(n_candidates, n))
+    flat = np.sort(np.concatenate(reached))  # row-major, as a scan lists them
+    r_idx, c_idx = np.divmod(flat, world.n)
+    data = dist.reshape(-1)[flat] + np.uint8(1)
+    return sparse.csr_matrix((data, (r_idx, c_idx)), shape=dist.shape)
 
 
 class SparseBackend(DistanceBackend):
@@ -660,26 +647,13 @@ class SparseBackend(DistanceBackend):
         candidate_indices: np.ndarray,
         n: int,
         first_world_rows: Optional[sparse.csr_matrix] = None,
-        rows: Optional[Sequence[sparse.csr_matrix]] = None,
     ) -> None:
         # ``first_world_rows`` lets the "auto" probe hand over world 0's
         # already-built CSR instead of BFSing that world a second time.
-        # ``rows`` hands over fully prebuilt per-world CSR matrices
-        # (the process-sharded build layer passes zero-copy views into
-        # shared-memory segments) and skips the BFS entirely.
-        worlds = list(worlds)
-        if rows is not None:
-            if len(rows) != len(worlds):
-                raise EstimationError(
-                    f"prebuilt rows must have one CSR matrix per world: "
-                    f"got {len(rows)} for {len(worlds)} worlds"
-                )
-            self._rows = list(rows)
-            return
         self._rows: List[sparse.csr_matrix] = [
             first_world_rows
             if i == 0 and first_world_rows is not None
-            else _batched_bfs_distances(world, candidate_indices)
+            else sparse_hops(world, candidate_indices)
             for i, world in enumerate(worlds)
         ]
 
@@ -793,8 +767,6 @@ class SparseBackend(DistanceBackend):
                 continue
             rows, new = rows[changed], new[changed]
             row, v_idx = np.nonzero(new != UNREACHABLE)
-            # A fresh CSR per repaired world: the old one may be a
-            # read-only view into a process build's shared memory.
             self._rows[r] = replace_csr_rows(
                 mat,
                 rows,
@@ -819,7 +791,7 @@ class LazyBackend(DistanceBackend):
     """On-demand candidate rows with an LRU cache, O(cache·R·n) memory.
 
     Nothing is precomputed: a query for candidate ``c`` BFSes ``c``'s
-    row in every stored world (scipy's C implementation) and caches the
+    row in every stored world (one :func:`bfs_rows` call) and caches the
     resulting ``(R, n)`` block.  CELF touches a small hot set of
     candidates over and over, so modest caches capture most traffic —
     :attr:`hits` / :attr:`misses` expose the rate for tuning.
@@ -851,9 +823,11 @@ class LazyBackend(DistanceBackend):
 
     def _build_rows(self, position: int) -> np.ndarray:
         """BFS candidate ``position`` in every stored world."""
-        source = [int(self._candidate_indices[position])]
-        return np.concatenate(
-            [world.distances_from(source) for world in self._worlds]
+        n_worlds = len(self._worlds)
+        return bfs_rows(
+            self._worlds,
+            np.arange(n_worlds),
+            np.full(n_worlds, self._candidate_indices[position]),
         )
 
     def _cache_store(self, position: int, rows: np.ndarray) -> None:
@@ -994,13 +968,13 @@ def _probe_sparse_bytes(
     n_candidates = len(candidate_indices)
     n_worlds = len(worlds)
     if n_candidates <= PROBE_CANDIDATE_CAP:
-        probe = _batched_bfs_distances(worlds[0], candidate_indices)
+        probe = sparse_hops(worlds[0], candidate_indices)
         per_world = probe.data.nbytes + probe.indices.nbytes + probe.indptr.nbytes
         return int(per_world) * n_worlds, probe
     subset = candidate_indices[
         np.linspace(0, n_candidates - 1, PROBE_CANDIDATE_CAP).astype(np.int64)
     ]
-    sample = _batched_bfs_distances(worlds[0], subset)
+    sample = sparse_hops(worlds[0], subset)
     entry_bytes = (sample.data.nbytes + sample.indices.nbytes) * (
         n_candidates / PROBE_CANDIDATE_CAP
     )
@@ -1035,7 +1009,7 @@ def select_backend(
     3. otherwise ``lazy`` (bounded memory regardless of graph size).
 
     The limits are read at call time, so patching them on this module
-    moves the thresholds for serial and process builds alike.
+    moves the thresholds.
     """
     return _select_with_probe(worlds, candidate_indices, n)[0]
 
@@ -1045,26 +1019,22 @@ def make_backend(
     worlds: Sequence[LiveEdgeWorld],
     candidate_indices: np.ndarray,
     n: int,
-    store: Optional[Any] = None,
 ) -> DistanceBackend:
     """Instantiate a named backend — the one constructor for every build.
 
     ``"auto"`` resolves via :func:`select_backend` against
     :data:`DEFAULT_DENSE_LIMIT` / :data:`DEFAULT_SPARSE_LIMIT`, and the
     lazy backend gets :data:`DEFAULT_CACHE_SIZE` rows; all three are
-    read at call time.  ``store`` hands over a store a process build
-    already filled (:mod:`repro.influence.procbuild`): the dense
-    ``(R, C, n)`` tensor or the per-world CSR list for a concrete
-    ``backend``, so nothing is built twice.
+    read at call time.
     """
     check_backend_name(backend)
     first_world_rows = None
     if backend == "auto":
         backend, first_world_rows = _select_with_probe(worlds, candidate_indices, n)
     if backend == "dense":
-        return DenseBackend(worlds, candidate_indices, n, distances=store)
+        return DenseBackend(worlds, candidate_indices, n)
     if backend == "sparse":
         return SparseBackend(
-            worlds, candidate_indices, n, first_world_rows=first_world_rows, rows=store
+            worlds, candidate_indices, n, first_world_rows=first_world_rows
         )
     return LazyBackend(worlds, candidate_indices, n, cache_size=DEFAULT_CACHE_SIZE)

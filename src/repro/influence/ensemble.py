@@ -112,15 +112,6 @@ from repro.influence.backends import (
     splice,
 )
 from repro.influence.deadlines import clip_deadline as _clip_deadline
-from repro.influence.procbuild import (
-    BuildWorkersLike,
-    ProcessBuildUnavailable,
-    SharedSegment,
-    check_build_workers,
-    process_build,
-    resolve_build_workers,
-    warn_serial_fallback,
-)
 from repro.rng import RngLike, ensure_rng
 
 
@@ -222,22 +213,6 @@ class WorldEnsemble:
         choice affects memory and speed only, never the estimates.
         The ``"auto"`` limits and the lazy cache size are the
         ``DEFAULT_*`` constants of :mod:`repro.influence.backends`.
-    build_workers:
-        Worker-*process* count for world **construction** (sampling +
-        distance-store builds, which hold the GIL and therefore cannot
-        scale with threads): a positive int, ``"auto"``
-        (= ``min(available_cpus(), n_worlds)``, gated by a work floor),
-        or ``None`` to defer to the process default
-        (``execution_defaults``, itself ``1`` — fully serial — unless
-        the CLI's ``--build-workers`` sets it).  With more than one
-        build worker the distance store is published in shared-memory
-        segments (zero-copy for the workers that built it); call
-        :meth:`close` — or use the ensemble as a context manager — to
-        unlink them deterministically.  This is a
-        pure speed knob: worlds, stores, traces and estimates are
-        byte-identical at every build-worker count, and the build
-        degrades to the serial path (with a ``RuntimeWarning``) where
-        processes or shared memory are unavailable.
     """
 
     def __init__(
@@ -249,14 +224,10 @@ class WorldEnsemble:
         model: str = "ic",
         seed: RngLike = None,
         backend: str = "dense",
-        build_workers: Optional[BuildWorkersLike] = None,
     ) -> None:
         if n_worlds < 1:
             raise EstimationError(f"n_worlds must be >= 1, got {n_worlds}")
         check_backend_name(backend)  # fail fast, before world sampling
-        self._build_workers_setting = check_build_workers(
-            build_workers, allow_none=True
-        )
         assignment.validate_for(graph)
         self.graph = graph
         self.assignment = assignment
@@ -278,55 +249,25 @@ class WorldEnsemble:
             label: pos for pos, label in enumerate(candidate_labels)
         }
 
-        # Per-world RNG children, spawned here exactly as the serial
-        # sampler (``sample_worlds``) spawns them — both the process
-        # build and the serial path consume these same generators, so
-        # worlds are byte-identical at every build-worker count and a
-        # failed process build can fall back without re-spawning.
+        # Per-world RNG children, spawned exactly as ``sample_worlds``
+        # spawns them.
         sampler = sampler_for(model)  # validates the model up front
-        rng = ensure_rng(seed)
-        children = rng.spawn(n_worlds)
+        children = ensure_rng(seed).spawn(n_worlds)
         # Each IC world's sampling key, kept for the incremental-repair
         # layer.  The key is a pure function of a child's SeedSequence,
         # never of its draw position (see
         # ``repro.diffusion.worlds.ic_world_key``), so it equals the key
-        # the (serial or worker-process) sampler uses, and the
-        # generators themselves need not outlive the build.
+        # the sampler uses, and the generators need not outlive the build.
         self._world_keys: Optional[List[int]] = (
             [ic_world_key(child) for child in children] if model == "ic" else None
         )
-        self._shared_segments: List[SharedSegment] = []
         self._closed = False
-        store = None
-        n_build = resolve_build_workers(
-            self._build_workers_setting,
-            n_worlds,
-            n_items=n_worlds * len(self._candidate_indices) * self.n,
-        )
-        if n_build > 1:
-            try:
-                backend, self.worlds, store, self._shared_segments = process_build(
-                    graph,
-                    self._candidate_indices,
-                    self.n,
-                    n_worlds,
-                    model,
-                    children,
-                    backend,
-                    n_build,
-                )
-            except ProcessBuildUnavailable as exc:
-                warn_serial_fallback(str(exc))
-                n_build = 1
-        self._build_workers_used = n_build
-        if n_build == 1:
-            self.worlds: List[LiveEdgeWorld] = [
-                sampler(graph, seed=child) for child in children
-            ]
-        # Activation-time store D[r, c, v] behind the backend interface;
-        # a process build hands over the store its workers filled.
+        self.worlds: List[LiveEdgeWorld] = [
+            sampler(graph, seed=child) for child in children
+        ]
+        # Activation-time store D[r, c, v] behind the backend interface.
         self._backend = make_backend(
-            backend, self.worlds, self._candidate_indices, self.n, store
+            backend, self.worlds, self._candidate_indices, self.n
         )
         # Group masks (n, k) for masked counting by matrix product, plus
         # group sizes for normalisation.  A float32 GEMM counts exactly
@@ -407,10 +348,7 @@ class WorldEnsemble:
     def world_keys(self) -> List[int]:
         """Each world's 64-bit sampling key (IC ensembles only).
 
-        Derived at build time from the per-world RNG children — valid
-        whether the worlds were built serially or by worker processes
-        (workers receive pickled child *copies* with the same seed
-        sequences).
+        Derived at build time from the per-world RNG children.
         """
         if self._world_keys is None:
             raise EstimationError(
@@ -481,60 +419,24 @@ class WorldEnsemble:
             )
 
     # ------------------------------------------------------------------
-    # shared-memory lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def build_workers_used(self) -> int:
-        """Worker processes the construction actually engaged (1 for
-        serial builds, including work-floor skips and fallbacks)."""
-        return self._build_workers_used
-
-    @property
-    def shared_segments(self) -> List[SharedSegment]:
-        """Shared-memory segments backing the distance store (empty for
-        serial builds — the serial store lives on the ordinary heap)."""
-        return list(self._shared_segments)
-
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has torn this ensemble down."""
         return self._closed
 
-    def unlink_shared(self) -> None:
-        """Unlink this ensemble's shared-memory segments (idempotent).
-
-        The ensemble — and anything already attached — **stays fully
-        usable**: unlinking removes only the segment *names*, and POSIX
-        frees the memory when the last mapping goes away.  This is what
-        the :class:`repro.api.Session` cache calls on eviction, so an
-        evicted-but-still-held ensemble keeps answering queries while
-        no new process can attach and nothing can leak past process
-        exit.
-        """
-        for segment in self._shared_segments:
-            segment.unlink()
-
     def close(self) -> None:
-        """Tear down the ensemble's distance store (idempotent).
+        """Drop the ensemble's distance store (idempotent).
 
-        Drops the backend (releasing its views into shared memory) and
-        unlinks + unmaps every shared segment.  After ``close`` the
-        ensemble must not be queried.  Serial builds close too — the
-        heap store is simply dropped for the GC.  Ensembles also work
-        as context managers::
+        After ``close`` the ensemble must not be queried and holds no
+        store bytes.  Ensembles also work as context managers::
 
-            with WorldEnsemble(graph, groups, build_workers=4) as ens:
+            with WorldEnsemble(graph, groups) as ens:
                 ...
         """
-        if self._closed:
-            return
         self._closed = True
-        # Release the store's buffer exports before unmapping, so the
-        # segments' close() doesn't have to defer to view finalizers.
         self._backend = None
-        for segment in self._shared_segments:
-            segment.close()
-        self._shared_segments = []
 
     def __enter__(self) -> "WorldEnsemble":
         return self
@@ -1190,20 +1092,11 @@ class WorldEnsemble:
         """Total resident bytes this ensemble pins: the distance store
         (dense slab / sparse CSR / lazy LRU cache), the reach index and
         gain table once built, plus the sampled worlds' kept-edge CSRs.
-
-        Process-built stores live inside shared-memory segments; those
-        are accounted by *segment size* (what the kernel actually
-        reserves, padding included) instead of the store's logical
-        ``memory_bytes`` so the byte-bounded :class:`repro.api.Session`
-        cache and ``/v1/stats`` report what eviction really frees.
         Closed ensembles hold nothing.
         """
         if self._closed:
             return 0
-        if self._shared_segments:
-            store = sum(segment.size for segment in self._shared_segments)
-        else:
-            store = self._backend.memory_bytes()
+        store = self._backend.memory_bytes()
         reach = self._reach
         caches = 0 if reach is None else reach.nbytes
         return int(store + caches + sum(world.nbytes for world in self.worlds))

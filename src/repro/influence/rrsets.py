@@ -50,7 +50,7 @@ import numpy as np
 from repro.errors import EstimationError, OptimizationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
-from repro.influence.backends import batch_gains
+from repro.influence.backends import batch_gains, concat_ranges
 from repro.influence.deadlines import simulation_horizon
 from repro.rng import RngLike, derive_seed, ensure_rng
 
@@ -251,22 +251,25 @@ def _sample_rr_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Grow one batch of RR sets with a vectorised reverse BFS.
 
-    The whole batch advances level-by-level like the sparse backend's
-    batched-frontier BFS: the ragged in-edge lists of every frontier
-    (set, node) pair are gathered with one ``np.repeat``, all their
-    coins are flipped in one draw, and a single ``np.unique`` dedupes
-    within-level discoveries.  Each (set, node) pair enters the
+    The whole batch advances level-by-level like the distance stores'
+    frontier BFS (:func:`~repro.influence.backends.bfs_rows`): the
+    ragged in-edge lists of every frontier (set, node) pair are
+    gathered at once, all their coins are flipped in one draw, and a
+    single ``np.unique`` dedupes within-level discoveries.  Each (set, node) pair enters the
     frontier at most once, so each in-edge is flipped at most once per
     set — exactly the lazy live-edge semantics of the scalar sampler.
 
     Returns the membership pairs ``(set_local_id, node)`` of every
-    visited node, row-major (so set ids come out ascending).
+    visited node, row-major (so set ids come out ascending).  They are
+    the sorted ``set * n + node`` codes each level found fresh, so the
+    cost follows what the batch reaches, not ``batch * n``.
     """
     batch = int(targets.size)
     visited = np.zeros((batch, n), dtype=bool)
     frontier_sets = np.arange(batch, dtype=np.int64)
     frontier_nodes = targets.astype(np.int64)
     visited[frontier_sets, frontier_nodes] = True
+    found = [frontier_sets * n + frontier_nodes]
     depth = 0
     while frontier_nodes.size and depth < depth_cap:
         depth += 1
@@ -275,24 +278,24 @@ def _sample_rr_batch(
         total = int(counts.sum())
         if total == 0:
             break
-        segment = np.repeat(np.arange(frontier_nodes.size), counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        edges = starts[segment] + offsets
-        fires = rng.random(total) < rev_data[edges]
-        hit_sets = frontier_sets[segment][fires]
-        hit_nodes = rev_indices[edges][fires]
-        if hit_nodes.size == 0:
+        edges = concat_ranges(starts, starts + counts)
+        fired = np.flatnonzero(rng.random(total) < rev_data[edges])
+        if fired.size == 0:
             break
+        # Few edges fire: map just those back to their frontier entry.
+        owner = np.searchsorted(np.cumsum(counts), fired, side="right")
+        hit_sets = frontier_sets[owner]
+        hit_nodes = rev_indices[edges[fired]]
         fresh = ~visited[hit_sets, hit_nodes]
         hit_sets, hit_nodes = hit_sets[fresh], hit_nodes[fresh]
         if hit_nodes.size == 0:
             break
         codes = np.unique(hit_sets * np.int64(n) + hit_nodes)
+        found.append(codes)
         hit_sets, hit_nodes = codes // n, codes % n
         visited[hit_sets, hit_nodes] = True
         frontier_sets, frontier_nodes = hit_sets, hit_nodes
-    set_ids, nodes = np.nonzero(visited)
-    return set_ids.astype(np.int64), nodes.astype(np.int64)
+    return np.divmod(np.sort(np.concatenate(found)), n)
 
 
 @dataclass(frozen=True)

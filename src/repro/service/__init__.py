@@ -4,7 +4,7 @@ A stdlib-only HTTP/JSON daemon that turns the library's declarative
 :class:`~repro.api.RunSpec` layer into a long-lived server: concurrent
 identical requests dedup onto one in-flight solve, requests sharing an
 ensemble batch onto one cached world build, the ensemble cache is
-byte-bounded with shared-memory-aware eviction, and greedy selection
+byte-bounded, and greedy selection
 traces stream to clients as NDJSON while the solve runs.  Every
 response is bit-identical to the equivalent ``repro solve``.
 """

@@ -22,8 +22,7 @@ Three layers of sharing, coarsest first:
    concurrently against the one shared ensemble.
 3. **The session cache itself** — sequential traffic reuses worlds
    across requests, LRU-evicted by entry count and by
-   ``cache_bytes`` (evictions unlink shared-memory segments exactly
-   as library callers do).
+   ``cache_bytes``.
 
 Streaming (``POST /v1/solve?stream=1``) taps the greedy engines'
 :func:`repro.core.greedy.trace_tap` on the solving thread and fans
@@ -582,9 +581,7 @@ class SolveService:
         """Stop admitting, wait for in-flight work, release everything.
 
         After the wait (bounded by ``drain_seconds``) the session cache
-        is cleared — which unlinks every shared-memory segment, so a
-        SIGTERM'd server leaks nothing into ``/dev/shm`` — and the
-        solver pool is shut down without joining stragglers (daemonic
+        is cleared and the solver pool is shut down without joining stragglers (daemonic
         threads cannot hold the process hostage past the drain budget).
         """
         self._draining = True

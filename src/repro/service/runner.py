@@ -5,8 +5,7 @@ binds, prints one machine-readable readiness line to stderr
 (``repro-serve listening on http://host:port``) so scripts and the CI
 smoke leg can wait for it, and runs until SIGTERM/SIGINT — at which
 point it stops accepting, drains in-flight solves up to the configured
-budget, clears the session cache (unlinking every shared-memory
-segment) and returns cleanly.
+budget, clears the session cache and returns cleanly.
 
 :func:`start_in_thread` hosts the same server on a daemon thread for
 in-process tests and benchmarks: it yields the bound address

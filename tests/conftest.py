@@ -1,34 +1,11 @@
-"""Shared fixtures: small deterministic graphs used across the suite.
-
-Setting ``REPRO_BUILD_WORKERS`` (a positive int or ``auto``) runs the
-whole suite with that process-wide count for the process-sharded
-world-construction path (:mod:`repro.influence.procbuild`): CI runs a
-leg with ``REPRO_BUILD_WORKERS=2`` and every test must pass
-byte-identically, worlds built in worker processes through shared
-memory.
-"""
+"""Shared fixtures: small deterministic graphs used across the suite."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.config import execution_defaults
 from repro.graph.digraph import DiGraph
 from repro.graph.groups import GroupAssignment
-from repro.influence.procbuild import check_build_workers
-
-_build_workers_env = os.environ.get("REPRO_BUILD_WORKERS")
-if _build_workers_env:
-    execution_defaults.set(
-        "build_workers",
-        check_build_workers(
-            _build_workers_env
-            if _build_workers_env == "auto"
-            else int(_build_workers_env)
-        ),
-    )
 
 
 @pytest.fixture

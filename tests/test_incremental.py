@@ -30,6 +30,7 @@ from repro.datasets.synthetic import synthetic_sbm
 from repro.errors import EstimationError, OptimizationError
 from repro.graph.delta import GraphDelta
 from repro.graph.groups import GroupAssignment
+from repro.influence import backends
 from repro.influence.backends import BACKEND_NAMES, bfs_rows
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.rrsets import RRSetEstimator
@@ -228,10 +229,11 @@ class TestReachIndexRepair:
 
 class TestBfsRows:
     """The batched repair BFS equals one BFS per row, however the
-    worlds are cut into block-diagonal chunks."""
+    rows are cut into chunks (the parameter is the chunk byte budget)."""
 
-    @pytest.mark.parametrize("max_cells", [1, 90 * 4, 10**9])
-    def test_matches_per_world_bfs(self, max_cells):
+    @pytest.mark.parametrize("chunk_bytes", [1, 90 * 4, 10**9])
+    def test_matches_per_world_bfs(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(backends, "FRONTIER_CHUNK_BYTES", chunk_bytes)
         graph, groups = sbm()
         ensemble = WorldEnsemble(graph, groups, n_worlds=5, seed=WORLD_SEED)
         worlds = dict(enumerate(ensemble.worlds))
@@ -241,7 +243,7 @@ class TestBfsRows:
             [worlds[int(r)].distances_from([int(v)])[0] for r, v in zip(world, source)]
         )
         np.testing.assert_array_equal(
-            bfs_rows(worlds, world, source, max_cells), expected
+            bfs_rows(worlds, world, source), expected
         )
 
 
