@@ -340,19 +340,6 @@ class Session:
                 self.cache_misses += 1
             return entry
 
-    @staticmethod
-    def _release(estimator: Any) -> None:
-        """Call an evicted entry's optional ``unlink_shared`` hook.
-
-        The hook may release names the entry holds outside the heap;
-        live references stay usable, so an in-flight solve on the
-        evicted entry is unaffected.  The library's own estimators
-        hold everything on the heap and have no hook.
-        """
-        unlink = getattr(estimator, "unlink_shared", None)
-        if unlink is not None:
-            unlink()
-
     def _cache_put(self, key: Tuple, estimator: Any) -> Any:
         with self._lock:
             existing = self._ensembles.get(key)
@@ -360,8 +347,6 @@ class Session:
                 # A concurrent builder won the race; share its worlds
                 # (the whole point of the cache) and drop ours.
                 self._ensembles.move_to_end(key)
-                if estimator is not existing:
-                    self._release(estimator)
                 return existing
             self._ensembles[key] = estimator
             while len(self._ensembles) > self.max_cached_ensembles:
@@ -382,10 +367,9 @@ class Session:
         return sum(_estimator_nbytes(e) for e in self._ensembles.values())
 
     def _evict_oldest(self) -> None:
-        """Drop the LRU entry: unlink its shm segments, prune its warm
-        traces (caller holds the lock)."""
-        evicted_key, evicted = self._ensembles.popitem(last=False)
-        self._release(evicted)
+        """Drop the LRU entry and prune its warm traces (caller holds
+        the lock)."""
+        evicted_key, _ = self._ensembles.popitem(last=False)
         self._prune_warm_traces(evicted_key)
         self.cache_evictions += 1
 
@@ -396,11 +380,8 @@ class Session:
             del self._warm_traces[trace_key]
 
     def clear_cache(self) -> None:
-        """Drop every cached ensemble (counters are kept), releasing
-        each entry as LRU eviction does."""
+        """Drop every cached ensemble (counters are kept)."""
         with self._lock:
-            for estimator in self._ensembles.values():
-                self._release(estimator)
             self._ensembles.clear()
             self._warm_traces.clear()
 

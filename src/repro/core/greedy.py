@@ -16,37 +16,54 @@ candidate however the gain was reached.
 :func:`lazy_greedy` is CELF (Leskovec et al. 2007) with per-group
 bounds, kept in flat per-candidate arrays rather than a heap: a key
 (an oracle gain or an upper bound on the current gain) and a flag
-saying whether the key is this round's oracle gain.  It keeps each
-candidate's per-group marginal vector ``delta_c = u(S + c) - u(S)``
-from its last oracle call.  Every group's utility is submodular in the
-seed set, so ``delta_c`` only shrinks as ``S`` grows, and as the
-objective is monotone, ``objective(u + delta_c) - objective(u)`` bounds
-the candidate's current gain from above.  For the concave fair
-objectives, which are separable over groups, this is much tighter than
-CELF's stale scalar gain.  After every pick one row-wise
+saying whether the key is this round's oracle gain.  A round runs one
+of two ways, chosen from what the estimator offers, not by a knob:
+
+- **Exact rounds.**  When the estimator keeps every candidate's exact
+  per-group marginal counts on its state (``marginal_counts``: a world
+  ensemble with a reach index, step model — ``add_seed`` keeps them
+  exact, the coverage structure behind CELF and RIS greedy), each
+  round after a pick scores every open candidate with one batched
+  call, O(k) per row, and marks every key fresh.  The pick is then
+  read straight from exact gains — plain greedy's rule on plain
+  greedy's rows — and ``evaluations`` counts the rows scored, as
+  :func:`plain_greedy` reports.
+- **Bound rounds** (RR sets, discounted utilities, the lazy store),
+  below.
+
+In bound rounds it keeps each candidate's per-group marginal vector
+``delta_c = u(S + c) - u(S)`` from its last oracle call.  Every
+group's utility is submodular in the seed set, so ``delta_c`` only
+shrinks as ``S`` grows, and as the objective is monotone,
+``objective(u + delta_c) - objective(u)`` bounds the candidate's
+current gain from above.  For the concave fair objectives, which are
+separable over groups, this is much tighter than CELF's stale scalar
+gain.  After every pick one row-wise
 :meth:`~repro.core.objectives.Objective.values` call over the
-``(C, k)`` matrix ``u + deltas`` re-bounds every candidate at once.
-Each step then takes the candidate with the largest key (the first on
-equal keys); while that key is a bound, the candidate is scored by the
+``(C, k)`` matrix ``u + deltas`` re-bounds every candidate at once.  Each
+step then takes the candidate with the largest key (the first on equal
+keys); while that key is a bound, the candidate is scored by the
 oracle (``candidate_group_utilities``).  Once the top key is a fresh
 gain, CELF scores every stale candidate within ``2 * tol`` of it at a
 lower position than the pick, which could win the tie, so its choice —
 seeds, gains and utilities — is plain greedy's bit for bit.
 Discounted utilities are float32 means, not exact counts, so with
 ``discount`` the re-bound is skipped and stale keys keep their last
-oracle gain (classic CELF, which agrees with plain greedy up to float32
-near-ties).
+oracle gain (classic CELF, which agrees with plain greedy up to
+float32 near-ties).
 
 :func:`plain_greedy` rescores every candidate every round: the
 reference oracle for the tests and the CELF ablation bench.
 
-Bulk scoring — CELF's first round and every plain-greedy round — goes
-through ``candidate_group_utilities_batch`` in blocks of
-:data:`DEFAULT_BLOCK_SIZE` candidates; at the empty state the world
-ensemble answers it from a cached O(k)-per-candidate table.  Batched
-rows are bit-identical to the scalar path, so ``block_size=1`` (the
-per-candidate reference the equivalence tests compare against) changes
-no trace.  Both engines run serially on the caller thread.
+Bulk scoring — CELF's first round, its exact rounds and every
+plain-greedy round — goes through ``candidate_group_utilities_batch``:
+in blocks of :data:`DEFAULT_BLOCK_SIZE` candidates, or in one call per
+round when the state keeps marginal counts (then each row is an O(k)
+read).  Batched rows are bit-identical to the scalar path, so
+``block_size=1`` (the per-candidate reference the equivalence tests
+compare against, which counts each candidate's own entries and shares
+no marginal counts with the engine) changes no seed, gain or utility.
+Both engines run serially on the caller thread.
 """
 
 from __future__ import annotations
@@ -102,6 +119,10 @@ def _candidate_utilities(
             ensemble.candidate_group_utilities(state, int(position), deadline, discount)
             for position in positions
         ]
+    elif len(positions) <= block_size:
+        return ensemble.candidate_group_utilities_batch(
+            state, positions, deadline, discount
+        )
     else:
         rows = [
             ensemble.candidate_group_utilities_batch(
@@ -281,9 +302,10 @@ def lazy_greedy(
         semantics).
     block_size:
         Candidate block size for the batched utility oracle that scores
-        the CELF first round (``1`` — the scalar reference path).
-        Never changes the output, only the speed; a test seam, not a
-        tuning knob.
+        the CELF first round and bound-round re-evaluations (``1`` —
+        the scalar reference path; exact rounds take one call per
+        round above ``1``).  Never changes the output, only the speed;
+        a test seam, not a tuning knob.
     warm_start:
         Prior first-round utilities (see :class:`WarmStart`): only the
         listed ``refresh`` positions are re-scored in the first round,
@@ -305,6 +327,17 @@ def lazy_greedy(
         trace.stopped_reason = "stop-condition"
         return trace
 
+    # Exact rounds when the estimator keeps every candidate's marginal
+    # counts on the state (asking builds them before the first pick).
+    # Their rows cost O(k) each and use no scratch, so a round is one
+    # call whatever ``block_size`` (unless it asks for the scalar path).
+    marginal_counts = getattr(ensemble, "marginal_counts", None)
+    exact = (
+        marginal_counts is not None
+        and marginal_counts(state, deadline, discount) is not None
+    )
+    if exact and block_size > 1:
+        block_size = ensemble.n_candidates
     first, evaluations = _first_round_utilities(
         ensemble, state, deadline, discount, block_size, warm_start
     )
@@ -312,7 +345,7 @@ def lazy_greedy(
     # Each candidate's per-group marginal vector from its last oracle
     # call; ``utilities + deltas[c]`` bounds its utilities from above.
     deltas = first - utilities
-    use_bounds = discount is None
+    use_bounds = discount is None and not exact
     # ``key[c]`` is an oracle gain when ``fresh[c]``, else an upper
     # bound on the current gain; chosen candidates hold -inf.
     key = objective.values(first) - current_value
@@ -327,13 +360,26 @@ def lazy_greedy(
         key[position] = objective.value(row) - current_value
         fresh[position] = True
 
+    def score_round() -> None:
+        nonlocal evaluations
+        open_positions = np.flatnonzero(~chosen)
+        rows = _candidate_utilities(
+            ensemble, state, open_positions, deadline, discount, block_size
+        )
+        evaluations += open_positions.size
+        key[open_positions] = objective.values(rows) - current_value
+        fresh[open_positions] = True
+
     while trace.size < max_seeds:
         top = int(key.argmax())
         if chosen[top]:
             trace.stopped_reason = "exhausted"
             break
         if not fresh[top]:
-            score(top)
+            if exact:
+                score_round()
+            else:
+                score(top)
             continue
         best = key[top]
         if best <= GAIN_TOLERANCE:

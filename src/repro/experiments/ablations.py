@@ -3,8 +3,10 @@
 - **abl_h** — the fairness/influence frontier of the concave family:
   power wrappers alpha in {1, .75, .5, .25} plus log, on the default
   synthetic dataset.  Validates the curvature story quantitatively.
-- **abl_celf** — CELF vs plain greedy: identical seed sets, far fewer
-  utility evaluations.
+- **abl_celf** — CELF vs plain greedy: identical seed sets; far fewer
+  utility evaluations where CELF runs bound rounds (discounted
+  utilities), and no more where it scores exact rounds from the
+  state's marginal counts.
 - **abl_samples** — estimate stability vs world count R: the estimated
   fraction for a fixed seed set across independent ensembles.
 - **abl_lt** — the P1-vs-P4 comparison under the Linear Threshold
@@ -82,24 +84,44 @@ def run_abl_h(quick: bool = False, seed: int = 0) -> ExperimentResult:
 
 
 def run_abl_celf(quick: bool = False, seed: int = 0) -> ExperimentResult:
-    """CELF vs plain greedy: same seeds, fewer evaluations."""
+    """CELF vs plain greedy: same seeds; fewer evaluations in bound rounds.
+
+    On the step model a world ensemble with a reach index keeps every
+    candidate's exact marginal counts, so CELF scores each round exactly
+    (as many evaluations as plain greedy, O(k) each).  Discounted
+    utilities have no such counts: there CELF runs bound rounds and its
+    lazy re-evaluation saves oracle calls.
+    """
     graph, assignment = default_synthetic(seed=seed)
     n_worlds = 40 if quick else 100
     budget = 10 if quick else 20
     ensemble = build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
     tau = DEFAULT_DEADLINE
+    gamma = 0.9
     objective = ConcaveSumObjective(concave=log1p)
 
-    celf = lazy_greedy(ensemble, objective, deadline=tau, max_seeds=budget)
-    plain = plain_greedy(ensemble, objective, deadline=tau, max_seeds=budget)
+    traces = {
+        (engine.__name__, discount): engine(
+            ensemble, objective, deadline=tau, max_seeds=budget, discount=discount
+        )
+        for discount in (None, gamma)
+        for engine in (lazy_greedy, plain_greedy)
+    }
+    celf, plain = traces["lazy_greedy", None], traces["plain_greedy", None]
+    celf_d, plain_d = traces["lazy_greedy", gamma], traces["plain_greedy", gamma]
 
     result = ExperimentResult(
         experiment_id="abl_celf",
         title=f"Ablation: CELF lazy greedy vs plain greedy (B={budget})",
         columns=["engine", "seeds found", "utility evaluations", "final objective"],
     )
-    result.add_row("CELF", celf.size, celf.total_evaluations, celf.final_objective)
-    result.add_row("plain", plain.size, plain.total_evaluations, plain.final_objective)
+    for name, trace in (
+        ("CELF", celf),
+        ("plain", plain),
+        (f"CELF, discount {gamma}", celf_d),
+        (f"plain, discount {gamma}", plain_d),
+    ):
+        result.add_row(name, trace.size, trace.total_evaluations, trace.final_objective)
 
     result.check(
         "CELF returns exactly the plain-greedy seed sequence",
@@ -107,9 +129,14 @@ def run_abl_celf(quick: bool = False, seed: int = 0) -> ExperimentResult:
         f"CELF {celf.seeds[:5]}... vs plain {plain.seeds[:5]}...",
     )
     result.check(
-        "CELF performs strictly fewer utility evaluations",
-        celf.total_evaluations < plain.total_evaluations,
+        "CELF performs no more utility evaluations than plain greedy",
+        celf.total_evaluations <= plain.total_evaluations,
         f"{celf.total_evaluations} vs {plain.total_evaluations}",
+    )
+    result.check(
+        "in bound rounds (discounted) CELF performs strictly fewer utility evaluations",
+        celf_d.total_evaluations < plain_d.total_evaluations,
+        f"{celf_d.total_evaluations} vs {plain_d.total_evaluations}",
     )
     return result
 

@@ -118,8 +118,10 @@ PAPER_EXPECTATIONS: Dict[str, str] = {
         "influence; identity recovers P1 exactly."
     ),
     "abl_celf": (
-        "Design ablation: CELF returns the plain-greedy solution with far "
-        "fewer utility evaluations (soundness relies on submodularity)."
+        "Design ablation: CELF returns the plain-greedy solution (soundness "
+        "relies on submodularity); where it runs bound rounds (discounted "
+        "utilities) it needs far fewer utility evaluations, and with exact "
+        "marginal counts each round scores every candidate in O(k)."
     ),
     "abl_samples": (
         "Design ablation (paper Section 6.1 uses 200 MC samples): the "

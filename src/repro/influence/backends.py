@@ -260,10 +260,15 @@ class UtilityEstimator(Protocol):
     (``group_utilities_sweep``) are required: the greedy engines and
     sweep helpers call them directly.  ``candidate_gains_batch`` turns
     a batch into objective gains (:func:`batch_gains` is the shared
-    body).  CELF's per-group bounds assume what the paper's estimators
-    guarantee: every group utility is monotone submodular in the seed
-    set, and step-model utilities are exact (the same float64 bits on
-    every query path).
+    body).  An estimator may also offer ``marginal_counts(state,
+    deadline, discount)`` — every candidate's exact marginal counts,
+    kept by ``add_seed`` (see
+    :meth:`~repro.influence.ensemble.WorldEnsemble.marginal_counts`) —
+    and ``lazy_greedy`` then scores whole rounds exactly instead of
+    re-bounding.  CELF's per-group bounds assume what the paper's
+    estimators guarantee: every group utility is monotone submodular in
+    the seed set, and step-model utilities are exact (the same float64
+    bits on every query path).
     """
 
     group_names: List[Hashable]

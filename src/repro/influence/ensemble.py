@@ -25,19 +25,24 @@ store.  For the step model:
 - the *marginal* utilities of a candidate are those counts plus the
   groups of the entries it newly activates (``time <= tau < best``) —
   O(entries of ``c``), without mutating the state;
-- the first greedy round at *any* deadline is a lookup in the
-  empty-state gain table the index build derives with one bincount;
+- the state also keeps every candidate's marginal counts ``M`` (see
+  :meth:`WorldEnsemble.marginal_counts`): at the empty state they are
+  a column of the gain table the index build derives with one
+  bincount, and ``add_seed`` retires, through the index's node-major
+  transpose, the entries of every candidate that reached a node the
+  seed newly activates.  So a batched query scores a whole block in
+  O(k) per candidate at *any* state;
 - a whole *deadline sweep* for a fixed seed set is one cumulative sum
   over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
   — O(k) per additional deadline.
 
 The dense-row path remains for what the index does not cover:
-discounted utilities, the lazy store (which never lists its entries),
-and blocks of candidates at non-empty states, scored as one blocked
-fold plus one stacked ``(B, R, n) @ (n, k)`` contraction
+discounted utilities and the lazy store (which never lists its
+entries), scored as one blocked fold plus one stacked
+``(B, R, n) @ (n, k)`` contraction
 (:meth:`WorldEnsemble.candidate_group_utilities_batch`) — O(B·R·n·k).
-It is also the reference the equivalence tests and ``plain_greedy``
-compare the index path against.
+It is also the reference the equivalence tests compare the index path
+against.
 
 *How* ``D`` is stored is delegated to a pluggable
 :class:`~repro.influence.backends.DistanceBackend` (``backend=``):
@@ -61,13 +66,14 @@ simultaneously, which is what lets one ensemble serve a whole
 deadline sweep (Fig. 4c / 5a / 7c).
 
 Step-model utilities are *exact*: every path counts integers.  The
-index paths, the empty-state table and the deadline sweep count in
-int64; the dense-row path counts each world's group totals (at most
-``n``) exactly in a float32 matrix product below ``2**24`` nodes
-(float64 beyond) and sums them over worlds exactly in float64.  Either
-way the total is divided by ``R`` once, so every query path returns
-the same float64 bits for the same seed set, whatever order it counted
-in.  That is what makes CELF's per-group bounds sound (see
+index paths, the marginal counts and the deadline sweep count in int64
+(the empty-state table keeps its integer counts in the smallest
+unsigned type holding ``R * n``); the dense-row path counts each
+world's group totals (at most ``n``) exactly in a float32 matrix
+product below ``2**24`` nodes (float64 beyond) and sums them over
+worlds exactly in float64.  Either way the total is divided by ``R``
+once, so every query path returns the same float64 bits for the same
+seed set, whatever order it counted in.  That is what makes CELF's per-group bounds sound (see
 :mod:`repro.core.greedy`).  Discounted utilities (``gamma**t``
 weights) are not integers and keep a float32 world mean.
 """
@@ -134,21 +140,35 @@ class InfluenceState:
     ``counts`` caches ``(cutoff, per-group activated totals)`` — the
     histogram's cumulative sum at one cutoff — until the next
     ``add_seed``.
+
+    ``marginals`` is ``(cutoff, M)`` with ``M`` an int64 ``(C, k)``
+    array: ``M[c, g]`` counts, over all worlds, the group-``g`` nodes
+    candidate ``c`` reaches by ``cutoff`` that the state does not —
+    every candidate's exact marginal counts.  The first step-model
+    batched query at a cutoff builds it (see
+    :meth:`WorldEnsemble.marginal_counts`); ``add_seed`` then keeps it
+    exact in place.
     """
 
     best_time: np.ndarray
     seed_positions: List[int] = field(default_factory=list)
     time_hist: Optional[np.ndarray] = None
     counts: Optional[Tuple[int, np.ndarray]] = None
+    marginals: Optional[Tuple[int, np.ndarray]] = None
 
     def copy(self) -> "InfluenceState":
         # ``counts`` arrays are replaced, never written in place, so
-        # the copy may share them.
+        # the copy may share them; ``add_seed`` writes ``marginals`` in
+        # place, so the copy gets its own.
+        marginals = self.marginals
+        if marginals is not None:
+            marginals = (marginals[0], marginals[1].copy())
         return InfluenceState(
             best_time=self.best_time.copy(),
             seed_positions=list(self.seed_positions),
             time_hist=None if self.time_hist is None else self.time_hist.copy(),
             counts=self.counts,
+            marginals=marginals,
         )
 
     @property
@@ -157,24 +177,35 @@ class InfluenceState:
 
 
 class _ReachIndex(NamedTuple):
-    """Candidate-major finite activation entries and the table built
-    from them.
+    """Candidate-major finite activation entries, their node-major
+    transpose and the table built from them.
 
     Candidate ``c`` owns entries ``offsets[c]:offsets[c + 1]``: each
     says ``c`` activates node ``flat % n`` of world ``flat // n`` at
     hop ``time``, and ``group`` is that node's group.  Within a
     candidate, entries run world by world in ascending order.
     ``table`` is the ``(C, k, T)`` cumulative per-candidate time
-    histogram (see :meth:`WorldEnsemble._empty_state_table`).  The
-    ensemble swaps a whole index in with one assignment, so a
-    concurrent reader sees either the old index or the new one.
+    histogram (see :meth:`WorldEnsemble._empty_state_table`).
+
+    The transpose lists the same entries by ``i = r * n + v`` (a
+    stable sort, so owners ascend within a node): node ``i`` is reached
+    at hops ``node_time[node_starts[i]:node_starts[i + 1]]`` by the
+    owners those entries' ``node_code`` (``owner * k + group of v``)
+    name — the cell of ``M`` each entry counts in.  ``add_seed`` reads
+    it to retire the marginal counts of every candidate that reached a
+    newly activated node.  The ensemble swaps a whole index — transpose
+    included — in with one assignment, so a concurrent reader sees
+    either the old index or the new one.
     """
 
     offsets: np.ndarray  # (C + 1,) int64
     flat: np.ndarray  # int32 while R * n < 2**31, else int64
     time: np.ndarray  # uint8
     group: np.ndarray  # smallest unsigned type holding k
-    table: np.ndarray  # (C, k, T) int64
+    table: np.ndarray  # (C, k, T) smallest unsigned type holding R * n
+    node_starts: np.ndarray  # (R * n + 1,) smallest unsigned type for the entries
+    node_code: np.ndarray  # owner * k + group; smallest unsigned type for C * k
+    node_time: np.ndarray  # uint8
 
     @property
     def nbytes(self) -> int:
@@ -511,9 +542,14 @@ class WorldEnsemble:
         With the reach index, only the candidate's own finite entries
         are visited: ``best_time`` is lowered there, and the state's
         histogram (when it has one) moves exactly those entries between
-        bins — integer moves, bit-identical to a full rebuild.  Without
-        it (lazy store, or an index over the footprint limit) the whole
-        ``(R, n)`` state is folded and compared.
+        bins — integer moves, bit-identical to a full rebuild.  When the
+        state keeps marginal counts, every candidate that reaches a
+        newly activated node by the cutoff loses that node: the nodes'
+        ranges of the index transpose are read and subtracted in one
+        bincount, so over a whole solve each entry is retired at most
+        once.  Without the index (lazy store, or an index over the
+        footprint limit) the whole ``(R, n)`` state is folded and
+        compared.
         """
         self._check_fresh()
         position = self._check_position(position)
@@ -527,6 +563,10 @@ class WorldEnsemble:
             flat, times, groups = reach.entries(position)
             best = state.best_time.reshape(-1)  # a view: states are contiguous
             previous = best[flat]
+            if state.marginals is not None:
+                self._retire_marginals(
+                    state.marginals, reach, flat, times, groups, previous
+                )
             lower = times < previous
             times = times[lower]
             best[flat[lower]] = times
@@ -547,6 +587,34 @@ class WorldEnsemble:
             )
         state.seed_positions.append(position)
         state.counts = None
+
+    def _retire_marginals(
+        self,
+        marginals: Tuple[int, np.ndarray],
+        reach: _ReachIndex,
+        flat: np.ndarray,
+        times: np.ndarray,
+        groups: np.ndarray,
+        previous: np.ndarray,
+    ) -> None:
+        """Update ``M`` for a seed whose entries are ``(flat, times,
+        groups)``, with the state's times there before it was added.
+
+        A node the seed reaches by the cutoff that the state did not
+        (``time <= cutoff < previous``) stops being a marginal gain for
+        every candidate reaching it by the cutoff, the seed included.
+        """
+        cutoff, counts = marginals
+        limit = np.uint8(cutoff)
+        newly = np.less_equal(times, limit)
+        newly &= np.greater(previous, limit)
+        nodes = flat[newly]
+        if not nodes.size:
+            return
+        at = concat_ranges(reach.node_starts[nodes], reach.node_starts[nodes + 1])
+        codes = reach.node_code[at][reach.node_time[at] <= limit]
+        cells = counts.reshape(-1)  # a view: ``M`` is contiguous
+        cells -= np.bincount(codes, minlength=cells.size)
 
     @staticmethod
     def _move_hist(
@@ -749,13 +817,20 @@ class WorldEnsemble:
 
     def _max_reach_entries(self) -> int:
         """How many entries fit under :attr:`EMPTY_TABLE_BYTE_LIMIT`,
-        next to a full 256-bin table and the offsets."""
+        next to a full 256-bin table, the offsets and the transpose's
+        (at most 4-byte) node starts; each entry is listed twice
+        (candidate- and node-major)."""
         k = len(self.group_names)
-        fixed = self.n_candidates * (k * 256 + 1) * 8
+        fixed = (
+            self.n_candidates * (k * 256 * self._table_dtype().itemsize + 8)
+            + (self.n_worlds * self.n + 1) * 4
+        )
         per_entry = (
             np.dtype(flat_index_dtype(self.n_worlds, self.n)).itemsize
             + 1
             + compact_uint(k).itemsize
+            + compact_uint(self.n_candidates * k).itemsize
+            + 1
         )
         return (self.EMPTY_TABLE_BYTE_LIMIT - fixed) // per_entry
 
@@ -765,8 +840,9 @@ class WorldEnsemble:
         One :meth:`~repro.influence.backends.DistanceBackend.finite_entries`
         scan lists every finite ``(candidate, r * n + v, time)`` entry
         world by world; a stable sort on the candidate makes them
-        candidate-major, and one ``np.bincount`` derives the gain
-        table.  ``None`` for backends that cannot list their entries
+        candidate-major, one ``np.bincount`` derives the gain table and
+        a stable sort on ``r * n + v`` the node-major transpose.
+        ``None`` for backends that cannot list their entries
         (lazy) or when the index would exceed
         :attr:`EMPTY_TABLE_BYTE_LIMIT`; queries then take the dense
         row path.  Kept for the ensemble's lifetime and patched by
@@ -782,25 +858,63 @@ class WorldEnsemble:
                     if entries is None:
                         self._reach_missing = True
                     else:
-                        candidate, flat, time = entries
-                        order = np.argsort(candidate, kind="stable")
-                        self._reach = self._assemble_reach(
-                            candidate[order], flat[order], time[order]
-                        )
+                        order = np.argsort(entries[0], kind="stable")
+                        # Only the sorted copies stay alive while the
+                        # index (and its transpose) is assembled.
+                        entries = [part[order] for part in entries]
+                        del order
+                        self._reach = self._assemble_reach(*entries)
                 reach = self._reach
         return reach
 
     def _assemble_reach(
         self, candidate: np.ndarray, flat: np.ndarray, time: np.ndarray
     ) -> _ReachIndex:
-        """Offsets, groups and the gain table for candidate-sorted entries."""
+        """Offsets, groups, the gain table and the transpose for
+        candidate-sorted entries."""
         n_candidates, k = self.n_candidates, len(self.group_names)
         offsets = np.zeros(n_candidates + 1, dtype=np.int64)
         np.cumsum(np.bincount(candidate, minlength=n_candidates), out=offsets[1:])
         group = self._group_index[flat % self.n].astype(compact_uint(k))
         n_bins = int(time.max()) + 1 if time.size else 1
         table = self._time_table(candidate, n_candidates, group, time, n_bins)
-        return _ReachIndex(offsets, flat, time, group, table)
+        table = table.astype(self._table_dtype())
+        return _ReachIndex(
+            offsets,
+            flat,
+            time,
+            group,
+            table,
+            *self._transpose(candidate, flat, time, group),
+        )
+
+    def _transpose(
+        self,
+        candidate: np.ndarray,
+        flat: np.ndarray,
+        time: np.ndarray,
+        group: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node starts, ``M`` cells and times of candidate-sorted
+        entries, re-sorted stably by ``r * n + v``.  The cells are
+        formed in their compact dtype, so the build's transient stays
+        near the index's own size."""
+        n_nodes = self.n_worlds * self.n
+        starts = np.zeros(n_nodes + 1, dtype=compact_uint(flat.size + 1))
+        starts[1:] = np.cumsum(np.bincount(flat, minlength=n_nodes))
+        k = len(self.group_names)
+        code = candidate.astype(compact_uint(self.n_candidates * k))
+        code *= k
+        code += group
+        # In the smallest unsigned key (16 bits on every shipped
+        # dataset) numpy's stable sort is a radix sort, ~10x a timsort.
+        order = np.argsort(flat.astype(compact_uint(n_nodes)), kind="stable")
+        return starts, code[order], time[order]
+
+    def _table_dtype(self) -> np.dtype:
+        """The gain table's counts: one candidate reaches at most
+        ``R * n`` nodes, so the smallest unsigned type holding that."""
+        return compact_uint(self.n_worlds * self.n + 1)
 
     def _time_table(
         self,
@@ -828,8 +942,9 @@ class WorldEnsemble:
         fresh build produces.  Offsets move by each candidate's count
         change, and only the changed candidates' gain-table rows are
         recounted (the others are re-cut to the new bin count, which is
-        exact because their entries did not move), so the result equals
-        a full rebuild array for array.  ``None`` if the patched index
+        exact because their entries did not move).  The transpose is
+        rebuilt from the patched entries, so the result equals a full
+        rebuild array for array.  ``None`` if the patched index
         outgrows the limit.
         """
         n_worlds, n = self.n_worlds, self.n
@@ -873,8 +988,18 @@ class WorldEnsemble:
             time[at],
             n_bins,
         )
+        flat = splice(reach.flat, lo, hi, flat, counts)
+        owner = np.repeat(
+            np.arange(self.n_candidates, dtype=compact_uint(self.n_candidates)),
+            np.diff(offsets),
+        )
         return _ReachIndex(
-            offsets, splice(reach.flat, lo, hi, flat, counts), time, group, table
+            offsets,
+            flat,
+            time,
+            group,
+            table,
+            *self._transpose(owner, flat, time, group),
         )
 
     def _empty_state_table(self) -> Optional[np.ndarray]:
@@ -886,8 +1011,9 @@ class WorldEnsemble:
         deadline, as integers.  ``T`` is one past the largest finite
         activation time in the store: later cutoffs count the same
         nodes, so the table stops there (a few dozen bins instead of
-        256 on the paper's graphs).  Part of the reach index (``None``
-        without one).
+        256 on the paper's graphs).  Counts are stored in the smallest
+        unsigned type holding ``R * n`` (:meth:`_table_dtype`).  Part of
+        the reach index (``None`` without one).
         """
         reach = self._reach_index()
         return None if reach is None else reach.table
@@ -907,17 +1033,17 @@ class WorldEnsemble:
 
         Two regimes, both exact:
 
-        - **empty state, step model** (every CELF / plain-greedy first
-          round): ``min(best, D_c) = D_c``, so answers come from the
-          cached state-independent histogram table — O(k) per
-          candidate, no tensor traffic at all.  The table holds the
-          exact counts the scalar path sums.
-        - **general**: one backend block fold + one stacked
-          ``(B, R, n) @ (n, k)`` ``np.matmul`` into reusable scratch,
-          replacing ``B`` per-candidate allocations and matmuls.  Step
-          counts are exact in any order; for discounted weights the
-          stacked matmul runs the very same GEMM per block row that
-          the scalar path runs per candidate (unlike
+        - **step model with the reach index** (every state): row ``c``
+          is ``(M[c] + counts_S) / R`` from the state's marginal counts
+          (:meth:`marginal_counts`) — O(k) per candidate, no tensor
+          traffic at all.  ``M`` holds the exact counts the scalar path
+          sums entry by entry.
+        - **otherwise** (discount, lazy store): one backend block fold
+          + one stacked ``(B, R, n) @ (n, k)`` ``np.matmul`` into
+          reusable scratch, replacing ``B`` per-candidate allocations
+          and matmuls.  Step counts are exact in any order; for
+          discounted weights the stacked matmul runs the very same GEMM
+          per block row that the scalar path runs per candidate (unlike
           ``einsum``/``tensordot``, whose reduction order changes low
           bits).
         """
@@ -936,16 +1062,72 @@ class WorldEnsemble:
                 f"candidate positions out of range [0, {self.n_candidates}): "
                 f"{positions[(positions < 0) | (positions >= self.n_candidates)]}"
             )
-        if discount is None and not state.seed_positions:
-            table = self._empty_state_table()
-            if table is not None:
-                last = table.shape[2] - 1
-                return table[positions, :, min(cutoff, last)] / self.n_worlds
+        reach = None if discount is not None else self._reach_index()
+        if reach is not None:
+            counts = self._state_marginals(state, cutoff, reach)[positions]
+            counts += self._state_counts(state, cutoff)
+            return counts / self.n_worlds
         times, active, weights, per_world = self._batch_scratch(int(positions.size))
         self._backend.min_with_block(state.best_time, positions, times)
         self._activation_weights_into(times, cutoff, discount, active, weights)
         np.matmul(weights, self._masks_f, out=per_world)  # (B, R, k)
         return self._world_mean(per_world, discount)
+
+    def marginal_counts(
+        self,
+        state: InfluenceState,
+        deadline: float,
+        discount: Optional[float] = None,
+    ) -> Optional[np.ndarray]:
+        """The state's exact marginal counts ``M`` at ``deadline``.
+
+        ``M[c, g]`` counts, over all worlds, the group-``g`` nodes
+        candidate ``c`` reaches by the deadline that the state does not,
+        so ``(M[c] + counts_S) / R`` is ``u(S + c)``.  Built on first
+        use and kept on the state; :meth:`add_seed` keeps it exact, so a
+        greedy engine can score every open candidate after each pick in
+        O(k) per candidate.  The array is the state's own — read it, do
+        not write it.  ``None`` when the ensemble keeps no marginals
+        (discounted utilities, or no reach index).
+        """
+        self._check_fresh()
+        if discount is not None:
+            return None
+        reach = self._reach_index()
+        if reach is None:
+            return None
+        return self._state_marginals(state, _clip_deadline(deadline), reach)
+
+    def _state_marginals(
+        self, state: InfluenceState, cutoff: int, reach: _ReachIndex
+    ) -> np.ndarray:
+        """``M`` at ``cutoff``, cached on the state (see
+        :meth:`marginal_counts`).
+
+        The empty state's ``M`` is the gain table's column at the
+        cutoff; any other state's is one masked bincount over every
+        index entry that reaches its node by the cutoff while the state
+        does not.
+        """
+        cached = state.marginals
+        if cached is not None and cached[0] == cutoff:
+            return cached[1]
+        n_candidates, k = self.n_candidates, len(self.group_names)
+        if state.seed_positions:
+            limit = np.uint8(cutoff)
+            live = np.less_equal(reach.time, limit)
+            live &= np.greater(state.best_time.reshape(-1)[reach.flat], limit)
+            owner = np.repeat(
+                np.arange(n_candidates, dtype=np.int64), np.diff(reach.offsets)
+            )
+            codes = owner[live] * k + reach.group[live]
+            counts = np.bincount(codes, minlength=n_candidates * k)
+            counts = counts.reshape(n_candidates, k)
+        else:
+            last = reach.table.shape[2] - 1
+            counts = reach.table[:, :, min(cutoff, last)].astype(np.int64)
+        state.marginals = (cutoff, counts)
+        return counts
 
     def candidate_gains_batch(
         self,

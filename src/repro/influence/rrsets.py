@@ -738,9 +738,11 @@ class RRSetEstimator:
         """Group utilities of ``seeds(state) + {c}`` for a whole block.
 
         Row ``i`` is bit-identical to
-        ``candidate_group_utilities(state, positions[i], ...)``; the
-        batch shares one coverage bind and one scale factor, so the
-        greedy engines' blocked utility oracle never rebuilds state.
+        ``candidate_group_utilities(state, positions[i], ...)``: the
+        block's covered-set ids are gathered in one ``concat_ranges``
+        pass and the uncovered ones counted by one
+        ``bincount(row * k + group)`` — the same integers the scalar
+        path counts, under one coverage bind and one scale factor.
         """
         self._check_discount(discount)
         positions = np.asarray(positions, dtype=np.int64)
@@ -758,17 +760,15 @@ class RRSetEstimator:
             )
         index = self._index_for(deadline)
         coverage = self._coverage_for(state, index)
-        uncovered = ~coverage.covered
-        out = np.empty((positions.size, n_groups), dtype=np.float64)
-        scale = self.n / index.theta
-        for row, position in enumerate(positions.tolist()):
-            sets = index.sets_of(position)
-            fresh = sets[uncovered[sets]]
-            hits = coverage.group_hits + np.bincount(
-                index.set_group[fresh], minlength=n_groups
-            )
-            out[row] = hits.astype(np.float64) * scale
-        return out
+        lo = index.cand_indptr[positions]
+        hi = index.cand_indptr[positions + 1]
+        sets = index.cand_sets[concat_ranges(lo, hi)]
+        segment = np.repeat(np.arange(positions.size, dtype=np.int64), hi - lo)
+        fresh = ~coverage.covered[sets]
+        codes = segment[fresh] * n_groups + index.set_group[sets[fresh]]
+        hits = np.bincount(codes, minlength=positions.size * n_groups)
+        hits = hits.reshape(positions.size, n_groups) + coverage.group_hits
+        return hits.astype(np.float64) * (self.n / index.theta)
 
     def candidate_gains_batch(
         self,

@@ -249,14 +249,10 @@ class TestSharedDatasetGraphs:
 
 
 class FakeEstimator:
-    """A cache entry with known size and an observable shm unlink."""
+    """A cache entry with known size."""
 
     def __init__(self, nbytes):
         self.nbytes = nbytes
-        self.unlinked = 0
-
-    def unlink_shared(self):
-        self.unlinked += 1
 
 
 class TestByteBoundedCache:
@@ -273,19 +269,19 @@ class TestByteBoundedCache:
         with pytest.raises(ConfigError, match="cache_bytes"):
             Session(cache_bytes=0)
 
-    def test_eviction_frees_bytes_and_unlinks_shm(self):
+    def test_eviction_frees_bytes(self):
         session = Session(cache_bytes=100)
         first, second = FakeEstimator(60), FakeEstimator(60)
         session._cache_put(("k1",), first)
         assert session.cache_info["bytes"] == 60
         session._cache_put(("k2",), second)
-        # 120 > 100: the LRU entry goes, its segments are unlinked.
+        # 120 > 100: the LRU entry goes.
         info = session.cache_info
         assert info["entries"] == 1
         assert info["bytes"] == 60
         assert info["evictions"] == 1
-        assert first.unlinked == 1
-        assert second.unlinked == 0
+        assert session._cache_get(("k2",)) is second
+        assert session._cache_get(("k1",)) is None
 
     def test_newest_entry_always_survives(self):
         # A single entry over the bound stays: evicting the ensemble a
@@ -294,7 +290,7 @@ class TestByteBoundedCache:
         big = FakeEstimator(1000)
         session._cache_put(("k1",), big)
         assert session.cache_info["entries"] == 1
-        assert big.unlinked == 0
+        assert session.cache_info["evictions"] == 0
 
     def test_byte_bound_on_real_ensembles(self):
         probe = Session()

@@ -18,6 +18,11 @@ These verify the mathematical structure everything rests on:
   (discounted runs: up to a float32 near-tie);
 - a stale per-group marginal vector bounds the current gain from above
   (up to the tie tolerance), which is what makes CELF's re-bounds sound;
+- the marginal counts a world-ensemble state keeps (``add_seed``
+  retires them through the reach index's transpose) equal a
+  from-scratch recount at every step, and the batched rows read from
+  them — like the RR estimator's batched rows — equal the scalar
+  oracle's rows bit for bit;
 - every objective's row-wise ``values`` equals its scalar ``value`` on
   each row bit for bit, so CELF's batched re-bounds and its scalar
   oracle gains are the same arithmetic;
@@ -254,8 +259,10 @@ def _objective(name, estimator):
 class TestCelfMatchesPlain:
     """CELF's lazy re-evaluation is an exact shortcut: submodularity
     makes stale per-group marginals upper bounds, so skipping them never
-    changes a selection.  Plain greedy rescoring everything is the
-    reference.
+    changes a selection; its exact rounds score every open candidate
+    from the state's marginal counts.  Plain greedy rescoring everything
+    through the scalar oracle (``block_size=1``, which shares no
+    marginal counts with the engine under test) is the reference.
 
     Step-model utilities are exact counts divided once in float64, and
     both engines break ties within ``GAIN_TOLERANCE`` to the lowest
@@ -301,8 +308,9 @@ class TestCelfMatchesPlain:
                 max_seeds=max_seeds,
                 stop=stop,
                 discount=discount,
+                block_size=block_size,
             )
-            for engine in (lazy_greedy, plain_greedy)
+            for engine, block_size in ((lazy_greedy, 64), (plain_greedy, 1))
         )
         for ours, reference in zip(celf.steps, plain.steps):
             if discount is not None and ours.position != reference.position:
@@ -593,6 +601,112 @@ class TestReachIndexOracle:
         )
 
 
+def _recounted_marginals(ensemble, state, cutoff):
+    """``M`` from the store's dense rows: per candidate, the nodes it
+    reaches by ``cutoff`` that ``state`` does not, counted per group."""
+    unreachable = np.full((ensemble.n_worlds, ensemble.n), 255, dtype=np.uint8)
+    missing = state.best_time > cutoff
+    groups = ensemble._masks_bool.astype(np.int64)  # (k, n)
+    return np.stack(
+        [
+            ((ensemble.backend.min_with(unreachable, c) <= cutoff) & missing).sum(axis=0)
+            @ groups.T
+            for c in range(ensemble.n_candidates)
+        ]
+    )
+
+
+class TestMarginalCounts:
+    """The state's marginal counts ``M`` (kept exact by ``add_seed``
+    through the index transpose) equal a from-scratch recount at every
+    step, and batched rows read from them equal the scalar oracle's
+    per-entry count bit for bit."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 30),
+        backend=st.sampled_from(["dense", "sparse"]),
+        deadline=st.sampled_from([0, 1, 3, math.inf]),
+        data=st.data(),
+    )
+    def test_maintained_equals_recount(self, seed, n, backend, deadline, data):
+        ensemble = _random_backend_ensemble(seed, n, backend)
+        cutoff = min(deadline, 254)
+        order = data.draw(st.permutations(range(ensemble.n_candidates)))
+        n_seeds = data.draw(st.integers(1, min(6, ensemble.n_candidates)))
+        state = ensemble.empty_state()
+        marginals = ensemble.marginal_counts(state, deadline)
+        everyone = np.arange(ensemble.n_candidates)
+        for position in order[:n_seeds]:
+            ensemble.add_seed(state, position)
+            # Maintained in place, not rebuilt.
+            assert ensemble.marginal_counts(state, deadline) is marginals
+            np.testing.assert_array_equal(
+                marginals, _recounted_marginals(ensemble, state, cutoff)
+            )
+            batched = ensemble.candidate_group_utilities_batch(state, everyone, deadline)
+            scalar = np.stack(
+                [
+                    ensemble.candidate_group_utilities(state, c, deadline)
+                    for c in everyone
+                ]
+            )
+            np.testing.assert_array_equal(batched, scalar)
+        # A ``state_for`` state recounts ``M`` from the whole index.
+        rebuilt = ensemble.state_for(ensemble.seeds_of(state))
+        np.testing.assert_array_equal(
+            ensemble.marginal_counts(rebuilt, deadline), marginals
+        )
+
+    def test_copy_shares_no_marginals(self):
+        ensemble = _random_backend_ensemble(3, 24, "dense")
+        state = ensemble.empty_state()
+        ensemble.add_seed(state, 5)
+        before = ensemble.marginal_counts(state, 2).copy()
+        clone = state.copy()
+        assert clone.marginals[1] is not state.marginals[1]
+        ensemble.add_seed(clone, 0)
+        np.testing.assert_array_equal(state.marginals[1], before)
+        np.testing.assert_array_equal(
+            clone.marginals[1], _recounted_marginals(ensemble, clone, 2)
+        )
+
+    def test_none_without_exact_counts(self):
+        lazy = _random_backend_ensemble(3, 24, "lazy")
+        assert lazy.marginal_counts(lazy.empty_state(), 2) is None
+        dense = _random_backend_ensemble(3, 24, "dense")
+        assert dense.marginal_counts(dense.empty_state(), 2, discount=0.9) is None
+
+
+class TestRRBatchMatchesScalar:
+    """The RR estimator's batched rows (one gather over the block's
+    covered-set ids, one bincount over the uncovered ones) equal its
+    scalar rows bit for bit, at any state and for any positions."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(10, 40),
+        deadline=st.sampled_from([0, 1, 3, math.inf]),
+        data=st.data(),
+    )
+    def test_batch_rows_equal_scalar_rows(self, seed, n, deadline, data):
+        estimator = _sbm_estimator("rrset", seed, n, 0.3, 0.3)
+        candidates = range(estimator.n_candidates)
+        seeds = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4))
+        positions = data.draw(st.lists(st.sampled_from(candidates), max_size=12))
+        state = estimator.empty_state()
+        for position in seeds:
+            estimator.add_seed(state, position)
+        batched = estimator.candidate_group_utilities_batch(state, positions, deadline)
+        assert batched.shape == (len(positions), len(estimator.group_names))
+        for row, position in zip(batched, positions):
+            np.testing.assert_array_equal(
+                row, estimator.candidate_group_utilities(state, position, deadline)
+            )
+
+
 # ---------------------------------------------------------------------------
 # incremental repair = fresh build on the mutated graph
 # ---------------------------------------------------------------------------
@@ -712,6 +826,8 @@ class TestRepairEqualsFreshBuild:
             return
         patched, rebuilt = ensemble._reach, fresh._reach_index()
         assert patched is not None
+        # The node-major transpose is rebuilt with the patched entries.
+        assert {"node_starts", "node_code", "node_time"} <= set(rebuilt._fields)
         for name in rebuilt._fields:
             np.testing.assert_array_equal(
                 getattr(patched, name), getattr(rebuilt, name), err_msg=name

@@ -523,7 +523,7 @@ class TestDrain:
         assert status == 200
         assert handle.service.session.cache_info["entries"] == 1
         handle.stop()
-        # Drained: cache released (shm segments unlinked with it)...
+        # Drained: cache released...
         assert handle.service.session.cache_info["entries"] == 0
         # ...and the listener is gone.
         with pytest.raises(urllib.error.URLError):
