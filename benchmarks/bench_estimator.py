@@ -19,6 +19,12 @@ dense distance store (``store_build``) and one horizon's RR index
 per world, and an RR sampler that scans a dense ``visited`` matrix.
 It asserts equal outputs and that the frontier builds are no slower
 (the CI floor), and records both in the same JSON with ``cpu_count``.
+
+The cold-path test does the same for the two steps before those builds:
+the 400-node synthetic SBM built from edge arrays (``graph_build``)
+against the edge-by-edge construction it replaced, and every world of
+an ensemble sampled in one keyed pass (``world_sampling``) against one
+keyed draw and COO-to-CSR conversion per world.
 """
 
 import json
@@ -28,11 +34,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import best_of, record_bench
 from repro.api.datasets import build_dataset
 from repro.datasets.synthetic import default_synthetic
-from repro.diffusion.worlds import sample_worlds
+from repro.diffusion.worlds import (
+    ic_world_key,
+    keyed_edge_uniforms,
+    sample_ic_worlds,
+    sample_worlds,
+)
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import two_block_sbm
+from repro.graph.groups import GroupAssignment
 from repro.influence import rrsets
 from repro.influence.backends import BACKEND_NAMES, DenseBackend
 from repro.influence.ensemble import WorldEnsemble
@@ -265,6 +280,88 @@ def test_cold_builds_frontier_vs_reference(monkeypatch):
             "rr_index_build": rr,
         }
     record_bench("cold_builds", record, RESULTS_PATH)
+
+
+def _edge_by_edge_two_block_sbm(n, majority_fraction, p_hom, p_het, activation, seed):
+    """The SBM build before bulk construction: every upper-triangle pair
+    tested against its probability, each kept pair inserted by
+    ``add_undirected_edge`` (tests/test_properties.py pins the equality)."""
+    n1 = min(max(int(round(n * majority_fraction)), 1), n - 1)
+    block_of = np.repeat(np.arange(2), [n1, n - n1])
+    rng = np.random.default_rng(seed)
+    graph = DiGraph(default_probability=activation)
+    for node in range(n):
+        graph.add_node(node, group=("G1", "G2")[block_of[node]])
+    iu, ju = np.triu_indices(n, k=1)
+    p_pair = np.where(block_of[iu] == block_of[ju], p_hom, p_het)
+    keep = rng.random(iu.shape[0]) < p_pair
+    for u, v in zip(iu[keep].tolist(), ju[keep].tolist()):
+        graph.add_undirected_edge(u, v)
+    return graph, GroupAssignment.from_graph(graph)
+
+
+def _per_world_coo(graph, keys):
+    """World sampling before the batched pass: one keyed draw and one
+    COO-to-CSR conversion per world."""
+    n = graph.number_of_nodes()
+    src, dst, prob = graph.edge_arrays()
+    worlds = []
+    for key in keys:
+        keep = keyed_edge_uniforms(key, src, dst, n) < prob
+        data = np.ones(int(keep.sum()), dtype=np.int8)
+        worlds.append(sparse.csr_matrix((data, (src[keep], dst[keep])), shape=(n, n)))
+    return worlds
+
+
+#: Cold-path cases: sweep-cold's graph shape, whose build the sweep pays
+#: per ensemble, and the rice surrogate, whose 85k edges take the
+#: chunked sampling path.
+SBM_ARGS = (400, 0.7, 0.025, 0.001, 0.05)
+SAMPLING_CASES = (("synthetic-400", "synthetic", {"n": 400}, 30), ("rice-1205", "rice", {}, 50))
+
+
+def test_cold_path_bulk_vs_reference():
+    """Bulk SBM build and all-worlds sampling: equal outputs, no slower."""
+    record = {"cpu_count": os.cpu_count(), "repeats": 5}
+    bulk, _ = two_block_sbm(*SBM_ARGS, seed=0)
+    reference, _ = _edge_by_edge_two_block_sbm(*SBM_ARGS, seed=0)
+    assert bulk.nodes() == reference.nodes()
+    assert bulk.group_labels_array() == reference.group_labels_array()
+    for mine, theirs in zip(bulk.edge_arrays(), reference.edge_arrays()):
+        np.testing.assert_array_equal(mine, theirs)
+    assert list(bulk.edges()) == list(reference.edges())
+    build = {
+        "nodes": SBM_ARGS[0],
+        "directed_edges": reference.number_of_edges(),
+        "reference_s": round(best_of(lambda: _edge_by_edge_two_block_sbm(*SBM_ARGS, seed=0), 5), 6),
+        "bulk_s": round(best_of(lambda: two_block_sbm(*SBM_ARGS, seed=0), 5), 6),
+    }
+    build["speedup"] = round(build["reference_s"] / build["bulk_s"], 2)
+    assert build["bulk_s"] <= build["reference_s"], build
+    record["graph_build"] = build
+
+    sampling = {}
+    for name, dataset, params, n_worlds in SAMPLING_CASES:
+        graph, _ = build_dataset(dataset, params, 0)
+        keys = [ic_world_key(child) for child in np.random.default_rng(1).spawn(n_worlds)]
+        for r, (world, expected) in enumerate(
+            zip(sample_ic_worlds(graph, keys), _per_world_coo(graph, keys))
+        ):
+            for field in ("indptr", "indices", "data"):
+                mine, theirs = getattr(world.adjacency, field), getattr(expected, field)
+                np.testing.assert_array_equal(mine, theirs, err_msg=f"{name} {r} {field}")
+                assert mine.dtype == theirs.dtype, (name, r, field)
+        case = {
+            "n_worlds": n_worlds,
+            "directed_edges": graph.number_of_edges(),
+            "reference_s": round(best_of(lambda: _per_world_coo(graph, keys), 5), 6),
+            "batched_s": round(best_of(lambda: sample_ic_worlds(graph, keys), 5), 6),
+        }
+        case["speedup"] = round(case["reference_s"] / case["batched_s"], 2)
+        assert case["batched_s"] <= case["reference_s"], (name, case)
+        sampling[name] = case
+    record["world_sampling"] = sampling
+    record_bench("cold_path", record, RESULTS_PATH)
 
 
 def test_rr_set_sampling(benchmark, dataset):

@@ -29,6 +29,20 @@ def _pool(graph: DiGraph, candidates: Optional[Iterable[NodeId]]) -> List[NodeId
     return pool
 
 
+def _pool_degrees(
+    graph: DiGraph, pool: List[NodeId], candidates: Optional[Iterable[NodeId]]
+) -> np.ndarray:
+    """Out-degree of each pool node, aligned with ``pool``."""
+    degrees = graph.out_degrees()
+    return degrees if candidates is None else degrees[graph.indices_of(pool)]
+
+
+def _by_degree(pool: List[NodeId], degrees: List[int]):
+    """Sort key for pool positions: highest degree first, ties broken by
+    label repr for determinism."""
+    return lambda i: (-degrees[i], repr(pool[i]))
+
+
 def _check_budget(budget: int, pool_size: int) -> None:
     if budget < 1:
         raise OptimizationError(f"budget must be >= 1, got {budget}")
@@ -60,8 +74,13 @@ def top_degree_seeds(
     """Highest out-degree first (ties broken by label repr for determinism)."""
     pool = _pool(graph, candidates)
     _check_budget(budget, len(pool))
-    ranked = sorted(pool, key=lambda n: (-graph.out_degree(n), repr(n)))
-    return ranked[:budget]
+    degrees = _pool_degrees(graph, pool, candidates)
+    # Only nodes at or above the budget-th largest degree can be picked;
+    # sort just those (in pool order, so ties keep the full sort's order).
+    cutoff = np.partition(degrees, degrees.size - budget)[degrees.size - budget]
+    top = np.flatnonzero(degrees >= cutoff).tolist()
+    top.sort(key=_by_degree(pool, degrees.tolist()))
+    return [pool[i] for i in top[:budget]]
 
 
 def pagerank_seeds(
@@ -92,11 +111,13 @@ def group_proportional_degree_seeds(
     """
     pool = _pool(graph, candidates)
     _check_budget(budget, len(pool))
+    by_degree = _by_degree(pool, _pool_degrees(graph, pool, candidates).tolist())
+    # Pool positions per group, highest degree first.
     by_group = {g: [] for g in assignment.groups}
-    for node in pool:
-        by_group[assignment.group_of(node)].append(node)
+    for i, node in enumerate(pool):
+        by_group[assignment.group_of(node)].append(i)
     for members in by_group.values():
-        members.sort(key=lambda n: (-graph.out_degree(n), repr(n)))
+        members.sort(key=by_degree)
 
     total = sum(len(v) for v in by_group.values())
     raw = {
@@ -111,16 +132,16 @@ def group_proportional_degree_seeds(
             quota[g] += 1
             remainder -= 1
 
-    chosen: List[NodeId] = []
+    chosen: List[int] = []
     for g in assignment.groups:
         take = min(quota[g], len(by_group[g]))
         chosen.extend(by_group[g][:take])
     # Backfill if some group had fewer members than its quota.
     if len(chosen) < budget:
-        leftovers = [n for g in assignment.groups for n in by_group[g][quota[g]:]]
-        leftovers.sort(key=lambda n: (-graph.out_degree(n), repr(n)))
+        leftovers = [i for g in assignment.groups for i in by_group[g][quota[g]:]]
+        leftovers.sort(key=by_degree)
         chosen.extend(leftovers[: budget - len(chosen)])
-    return chosen[:budget]
+    return [pool[i] for i in chosen[:budget]]
 
 
 #: Baseline names spec-driven callers (the sweep engine) may request.

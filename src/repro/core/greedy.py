@@ -505,14 +505,10 @@ def plain_greedy(
         trace.stopped_reason = "stop-condition"
         return trace
 
-    chosen = set()
+    chosen = np.zeros(ensemble.n_candidates, dtype=bool)
     while trace.size < max_seeds:
-        remaining = [
-            position
-            for position in range(ensemble.n_candidates)
-            if position not in chosen
-        ]
-        if not remaining:
+        remaining = np.flatnonzero(~chosen)
+        if remaining.size == 0:
             trace.stopped_reason = "exhausted"
             break
         rows = _candidate_utilities(
@@ -525,9 +521,9 @@ def plain_greedy(
             break
         # Lowest position among the gains tied with the best.
         index = int(np.argmax(gains >= best - _tie_tolerance(current_value)))
-        position = remaining[index]
+        position = int(remaining[index])
         ensemble.add_seed(state, position)
-        chosen.add(position)
+        chosen[position] = True
         utilities = ensemble.group_utilities(state, deadline, discount)
         current_value = objective.value(utilities)
         step = SelectionStep(
@@ -536,7 +532,7 @@ def plain_greedy(
             objective_value=current_value,
             gain=float(gains[index]),
             group_utilities=utilities,
-            evaluations=len(remaining),
+            evaluations=int(remaining.size),
         )
         trace.steps.append(step)
         _notify_step(step)

@@ -21,6 +21,7 @@ from repro.diffusion.worlds import (
     keyed_edge_uniforms,
     sample_ic_world,
     sample_ic_world_from_key,
+    sample_ic_worlds,
     sample_lt_world,
     sample_worlds,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "keyed_edge_uniforms",
     "sample_ic_world",
     "sample_ic_world_from_key",
+    "sample_ic_worlds",
     "sample_lt_world",
     "sample_worlds",
 ]

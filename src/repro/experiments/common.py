@@ -288,10 +288,11 @@ def degree_stratified_candidates(
     rng = np.random.default_rng(seed)
     chosen: List[NodeId] = []
     seen = set()
+    degrees = graph.out_degrees()
     for group in assignment.groups:
         members = sorted(
             assignment.members(group),
-            key=lambda n: (-graph.out_degree(n), repr(n)),
+            key=lambda n: (-degrees[graph.index_of(n)], repr(n)),
         )
         for node in members[:per_group_top]:
             if node not in seen:

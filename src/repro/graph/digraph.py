@@ -8,6 +8,11 @@ node labels of any hashable type, maps them to dense integer indices
 predecessor adjacency so IC (forward) and LT (backward-weighted) models
 are equally cheap.
 
+Generators build their graphs in bulk (:meth:`DiGraph.from_edge_arrays`):
+such a graph keeps its edges as the arrays the numerical layers read and
+builds the adjacency dicts only when a mutation or a dict-based query
+first needs them.
+
 The class deliberately mirrors a small subset of the ``networkx`` API
 (``add_edge``, ``successors``, ``number_of_nodes``...) so readers
 familiar with that library can navigate it, but it is self-contained.
@@ -15,7 +20,7 @@ familiar with that library can navigate it, but it is self-contained.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -23,6 +28,8 @@ from scipy import sparse
 from repro.errors import GraphError
 
 NodeId = Hashable
+#: Per-node ``{neighbour index: probability}`` dicts, by dense index.
+_Adjacency = List[Dict[int, float]]
 
 
 class DiGraph:
@@ -42,8 +49,14 @@ class DiGraph:
         self._index: Dict[NodeId, int] = {}
         self._labels: List[NodeId] = []
         self._groups: List[Optional[Hashable]] = []
-        self._succ: List[Dict[int, float]] = []
-        self._pred: List[Dict[int, float]] = []
+        # Successor / predecessor dicts, read through ``_succ`` /
+        # ``_pred``.  A graph built by :meth:`from_edge_arrays` holds
+        # ``None`` here and its edges only in ``_bulk`` (the
+        # ``edge_arrays`` export plus each position's insertion rank, or
+        # ``None`` when that is the position itself) until a mutation or
+        # a dict-based query first needs the dicts.
+        self._dicts: Optional[Tuple[_Adjacency, _Adjacency]] = ([], [])
+        self._bulk: Optional[Tuple[np.ndarray, ...]] = None
         self._edge_count = 0
         self._version = 0
         self._frozen = False
@@ -64,6 +77,45 @@ class DiGraph:
 
     def _bump_version(self) -> None:
         self._version += 1
+
+    @property
+    def _succ(self) -> _Adjacency:
+        return self._adjacency()[0]
+
+    @property
+    def _pred(self) -> _Adjacency:
+        return self._adjacency()[1]
+
+    def _adjacency(self) -> Tuple[_Adjacency, _Adjacency]:
+        """The successor and predecessor dicts, built from ``_bulk`` on
+        first use; from then on they are the graph's source of truth.
+
+        The edge-array cache is seeded before ``_dicts`` is set and
+        ``_bulk`` cleared, in that order, so a concurrent reader of a
+        frozen graph sees either the arrays or the finished dicts.
+        """
+        dicts = self._dicts
+        if dicts is None:
+            bulk = self._bulk
+            if bulk is None:  # another thread finished first
+                return self._dicts
+            src, dst, prob, rank = bulk
+            n = len(self._labels)
+            succ: _Adjacency = [{} for _ in range(n)]
+            pred: _Adjacency = [{} for _ in range(n)]
+            us, vs, ps = src.tolist(), dst.tolist(), prob.tolist()
+            for u, v, p in zip(us, vs, ps):
+                succ[u][v] = p
+            # Each node's predecessors in insertion order.
+            by_dst = (
+                np.argsort(dst, kind="stable") if rank is None else np.lexsort((rank, dst))
+            )
+            for i in by_dst.tolist():
+                pred[vs[i]][us[i]] = ps[i]
+            self._matrix_cache["edges"] = (self._version, (src, dst, prob))
+            dicts = self._dicts = (succ, pred)
+            self._bulk = None
+        return dicts
 
     @property
     def frozen(self) -> bool:
@@ -100,12 +152,13 @@ class DiGraph:
         if idx is None or group is not None:
             self._check_mutable()
         if idx is None:
+            succ, pred = self._adjacency()
             idx = len(self._labels)
             self._index[node] = idx
             self._labels.append(node)
             self._groups.append(group)
-            self._succ.append({})
-            self._pred.append({})
+            succ.append({})
+            pred.append({})
             self._bump_version()
         elif group is not None:
             self._groups[idx] = group
@@ -168,6 +221,117 @@ class DiGraph:
                 graph.add_edge(u, v)
             else:
                 graph.add_undirected_edge(u, v)
+        return graph
+
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        n: int,
+        src: Any,
+        dst: Any,
+        prob: Any,
+        groups: Optional[Sequence[Optional[Hashable]]] = None,
+        default_probability: float = 0.1,
+    ) -> "DiGraph":
+        """Build a graph on nodes ``0..n-1`` from parallel edge arrays.
+
+        The result equals adding the nodes in order, with ``groups[i]``
+        (default ``None``) for node ``i``, and then each directed edge
+        ``src[i] -> dst[i]`` with probability ``prob[i]`` (a scalar
+        applies to every edge) by :meth:`add_edge`, in array order: same
+        :meth:`edges`, successor and predecessor order, exports and
+        :attr:`version`.  Validation is in bulk and raises
+        :class:`GraphError` for what :meth:`add_edge` rejects —
+        endpoints out of range, self-loops, probabilities outside
+        ``[0, 1]`` — and for duplicate edges.
+
+        The graph keeps the arrays and builds its adjacency dicts only
+        when a mutation or a dict-based query (:meth:`successors`,
+        :meth:`edges`, ...) first needs them; :meth:`edge_arrays`,
+        :meth:`out_degrees`, the CSR exports and :meth:`copy` never do.
+        """
+        _check_probability(default_probability)
+        n = int(n)
+        if n < 0:
+            raise GraphError(f"node count must be non-negative, got {n}")
+        src = np.asarray(src)
+        dst = np.asarray(dst)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise GraphError(
+                f"src and dst must be 1-D arrays of one length, got shapes "
+                f"{src.shape} and {dst.shape}"
+            )
+        for name, array in (("src", src), ("dst", dst)):
+            if array.size and array.dtype.kind not in "iu":
+                raise GraphError(f"{name} must hold integer node indices, got {array.dtype}")
+        try:
+            prob = np.broadcast_to(np.asarray(prob, dtype=np.float64), src.shape)
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"prob must be a probability or one per edge ({src.size})"
+            ) from None
+        groups = [None] * n if groups is None else list(groups)
+        if len(groups) != n:
+            raise GraphError(f"groups has {len(groups)} entries for {n} nodes")
+        if src.size:
+            low = int(min(src.min(), dst.min()))
+            high = int(max(src.max(), dst.max()))
+            if low < 0 or high >= n:
+                bad = low if low < 0 else high
+                raise GraphError(f"node index {bad} out of range [0, {n})")
+            loops = np.flatnonzero(src == dst)
+            if loops.size:
+                raise GraphError(
+                    f"self-loop on node {int(src[loops[0]])!r} is not allowed"
+                )
+            invalid = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)))
+            if invalid.size:
+                raise GraphError(
+                    f"activation probability must be in [0, 1], got "
+                    f"{float(prob[invalid[0]])!r}"
+                )
+        src = src.astype(np.int64)
+        dst = dst.astype(np.int64)
+        prob = prob.astype(np.float64)
+        rank = None
+        if np.any(src[1:] < src[:-1]):
+            rank = np.argsort(src, kind="stable")
+            src, dst, prob = src[rank], dst[rank], prob[rank]
+        codes = src * n + dst
+        if np.any(codes[1:] <= codes[:-1]):
+            ordered = np.sort(codes)
+            repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if repeated.size:
+                code = int(ordered[repeated[0]])
+                raise GraphError(f"duplicate edge {code // n!r} -> {code % n!r}")
+        return cls._from_export(
+            range(n), groups, src, dst, prob, rank, default_probability
+        )
+
+    @classmethod
+    def _from_export(
+        cls,
+        labels: Iterable[NodeId],
+        groups: Iterable[Optional[Hashable]],
+        src: np.ndarray,
+        dst: np.ndarray,
+        prob: np.ndarray,
+        rank: Optional[np.ndarray],
+        default_probability: float,
+    ) -> "DiGraph":
+        """A lazily-adjacent graph over valid ``edge_arrays``-ordered
+        arrays (sorted by ``src``); ``rank`` as in ``_bulk``."""
+        graph = cls(default_probability=default_probability)
+        graph._labels = list(labels)
+        graph._index = {label: i for i, label in enumerate(graph._labels)}
+        graph._groups = list(groups)
+        for array in (src, dst, prob):
+            array.flags.writeable = False
+        graph._dicts = None
+        graph._bulk = (src, dst, prob, rank)
+        graph._edge_count = int(src.size)
+        # One bump per node and per edge, as add_node / add_edge make.
+        graph._version = len(graph._labels) + graph._edge_count
         return graph
 
     # ------------------------------------------------------------------
@@ -300,12 +464,18 @@ class DiGraph:
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edges as parallel arrays ``(sources, targets, probabilities)``.
 
-        This is the format the world sampler consumes: one Bernoulli
-        draw per array position materialises a live-edge world.  The
-        sampler asks once per world, so the export is cached on
-        :attr:`version` like :meth:`probability_matrix`; the arrays are
+        Edges come grouped by source index and, within a source, in
+        insertion order — the order of :meth:`edges`.  This is the
+        format the world samplers consume: one Bernoulli draw per array
+        position materialises a live-edge world.  A graph built by
+        :meth:`from_edge_arrays` holds these arrays as its edges until
+        its adjacency dicts are built; otherwise the export is cached on
+        :attr:`version` like :meth:`probability_matrix`.  The arrays are
         read-only, since mutating them would poison the cache.
         """
+        bulk = self._bulk
+        if bulk is not None:
+            return bulk[:3]
         cached = self._matrix_cache.get("edges")
         if cached is not None and cached[0] == self._version:
             return cached[1]
@@ -325,6 +495,11 @@ class DiGraph:
         self._matrix_cache["edges"] = (self._version, (src, dst, prob))
         return src, dst, prob
 
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree of every node, by dense index (``int64``, ``(n,)``),
+        counted from :meth:`edge_arrays`."""
+        return np.bincount(self.edge_arrays()[0], minlength=len(self._labels))
+
     def group_labels_array(self) -> List[Optional[Hashable]]:
         """Per-index group labels (a copy, aligned with dense indices)."""
         return list(self._groups)
@@ -335,14 +510,10 @@ class DiGraph:
     def copy(self) -> "DiGraph":
         """An independent, mutable copy (same nodes, order, groups and
         edges; its own :attr:`version` counter)."""
-        other = DiGraph(default_probability=self.default_probability)
-        for node, group in zip(self._labels, self._groups):
-            other.add_node(node, group=group)
-        for ui, targets in enumerate(self._succ):
-            u = self._labels[ui]
-            for vi, prob in targets.items():
-                other.add_edge(u, self._labels[vi], prob)
-        return other
+        return DiGraph._from_export(
+            self._labels, self._groups, *self.edge_arrays(), None,
+            self.default_probability,
+        )
 
     def with_probability(self, p: float) -> "DiGraph":
         """Copy of this graph with every edge probability replaced by ``p``.
@@ -352,14 +523,11 @@ class DiGraph:
         same structure, different ``p_e``.
         """
         _check_probability(p)
-        other = DiGraph(default_probability=p)
-        for node, group in zip(self._labels, self._groups):
-            other.add_node(node, group=group)
-        for ui, targets in enumerate(self._succ):
-            u = self._labels[ui]
-            for vi in targets:
-                other.add_edge(u, self._labels[vi], p)
-        return other
+        src, dst, _ = self.edge_arrays()
+        return DiGraph._from_export(
+            self._labels, self._groups, src, dst,
+            np.full(src.size, float(p)), None, p,
+        )
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "DiGraph":
         """Induced subgraph on ``nodes`` (edge probabilities preserved)."""

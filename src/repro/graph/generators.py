@@ -64,21 +64,19 @@ def stochastic_block_model(
 
     n = int(sum(block_sizes))
     block_of = np.repeat(np.arange(k), block_sizes)
-    graph = DiGraph(default_probability=activation_probability)
-    for node in range(n):
-        graph.add_node(node, group=group_names[block_of[node]])
-
-    # Sample the full upper triangle in one vectorised pass.  The
-    # paper's synthetic graphs are small (n=500) so O(n^2) memory is
+    # One uniform per upper-triangle pair, in row-major pair order.  The
+    # paper's synthetic graphs are small (n=500) so O(n^2) draws are
     # fine here; the large surrogate datasets use the exact-edge-count
     # generator below instead.
-    iu, ju = np.triu_indices(n, k=1)
-    same_block = block_of[iu] == block_of[ju]
-    p_pair = np.where(same_block, within_probability, across_probability)
-    keep = rng.random(iu.shape[0]) < p_pair
-    for u, v in zip(iu[keep].tolist(), ju[keep].tolist()):
-        graph.add_undirected_edge(u, v)
-
+    us, vs, draws = _pairs_below(
+        rng, n, max(within_probability, across_probability)
+    )
+    p_pair = np.where(block_of[us] == block_of[vs], within_probability, across_probability)
+    keep = draws < p_pair
+    graph = _undirected_graph(
+        n, us[keep], vs[keep], activation_probability,
+        _block_groups(block_sizes, group_names),
+    )
     assignment = GroupAssignment.from_graph(graph)
     return graph, assignment
 
@@ -120,7 +118,6 @@ def block_model_with_edge_counts(
     activation_probability: float,
     group_names: Optional[Sequence[Hashable]] = None,
     seed: RngLike = None,
-    node_offset: int = 0,
 ) -> Tuple[DiGraph, GroupAssignment]:
     """Plant an exact number of undirected edges between each block pair.
 
@@ -147,12 +144,8 @@ def block_model_with_edge_counts(
         group_names = [f"G{i + 1}" for i in range(k)]
     rng = ensure_rng(seed)
 
-    starts = np.concatenate([[0], np.cumsum(block_sizes)]) + node_offset
-    graph = DiGraph(default_probability=activation_probability)
-    for b, size in enumerate(block_sizes):
-        for node in range(starts[b], starts[b] + size):
-            graph.add_node(int(node), group=group_names[b])
-
+    starts = np.concatenate([[0], np.cumsum(block_sizes)])
+    pairs: List[Tuple[np.ndarray, np.ndarray]] = []
     for i in range(k):
         for j in range(i, k):
             m = int(counts[i, j])
@@ -173,9 +166,12 @@ def block_model_with_edge_counts(
             else:
                 us = chosen // nj + starts[i]
                 vs = chosen % nj + starts[j]
-            for u, v in zip(us.tolist(), vs.tolist()):
-                graph.add_undirected_edge(int(u), int(v))
+            pairs.append((us, vs))
 
+    graph = _undirected_graph(
+        int(starts[-1]), *_concat_pairs(pairs), activation_probability,
+        _block_groups(block_sizes, group_names),
+    )
     assignment = GroupAssignment.from_graph(graph)
     return graph, assignment
 
@@ -225,10 +221,7 @@ def weighted_block_model(
     rng = ensure_rng(seed)
 
     starts = np.concatenate([[0], np.cumsum(block_sizes)])
-    graph = DiGraph(default_probability=activation_probability)
-    for b, size in enumerate(block_sizes):
-        for node in range(starts[b], starts[b] + size):
-            graph.add_node(int(node), group=group_names[b])
+    pairs: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def _weights(size: int, alpha: float) -> np.ndarray:
         w = (np.arange(size, dtype=np.float64) + 1.0) ** (-float(alpha))
@@ -297,9 +290,13 @@ def weighted_block_model(
                             if remaining == 0:
                                 break
                     break
-            for u, v in chosen:
-                graph.add_undirected_edge(int(u + starts[i]), int(v + starts[j]))
+            block_pairs = np.asarray(list(chosen), dtype=np.int64).reshape(-1, 2)
+            pairs.append((block_pairs[:, 0] + starts[i], block_pairs[:, 1] + starts[j]))
 
+    graph = _undirected_graph(
+        int(starts[-1]), *_concat_pairs(pairs), activation_probability,
+        _block_groups(block_sizes, group_names),
+    )
     assignment = GroupAssignment.from_graph(graph)
     return graph, assignment
 
@@ -327,6 +324,58 @@ def _triangle_unrank(ranks: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]
     return u, v
 
 
+def _pairs_below(
+    rng: np.random.Generator, n: int, threshold: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one uniform per unordered pair of ``n`` nodes, in row-major
+    upper-triangle order, and return the pairs ``(u < v)`` whose draw is
+    below ``threshold``, with their draws.
+
+    Only those pairs are unranked, so a sparse graph never materialises
+    the ``n(n-1)/2`` pair indices; a caller testing the returned draws
+    against per-pair probabilities at most ``threshold`` keeps exactly
+    the pairs a test over every pair would.
+    """
+    draws = rng.random(n * (n - 1) // 2)
+    ranks = np.flatnonzero(draws < threshold)
+    us, vs = _triangle_unrank(ranks, n)
+    return us, vs, draws[ranks]
+
+
+def _concat_pairs(pairs: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    if not pairs:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate([us for us, _ in pairs]),
+        np.concatenate([vs for _, vs in pairs]),
+    )
+
+
+def _block_groups(
+    block_sizes: Sequence[int], group_names: Sequence[Hashable]
+) -> List[Hashable]:
+    """Each node's group name, for nodes numbered block by block."""
+    return [name for name, size in zip(group_names, block_sizes) for _ in range(size)]
+
+
+def _undirected_graph(
+    n: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    activation_probability: float,
+    groups: Optional[Sequence[Hashable]] = None,
+) -> DiGraph:
+    """The graph ``add_undirected_edge(u, v)`` over the pairs in order
+    would build: ``u -> v`` then ``v -> u`` for each pair, on nodes
+    ``0..n-1``, every edge at ``activation_probability``."""
+    src = np.column_stack((us, vs)).reshape(-1)
+    dst = np.column_stack((vs, us)).reshape(-1)
+    return DiGraph.from_edge_arrays(
+        n, src, dst, activation_probability, groups,
+        default_probability=activation_probability,
+    )
+
+
 def erdos_renyi(
     n: int,
     edge_probability: float,
@@ -338,14 +387,8 @@ def erdos_renyi(
         raise ConfigError(f"need at least 1 node, got {n}")
     _check_prob("edge_probability", edge_probability)
     rng = ensure_rng(seed)
-    graph = DiGraph(default_probability=activation_probability)
-    for node in range(n):
-        graph.add_node(node)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < edge_probability
-    for u, v in zip(iu[keep].tolist(), ju[keep].tolist()):
-        graph.add_undirected_edge(u, v)
-    return graph
+    us, vs, _ = _pairs_below(rng, n, edge_probability)
+    return _undirected_graph(n, us, vs, activation_probability)
 
 
 def barabasi_albert(
@@ -367,15 +410,12 @@ def barabasi_albert(
     if n <= attachment:
         raise ConfigError(f"need n > attachment, got n={n}, attachment={attachment}")
     rng = ensure_rng(seed)
-    graph = DiGraph(default_probability=activation_probability)
-    for node in range(n):
-        graph.add_node(node)
-    # Repeated-nodes list implements preferential attachment in O(m).
+    # Repeated-nodes list implements preferential attachment in O(m);
+    # it lists the pairs' endpoints in order, so it is also the edge list.
     repeated: List[int] = []
     core = attachment + 1
     for u in range(core):
         for v in range(u + 1, core):
-            graph.add_undirected_edge(u, v)
             repeated.extend((u, v))
     for new in range(core, n):
         targets: set = set()
@@ -383,9 +423,9 @@ def barabasi_albert(
             pick = repeated[int(rng.integers(len(repeated)))]
             targets.add(pick)
         for t in targets:
-            graph.add_undirected_edge(new, t)
             repeated.extend((new, t))
-    return graph
+    pairs = np.asarray(repeated, dtype=np.int64).reshape(-1, 2)
+    return _undirected_graph(n, pairs[:, 0], pairs[:, 1], activation_probability)
 
 
 def erdos_renyi_with_groups(

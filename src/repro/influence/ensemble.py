@@ -103,8 +103,10 @@ from repro.graph.groups import GroupAssignment
 from repro.diffusion.worlds import (
     UNREACHABLE,
     LiveEdgeWorld,
+    check_model,
     ic_world_key,
-    sampler_for,
+    sample_ic_worlds,
+    sample_lt_world,
 )
 from repro.influence.backends import (
     DistanceBackend,
@@ -282,20 +284,20 @@ class WorldEnsemble:
 
         # Per-world RNG children, spawned exactly as ``sample_worlds``
         # spawns them.
-        sampler = sampler_for(model)  # validates the model up front
+        check_model(model)
         children = ensure_rng(seed).spawn(n_worlds)
         # Each IC world's sampling key, kept for the incremental-repair
         # layer.  The key is a pure function of a child's SeedSequence,
         # never of its draw position (see
-        # ``repro.diffusion.worlds.ic_world_key``), so it equals the key
-        # the sampler uses, and the generators need not outlive the build.
-        self._world_keys: Optional[List[int]] = (
-            [ic_world_key(child) for child in children] if model == "ic" else None
-        )
+        # ``repro.diffusion.worlds.ic_world_key``), so the generators
+        # need not outlive the build.
+        self._world_keys: Optional[List[int]] = None
         self._closed = False
-        self.worlds: List[LiveEdgeWorld] = [
-            sampler(graph, seed=child) for child in children
-        ]
+        if model == "ic":
+            self._world_keys = [ic_world_key(child) for child in children]
+            self.worlds: List[LiveEdgeWorld] = sample_ic_worlds(graph, self._world_keys)
+        else:
+            self.worlds = [sample_lt_world(graph, seed=child) for child in children]
         # Activation-time store D[r, c, v] behind the backend interface.
         self._backend = make_backend(
             backend, self.worlds, self._candidate_indices, self.n

@@ -208,15 +208,15 @@ class TestHygiene:
     @pytest.mark.parametrize("backend", ("dense", "sparse"))
     def test_worker_exception_leaks_nothing(self, monkeypatch, backend):
         """A sampler crash mid-build propagates and leaks nothing."""
-        import repro.diffusion.worlds as worlds_mod
+        import repro.influence.ensemble as ensemble_mod
 
         graph, assignment = small_graph()
         before = listed_segments()
 
-        def exploding_sampler(graph, seed=None):
+        def exploding_sampler(graph, keys):
             raise ValueError("sampler exploded")
 
-        monkeypatch.setattr(worlds_mod, "sample_ic_world", exploding_sampler)
+        monkeypatch.setattr(ensemble_mod, "sample_ic_worlds", exploding_sampler)
         with pytest.raises(ValueError, match="sampler exploded"):
             build(2, n_worlds=8, seed=9, backend=backend)
         assert listed_segments() <= before

@@ -26,7 +26,13 @@ These verify the mathematical structure everything rests on:
 - every objective's row-wise ``values`` equals its scalar ``value`` on
   each row bit for bit, so CELF's batched re-bounds and its scalar
   oracle gains are the same arithmetic;
-- any feasible FAIRTCIM-COVER solution has disparity at most ``1 - Q``.
+- any feasible FAIRTCIM-COVER solution has disparity at most ``1 - Q``;
+- the array-native cold path equals its edge-by-edge references: a
+  ``DiGraph.from_edge_arrays`` graph equals the ``add_edge``-built one
+  (and stays equal under mutation), every generator equals edge-by-edge
+  insertion, ``sample_ic_worlds`` equals one COO-built world per key,
+  degree picks equal a full sort, and a sweep never builds adjacency
+  dicts.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from repro.core.objectives import (
     TotalInfluenceObjective,
     TruncatedCoverageObjective,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import two_block_sbm
 from repro.graph.groups import GroupAssignment
@@ -833,3 +839,378 @@ class TestRepairEqualsFreshBuild:
                 getattr(patched, name), getattr(rebuilt, name), err_msg=name
             )
             assert getattr(patched, name).dtype == getattr(rebuilt, name).dtype, name
+
+
+# ---------------------------------------------------------------------------
+# array-native cold path: bulk graphs, all-worlds sampling, degree picks
+# ---------------------------------------------------------------------------
+@st.composite
+def _edge_lists(draw, max_nodes=9):
+    """``(n, groups, [(u, v, p), ...])``: distinct edges in random order."""
+    n = draw(st.integers(1, max_nodes))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    pairs = draw(st.permutations(possible)) if possible else []
+    pairs = pairs[: draw(st.integers(0, len(pairs)))]
+    probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    edges = [(u, v, draw(probability)) for u, v in pairs]
+    groups = draw(st.lists(st.sampled_from(["a", "b", None]), min_size=n, max_size=n))
+    return n, groups, edges
+
+
+def _edge_by_edge(n, groups, edges, default_probability=0.1):
+    graph = DiGraph(default_probability=default_probability)
+    for node in range(n):
+        graph.add_node(node, group=groups[node])
+    for u, v, p in edges:
+        graph.add_edge(u, v, p)
+    return graph
+
+
+def _bulk(n, groups, edges, default_probability=0.1):
+    src, dst, prob = (list(column) for column in zip(*edges)) if edges else ([], [], [])
+    return DiGraph.from_edge_arrays(
+        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), prob,
+        groups, default_probability=default_probability,
+    )
+
+
+def _graph_view(graph):
+    """Everything observable about a graph.  The exports and the copy
+    come first, so a lazy graph's are read before its dicts exist."""
+    exports = [(a.tolist(), a.dtype.str) for a in graph.edge_arrays()]
+    degrees = graph.out_degrees().tolist()
+    matrix = graph.probability_matrix()
+    copied = graph.copy()
+    copy_view = (copied.version, [(a.tolist(), a.dtype.str) for a in copied.edge_arrays()])
+    copy_view += (list(copied.edges()), [copied.predecessors(v) for v in copied.nodes()])
+    nodes = graph.nodes()
+    return (
+        nodes, graph.group_labels_array(), graph.version, graph.number_of_edges(),
+        exports, degrees, [graph.out_degree(v) for v in nodes],
+        matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tolist(),
+        list(graph.edges()),
+        [graph.successors(v) for v in nodes], [graph.predecessors(v) for v in nodes],
+        copy_view,
+    )
+
+
+class TestBulkGraphEqualsEdgeByEdge:
+    """``DiGraph.from_edge_arrays`` builds the graph ``add_edge`` would,
+    in insertion order, and the two stay equal under mutation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_edge_lists(), data=st.data())
+    def test_equal_and_stay_equal_under_mutation(self, case, data):
+        n, groups, edges = case
+        reference, bulk = _edge_by_edge(n, groups, edges), _bulk(n, groups, edges)
+        assert bulk._dicts is None
+        assert _graph_view(bulk) == _graph_view(reference)
+        if n < 2:
+            return
+        # A fresh bulk graph, so the first mutation builds its dicts.
+        bulk = _bulk(n, groups, edges)
+        nodes = list(range(n))
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["add", "remove", "delta"]))
+            present = sorted((u, v) for u, v, _ in reference.edges())
+            if kind == "remove" and present:
+                u, v = data.draw(st.sampled_from(present))
+                for graph in (reference, bulk):
+                    graph.remove_edge(u, v)
+            elif kind == "delta":
+                delta = data.draw(_delta_for(reference))
+                for graph in (reference, bulk):
+                    graph.apply_delta(delta)
+            else:
+                # Either endpoint may be a new node.
+                ends = nodes + [len(nodes)]
+                u, v = data.draw(st.sampled_from([(u, v) for u in ends for v in ends if u != v]))
+                p = data.draw(st.floats(0.0, 1.0))
+                for graph in (reference, bulk):
+                    graph.add_edge(u, v, p)
+                nodes = reference.nodes()
+            assert _graph_view(bulk) == _graph_view(reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_edge_lists(), p=st.floats(0.0, 1.0))
+    def test_with_probability_and_set_group_keep_the_arrays(self, case, p):
+        n, groups, edges = case
+        reference, bulk = _edge_by_edge(n, groups, edges), _bulk(n, groups, edges)
+        for graph in (reference, bulk):
+            graph.set_group(0, "c")
+        assert bulk._dicts is None
+        assert _graph_view(bulk.with_probability(p)) == _graph_view(reference.with_probability(p))
+        assert _graph_view(bulk) == _graph_view(reference)
+
+    @pytest.mark.parametrize(
+        "src, dst, prob, groups, match",
+        [
+            ([0, 3], [1, 0], 0.1, None, "out of range"),
+            ([0, -1], [1, 0], 0.1, None, "out of range"),
+            ([0, 1], [1, 1], 0.1, None, "self-loop"),
+            ([0, 1], [1, 0], [0.1, 1.5], None, "must be in \\[0, 1\\]"),
+            ([0, 1], [1, 0], [-0.1, 0.5], None, "must be in \\[0, 1\\]"),
+            ([0, 1], [1, 0], [0.1, float("nan")], None, "must be in \\[0, 1\\]"),
+            ([0, 1, 0], [1, 0, 1], 0.1, None, "duplicate edge 0 -> 1"),
+            ([2, 0, 2], [0, 1, 0], 0.1, None, "duplicate edge 2 -> 0"),
+            ([0, 1], [1, 0], [0.1, 0.2, 0.3], None, "one per edge"),
+            ([0, 1], [1], 0.1, None, "one length"),
+            ([0.0, 1.0], [1, 0], 0.1, None, "integer node indices"),
+            ([0, 1], [1, 0], 0.1, ["a", "b"], "groups has 2 entries for 3 nodes"),
+        ],
+    )
+    def test_invalid_input_raises_graph_error(self, src, dst, prob, groups, match):
+        with pytest.raises(GraphError, match=match):
+            DiGraph.from_edge_arrays(3, np.asarray(src), np.asarray(dst), prob, groups)
+
+    def test_invalid_probability_and_node_count(self):
+        with pytest.raises(GraphError, match="must be in \\[0, 1\\]"):
+            DiGraph.from_edge_arrays(2, [0], [1], 0.1, default_probability=2.0)
+        with pytest.raises(GraphError, match="non-negative"):
+            DiGraph.from_edge_arrays(-1, [], [], 0.1)
+
+    def test_caller_arrays_stay_writeable(self):
+        src, dst = np.array([1, 0]), np.array([0, 1])
+        graph = DiGraph.from_edge_arrays(2, src, dst, 0.5)
+        src[0] = 0  # the graph copied its input
+        assert graph.edge_arrays()[0].tolist() == [0, 1]
+        assert not graph.edge_arrays()[0].flags.writeable
+
+
+def test_concurrent_first_dict_use_on_a_frozen_bulk_graph():
+    """Threads racing to build a frozen bulk graph's dicts all read the
+    same adjacency and exports, many times over."""
+    import sys
+    import threading
+
+    rng = np.random.default_rng(5)
+    n = 60
+    pairs = sorted({(int(u), int(v)) for u, v in rng.integers(0, n, (400, 2)) if u != v})
+    order = rng.permutation(len(pairs))
+    edges = [(*pairs[i], 0.25) for i in order]
+    reference = _edge_by_edge(n, [None] * n, edges)
+    expected = (
+        [reference.successors(v) for v in range(n)],
+        [reference.predecessors(v) for v in range(n)],
+        [a.tolist() for a in reference.edge_arrays()],
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            graph = _bulk(n, [None] * n, edges)
+            graph.freeze()
+            barrier = threading.Barrier(6)
+            seen, errors = [], []
+
+            def read():
+                try:
+                    barrier.wait(timeout=10)
+                    exports = [a.tolist() for a in graph.edge_arrays()]
+                    seen.append((
+                        [graph.successors(v) for v in range(n)],
+                        [graph.predecessors(v) for v in range(n)],
+                        exports,
+                    ))
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len(seen) == 6 and all(view == expected for view in seen)
+            assert graph._dicts is not None and graph._bulk is None
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _coo_world(graph, key):
+    """The pre-batching reference: one keyed pass and a COO-to-CSR
+    conversion per world."""
+    from scipy import sparse
+
+    from repro.diffusion.worlds import keyed_edge_uniforms
+
+    n = graph.number_of_nodes()
+    src, dst, prob = graph.edge_arrays()
+    keep = keyed_edge_uniforms(key, src, dst, n) < prob
+    return sparse.csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])), shape=(n, n)
+    )
+
+
+class TestSampleIcWorldsEqualsPerWorldReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_edge_lists(),
+        bulk=st.booleans(),
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        chunk=st.sampled_from([1, 5, 1 << 20]),
+    )
+    def test_worlds_equal_coo_reference(self, case, bulk, keys, chunk):
+        from repro.diffusion import worlds as worlds_mod
+
+        graph = (_bulk if bulk else _edge_by_edge)(*case)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(worlds_mod, "SAMPLE_CHUNK_CELLS", chunk)
+            sampled = worlds_mod.sample_ic_worlds(graph, keys)
+        assert len(sampled) == len(keys)
+        for r, (world, key) in enumerate(zip(sampled, keys)):
+            reference = _coo_world(graph, key)
+            _assert_same_arrays(world.adjacency, reference, f"world {r}")
+            assert world.adjacency.has_sorted_indices and world.adjacency.has_canonical_format
+            single = worlds_mod.sample_ic_world_from_key(graph, key)
+            _assert_same_arrays(single.adjacency, reference, f"single world {r}")
+
+    def test_unsorted_edge_arrays_are_covered(self):
+        graph = _edge_by_edge(3, ["a"] * 3, [(0, 2, 0.5), (0, 1, 0.5), (2, 0, 0.5)])
+        src, dst, _ = graph.edge_arrays()
+        assert dst[:2].tolist() == [2, 1]  # insertion order, not (src, dst)
+        from repro.diffusion.worlds import sample_ic_worlds
+
+        for r, world in enumerate(sample_ic_worlds(graph, range(40))):
+            _assert_same_arrays(world.adjacency, _coo_world(graph, r), f"world {r}")
+
+
+def _reference_sbm(block_sizes, within, across, activation, group_names, seed):
+    """The edge-by-edge SBM: every upper-triangle pair tested in order."""
+    from repro.rng import ensure_rng
+
+    rng = ensure_rng(seed)
+    n = int(sum(block_sizes))
+    block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    graph = DiGraph(default_probability=activation)
+    for node in range(n):
+        graph.add_node(node, group=group_names[block_of[node]])
+    iu, ju = np.triu_indices(n, k=1)
+    p_pair = np.where(block_of[iu] == block_of[ju], within, across)
+    keep = rng.random(iu.shape[0]) < p_pair
+    for u, v in zip(iu[keep].tolist(), ju[keep].tolist()):
+        graph.add_undirected_edge(u, v)
+    return graph
+
+
+def _undirected_edge_by_edge(n, us, vs, activation_probability, groups=None):
+    graph = DiGraph(default_probability=activation_probability)
+    for node in range(n):
+        graph.add_node(node, group=None if groups is None else groups[node])
+    for u, v in zip(np.asarray(us).tolist(), np.asarray(vs).tolist()):
+        graph.add_undirected_edge(u, v)
+    return graph
+
+
+class TestGeneratorsEqualEdgeByEdge:
+    """Every generator's bulk-built graph equals the one edge-by-edge
+    insertion of the same pairs (and, for the triangle-draw models, of
+    the full pair scan) builds."""
+
+    CASES = {
+        "sbm": lambda g, s: g.stochastic_block_model([7, 9, 5], 0.3, 0.05, 0.2, seed=s),
+        "sbm-across-heavy": lambda g, s: g.stochastic_block_model([6, 6], 0.05, 0.4, seed=s),
+        "two-block": lambda g, s: g.two_block_sbm(40, 0.7, 0.2, 0.02, seed=s),
+        "er": lambda g, s: g.erdos_renyi(25, 0.2, seed=s),
+        "er-groups": lambda g, s: g.erdos_renyi_with_groups(25, 0.2, seed=s),
+        "ba": lambda g, s: g.barabasi_albert(30, 3, seed=s),
+        "ba-groups": lambda g, s: g.barabasi_albert_with_groups(30, 2, seed=s),
+        "edge-counts": lambda g, s: g.block_model_with_edge_counts(
+            [8, 6], np.array([[12, 7], [7, 5]]), 0.1, seed=s),
+        "weighted": lambda g, s: g.weighted_block_model(
+            [8, 6], np.array([[12, 7], [7, 5]]), 0.1, [1.2, 0.4], seed=s),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_generator_equals_edge_by_edge(self, name, seed):
+        from repro.graph import generators
+
+        def graph_of(result):
+            return result[0] if isinstance(result, tuple) else result
+
+        bulk = graph_of(self.CASES[name](generators, seed))
+        assert bulk._dicts is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_undirected_graph", _undirected_edge_by_edge)
+            reference = graph_of(self.CASES[name](generators, seed))
+        assert reference._dicts is not None
+        assert _graph_view(bulk) == _graph_view(reference)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sbm_equals_full_pair_scan(self, seed):
+        from repro.graph.generators import stochastic_block_model
+
+        for within, across in ((0.3, 0.05), (0.05, 0.4), (0.0, 0.0), (1.0, 0.5)):
+            args = ([7, 9, 5], within, across, 0.2, ["x", "y", "z"])
+            bulk, _ = stochastic_block_model(*args, seed=seed)
+            assert _graph_view(bulk) == _graph_view(_reference_sbm(*args, seed))
+
+
+class TestDegreePicksEqualFullSort:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_edge_lists(), data=st.data())
+    def test_top_degree_and_proportional_picks(self, case, data):
+        from repro.baselines.heuristics import (
+            group_proportional_degree_seeds,
+            top_degree_seeds,
+        )
+
+        n, _, edges = case
+        groups = data.draw(st.lists(st.sampled_from(["a", "b"]), min_size=n, max_size=n))
+        graph = _bulk(n, groups, edges)
+        assume(len(set(groups)) == 2)
+        assignment = GroupAssignment.from_graph(graph)
+        candidates = data.draw(
+            st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        )
+        pool = list(range(n)) if candidates is None else candidates
+        budget = data.draw(st.integers(1, len(pool)))
+        degree = {v: sum(1 for u, _, _ in edges if u == v) for v in range(n)}
+        ranked = sorted(pool, key=lambda v: (-degree[v], repr(v)))
+        assert top_degree_seeds(graph, budget, candidates) == ranked[:budget]
+        picks = group_proportional_degree_seeds(graph, assignment, budget, candidates)
+        assert len(picks) == budget and len(set(picks)) == budget
+        for group in ("a", "b"):
+            mine = [v for v in picks if groups[v] == group]
+            members = [v for v in ranked if groups[v] == group]
+            assert mine == members[: len(mine)]
+        assert graph._dicts is None
+
+
+def test_sweep_path_never_builds_adjacency_dicts(tmp_path):
+    """A sweep over the synthetic dataset — world and RR ensembles,
+    greedy solves, degree and random baselines — leaves every graph it
+    built holding only its edge arrays."""
+    from repro.api import EnsembleSpec, RunSpec, Session, SolverSpec
+    from repro.api.datasets import build_dataset
+    from repro.baselines.heuristics import baseline_seeds
+    from repro.sweep import SweepSpec, run_sweep
+
+    graph, assignment = build_dataset("synthetic", {"n": 80}, 0)
+    for backend in ("dense", "sparse", "lazy", "auto"):
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=4, seed=1, backend=backend)
+        ensemble.group_utilities(ensemble.state_for(ensemble.candidate_labels[:3]), 5)
+    rrset = RRSetEstimator(graph, assignment, theta=200, seed=1)
+    rrset.group_utilities(rrset.state_for(graph.nodes()[:3]), 5)
+    for name in ("degree", "random", "proportional_degree"):
+        baseline_seeds(name, graph, assignment, 3, seed=0)
+    assert graph._dicts is None
+
+    base = RunSpec(
+        ensemble=EnsembleSpec(dataset="synthetic", dataset_params={"n": 80}, n_worlds=6),
+        solver=SolverSpec(problem="budget", deadline=10.0, fair=True, budget=2),
+    )
+    sweep = SweepSpec(
+        base=base,
+        axes={"ensemble.dataset_params.majority_fraction": [0.6, 0.7], "solver.budget": [1, 2]},
+        cells=[{"ensemble.kind": "rrset", "ensemble.theta": 200, "solver.budget": 2}],
+        seed=3,
+        baselines=("degree", "random"),
+        name="lazy-dicts",
+    )
+    session = Session()
+    run_sweep(sweep, tmp_path / "sweep", session=session)
+    graphs = list(session._graphs.values())
+    assert graphs and all(g._dicts is None for g in graphs)
