@@ -3,22 +3,23 @@
 These are the operations the greedy solvers call thousands of times;
 their cost profile is what makes paper-scale sweeps tractable:
 
-- ensemble construction (world sampling + distance store, once per
-  experiment) — for each distance backend;
+- ensemble construction (world sampling + reach index, once per
+  experiment);
 - full utility evaluation of a seed set (once per accepted seed);
-- a marginal-gain query (the CELF inner loop) — for each backend.
+- a marginal-gain query (the CELF inner loop).
 
-The memory-footprint test additionally *asserts* the sparse backend's
-core promise (its store must be well under the dense tensor on the
-synthetic benchmark graph) and records the measured footprints in
-``BENCH_estimator.json`` next to this file.
+The memory-footprint test additionally *asserts* the reach index's
+core promise (the whole ensemble must hold under a tenth of the dense
+``R x C x n`` tensor on the synthetic benchmark graph) and records the
+measured footprints in ``BENCH_estimator.json`` next to this file.
 
 The cold-build test times the two builds a cold request pays for — the
-dense distance store (``store_build``) and one horizon's RR index
-(``rr_index_build``) — against the code they replaced: one csgraph BFS
-per world, and an RR sampler that scans a dense ``visited`` matrix.
-It asserts equal outputs and that the frontier builds are no slower
-(the CI floor), and records both in the same JSON with ``cpu_count``.
+reach index (``store_build``) and one horizon's RR index
+(``rr_index_build``) — against the code they replaced: a dense
+``uint8`` frontier BFS scanned world by world for its finite entries,
+and an RR sampler that scans a dense ``visited`` matrix.  It asserts
+equal outputs and that the new builds are no slower (the CI floor),
+and records both in the same JSON with ``cpu_count``.
 
 The cold-path test does the same for the two steps before those builds:
 the 400-node synthetic SBM built from edge arrays (``graph_build``)
@@ -48,9 +49,22 @@ from repro.diffusion.worlds import (
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import two_block_sbm
 from repro.graph.groups import GroupAssignment
+from repro.diffusion.worlds import UNREACHABLE
 from repro.influence import rrsets
-from repro.influence.backends import BACKEND_NAMES, DenseBackend
-from repro.influence.ensemble import WorldEnsemble
+from repro.influence.backends import (
+    FRONTIER_CHUNK_BYTES,
+    FRONTIER_EDGE_BYTES,
+    compact_uint,
+    concat_ranges,
+    flat_index_dtype,
+)
+from repro.influence.ensemble import (
+    WorldEnsemble,
+    assemble_reach,
+    make_backend,
+    table_dtype,
+    time_table,
+)
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_estimator.json"
 
@@ -64,14 +78,6 @@ def dataset():
 def ensemble(dataset):
     graph, assignment = dataset
     return WorldEnsemble(graph, assignment, n_worlds=100, seed=1)
-
-
-@pytest.fixture(scope="module", params=BACKEND_NAMES)
-def backend_ensemble(request, dataset):
-    graph, assignment = dataset
-    return WorldEnsemble(
-        graph, assignment, n_worlds=100, seed=1, backend=request.param
-    )
 
 
 def test_ensemble_construction(benchmark, dataset):
@@ -110,66 +116,29 @@ def test_infinite_deadline_evaluation(benchmark, ensemble):
     assert total >= 5
 
 
-def test_backend_construction(benchmark, dataset):
-    """Sparse-store construction cost (batched frontier BFS per world)."""
-    graph, assignment = dataset
-
-    def build():
-        return WorldEnsemble(graph, assignment, n_worlds=50, seed=2, backend="sparse")
-
-    result = benchmark(build)
-    assert result.backend_name == "sparse"
-
-
-def test_backend_marginal_gain_query(benchmark, backend_ensemble):
-    """The CELF inner loop under each backend."""
-    state = backend_ensemble.state_for(backend_ensemble.candidate_labels[:10])
-    utilities = benchmark(
-        backend_ensemble.candidate_group_utilities, state, 450, 20
-    )
-    assert utilities.sum() >= 0
-
-
-def test_backend_full_evaluation(benchmark, backend_ensemble):
-    """Per-accepted-seed utility evaluation under each backend."""
-    state = backend_ensemble.state_for(backend_ensemble.candidate_labels[:30])
-    utilities = benchmark(backend_ensemble.group_utilities, state, 20)
-    assert utilities.sum() > 0
-
-
-def test_backend_memory_footprint(dataset):
-    """The sparse backend's reason to exist, asserted and recorded.
+def test_index_memory_footprint(dataset):
+    """The reach index's reason to exist, asserted and recorded.
 
     On the synthetic SBM (p_e = 0.05, reach is tiny relative to n) the
-    CSR store must come in far below the dense tensor.  Footprints for
-    all backends go to ``BENCH_estimator.json`` so regressions are
-    visible in review diffs.
+    whole ensemble — index plus worlds — must hold under a tenth of the
+    ``R x C x n`` bytes the dense ``uint8`` tensor took.  Footprints go
+    to ``BENCH_estimator.json`` so regressions are visible in review
+    diffs.
     """
     graph, assignment = dataset
     n_worlds = 100
-    ensembles = {
-        backend: WorldEnsemble(
-            graph, assignment, n_worlds=n_worlds, seed=1, backend=backend
-        )
-        for backend in BACKEND_NAMES
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=1)
+    dense = n_worlds * ensemble.n_candidates * ensemble.n
+    footprints = {
+        "dense_tensor": dense,
+        "index": ensemble.memory_bytes(),
+        "worlds": sum(world.nbytes for world in ensemble.worlds),
+        "ensemble": ensemble.nbytes,
     }
-    footprints = {b: e.memory_bytes() for b, e in ensembles.items()}
-
-    # Exercise the lazy cache so its steady-state footprint is honest.
-    lazy = ensembles["lazy"]
-    state = lazy.empty_state()
-    for position in range(min(lazy.n_candidates, 64)):
-        lazy.candidate_group_utilities(state, position, 20)
-    footprints["lazy"] = lazy.memory_bytes()
-
-    assert footprints["sparse"] < footprints["dense"] / 4, (
-        f"sparse store {footprints['sparse']}B vs dense "
-        f"{footprints['dense']}B — the O(nnz) promise regressed"
+    assert footprints["ensemble"] < dense / 10, (
+        f"ensemble {footprints['ensemble']}B vs dense tensor {dense}B — "
+        "the O(entries) promise regressed"
     )
-    assert footprints["lazy"] < footprints["dense"], (
-        "lazy cache should stay below the full dense tensor"
-    )
-
     record = {
         "graph": {
             "nodes": graph.number_of_nodes(),
@@ -177,12 +146,75 @@ def test_backend_memory_footprint(dataset):
             "dataset": "default_synthetic(seed=0)",
         },
         "n_worlds": n_worlds,
+        "index_entries": int(ensemble._reach.flat.size),
         "memory_bytes": footprints,
-        "sparse_over_dense": footprints["sparse"] / footprints["dense"],
-        "lazy_cache_entries": lazy.backend.cache_entries,
+        "ensemble_over_dense": round(footprints["ensemble"] / dense, 6),
     }
     for key, value in record.items():
         record_bench(key, value, RESULTS_PATH)
+
+
+def _dense_frontier_rows(worlds, world, source):
+    """The frontier BFS before the reach index was its store: the same
+    level loop, with a ``uint8 (rows, n)`` output that doubles as the
+    visited set."""
+    n = worlds[0].n
+    out = np.full((world.size, n), UNREACHABLE, dtype=np.uint8)
+    out[np.arange(world.size), source] = 0
+    ids, local = np.unique(world, return_inverse=True)
+    adjacencies = [worlds[int(r)].adjacency for r in ids]
+    edge_offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [adj.indptr[1:] + offset for adj, offset in zip(adjacencies, edge_offsets)]
+    )
+    indices = np.concatenate([adj.indices for adj in adjacencies])
+    spent = np.cumsum((np.diff(edge_offsets)[local] + 1) * FRONTIER_EDGE_BYTES)
+    hops, base = out.reshape(-1), local * n
+    lo = 0
+    while lo < world.size:
+        budget = FRONTIER_CHUNK_BYTES + (spent[lo - 1] if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(spent, budget, side="right")))
+        rows, nodes = np.arange(lo, hi, dtype=np.int64), source[lo:hi]
+        level = 0
+        while rows.size:
+            level += 1
+            at = base[rows] + nodes
+            starts, ends = indptr[at], indptr[at + 1]
+            flat = np.repeat(rows, ends - starts) * n + indices[concat_ranges(starts, ends)]
+            flat = np.unique(flat[hops[flat] == UNREACHABLE])
+            hops[flat] = min(level, UNREACHABLE - 1)
+            rows, nodes = np.divmod(flat, n)
+        lo = hi
+    return out
+
+
+def _dense_then_scan_index(worlds, candidates, group_index, k):
+    """The reach index as it was built before: the dense ``D[r, c, v]``
+    tensor, scanned world by world for its finite entries, stably
+    sorted by candidate, then assembled as the index build does."""
+    n_worlds, n_candidates, n = len(worlds), candidates.size, worlds[0].n
+    dense = _dense_frontier_rows(
+        worlds, np.repeat(np.arange(n_worlds), n_candidates), np.tile(candidates, n_worlds)
+    ).reshape(n_worlds, n_candidates, n)
+    owners, flats, times = [], [], []
+    for r in range(n_worlds):
+        world = dense[r].reshape(-1)
+        idx = np.flatnonzero(world != UNREACHABLE)
+        c_idx, v_idx = np.divmod(idx, n)
+        owners.append(c_idx.astype(compact_uint(n_candidates)))
+        flats.append((v_idx + r * n).astype(flat_index_dtype(n_worlds, n)))
+        times.append(world[idx])
+    owner, flat, time = (np.concatenate(part) for part in (owners, flats, times))
+    order = np.argsort(owner, kind="stable")
+    owner, flat, time = owner[order], flat[order], time[order]
+    offsets = np.zeros(n_candidates + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_candidates), out=offsets[1:])
+    group = group_index[flat % n].astype(compact_uint(k))
+    n_bins = int(time.max()) + 1 if time.size else 1
+    table = time_table(owner, n_candidates, group, time, k, n_bins)
+    table = table.astype(table_dtype(n_worlds, n))
+    return assemble_reach(offsets, flat, time, group, table, n_worlds * n, k)
 
 
 def _dense_visited_rr_batch(
@@ -243,13 +275,18 @@ def test_cold_builds_frontier_vs_reference(monkeypatch):
         worlds = sample_worlds(graph, n_worlds, seed=1)
         candidates = np.arange(n)
 
+        group_index = assignment.masks(graph).argmax(axis=0).astype(np.int64)
+        k = len(assignment.groups)
+
         def reference_store():
-            return np.stack([world.distances_from(candidates) for world in worlds])
+            return _dense_then_scan_index(worlds, candidates, group_index, k)
 
         def frontier_store():
-            return DenseBackend(worlds, candidates, n)._distances
+            return make_backend(worlds, candidates, group_index, k, 10**12)
 
-        np.testing.assert_array_equal(frontier_store(), reference_store())
+        for mine, theirs in zip(frontier_store(), reference_store()):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
         store = {
             "reference_s": round(best_of(reference_store, 5), 6),
             "frontier_s": round(best_of(frontier_store, 5), 6),

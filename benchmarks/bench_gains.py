@@ -11,9 +11,8 @@ default synthetic SBM and committed to ``BENCH_solvers.json``:
   the acceptance bar is >= 5x;
 - the scalar CELF re-evaluation at a 15-seed state, scored from the
   candidate's reach-index entries vs the dense-row reference (fold the
-  candidate's ``(R, n)`` rows, weight, GEMM), plus the one-scan build
-  of the reach index and gain table vs the previous per-world
-  ``C * k * 256``-bin histogram build.
+  candidate's ``(R, n)`` rows, weight, GEMM).  The reach index itself
+  is built with the ensemble; ``bench_estimator.py`` times that build.
 
 Every timed pair also asserts bit-identical outputs, so the benchmark
 doubles as an end-to-end equivalence smoke: in CI (``--benchmark-disable``
@@ -31,9 +30,7 @@ import pytest
 
 from conftest import best_of, record_bench
 
-from repro.api import EnsembleSpec, Session
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
-from repro.diffusion.worlds import UNREACHABLE
 from repro.influence.deadlines import clip_deadline
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.cover import solve_fair_tcim_cover
@@ -157,12 +154,11 @@ def test_block_size_sweep(ensemble):
 
 
 def test_state_build_slab_vs_sequential(ensemble):
-    """Bulk seed-state construction: one ``reduce_rows`` call per state.
+    """Bulk seed-state construction: one scatter-minimum per state.
 
-    ``state_for`` now hands the whole seed set to the backend in one
-    call (a view-slab ``np.minimum.reduce`` for contiguous runs,
-    allocation-free row folds for scattered seeds) instead of issuing one ``add_seed`` per seed with
-    its per-seed bookkeeping; ``evaluate_at``, ``utilities_for`` and
+    ``state_for`` folds every seed's reach-index entries into the state
+    in one ``np.minimum.at`` call instead of issuing one ``add_seed``
+    per seed with its per-seed bookkeeping; ``evaluate_at``, ``utilities_for`` and
     the sweep helpers all rebuild states through it.  Measured on the
     two rebuild workloads the figures run: a B=30 budget solution and
     a cover solution (where the sequential path's quadratic
@@ -298,9 +294,10 @@ def test_deadline_sweep_vs_per_tau(ensemble):
     )
 
 
-def dense_row_utilities(ensemble, state, position, deadline):
-    """The dense-row reference oracle: ``min_with`` + weights + GEMM."""
-    folded = ensemble.backend.min_with(state.best_time, position)
+def dense_row_utilities(ensemble, rows, state, position, deadline):
+    """The dense-row reference oracle: fold the candidate's ``(R, n)``
+    rows of the dense tensor ``rows`` into the state, weight, GEMM."""
+    folded = np.minimum(state.best_time, rows[:, position, :])
     weights = ensemble._activation_weights(folded, clip_deadline(deadline), None)
     per_world = weights @ ensemble._masks_f
     return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
@@ -313,6 +310,9 @@ def test_scalar_oracle_index_vs_dense_rows(ensemble):
     ).seeds
     state = ensemble.state_for(seeds)
     positions = range(ensemble.n_candidates)
+    rows = np.stack(
+        [world.distances_from(ensemble._candidate_indices) for world in ensemble.worlds]
+    )
 
     def index_pass():
         return [
@@ -322,14 +322,14 @@ def test_scalar_oracle_index_vs_dense_rows(ensemble):
 
     def dense_pass():
         return [
-            dense_row_utilities(ensemble, state, p, DEFAULT_DEADLINE)
+            dense_row_utilities(ensemble, rows, state, p, DEFAULT_DEADLINE)
             for p in positions
         ]
 
     np.testing.assert_array_equal(np.stack(index_pass()), np.stack(dense_pass()))
     index_us = best_of(index_pass) / ensemble.n_candidates * 1e6
     dense_us = best_of(dense_pass) / ensemble.n_candidates * 1e6
-    reach = ensemble._reach_index()
+    reach = ensemble._reach
     record_bench(
         "scalar_oracle",
         {
@@ -352,62 +352,3 @@ def test_scalar_oracle_index_vs_dense_rows(ensemble):
         f"reach-index oracle slower than dense rows: "
         f"{index_us:.1f} vs {dense_us:.1f} us/call"
     )
-
-
-def per_world_histogram_table(ensemble):
-    """The previous gain-table build: a ``C * k * 256``-bin bincount
-    added up world by world over the dense store, then cut and summed."""
-    distances = ensemble.backend._distances
-    n_candidates, k = ensemble.n_candidates, len(ensemble.group_names)
-    size = n_candidates * k * 256
-    hist = np.zeros(size, dtype=np.int64)
-    for world in distances:
-        finite = world != UNREACHABLE
-        c_idx, v_idx = np.nonzero(finite)
-        codes = (c_idx * k + ensemble._group_index[v_idx]) * 256
-        codes += world[finite]
-        hist += np.bincount(codes, minlength=size)
-    hist = hist.reshape(n_candidates, k, 256)
-    used = np.flatnonzero(hist.any(axis=(0, 1)))
-    last = int(used[-1]) if used.size else 0
-    return np.cumsum(hist[:, :, : last + 1], axis=2)
-
-
-def test_reach_index_build_vs_histogram_build():
-    """One scan + one bincount builds the index and the gain table."""
-    session = Session()
-    rows = {}
-    for name, dataset, n_worlds in (
-        ("synthetic-500", "synthetic", 100),
-        ("rice-1205", "rice", 50),
-    ):
-        ens = session.ensemble_for(
-            EnsembleSpec(dataset=dataset, n_worlds=n_worlds, world_seed=1)
-        )
-        assert ens.backend_name == "dense"
-
-        def index_build():
-            ens._reach, ens._reach_missing = None, False
-            return ens._reach_index()
-
-        np.testing.assert_array_equal(
-            index_build().table, per_world_histogram_table(ens)
-        )
-        index_s = best_of(index_build)
-        histogram_s = best_of(lambda: per_world_histogram_table(ens))
-        reach = ens._reach_index()
-        rows[name] = {
-            "n_worlds": n_worlds,
-            "n_candidates": ens.n_candidates,
-            "entries": int(reach.flat.size),
-            "index_bytes": reach.nbytes,
-            "store_bytes": ens.memory_bytes(),
-            "index_build_s": round(index_s, 6),
-            "histogram_build_s": round(histogram_s, 6),
-            "speedup": round(histogram_s / index_s, 2),
-        }
-        assert index_s <= histogram_s, (
-            f"{name}: index build slower than the per-world histogram: "
-            f"{index_s:.4f}s vs {histogram_s:.4f}s"
-        )
-    record_bench("reach_index_build", rows)

@@ -95,8 +95,7 @@ def test_repair_vs_rebuild_latency():
             graph, assignment = default_synthetic(seed=0)
             delta = make_delta(graph, size)
             ensemble = WorldEnsemble(
-                graph, assignment, n_worlds=N_WORLDS, seed=WORLD_SEED,
-                backend="dense",
+                graph, assignment, n_worlds=N_WORLDS, seed=WORLD_SEED
             )
             objective = ConcaveSumObjective(log1p, ensemble.group_sizes)
             prior = lazy_greedy(
@@ -122,8 +121,7 @@ def test_repair_vs_rebuild_latency():
             started = time.perf_counter()
             graph2.apply_delta(delta)
             fresh = WorldEnsemble(
-                graph2, assignment2, n_worlds=N_WORLDS, seed=WORLD_SEED,
-                backend="dense",
+                graph2, assignment2, n_worlds=N_WORLDS, seed=WORLD_SEED
             )
             cold = lazy_greedy(
                 fresh,

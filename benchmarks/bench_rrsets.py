@@ -1,9 +1,9 @@
 """Benchmarks for the RR-set estimator vs. the world ensemble.
 
-The ``rrset`` kind exists to scale past the distance-tensor backends,
-so this suite measures the trade it makes on the default synthetic
+The ``rrset`` kind exists to scale past the world ensemble's reach
+index, so this suite measures the trade it makes on the default synthetic
 benchmark graph: build time (adaptive RR sampling vs. world sampling +
-distance store), unfair-budget solve time on each estimator, and the
+reach index), unfair-budget solve time on each estimator, and the
 relative utility error of the RR estimate against the ensemble's
 estimate of the same seed set.  The measured numbers are committed to
 ``BENCH_rrsets.json`` next to this file; CI runs the suite with

@@ -9,10 +9,9 @@ kwargs could not provide:
    mutable state, and the fully-resolved values are echoed back on the
    result for audit.
 2. **An ensemble cache.**  Building a :class:`WorldEnsemble` (world
-   sampling + distance store) dwarfs most solves; the session keys
-   built estimators by :meth:`EnsembleSpec.fingerprint` (plus the
-   resolved backend, which changes the store), so N solves over one
-   graph — a budget sweep, a deadline sweep, P1-vs-P4 on common random
+   sampling + reach index) dwarfs most solves; the session keys
+   built estimators by :meth:`EnsembleSpec.fingerprint`, so N solves
+   over one graph — a budget sweep, a deadline sweep, P1-vs-P4 on common random
    numbers — share worlds.  Sharing worlds is also what makes the
    comparisons *fair*: every solve sees the same randomness.
 3. **A stable result shape.**  :class:`RunResult` carries the
@@ -49,7 +48,7 @@ from repro.influence.ensemble import WorldEnsemble
 from repro.influence.rrsets import build_rrset_estimator
 
 #: Ensembles a session keeps alive at once (LRU beyond this).  Small on
-#: purpose: each entry can hold a multi-hundred-MiB distance store.
+#: purpose: each entry can hold a large reach index or RR pool.
 DEFAULT_MAX_CACHED_ENSEMBLES = 4
 
 
@@ -104,9 +103,10 @@ class RunResult:
     """Everything one solve produced, in a stable, mostly-plain shape.
 
     ``spec`` is the *resolved* request: every execution field concrete
-    (the actual backend after ``"auto"``, the actual build-worker
-    count), so the result alone documents how it was made.
-    ``evaluations`` counts oracle calls (utility evaluations).
+    (``workers`` and ``build_workers`` echo ``1``: queries and builds
+    run in-process), so the result alone documents how it was made.
+    ``evaluations`` counts the candidate rows the solver scored (one
+    per candidate per batched call, one per scalar query).
     ``trace`` and ``solution`` carry the full solver objects for
     callers that want them; :meth:`to_dict` is the JSON-safe summary
     (what ``repro solve --json`` prints).
@@ -195,8 +195,7 @@ class RunResult:
         )
         lines = [
             f"{self.problem} on {self.spec.ensemble.dataset!r} "
-            f"[{execution.backend} backend, "
-            f"{estimator}, "
+            f"[{estimator}, "
             f"build_workers={execution.build_workers}]",
             f"  seeds ({self.seed_count}): "
             f"{[_jsonify_label(s) for s in self.seeds]}",
@@ -322,7 +321,6 @@ class Session:
             return library_default
 
         return ExecutionSpec(
-            backend=chain("backend", "auto"),
             workers=1,
             build_workers=chain("build_workers", 1),
         )
@@ -352,8 +350,8 @@ class Session:
             while len(self._ensembles) > self.max_cached_ensembles:
                 self._evict_oldest()
             if self.cache_bytes is not None:
-                # Recompute live: lazy stores and RR pools grow after
-                # insertion, so stored-at-put sizes would under-count.
+                # Recompute live: RR pools grow after insertion, so
+                # stored-at-put sizes would under-count.
                 while (
                     len(self._ensembles) > 1
                     and self._cache_nbytes() > self.cache_bytes
@@ -390,7 +388,7 @@ class Session:
         """Cache counters plus live byte accounting.
 
         ``bytes`` is recomputed from the cached estimators' ``nbytes``
-        on every read (lazy stores grow between solves), so it is what
+        on every read (RR pools grow between solves), so it is what
         the resident set actually holds, not a stale put-time snapshot.
         """
         with self._lock:
@@ -411,11 +409,8 @@ class Session:
     ):
         """The (possibly cached) estimator for an :class:`EnsembleSpec`.
 
-        Keyed by the spec fingerprint plus the resolved backend name
-        (the backend changes the distance store, never the estimates;
-        caching per backend keeps memory accounting honest).  Workers
-        are *not* part of the key — they never change results — and are
-        pinned per solve instead.
+        Keyed by the spec fingerprint.  Execution knobs are *not* part
+        of the key — they never change results.
         """
         estimator, _, _ = self._ensemble_for(spec, self.resolve_execution(execution))
         return estimator
@@ -427,7 +422,7 @@ class Session:
             raise ConfigError(
                 f"expected an EnsembleSpec, got {type(spec).__name__}"
             )
-        key = ("spec", spec.fingerprint(), resolved.backend)
+        key = ("spec", spec.fingerprint())
         cached = self._cache_get(key)
         if cached is not None:
             return cached, True, key
@@ -442,7 +437,6 @@ class Session:
                 candidates=spec.candidates,
                 model=spec.model,
                 seed=spec.world_seed,
-                backend=resolved.backend,
             )
         with self._lock:
             self.cache_builds += 1
@@ -453,7 +447,7 @@ class Session:
         built from the same ``(dataset, dataset_params, dataset_seed)``.
 
         A dataset is a pure function of those three, so estimators that
-        differ only in worlds, seeds, kind or backend share one graph —
+        differ only in worlds, seeds or kind share one graph —
         on small ensembles the graph is a quarter of the footprint.
         The shared graph is frozen: no holder can mutate it under the
         others, and a delta repair gives its ensemble a private copy
@@ -484,7 +478,6 @@ class Session:
         seed,
         candidates: Optional[Sequence[Any]] = None,
         model: str = "ic",
-        backend: Optional[str] = None,
     ) -> WorldEnsemble:
         """Ensemble construction for callers holding a *graph object*
         (the experiment layer), through the same cache and chain.
@@ -496,12 +489,6 @@ class Session:
         Non-integer seeds (generators, ``None``) are inherently
         unreplayable, so those builds bypass the cache.
         """
-        resolved_backend = backend
-        if resolved_backend is None:
-            resolved_backend = self.execution.backend
-        if resolved_backend is None:
-            resolved_backend = execution_defaults.get("backend", "auto")
-
         cacheable = isinstance(seed, int) and not isinstance(seed, bool)
         key = None
         if cacheable:
@@ -513,7 +500,6 @@ class Session:
                 int(seed),
                 model,
                 None if candidates is None else tuple(candidates),
-                resolved_backend,
             )
             cached = self._cache_get(key)
             if cached is not None:
@@ -525,7 +511,6 @@ class Session:
             candidates=candidates,
             model=model,
             seed=seed,
-            backend=resolved_backend,
         )
         with self._lock:
             self.cache_builds += 1
@@ -548,8 +533,8 @@ class Session:
     def _solver_fingerprint(spec: RunSpec) -> str:
         """What a recorded trace may warm: the exact solver request.
 
-        Execution knobs are excluded on purpose — the backend and the
-        build-worker count never change utilities, so a trace recorded
+        Execution knobs are excluded on purpose — they never change
+        utilities, so a trace recorded
         under one setting warms a re-solve under another.
         """
         return json.dumps(spec.solver.to_dict(), sort_keys=True)
@@ -576,9 +561,7 @@ class Session:
         """The :class:`WarmStart` a recorded trace justifies, or None.
 
         The refresh set is the union of the affected-candidate sets of
-        every repair since the trace was recorded; a repair that could
-        not report its footprint (lazy backend) forces a full refresh,
-        which is still warm in bookkeeping but evaluates like cold.
+        every repair since the trace was recorded.
         """
         with self._lock:
             entry = self._warm_traces.get((key, self._solver_fingerprint(spec)))
@@ -591,12 +574,7 @@ class Session:
         if epoch > len(log):
             return None  # recorded on a future the estimator no longer has
         tail = log[epoch:]
-        if any(affected is None for affected in tail):
-            refresh = None  # unknown footprint: refresh everything
-        elif tail:
-            refresh = np.unique(np.concatenate(tail))
-        else:
-            refresh = np.empty(0, dtype=np.int64)
+        refresh = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + tail))
         return WarmStart(utilities=utilities, refresh=refresh)
 
     def solve(self, spec: RunSpec) -> RunResult:
@@ -705,7 +683,6 @@ class Session:
             spec,
             solver=solver_echo,
             execution=ExecutionSpec(
-                backend=getattr(estimator, "backend_name", resolved.backend),
                 workers=resolved.workers,
                 build_workers=1,  # every build runs in-process
             ),

@@ -11,8 +11,9 @@ a *value*:
 - :class:`SolverSpec` — what to solve: budget (P1/P4) or cover
   (P2/P6), fair or unfair, with the paper's knobs (deadline, concave
   wrapper, weights, discount, quota, slack).
-- :class:`ExecutionSpec` — how to run it: the backend,
-  every field optional (``None`` defers down the config chain).
+- :class:`ExecutionSpec` — how to run it: two no-op worker counts
+  kept for spec-file compatibility, every field optional (``None``
+  defers down the config chain).
   Execution never changes results, which is why it is a separate
   bundle: two runs with equal ensemble+solver specs are comparable
   regardless of execution.
@@ -25,7 +26,7 @@ Every spec validates eagerly in ``__post_init__`` (fail fast, with
 :class:`repro.api.Session` shares ensembles under.
 
 Validation reuses the library's canonical checkers
-(``check_backend_name`` / ``check_workers`` / ``check_build_workers`` /
+(``check_workers`` / ``check_build_workers`` /
 ``check_seed`` / ``concave.by_name``) so a spec accepts exactly what
 the underlying layer accepts — one rule, every surface.
 """
@@ -41,7 +42,6 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 from repro.api.datasets import dataset_names
 from repro.core.concave import by_name as _concave_by_name
 from repro.errors import ConfigError, EstimationError, OptimizationError
-from repro.influence.backends import check_backend_name
 from repro.rng import check_seed
 
 #: Spec schema version written by ``to_dict`` and accepted by
@@ -491,7 +491,7 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How to run a solve — the backend.
+    """How to run a solve.
 
     Pure speed/memory knobs: no field ever changes a seed set, a trace,
     or an estimate (the library's determinism contract), which is why
@@ -504,19 +504,15 @@ class ExecutionSpec:
     :meth:`to_dict` because sweep cell fingerprints hash this section.
     """
 
-    backend: Optional[str] = None
     workers: Optional[Union[int, str]] = None
     build_workers: Optional[Union[int, str]] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            _check_with(check_backend_name, self.backend)
         _check_with(check_workers, self.workers, allow_none=True)
         _check_with(check_build_workers, self.build_workers, allow_none=True)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
             "workers": self.workers,
             "build_workers": self.build_workers,
         }
@@ -630,7 +626,7 @@ def spec_template(problem: str = "budget") -> RunSpec:
     ``repro spec init | repro solve -`` works as a smoke test anywhere.
     Execution is left entirely unset (all ``null`` in the JSON): the
     chain then resolves through the session — which is what keeps the
-    CLI's ``--backend``/``--build-workers`` flags in charge when
+    CLI's ``--build-workers`` flag in charge when
     solving a template-derived spec.
     """
     if problem == "budget":

@@ -3,13 +3,13 @@
 Usage::
 
     python -m repro.cli list
-    python -m repro.cli run fig4a [--quick] [--seed N] [--backend auto|dense|sparse|lazy] [--workers N|auto] [--build-workers N|auto]
+    python -m repro.cli run fig4a [--quick] [--seed N] [--workers N|auto] [--build-workers N|auto]
     python -m repro.cli run all [--quick]
     python -m repro.cli spec init [--problem budget|cover|sweep] [--out FILE]
     python -m repro.cli spec validate FILE [FILE ...]
-    python -m repro.cli solve SPEC [SPEC ...] [--json] [--delta FILE] [--backend ...] [--workers N|auto] [--build-workers N|auto]
-    python -m repro.cli sweep SPEC --out DIR [--cell FINGERPRINT] [--fresh] [--json] [--backend ...]
-    python -m repro.cli serve [--host H] [--port P] [--cache-bytes SIZE] [--threads N] [--max-pending N] [--timeout S] [--backend ...]
+    python -m repro.cli solve SPEC [SPEC ...] [--json] [--delta FILE] [--workers N|auto] [--build-workers N|auto]
+    python -m repro.cli sweep SPEC --out DIR [--cell FINGERPRINT] [--fresh] [--json]
+    python -m repro.cli serve [--host H] [--port P] [--cache-bytes SIZE] [--threads N] [--max-pending N] [--timeout S]
 
 ``run`` reproduces the paper's figures/tables; the exit code is
 non-zero when any shape check fails, so it doubles as a reproduction
@@ -65,7 +65,6 @@ from repro.api.specs import AUTO_WORKERS, check_build_workers, check_workers
 from repro.errors import ConfigError, EstimationError, ReproError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.graph.delta import GraphDelta
-from repro.influence.backends import BACKEND_CHOICES
 from repro.rng import check_seed
 from repro.sweep import SweepSpec, is_sweep_dict, run_cell, run_sweep, sweep_template
 from repro.service.config import (
@@ -377,18 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared execution knobs (``run`` sets process defaults with
-    them; ``solve`` builds its session's :class:`ExecutionSpec`)."""
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_CHOICES),
-        default=None,
-        help=(
-            "estimator backend for every ensemble (default: auto — pick "
-            "by estimated memory footprint; results are identical under "
-            "all backends)"
-        ),
-    )
+    """The shared execution knobs (``solve``, ``sweep`` and ``serve``
+    build their session's :class:`ExecutionSpec` from them; ``run``
+    accepts and ignores them)."""
     parser.add_argument(
         "--workers",
         type=_count_arg(check_workers),
@@ -454,7 +444,7 @@ def _cmd_run(args) -> int:
     for experiment_id in ids:
         started = time.perf_counter()
         result = run_experiment(
-            experiment_id, quick=args.quick, seed=args.seed, backend=args.backend
+            experiment_id, quick=args.quick, seed=args.seed
         )
         elapsed = time.perf_counter() - started
         print(result.as_text())
@@ -490,7 +480,6 @@ def _cmd_solve(args) -> int:
         delta = _read_delta(args.delta)
     session = Session(
         execution=ExecutionSpec(
-            backend=args.backend,
             workers=args.workers,
             build_workers=args.build_workers,
         )
@@ -513,7 +502,6 @@ def _cmd_sweep(args) -> int:
     spec = _read_sweep(args.spec)
     session = Session(
         execution=ExecutionSpec(
-            backend=args.backend,
             workers=args.workers,
             build_workers=args.build_workers,
         )
@@ -578,7 +566,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         execution=ExecutionSpec(
-            backend=args.backend,
             workers=args.workers,
             build_workers=args.build_workers,
         ),

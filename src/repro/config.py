@@ -2,9 +2,9 @@
 
 Plain mutable module globals are unserializable, unauditable, and racy
 under concurrent configuration — the opposite of what a service
-surface needs.  The library's execution knobs (the estimator backend,
-and the ``build_workers`` setting sessions still resolve and ignore)
-therefore live in a single lock-protected store,
+surface needs.  The library's execution knob (the ``build_workers``
+setting sessions still resolve and ignore) therefore lives in a single
+lock-protected store,
 :data:`execution_defaults`, and the declarative layer
 (:mod:`repro.api`) resolves every knob through an explicit chain::
 
@@ -14,9 +14,9 @@ therefore live in a single lock-protected store,
 
 The store itself is deliberately dumb: it holds raw values under a
 lock and knows nothing about validation (callers validate with the
-canonical checkers — ``check_backend_name`` / ``check_build_workers``
-— before writing), which keeps this module free of imports and
-therefore importable from every layer.
+canonical checker — ``check_build_workers`` — before writing), which
+keeps this module free of imports and therefore importable from every
+layer.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterator, Tuple
 #: Knob names the library itself reads.  The store accepts any name
 #: (extensions may register their own), but these are the documented
 #: ones.
-KNOWN_KNOBS: Tuple[str, ...] = ("backend", "build_workers")
+KNOWN_KNOBS: Tuple[str, ...] = ("build_workers",)
 
 _UNSET = object()
 

@@ -21,15 +21,14 @@ of two ways, chosen from what the estimator offers, not by a knob:
 
 - **Exact rounds.**  When the estimator keeps every candidate's exact
   per-group marginal counts on its state (``marginal_counts``: a world
-  ensemble with a reach index, step model — ``add_seed`` keeps them
+  ensemble under the step model — ``add_seed`` keeps them
   exact, the coverage structure behind CELF and RIS greedy), each
   round after a pick scores every open candidate with one batched
   call, O(k) per row, and marks every key fresh.  The pick is then
   read straight from exact gains — plain greedy's rule on plain
   greedy's rows — and ``evaluations`` counts the rows scored, as
   :func:`plain_greedy` reports.
-- **Bound rounds** (RR sets, discounted utilities, the lazy store),
-  below.
+- **Bound rounds** (RR sets, discounted utilities), below.
 
 In bound rounds it keeps each candidate's per-group marginal vector
 ``delta_c = u(S + c) - u(S)`` from its last oracle call.  Every
@@ -282,8 +281,9 @@ def lazy_greedy(
     ensemble:
         Pre-built influence estimator — anything satisfying the
         :class:`~repro.influence.backends.UtilityEstimator` protocol
-        (a :class:`~repro.influence.ensemble.WorldEnsemble` under any
-        distance backend, or a custom estimator).
+        (a :class:`~repro.influence.ensemble.WorldEnsemble`, an
+        :class:`~repro.influence.rrsets.RRSetEstimator`, or a custom
+        estimator).
     objective:
         Monotone scalarisation of group utilities.
     deadline:
@@ -492,8 +492,8 @@ def plain_greedy(
     docstring), quadratically more utility evaluations.  Kept as the
     test oracle and for the CELF ablation.  Every round's full
     re-evaluation runs through the batched utility oracle (see
-    :func:`lazy_greedy`'s ``block_size``), which is what keeps the
-    oracle usable at all.
+    :func:`lazy_greedy`'s ``block_size``): in one call per round when
+    the estimator keeps marginal counts, as CELF's exact rounds do.
     """
     _check_arguments(ensemble, max_seeds)
     state = ensemble.empty_state()
@@ -505,6 +505,13 @@ def plain_greedy(
         trace.stopped_reason = "stop-condition"
         return trace
 
+    marginal_counts = getattr(ensemble, "marginal_counts", None)
+    if (
+        block_size > 1
+        and marginal_counts is not None
+        and marginal_counts(state, deadline, discount) is not None
+    ):
+        block_size = ensemble.n_candidates
     chosen = np.zeros(ensemble.n_candidates, dtype=bool)
     while trace.size < max_seeds:
         remaining = np.flatnonzero(~chosen)

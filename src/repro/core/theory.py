@@ -52,20 +52,17 @@ def _ensemble_for_check(
     assignment: GroupAssignment,
     n_worlds: int,
     seed: Optional[int],
-    backend: str,
     ensemble: Optional[WorldEnsemble],
 ) -> WorldEnsemble:
     """Build the estimator, or validate and reuse a caller-provided one.
 
-    World sampling + the distance store dominate a theorem check's
+    World sampling + the reach index dominate a theorem check's
     cost, and runs sweeping (concave, tau, quota) rebuild *identical*
     ensembles (same graph, worlds, seed) each time — passing one in
     shares that work with no change in results.
     """
     if ensemble is None:
-        return WorldEnsemble(
-            graph, assignment, n_worlds=n_worlds, seed=seed, backend=backend
-        )
+        return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed)
     if ensemble.graph is not graph or ensemble.assignment is not assignment:
         raise EstimationError(
             "the provided ensemble was built for a different graph/assignment"
@@ -82,7 +79,6 @@ def check_theorem1(
     n_worlds: int = 400,
     seed: Optional[int] = 0,
     estimator_tolerance: float = 0.0,
-    backend: str = "dense",
     ensemble: Optional[WorldEnsemble] = None,
 ) -> TheoremCheck:
     """Measure Theorem 1 on one instance.
@@ -93,10 +89,10 @@ def check_theorem1(
     ``estimator_tolerance`` loosens the check to absorb the remaining
     gap between the greedy-on-estimate selection and exact scoring.
     ``ensemble`` reuses a pre-built estimator for the greedy side
-    (``n_worlds``/``seed``/``backend`` are then ignored).
+    (``n_worlds``/``seed`` are then ignored).
     """
     ensemble = _ensemble_for_check(
-        graph, assignment, n_worlds, seed, backend, ensemble
+        graph, assignment, n_worlds, seed, ensemble
     )
     fair = solve_fair_tcim_budget(ensemble, budget, deadline, concave=concave)
     greedy_total = exact_utility(graph, fair.seeds, deadline)
@@ -123,7 +119,6 @@ def check_theorem2(
     deadline: float,
     n_worlds: int = 400,
     seed: Optional[int] = 0,
-    backend: str = "dense",
     ensemble: Optional[WorldEnsemble] = None,
 ) -> TheoremCheck:
     """Measure Theorem 2 on one instance.
@@ -131,10 +126,10 @@ def check_theorem2(
     ``sum_i |S*_i|`` uses brute-force optimal covers of each group
     individually (problem P2 with ``Y = V_i``), exactly as the theorem
     statement defines them.  ``ensemble`` reuses a pre-built estimator
-    (``n_worlds``/``seed``/``backend`` are then ignored).
+    (``n_worlds``/``seed`` are then ignored).
     """
     ensemble = _ensemble_for_check(
-        graph, assignment, n_worlds, seed, backend, ensemble
+        graph, assignment, n_worlds, seed, ensemble
     )
     fair = solve_fair_tcim_cover(ensemble, quota, deadline)
 

@@ -18,11 +18,12 @@ proportional to its weight.
 :class:`LiveEdgeWorld` wraps one sampled world as a
 ``scipy.sparse.csr_matrix`` and exposes BFS distances through
 ``scipy.sparse.csgraph`` (:meth:`LiveEdgeWorld.distances_from`,
-:func:`hop_distances`) — the public reference.  The distance stores
-behind the greedy solvers are built once per ensemble by a vectorised
+:func:`hop_distances`) — the public reference.  The reach index
+behind the greedy solvers is built once per ensemble by a vectorised
 level-synchronous BFS over every ``(world, candidate)`` row at once
-(:func:`repro.influence.backends.bfs_rows`), equal to that reference
-array for array, and reused across every candidate evaluation.
+(:func:`repro.influence.backends.bfs_rows`), whose entries are that
+reference's finite distances, and reused across every candidate
+evaluation.
 """
 
 from __future__ import annotations

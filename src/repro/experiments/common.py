@@ -8,27 +8,22 @@ evaluating disparity between a chosen pair of groups.
 Every ensemble an experiment builds flows through
 :func:`build_ensemble`, which routes construction through the default
 :class:`repro.api.Session` — one shared ensemble cache and the
-explicit config chain (per-call ``backend=`` > session execution >
-process defaults in :data:`repro.config.execution_defaults`).  The
-default backend is ``"auto"`` — dense for the paper-scale graphs,
-sparse/lazy as footprints grow.  :func:`use_backend` is the scoped
-override the CLI's ``--backend`` flag uses.
+explicit config chain (session execution > process defaults in
+:data:`repro.config.execution_defaults`).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import execution_defaults
-from repro.errors import ConfigError, EstimationError
+from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
-from repro.influence.backends import UtilityEstimator, check_backend_name
+from repro.influence.backends import UtilityEstimator
 from repro.influence.ensemble import InfluenceState, WorldEnsemble
 from repro.core.budget import BudgetSolution, solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import ConcaveFunction, log1p, sqrt
@@ -36,42 +31,6 @@ from repro.core.greedy import SelectionTrace
 
 #: Deadline sentinel used in sweep tables.
 INF = math.inf
-
-#: Backend used when nothing in the config chain sets one.
-LIBRARY_DEFAULT_BACKEND = "auto"
-
-
-def check_backend_config(backend: str) -> str:
-    """Validate a backend name at the config layer (:class:`ConfigError`).
-
-    Same rule as :func:`repro.influence.backends.check_backend_name`,
-    re-typed: a bad name here is experiment/CLI/spec configuration, not
-    an estimation failure.
-    """
-    try:
-        return check_backend_name(backend)
-    except EstimationError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def get_default_backend() -> str:
-    """The backend :func:`build_ensemble` uses when none is passed."""
-    return execution_defaults.get("backend", LIBRARY_DEFAULT_BACKEND)
-
-
-@contextmanager
-def use_backend(backend: str) -> Iterator[None]:
-    """Temporarily override the process-default backend (restores on exit).
-
-    The scoped equivalent of writing ``backend`` into
-    :data:`repro.config.execution_defaults` — what ``run_experiment``'s
-    ``backend=`` override uses.  Process-wide for its duration, now
-    race-free under the store's lock.
-    """
-    check_backend_config(backend)
-    with execution_defaults.override("backend", backend):
-        yield
-
 
 @dataclass(frozen=True)
 class PairDisparity:
@@ -95,22 +54,15 @@ def build_ensemble(
     seed: int,
     candidates: Optional[Sequence[NodeId]] = None,
     model: str = "ic",
-    backend: Optional[str] = None,
 ) -> WorldEnsemble:
     """Single point of ensemble construction for every experiment.
 
     Routes through the default :class:`repro.api.Session`'s ensemble
     cache, so repeated builds over one ``(graph, assignment)`` pair
     with identical parameters share worlds.  The cache keeps the last
-    few ensembles (and their distance stores) alive after an
+    few ensembles (and their reach indexes) alive after an
     experiment returns; long-lived processes that want the memory back
     call ``repro.api.default_session().clear_cache()``.
-    ``backend=None`` defers
-    down the config chain (session execution, then the process default
-    in :data:`repro.config.execution_defaults` — what the CLI's
-    ``--backend`` flag and :func:`use_backend` set); any explicit name
-    wins.  Backends change memory/speed only, never the estimates, so
-    figures are identical under all of them.
     """
     from repro.api.session import default_session
 
@@ -121,7 +73,6 @@ def build_ensemble(
         seed=seed,
         candidates=candidates,
         model=model,
-        backend=backend,
     )
 
 

@@ -7,10 +7,9 @@ experiments through this table.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import ConfigError
-from repro.experiments.common import use_backend
 from repro.experiments.ablations import (
     run_abl_celf,
     run_abl_h,
@@ -83,17 +82,6 @@ def run_experiment(
     experiment_id: str,
     quick: bool = False,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> ExperimentResult:
-    """Resolve and run one experiment.
-
-    ``backend`` overrides the estimator backend for every ensemble the
-    experiment builds (``"auto"``, ``"dense"``, ``"sparse"``,
-    ``"lazy"``); ``None`` keeps the process default.  Backends never
-    change the estimates, so the reproduced figures are identical.
-    """
-    fn = get_experiment(experiment_id)
-    if backend is None:
-        return fn(quick=quick, seed=seed)
-    with use_backend(backend):
-        return fn(quick=quick, seed=seed)
+    """Resolve and run one experiment."""
+    return get_experiment(experiment_id)(quick=quick, seed=seed)

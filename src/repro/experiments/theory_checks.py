@@ -18,7 +18,6 @@ from repro.graph.groups import GroupAssignment
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.concave import log1p, sqrt
 from repro.core.theory import check_theorem1, check_theorem2
-from repro.experiments.common import get_default_backend
 from repro.experiments.runner import ExperimentResult
 
 
@@ -53,16 +52,10 @@ def _shared_ensemble(graph, assignment, n_worlds: int, seed: int) -> WorldEnsemb
 
     Every (H, tau, Q) combination used to rebuild an *identical*
     ensemble (same graph, same world seed) inside its check; building
-    it once and passing it down shares the world sampling and distance
-    store with zero change in results.
+    it once and passing it down shares the world sampling and reach
+    index with zero change in results.
     """
-    return WorldEnsemble(
-        graph,
-        assignment,
-        n_worlds=n_worlds,
-        seed=seed,
-        backend=get_default_backend(),
-    )
+    return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed)
 
 
 def run_thm1(quick: bool = False, seed: int = 0) -> ExperimentResult:

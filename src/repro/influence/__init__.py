@@ -5,15 +5,13 @@ Four estimators, all agreeing in expectation:
 - :class:`~repro.influence.ensemble.WorldEnsemble` — the workhorse:
   common-random-numbers estimation over ``R`` pre-sampled live-edge
   worlds, supporting O(R·n) incremental marginal-gain queries (what the
-  greedy solvers call thousands of times).  Its per-candidate
-  activation-time store is pluggable
-  (:mod:`~repro.influence.backends`): ``dense`` tensor, ``sparse`` CSR,
-  on-demand ``lazy`` rows, or ``auto`` selection by memory footprint —
-  all bit-identical in output.
+  greedy solvers call thousands of times).  Its one store is a reach
+  index of every candidate's finite activation entries, emitted by the
+  frontier BFS of :mod:`~repro.influence.backends`.
 - :class:`~repro.influence.rrsets.RRSetEstimator` — group-tagged
   reverse-reachable sets with IMM/OPIM-style adaptive sampling
-  (``EnsembleSpec(kind="rrset")``): the scalable path when a full
-  distance tensor will not fit, with the per-group surface the fair
+  (``EnsembleSpec(kind="rrset")``): the scalable path when the reach
+  index will not fit, with the per-group surface the fair
   objectives need.
 - :func:`~repro.influence.montecarlo.monte_carlo_utility` — naive
   forward-simulation Monte Carlo (the authors' estimator); used for
@@ -32,18 +30,7 @@ Plus the fairness measurements of Section 4:
 :func:`~repro.influence.utility.disparity` implements Eq. 2.
 """
 
-from repro.influence.backends import (
-    BACKEND_CHOICES,
-    BACKEND_NAMES,
-    DenseBackend,
-    DistanceBackend,
-    LazyBackend,
-    SparseBackend,
-    UtilityEstimator,
-    check_backend_name,
-    make_backend,
-    select_backend,
-)
+from repro.influence.backends import UtilityEstimator
 from repro.influence.deadlines import clip_deadline, simulation_horizon
 from repro.influence.ensemble import InfluenceState, WorldEnsemble
 from repro.influence.exact import exact_group_utilities, exact_utility
@@ -73,15 +60,6 @@ __all__ = [
     "WorldEnsemble",
     "InfluenceState",
     "UtilityEstimator",
-    "DistanceBackend",
-    "DenseBackend",
-    "SparseBackend",
-    "LazyBackend",
-    "BACKEND_NAMES",
-    "BACKEND_CHOICES",
-    "check_backend_name",
-    "make_backend",
-    "select_backend",
     "clip_deadline",
     "simulation_horizon",
     "exact_utility",

@@ -13,15 +13,15 @@ earliest-activation vector ``best[r, v] = min_{s in S} D[r, s, v]``
 (where ``D[r, c, v]`` is candidate ``c``'s BFS distance to ``v`` in
 world ``r``) plus its per-group activation-time histogram.  On
 live-edge worlds only a fraction of a percent of ``D`` is finite, so
-the ensemble keeps a candidate-major **reach index**: each candidate's
-finite entries ``(r * n + v, time, group)``, built by one scan of the
-store.  For the step model:
+``D`` is never stored: the ensemble's one store is a candidate-major
+**reach index** holding each candidate's finite entries ``(r * n + v,
+time, group)``, emitted straight by the frontier BFS
+(:func:`~repro.influence.backends.bfs_rows`).  For the step model:
 
 - adding a seed lowers ``best`` and moves histogram bins at the
   candidate's own entries only — O(entries of ``c``);
 - the expected group utilities of ``S`` are the histogram's cumulative
-  sum at the deadline — O(k·tau), cached on the state per cutoff, on
-  every store;
+  sum at the deadline — O(k·tau), cached on the state per cutoff;
 - the *marginal* utilities of a candidate are those counts plus the
   groups of the entries it newly activates (``time <= tau < best``) —
   O(entries of ``c``), without mutating the state;
@@ -36,21 +36,10 @@ store.  For the step model:
   over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
   — O(k) per additional deadline.
 
-The dense-row path remains for what the index does not cover:
-discounted utilities and the lazy store (which never lists its
-entries), scored as one blocked fold plus one stacked
-``(B, R, n) @ (n, k)`` contraction
+Discounted utilities (``gamma**t`` weights) copy the state's ``(R, n)``
+times into per-thread scratch, lower them at each candidate's entries
+and take one stacked ``(B, R, n) @ (n, k)`` float32 contraction
 (:meth:`WorldEnsemble.candidate_group_utilities_batch`) — O(B·R·n·k).
-It is also the reference the equivalence tests compare the index path
-against.
-
-*How* ``D`` is stored is delegated to a pluggable
-:class:`~repro.influence.backends.DistanceBackend` (``backend=``):
-``"dense"`` keeps the full uint8 tensor (O(R·C·n), fastest),
-``"sparse"`` keeps per-world CSR rows of finite times only (O(nnz)),
-``"lazy"`` materialises candidate rows on demand behind an LRU cache,
-and ``"auto"`` picks by estimated footprint.  All backends produce
-bit-identical utilities; they trade memory against query speed.
 
 Queries run serially on the caller thread.  The speed comes from
 submodularity (lazy CELF re-evaluation), the reach index and the
@@ -65,17 +54,13 @@ This estimator is unbiased for Eq. 1 for every ``tau``
 simultaneously, which is what lets one ensemble serve a whole
 deadline sweep (Fig. 4c / 5a / 7c).
 
-Step-model utilities are *exact*: every path counts integers.  The
-index paths, the marginal counts and the deadline sweep count in int64
+Step-model utilities are *exact*: every path counts integers in int64
 (the empty-state table keeps its integer counts in the smallest
-unsigned type holding ``R * n``); the dense-row path counts each
-world's group totals (at most ``n``) exactly in a float32 matrix
-product below ``2**24`` nodes (float64 beyond) and sums them over
-worlds exactly in float64.  Either way the total is divided by ``R``
-once, so every query path returns the same float64 bits for the same
-seed set, whatever order it counted in.  That is what makes CELF's per-group bounds sound (see
-:mod:`repro.core.greedy`).  Discounted utilities (``gamma**t``
-weights) are not integers and keep a float32 world mean.
+unsigned type holding ``R * n``) and divides the total by ``R`` once,
+so every query path returns the same float64 bits for the same seed
+set, whatever order it counted in.  That is what makes CELF's
+per-group bounds sound (see :mod:`repro.core.greedy`).  Discounted
+utilities are not integers and keep a float32 world mean.
 """
 
 from __future__ import annotations
@@ -97,7 +82,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import EstimationError
+from repro.errors import ConfigError, EstimationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
 from repro.diffusion.worlds import (
@@ -109,14 +94,11 @@ from repro.diffusion.worlds import (
     sample_lt_world,
 )
 from repro.influence.backends import (
-    DistanceBackend,
-    Rows,
     batch_gains,
-    check_backend_name,
+    bfs_rows,
     compact_uint,
     concat_ranges,
     flat_index_dtype,
-    make_backend,
     splice,
 )
 from repro.influence.deadlines import clip_deadline as _clip_deadline
@@ -179,15 +161,20 @@ class InfluenceState:
 
 
 class _ReachIndex(NamedTuple):
-    """Candidate-major finite activation entries, their node-major
-    transpose and the table built from them.
+    """The ensemble's store: candidate-major finite activation entries,
+    their node-major transpose and the table built from them.
 
     Candidate ``c`` owns entries ``offsets[c]:offsets[c + 1]``: each
     says ``c`` activates node ``flat % n`` of world ``flat // n`` at
     hop ``time``, and ``group`` is that node's group.  Within a
-    candidate, entries run world by world in ascending order.
-    ``table`` is the ``(C, k, T)`` cumulative per-candidate time
-    histogram (see :meth:`WorldEnsemble._empty_state_table`).
+    candidate, entries run world by world, nodes ascending within a
+    world.  ``table`` is the ``(C, k, T)`` cumulative per-candidate time
+    histogram: ``table[c, g, min(cutoff, T - 1)]`` is the exact total
+    (over worlds) of group-``g`` nodes candidate ``c`` alone activates
+    by ``cutoff`` — the whole first greedy round at every deadline.
+    ``T`` is one past the largest finite time (later cutoffs count the
+    same nodes), and counts are in the smallest unsigned type holding
+    ``R * n`` (:func:`table_dtype`).
 
     The transpose lists the same entries by ``i = r * n + v`` (a
     stable sort, so owners ascend within a node): node ``i`` is reached
@@ -195,9 +182,10 @@ class _ReachIndex(NamedTuple):
     owners those entries' ``node_code`` (``owner * k + group of v``)
     name — the cell of ``M`` each entry counts in.  ``add_seed`` reads
     it to retire the marginal counts of every candidate that reached a
-    newly activated node.  The ensemble swaps a whole index — transpose
-    included — in with one assignment, so a concurrent reader sees
-    either the old index or the new one.
+    newly activated node, and a repair reads it to find the rows that
+    reach a re-flipped edge.  The ensemble swaps a whole index —
+    transpose included — in with one assignment, so a concurrent reader
+    sees either the old index or the new one.
     """
 
     offsets: np.ndarray  # (C + 1,) int64
@@ -218,9 +206,110 @@ class _ReachIndex(NamedTuple):
         lo, hi = self.offsets[position], self.offsets[position + 1]
         return self.flat[lo:hi], self.time[lo:hi], self.group[lo:hi]
 
+    def gather(self, positions: np.ndarray):
+        """Entry indices of ``positions`` (in order) and each one's count."""
+        starts, stops = self.offsets[positions], self.offsets[positions + 1]
+        return concat_ranges(starts, stops), stops - starts
+
+
+def table_dtype(n_worlds: int, n: int) -> np.dtype:
+    """The gain table's counts: one candidate reaches at most ``R * n``
+    nodes, so the smallest unsigned type holding that."""
+    return compact_uint(n_worlds * n + 1)
+
+
+def time_table(
+    row: np.ndarray, n_rows: int, group: np.ndarray, time: np.ndarray, k: int, n_bins: int
+) -> np.ndarray:
+    """Cumulative ``(n_rows, k, n_bins)`` time histogram of entries
+    ``(row, group, time)`` — the gain-table rows, by one bincount."""
+    codes = (row.astype(np.int64) * k + group) * n_bins + time
+    table = np.bincount(codes, minlength=n_rows * k * n_bins)
+    table = table.reshape(n_rows, k, n_bins)
+    np.cumsum(table, axis=2, out=table)
+    return table
+
+
+def assemble_reach(
+    offsets: np.ndarray,
+    flat: np.ndarray,
+    time: np.ndarray,
+    group: np.ndarray,
+    table: np.ndarray,
+    n_nodes: int,
+    k: int,
+) -> _ReachIndex:
+    """The index of candidate-major entries, with its node-major
+    transpose: node starts, ``M`` cells and times re-sorted stably by
+    ``r * n + v`` over ``n_nodes = R * n`` nodes.  The cells are formed
+    in their compact dtype, so the transient stays near the index's own
+    size."""
+    n_candidates = offsets.size - 1
+    code = np.repeat(
+        np.arange(n_candidates, dtype=compact_uint(n_candidates * k)), np.diff(offsets)
+    )
+    code *= k
+    code += group
+    starts = np.zeros(n_nodes + 1, dtype=compact_uint(flat.size + 1))
+    starts[1:] = np.cumsum(np.bincount(flat, minlength=n_nodes))
+    # In the smallest unsigned key (16 bits on every shipped dataset)
+    # numpy's stable sort is a radix sort, ~10x a timsort.
+    order = np.argsort(flat.astype(compact_uint(n_nodes)), kind="stable")
+    return _ReachIndex(
+        offsets, flat, time, group, table, starts, code[order], time[order]
+    )
+
+
+def make_backend(
+    worlds: Sequence[LiveEdgeWorld],
+    candidate_indices: np.ndarray,
+    group_index: np.ndarray,
+    k: int,
+    max_entries: int,
+) -> _ReachIndex:
+    """Build the ensemble's store — its reach index — from its worlds.
+
+    One :func:`~repro.influence.backends.bfs_rows` call runs every
+    ``(candidate, world)`` row, candidate-major (row ``c * R + r``), so
+    its sorted ``row * n + v`` keys are already in the index's
+    ``(candidate, world, node)`` order.  Offsets, groups, the gain
+    table (one bincount) and the transpose are derived from them.
+    Raises :class:`~repro.errors.ConfigError` as soon as the BFS emits
+    more than ``max_entries`` entries, before anything is assembled.
+    (``perfbench/tracing.py`` times every store build through this
+    module-level name.)
+    """
+    n_worlds, n_candidates, n = len(worlds), len(candidate_indices), worlds[0].n
+    found = bfs_rows(
+        worlds,
+        np.tile(np.arange(n_worlds), n_candidates),
+        np.repeat(candidate_indices, n_worlds),
+        max_entries,
+    )
+    if found is None:
+        raise ConfigError(
+            f"the reach index of {n_worlds} worlds x {n_candidates} candidates "
+            f"on {n} nodes outgrows WorldEnsemble.EMPTY_TABLE_BYTE_LIMIT "
+            f"(more than {max_entries} entries); use fewer worlds or "
+            'candidates, or the RR-set estimator (kind="rrset")'
+        )
+    key, time = found
+    del found
+    span = n_worlds * n
+    offsets = np.searchsorted(key, np.arange(n_candidates + 1, dtype=np.int64) * span)
+    flat = (key % span).astype(flat_index_dtype(n_worlds, n))
+    del key
+    group = group_index[flat % n].astype(compact_uint(k))
+    owner = np.repeat(np.arange(n_candidates), np.diff(offsets))
+    n_bins = int(time.max()) + 1 if time.size else 1
+    table = time_table(owner, n_candidates, group, time, k, n_bins)
+    del owner
+    table = table.astype(table_dtype(n_worlds, n))
+    return assemble_reach(offsets, flat, time, group, table, span, k)
+
 
 class WorldEnsemble:
-    """Pre-sampled worlds + distance tensor for a (graph, groups) pair.
+    """Pre-sampled worlds + their reach index for a (graph, groups) pair.
 
     Parameters
     ----------
@@ -233,20 +322,23 @@ class WorldEnsemble:
     candidates:
         Node labels eligible as seeds.  Defaults to every node.  The
         Instagram experiment restricts candidates to a random subset
-        exactly as the paper does; restricting also bounds the distance
-        tensor to ``R x |candidates| x n``.
+        exactly as the paper does; restricting also bounds the reach
+        index to the candidates' entries.
     model:
         ``"ic"`` (default) or ``"lt"``.
     seed:
         RNG seed for world sampling (determinism).
-    backend:
-        Distance-store backend: ``"dense"`` (default), ``"sparse"``,
-        ``"lazy"``, or ``"auto"`` (pick by estimated memory footprint —
-        see :func:`repro.influence.backends.select_backend`).  The
-        choice affects memory and speed only, never the estimates.
-        The ``"auto"`` limits and the lazy cache size are the
-        ``DEFAULT_*`` constants of :mod:`repro.influence.backends`.
+
+    The reach index is built with the ensemble.  One larger than
+    :attr:`EMPTY_TABLE_BYTE_LIMIT` raises :class:`~repro.errors.
+    ConfigError` during the BFS, before its entries are assembled.
     """
+
+    #: Ceiling on the reach index's bytes (entries listed twice,
+    #: candidate- and node-major, plus the gain table, offsets and node
+    #: starts).  Past it a world ensemble is the wrong estimator: the
+    #: RR-set estimator (``kind="rrset"``) scales by sampling instead.
+    EMPTY_TABLE_BYTE_LIMIT = 128 * 1024 * 1024
 
     def __init__(
         self,
@@ -256,11 +348,9 @@ class WorldEnsemble:
         candidates: Optional[Sequence[NodeId]] = None,
         model: str = "ic",
         seed: RngLike = None,
-        backend: str = "dense",
     ) -> None:
         if n_worlds < 1:
             raise EstimationError(f"n_worlds must be >= 1, got {n_worlds}")
-        check_backend_name(backend)  # fail fast, before world sampling
         assignment.validate_for(graph)
         self.graph = graph
         self.assignment = assignment
@@ -282,6 +372,20 @@ class WorldEnsemble:
             label: pos for pos, label in enumerate(candidate_labels)
         }
 
+        # Group masks (n, k) for masked counting by matrix product, plus
+        # group sizes for normalisation.  A float32 GEMM counts exactly
+        # while a world's totals stay below 2**24.
+        self._masks_bool = assignment.masks(graph)
+        self._masks_f = self._masks_bool.T.astype(
+            np.float32 if self.n < 2**24 else np.float64
+        )
+        self.group_names: List[Hashable] = assignment.groups
+        self.group_sizes = assignment.sizes().astype(np.float64)
+        # Groups partition the nodes, so each column of the mask matrix
+        # has exactly one True: argmax recovers the group index of every
+        # node (used by the index and the deadline-sweep histogram).
+        self._group_index = self._masks_bool.argmax(axis=0).astype(np.int64)
+
         # Per-world RNG children, spawned exactly as ``sample_worlds``
         # spawns them.
         check_model(model)
@@ -298,66 +402,34 @@ class WorldEnsemble:
             self.worlds: List[LiveEdgeWorld] = sample_ic_worlds(graph, self._world_keys)
         else:
             self.worlds = [sample_lt_world(graph, seed=child) for child in children]
-        # Activation-time store D[r, c, v] behind the backend interface.
-        self._backend = make_backend(
-            backend, self.worlds, self._candidate_indices, self.n
+        # The store: every candidate's finite entries, the gain table
+        # and the transpose (see ``_ReachIndex``).
+        self._reach: Optional[_ReachIndex] = make_backend(
+            self.worlds,
+            self._candidate_indices,
+            self._group_index,
+            len(self.group_names),
+            self._max_reach_entries(),
         )
-        # Group masks (n, k) for masked counting by matrix product, plus
-        # group sizes for normalisation.  A float32 GEMM counts exactly
-        # while a world's totals stay below 2**24.
-        self._masks_bool = assignment.masks(graph)
-        self._masks_f = self._masks_bool.T.astype(
-            np.float32 if self.n < 2**24 else np.float64
-        )
-        self.group_names: List[Hashable] = assignment.groups
-        self.group_sizes = assignment.sizes().astype(np.float64)
-        # Groups partition the nodes, so each column of the mask matrix
-        # has exactly one True: argmax recovers the group index of every
-        # node (used by the deadline-sweep histogram).
-        self._group_index = self._masks_bool.argmax(axis=0).astype(np.int64)
-        # Reusable scratch for the batched gain oracle, grown on demand
-        # to the largest block ever requested and keyed per *caller
-        # thread* (see ``_batch_scratch``) — concurrent batched queries
-        # on one shared ensemble each get their own buffers.
+        # Reusable scratch for the discounted batched oracle, grown on
+        # demand to the largest block ever requested and keyed per
+        # *caller thread* (see ``_batch_scratch``) — concurrent batched
+        # queries on one shared ensemble each get their own buffers.
         self._scratch = threading.local()
-        # Lazily built caches: the reach index (every candidate's
-        # finite activation entries plus the state-independent
-        # empty-state gain table derived from them — see
-        # ``_reach_index``) and the fused (world, group) code base for
-        # sweep histograms.  The lock keeps concurrent callers from
-        # building the index twice and serialises repair patches.
-        self._reach: Optional[_ReachIndex] = None
-        self._reach_missing = False
-        self._empty_table_lock = threading.Lock()
         self._sweep_code_base: Optional[np.ndarray] = None  # (n,) int64
         # Streaming-delta bookkeeping: the graph version this store was
         # built (or last repaired) against, the fingerprints of applied
-        # deltas, and each repair's affected-candidate set (``None`` =
-        # unknown; warm-started solvers must then refresh everything).
+        # deltas, and each repair's affected-candidate set.
         self._graph_version = graph.version
         self._delta_lineage: List[str] = []
-        self._repair_log: List[Optional[np.ndarray]] = []
-
-    # ------------------------------------------------------------------
-    # candidate bookkeeping
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> "DistanceBackend":
-        """The active distance backend (for introspection: footprint,
-        cache statistics on the lazy backend, ...)."""
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active distance backend (after ``"auto"`` resolution)."""
-        return self._backend.name
+        self._repair_log: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # streaming deltas: staleness + in-place repair
     # ------------------------------------------------------------------
     @property
     def graph_version(self) -> int:
-        """The graph version the distance store currently matches."""
+        """The graph version the reach index currently matches."""
         return self._graph_version
 
     @property
@@ -367,13 +439,13 @@ class WorldEnsemble:
         return tuple(self._delta_lineage)
 
     @property
-    def repair_log(self) -> List[Optional[np.ndarray]]:
-        """Per-repair affected candidate positions (``None`` = unknown).
+    def repair_log(self) -> List[np.ndarray]:
+        """Per-repair affected candidate positions.
 
         One entry per applied delta; entry ``i`` is the sorted array of
-        candidate positions whose distance rows changed under delta
-        ``i``.  Warm-started solvers union a suffix of this log to find
-        which cached gains to refresh.
+        candidate positions whose entries changed under delta ``i``.
+        Warm-started solvers union a suffix of this log to find which
+        cached gains to refresh.
         """
         return list(self._repair_log)
 
@@ -396,8 +468,8 @@ class WorldEnsemble:
 
         Re-flips only the touched edges' coins (one keyed draw per
         (world, edge) pair), swaps the worlds whose live-edge set
-        changed, and recomputes only the distance rows of candidates
-        that reach a re-flipped edge — after which every query answers
+        changed, and re-lists only the index rows of candidates that
+        reach a re-flipped edge — after which every query answers
         exactly as a fresh build on the mutated graph would, bit for
         bit.  Returns the :class:`~repro.influence.incremental.RepairReport`.
         """
@@ -405,34 +477,88 @@ class WorldEnsemble:
 
         return repair_ensemble(self, delta)
 
-    def _note_repair(
-        self, version: int, fingerprint: str, rows: Optional[Rows]
-    ) -> Optional[np.ndarray]:
-        """Record a completed repair (called by the incremental layer).
+    def _repair_rows(self, tails: Dict[int, np.ndarray]) -> np.ndarray:
+        """Patch the index after the worlds in ``tails`` changed in place.
 
-        ``rows`` are the ``(world, position)`` store rows the repair
-        changed.  The reach index (and its gain table) summarises the
-        store, so exactly those rows' entries are re-listed and patched
-        in; every other row's entries are unchanged.  When the repair
-        cannot name its rows (lazy store, or an unnamed repair), the
-        index is dropped and the next query rebuilds it from the
-        repaired store.  (The sweep code base depends only on the group
-        partition and survives.)  Returns the affected candidate
-        positions it logged (``None`` = unknown).
+        ``tails[r]`` lists the tail nodes of the edges whose coins
+        re-thresholded in world ``r`` (already swapped into
+        :attr:`worlds`).  A BFS from a candidate that, in the *old*
+        world, never reaches one of those tails never reads a changed
+        edge, so its row is unchanged.  The rows that do reach one are
+        the owners the transpose lists at ``r * n + tail``; they are
+        re-run in one :func:`~repro.influence.backends.bfs_rows` call,
+        and those whose entries differ are spliced into a new index
+        (:meth:`_patched_reach`), swapped in with one assignment.
+        Returns the sorted positions of the candidates whose entries
+        changed.
         """
-        affected = None if rows is None else np.unique(rows[1])
+        reach, n, n_worlds = self._reach, self.n, self.n_worlds
+        k = len(self.group_names)
+        ids = sorted(tails)
+        nodes = np.concatenate([r * n + tails[r] for r in ids])
+        starts = reach.node_starts[nodes].astype(np.int64)
+        stops = reach.node_starts[nodes + 1].astype(np.int64)
+        owner = reach.node_code[concat_ranges(starts, stops)].astype(np.int64) // k
+        row_key = np.unique(owner * n_worlds + np.repeat(nodes // n, stops - starts))
+        del starts, stops, owner
+        position, world = np.divmod(row_key, n_worlds)
+        # Each row's old entries are one segment of the index, found by
+        # its (candidate, world) key.
+        entry_key = np.repeat(
+            np.arange(self.n_candidates, dtype=np.int64) * n_worlds,
+            np.diff(reach.offsets),
+        ) + reach.flat // n
+        lo = np.searchsorted(entry_key, row_key, side="left")
+        hi = np.searchsorted(entry_key, row_key, side="right")
+        del entry_key
+        found = bfs_rows(
+            self.worlds,
+            world,
+            self._candidate_indices[position],
+            self._max_reach_entries() - (reach.flat.size - int((hi - lo).sum())),
+        )
+        if found is None:
+            raise ConfigError(
+                "the repaired reach index outgrows "
+                "WorldEnsemble.EMPTY_TABLE_BYTE_LIMIT; rebuild with fewer "
+                'worlds or candidates, or use kind="rrset"'
+            )
+        row, v_idx = np.divmod(found[0], n)
+        time = found[1]
+        flat = (world[row] * n + v_idx).astype(reach.flat.dtype)
+        del v_idx
+        counts = np.bincount(row, minlength=row_key.size)
+        # A row changed unless its entries are the same, node for node
+        # and hop for hop; rows of equal length are compared entry-wise.
+        changed = counts != hi - lo
+        same = np.flatnonzero(~changed)
+        old_at = concat_ranges(lo[same], hi[same])
+        new_at = np.flatnonzero(~changed[row])
+        differs = (reach.flat[old_at] != flat[new_at]) | (
+            reach.time[old_at] != time[new_at]
+        )
+        changed[np.unique(row[new_at[differs]])] = True
+        keep = changed[row]
+        self._reach = self._patched_reach(
+            reach,
+            lo[changed],
+            hi[changed],
+            position[changed],
+            flat[keep],
+            time[keep],
+            counts[changed],
+        )
+        return np.unique(position[changed])
+
+    def _note_repair(self, version: int, fingerprint: str, affected: np.ndarray) -> None:
+        """Record a completed repair (called by the incremental layer):
+        the graph version the index now matches, the delta's
+        fingerprint and the candidate positions whose entries changed.
+        (The sweep code base depends only on the group partition and
+        survives.)"""
         self._graph_version = version
         self._delta_lineage.append(fingerprint)
         self._repair_log.append(affected)
-        with self._empty_table_lock:
-            reach = self._reach
-            if reach is None or rows is None:
-                self._reach = None
-                self._reach_missing = False
-            elif rows[0].size:
-                self._reach = self._patched_reach(reach, rows)
-                self._reach_missing = self._reach is None
-        return affected
 
     def _check_fresh(self) -> None:
         """Refuse to serve estimates for a graph the store doesn't match.
@@ -446,7 +572,7 @@ class WorldEnsemble:
         if self.graph.version != self._graph_version:
             raise EstimationError(
                 f"stale ensemble: the graph is at version "
-                f"{self.graph.version} but the distance store matches "
+                f"{self.graph.version} but the reach index matches "
                 f"version {self._graph_version}; apply mutations through "
                 "WorldEnsemble.apply_delta (or rebuild the ensemble)"
             )
@@ -460,7 +586,7 @@ class WorldEnsemble:
         return self._closed
 
     def close(self) -> None:
-        """Drop the ensemble's distance store (idempotent).
+        """Drop the ensemble's reach index (idempotent).
 
         After ``close`` the ensemble must not be queried and holds no
         store bytes.  Ensembles also work as context managers::
@@ -469,7 +595,7 @@ class WorldEnsemble:
                 ...
         """
         self._closed = True
-        self._backend = None
+        self._reach = None
 
     def __enter__(self) -> "WorldEnsemble":
         return self
@@ -514,11 +640,11 @@ class WorldEnsemble:
     def state_for(self, seeds: Iterable[NodeId]) -> InfluenceState:
         """State of an arbitrary seed set (each seed must be a candidate).
 
-        Built as one slab fold (``DistanceBackend.reduce_rows``) over
-        all seed rows instead of one :meth:`add_seed` per seed.  ``uint8``
-        minimum is exact, so the state is bit-identical to the
-        sequential build; ``evaluate_at`` / :meth:`utilities_for` /
-        the sweep helpers all sit on this.
+        Built as one scatter-minimum of all the seeds' index entries
+        instead of one :meth:`add_seed` per seed.  ``uint8`` minimum is
+        exact, so the state is bit-identical to the sequential build;
+        ``evaluate_at`` / :meth:`utilities_for` / the sweep helpers all
+        sit on this.
         """
         positions: List[int] = []
         seen = set()
@@ -533,7 +659,9 @@ class WorldEnsemble:
         state = self.empty_state()
         if not positions:
             return state
-        self._backend.reduce_rows(positions, state.best_time)
+        reach = self._reach
+        at, _ = reach.gather(np.asarray(positions, dtype=np.int64))
+        np.minimum.at(state.best_time.reshape(-1), reach.flat[at], reach.time[at])
         state.seed_positions.extend(positions)
         state.time_hist = None  # built from best_time on first use
         return state
@@ -541,17 +669,14 @@ class WorldEnsemble:
     def add_seed(self, state: InfluenceState, position: int) -> None:
         """Mutate ``state`` to include candidate ``position`` as a seed.
 
-        With the reach index, only the candidate's own finite entries
-        are visited: ``best_time`` is lowered there, and the state's
-        histogram (when it has one) moves exactly those entries between
-        bins — integer moves, bit-identical to a full rebuild.  When the
-        state keeps marginal counts, every candidate that reaches a
-        newly activated node by the cutoff loses that node: the nodes'
-        ranges of the index transpose are read and subtracted in one
-        bincount, so over a whole solve each entry is retired at most
-        once.  Without the index (lazy store, or an index over the
-        footprint limit) the whole ``(R, n)`` state is folded and
-        compared.
+        Only the candidate's own index entries are visited:
+        ``best_time`` is lowered there, and the state's histogram (when
+        it has one) moves exactly those entries between bins — integer
+        moves, bit-identical to a full rebuild.  When the state keeps
+        marginal counts, every candidate that reaches a newly activated
+        node by the cutoff loses that node: the nodes' ranges of the
+        index transpose are read and subtracted in one bincount, so
+        over a whole solve each entry is retired at most once.
         """
         self._check_fresh()
         position = self._check_position(position)
@@ -559,34 +684,17 @@ class WorldEnsemble:
             raise EstimationError(
                 f"candidate {self.label(position)!r} is already a seed"
             )
-        hist = state.time_hist
-        reach = self._reach_index()
-        if reach is not None:
-            flat, times, groups = reach.entries(position)
-            best = state.best_time.reshape(-1)  # a view: states are contiguous
-            previous = best[flat]
-            if state.marginals is not None:
-                self._retire_marginals(
-                    state.marginals, reach, flat, times, groups, previous
-                )
-            lower = times < previous
-            times = times[lower]
-            best[flat[lower]] = times
-            if hist is not None:
-                self._move_hist(hist, groups[lower], previous[lower], times)
-        elif hist is None:
-            self._backend.min_into(state.best_time, position)
-        else:
-            previous = state.best_time.copy()
-            self._backend.min_into(state.best_time, position)
-            changed = state.best_time < previous
-            _, v_idx = np.nonzero(changed)
-            self._move_hist(
-                hist,
-                self._group_index[v_idx],
-                previous[changed],
-                state.best_time[changed],
-            )
+        reach = self._reach
+        flat, times, groups = reach.entries(position)
+        best = state.best_time.reshape(-1)  # a view: states are contiguous
+        previous = best[flat]
+        if state.marginals is not None:
+            self._retire_marginals(state.marginals, reach, flat, times, groups, previous)
+        lower = times < previous
+        times = times[lower]
+        best[flat[lower]] = times
+        if state.time_hist is not None:
+            self._move_hist(state.time_hist, groups[lower], previous[lower], times)
         state.seed_positions.append(position)
         state.counts = None
 
@@ -755,24 +863,22 @@ class WorldEnsemble:
     ) -> np.ndarray:
         """Group utilities of ``seeds(state) + {candidate}`` without mutation.
 
-        Step model with the reach index (dense and sparse stores): a
-        node of world ``r`` is newly activated exactly when the
-        candidate reaches it by the cutoff and the state does not, so
-        ``u(S + c) = (counts_S + bincount(group[newly])) / R`` over the
-        candidate's own finite entries — O(entries of ``c``) instead of
-        O(R·n·k), and the same exact integers as the dense path.
-        Otherwise (discount, lazy store) it folds the candidate's full
-        ``(R, n)`` rows and takes the GEMM.
+        Step model: a node of world ``r`` is newly activated exactly
+        when the candidate reaches it by the cutoff and the state does
+        not, so ``u(S + c) = (counts_S + bincount(group[newly])) / R``
+        over the candidate's own index entries — O(entries of ``c``),
+        the same exact integers every other path counts.  Discounted
+        utilities are the one-row case of
+        :meth:`candidate_group_utilities_batch`.
         """
         self._check_fresh()
         position = self._check_position(position)
+        if discount is not None:
+            return self.candidate_group_utilities_batch(
+                state, [position], deadline, discount
+            )[0]
         cutoff = _clip_deadline(deadline)
-        reach = None if discount is not None else self._reach_index()
-        if reach is None:
-            hypothetical = self._backend.min_with(state.best_time, position)
-            weights = self._activation_weights(hypothetical, cutoff, discount)
-            return self._world_mean(weights @ self._masks_f, discount)
-        flat, times, groups = reach.entries(position)
+        flat, times, groups = self._reach.entries(position)
         limit = np.uint8(cutoff)  # a uint8 scalar compares without casts
         newly = np.less_equal(times, limit)
         newly &= np.greater(state.best_time.reshape(-1)[flat], limit)
@@ -786,12 +892,11 @@ class WorldEnsemble:
     def _batch_scratch(self, block: int):
         """Views of the reusable block buffers, grown to ``block`` rows.
 
-        The buffers persist across calls (CELF's first round issues
-        ``n_candidates / block_size`` of them), so steady-state batched
-        queries allocate nothing beyond the tiny per-block outputs.
-        Buffers are keyed per *caller thread* (``threading.local``), so
-        any number of concurrent batched queries can share one
-        ensemble without corrupting each other.
+        The buffers persist across calls, so steady-state discounted
+        batched queries allocate nothing beyond the tiny per-block
+        outputs.  Buffers are keyed per *caller thread*
+        (``threading.local``), so any number of concurrent batched
+        queries can share one ensemble without corrupting each other.
         """
         local = self._scratch
         times = getattr(local, "times", None)
@@ -811,12 +916,6 @@ class WorldEnsemble:
             local.per_world[:block],
         )
 
-    #: The reach index and its gain table are skipped beyond this
-    #: footprint (their bytes together) — on memory-constrained
-    #: backends (sparse at web scale) they could otherwise dwarf the
-    #: distance store they accelerate.
-    EMPTY_TABLE_BYTE_LIMIT = 128 * 1024 * 1024
-
     def _max_reach_entries(self) -> int:
         """How many entries fit under :attr:`EMPTY_TABLE_BYTE_LIMIT`,
         next to a full 256-bin table, the offsets and the transpose's
@@ -824,7 +923,7 @@ class WorldEnsemble:
         (candidate- and node-major)."""
         k = len(self.group_names)
         fixed = (
-            self.n_candidates * (k * 256 * self._table_dtype().itemsize + 8)
+            self.n_candidates * (k * 256 * table_dtype(self.n_worlds, self.n).itemsize + 8)
             + (self.n_worlds * self.n + 1) * 4
         )
         per_entry = (
@@ -836,141 +935,32 @@ class WorldEnsemble:
         )
         return (self.EMPTY_TABLE_BYTE_LIMIT - fixed) // per_entry
 
-    def _reach_index(self) -> Optional[_ReachIndex]:
-        """The candidate-major reach index, built on first use.
-
-        One :meth:`~repro.influence.backends.DistanceBackend.finite_entries`
-        scan lists every finite ``(candidate, r * n + v, time)`` entry
-        world by world; a stable sort on the candidate makes them
-        candidate-major, one ``np.bincount`` derives the gain table and
-        a stable sort on ``r * n + v`` the node-major transpose.
-        ``None`` for backends that cannot list their entries
-        (lazy) or when the index would exceed
-        :attr:`EMPTY_TABLE_BYTE_LIMIT`; queries then take the dense
-        row path.  Kept for the ensemble's lifetime and patched by
-        repairs (:meth:`_note_repair`).
-        """
-        reach = self._reach
-        if reach is None and not self._reach_missing:
-            with self._empty_table_lock:
-                if self._reach is None and not self._reach_missing:
-                    entries = self._backend.finite_entries(
-                        self._max_reach_entries()
-                    )
-                    if entries is None:
-                        self._reach_missing = True
-                    else:
-                        order = np.argsort(entries[0], kind="stable")
-                        # Only the sorted copies stay alive while the
-                        # index (and its transpose) is assembled.
-                        entries = [part[order] for part in entries]
-                        del order
-                        self._reach = self._assemble_reach(*entries)
-                reach = self._reach
-        return reach
-
-    def _assemble_reach(
-        self, candidate: np.ndarray, flat: np.ndarray, time: np.ndarray
-    ) -> _ReachIndex:
-        """Offsets, groups, the gain table and the transpose for
-        candidate-sorted entries."""
-        n_candidates, k = self.n_candidates, len(self.group_names)
-        offsets = np.zeros(n_candidates + 1, dtype=np.int64)
-        np.cumsum(np.bincount(candidate, minlength=n_candidates), out=offsets[1:])
-        group = self._group_index[flat % self.n].astype(compact_uint(k))
-        n_bins = int(time.max()) + 1 if time.size else 1
-        table = self._time_table(candidate, n_candidates, group, time, n_bins)
-        table = table.astype(self._table_dtype())
-        return _ReachIndex(
-            offsets,
-            flat,
-            time,
-            group,
-            table,
-            *self._transpose(candidate, flat, time, group),
-        )
-
-    def _transpose(
+    def _patched_reach(
         self,
-        candidate: np.ndarray,
+        reach: _ReachIndex,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        position: np.ndarray,
         flat: np.ndarray,
         time: np.ndarray,
-        group: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node starts, ``M`` cells and times of candidate-sorted
-        entries, re-sorted stably by ``r * n + v``.  The cells are
-        formed in their compact dtype, so the build's transient stays
-        near the index's own size."""
-        n_nodes = self.n_worlds * self.n
-        starts = np.zeros(n_nodes + 1, dtype=compact_uint(flat.size + 1))
-        starts[1:] = np.cumsum(np.bincount(flat, minlength=n_nodes))
-        k = len(self.group_names)
-        code = candidate.astype(compact_uint(self.n_candidates * k))
-        code *= k
-        code += group
-        # In the smallest unsigned key (16 bits on every shipped
-        # dataset) numpy's stable sort is a radix sort, ~10x a timsort.
-        order = np.argsort(flat.astype(compact_uint(n_nodes)), kind="stable")
-        return starts, code[order], time[order]
-
-    def _table_dtype(self) -> np.dtype:
-        """The gain table's counts: one candidate reaches at most
-        ``R * n`` nodes, so the smallest unsigned type holding that."""
-        return compact_uint(self.n_worlds * self.n + 1)
-
-    def _time_table(
-        self,
-        row: np.ndarray,
-        n_rows: int,
-        group: np.ndarray,
-        time: np.ndarray,
-        n_bins: int,
-    ) -> np.ndarray:
-        """Cumulative ``(n_rows, k, n_bins)`` time histogram of entries
-        ``(row, group, time)`` — the gain-table rows, by one bincount."""
-        k = len(self.group_names)
-        codes = (row.astype(np.int64) * k + group) * n_bins + time
-        table = np.bincount(codes, minlength=n_rows * k * n_bins)
-        table = table.reshape(n_rows, k, n_bins)
-        np.cumsum(table, axis=2, out=table)
-        return table
-
-    def _patched_reach(self, reach: _ReachIndex, rows: Rows) -> Optional[_ReachIndex]:
-        """``reach`` with the entries of store ``rows`` re-listed.
+        counts: np.ndarray,
+    ) -> _ReachIndex:
+        """``reach`` with index segments ``[lo[i], hi[i])`` replaced.
 
         Entries are sorted by ``(candidate, world)``, so each changed
-        row owns one contiguous segment: it is cut out and the row's
-        new entries are spliced in at the same place — the order a
-        fresh build produces.  Offsets move by each candidate's count
-        change, and only the changed candidates' gain-table rows are
-        recounted (the others are re-cut to the new bin count, which is
-        exact because their entries did not move).  The transpose is
-        rebuilt from the patched entries, so the result equals a full
-        rebuild array for array.  ``None`` if the patched index
-        outgrows the limit.
+        row owns one contiguous segment (ascending ``lo``; candidate
+        ``position[i]``): it is cut out and the row's ``counts[i]`` new
+        entries ``(flat, time)`` are spliced in at the same place — the
+        order a fresh build produces.  Offsets move by each candidate's
+        count change, and only the changed candidates' gain-table rows
+        are recounted (the others are re-cut to the new bin count, which
+        is exact because their entries did not move).  The transpose is
+        rebuilt from the patched entries, so the result equals a fresh
+        build array for array.
         """
-        n_worlds, n = self.n_worlds, self.n
-        world, position = (np.asarray(part, dtype=np.int64) for part in rows)
-        row_key = position * n_worlds + world
-        order = np.argsort(row_key)
-        row_key, world, position = row_key[order], world[order], position[order]
-        entry_key = np.repeat(
-            np.arange(self.n_candidates, dtype=np.int64) * n_worlds,
-            np.diff(reach.offsets),
-        ) + reach.flat // n
-        lo = np.searchsorted(entry_key, row_key, side="left")
-        hi = np.searchsorted(entry_key, row_key, side="right")
-        kept = reach.flat.size - int((hi - lo).sum())
-        entries = self._backend.finite_entries(
-            self._max_reach_entries() - kept, (world, position)
-        )
-        if entries is None:
-            return None
-        candidate, flat, time = entries
-        new_key = candidate.astype(np.int64) * n_worlds + flat // n
-        counts = np.searchsorted(new_key, row_key, side="right") - np.searchsorted(
-            new_key, row_key, side="left"
-        )
+        if not position.size:
+            return reach
+        n, k = self.n, len(self.group_names)
         time = splice(reach.time, lo, hi, time, counts)
         group = splice(reach.group, lo, hi, self._group_index[flat % n], counts)
         growth = np.zeros(self.n_candidates + 1, dtype=np.int64)
@@ -983,42 +973,16 @@ class WorldEnsemble:
         changed = np.unique(position)
         starts, stops = offsets[changed], offsets[changed + 1]
         at = concat_ranges(starts, stops)
-        table[changed] = self._time_table(
+        table[changed] = time_table(
             np.repeat(np.arange(changed.size), stops - starts),
             changed.size,
             group[at],
             time[at],
+            k,
             n_bins,
         )
         flat = splice(reach.flat, lo, hi, flat, counts)
-        owner = np.repeat(
-            np.arange(self.n_candidates, dtype=compact_uint(self.n_candidates)),
-            np.diff(offsets),
-        )
-        return _ReachIndex(
-            offsets,
-            flat,
-            time,
-            group,
-            table,
-            *self._transpose(owner, flat, time, group),
-        )
-
-    def _empty_state_table(self) -> Optional[np.ndarray]:
-        """Cumulative per-candidate time histogram, ``(C, k, T)``.
-
-        ``table[c, g, min(cutoff, T - 1)]`` is the *exact* total (over
-        worlds) of nodes of group ``g`` that candidate ``c`` alone
-        activates by ``cutoff`` — the whole first greedy round at every
-        deadline, as integers.  ``T`` is one past the largest finite
-        activation time in the store: later cutoffs count the same
-        nodes, so the table stops there (a few dozen bins instead of
-        256 on the paper's graphs).  Counts are stored in the smallest
-        unsigned type holding ``R * n`` (:meth:`_table_dtype`).  Part of
-        the reach index (``None`` without one).
-        """
-        reach = self._reach_index()
-        return None if reach is None else reach.table
+        return assemble_reach(offsets, flat, time, group, table, self.n_worlds * n, k)
 
     def candidate_group_utilities_batch(
         self,
@@ -1035,17 +999,16 @@ class WorldEnsemble:
 
         Two regimes, both exact:
 
-        - **step model with the reach index** (every state): row ``c``
-          is ``(M[c] + counts_S) / R`` from the state's marginal counts
+        - **step model** (every state): row ``c`` is ``(M[c] +
+          counts_S) / R`` from the state's marginal counts
           (:meth:`marginal_counts`) — O(k) per candidate, no tensor
           traffic at all.  ``M`` holds the exact counts the scalar path
           sums entry by entry.
-        - **otherwise** (discount, lazy store): one backend block fold
-          + one stacked ``(B, R, n) @ (n, k)`` ``np.matmul`` into
-          reusable scratch, replacing ``B`` per-candidate allocations
-          and matmuls.  Step counts are exact in any order; for
-          discounted weights the stacked matmul runs the very same GEMM
-          per block row that the scalar path runs per candidate (unlike
+        - **discounted**: the state's times are copied into each row of
+          a reusable ``(B, R, n)`` scratch and lowered at that
+          candidate's index entries, then one stacked ``(B, R, n) @ (n,
+          k)`` ``np.matmul`` weighs them — the very same float32 GEMM
+          per block row whatever the block (unlike
           ``einsum``/``tensordot``, whose reduction order changes low
           bits).
         """
@@ -1064,13 +1027,22 @@ class WorldEnsemble:
                 f"candidate positions out of range [0, {self.n_candidates}): "
                 f"{positions[(positions < 0) | (positions >= self.n_candidates)]}"
             )
-        reach = None if discount is not None else self._reach_index()
-        if reach is not None:
+        reach = self._reach
+        if discount is None:
             counts = self._state_marginals(state, cutoff, reach)[positions]
             counts += self._state_counts(state, cutoff)
             return counts / self.n_worlds
         times, active, weights, per_world = self._batch_scratch(int(positions.size))
-        self._backend.min_with_block(state.best_time, positions, times)
+        np.copyto(times, state.best_time[np.newaxis])
+        # Row ``i``'s entries sit at ``i * R * n + flat``: distinct within
+        # a row and across rows, so one gather-minimum-scatter is exact.
+        at, counts = reach.gather(positions)
+        cells = np.repeat(
+            np.arange(positions.size, dtype=np.int64) * (self.n_worlds * self.n), counts
+        )
+        cells += reach.flat[at]
+        lowered = times.reshape(-1)  # a view: the scratch is contiguous
+        lowered[cells] = np.minimum(lowered[cells], reach.time[at])
         self._activation_weights_into(times, cutoff, discount, active, weights)
         np.matmul(weights, self._masks_f, out=per_world)  # (B, R, k)
         return self._world_mean(per_world, discount)
@@ -1089,16 +1061,13 @@ class WorldEnsemble:
         use and kept on the state; :meth:`add_seed` keeps it exact, so a
         greedy engine can score every open candidate after each pick in
         O(k) per candidate.  The array is the state's own — read it, do
-        not write it.  ``None`` when the ensemble keeps no marginals
-        (discounted utilities, or no reach index).
+        not write it.  ``None`` for discounted utilities, which are not
+        counts.
         """
         self._check_fresh()
         if discount is not None:
             return None
-        reach = self._reach_index()
-        if reach is None:
-            return None
-        return self._state_marginals(state, _clip_deadline(deadline), reach)
+        return self._state_marginals(state, _clip_deadline(deadline), self._reach)
 
     def _state_marginals(
         self, state: InfluenceState, cutoff: int, reach: _ReachIndex
@@ -1268,26 +1237,22 @@ class WorldEnsemble:
         )
 
     def memory_bytes(self) -> int:
-        """Footprint of the backend's distance store (for reports)."""
-        return self._backend.memory_bytes()
+        """Footprint of the store — the reach index — for reports."""
+        return self._reach.nbytes
 
     @property
     def nbytes(self) -> int:
-        """Total resident bytes this ensemble pins: the distance store
-        (dense slab / sparse CSR / lazy LRU cache), the reach index and
-        gain table once built, plus the sampled worlds' kept-edge CSRs.
-        Closed ensembles hold nothing.
+        """Total resident bytes this ensemble pins: the reach index
+        (entries, transpose and gain table) plus the sampled worlds'
+        kept-edge CSRs.  Closed ensembles hold nothing.
         """
         if self._closed:
             return 0
-        store = self._backend.memory_bytes()
-        reach = self._reach
-        caches = 0 if reach is None else reach.nbytes
-        return int(store + caches + sum(world.nbytes for world in self.worlds))
+        return int(self._reach.nbytes + sum(world.nbytes for world in self.worlds))
 
     def __repr__(self) -> str:
         return (
             f"WorldEnsemble(n={self.n}, worlds={self.n_worlds}, "
             f"candidates={self.n_candidates}, model={self.model!r}, "
-            f"backend={self.backend_name!r}, groups={self.group_names!r})"
+            f"groups={self.group_names!r})"
         )

@@ -1,7 +1,7 @@
 """Incremental ensemble repair under streaming graph deltas.
 
 A :class:`~repro.influence.ensemble.WorldEnsemble` is an expensive
-artifact: ``R`` sampled live-edge worlds plus a distance store built by
+artifact: ``R`` sampled live-edge worlds plus a reach index built by
 ``R`` (batched) BFS passes.  When the underlying graph changes by a
 handful of edges, rebuilding all of it from scratch throws away almost
 everything — the repaired ensemble differs from the old one only where
@@ -22,13 +22,12 @@ u, v)``, independent of every other edge.  Applying a
 3. worlds where ``(U < p_old) != (U < p_new)`` somewhere have a changed
    live-edge set; patch exactly those edges in exactly those worlds'
    adjacency rows;
-4. hand the changed worlds, with the tails of their re-flipped edges,
-   to the distance backend's
-   :meth:`~repro.influence.backends.DistanceBackend.repair_worlds`.
-   A candidate's row can change only if it reaches such a tail in the
-   old world, so only those rows are recomputed (one batched BFS over
-   every changed world) and written back; the reach index then
-   re-lists exactly the rows whose distances changed.
+4. swap the changed worlds in and hand the tails of their re-flipped
+   edges to the ensemble's reach index.  A candidate's row can change
+   only if it reaches such a tail in the old world — the owners the
+   index's node-major transpose lists there — so only those rows are
+   re-run (one batched BFS over every changed world), and exactly the
+   rows whose entries changed are spliced into the index.
 
 Because untouched edges keep their coins and touched edges re-threshold
 the *same* coin a from-scratch build would draw, the repaired ensemble
@@ -39,7 +38,7 @@ graph with the same seed — the property the equivalence tests pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +47,7 @@ from repro.errors import EstimationError
 from repro.diffusion.worlds import LiveEdgeWorld, keyed_edge_uniforms
 from repro.graph.delta import GraphDelta
 from repro.graph.digraph import DiGraph
-from repro.influence.backends import Rows, concat_ranges, splice
+from repro.influence.backends import concat_ranges, splice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.influence.ensemble import WorldEnsemble
@@ -79,17 +78,15 @@ class EdgePlan:
 class RepairReport:
     """What one :func:`repair_ensemble` call actually did.
 
-    ``affected`` is the sorted candidate positions whose distance rows
-    changed (what a warm-started solver must refresh), or ``None`` when
-    the backend cannot enumerate them (lazy store) — callers must then
-    treat *every* candidate as potentially affected.
+    ``affected`` is the sorted candidate positions whose index entries
+    changed (what a warm-started solver must refresh).
     """
 
     delta_fingerprint: str
     edges_touched: int
     repaired_worlds: int
     resampled_edges: int
-    affected: Optional[np.ndarray]
+    affected: np.ndarray
 
 
 def plan_against(graph: DiGraph, delta: GraphDelta) -> EdgePlan:
@@ -179,7 +176,7 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
     :meth:`~repro.influence.ensemble.WorldEnsemble.apply_delta`, which
     delegates here.  Mutates the graph (bumping its version; a frozen
     graph is first replaced by a private copy), swaps the changed
-    worlds, patches the distance store, and records the delta in the
+    worlds, patches the reach index, and records the delta in the
     ensemble's lineage — after which the ensemble answers every
     query exactly as a fresh build on the mutated graph would.
     """
@@ -210,9 +207,8 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
     # store instead of serving wrong numbers.
     updates: Dict[int, LiveEdgeWorld] = {}
     tails: Dict[int, np.ndarray] = {}
-    if plan.n_edges == 0:
-        rows: Optional[Rows] = (np.empty(0, dtype=np.int64),) * 2
-    else:
+    affected = np.empty(0, dtype=np.int64)
+    if plan.n_edges:
         uniforms = keyed_edge_uniforms(
             np.asarray(ensemble.world_keys, dtype=np.uint64),
             plan.src,
@@ -227,10 +223,9 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
             tails[r] = np.unique(plan.src[flipped[r]])
         for r, world in updates.items():
             ensemble.worlds[r] = world
-        rows = ensemble._backend.repair_worlds(
-            updates, ensemble._candidate_indices, tails
-        )
-    affected = ensemble._note_repair(graph.version, delta.fingerprint(), rows)
+        if tails:
+            affected = ensemble._repair_rows(tails)
+    ensemble._note_repair(graph.version, delta.fingerprint(), affected)
     return RepairReport(
         delta_fingerprint=delta.fingerprint(),
         edges_touched=plan.n_edges,

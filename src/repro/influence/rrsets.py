@@ -26,7 +26,7 @@ Two layers live here:
   at once — the per-group surface classic RIS does not expose, and the
   reason the fair objectives (P4/P6) work on it.  Sampling is a
   vectorised batched reverse BFS over the CSR predecessor matrix (the
-  sparse backend's batched-frontier idiom), and ``theta`` is chosen
+  world ensemble's batched-frontier idiom), and ``theta`` is chosen
   adaptively in doubling rounds with stop-and-stare style Chernoff
   bounds instead of a fixed count.
 
@@ -251,7 +251,7 @@ def _sample_rr_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Grow one batch of RR sets with a vectorised reverse BFS.
 
-    The whole batch advances level-by-level like the distance stores'
+    The whole batch advances level-by-level like the reach index's
     frontier BFS (:func:`~repro.influence.backends.bfs_rows`): the
     ragged in-edge lists of every frontier (set, node) pair are
     gathered at once, all their coins are flipped in one draw, and a
@@ -854,8 +854,8 @@ def build_rrset_estimator(spec, graph: DiGraph, assignment) -> RRSetEstimator:
 
     :class:`repro.api.Session` calls this for every rrset spec.  The
     RR estimator owns its storage (a reverse CSR plus inverted coverage
-    indices) and its sampling is already vectorised, so no
-    distance-backend or build-worker knob applies.
+    indices) and its sampling is already vectorised, so no build-worker
+    knob applies.
     """
     if spec.model != "ic":
         raise EstimationError(

@@ -386,7 +386,7 @@ class SolveService:
     # ------------------------------------------------------------------
     def _build_key(self, spec: RunSpec) -> Tuple[str, Any]:
         resolved = self.session.resolve_execution(spec.execution)
-        return (spec.ensemble.fingerprint(), resolved.backend)
+        return (spec.ensemble.fingerprint(),)
 
     def _flight_for(self, spec: RunSpec) -> Tuple[_Flight, bool]:
         """The in-flight solve for this spec, joining one when it exists."""

@@ -9,7 +9,7 @@ method *rankings* can flip entirely as generator parameters sweep.  A
 - a **base** :class:`~repro.api.specs.RunSpec` — the template every
   cell starts from;
 - **axes** — dotted spec paths (``"solver.budget"``,
-  ``"ensemble.dataset_params.p_hom"``, ``"execution.backend"``) mapped
+  ``"ensemble.dataset_params.p_hom"``, ``"ensemble.n_worlds"``) mapped
   to value lists, expanded as a grid (Cartesian product, axes in
   sorted-path order, values in listed order — a canonical order, so
   equal specs expand to identical cell sequences);
@@ -164,8 +164,8 @@ class SweepCell:
 
         Covers the complete resolved run spec — including execution,
         unlike :meth:`RunSpec.fingerprint`, because a sweep may
-        legitimately put ``execution.backend`` on an axis to compare
-        runtimes, and those cells must stay distinct rows — plus the
+        legitimately put an execution knob on an axis, and those cells
+        must stay distinct rows — plus the
         replicate number.  This is the resume key: a row in
         ``cells.jsonl`` bearing this hash is this cell, finished.
         """

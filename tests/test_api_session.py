@@ -1,7 +1,8 @@
 """Session façade tests.
 
 The headline contract: ``Session.solve(RunSpec(...))`` is **bit
-identical** to the legacy kwarg calls on every backend — the
+identical** to the legacy kwarg calls under every BFS chunking (the
+``dense``/``sparse``/``lazy`` ids of ``tests/stores.py``) — the
 declarative layer adds no randomness and no arithmetic — and specs
 sharing an :class:`EnsembleSpec` share one built ensemble.
 """
@@ -27,8 +28,9 @@ from repro.core.cover import solve_fair_tcim_cover
 from repro.datasets.synthetic import synthetic_sbm
 from repro.errors import ConfigError
 from repro.graph.delta import GraphDelta
-from repro.influence.backends import BACKEND_NAMES
 from repro.influence.ensemble import WorldEnsemble
+
+from stores import STORES, chunking
 
 #: One small instance shared by every equivalence check below.
 SYN_PARAMS = {"n": 120, "activation_probability": 0.08}
@@ -50,17 +52,15 @@ def ensemble_spec(**overrides) -> EnsembleSpec:
     return EnsembleSpec(**base)
 
 
-def legacy_ensemble(backend: str) -> WorldEnsemble:
+def legacy_ensemble() -> WorldEnsemble:
     graph, groups = synthetic_sbm(seed=DATASET_SEED, **SYN_PARAMS)
-    return WorldEnsemble(
-        graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED, backend=backend
-    )
+    return WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("discount", [None, 0.9])
-    def test_budget_matches_legacy_kwargs(self, backend, discount):
+    def test_budget_matches_legacy_kwargs(self, store, discount):
         spec = RunSpec(
             ensemble=ensemble_spec(),
             solver=SolverSpec(
@@ -70,11 +70,11 @@ class TestBitIdentity:
                 budget=4,
                 discount=discount,
             ),
-            execution=ExecutionSpec(backend=backend),
         )
-        result = Session().solve(spec)
+        with chunking(store):
+            result = Session().solve(spec)
         legacy = solve_fair_tcim_budget(
-            legacy_ensemble(backend), 4, DEADLINE, discount=discount
+            legacy_ensemble(), 4, DEADLINE, discount=discount
         )
         assert list(result.seeds) == legacy.seeds
         np.testing.assert_array_equal(
@@ -85,33 +85,33 @@ class TestBitIdentity:
         )
         assert result.objective == legacy.trace.final_objective
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_unfair_budget_matches_legacy_kwargs(self, backend):
+    @pytest.mark.parametrize("store", STORES)
+    def test_unfair_budget_matches_legacy_kwargs(self, store):
         spec = RunSpec(
             ensemble=ensemble_spec(),
             solver=SolverSpec(
                 problem="budget", deadline=DEADLINE, fair=False, budget=4
             ),
-            execution=ExecutionSpec(backend=backend),
         )
-        result = Session().solve(spec)
-        legacy = solve_tcim_budget(legacy_ensemble(backend), 4, DEADLINE)
+        with chunking(store):
+            result = Session().solve(spec)
+        legacy = solve_tcim_budget(legacy_ensemble(), 4, DEADLINE)
         assert list(result.seeds) == legacy.seeds
         np.testing.assert_array_equal(
             np.asarray(result.group_utilities), legacy.report.utilities
         )
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_cover_matches_legacy_kwargs(self, backend):
+    @pytest.mark.parametrize("store", STORES)
+    def test_cover_matches_legacy_kwargs(self, store):
         spec = RunSpec(
             ensemble=ensemble_spec(),
             solver=SolverSpec(
                 problem="cover", deadline=math.inf, fair=True, quota=0.15
             ),
-            execution=ExecutionSpec(backend=backend),
         )
-        result = Session().solve(spec)
-        legacy = solve_fair_tcim_cover(legacy_ensemble(backend), 0.15, math.inf)
+        with chunking(store):
+            result = Session().solve(spec)
+        legacy = solve_fair_tcim_cover(legacy_ensemble(), 0.15, math.inf)
         assert list(result.seeds) == legacy.seeds
         np.testing.assert_array_equal(
             np.asarray(result.group_utilities), legacy.report.utilities
@@ -166,20 +166,10 @@ class TestEnsembleCache:
         )
         assert r1.solution.ensemble is r2.solution.ensemble
 
-    def test_backend_is_part_of_the_key(self):
-        session = Session()
-        spec = ensemble_spec()
-        dense = session.ensemble_for(spec, ExecutionSpec(backend="dense"))
-        sparse = session.ensemble_for(spec, ExecutionSpec(backend="sparse"))
-        assert dense is not sparse
-        assert dense.backend_name == "dense"
-        assert sparse.backend_name == "sparse"
-        assert session.cache_info["entries"] == 2
-
     def test_lru_eviction(self):
         session = Session(max_cached_ensembles=1)
-        session.ensemble_for(ensemble_spec(), ExecutionSpec(backend="dense"))
-        session.ensemble_for(ensemble_spec(), ExecutionSpec(backend="lazy"))
+        session.ensemble_for(ensemble_spec(world_seed=1))
+        session.ensemble_for(ensemble_spec(world_seed=2))
         assert session.cache_info["entries"] == 1
 
     def test_clear_cache(self):
@@ -328,27 +318,30 @@ def _estimator_bytes(estimator):
 class TestEvictionRacesInFlightSolves:
     """LRU/byte eviction must never corrupt a solve it races.
 
-    Eviction drops cache *names* (and unlinks shm segments) while live
-    references keep their mappings — so a thread mid-``solve_many`` on
+    Eviction drops cache *names* while live references keep their
+    ensembles — so a thread mid-``solve_many`` on
     a just-evicted ensemble must still produce bit-identical results.
     A one-entry session with two alternating ensembles under four
     threads evicts continuously while every thread is solving.
     """
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "lazy"])
-    def test_concurrent_solve_many_under_thrashing_cache(self, backend):
+    @pytest.mark.parametrize("store", STORES)
+    def test_concurrent_solve_many_under_thrashing_cache(self, store):
         specs = [
             RunSpec(
                 ensemble=ensemble_spec(world_seed=seed),
                 solver=SolverSpec(problem="budget", deadline=DEADLINE, budget=3),
-                execution=ExecutionSpec(backend=backend),
             )
             for seed in (1, 2, 1, 2)
         ]
         expected = [
             (list(r.seeds), r.objective) for r in Session().solve_many(specs)
         ]
+        with chunking(store):
+            self._thrash(specs, expected)
 
+    @staticmethod
+    def _thrash(specs, expected):
         # cache_bytes=1 with the newest-entry guard means every second
         # build evicts the other ensemble: maximal thrash.
         session = Session(max_cached_ensembles=1, cache_bytes=1)
@@ -377,17 +370,16 @@ class TestEvictionRacesInFlightSolves:
 
 class TestConfigChain:
     def test_spec_beats_session_beats_process(self):
-        session = Session(execution=ExecutionSpec(backend="sparse", build_workers=2))
-        with execution_defaults.override("backend", "lazy"):
-            resolved = session.resolve_execution(ExecutionSpec(backend="dense"))
-            assert resolved.backend == "dense"  # spec wins
+        session = Session(execution=ExecutionSpec(build_workers=2))
+        with execution_defaults.override("build_workers", 3):
+            resolved = session.resolve_execution(ExecutionSpec(build_workers=4))
+            assert resolved.build_workers == 4  # spec wins
             resolved = session.resolve_execution(ExecutionSpec())
-            assert resolved.backend == "sparse"  # session beats process
-            assert resolved.build_workers == 2
+            assert resolved.build_workers == 2  # session beats process
         plain = Session()
-        with execution_defaults.override("backend", "lazy"):
-            assert plain.resolve_execution().backend == "lazy"  # process
-        assert plain.resolve_execution().backend == "auto"  # library default
+        with execution_defaults.override("build_workers", 3):
+            assert plain.resolve_execution().build_workers == 3  # process
+        assert plain.resolve_execution().build_workers == 1  # library default
 
     def test_result_echoes_fully_resolved_spec(self):
         session = Session()
@@ -395,11 +387,9 @@ class TestConfigChain:
             RunSpec(
                 ensemble=ensemble_spec(),
                 solver=SolverSpec(problem="budget", deadline=DEADLINE, budget=2),
-                execution=ExecutionSpec(backend="auto"),
             )
         )
         echo = result.spec.execution
-        assert echo.backend in BACKEND_NAMES  # "auto" resolved to a real store
         assert isinstance(echo.workers, int) and echo.workers >= 1
         assert isinstance(echo.build_workers, int) and echo.build_workers >= 1
         # The echoed spec is still a valid, serializable RunSpec.
@@ -463,12 +453,9 @@ class TestEstimatorFactory:
         )
 
     def test_worlds_kind_builds_world_ensemble(self):
-        estimator = Session().ensemble_for(
-            ensemble_spec(model="ic"), ExecutionSpec(backend="dense")
-        )
+        estimator = Session().ensemble_for(ensemble_spec(model="ic"))
         assert isinstance(estimator, WorldEnsemble)
         assert estimator.n_worlds == N_WORLDS
-        assert estimator.backend_name == "dense"
 
     def test_rrset_kind_builds_rrset_estimator(self):
         from repro.influence.rrsets import RRSetEstimator
@@ -476,9 +463,6 @@ class TestEstimatorFactory:
         estimator = Session().ensemble_for(ensemble_spec(kind="rrset", theta=500))
         assert isinstance(estimator, RRSetEstimator)
         assert estimator.fixed_theta == 500
-        # No backend_name: the session echo must keep reporting the
-        # *distance* backend choice, which rrset runs never consume.
-        assert not hasattr(estimator, "backend_name")
 
     def test_rrset_kind_solves_end_to_end(self):
         spec = RunSpec(
@@ -506,12 +490,10 @@ class TestEstimatorFactory:
 
 class TestDeprecationShims:
     def test_scoped_override_restores(self):
-        from repro.experiments.common import get_default_backend, use_backend
-
-        before = get_default_backend()
-        with use_backend("lazy"):
-            assert get_default_backend() == "lazy"
-        assert get_default_backend() == before
+        before = execution_defaults.get("build_workers")
+        with execution_defaults.override("build_workers", 3):
+            assert execution_defaults.get("build_workers") == 3
+        assert execution_defaults.get("build_workers") == before
 
 
 class TestExperimentBuildEnsemble:
@@ -529,12 +511,3 @@ class TestExperimentBuildEnsemble:
         assert after["hits"] >= before["hits"] + 1
         different = build_ensemble(graph, groups, n_worlds=4, seed=5)
         assert different is not first
-
-    def test_build_ensemble_respects_explicit_backend(self):
-        from repro.experiments.common import build_ensemble
-
-        graph, groups = synthetic_sbm(seed=0, n=40)
-        ensemble = build_ensemble(
-            graph, groups, n_worlds=3, seed=5, backend="sparse"
-        )
-        assert ensemble.backend_name == "sparse"

@@ -54,7 +54,7 @@ class TestRoundTrip:
                 weights=(1.0, 2.0),
                 discount=0.9,
             ),
-            execution=ExecutionSpec(backend="sparse", workers=2, build_workers=2),
+            execution=ExecutionSpec(workers=2, build_workers=2),
         )
 
     def test_dict_round_trip_is_identity(self):
@@ -308,12 +308,18 @@ class TestSolverSpecValidation:
 class TestExecutionSpecValidation:
     def test_all_fields_optional(self):
         spec = ExecutionSpec()
-        assert spec.backend is None and spec.workers is None
+        assert spec.workers is None
         assert spec.build_workers is None
 
     def test_shared_validators(self):
+        # ``backend`` is gone: a spec still carrying it fails the strict
+        # key check, like the deleted ``method``/``block_size``.
         with pytest.raises(ConfigError, match="backend"):
-            ExecutionSpec(backend="gpu")
+            ExecutionSpec.from_dict({"backend": "dense"})
+        data = spec_template().to_dict()
+        data["execution"]["backend"] = None
+        with pytest.raises(ConfigError, match="backend"):
+            RunSpec.from_dict(data)
         with pytest.raises(ConfigError, match="workers"):
             ExecutionSpec(workers=0)
         with pytest.raises(ConfigError, match="build_workers"):
@@ -371,10 +377,10 @@ class TestFingerprint:
 
     def test_with_execution_shares_result_defining_specs(self):
         spec = spec_template()
-        tweaked = spec.with_execution(backend="lazy", workers=2)
+        tweaked = spec.with_execution(build_workers=3, workers=2)
         assert tweaked.ensemble is spec.ensemble
         assert tweaked.solver is spec.solver
-        assert tweaked.execution.backend == "lazy"
+        assert tweaked.execution.build_workers == 3
         assert tweaked.ensemble.fingerprint() == spec.ensemble.fingerprint()
 
     def test_build_workers_never_touches_the_fingerprint(self):

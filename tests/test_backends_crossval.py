@@ -1,8 +1,9 @@
-"""Cross-validation harness for the estimator backends.
+"""Cross-validation harness for the world ensemble.
 
 Five ways to compute ``f_tau`` must agree:
 
-- ``dense`` / ``sparse`` / ``lazy`` world ensembles share the same
+- world ensembles built under the ``dense`` / ``sparse`` / ``lazy`` ids
+  (three BFS chunk budgets, see ``tests/stores.py``) share the same
   sampled worlds, so they must agree **bit-for-bit**;
 - the ensemble estimate must agree with :func:`exact_group_utilities`
   within Monte Carlo error;
@@ -21,12 +22,11 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.groups import GroupAssignment
-from repro.influence import backends
-from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_group_utilities, exact_utility
 from repro.influence.montecarlo import monte_carlo_group_utilities, monte_carlo_utility
 
-BACKENDS = ("dense", "sparse", "lazy")
+from stores import STORES, build
+
 DEADLINES = (0, 1, 2.5, 3, math.inf)
 
 
@@ -46,18 +46,16 @@ def random_instance(seed: int, n: int = 9, max_edges: int = 14):
 
 
 def ensembles_for(graph, assignment, n_worlds=60, seed=11, **kwargs):
-    """One ensemble per backend, sharing the world-sampling seed."""
+    """One ensemble per build id, sharing the world-sampling seed."""
     return {
-        backend: WorldEnsemble(
-            graph, assignment, n_worlds=n_worlds, seed=seed, backend=backend, **kwargs
-        )
-        for backend in BACKENDS
+        store: build(graph, assignment, store, n_worlds=n_worlds, seed=seed, **kwargs)
+        for store in STORES
     }
 
 
 @pytest.mark.parametrize("instance_seed", [0, 1, 2, 3, 4])
 class TestBackendsBitIdentical:
-    """dense / sparse / lazy share worlds, so they must match exactly."""
+    """The three builds share worlds, so they must match exactly."""
 
     def test_state_and_utilities_identical(self, instance_seed):
         graph, assignment, labels = random_instance(instance_seed)
@@ -65,17 +63,17 @@ class TestBackendsBitIdentical:
         dense = ensembles["dense"]
         rng = np.random.default_rng(100 + instance_seed)
         seeds = list(rng.choice(labels, size=3, replace=False))
-        for backend in ("sparse", "lazy"):
-            other = ensembles[backend]
+        for store in ("sparse", "lazy"):
+            other = ensembles[store]
             s_ref, s_other = dense.state_for(seeds), other.state_for(seeds)
             np.testing.assert_array_equal(
-                s_ref.best_time, s_other.best_time, err_msg=backend
+                s_ref.best_time, s_other.best_time, err_msg=store
             )
             for deadline in DEADLINES:
                 np.testing.assert_array_equal(
                     dense.group_utilities(s_ref, deadline),
                     other.group_utilities(s_other, deadline),
-                    err_msg=f"{backend} tau={deadline}",
+                    err_msg=f"{store} tau={deadline}",
                 )
 
     def test_marginal_queries_identical(self, instance_seed):
@@ -83,40 +81,38 @@ class TestBackendsBitIdentical:
         ensembles = ensembles_for(graph, assignment)
         dense = ensembles["dense"]
         state_seeds = labels[:2]
-        for backend in ("sparse", "lazy"):
-            other = ensembles[backend]
+        for store in ("sparse", "lazy"):
+            other = ensembles[store]
             s_ref, s_other = dense.state_for(state_seeds), other.state_for(state_seeds)
             for position in range(dense.n_candidates):
                 for deadline in (0, 2.5, math.inf):
                     np.testing.assert_array_equal(
                         dense.candidate_group_utilities(s_ref, position, deadline),
                         other.candidate_group_utilities(s_other, position, deadline),
-                        err_msg=f"{backend} pos={position} tau={deadline}",
+                        err_msg=f"{store} pos={position} tau={deadline}",
                     )
 
     def test_discounted_utilities_identical(self, instance_seed):
         graph, assignment, labels = random_instance(instance_seed)
         ensembles = ensembles_for(graph, assignment)
         dense = ensembles["dense"]
-        for backend in ("sparse", "lazy"):
-            other = ensembles[backend]
+        for store in ("sparse", "lazy"):
+            other = ensembles[store]
             s_ref, s_other = dense.state_for(labels[:2]), other.state_for(labels[:2])
             np.testing.assert_array_equal(
                 dense.group_utilities(s_ref, 3, discount=0.8),
                 other.group_utilities(s_other, 3, discount=0.8),
-                err_msg=backend,
+                err_msg=store,
             )
 
 
 @pytest.mark.parametrize("instance_seed", [0, 1, 2])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ensemble_matches_exact(instance_seed, backend):
-    """Every backend converges to the exact expectation (shared worlds
+@pytest.mark.parametrize("store", STORES)
+def test_ensemble_matches_exact(instance_seed, store):
+    """Every store converges to the exact expectation (shared worlds
     mean one tolerance bound covers all three)."""
     graph, assignment, labels = random_instance(instance_seed)
-    ensemble = WorldEnsemble(
-        graph, assignment, n_worlds=4000, seed=21, backend=backend
-    )
+    ensemble = build(graph, assignment, store, n_worlds=4000, seed=21)
     seeds = labels[:2]
     for deadline in DEADLINES:
         estimate = ensemble.utilities_for(seeds, deadline)
@@ -125,7 +121,7 @@ def test_ensemble_matches_exact(instance_seed, backend):
         errors = ensemble.standard_errors(ensemble.state_for(seeds), deadline)
         tolerance = 5.0 * errors + 1e-9
         assert (np.abs(estimate - expected) <= tolerance).all(), (
-            f"{backend} tau={deadline}: {estimate} vs exact {expected} "
+            f"{store} tau={deadline}: {estimate} vs exact {expected} "
             f"(tolerance {tolerance})"
         )
 
@@ -148,13 +144,11 @@ def test_monte_carlo_matches_exact(instance_seed):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_monte_carlo_matches_ensemble_per_group(backend):
+@pytest.mark.parametrize("store", STORES)
+def test_monte_carlo_matches_ensemble_per_group(store):
     """The two estimators of the paper agree within sampling error."""
     graph, assignment, labels = random_instance(5)
-    ensemble = WorldEnsemble(
-        graph, assignment, n_worlds=3000, seed=41, backend=backend
-    )
+    ensemble = build(graph, assignment, store, n_worlds=3000, seed=41)
     seeds = labels[:2]
     for deadline in (0, 2.5, math.inf):
         mc = monte_carlo_group_utilities(
@@ -165,19 +159,17 @@ def test_monte_carlo_matches_ensemble_per_group(backend):
             size = assignment.size(group)
             tolerance = 5.0 * size / (2.0 * math.sqrt(3000)) + 1e-9
             assert abs(value - mc[group]) <= tolerance, (
-                f"{backend} tau={deadline} group={group}: {value} vs {mc[group]}"
+                f"{store} tau={deadline} group={group}: {value} vs {mc[group]}"
             )
 
 
 class TestBoundaryDeadlines:
-    """tau = 0 and tau = inf are exact on every backend."""
+    """tau = 0 and tau = inf are exact on every store."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_deadline_counts_only_seeds(self, backend):
+    @pytest.mark.parametrize("store", STORES)
+    def test_zero_deadline_counts_only_seeds(self, store):
         graph, assignment, labels = random_instance(7)
-        ensemble = WorldEnsemble(
-            graph, assignment, n_worlds=20, seed=61, backend=backend
-        )
+        ensemble = build(graph, assignment, store, n_worlds=20, seed=61)
         seeds = labels[:3]
         utilities = ensemble.utilities_for(seeds, 0)
         by_group = {g: 0 for g in ensemble.group_names}
@@ -186,8 +178,8 @@ class TestBoundaryDeadlines:
         expected = np.asarray([by_group[g] for g in ensemble.group_names], float)
         np.testing.assert_array_equal(utilities, expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infinite_deadline_is_reachability(self, backend):
+    @pytest.mark.parametrize("store", STORES)
+    def test_infinite_deadline_is_reachability(self, store):
         # p = 1 makes every world the full graph: utility at inf is the
         # deterministic reachable-set size.
         graph = DiGraph(default_probability=1.0)
@@ -196,38 +188,6 @@ class TestBoundaryDeadlines:
         for i in range(5):
             graph.add_edge(i, i + 1)
         assignment = GroupAssignment.from_graph(graph)
-        ensemble = WorldEnsemble(
-            graph, assignment, n_worlds=5, seed=71, backend=backend
-        )
+        ensemble = build(graph, assignment, store, n_worlds=5, seed=71)
         assert ensemble.utilities_for([0], math.inf).tolist() == [6.0]
         assert ensemble.utilities_for([3], math.inf).tolist() == [3.0]
-
-
-class TestLazyCache:
-    def test_cache_eviction_keeps_results_exact(self, monkeypatch):
-        monkeypatch.setattr(backends, "DEFAULT_CACHE_SIZE", 2)
-        graph, assignment, labels = random_instance(9)
-        dense = WorldEnsemble(graph, assignment, n_worlds=30, seed=81)
-        tiny_cache = WorldEnsemble(
-            graph, assignment, n_worlds=30, seed=81, backend="lazy"
-        )
-        s_ref, s_lazy = dense.state_for(labels[:4]), tiny_cache.state_for(labels[:4])
-        np.testing.assert_array_equal(s_ref.best_time, s_lazy.best_time)
-        backend = tiny_cache.backend
-        assert backend.misses >= 4  # cache of 2 cannot hold 4 candidates
-        assert backend.cache_entries <= 2
-        for position in range(dense.n_candidates):
-            np.testing.assert_array_equal(
-                dense.candidate_group_utilities(s_ref, position, 2),
-                tiny_cache.candidate_group_utilities(s_lazy, position, 2),
-            )
-
-    def test_cache_hits_accumulate(self):
-        graph, assignment, labels = random_instance(9)
-        ensemble = WorldEnsemble(
-            graph, assignment, n_worlds=10, seed=91, backend="lazy"
-        )
-        state = ensemble.empty_state()
-        ensemble.candidate_group_utilities(state, 0, 2)
-        ensemble.candidate_group_utilities(state, 0, 2)
-        assert ensemble.backend.hits >= 1

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import EnsembleSpec, RunSpec, SolverSpec
+from repro.api import EnsembleSpec, ExecutionSpec, RunSpec, SolverSpec
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
 from repro.experiments.registry import (
@@ -42,17 +42,10 @@ class TestRegistry:
         assert result.experiment_id == "abl_celf"
         assert result.rows
 
-    def test_run_experiment_backend_override(self):
-        from repro.experiments.common import get_default_backend
-
-        before = get_default_backend()
-        result = run_experiment("abl_celf", quick=True, seed=0, backend="sparse")
-        assert result.all_checks_pass
-        assert get_default_backend() == before  # override is scoped
-
     def test_run_experiment_bad_backend(self):
-        with pytest.raises(ConfigError, match="backend"):
-            run_experiment("fig1", quick=True, seed=0, backend="nope")
+        # There is one store; no backend can be chosen.
+        with pytest.raises(TypeError, match="backend"):
+            run_experiment("fig1", quick=True, seed=0, backend="sparse")
 
     def test_registry_functions_callable(self):
         for fn in EXPERIMENTS.values():
@@ -68,11 +61,13 @@ class TestParser:
         args = build_parser().parse_args(["run", "fig1", "--quick", "--seed", "7"])
         assert args.experiment == "fig1"
         assert args.quick and args.seed == 7
-        assert args.backend is None
+        assert not hasattr(args, "backend")
 
     def test_backend_flag(self):
-        args = build_parser().parse_args(["run", "fig1", "--backend", "sparse"])
-        assert args.backend == "sparse"
+        # ``--backend`` is gone from every subcommand.
+        for argv in (["run", "fig1"], ["solve", "x.json"], ["sweep", "x.json"], ["serve"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--backend", "sparse"])
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -126,7 +121,7 @@ class TestParser:
         assert args.max_pending == DEFAULT_MAX_PENDING
         assert args.timeout is None
         assert args.drain_timeout == DEFAULT_DRAIN_SECONDS
-        assert args.backend is None  # shared execution flags ride along
+        assert args.build_workers is None  # shared execution flags ride along
 
     def test_serve_cache_bytes_accepts_sizes(self):
         args = build_parser().parse_args(["serve", "--cache-bytes", "512m"])
@@ -284,12 +279,23 @@ class TestSolveSubcommand:
         assert main(["solve", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_execution_flags_form_the_session_default(self, tmp_path, capsys):
+    def test_execution_flags_form_the_session_default(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        sessions = []
+        session_class = repro.cli.Session
+
+        def recording_session(**kwargs):
+            sessions.append(kwargs["execution"])
+            return session_class(**kwargs)
+
+        monkeypatch.setattr(repro.cli, "Session", recording_session)
         path = tmp_path / "run.json"
         path.write_text(tiny_spec().to_json())
-        assert main(["solve", str(path), "--backend", "sparse", "--json"]) == 0
+        assert main(["solve", str(path), "--build-workers", "3", "--json"]) == 0
+        assert sessions == [ExecutionSpec(build_workers=3)]
         payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["spec"]["execution"]["backend"] == "sparse"
+        assert payload[0]["spec"]["execution"] == {"workers": 1, "build_workers": 1}
 
 
 class TestNumericFlagValidation:

@@ -19,6 +19,8 @@ from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_utility
 from repro.influence.montecarlo import monte_carlo_utility
 
+from stores import STORES, build
+
 
 class TestClipDeadline:
     def test_integer_passthrough(self):
@@ -68,10 +70,8 @@ class TestEstimatorsShareSemantics:
 
     def test_ensemble_boundary(self, two_group_line):
         graph, assignment = two_group_line
-        for backend in ("dense", "sparse", "lazy"):
-            ensemble = WorldEnsemble(
-                graph, assignment, n_worlds=4, seed=0, backend=backend
-            )
+        for store in STORES:
+            ensemble = build(graph, assignment, store, n_worlds=4, seed=0)
             np.testing.assert_array_equal(
                 ensemble.utilities_for(["a"], 2.5),
                 ensemble.utilities_for(["a"], 2),

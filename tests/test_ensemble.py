@@ -11,6 +11,8 @@ from repro.influence.exact import exact_group_utilities
 from repro.graph.digraph import DiGraph
 from repro.graph.groups import GroupAssignment
 
+from stores import build
+
 
 @pytest.fixture
 def line_ensemble(two_group_line):
@@ -51,7 +53,10 @@ class TestConstruction:
             WorldEnsemble(graph, assignment, n_worlds=0, seed=0)
 
     def test_memory_reporting(self, line_ensemble):
-        assert line_ensemble.memory_bytes() == 8 * 4 * 4
+        # p = 1: a reaches 4 nodes, b 3, c 2, d 1 — 10 entries per world.
+        reach = line_ensemble._reach
+        assert reach.flat.size == 8 * 10
+        assert line_ensemble.memory_bytes() == reach.nbytes
 
 
 class TestStateManagement:
@@ -182,16 +187,13 @@ class TestCandidatePositions:
 
 
 class TestCacheAccounting:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_nbytes_counts_reach_index(self, backend):
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_nbytes_counts_reach_index(self, store):
         from repro.datasets.synthetic import synthetic_sbm
 
         graph, assignment = synthetic_sbm(n=60, seed=1)
-        ensemble = WorldEnsemble(
-            graph, assignment, n_worlds=6, seed=2, backend=backend
-        )
-        before = ensemble.nbytes
-        reach = ensemble._reach_index()
-        assert reach is not None
-        assert ensemble.nbytes == before + reach.nbytes
+        ensemble = build(graph, assignment, store, n_worlds=6, seed=2)
+        reach = ensemble._reach
+        worlds = sum(world.nbytes for world in ensemble.worlds)
+        assert ensemble.nbytes == worlds + reach.nbytes
         assert reach.nbytes >= reach.table.nbytes + reach.flat.nbytes

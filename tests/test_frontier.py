@@ -1,11 +1,12 @@
-"""The frontier BFS behind every distance store and the RR sampler.
+"""The frontier BFS behind the reach index and the RR sampler.
 
-``bfs_rows`` must equal scipy's csgraph BFS (``LiveEdgeWorld.
-distances_from``, the public reference) row for row; every store built
-from it — dense, sparse, lazy, the ``"auto"`` probe and repairs — must
-equal the store the reference would give, array for array and dtype
-for dtype; and ``_sample_rr_batch`` must return exactly what the dense
-``visited`` scan returned, from the same RNG draws.
+``bfs_rows`` must emit exactly the finite entries of scipy's csgraph
+BFS (``LiveEdgeWorld.distances_from``, the public reference), in key
+order, however its rows are chunked; the reach index built from it must
+equal the index the reference's distance tensor gives, array for array
+and dtype for dtype; an index over its byte limit must fail before its
+entries are assembled; and ``_sample_rr_batch`` must return exactly
+what the dense ``visited`` scan returned, from the same RNG draws.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.datasets.synthetic import default_synthetic
 from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld
+from repro.errors import ConfigError
 from repro.influence import backends
-from repro.influence.backends import (
-    DenseBackend,
-    LazyBackend,
-    SparseBackend,
-    bfs_rows,
-    sparse_hops,
-)
+from repro.influence import ensemble as ensemble_module
+from repro.influence.backends import bfs_rows
+from repro.influence.ensemble import WorldEnsemble, make_backend
 from repro.influence.rrsets import _sample_rr_batch
+
+from stores import rows_from_entries
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -72,20 +73,17 @@ def reference_rows(worlds, world, source):
     return out
 
 
-def reference_csr(world, candidates):
-    """The shifted CSR the sparse store keeps, from the csgraph BFS."""
-    dist = world.distances_from(candidates)
-    r_idx, c_idx = np.nonzero(dist != UNREACHABLE)
-    data = dist[r_idx, c_idx] + np.uint8(1)
-    return sparse.csr_matrix((data, (r_idx, c_idx)), shape=dist.shape)
+def reference_entries(rows):
+    """The finite entries of ``(rows, n)`` distances, as ``bfs_rows``
+    lists them: ``row * n + v`` ascending, with the hop."""
+    key = np.flatnonzero(rows.reshape(-1) != UNREACHABLE)
+    return key, rows.reshape(-1)[key]
 
 
-def assert_csr_identical(got, want):
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
+def assert_entries(got, want):
+    for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+    assert got[0].dtype == np.int64 and got[1].dtype == np.uint8
 
 
 class TestBfsRows:
@@ -94,8 +92,7 @@ class TestBfsRows:
     def test_equals_csgraph_per_world(self, case):
         worlds, world, source = case
         got = bfs_rows(worlds, world, source)
-        assert got.dtype == np.uint8 and got.shape == (world.size, worlds[0].n)
-        np.testing.assert_array_equal(got, reference_rows(worlds, world, source))
+        assert_entries(got, reference_entries(reference_rows(worlds, world, source)))
 
     @PROPERTY
     @given(worlds_and_rows(), st.integers(0, 2000))
@@ -104,38 +101,48 @@ class TestBfsRows:
         want = bfs_rows(worlds, world, source)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(backends, "FRONTIER_CHUNK_BYTES", chunk_bytes)
-            np.testing.assert_array_equal(bfs_rows(worlds, world, source), want)
+            assert_entries(bfs_rows(worlds, world, source), want)
 
     def test_long_chain_clips_at_254(self):
         n = 300
         chain = make_world(n, np.arange(n - 1), np.arange(1, n))
         sources = np.array([0, 0, 40, n - 1])
-        got = bfs_rows([chain], np.zeros(4, dtype=np.int64), sources)
+        got = rows_from_entries(
+            *bfs_rows([chain], np.zeros(4, dtype=np.int64), sources), 4, n
+        )
         np.testing.assert_array_equal(got, chain.distances_from(sources))
         assert got[0, 254] == got[0, n - 1] == UNREACHABLE - 1
         assert got[2, 39] == UNREACHABLE and got[3, n - 1] == 0
 
     def test_edgeless_worlds_and_no_rows(self):
         empty = make_world(5, [], [])
-        got = bfs_rows([empty, empty], np.array([1, 0, 1]), np.array([2, 2, 4]))
-        want = np.full((3, 5), UNREACHABLE, dtype=np.uint8)
-        want[[0, 1, 2], [2, 2, 4]] = 0
-        np.testing.assert_array_equal(got, want)
-        assert bfs_rows([empty], np.array([], dtype=np.int64), np.array([])).shape == (
-            0,
-            5,
-        )
+        key, hop = bfs_rows([empty, empty], np.array([1, 0, 1]), np.array([2, 2, 4]))
+        np.testing.assert_array_equal(key, [2, 7, 14])
+        np.testing.assert_array_equal(hop, [0, 0, 0])
+        key, hop = bfs_rows([empty], np.array([], dtype=np.int64), np.array([]))
+        assert key.size == hop.size == 0
 
     @PROPERTY
     @given(worlds_and_rows())
     def test_world_mapping_like_a_repair(self, case):
-        # Repairs pass a {world index: world} dict in arbitrary order.
+        # Repairs may pass a {world index: world} mapping.
         worlds, world, source = case
         keyed = {3 * r + 1: w for r, w in reversed(list(enumerate(worlds)))}
-        np.testing.assert_array_equal(
+        assert_entries(
             bfs_rows(keyed, 3 * world + 1, source),
-            reference_rows(worlds, world, source),
+            reference_entries(reference_rows(worlds, world, source)),
         )
+
+    @PROPERTY
+    @given(worlds_and_rows(), st.integers(0, 40))
+    def test_entry_cap_stops_the_bfs(self, case, cap):
+        worlds, world, source = case
+        want = reference_entries(reference_rows(worlds, world, source))
+        got = bfs_rows(worlds, world, source, max_entries=cap)
+        if want[0].size > cap:
+            assert got is None
+        else:
+            assert_entries(got, want)
 
 
 @st.composite
@@ -145,65 +152,64 @@ def worlds_and_candidates(draw):
     candidates = draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     )
-    return worlds, np.asarray(candidates, dtype=np.int64)
+    k = draw(st.integers(1, 3))
+    groups = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return worlds, np.asarray(candidates, dtype=np.int64), np.asarray(groups), k
 
 
 class TestStores:
     @PROPERTY
     @given(worlds_and_candidates())
     def test_dense_store(self, case):
-        worlds, candidates = case
-        got = DenseBackend(worlds, candidates, worlds[0].n)._distances
-        want = np.stack([w.distances_from(candidates) for w in worlds])
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, want)
+        # The index's entries, candidate by candidate, are exactly the
+        # finite cells of the dense ``D[r, c, v]`` tensor.
+        worlds, candidates, groups, k = case
+        reach = make_backend(worlds, candidates, groups, k, 10**9)
+        n, n_worlds = worlds[0].n, len(worlds)
+        dense = np.stack([w.distances_from(candidates) for w in worlds])
+        for position in range(candidates.size):
+            flat, time, group = reach.entries(position)
+            rows = np.full(n_worlds * n, UNREACHABLE, dtype=np.uint8)
+            rows[flat] = time
+            np.testing.assert_array_equal(rows.reshape(n_worlds, n), dense[:, position])
+            np.testing.assert_array_equal(flat, np.sort(flat))
+            np.testing.assert_array_equal(group, groups[flat % n])
 
     @PROPERTY
     @given(worlds_and_candidates())
     def test_sparse_store(self, case):
-        worlds, candidates = case
-        store = SparseBackend(worlds, candidates, worlds[0].n)
-        for got, world in zip(store._rows, worlds):
-            assert_csr_identical(got, reference_csr(world, candidates))
-
-    @PROPERTY
-    @given(worlds_and_candidates())
-    def test_lazy_rows(self, case):
-        worlds, candidates = case
-        store = LazyBackend(worlds, candidates, worlds[0].n)
-        for position, candidate in enumerate(candidates.tolist()):
-            want = np.concatenate([w.distances_from([candidate]) for w in worlds])
-            np.testing.assert_array_equal(store._build_rows(position), want)
-
-    @PROPERTY
-    @given(worlds_and_candidates(), st.integers(1, 6))
-    def test_auto_probe(self, case, cap):
-        worlds, candidates = case
-        estimate, probe = backends._probe_sparse_bytes(worlds, candidates)
-        want = reference_csr(worlds[0], candidates)
-        assert_csr_identical(probe, want)
-        per_world = want.data.nbytes + want.indices.nbytes + want.indptr.nbytes
-        assert estimate == per_world * len(worlds)
-        # Many candidates: a subset is probed and scaled, nothing reused.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(backends, "PROBE_CANDIDATE_CAP", cap)
-            estimate, probe = backends._probe_sparse_bytes(worlds, candidates)
-        if candidates.size > cap:
-            subset = candidates[np.linspace(0, candidates.size - 1, cap).astype(np.int64)]
-            sample = reference_csr(worlds[0], subset)
-            entry = (sample.data.nbytes + sample.indices.nbytes) * (candidates.size / cap)
-            assert probe is None
-            assert estimate == int(entry + 8 * (candidates.size + 1)) * len(worlds)
-
-    def test_sparse_hops_matches_reference(self):
-        world = make_world(6, [0, 1, 2, 2, 4], [1, 2, 3, 0, 5])
-        candidates = np.array([4, 0, 3])
-        assert_csr_identical(sparse_hops(world, candidates), reference_csr(world, candidates))
+        # Every derived array equals what the reference tensor gives.
+        worlds, candidates, groups, k = case
+        reach = make_backend(worlds, candidates, groups, k, 10**9)
+        n, n_worlds, n_candidates = worlds[0].n, len(worlds), candidates.size
+        dense = np.stack([w.distances_from(candidates) for w in worlds])
+        c_idx, r_idx, v_idx = np.nonzero(dense.transpose(1, 0, 2) != UNREACHABLE)
+        time = dense[r_idx, c_idx, v_idx]
+        flat = r_idx * n + v_idx
+        np.testing.assert_array_equal(
+            reach.offsets, np.searchsorted(c_idx, np.arange(n_candidates + 1))
+        )
+        np.testing.assert_array_equal(reach.flat, flat)
+        np.testing.assert_array_equal(reach.time, time)
+        assert reach.offsets.dtype == np.int64 and reach.flat.dtype == np.int32
+        assert reach.time.dtype == np.uint8
+        n_bins = int(time.max()) + 1 if time.size else 1
+        table = np.zeros((n_candidates, k, n_bins), dtype=np.int64)
+        np.add.at(table, (c_idx, groups[v_idx], time), 1)
+        np.testing.assert_array_equal(reach.table, np.cumsum(table, axis=2))
+        order = np.argsort(flat, kind="stable")
+        np.testing.assert_array_equal(reach.node_code, (c_idx * k + groups[v_idx])[order])
+        np.testing.assert_array_equal(reach.node_time, time[order])
+        np.testing.assert_array_equal(
+            reach.node_starts,
+            np.searchsorted(flat[order], np.arange(n_worlds * n + 1)),
+        )
 
 
 def test_dense_build_memory_stays_within_output_plus_chunk_cap():
     """On a p = 1 graph every row reaches every node, so each row's BFS
-    gathers all kept edges; chunking must still bound the transient."""
+    gathers all kept edges and emits ``n`` entries; chunking must still
+    bound the transient to the entries' own bytes plus the chunk cap."""
     n, n_worlds = 150, 4
     rng = np.random.default_rng(0)
     src = np.concatenate([np.arange(n - 1), rng.integers(0, n, 6 * n)])
@@ -212,24 +218,58 @@ def test_dense_build_memory_stays_within_output_plus_chunk_cap():
     dst = np.append(dst, 0)  # close the ring: everything reaches everything
     world = make_world(n, src, dst)
     worlds = [world] * n_worlds
-    candidates = np.arange(n)
+    rows = n_worlds * n
     kept = world.adjacency.nnz
-    output = n_worlds * n * n
     cap = 256 * 1024
     # The cap must force many chunks, or the test shows nothing.
-    assert n_worlds * n * (kept + 1) * backends.FRONTIER_EDGE_BYTES > 8 * cap
+    assert rows * (kept + 1) * backends.FRONTIER_EDGE_BYTES > 8 * cap
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(backends, "FRONTIER_CHUNK_BYTES", cap)
         tracemalloc.start()
         try:
-            store = DenseBackend(worlds, candidates, n)
+            key, hop = bfs_rows(
+                worlds, np.repeat(np.arange(n_worlds), n), np.tile(np.arange(n), n_worlds)
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert (store._distances != UNREACHABLE).all()
-    # The concatenated CSR of the worlds is the only other allocation.
-    csr = 8 * (n_worlds * n + 1) + world.adjacency.indices.nbytes * n_worlds
+    assert key.size == rows * n  # every row reaches every node
+    # Entries cost 8 + 1 bytes each, plus one 8-byte copy while the
+    # chunks are joined; the worlds' concatenated CSR is the only other
+    # allocation.
+    output = 17 * rows * n
+    csr = 8 * (rows + 1) + world.adjacency.indices.nbytes * n_worlds
     assert peak <= output + cap + csr + 64 * 1024, (peak, output, cap)
+
+
+class TestIndexLimit:
+    def test_oversized_index_fails_before_assembly(self, monkeypatch):
+        """A low byte limit raises ``ConfigError`` from inside the BFS:
+        it stops levels before a full build would, and nothing is
+        assembled."""
+        graph, assignment = default_synthetic(seed=0)
+        gather = backends.concat_ranges
+        levels = []
+
+        def counted(*args):
+            levels[-1] += 1  # one gather per BFS level
+            return gather(*args)
+
+        monkeypatch.setattr(backends, "concat_ranges", counted)
+        levels.append(0)
+        full = WorldEnsemble(graph, assignment, n_worlds=200, seed=9)
+        monkeypatch.setattr(WorldEnsemble, "EMPTY_TABLE_BYTE_LIMIT", 1600 * 1024)
+        # The limit must cut the index well short, or the test shows nothing.
+        assert 0 < full._max_reach_entries() < full._reach.flat.size // 4
+
+        def assemble(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("entries were assembled")
+
+        monkeypatch.setattr(ensemble_module, "assemble_reach", assemble)
+        levels.append(0)
+        with pytest.raises(ConfigError, match='kind="rrset"'):
+            WorldEnsemble(graph, assignment, n_worlds=200, seed=9)
+        assert 0 < levels[1] < levels[0], levels
 
 
 def dense_visited_reference(

@@ -1,14 +1,16 @@
 """Batched gain oracle + deadline sweep: bit-identical to scalar paths.
 
-The batched oracle (``min_with_block`` / ``candidate_group_utilities_batch``
-/ ``candidate_gains_batch``) and the deadline sweep
+The batched oracle (``candidate_group_utilities_batch`` /
+``candidate_gains_batch``) and the deadline sweep
 (``group_utilities_sweep``) exist purely for speed; their contract is
 that the *numbers never change*:
 
-- the blocked fold is an exact elementwise minimum, and the stacked
-  ``(B, R, n) @ (n, k)`` matmul runs the same GEMM per block row as the
-  scalar path runs per candidate, so batched utilities/gains are
-  bit-identical under every backend, block size and discount;
+- step-model rows are exact integer counts, and the discounted block
+  fold is an exact elementwise minimum whose stacked ``(B, R, n) @ (n,
+  k)`` matmul runs the same GEMM per block row whatever the block, so
+  batched utilities/gains are bit-identical under every build (the
+  ``dense``/``sparse``/``lazy`` ids of ``tests/stores.py``), block size
+  and discount;
 - the sweep's per-(world, group) time histogram produces exact integer
   counts, so step-model sweeps are bit-identical too; discounted sweeps
   accumulate in float64 and agree within float32 rounding (documented);
@@ -29,10 +31,12 @@ from repro.datasets.example import illustrative_graph
 from repro.datasets.synthetic import default_synthetic
 from repro.errors import EstimationError
 from repro.influence.ensemble import WorldEnsemble
+from repro.influence.deadlines import clip_deadline
 from repro.core.greedy import lazy_greedy, plain_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 
-BACKENDS = ("dense", "sparse", "lazy")
+from stores import STORES, build, dense_rows, gemm_utilities
+
 DEADLINES = (2, 2.5, 20, math.inf)
 DISCOUNTS = (None, 0.8)
 
@@ -41,10 +45,8 @@ DISCOUNTS = (None, 0.8)
 def ensembles():
     graph, assignment = default_synthetic(seed=0)
     return {
-        backend: WorldEnsemble(
-            graph, assignment, n_worlds=25, seed=7, backend=backend
-        )
-        for backend in BACKENDS
+        store: build(graph, assignment, store, n_worlds=25, seed=7)
+        for store in STORES
     }
 
 
@@ -57,16 +59,13 @@ def scalar_candidate_matrix(ensemble, state, deadline, discount, n_positions):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("store", STORES)
 class TestBatchedUtilities:
     @pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
-    def test_blocked_equals_scalar_bitwise(self, ensembles, backend, discount):
-        ensemble = ensembles[backend]
+    def test_blocked_equals_scalar_bitwise(self, ensembles, store, discount):
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:3])
-        # Full candidate width on dense; a prefix on the backends whose
-        # *scalar* reference loops per world in Python (the batch side
-        # is cheap everywhere — it's the reference that is slow).
-        width = ensemble.n_candidates if backend == "dense" else 130
+        width = ensemble.n_candidates
         for deadline in DEADLINES:
             scalar = scalar_candidate_matrix(
                 ensemble, state, deadline, discount, width
@@ -84,14 +83,13 @@ class TestBatchedUtilities:
                     ]
                 )
                 np.testing.assert_array_equal(
-                    batch, scalar, err_msg=f"{backend} tau={deadline} B={block_size}"
+                    batch, scalar, err_msg=f"{store} tau={deadline} B={block_size}"
                 )
 
-    def test_scattered_positions(self, ensembles, backend):
+    def test_scattered_positions(self, ensembles, store):
         # Non-contiguous blocks are what plain greedy issues after the
-        # first pick; the dense backend takes a different (per-row)
-        # path for them than for contiguous ranges.
-        ensemble = ensembles[backend]
+        # first pick.
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:1])
         positions = np.array([0, 7, ensemble.n_candidates - 1, 13, 250])
         scalar = np.stack(
@@ -103,12 +101,12 @@ class TestBatchedUtilities:
         batch = ensemble.candidate_group_utilities_batch(state, positions, 20)
         np.testing.assert_array_equal(batch, scalar)
 
-    def test_gains_equal_scalar_bitwise(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_gains_equal_scalar_bitwise(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.empty_state()
         objective = ConcaveSumObjective()
         base = objective.value(ensemble.group_utilities(state, 20))
-        width = ensemble.n_candidates if backend == "dense" else 130
+        width = ensemble.n_candidates
         scalar = np.array(
             [
                 objective.value(ensemble.candidate_group_utilities(state, p, 20))
@@ -130,8 +128,8 @@ class TestBatchedUtilities:
         )
         np.testing.assert_array_equal(batch, scalar)
 
-    def test_gains_computes_base_value_when_omitted(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_gains_computes_base_value_when_omitted(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:2])
         objective = TotalInfluenceObjective()
         explicit = ensemble.candidate_gains_batch(
@@ -144,15 +142,15 @@ class TestBatchedUtilities:
         implicit = ensemble.candidate_gains_batch(state, [5, 6], 20, objective)
         np.testing.assert_array_equal(explicit, implicit)
 
-    def test_state_not_mutated(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_state_not_mutated(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:2])
         before = state.best_time.copy()
         ensemble.candidate_group_utilities_batch(state, range(32), 20)
         np.testing.assert_array_equal(state.best_time, before)
 
-    def test_empty_and_invalid_blocks(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_empty_and_invalid_blocks(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.empty_state()
         empty = ensemble.candidate_group_utilities_batch(state, [], 20)
         assert empty.shape == (0, len(ensemble.group_names))
@@ -166,10 +164,10 @@ class TestBatchedUtilities:
             ensemble.candidate_group_utilities_batch(state, [0], 20, discount=1.5)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("store", STORES)
 class TestDeadlineSweep:
-    def test_step_sweep_bitwise(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_step_sweep_bitwise(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:4])
         deadlines = [0, 1, 2, 2.5, 5, 10, 20, math.inf]
         sweep = ensemble.group_utilities_sweep(state, deadlines)
@@ -178,8 +176,8 @@ class TestDeadlineSweep:
         )
         np.testing.assert_array_equal(sweep, scalar)
 
-    def test_empty_state_and_empty_deadlines(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_empty_state_and_empty_deadlines(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.empty_state()
         sweep = ensemble.group_utilities_sweep(state, [2, 20])
         np.testing.assert_array_equal(sweep, np.zeros((2, len(ensemble.group_names))))
@@ -188,11 +186,11 @@ class TestDeadlineSweep:
             len(ensemble.group_names),
         )
 
-    def test_discounted_sweep_matches_scalar(self, ensembles, backend):
+    def test_discounted_sweep_matches_scalar(self, ensembles, store):
         # Discounted sweeps accumulate the histogram in float64 — more
         # accurate than the scalar float32 GEMM, hence "allclose", not
         # "array_equal" (see group_utilities_sweep docstring).
-        ensemble = ensembles[backend]
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:4])
         deadlines = [1, 5, 20, math.inf]
         for discount in (0.0, 0.5, 1.0):
@@ -205,18 +203,18 @@ class TestDeadlineSweep:
             )
             np.testing.assert_allclose(sweep, scalar, rtol=1e-5, atol=1e-5)
 
-    def test_discount_one_equals_step_sweep(self, ensembles, backend):
+    def test_discount_one_equals_step_sweep(self, ensembles, store):
         # gamma=1 recovers the step model mathematically; the step path
         # mirrors the scalar float32 pipeline while gamma=1 accumulates
         # in float64, so agreement is to float32 rounding.
-        ensemble = ensembles[backend]
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:4])
         step = ensemble.group_utilities_sweep(state, [2, 20])
         gamma_one = ensemble.group_utilities_sweep(state, [2, 20], discount=1.0)
         np.testing.assert_allclose(gamma_one, step, rtol=1e-6)
 
-    def test_sweep_rejects_bad_inputs(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_sweep_rejects_bad_inputs(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.empty_state()
         with pytest.raises(EstimationError, match="non-negative"):
             ensemble.group_utilities_sweep(state, [2, -1])
@@ -236,11 +234,11 @@ def assert_traces_identical(a, b):
         np.testing.assert_array_equal(step_a.group_utilities, step_b.group_utilities)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
-def test_batched_celf_trace_equals_scalar(ensembles, backend, discount):
+def test_batched_celf_trace_equals_scalar(ensembles, store, discount):
     """block_size=1 runs the pre-oracle scalar path; traces must match."""
-    ensemble = ensembles[backend]
+    ensemble = ensembles[store]
     objective = TotalInfluenceObjective()
     batched = lazy_greedy(
         ensemble, objective, deadline=20, max_seeds=5, discount=discount,
@@ -253,9 +251,9 @@ def test_batched_celf_trace_equals_scalar(ensembles, backend, discount):
     assert_traces_identical(batched, scalar)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_plain_greedy_trace_equals_scalar(ensembles, backend):
-    ensemble = ensembles[backend]
+@pytest.mark.parametrize("store", STORES)
+def test_batched_plain_greedy_trace_equals_scalar(ensembles, store):
+    ensemble = ensembles[store]
     objective = ConcaveSumObjective()
     batched = plain_greedy(
         ensemble, objective, deadline=20, max_seeds=4, block_size=32
@@ -278,12 +276,12 @@ def test_batched_celf_matches_plain_greedy_oracle(ensembles):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_state_fast_path_bitwise_across_deadlines(ensembles, backend):
+@pytest.mark.parametrize("store", STORES)
+def test_empty_state_fast_path_bitwise_across_deadlines(ensembles, store):
     """The first greedy round is served from the cached histogram table
     (dense/sparse; lazy falls back to the blocked fold) — exact at every
     representable deadline."""
-    ensemble = ensembles[backend]
+    ensemble = ensembles[store]
     state = ensemble.empty_state()
     positions = np.array([0, 3, 250, ensemble.n_candidates - 1])
     for deadline in (0, 1, 2, 3, 7, 20, 100, 254, math.inf):
@@ -295,65 +293,62 @@ def test_empty_state_fast_path_bitwise_across_deadlines(ensembles, backend):
         )
         batch = ensemble.candidate_group_utilities_batch(state, positions, deadline)
         np.testing.assert_array_equal(
-            batch, scalar, err_msg=f"{backend} tau={deadline}"
+            batch, scalar, err_msg=f"{store} tau={deadline}"
         )
 
 
 def test_empty_state_table_presence_by_backend(ensembles):
-    for backend, expect in (("dense", True), ("sparse", True), ("lazy", False)):
-        table = ensembles[backend]._empty_state_table()
-        assert (table is not None) is expect, backend
-    # dense and sparse build identical tables from their stores
-    np.testing.assert_array_equal(
-        ensembles["dense"]._empty_state_table(),
-        ensembles["sparse"]._empty_state_table(),
-    )
+    # Every build carries the gain table, and chunking never changes it.
+    for store in STORES:
+        assert ensembles[store]._reach.table is not None, store
+        np.testing.assert_array_equal(
+            ensembles[store]._reach.table, ensembles["dense"]._reach.table
+        )
 
 
 def test_min_with_block_matches_min_with_per_backend():
-    """The backend primitive itself, on the small bundled example."""
+    """The discounted oracle's block fold, on the small bundled example:
+    row ``i`` of the scratch it weighs is ``min(best, D[:, c_i, :])``,
+    the candidate's dense row folded into the state."""
     graph, assignment = illustrative_graph()
-    for backend in BACKENDS:
-        ensemble = WorldEnsemble(
-            graph, assignment, n_worlds=40, seed=3, backend=backend
-        )
+    for store in STORES:
+        ensemble = build(graph, assignment, store, n_worlds=40, seed=3)
+        rows = dense_rows(ensemble)
         state = ensemble.state_for(ensemble.candidate_labels[:2])
-        positions = np.arange(ensemble.n_candidates)
-        out = np.empty(
-            (positions.size, ensemble.n_worlds, ensemble.n), dtype=np.uint8
-        )
-        ensemble.backend.min_with_block(state.best_time, positions, out)
+        positions = np.arange(ensemble.n_candidates)[::-1]
+        ensemble.candidate_group_utilities_batch(state, positions, 3, discount=0.5)
+        folded = ensemble._scratch.times[: positions.size]
         for i, position in enumerate(positions):
             np.testing.assert_array_equal(
-                out[i],
-                ensemble.backend.min_with(state.best_time, int(position)),
-                err_msg=f"{backend} position {position}",
+                folded[i],
+                np.minimum(state.best_time, rows[:, position, :]),
+                err_msg=f"{store} position {position}",
             )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("store", STORES)
 class TestStateBuilds:
     """Bulk state builds and cached sweep histograms equal the slow paths."""
 
-    def test_state_for_slab_matches_sequential_adds(self, ensembles, backend):
+    def test_state_for_slab_matches_sequential_adds(self, ensembles, store):
         # The slab reduce_rows build must equal the one-add_seed-per-seed
         # chain bit for bit.
-        ensemble = ensembles[backend]
+        ensemble = ensembles[store]
         seeds = ensemble.candidate_labels[:6]
         sequential = ensemble.empty_state()
         for node in seeds:
             ensemble.add_seed(sequential, ensemble.position(node))
         slab = ensemble.state_for(seeds)
         np.testing.assert_array_equal(
-            slab.best_time, sequential.best_time, err_msg=backend
+            slab.best_time, sequential.best_time, err_msg=store
         )
         assert slab.seed_positions == sequential.seed_positions
 
-    def test_incremental_histogram_matches_full_rebuild(self, ensembles, backend):
+    def test_incremental_histogram_matches_full_rebuild(self, ensembles, store):
         # sweep -> add_seed -> sweep exercises the incrementally
         # maintained state histogram; it must agree bit-for-bit with a
         # cold rebuild *and* with the scalar per-deadline path.
-        ensemble = ensembles[backend]
+        ensemble = ensembles[store]
         deadlines = [0, 1, 2, 5, 20, math.inf]
         state = ensemble.state_for(ensemble.candidate_labels[:2])
         ensemble.group_utilities_sweep(state, deadlines)  # builds the hist
@@ -372,8 +367,8 @@ class TestStateBuilds:
         )
         np.testing.assert_array_equal(incremental, scalar)
 
-    def test_copied_state_histogram_is_independent(self, ensembles, backend):
-        ensemble = ensembles[backend]
+    def test_copied_state_histogram_is_independent(self, ensembles, store):
+        ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:2])
         ensemble.group_utilities_sweep(state, [5, 20])
         clone = state.copy()
@@ -445,9 +440,9 @@ def test_concurrent_batched_queries_on_shared_ensemble(ensembles, copies):
 
 
 def test_concurrent_scalar_queries_share_one_reach_index():
-    """Six caller threads race the first reach-index build and then
-    share states whose histogram and count caches fill lazily; every
-    answer must equal the dense-row reference computed serially."""
+    """Six caller threads share one reach index and states whose
+    histogram and count caches fill lazily; every answer must equal the
+    dense-row reference computed serially."""
     import sys
 
     graph, assignment = default_synthetic(seed=0)
@@ -458,10 +453,11 @@ def test_concurrent_scalar_queries_share_one_reach_index():
     ]
     positions = range(0, ensemble.n_candidates, 7)
 
+    rows = dense_rows(ensemble)
+
     def reference(state, position, cutoff):
-        folded = ensemble.backend.min_with(state.best_time, position)
-        per_world = ensemble._activation_weights(folded, cutoff, None) @ ensemble._masks_f
-        return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
+        folded = np.minimum(state.best_time, rows[:, position, :])
+        return gemm_utilities(ensemble, folded, clip_deadline(cutoff))
 
     expected = {
         (i, p, cutoff): reference(state, p, cutoff)
@@ -469,7 +465,7 @@ def test_concurrent_scalar_queries_share_one_reach_index():
         for p in positions
         for cutoff in (2, 20)
     }
-    assert ensemble._reach is None  # the threads race its build
+    assert all(state.counts is None for state in states)  # the threads fill them
     errors = []
     barrier = threading.Barrier(6)
 

@@ -3,8 +3,9 @@
 The headline contract of :mod:`repro.influence.incremental`: an
 ensemble repaired in place through :meth:`WorldEnsemble.apply_delta` is
 **bit-identical** to a :class:`WorldEnsemble` built from scratch on the
-mutated graph with the same seed — same worlds, same distance store,
-same utilities, on every backend, with and without discounting.
+mutated graph with the same seed — same worlds, same reach index,
+same utilities, under every BFS chunking (the ``dense``/``sparse``/
+``lazy`` ids of ``tests/stores.py``), with and without discounting.
 Warm-started CELF re-solves select bit-identical seeds to cold solves;
 only the ``evaluations`` counters may differ.
 """
@@ -31,9 +32,11 @@ from repro.errors import EstimationError, OptimizationError
 from repro.graph.delta import GraphDelta
 from repro.graph.groups import GroupAssignment
 from repro.influence import backends
-from repro.influence.backends import BACKEND_NAMES, bfs_rows
+from repro.influence.backends import bfs_rows
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.rrsets import RRSetEstimator
+
+from stores import STORES, build, chunking, rows_from_entries
 
 SBM_PARAMS = {"n": 90, "activation_probability": 0.08}
 DATASET_SEED = 3
@@ -97,27 +100,23 @@ def assert_bit_identical(repaired: WorldEnsemble, fresh: WorldEnsemble, discount
 
 
 class TestRepairEqualsRebuild:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("discount", [None, 0.9])
-    def test_backends_and_discounts(self, backend, discount):
+    def test_backends_and_discounts(self, store, discount):
         graph, groups = sbm()
-        ensemble = WorldEnsemble(
-            graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED, backend=backend
-        )
+        ensemble = build(graph, groups, store, n_worlds=N_WORLDS, seed=WORLD_SEED)
         delta = make_delta(graph)
-        report = ensemble.apply_delta(delta)
+        with chunking(store):
+            report = ensemble.apply_delta(delta)
         assert report.edges_touched == delta.edge_count
         assert report.resampled_edges == delta.edge_count * N_WORLDS
-        if backend == "lazy":
-            assert report.affected is None
-        else:
-            assert report.affected is not None
+        assert report.affected.size
+        assert np.array_equal(report.affected, np.unique(report.affected))
 
         fresh_graph, fresh_groups = sbm()
         fresh_graph.apply_delta(make_delta(fresh_graph))
         fresh = WorldEnsemble(
-            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
-            backend=backend,
+            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED
         )
         assert_bit_identical(ensemble, fresh, discount)
         assert ensemble.delta_lineage == (delta.fingerprint(),)
@@ -126,9 +125,7 @@ class TestRepairEqualsRebuild:
         """Several repairs compose: lineage grows, state tracks the
         final graph exactly."""
         graph, groups = sbm()
-        ensemble = WorldEnsemble(
-            graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED, backend="sparse"
-        )
+        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
         fingerprints = []
         for rng_seed in (1, 2, 3):
             delta = make_delta(graph, rng_seed=rng_seed, size=2)
@@ -141,37 +138,9 @@ class TestRepairEqualsRebuild:
         for rng_seed in (1, 2, 3):
             fresh_graph.apply_delta(make_delta(fresh_graph, rng_seed=rng_seed, size=2))
         fresh = WorldEnsemble(
-            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
-            backend="sparse",
+            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED
         )
         assert_bit_identical(ensemble, fresh, None)
-
-    def test_lazy_cached_rows_are_patched(self):
-        """The lazy backend patches rows already resident in its LRU
-        cache rather than serving stale distances."""
-        graph, groups = sbm()
-        ensemble = WorldEnsemble(
-            graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED, backend="lazy"
-        )
-        state = ensemble.empty_state()
-        warm_positions = list(range(0, ensemble.n_candidates, 5))
-        ensemble.candidate_group_utilities_batch(state, warm_positions, DEADLINE)
-
-        ensemble.apply_delta(make_delta(graph))
-        fresh_graph, fresh_groups = sbm()
-        fresh_graph.apply_delta(make_delta(fresh_graph))
-        fresh = WorldEnsemble(
-            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
-            backend="lazy",
-        )
-        assert np.array_equal(
-            ensemble.candidate_group_utilities_batch(
-                ensemble.empty_state(), warm_positions, DEADLINE
-            ),
-            fresh.candidate_group_utilities_batch(
-                fresh.empty_state(), warm_positions, DEADLINE
-            ),
-        )
 
     def test_empty_delta_is_a_cheap_no_op(self):
         graph, groups = sbm()
@@ -188,43 +157,28 @@ class TestReachIndexRepair:
     """The reach index (and the gain table derived from it) is patched
     world by world on repair, never left stale."""
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_patched_index_equals_fresh_build(self, backend):
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_patched_index_equals_fresh_build(self, store):
         graph, groups = sbm()
-        ensemble = WorldEnsemble(
-            graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED, backend=backend
-        )
-        assert ensemble._reach_index() is not None  # built before the repair
-        report = ensemble.apply_delta(make_delta(graph))
+        ensemble = build(graph, groups, store, n_worlds=N_WORLDS, seed=WORLD_SEED)
+        before = ensemble._reach
+        with chunking(store):
+            report = ensemble.apply_delta(make_delta(graph))
         assert report.repaired_worlds > 0
         patched = ensemble._reach
-        assert patched is not None  # patched in place, not dropped
+        assert patched is not before  # a patched index, swapped in
 
         fresh_graph, fresh_groups = sbm()
         fresh_graph.apply_delta(make_delta(fresh_graph))
         fresh = WorldEnsemble(
-            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED,
-            backend=backend,
+            fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED
         )
-        rebuilt = fresh._reach_index()
+        rebuilt = fresh._reach
         for name in rebuilt._fields:
             np.testing.assert_array_equal(
                 getattr(patched, name), getattr(rebuilt, name), err_msg=name
             )
             assert getattr(patched, name).dtype == getattr(rebuilt, name).dtype
-
-    def test_unnamed_repair_drops_the_index(self):
-        graph, groups = sbm()
-        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
-        state = ensemble.empty_state()
-        before = ensemble.candidate_group_utilities_batch(state, [0, 1], DEADLINE)
-        assert ensemble._reach is not None
-        ensemble._note_repair(graph.version, "unnamed", None)
-        assert ensemble._reach is None and not ensemble._reach_missing
-        # The next query rebuilds it from the (unchanged) store.
-        after = ensemble.candidate_group_utilities_batch(state, [0, 1], DEADLINE)
-        np.testing.assert_array_equal(after, before)
-        assert ensemble._reach is not None
 
 
 class TestBfsRows:
@@ -242,9 +196,10 @@ class TestBfsRows:
         expected = np.stack(
             [worlds[int(r)].distances_from([int(v)])[0] for r, v in zip(world, source)]
         )
-        np.testing.assert_array_equal(
-            bfs_rows(worlds, world, source), expected
+        got = rows_from_entries(
+            *bfs_rows(worlds, world, source), world.size, graph.number_of_nodes()
         )
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestStaleness:

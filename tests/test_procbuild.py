@@ -2,11 +2,12 @@
 
 Every build runs in-process (the vectorised frontier BFS made a
 process pool's fixed cost larger than the whole serial build), but
-spec files, sessions and the CLI still take the knob.  Worlds, stores
-and full greedy traces must therefore be byte-identical for every
-``build_workers`` setting x {step, discount} under every distance
-backend, results echo ``build_workers: 1``, and no build, eviction or
-mid-build fault leaves anything in ``/dev/shm``.
+spec files, sessions and the CLI still take the knob.  Worlds, reach
+indexes and full greedy traces must therefore be byte-identical for
+every ``build_workers`` setting x {step, discount} under every BFS
+chunking (the ``dense``/``sparse``/``lazy`` ids of ``tests/stores.py``),
+results echo ``build_workers: 1``, and no build, eviction or mid-build
+fault leaves anything in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from repro.core.greedy import lazy_greedy
 from repro.core.objectives import TotalInfluenceObjective
 from repro.errors import EstimationError
 from repro.graph.generators import two_block_sbm
-from repro.influence import backends
 from repro.influence.ensemble import WorldEnsemble
 
-BACKENDS = ("dense", "sparse", "lazy")
+from stores import STORES, chunking
+
 BUILD_COUNTS = (1, 2, 4)
 DISCOUNTS = (None, 0.8)
 
@@ -44,21 +45,30 @@ def small_graph():
     return two_block_sbm(60, 0.7, 0.15, 0.05, activation_probability=0.6, seed=3)
 
 
-def build(build_workers, **kwargs):
-    """A fresh ensemble from a session configured with ``build_workers``."""
+def build(build_workers, store="dense", **kwargs):
+    """A fresh ensemble from a session configured with ``build_workers``,
+    built under ``store``'s BFS chunk budget."""
     graph, assignment = small_graph()
     session = Session(execution=ExecutionSpec(build_workers=build_workers))
-    return session.build_ensemble(graph, assignment, **kwargs)
+    with chunking(store):
+        return session.build_ensemble(graph, assignment, **kwargs)
+
+
+def assert_indexes_identical(a, b):
+    for name in a._reach._fields:
+        mine, theirs = getattr(a._reach, name), getattr(b._reach, name)
+        assert mine.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(mine, theirs, err_msg=name)
 
 
 @pytest.fixture(scope="module")
 def built():
-    """Ensembles for every (backend, build_workers) cell, plus the
+    """Ensembles for every (build id, build_workers) cell, plus the
     ``/dev/shm`` listing from before the first build."""
     before = listed_segments()
     ensembles = {
-        (backend, bw): build(bw, n_worlds=12, seed=7, backend=backend)
-        for backend in BACKENDS
+        (store, bw): build(bw, store, n_worlds=12, seed=7)
+        for store in STORES
         for bw in BUILD_COUNTS
     }
     return ensembles, before
@@ -109,50 +119,32 @@ class TestValidation:
             assert Session().resolve_execution().build_workers == 3
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("store", STORES)
 class TestBitIdentity:
-    def test_worlds_identical_across_process_counts(self, built, backend):
+    def test_worlds_identical_across_process_counts(self, built, store):
         ensembles, _ = built
-        serial = ensembles[(backend, 1)]
+        serial = ensembles[(store, 1)]
         for bw in BUILD_COUNTS[1:]:
-            assert_worlds_identical(ensembles[(backend, bw)], serial)
+            assert_worlds_identical(ensembles[(store, bw)], serial)
 
-    def test_store_contents_identical(self, built, backend):
+    def test_store_contents_identical(self, built, store):
         ensembles, _ = built
-        serial = ensembles[(backend, 1)]
+        serial = ensembles[(store, 1)]
         for bw in BUILD_COUNTS[1:]:
-            other = ensembles[(backend, bw)]
-            if backend == "dense":
-                np.testing.assert_array_equal(
-                    other.backend._distances, serial.backend._distances
-                )
-                assert other.backend._distances.dtype == np.uint8
-            elif backend == "sparse":
-                for row_o, row_s in zip(other.backend._rows, serial.backend._rows):
-                    assert row_o.dtype == row_s.dtype
-                    assert row_o.indices.dtype == row_s.indices.dtype
-                    assert row_o.indptr.dtype == row_s.indptr.dtype
-                    np.testing.assert_array_equal(row_o.data, row_s.data)
-                    np.testing.assert_array_equal(row_o.indices, row_s.indices)
-                    np.testing.assert_array_equal(row_o.indptr, row_s.indptr)
-            else:  # lazy builds no eager store; utilities must agree
-                state_o = other.state_for(other.candidate_labels[:2])
-                state_s = serial.state_for(serial.candidate_labels[:2])
-                np.testing.assert_array_equal(
-                    other.group_utilities(state_o, 5),
-                    serial.group_utilities(state_s, 5),
-                )
+            assert_indexes_identical(ensembles[(store, bw)], serial)
+        # The chunk budget changes no index array either.
+        assert_indexes_identical(serial, ensembles[("dense", 1)])
 
     @pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
-    def test_greedy_traces_identical(self, built, backend, discount):
+    def test_greedy_traces_identical(self, built, store, discount):
         ensembles, _ = built
         objective = TotalInfluenceObjective()
         serial = lazy_greedy(
-            ensembles[(backend, 1)], objective, deadline=10, max_seeds=4, discount=discount
+            ensembles[(store, 1)], objective, deadline=10, max_seeds=4, discount=discount
         )
         for bw in BUILD_COUNTS[1:]:
             trace = lazy_greedy(
-                ensembles[(backend, bw)],
+                ensembles[(store, bw)],
                 objective,
                 deadline=10,
                 max_seeds=4,
@@ -171,15 +163,13 @@ class TestLifecycle:
 
     def test_context_manager_closes(self):
         graph, assignment = small_graph()
-        with WorldEnsemble(
-            graph, assignment, n_worlds=8, seed=5, backend="sparse"
-        ) as ensemble:
+        with WorldEnsemble(graph, assignment, n_worlds=8, seed=5) as ensemble:
             assert not ensemble.closed and ensemble.nbytes > 0
         assert ensemble.closed and ensemble.nbytes == 0
 
     def test_close_is_idempotent(self):
         graph, assignment = small_graph()
-        ensemble = WorldEnsemble(graph, assignment, n_worlds=6, seed=5, backend="dense")
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=6, seed=5)
         ensemble.close()
         ensemble.close()
         assert ensemble.closed and ensemble.nbytes == 0
@@ -193,20 +183,18 @@ class TestHygiene:
         session = Session(
             execution=ExecutionSpec(build_workers=2), max_cached_ensembles=1
         )
-        first = session.build_ensemble(
-            graph, assignment, n_worlds=8, seed=1, backend="dense"
-        )
+        first = session.build_ensemble(graph, assignment, n_worlds=8, seed=1)
         # A second build overflows the one-entry cache and evicts the
         # first; the evicted-but-held ensemble still answers queries.
-        session.build_ensemble(graph, assignment, n_worlds=8, seed=2, backend="dense")
+        session.build_ensemble(graph, assignment, n_worlds=8, seed=2)
         assert session.cache_info["evictions"] == 1
         state = first.state_for(first.candidate_labels[:1])
         assert first.group_utilities(state, 5).shape
         session.clear_cache()
         assert listed_segments() <= before
 
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
-    def test_worker_exception_leaks_nothing(self, monkeypatch, backend):
+    @pytest.mark.parametrize("store", ("dense", "sparse"))
+    def test_worker_exception_leaks_nothing(self, monkeypatch, store):
         """A sampler crash mid-build propagates and leaks nothing."""
         import repro.influence.ensemble as ensemble_mod
 
@@ -218,42 +206,16 @@ class TestHygiene:
 
         monkeypatch.setattr(ensemble_mod, "sample_ic_worlds", exploding_sampler)
         with pytest.raises(ValueError, match="sampler exploded"):
-            build(2, n_worlds=8, seed=9, backend=backend)
+            build(2, store, n_worlds=8, seed=9)
         assert listed_segments() <= before
 
 
 class TestKnobChain:
-    def test_auto_backend_resolves_identically(self):
-        other = build(2, n_worlds=8, seed=11, backend="auto")
-        serial = build(1, n_worlds=8, seed=11, backend="auto")
-        assert other.backend_name == serial.backend_name
-        assert_worlds_identical(other, serial)
-
-    @pytest.mark.parametrize("expected", ("sparse", "lazy"))
-    def test_auto_backend_resolves_identically_under_tight_limits(
-        self, monkeypatch, expected
-    ):
-        monkeypatch.setattr(backends, "DEFAULT_DENSE_LIMIT", 1024)
-        if expected == "lazy":
-            monkeypatch.setattr(backends, "DEFAULT_SPARSE_LIMIT", 1024)
-        other = build(2, n_worlds=8, seed=11, backend="auto")
-        serial = build(1, n_worlds=8, seed=11, backend="auto")
-        assert other.backend_name == serial.backend_name == expected
-        assert_worlds_identical(other, serial)
-        state_other = other.state_for(other.candidate_labels[:3])
-        state_serial = serial.state_for(serial.candidate_labels[:3])
-        np.testing.assert_array_equal(
-            other.group_utilities(state_other, 3),
-            serial.group_utilities(state_serial, 3),
-        )
-
     def test_lt_model_identical(self):
-        other = build(3, n_worlds=6, seed=13, model="lt", backend="dense")
-        serial = build(1, n_worlds=6, seed=13, model="lt", backend="dense")
+        other = build(3, n_worlds=6, seed=13, model="lt")
+        serial = build(1, n_worlds=6, seed=13, model="lt")
         assert_worlds_identical(other, serial)
-        np.testing.assert_array_equal(
-            other.backend._distances, serial.backend._distances
-        )
+        assert_indexes_identical(other, serial)
 
     def test_ensemble_rejects_bad_setting(self):
         # The knob ends at the spec layer: the ensemble takes none.

@@ -63,6 +63,8 @@ from repro.influence.exact import exact_utility
 from repro.influence.rrsets import RRSetEstimator
 from repro.influence.utility import disparity
 
+from stores import STORES, build, chunking, dense_rows, gemm_utilities
+
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -512,7 +514,7 @@ class TestBruteGreedyConsistency:
 # ---------------------------------------------------------------------------
 # reach-index oracle = dense-row reference
 # ---------------------------------------------------------------------------
-def _random_backend_ensemble(seed: int, n: int, backend: str) -> WorldEnsemble:
+def _random_index_ensemble(seed: int, n: int, store: str = "dense") -> WorldEnsemble:
     rng = np.random.default_rng(seed)
     graph = DiGraph()
     for node in range(n):
@@ -522,20 +524,15 @@ def _random_backend_ensemble(seed: int, n: int, backend: str) -> WorldEnsemble:
             if u != v and rng.random() < 0.2:
                 graph.add_edge(u, v, float(rng.uniform(0.1, 0.9)))
     assignment = GroupAssignment.from_graph(graph)
-    return WorldEnsemble(graph, assignment, n_worlds=12, seed=seed + 1, backend=backend)
-
-
-def _dense_reference(ensemble, best_time, cutoff):
-    """``min_with`` + ``_activation_weights`` + GEMM, summed in float64."""
-    weights = ensemble._activation_weights(best_time, cutoff, None)
-    per_world = weights @ ensemble._masks_f
-    return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
+    return build(graph, assignment, store, n_worlds=12, seed=seed + 1)
 
 
 class TestReachIndexOracle:
-    """The step-model oracle scores a candidate from its own finite
-    entries and the state's histogram.  It must equal the dense-row
-    reference (fold the candidate's ``(R, n)`` rows, weight, GEMM) bit
+    """Every query reads the reach index: the step-model oracle scores a
+    candidate from its own finite entries and the state's histogram,
+    discounted queries lower a copy of the state at its entries.  Every
+    path must equal the brute reference — fold the candidate's dense
+    ``(R, n)`` rows (scipy's BFS per world), weight, float32 GEMM — bit
     for bit, and ``add_seed``'s sparse update must leave the same state
     a full fold plus a fresh histogram would."""
 
@@ -543,13 +540,13 @@ class TestReachIndexOracle:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 30),
-        backend=st.sampled_from(["dense", "sparse"]),
+        store=st.sampled_from(STORES),
         data=st.data(),
     )
-    def test_index_oracle_equals_dense_rows(self, seed, n, backend, data):
-        ensemble = _random_backend_ensemble(seed, n, backend)
-        reach = ensemble._reach_index()
-        assert reach is not None
+    def test_index_oracle_equals_dense_rows(self, seed, n, store, data):
+        ensemble = _random_index_ensemble(seed, n, store)
+        rows = dense_rows(ensemble)
+        reach = ensemble._reach
         last = int(reach.time.max()) if reach.time.size else 0
         cutoffs = (0, 1, max(last // 2, 2), math.inf)
         order = data.draw(st.permutations(range(ensemble.n_candidates)))
@@ -560,63 +557,127 @@ class TestReachIndexOracle:
         for deadline in cutoffs:
             cutoff = min(deadline, 254)
             for position in range(ensemble.n_candidates):
-                folded = ensemble.backend.min_with(state.best_time, position)
+                folded = np.minimum(state.best_time, rows[:, position, :])
                 np.testing.assert_array_equal(
                     ensemble.candidate_group_utilities(state, position, deadline),
-                    _dense_reference(ensemble, folded, cutoff),
-                    err_msg=f"{backend} c={position} tau={deadline}",
+                    gemm_utilities(ensemble, folded, cutoff),
+                    err_msg=f"{store} c={position} tau={deadline}",
                 )
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 24),
+        discount=st.sampled_from([None, 0.8, 0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_every_query_path_equals_gemm(self, seed, n, discount, data):
+        ensemble = _random_index_ensemble(seed, n)
+        rows = dense_rows(ensemble)
+        candidates = range(ensemble.n_candidates)
+        seeds = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4))
+        positions = data.draw(st.lists(st.sampled_from(candidates), max_size=10))
+        deadline = data.draw(st.sampled_from([0, 1, 2, 3, math.inf]))
+        cutoff = min(deadline, 254)
+        best = np.full((ensemble.n_worlds, ensemble.n), 255, dtype=np.uint8)
+        for position in seeds:
+            best = np.minimum(best, rows[:, position, :])
+        built = ensemble.state_for([ensemble.label(p) for p in seeds])
+        added = ensemble.empty_state()
+        for position in seeds:
+            ensemble.add_seed(added, position)
+        for state in (built, added):
+            np.testing.assert_array_equal(state.best_time, best)
+            np.testing.assert_array_equal(
+                ensemble.group_utilities(state, deadline, discount),
+                gemm_utilities(ensemble, best, cutoff, discount),
+            )
+            folded = [np.minimum(best, rows[:, p, :]) for p in positions]
+            want = [gemm_utilities(ensemble, times, cutoff, discount) for times in folded]
+            batch = ensemble.candidate_group_utilities_batch(
+                state, positions, deadline, discount
+            )
+            assert batch.shape == (len(positions), len(ensemble.group_names))
+            for position, row, expected in zip(positions, batch, want):
+                np.testing.assert_array_equal(row, expected)
+                np.testing.assert_array_equal(
+                    ensemble.candidate_group_utilities(state, position, deadline, discount),
+                    expected,
+                )
+            sweep = ensemble.group_utilities_sweep(state, [deadline, 0, 4], discount)
+            expected = [
+                gemm_utilities(ensemble, best, min(d, 254), discount) for d in (deadline, 0, 4)
+            ]
+            if discount is None:
+                np.testing.assert_array_equal(sweep, np.stack(expected))
+            else:  # the sweep weighs the histogram in float64
+                np.testing.assert_allclose(sweep, np.stack(expected), rtol=1e-6, atol=1e-9)
+            weights = np.zeros(best.shape, dtype=np.float32)
+            np.power(
+                np.float32(1.0 if discount is None else discount),
+                best,
+                out=weights,
+                where=best <= cutoff,
+                dtype=np.float32,
+            )
+            masks = ensemble.assignment.masks(ensemble.graph).T.astype(np.float32)
+            per_world = weights @ masks
+            np.testing.assert_array_equal(
+                ensemble.standard_errors(state, deadline, discount),
+                per_world.std(axis=0, ddof=1).astype(np.float64)
+                / math.sqrt(ensemble.n_worlds),
+            )
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 30),
-        backend=st.sampled_from(["dense", "sparse"]),
+        store=st.sampled_from(STORES),
         data=st.data(),
     )
-    def test_add_seed_matches_fold_and_fresh_histogram(self, seed, n, backend, data):
-        ensemble = _random_backend_ensemble(seed, n, backend)
+    def test_add_seed_matches_fold_and_fresh_histogram(self, seed, n, store, data):
+        ensemble = _random_index_ensemble(seed, n, store)
+        rows = dense_rows(ensemble)
         order = data.draw(st.permutations(range(ensemble.n_candidates)))
         state = ensemble.empty_state()
         reference = ensemble.empty_state().best_time
         for position in order[: min(5, len(order))]:
             ensemble.add_seed(state, position)
-            ensemble.backend.min_into(reference, position)
+            np.minimum(reference, rows[:, position, :], out=reference)
             np.testing.assert_array_equal(state.best_time, reference)
             fresh = ensemble._state_time_histogram(
                 type(state)(best_time=reference.copy())
             )
             np.testing.assert_array_equal(state.time_hist, fresh)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "lazy"])
-    def test_group_utilities_match_gemm(self, backend):
-        ensemble = _random_backend_ensemble(3, 24, backend)
+    @pytest.mark.parametrize("store", STORES)
+    def test_group_utilities_match_gemm(self, store):
+        ensemble = _random_index_ensemble(3, 24, store)
         state = ensemble.empty_state()
         for position in (5, 0, 17):
             ensemble.add_seed(state, position)
             for deadline in (0, 1, 2, 3, math.inf):
                 np.testing.assert_array_equal(
                     ensemble.group_utilities(state, deadline),
-                    _dense_reference(ensemble, state.best_time, min(deadline, 254)),
+                    gemm_utilities(ensemble, state.best_time, min(deadline, 254)),
                 )
         # A ``state_for`` state builds its histogram from ``best_time``.
         rebuilt = ensemble.state_for([ensemble.label(p) for p in (5, 0, 17)])
         np.testing.assert_array_equal(
             ensemble.group_utilities(rebuilt, 2),
-            _dense_reference(ensemble, rebuilt.best_time, 2),
+            gemm_utilities(ensemble, rebuilt.best_time, 2),
         )
 
 
 def _recounted_marginals(ensemble, state, cutoff):
-    """``M`` from the store's dense rows: per candidate, the nodes it
+    """``M`` from the dense reference rows: per candidate, the nodes it
     reaches by ``cutoff`` that ``state`` does not, counted per group."""
-    unreachable = np.full((ensemble.n_worlds, ensemble.n), 255, dtype=np.uint8)
+    rows = dense_rows(ensemble)
     missing = state.best_time > cutoff
     groups = ensemble._masks_bool.astype(np.int64)  # (k, n)
     return np.stack(
         [
-            ((ensemble.backend.min_with(unreachable, c) <= cutoff) & missing).sum(axis=0)
-            @ groups.T
+            ((rows[:, c, :] <= cutoff) & missing).sum(axis=0) @ groups.T
             for c in range(ensemble.n_candidates)
         ]
     )
@@ -632,12 +693,12 @@ class TestMarginalCounts:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 30),
-        backend=st.sampled_from(["dense", "sparse"]),
+        store=st.sampled_from(STORES),
         deadline=st.sampled_from([0, 1, 3, math.inf]),
         data=st.data(),
     )
-    def test_maintained_equals_recount(self, seed, n, backend, deadline, data):
-        ensemble = _random_backend_ensemble(seed, n, backend)
+    def test_maintained_equals_recount(self, seed, n, store, deadline, data):
+        ensemble = _random_index_ensemble(seed, n, store)
         cutoff = min(deadline, 254)
         order = data.draw(st.permutations(range(ensemble.n_candidates)))
         n_seeds = data.draw(st.integers(1, min(6, ensemble.n_candidates)))
@@ -666,7 +727,7 @@ class TestMarginalCounts:
         )
 
     def test_copy_shares_no_marginals(self):
-        ensemble = _random_backend_ensemble(3, 24, "dense")
+        ensemble = _random_index_ensemble(3, 24)
         state = ensemble.empty_state()
         ensemble.add_seed(state, 5)
         before = ensemble.marginal_counts(state, 2).copy()
@@ -679,10 +740,10 @@ class TestMarginalCounts:
         )
 
     def test_none_without_exact_counts(self):
-        lazy = _random_backend_ensemble(3, 24, "lazy")
-        assert lazy.marginal_counts(lazy.empty_state(), 2) is None
-        dense = _random_backend_ensemble(3, 24, "dense")
-        assert dense.marginal_counts(dense.empty_state(), 2, discount=0.9) is None
+        # Discounted utilities are float32 weights, not counts.
+        ensemble = _random_index_ensemble(3, 24)
+        assert ensemble.marginal_counts(ensemble.empty_state(), 2, discount=0.9) is None
+        assert ensemble.marginal_counts(ensemble.empty_state(), 2) is not None
 
 
 class TestRRBatchMatchesScalar:
@@ -757,15 +818,6 @@ def _delta_for(draw, graph):
     )
 
 
-def _store_rows(ensemble) -> np.ndarray:
-    """The ``(R, C, n)`` store, read through the backend's own fold."""
-    unreachable = np.full((ensemble.n_worlds, ensemble.n), 255, dtype=np.uint8)
-    return np.stack(
-        [ensemble.backend.min_with(unreachable, p) for p in range(ensemble.n_candidates)],
-        axis=1,
-    )
-
-
 def _assert_same_arrays(left, right, what):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(left, name), getattr(right, name)
@@ -774,64 +826,43 @@ def _assert_same_arrays(left, right, what):
 
 
 class TestRepairEqualsFreshBuild:
-    """An ensemble repaired through a sequence of deltas equals a fresh
-    build on the mutated graph array for array: worlds, store, reach
-    index, and ``RepairReport.affected`` is exactly the set of
-    candidates whose rows changed."""
+    """An ensemble repaired through one to three deltas equals a fresh
+    build on the mutated graph array for array: worlds and every reach
+    index array, and ``RepairReport.affected`` is exactly the set of
+    candidates whose rows changed (by the dense reference rows)."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 14),
-        backend=st.sampled_from(["dense", "sparse", "lazy"]),
+        store=st.sampled_from(STORES),
         data=st.data(),
     )
-    def test_repaired_equals_fresh(self, seed, n, backend, data):
+    def test_repaired_equals_fresh(self, seed, n, store, data):
         graph = _repair_graph(seed, n)
         # A candidate subset leaves some tails reachable from no candidate.
         candidates = data.draw(
             st.lists(st.sampled_from(graph.nodes()), min_size=1, max_size=n, unique=True)
         )
-        build = dict(n_worlds=6, seed=seed + 1, backend=backend, candidates=candidates)
-        ensemble = WorldEnsemble(graph, GroupAssignment.from_graph(graph), **build)
-        if backend == "lazy":
-            ensemble.candidate_group_utilities_batch(
-                ensemble.empty_state(), range(0, ensemble.n_candidates, 2), 3
-            )
-        else:
-            assert ensemble._reach_index() is not None
-        deltas = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            delta = data.draw(_delta_for(graph))
-            before = None if backend == "lazy" else _store_rows(ensemble)
-            report = ensemble.apply_delta(delta)
-            deltas.append(delta)
-            if backend == "lazy":
-                # Lazy stores cannot name uncached rows; an empty delta
-                # changes none.
-                assert report.affected is None or report.edges_touched == 0
-            else:
-                changed = (before != _store_rows(ensemble)).any(axis=(0, 2))
+        spec = dict(n_worlds=6, seed=seed + 1, candidates=candidates)
+        with chunking(store):
+            ensemble = WorldEnsemble(graph, GroupAssignment.from_graph(graph), **spec)
+            deltas = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                delta = data.draw(_delta_for(graph))
+                before = dense_rows(ensemble)
+                report = ensemble.apply_delta(delta)
+                deltas.append(delta)
+                changed = (before != dense_rows(ensemble)).any(axis=(0, 2))
                 np.testing.assert_array_equal(report.affected, np.flatnonzero(changed))
 
         fresh_graph = _repair_graph(seed, n)
         for delta in deltas:
             fresh_graph.apply_delta(delta)
-        fresh = WorldEnsemble(fresh_graph, GroupAssignment.from_graph(fresh_graph), **build)
+        fresh = WorldEnsemble(fresh_graph, GroupAssignment.from_graph(fresh_graph), **spec)
         for r, (mine, theirs) in enumerate(zip(ensemble.worlds, fresh.worlds)):
             _assert_same_arrays(mine.adjacency, theirs.adjacency, f"world {r}")
-        store, reference = ensemble.backend, fresh.backend
-        if backend == "dense":
-            np.testing.assert_array_equal(store._distances, reference._distances)
-        elif backend == "sparse":
-            for r, (mine, theirs) in enumerate(zip(store._rows, reference._rows)):
-                _assert_same_arrays(mine, theirs, f"store world {r}")
-        else:
-            for position, rows in store._cache.items():
-                np.testing.assert_array_equal(rows, reference._build_rows(position))
-            return
-        patched, rebuilt = ensemble._reach, fresh._reach_index()
-        assert patched is not None
+        patched, rebuilt = ensemble._reach, fresh._reach
         # The node-major transpose is rebuilt with the patched entries.
         assert {"node_starts", "node_code", "node_time"} <= set(rebuilt._fields)
         for name in rebuilt._fields:
@@ -1189,9 +1220,8 @@ def test_sweep_path_never_builds_adjacency_dicts(tmp_path):
     from repro.sweep import SweepSpec, run_sweep
 
     graph, assignment = build_dataset("synthetic", {"n": 80}, 0)
-    for backend in ("dense", "sparse", "lazy", "auto"):
-        ensemble = WorldEnsemble(graph, assignment, n_worlds=4, seed=1, backend=backend)
-        ensemble.group_utilities(ensemble.state_for(ensemble.candidate_labels[:3]), 5)
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=4, seed=1)
+    ensemble.group_utilities(ensemble.state_for(ensemble.candidate_labels[:3]), 5)
     rrset = RRSetEstimator(graph, assignment, theta=200, seed=1)
     rrset.group_utilities(rrset.state_for(graph.nodes()[:3]), 5)
     for name in ("degree", "random", "proportional_degree"):

@@ -1,8 +1,8 @@
 """Cross-validation harness for the RR-set estimator.
 
 Mirrors ``test_backends_crossval.py`` for the new estimator stack:
-:class:`RRSetEstimator` must agree with the world ensemble (on every
-distance backend) and with exact enumeration within sampling error,
+:class:`RRSetEstimator` must agree with the world ensemble (under
+every BFS chunking) and with exact enumeration within sampling error,
 follow the library-wide deadline semantics, tag RR sets with the right
 groups (hand-checked on a deterministic toy graph), and stop its
 adaptive sampling only once the stop-and-stare requirement is met.
@@ -25,7 +25,8 @@ from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_group_utilities, exact_utility
 from repro.influence.rrsets import RRSetEstimator
 
-from test_backends_crossval import BACKENDS, random_instance
+from stores import STORES, build
+from test_backends_crossval import random_instance
 
 DEADLINES = (0, 1, 2.5, 3, math.inf)
 
@@ -60,14 +61,12 @@ def test_rrset_matches_exact(instance_seed):
 
 
 @pytest.mark.parametrize("instance_seed", [0, 1])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_rrset_matches_world_ensemble(instance_seed, backend):
+@pytest.mark.parametrize("store", STORES)
+def test_rrset_matches_world_ensemble(instance_seed, store):
     """Both estimator stacks agree within combined sampling error."""
     graph, assignment, labels = random_instance(instance_seed)
     estimator = RRSetEstimator(graph, assignment, theta=30_000, seed=23)
-    ensemble = WorldEnsemble(
-        graph, assignment, n_worlds=3000, seed=29, backend=backend
-    )
+    ensemble = build(graph, assignment, store, n_worlds=3000, seed=29)
     seeds = labels[:2]
     for deadline in DEADLINES:
         rr = estimator.utilities_for(seeds, deadline)
@@ -76,7 +75,7 @@ def test_rrset_matches_world_ensemble(instance_seed, backend):
         rr_se = rr_standard_errors(estimator, rr, deadline)
         tolerance = 5.0 * (ens_se + rr_se) + 1e-9
         assert (np.abs(rr - ens) <= tolerance).all(), (
-            f"{backend} tau={deadline}: rrset {rr} vs worlds {ens} "
+            f"{store} tau={deadline}: rrset {rr} vs worlds {ens} "
             f"(tolerance {tolerance})"
         )
 

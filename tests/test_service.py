@@ -25,7 +25,6 @@ import pytest
 
 from repro.api import (
     EnsembleSpec,
-    ExecutionSpec,
     RunSpec,
     Session,
     SolverSpec,
@@ -44,7 +43,7 @@ from repro.service import (
 SYN_PARAMS = {"n": 120, "activation_probability": 0.08}
 
 
-def run_spec(world_seed=7, budget=4, fair=True, backend=None, **solver) -> RunSpec:
+def run_spec(world_seed=7, budget=4, fair=True, **solver) -> RunSpec:
     return RunSpec(
         ensemble=EnsembleSpec(
             dataset="synthetic",
@@ -56,7 +55,6 @@ def run_spec(world_seed=7, budget=4, fair=True, backend=None, **solver) -> RunSp
         solver=SolverSpec(
             problem="budget", deadline=15.0, fair=fair, budget=budget, **solver
         ),
-        execution=ExecutionSpec(backend=backend),
     )
 
 

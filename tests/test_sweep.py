@@ -223,7 +223,7 @@ class TestExpansion:
 
     def test_execution_axes_make_distinct_cells(self):
         spec = tiny_sweep(
-            axes={"execution.backend": ["dense", "sparse"]}
+            axes={"execution.build_workers": [1, 2]}
         )
         cells = spec.expand()
         assert len({cell.fingerprint() for cell in cells}) == 2
