@@ -4,15 +4,16 @@ The streaming story of the incremental layer, measured end to end: a
 graph the session has already solved mutates by a handful of edges, and
 the next answer can come from (a) ``apply_delta`` — re-threshold the
 touched edges' keyed coins, recompute only the distance rows that
-reach a re-flipped edge — plus a warm-started CELF solve, or (b) building a fresh
-:class:`WorldEnsemble` on the mutated graph and solving cold.  Both
-paths produce bit-identical seed sets (asserted on every repeat, so the
-benchmark doubles as an equivalence smoke); only the latency differs.
+reach a re-flipped edge — plus a cold CELF solve, or (b) building a
+fresh :class:`WorldEnsemble` on the mutated graph and solving cold.
+Both paths produce bit-identical traces (asserted on every repeat, so
+the benchmark doubles as an equivalence smoke); only the latency
+differs.
 
 Times best-of-``REPEATS`` for 1-, 4- and 16-edge deltas on the default
 synthetic SBM and commits the numbers (plus the measured
 ``os.cpu_count()``) to ``BENCH_incremental.json``.  The committed floor
-asserted in CI: on a single-edge delta the repair+warm path beats
+asserted in CI: on a single-edge delta the repair+cold path beats
 rebuild+cold, and on a 4-edge delta (which re-flips nearly every
 world) it is no slower — the repair's work scales with the *rows that
 reach a re-flipped edge*, the rebuild's with every world.  Regenerate
@@ -30,7 +31,7 @@ import numpy as np
 from conftest import record_bench
 
 from repro.core.concave import log1p
-from repro.core.greedy import WarmStart, lazy_greedy
+from repro.core.greedy import lazy_greedy
 from repro.core.objectives import ConcaveSumObjective
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.graph.delta import GraphDelta
@@ -91,27 +92,18 @@ def test_repair_vs_rebuild_latency():
         repair_best = rebuild_best = float("inf")
         repaired_worlds = None
         for _ in range(REPEATS):
-            # --- repair + warm path: ensemble already built and solved.
+            # --- repair + cold path: ensemble already built and solved.
             graph, assignment = default_synthetic(seed=0)
             delta = make_delta(graph, size)
             ensemble = WorldEnsemble(
                 graph, assignment, n_worlds=N_WORLDS, seed=WORLD_SEED
             )
             objective = ConcaveSumObjective(log1p, ensemble.group_sizes)
-            prior = lazy_greedy(
-                ensemble, objective, DEFAULT_DEADLINE, max_seeds=BUDGET
-            )
+            lazy_greedy(ensemble, objective, DEFAULT_DEADLINE, max_seeds=BUDGET)
             started = time.perf_counter()
             report = ensemble.apply_delta(delta)
-            warm = lazy_greedy(
-                ensemble,
-                objective,
-                DEFAULT_DEADLINE,
-                max_seeds=BUDGET,
-                warm_start=WarmStart(
-                    utilities=prior.first_round_utilities,
-                    refresh=report.affected,
-                ),
+            repaired = lazy_greedy(
+                ensemble, objective, DEFAULT_DEADLINE, max_seeds=BUDGET
             )
             repair_best = min(repair_best, time.perf_counter() - started)
             repaired_worlds = report.repaired_worlds
@@ -131,17 +123,19 @@ def test_repair_vs_rebuild_latency():
             )
             rebuild_best = min(rebuild_best, time.perf_counter() - started)
 
-            # Equivalence on every repeat: same seeds, same first round.
-            assert warm.seeds == cold.seeds
-            np.testing.assert_array_equal(
-                warm.first_round_utilities, cold.first_round_utilities
-            )
-            assert warm.total_evaluations <= cold.total_evaluations
+            # Equivalence on every repeat: the same trace, step by step.
+            assert repaired.seeds == cold.seeds
+            for mine, theirs in zip(repaired.steps, cold.steps):
+                assert mine.gain == theirs.gain
+                assert mine.evaluations == theirs.evaluations
+                np.testing.assert_array_equal(
+                    mine.group_utilities, theirs.group_utilities
+                )
 
         points.append(
             {
                 "delta_edges": size,
-                "repair_warm_s": round(repair_best, 6),
+                "repair_s": round(repair_best, 6),
                 "rebuild_cold_s": round(rebuild_best, 6),
                 "speedup": round(rebuild_best / repair_best, 2),
                 "repaired_worlds": repaired_worlds,
@@ -156,15 +150,15 @@ def test_repair_vs_rebuild_latency():
     )
 
     # The floors: a single-edge delta must re-solve faster via repair +
-    # warm start than via rebuild + cold solve, and a 4-edge delta —
+    # cold solve than via rebuild + cold solve, and a 4-edge delta —
     # which re-flips nearly every world — must be no slower, because
     # repair re-runs BFS only for the rows that reach a re-flipped edge.
     single, four = points[0], points[1]
-    assert single["repair_warm_s"] < single["rebuild_cold_s"], (
-        f"single-edge repair {single['repair_warm_s']}s did not beat "
+    assert single["repair_s"] < single["rebuild_cold_s"], (
+        f"single-edge repair {single['repair_s']}s did not beat "
         f"rebuild {single['rebuild_cold_s']}s"
     )
-    assert four["repair_warm_s"] <= four["rebuild_cold_s"], (
-        f"4-edge repair {four['repair_warm_s']}s is slower than "
+    assert four["repair_s"] <= four["rebuild_cold_s"], (
+        f"4-edge repair {four['repair_s']}s is slower than "
         f"rebuild {four['rebuild_cold_s']}s"
     )

@@ -1,27 +1,22 @@
 """The :class:`Session` façade: specs in, results out, worlds shared.
 
-A session owns three things a service surface needs and scattered
+A session owns two things a service surface needs and scattered
 kwargs could not provide:
 
-1. **An explicit config chain.**  Every execution knob resolves as
-   ``spec.execution > session execution > process defaults
-   (repro.config.execution_defaults) > library default`` — no hidden
-   mutable state, and the fully-resolved values are echoed back on the
-   result for audit.
-2. **An ensemble cache.**  Building a :class:`WorldEnsemble` (world
+1. **An ensemble cache.**  Building a :class:`WorldEnsemble` (world
    sampling + reach index) dwarfs most solves; the session keys
    built estimators by :meth:`EnsembleSpec.fingerprint`, so N solves
    over one graph — a budget sweep, a deadline sweep, P1-vs-P4 on common random
    numbers — share worlds.  Sharing worlds is also what makes the
    comparisons *fair*: every solve sees the same randomness.
-3. **A stable result shape.**  :class:`RunResult` carries the
+2. **A stable result shape.**  :class:`RunResult` carries the
    solution, trace, per-group utilities, disparity, timings and the
    resolved spec — everything a caller (or the JSON CLI) needs,
    without reaching into solver internals.
 
-Execution knobs are pinned per solve (the estimators' thread-local
-pin stack), so concurrent ``solve`` calls on one shared session are
-safe and bit-identical to serial runs.
+Solves keep their state to themselves and the cache is lock-protected,
+so concurrent ``solve`` calls on one shared session are safe and
+bit-identical to serial runs.
 """
 
 from __future__ import annotations
@@ -38,14 +33,18 @@ import numpy as np
 
 from repro.api.datasets import build_dataset
 from repro.api.specs import EnsembleSpec, ExecutionSpec, RunSpec
-from repro.config import execution_defaults
 from repro.core.budget import solve_budget_spec
 from repro.core.cover import solve_cover_spec
-from repro.core.greedy import SelectionTrace, WarmStart
+from repro.core.greedy import SelectionTrace
 from repro.errors import ConfigError, EstimationError
 from repro.graph.delta import GraphDelta
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.rrsets import build_rrset_estimator
+
+#: The execution section every result echoes: queries run serially and
+#: builds in-process, whatever ``workers``/``build_workers`` a spec or
+#: session asked for.
+_EXECUTION_ECHO = ExecutionSpec(workers=1, build_workers=1)
 
 #: Ensembles a session keeps alive at once (LRU beyond this).  Small on
 #: purpose: each entry can hold a large reach index or RR pool.
@@ -136,9 +135,6 @@ class RunResult:
     #: Edge coins re-thresholded during the repair
     #: (touched edges × worlds); ``None`` on plain solves.
     resampled_edges: Optional[int] = None
-    #: Whether CELF's first round was seeded from a prior trace (perf-only:
-    #: seeds and gains are bit-identical either way).
-    warm_started: bool = False
     #: Fingerprints of every delta folded into the ensemble this result
     #: was estimated on, oldest first — the audit trail that says which
     #: graph the numbers describe.
@@ -180,23 +176,19 @@ class RunResult:
             payload["incremental"] = {
                 "repaired_worlds": self.repaired_worlds,
                 "resampled_edges": self.resampled_edges,
-                "warm_started": self.warm_started,
                 "delta_lineage": list(self.delta_lineage),
             }
         return payload
 
     def as_text(self) -> str:
         """Human-readable summary (what ``repro solve`` prints)."""
-        execution = self.spec.execution
         estimator = (
             f"{self.spec.ensemble.n_worlds} worlds"
             if self.spec.ensemble.kind == "worlds"
             else f"{self.spec.ensemble.kind} estimator"
         )
         lines = [
-            f"{self.problem} on {self.spec.ensemble.dataset!r} "
-            f"[{estimator}, "
-            f"build_workers={execution.build_workers}]",
+            f"{self.problem} on {self.spec.ensemble.dataset!r} [{estimator}]",
             f"  seeds ({self.seed_count}): "
             f"{[_jsonify_label(s) for s in self.seeds]}",
             f"  total fraction {self.total_fraction:.4f}   "
@@ -215,11 +207,10 @@ class RunResult:
             f"stop: {self.stopped_reason}"
         )
         if self.repaired_worlds is not None:
-            warm = " (warm-started)" if self.warm_started else ""
             lines.append(
                 f"  delta: repaired {self.repaired_worlds} worlds, "
                 f"resampled {self.resampled_edges} edge coins, "
-                f"lineage depth {len(self.delta_lineage)}{warm}"
+                f"lineage depth {len(self.delta_lineage)}"
             )
         elif self.delta_lineage:
             lines.append(
@@ -230,13 +221,13 @@ class RunResult:
 
 
 class Session:
-    """Config resolution + ensemble cache + ``solve``/``solve_many``.
+    """Ensemble cache + ``solve``/``resolve``/``solve_many``.
 
-    Thread-safe: the cache is lock-protected and execution knobs are
-    pinned per solve rather than written anywhere shared.  One session
-    per service process (or per tenant/configuration) is the intended
-    shape; :func:`default_session` provides the process-default one the
-    experiment helpers build through, and the sweep runner
+    Thread-safe: the cache is lock-protected and a solve keeps its state
+    to itself.  One session per service process (or per
+    tenant/configuration) is the intended shape; :func:`default_session`
+    provides the process-default one the experiment helpers build
+    through, and the sweep runner
     (:func:`repro.sweep.run_sweep`) funnels a whole scenario grid
     through one session so cells sharing an ensemble fingerprint share
     one world build.
@@ -262,22 +253,13 @@ class Session:
         self.execution = execution
         self.max_cached_ensembles = int(max_cached_ensembles)
         #: Byte bound on the ensemble cache (``None`` = entry-count LRU
-        #: only).  Enforced on insertion: oldest entries are evicted —
-        #: warm traces pruned, exactly as entry-count eviction — until
-        #: the cache fits.  The newest
-        #: entry always stays (a single over-budget ensemble is served,
+        #: only).  Enforced on insertion: oldest entries are evicted,
+        #: exactly as entry-count eviction, until the cache fits.  The
+        #: newest entry always stays (a single over-budget ensemble is served,
         #: not thrashed); live byte usage is in :attr:`cache_info`.
         self.cache_bytes = check_cache_bytes(cache_bytes, allow_none=True)
         self._lock = threading.RLock()
         self._ensembles: "OrderedDict[Tuple, Any]" = OrderedDict()
-        # (cache key, solver fingerprint) -> (first-round utilities,
-        # repair epoch, weakref to the estimator they were recorded on).
-        # Warm starts for `resolve`: the utilities seed CELF's first
-        # round, the epoch says which repairs are already folded in, and
-        # the weakref guards against an evicted-and-rebuilt ensemble
-        # under the same key (different worlds would make the bounds
-        # meaningless).
-        self._warm_traces: Dict[Tuple, Tuple[np.ndarray, int, Any]] = {}
         # (dataset, params, seed) -> the frozen graph every estimator
         # built from that dataset shares, and each such graph's group
         # assignment; entries live exactly as long as some estimator
@@ -292,38 +274,6 @@ class Session:
         self.cache_misses = 0
         self.cache_builds = 0
         self.cache_evictions = 0
-
-    # ------------------------------------------------------------------
-    # config chain
-    # ------------------------------------------------------------------
-    def resolve_execution(
-        self, execution: Optional[ExecutionSpec] = None
-    ) -> ExecutionSpec:
-        """Collapse the chain to concrete values.
-
-        ``spec > session > process defaults > library default`` per
-        field; the result has no ``None`` left.  ``workers`` is accepted
-        for input compatibility only and always resolves to ``1``:
-        queries run serially.  ``build_workers`` still resolves through
-        the chain (default ``1``) but has no effect either: builds run
-        in-process, and results echo ``build_workers: 1``.
-        """
-        spec = execution or ExecutionSpec()
-
-        def chain(name: str, library_default):
-            for value in (
-                getattr(spec, name),
-                getattr(self.execution, name),
-                execution_defaults.get(name),
-            ):
-                if value is not None:
-                    return value
-            return library_default
-
-        return ExecutionSpec(
-            workers=1,
-            build_workers=chain("build_workers", 1),
-        )
 
     # ------------------------------------------------------------------
     # ensemble cache
@@ -365,23 +315,14 @@ class Session:
         return sum(_estimator_nbytes(e) for e in self._ensembles.values())
 
     def _evict_oldest(self) -> None:
-        """Drop the LRU entry and prune its warm traces (caller holds
-        the lock)."""
-        evicted_key, _ = self._ensembles.popitem(last=False)
-        self._prune_warm_traces(evicted_key)
+        """Drop the LRU entry (caller holds the lock)."""
+        self._ensembles.popitem(last=False)
         self.cache_evictions += 1
-
-    def _prune_warm_traces(self, cache_key: Tuple) -> None:
-        """Drop warm traces recorded against an evicted cache entry
-        (caller holds the lock)."""
-        for trace_key in [k for k in self._warm_traces if k[0] == cache_key]:
-            del self._warm_traces[trace_key]
 
     def clear_cache(self) -> None:
         """Drop every cached ensemble (counters are kept)."""
         with self._lock:
             self._ensembles.clear()
-            self._warm_traces.clear()
 
     @property
     def cache_info(self) -> Dict[str, Any]:
@@ -402,22 +343,13 @@ class Session:
                 "cache_bytes": self.cache_bytes,
             }
 
-    def ensemble_for(
-        self,
-        spec: EnsembleSpec,
-        execution: Optional[ExecutionSpec] = None,
-    ):
-        """The (possibly cached) estimator for an :class:`EnsembleSpec`.
-
-        Keyed by the spec fingerprint.  Execution knobs are *not* part
-        of the key — they never change results.
-        """
-        estimator, _, _ = self._ensemble_for(spec, self.resolve_execution(execution))
+    def ensemble_for(self, spec: EnsembleSpec):
+        """The (possibly cached) estimator for an :class:`EnsembleSpec`,
+        keyed by the spec fingerprint."""
+        estimator, _ = self._ensemble_for(spec)
         return estimator
 
-    def _ensemble_for(
-        self, spec: EnsembleSpec, resolved: ExecutionSpec
-    ) -> Tuple[Any, bool, Tuple]:
+    def _ensemble_for(self, spec: EnsembleSpec) -> Tuple[Any, bool]:
         if not isinstance(spec, EnsembleSpec):
             raise ConfigError(
                 f"expected an EnsembleSpec, got {type(spec).__name__}"
@@ -425,7 +357,7 @@ class Session:
         key = ("spec", spec.fingerprint())
         cached = self._cache_get(key)
         if cached is not None:
-            return cached, True, key
+            return cached, True
         graph, assignment = self._dataset(spec)
         if spec.kind == "rrset":
             estimator = build_rrset_estimator(spec, graph, assignment)
@@ -440,7 +372,7 @@ class Session:
             )
         with self._lock:
             self.cache_builds += 1
-        return self._cache_put(key, estimator), False, key
+        return self._cache_put(key, estimator), False
 
     def _dataset(self, spec: EnsembleSpec) -> Tuple[Any, Any]:
         """The spec's ``(graph, assignment)``, shared by every estimator
@@ -480,7 +412,7 @@ class Session:
         model: str = "ic",
     ) -> WorldEnsemble:
         """Ensemble construction for callers holding a *graph object*
-        (the experiment layer), through the same cache and chain.
+        (the experiment layer), through the same cache.
 
         Graph objects have no content fingerprint, so the cache keys on
         object identity plus parameters — safe because every cached
@@ -529,54 +461,6 @@ class Session:
             raise ConfigError(f"expected a RunSpec, got {type(spec).__name__}")
         return spec
 
-    @staticmethod
-    def _solver_fingerprint(spec: RunSpec) -> str:
-        """What a recorded trace may warm: the exact solver request.
-
-        Execution knobs are excluded on purpose — they never change
-        utilities, so a trace recorded
-        under one setting warms a re-solve under another.
-        """
-        return json.dumps(spec.solver.to_dict(), sort_keys=True)
-
-    def _record_warm_trace(self, key, spec, estimator, trace) -> None:
-        """Remember this solve's first-round utilities for later re-solves.
-
-        Recorded per (ensemble cache key, solver fingerprint) with the
-        repair epoch (how many deltas were folded in when the utilities
-        were true) and a weakref to the estimator itself, so a trace
-        can never warm a rebuilt ensemble that merely reuses the key.
-        """
-        utilities = trace.first_round_utilities
-        if utilities is None or not hasattr(estimator, "repair_log"):
-            return  # no first round was scored, or a non-repairable estimator
-        with self._lock:
-            self._warm_traces[(key, self._solver_fingerprint(spec))] = (
-                np.array(utilities, dtype=np.float64, copy=True),
-                len(estimator.repair_log),
-                weakref.ref(estimator),
-            )
-
-    def _warm_start_for(self, key, spec, estimator) -> Optional[WarmStart]:
-        """The :class:`WarmStart` a recorded trace justifies, or None.
-
-        The refresh set is the union of the affected-candidate sets of
-        every repair since the trace was recorded.
-        """
-        with self._lock:
-            entry = self._warm_traces.get((key, self._solver_fingerprint(spec)))
-        if entry is None:
-            return None
-        utilities, epoch, ref = entry
-        if ref() is not estimator:
-            return None  # evicted and rebuilt under the same key
-        log = estimator.repair_log
-        if epoch > len(log):
-            return None  # recorded on a future the estimator no longer has
-        tail = log[epoch:]
-        refresh = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + tail))
-        return WarmStart(utilities=utilities, refresh=refresh)
-
     def solve(self, spec: RunSpec) -> RunResult:
         """Run one declarative request end to end.
 
@@ -586,14 +470,10 @@ class Session:
         layer adds no randomness and no arithmetic.
         """
         spec = self._check_spec(spec)
-        resolved = self.resolve_execution(spec.execution)
-
         started = time.perf_counter()
-        estimator, was_cached, key = self._ensemble_for(spec.ensemble, resolved)
+        estimator, was_cached = self._ensemble_for(spec.ensemble)
         build_seconds = time.perf_counter() - started
-        return self._execute(
-            spec, resolved, key, estimator, was_cached, build_seconds
-        )
+        return self._execute(spec, estimator, was_cached, build_seconds)
 
     def resolve(
         self, spec: RunSpec, delta: Optional[GraphDelta] = None
@@ -605,13 +485,11 @@ class Session:
         spec's fingerprint-keyed cached ensemble is repaired *in place*
         — the delta's edges re-flipped with the same keyed coins a
         from-scratch rebuild would use, distances recomputed only in
-        changed worlds — and the solve runs on the repaired worlds,
-        warm-starting CELF from the last recorded trace for this
-        (ensemble, solver) pair when one exists.  Results are
-        bit-identical to rebuilding the mutated graph cold; only the
-        latency (and the ``evaluations`` counter, under a warm start)
-        differs.  The result echoes ``repaired_worlds`` /
-        ``resampled_edges`` and the full ``delta_lineage``.
+        changed worlds — and the same cold solve :meth:`solve` runs
+        then runs on the repaired worlds.  Results are bit-identical to
+        rebuilding the mutated graph cold; only the latency differs.
+        The result echoes ``repaired_worlds`` / ``resampled_edges`` and
+        the full ``delta_lineage``.
         """
         spec = self._check_spec(spec)
         if delta is None:
@@ -622,10 +500,8 @@ class Session:
             raise ConfigError(
                 f"delta must be a GraphDelta, got {type(delta).__name__}"
             )
-        resolved = self.resolve_execution(spec.execution)
-
         started = time.perf_counter()
-        estimator, was_cached, key = self._ensemble_for(spec.ensemble, resolved)
+        estimator, was_cached = self._ensemble_for(spec.ensemble)
         apply = getattr(estimator, "apply_delta", None)
         if apply is None:
             raise EstimationError(
@@ -637,27 +513,16 @@ class Session:
         report = apply(delta)
         build_seconds = time.perf_counter() - started
 
-        warm_start = self._warm_start_for(key, spec, estimator)
         return self._execute(
-            spec,
-            resolved,
-            key,
-            estimator,
-            was_cached,
-            build_seconds,
-            warm_start=warm_start,
-            repair_report=report,
+            spec, estimator, was_cached, build_seconds, repair_report=report
         )
 
     def _execute(
         self,
         spec: RunSpec,
-        resolved: ExecutionSpec,
-        key: Tuple,
         estimator: Any,
         was_cached: bool,
         build_seconds: float,
-        warm_start: Optional[WarmStart] = None,
         repair_report: Any = None,
     ) -> RunResult:
         started = time.perf_counter()
@@ -666,9 +531,8 @@ class Session:
             if spec.solver.problem == "budget"
             else solve_cover_spec
         )
-        solution = solve_spec(estimator, spec.solver, warm_start=warm_start)
+        solution = solve_spec(estimator, spec.solver)
         solve_seconds = time.perf_counter() - started
-        self._record_warm_trace(key, spec, estimator, solution.trace)
 
         solver_echo = spec.solver
         if (
@@ -679,14 +543,7 @@ class Session:
             # Resolve the defaulted wrapper so the audit record names
             # the objective that actually ran.
             solver_echo = replace(spec.solver, concave="log")
-        echo = replace(
-            spec,
-            solver=solver_echo,
-            execution=ExecutionSpec(
-                workers=resolved.workers,
-                build_workers=1,  # every build runs in-process
-            ),
-        )
+        echo = replace(spec, solver=solver_echo, execution=_EXECUTION_ECHO)
         report = solution.report
         fractions = report.fraction_influenced
         return RunResult(
@@ -713,7 +570,6 @@ class Session:
             resampled_edges=(
                 None if repair_report is None else int(repair_report.resampled_edges)
             ),
-            warm_started=warm_start is not None,
             # Echoed even on plain solves of a previously-repaired
             # cached ensemble: the lineage names the graph the numbers
             # are about, not just this call's delta.

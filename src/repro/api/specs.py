@@ -495,9 +495,7 @@ class ExecutionSpec:
 
     Pure speed/memory knobs: no field ever changes a seed set, a trace,
     or an estimate (the library's determinism contract), which is why
-    they live apart from the result-defining specs.  ``None`` defers
-    down the chain: spec > session > process defaults
-    (:data:`repro.config.execution_defaults`) > library default.
+    they live apart from the result-defining specs.
     ``workers`` and ``build_workers`` are accepted for compatibility
     with existing spec files and have no effect: queries and builds
     run in-process, and results echo ``1`` for both.  Both stay in

@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "GraphDelta JSON file of edge inserts/removes/reweights to "
             "fold into the spec's world ensemble before solving "
-            "(in-place repair + warm-started CELF; results are "
+            "(in-place repair, then a cold CELF solve; results are "
             "bit-identical to rebuilding the mutated graph from "
             "scratch); requires exactly one SPEC"
         ),

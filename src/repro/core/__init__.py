@@ -38,7 +38,6 @@ from repro.core.greedy import (
     DEFAULT_BLOCK_SIZE,
     SelectionStep,
     SelectionTrace,
-    WarmStart,
     lazy_greedy,
     plain_greedy,
     trace_tap,
@@ -72,7 +71,6 @@ __all__ = [
     "TruncatedCoverageObjective",
     "SelectionStep",
     "SelectionTrace",
-    "WarmStart",
     "trace_tap",
     "lazy_greedy",
     "plain_greedy",

@@ -22,7 +22,7 @@ from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
 from repro.influence.utility import UtilityReport, utility_report
 from repro.core.concave import ConcaveFunction, by_name as _concave_by_name, log1p
-from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy
+from repro.core.greedy import SelectionTrace, lazy_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 
 
@@ -65,7 +65,6 @@ def _solve(
     deadline: float,
     problem: str,
     discount: Optional[float] = None,
-    warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     if budget < 1:
         raise OptimizationError(f"budget must be >= 1, got {budget}")
@@ -80,7 +79,6 @@ def _solve(
         deadline=deadline,
         max_seeds=budget,
         discount=discount,
-        warm_start=warm_start,
     )
     if trace.size == 0:
         raise OptimizationError(
@@ -112,11 +110,7 @@ def _solve(
     )
 
 
-def solve_budget_spec(
-    ensemble: UtilityEstimator,
-    spec,
-    warm_start: Optional[WarmStart] = None,
-) -> BudgetSolution:
+def solve_budget_spec(ensemble: UtilityEstimator, spec) -> BudgetSolution:
     """Solve a declarative budget request (P1 or P4) on a built estimator.
 
     ``spec`` is a :class:`repro.api.SolverSpec` with
@@ -140,14 +134,12 @@ def solve_budget_spec(
             concave=_concave_by_name(spec.concave or "log"),
             weights=spec.weights,
             discount=spec.discount,
-            warm_start=warm_start,
         )
     return solve_tcim_budget(
         ensemble,
         spec.budget,
         spec.deadline,
         discount=spec.discount,
-        warm_start=warm_start,
     )
 
 
@@ -156,7 +148,6 @@ def solve_tcim_budget(
     budget: int,
     deadline: float,
     discount: Optional[float] = None,
-    warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve P1: maximise total time-critical influence with ``|S| <= B``.
 
@@ -177,7 +168,6 @@ def solve_tcim_budget(
         deadline,
         problem=problem,
         discount=discount,
-        warm_start=warm_start,
     )
 
 
@@ -188,7 +178,6 @@ def solve_fair_tcim_budget(
     concave: ConcaveFunction = log1p,
     weights: Optional[Sequence[float]] = None,
     discount: Optional[float] = None,
-    warm_start: Optional[WarmStart] = None,
 ) -> BudgetSolution:
     """Solve P4: maximise ``sum_i w_i H(f_tau(S; V_i, G))`` with ``|S| <= B``.
 
@@ -210,5 +199,4 @@ def solve_fair_tcim_budget(
         deadline,
         problem=problem,
         discount=discount,
-        warm_start=warm_start,
     )

@@ -27,7 +27,7 @@ from repro.errors import OptimizationError
 from repro.graph.digraph import NodeId
 from repro.influence.backends import UtilityEstimator
 from repro.influence.utility import UtilityReport, utility_report
-from repro.core.greedy import SelectionTrace, WarmStart, lazy_greedy
+from repro.core.greedy import SelectionTrace, lazy_greedy
 from repro.core.objectives import TotalCoverageObjective, TruncatedCoverageObjective
 
 #: Default relative slack on the quota stop test.
@@ -98,11 +98,7 @@ def _finalize(
     )
 
 
-def solve_cover_spec(
-    ensemble: UtilityEstimator,
-    spec,
-    warm_start: Optional[WarmStart] = None,
-) -> CoverSolution:
+def solve_cover_spec(ensemble: UtilityEstimator, spec) -> CoverSolution:
     """Solve a declarative cover request (P2 or P6) on a built estimator.
 
     ``spec`` is a :class:`repro.api.SolverSpec` with ``problem="cover"``
@@ -124,7 +120,6 @@ def solve_cover_spec(
         spec.deadline,
         max_seeds=spec.max_seeds,
         slack=DEFAULT_SLACK if slack is None else slack,
-        warm_start=warm_start,
     )
 
 
@@ -134,7 +129,6 @@ def solve_tcim_cover(
     deadline: float,
     max_seeds: Optional[int] = None,
     slack: float = DEFAULT_SLACK,
-    warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve P2: smallest greedy seed set with ``f_tau(S;V,G)/|V| >= Q``.
 
@@ -158,7 +152,6 @@ def solve_tcim_cover(
         max_seeds=cap,
         stop=stop,
         require_stop=True,
-        warm_start=warm_start,
     )
     return _finalize("TCIM-COVER(P2)", ensemble, trace, deadline, quota)
 
@@ -169,7 +162,6 @@ def solve_fair_tcim_cover(
     deadline: float,
     max_seeds: Optional[int] = None,
     slack: float = DEFAULT_SLACK,
-    warm_start: Optional[WarmStart] = None,
 ) -> CoverSolution:
     """Solve P6: smallest greedy seed set reaching quota ``Q`` in *every*
     group.
@@ -195,7 +187,6 @@ def solve_fair_tcim_cover(
         max_seeds=cap,
         stop=stop,
         require_stop=True,
-        warm_start=warm_start,
     )
     return _finalize("FAIRTCIM-COVER(P6)", ensemble, trace, deadline, quota)
 

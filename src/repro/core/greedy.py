@@ -70,7 +70,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -135,31 +135,6 @@ def _candidate_utilities(
 
 
 @dataclass(frozen=True)
-class WarmStart:
-    """Prior first-round utilities to seed a CELF solve with.
-
-    ``utilities[c]`` is candidate ``c``'s *empty-state* group-utility
-    vector (shape ``(C, k)``) from an earlier solve at the same deadline
-    and discount on the same estimator — a prior trace's
-    :attr:`SelectionTrace.first_round_utilities`.  ``refresh`` lists the
-    positions whose utilities may have changed since — after an
-    incremental ensemble repair, the union of the repair log's affected
-    sets — and ``None`` means "refresh everything" (which degenerates
-    to a cold first round).
-
-    Empty-state utilities of candidates whose distance rows did not
-    change are bit-identical before and after a repair, so a warm CELF
-    run starts from the same gains *and* the same per-group bounds as a
-    cold one.  It re-evaluates only ``refresh`` yet selects
-    **bit-identical seeds** — only the per-step ``evaluations``
-    counters differ.
-    """
-
-    utilities: np.ndarray
-    refresh: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class SelectionStep:
     """One greedy iteration: which seed was added and what it bought.
 
@@ -186,12 +161,6 @@ class SelectionTrace:
 
     steps: List[SelectionStep] = field(default_factory=list)
     stopped_reason: str = ""
-    #: Every candidate's empty-state group utilities, ``(C, k)``, as
-    #: scored by the first CELF round (``None`` when the run never
-    #: completed one, e.g. a cover quota met by the empty set).  Feed it
-    #: back as a :class:`WarmStart` to re-solve after an incremental
-    #: ensemble repair without re-scoring the unaffected candidates.
-    first_round_utilities: Optional[np.ndarray] = None
 
     @property
     def seeds(self) -> List[NodeId]:
@@ -272,7 +241,6 @@ def lazy_greedy(
     require_stop: bool = False,
     discount: Optional[float] = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    warm_start: Optional[WarmStart] = None,
 ) -> SelectionTrace:
     """CELF lazy greedy maximisation with per-group bounds.
 
@@ -306,12 +274,6 @@ def lazy_greedy(
         the scalar reference path; exact rounds take one call per
         round above ``1``).  Never changes the output, only the speed;
         a test seam, not a tuning knob.
-    warm_start:
-        Prior first-round utilities (see :class:`WarmStart`): only the
-        listed ``refresh`` positions are re-scored in the first round,
-        the rest reuse their recorded utilities.  Seed sets and
-        per-step gains are bit-identical to a cold run, so only the
-        ``evaluations`` counters change.
 
     Returns the :class:`SelectionTrace`; ``trace.stopped_reason`` is one
     of ``"budget"``, ``"stop-condition"``, ``"no-gain"``,
@@ -338,10 +300,10 @@ def lazy_greedy(
     )
     if exact and block_size > 1:
         block_size = ensemble.n_candidates
-    first, evaluations = _first_round_utilities(
-        ensemble, state, deadline, discount, block_size, warm_start
+    evaluations = ensemble.n_candidates
+    first = _candidate_utilities(
+        ensemble, state, np.arange(evaluations), deadline, discount, block_size
     )
-    trace.first_round_utilities = first.copy()
     # Each candidate's per-group marginal vector from its last oracle
     # call; ``utilities + deltas[c]`` bounds its utilities from above.
     deltas = first - utilities
@@ -431,49 +393,6 @@ def lazy_greedy(
             "for this graph/deadline"
         )
     return trace
-
-
-def _first_round_utilities(
-    ensemble: UtilityEstimator,
-    state,
-    deadline: float,
-    discount: Optional[float],
-    block_size: int,
-    warm_start: Optional[WarmStart],
-) -> Tuple[np.ndarray, int]:
-    """Every candidate's empty-state utilities, warm-started when possible.
-
-    Cold: score all candidates through the batched oracle.  Warm: copy
-    the prior utilities and re-score only the ``refresh`` positions (in
-    ascending order, through the same oracle — refreshed rows are
-    bit-identical to a cold scoring).  Returns the ``(C, k)`` matrix
-    and how many evaluations were actually performed.
-    """
-    n = ensemble.n_candidates
-    k = len(ensemble.group_names)
-    if warm_start is None:
-        refresh = np.arange(n, dtype=np.int64)
-        first = np.empty((n, k), dtype=np.float64)
-    else:
-        prior = np.asarray(warm_start.utilities, dtype=np.float64)
-        if prior.shape != (n, k):
-            raise OptimizationError(
-                f"warm-start utilities must have shape ({n}, {k}), got {prior.shape}"
-            )
-        if warm_start.refresh is None:
-            refresh = np.arange(n, dtype=np.int64)
-        else:
-            refresh = np.unique(np.asarray(warm_start.refresh, dtype=np.int64))
-            if refresh.size and (refresh[0] < 0 or refresh[-1] >= n):
-                raise OptimizationError(
-                    f"warm-start refresh positions out of range [0, {n}): "
-                    f"{refresh[(refresh < 0) | (refresh >= n)]}"
-                )
-        first = prior.copy()
-    first[refresh] = _candidate_utilities(
-        ensemble, state, refresh, deadline, discount, block_size
-    )
-    return first, int(refresh.size)
 
 
 def plain_greedy(

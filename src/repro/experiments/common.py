@@ -7,9 +7,7 @@ evaluating disparity between a chosen pair of groups.
 
 Every ensemble an experiment builds flows through
 :func:`build_ensemble`, which routes construction through the default
-:class:`repro.api.Session` — one shared ensemble cache and the
-explicit config chain (session execution > process defaults in
-:data:`repro.config.execution_defaults`).
+:class:`repro.api.Session` — one shared ensemble cache.
 """
 
 from __future__ import annotations

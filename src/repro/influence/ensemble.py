@@ -37,7 +37,7 @@ time, group)``, emitted straight by the frontier BFS
   — O(k) per additional deadline.
 
 Discounted utilities (``gamma**t`` weights) copy the state's ``(R, n)``
-times into per-thread scratch, lower them at each candidate's entries
+times into a per-call block, lower them at each candidate's entries
 and take one stacked ``(B, R, n) @ (n, k)`` float32 contraction
 (:meth:`WorldEnsemble.candidate_group_utilities_batch`) — O(B·R·n·k).
 
@@ -47,7 +47,7 @@ batched oracle, not from threads: world-sharding the numpy primitives
 never beat the serial path on the measured workloads (see
 ``docs/PERFORMANCE.md``).
 Concurrent queries on one shared ensemble (``repro serve --threads``)
-are safe — scratch buffers are per caller thread, and a repair swaps in
+are safe — every buffer a query writes is its own, and a repair swaps in
 a patched reach index with one assignment.
 
 This estimator is unbiased for Eq. 1 for every ``tau``
@@ -66,7 +66,6 @@ utilities are not integers and keep a float32 world mean.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -411,18 +410,12 @@ class WorldEnsemble:
             len(self.group_names),
             self._max_reach_entries(),
         )
-        # Reusable scratch for the discounted batched oracle, grown on
-        # demand to the largest block ever requested and keyed per
-        # *caller thread* (see ``_batch_scratch``) — concurrent batched
-        # queries on one shared ensemble each get their own buffers.
-        self._scratch = threading.local()
         self._sweep_code_base: Optional[np.ndarray] = None  # (n,) int64
         # Streaming-delta bookkeeping: the graph version this store was
-        # built (or last repaired) against, the fingerprints of applied
-        # deltas, and each repair's affected-candidate set.
+        # built (or last repaired) against and the fingerprints of
+        # applied deltas.
         self._graph_version = graph.version
         self._delta_lineage: List[str] = []
-        self._repair_log: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # streaming deltas: staleness + in-place repair
@@ -437,17 +430,6 @@ class WorldEnsemble:
         """Fingerprints of every delta applied through :meth:`apply_delta`,
         in application order (empty for a pristine build)."""
         return tuple(self._delta_lineage)
-
-    @property
-    def repair_log(self) -> List[np.ndarray]:
-        """Per-repair affected candidate positions.
-
-        One entry per applied delta; entry ``i`` is the sorted array of
-        candidate positions whose entries changed under delta ``i``.
-        Warm-started solvers union a suffix of this log to find which
-        cached gains to refresh.
-        """
-        return list(self._repair_log)
 
     @property
     def world_keys(self) -> List[int]:
@@ -550,15 +532,13 @@ class WorldEnsemble:
         )
         return np.unique(position[changed])
 
-    def _note_repair(self, version: int, fingerprint: str, affected: np.ndarray) -> None:
+    def _note_repair(self, version: int, fingerprint: str) -> None:
         """Record a completed repair (called by the incremental layer):
-        the graph version the index now matches, the delta's
-        fingerprint and the candidate positions whose entries changed.
-        (The sweep code base depends only on the group partition and
-        survives.)"""
+        the graph version the index now matches and the delta's
+        fingerprint.  (The sweep code base depends only on the group
+        partition and survives.)"""
         self._graph_version = version
         self._delta_lineage.append(fingerprint)
-        self._repair_log.append(affected)
 
     def _check_fresh(self) -> None:
         """Refuse to serve estimates for a graph the store doesn't match.
@@ -780,28 +760,6 @@ class WorldEnsemble:
         np.power(np.float32(discount), times, out=weights, where=active, dtype=np.float32)
         return weights
 
-    def _activation_weights_into(
-        self,
-        times: np.ndarray,
-        cutoff: int,
-        discount,
-        active: np.ndarray,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`_activation_weights` into caller-owned scratch.
-
-        Same values bit-for-bit, zero allocation — the batched oracle
-        calls this once per block with its reusable buffers.
-        """
-        np.less_equal(times, cutoff, out=active)
-        if discount is None:
-            np.copyto(out, active)  # bool -> {0.0, 1.0} float32
-            return out
-        self._check_discount(discount)
-        out.fill(0.0)
-        np.power(np.float32(discount), times, out=out, where=active, dtype=np.float32)
-        return out
-
     def _world_mean(self, per_world: np.ndarray, discount) -> np.ndarray:
         """Mean over the world axis (``-2``) of per-world group totals.
 
@@ -889,33 +847,6 @@ class WorldEnsemble:
     # ------------------------------------------------------------------
     # batched gain oracle
     # ------------------------------------------------------------------
-    def _batch_scratch(self, block: int):
-        """Views of the reusable block buffers, grown to ``block`` rows.
-
-        The buffers persist across calls, so steady-state discounted
-        batched queries allocate nothing beyond the tiny per-block
-        outputs.  Buffers are keyed per *caller thread*
-        (``threading.local``), so any number of concurrent batched
-        queries can share one ensemble without corrupting each other.
-        """
-        local = self._scratch
-        times = getattr(local, "times", None)
-        if times is None or times.shape[0] < block:
-            shape = (block, self.n_worlds, self.n)
-            local.times = np.empty(shape, dtype=np.uint8)
-            local.active = np.empty(shape, dtype=bool)
-            local.weights = np.empty(shape, dtype=np.float32)
-            local.per_world = np.empty(
-                (block, self.n_worlds, len(self.group_names)),
-                dtype=self._masks_f.dtype,
-            )
-        return (
-            local.times[:block],
-            local.active[:block],
-            local.weights[:block],
-            local.per_world[:block],
-        )
-
     def _max_reach_entries(self) -> int:
         """How many entries fit under :attr:`EMPTY_TABLE_BYTE_LIMIT`,
         next to a full 256-bin table, the offsets and the transpose's
@@ -1005,10 +936,11 @@ class WorldEnsemble:
           traffic at all.  ``M`` holds the exact counts the scalar path
           sums entry by entry.
         - **discounted**: the state's times are copied into each row of
-          a reusable ``(B, R, n)`` scratch and lowered at that
-          candidate's index entries, then one stacked ``(B, R, n) @ (n,
-          k)`` ``np.matmul`` weighs them — the very same float32 GEMM
-          per block row whatever the block (unlike
+          a ``(B, R, n)`` block allocated for this call (so concurrent
+          callers share nothing, and nothing outlives the call) and
+          lowered at that candidate's index entries, then one stacked
+          ``(B, R, n) @ (n, k)`` ``np.matmul`` weighs them — the very
+          same float32 GEMM per block row whatever the block (unlike
           ``einsum``/``tensordot``, whose reduction order changes low
           bits).
         """
@@ -1032,7 +964,7 @@ class WorldEnsemble:
             counts = self._state_marginals(state, cutoff, reach)[positions]
             counts += self._state_counts(state, cutoff)
             return counts / self.n_worlds
-        times, active, weights, per_world = self._batch_scratch(int(positions.size))
+        times = np.empty((positions.size, self.n_worlds, self.n), dtype=np.uint8)
         np.copyto(times, state.best_time[np.newaxis])
         # Row ``i``'s entries sit at ``i * R * n + flat``: distinct within
         # a row and across rows, so one gather-minimum-scatter is exact.
@@ -1041,10 +973,11 @@ class WorldEnsemble:
             np.arange(positions.size, dtype=np.int64) * (self.n_worlds * self.n), counts
         )
         cells += reach.flat[at]
-        lowered = times.reshape(-1)  # a view: the scratch is contiguous
+        lowered = times.reshape(-1)  # a view: the block is contiguous
         lowered[cells] = np.minimum(lowered[cells], reach.time[at])
-        self._activation_weights_into(times, cutoff, discount, active, weights)
-        np.matmul(weights, self._masks_f, out=per_world)  # (B, R, k)
+        weights = self._activation_weights(times, cutoff, discount)
+        del times
+        per_world = np.matmul(weights, self._masks_f)  # (B, R, k)
         return self._world_mean(per_world, discount)
 
     def marginal_counts(

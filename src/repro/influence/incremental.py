@@ -79,7 +79,7 @@ class RepairReport:
     """What one :func:`repair_ensemble` call actually did.
 
     ``affected`` is the sorted candidate positions whose index entries
-    changed (what a warm-started solver must refresh).
+    changed.
     """
 
     delta_fingerprint: str
@@ -225,7 +225,7 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
             ensemble.worlds[r] = world
         if tails:
             affected = ensemble._repair_rows(tails)
-    ensemble._note_repair(graph.version, delta.fingerprint(), affected)
+    ensemble._note_repair(graph.version, delta.fingerprint())
     return RepairReport(
         delta_fingerprint=delta.fingerprint(),
         edges_touched=plan.n_edges,

@@ -99,8 +99,8 @@ class SolveService:
       ``repro solve`` on the same spec.
     - ``POST /v1/delta`` — body is ``{"spec": RunSpec, "delta":
       GraphDelta}``; repairs the spec's cached ensemble in place and
-      solves (warm-started CELF), 200 with the result.  Never deduped;
-      serialised per ensemble.
+      solves cold on the repaired worlds, 200 with the result.  Never
+      deduped; serialised per ensemble.
     - ``GET /v1/healthz`` — 200 ``{"status": "ok", ...}`` normally,
       503 ``{"status": "draining", ...}`` once a drain began.
     - ``GET /v1/stats`` — 200 with counters, dedup/cache-hit rates and
@@ -295,10 +295,9 @@ class SolveService:
     ) -> None:
         """``POST /v1/solve``: body = RunSpec dict -> 200 RunResult dict.
 
-        Concurrent identical specs (same run fingerprint + resolved
-        execution) attach to one in-flight greedy; ``?stream=1``
-        switches the response to an NDJSON selection trace (see
-        :meth:`_stream_flight`).  A 504 abandons only the waiter — the
+        Concurrent identical specs (same run fingerprint) attach to one
+        in-flight greedy; ``?stream=1`` switches the response to an
+        NDJSON selection trace (see :meth:`_stream_flight`).  A 504 abandons only the waiter — the
         flight finishes and its ensemble stays cached.
         """
         spec = self._parse_spec(request.json())
@@ -322,7 +321,7 @@ class SolveService:
 
         Folds the edge mutations into the spec's cached world ensemble
         (in-place repair, bit-identical to rebuilding the mutated graph
-        from scratch) and solves with a warm-started CELF —
+        from scratch) and solves it cold —
         ``Session.resolve(spec, delta=...)`` over HTTP.  Responds 200
         with the RunResult dict, whose ``delta_lineage`` records every
         delta fingerprint folded into that ensemble so far.
@@ -385,7 +384,6 @@ class SolveService:
     # flights
     # ------------------------------------------------------------------
     def _build_key(self, spec: RunSpec) -> Tuple[str, Any]:
-        resolved = self.session.resolve_execution(spec.execution)
         return (spec.ensemble.fingerprint(),)
 
     def _flight_for(self, spec: RunSpec) -> Tuple[_Flight, bool]:
@@ -427,7 +425,6 @@ class SolveService:
                         self._executor,
                         self.session.ensemble_for,
                         spec.ensemble,
-                        spec.execution,
                     )
                 finally:
                     self._builds.pop(key, None)

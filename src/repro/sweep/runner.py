@@ -93,7 +93,7 @@ def solve_cell(
     """Solve one cell and build its row (see the module docstring)."""
     started = time.perf_counter()
     result = session.solve(cell.spec)
-    estimator = session.ensemble_for(cell.spec.ensemble, cell.spec.execution)
+    estimator = session.ensemble_for(cell.spec.ensemble)
     deadline = cell.spec.solver.deadline
 
     methods: Dict[str, Dict[str, Any]] = {}

@@ -22,7 +22,6 @@ from repro.api import (
     Session,
     SolverSpec,
 )
-from repro.config import execution_defaults
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.cover import solve_fair_tcim_cover
 from repro.datasets.synthetic import synthetic_sbm
@@ -369,18 +368,6 @@ class TestEvictionRacesInFlightSolves:
 
 
 class TestConfigChain:
-    def test_spec_beats_session_beats_process(self):
-        session = Session(execution=ExecutionSpec(build_workers=2))
-        with execution_defaults.override("build_workers", 3):
-            resolved = session.resolve_execution(ExecutionSpec(build_workers=4))
-            assert resolved.build_workers == 4  # spec wins
-            resolved = session.resolve_execution(ExecutionSpec())
-            assert resolved.build_workers == 2  # session beats process
-        plain = Session()
-        with execution_defaults.override("build_workers", 3):
-            assert plain.resolve_execution().build_workers == 3  # process
-        assert plain.resolve_execution().build_workers == 1  # library default
-
     def test_result_echoes_fully_resolved_spec(self):
         session = Session()
         result = session.solve(
@@ -486,14 +473,6 @@ class TestEstimatorFactory:
                     problem="budget", deadline=DEADLINE, budget=2, discount=0.9
                 ),
             )
-
-
-class TestDeprecationShims:
-    def test_scoped_override_restores(self):
-        before = execution_defaults.get("build_workers")
-        with execution_defaults.override("build_workers", 3):
-            assert execution_defaults.get("build_workers") == 3
-        assert execution_defaults.get("build_workers") == before
 
 
 class TestExperimentBuildEnsemble:

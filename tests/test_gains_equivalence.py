@@ -17,12 +17,14 @@ that the *numbers never change*:
 - consequently the greedy engines produce *identical traces* — seeds,
   gains, evaluation counts, stop reasons — whether they run batched or
   scalar (``block_size=1``);
-- concurrent queries on one shared ensemble (per-thread scratch) don't
-  corrupt each other.
+- concurrent queries on one shared ensemble (per-call buffers) don't
+  corrupt each other, and a discounted solve leaves no buffer behind.
 """
 
+import gc
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,22 +310,47 @@ def test_empty_state_table_presence_by_backend(ensembles):
 
 def test_min_with_block_matches_min_with_per_backend():
     """The discounted oracle's block fold, on the small bundled example:
-    row ``i`` of the scratch it weighs is ``min(best, D[:, c_i, :])``,
-    the candidate's dense row folded into the state."""
+    row ``i`` weighs ``min(best, D[:, c_i, :])``, the candidate's dense
+    row folded into the state."""
     graph, assignment = illustrative_graph()
     for store in STORES:
         ensemble = build(graph, assignment, store, n_worlds=40, seed=3)
         rows = dense_rows(ensemble)
         state = ensemble.state_for(ensemble.candidate_labels[:2])
         positions = np.arange(ensemble.n_candidates)[::-1]
-        ensemble.candidate_group_utilities_batch(state, positions, 3, discount=0.5)
-        folded = ensemble._scratch.times[: positions.size]
-        for i, position in enumerate(positions):
+        batch = ensemble.candidate_group_utilities_batch(
+            state, positions, 3, discount=0.5
+        )
+        for row, position in zip(batch, positions):
+            folded = np.minimum(state.best_time, rows[:, position, :])
             np.testing.assert_array_equal(
-                folded[i],
-                np.minimum(state.best_time, rows[:, position, :]),
+                row,
+                gemm_utilities(ensemble, folded, 3, 0.5),
                 err_msg=f"{store} position {position}",
             )
+
+
+def test_discounted_solve_keeps_no_buffers():
+    """The discounted oracle's ``(B, R, n)`` block lives only as long as
+    its call: after a whole discounted solve, traced memory is back
+    within 1 MiB of where it started (one 64-row block here is ~4 MiB)."""
+    graph, assignment = default_synthetic(seed=0)
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=20, seed=7)
+    block = 64 * ensemble.n_worlds * ensemble.n * 6  # uint8 + bool + float32
+    assert block > 2 * 2**20
+    objective = TotalInfluenceObjective()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = lazy_greedy(ensemble, objective, deadline=10, max_seeds=4, discount=0.9)
+        assert trace.size == 4
+        del trace
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**20, after - before
 
 
 @pytest.mark.parametrize("store", STORES)
@@ -383,7 +410,7 @@ class TestStateBuilds:
 
 @pytest.mark.parametrize("copies", [1, 2])
 def test_concurrent_batched_queries_on_shared_ensemble(ensembles, copies):
-    """Stress the per-thread scratch: many caller threads, one ensemble.
+    """Stress the per-call buffers: many caller threads, one ensemble.
 
     ``repro serve --threads`` runs concurrent solves on shared
     ensembles, so two in-flight batched queries must never corrupt each

@@ -6,8 +6,9 @@ ensemble repaired in place through :meth:`WorldEnsemble.apply_delta` is
 mutated graph with the same seed — same worlds, same reach index,
 same utilities, under every BFS chunking (the ``dense``/``sparse``/
 ``lazy`` ids of ``tests/stores.py``), with and without discounting.
-Warm-started CELF re-solves select bit-identical seeds to cold solves;
-only the ``evaluations`` counters may differ.
+:meth:`Session.resolve` is that repair plus the same cold solve
+:meth:`Session.solve` runs, so its result equals a fresh session's
+solve on the mutated graph, ``evaluations`` included.
 """
 
 import json
@@ -15,22 +16,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import (
-    EnsembleSpec,
-    ExecutionSpec,
-    RunSpec,
-    Session,
-    SolverSpec,
-)
+from repro.api import EnsembleSpec, RunSpec, Session, SolverSpec
 from repro.cli import main as cli_main
-from repro.core.budget import solve_budget_spec
-from repro.core.greedy import WarmStart, lazy_greedy, plain_greedy
-from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
-from repro.core.concave import log1p
 from repro.datasets.synthetic import synthetic_sbm
-from repro.errors import EstimationError, OptimizationError
+from repro.errors import EstimationError
 from repro.graph.delta import GraphDelta
-from repro.graph.groups import GroupAssignment
 from repro.influence import backends
 from repro.influence.backends import bfs_rows
 from repro.influence.ensemble import WorldEnsemble
@@ -132,7 +122,6 @@ class TestRepairEqualsRebuild:
             ensemble.apply_delta(delta)
             fingerprints.append(delta.fingerprint())
         assert ensemble.delta_lineage == tuple(fingerprints)
-        assert len(ensemble.repair_log) == 3
 
         fresh_graph, fresh_groups = sbm()
         for rng_seed in (1, 2, 3):
@@ -231,85 +220,6 @@ class TestStaleness:
             ensemble.apply_delta(delta)
 
 
-class TestWarmStartedCelf:
-    def solve_pair(self, refresh_from_report=True):
-        graph, groups = sbm()
-        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
-        objective = ConcaveSumObjective(log1p, ensemble.group_sizes)
-        cold0 = lazy_greedy(ensemble, objective, DEADLINE, max_seeds=5)
-        report = ensemble.apply_delta(make_delta(graph))
-        cold = lazy_greedy(ensemble, objective, DEADLINE, max_seeds=5)
-        warm = lazy_greedy(
-            ensemble,
-            objective,
-            DEADLINE,
-            max_seeds=5,
-            warm_start=WarmStart(
-                utilities=cold0.first_round_utilities,
-                refresh=report.affected if refresh_from_report else None,
-            ),
-        )
-        return cold, warm
-
-    def test_warm_equals_cold(self):
-        cold, warm = self.solve_pair()
-        assert warm.seeds == cold.seeds
-        assert np.array_equal(
-            warm.first_round_utilities, cold.first_round_utilities
-        )
-        for s_cold, s_warm in zip(cold.steps, warm.steps):
-            assert s_warm.position == s_cold.position
-            assert s_warm.gain == s_cold.gain
-            assert s_warm.objective_value == s_cold.objective_value
-            assert np.array_equal(s_warm.group_utilities, s_cold.group_utilities)
-        assert warm.total_evaluations <= cold.total_evaluations
-
-    def test_refresh_none_still_identical(self):
-        cold, warm = self.solve_pair(refresh_from_report=False)
-        assert warm.seeds == cold.seeds
-        assert np.array_equal(
-            warm.first_round_utilities, cold.first_round_utilities
-        )
-
-    def test_warm_start_validation(self):
-        graph, groups = sbm()
-        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
-        objective = TotalInfluenceObjective()
-        shape = (ensemble.n_candidates, len(ensemble.group_names))
-        # The prior is the (C, k) first-round utility matrix: a gain
-        # vector, a wrong width or a wrong height is refused.
-        for bad in (np.zeros(ensemble.n_candidates), np.zeros((3, shape[1])),
-                    np.zeros((shape[0], shape[1] + 1))):
-            with pytest.raises(OptimizationError, match=r"utilities must have shape"):
-                lazy_greedy(
-                    ensemble, objective, DEADLINE, max_seeds=2,
-                    warm_start=WarmStart(utilities=bad),
-                )
-        with pytest.raises(OptimizationError, match="refresh"):
-            lazy_greedy(
-                ensemble, objective, DEADLINE, max_seeds=2,
-                warm_start=WarmStart(
-                    utilities=np.zeros(shape),
-                    refresh=np.array([ensemble.n_candidates + 5]),
-                ),
-            )
-
-    def test_plain_greedy_rejects_warm_start(self):
-        # Warm starts seed CELF's first round; the reference engine
-        # rescores every candidate every round and has none to seed.
-        graph, groups = sbm()
-        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
-        with pytest.raises(TypeError, match="warm_start"):
-            plain_greedy(
-                ensemble, TotalInfluenceObjective(), DEADLINE, max_seeds=2,
-                warm_start=WarmStart(
-                    utilities=np.zeros(
-                        (ensemble.n_candidates, len(ensemble.group_names))
-                    )
-                ),
-            )
-
-
 def run_spec(**solver_overrides) -> RunSpec:
     solver = dict(problem="budget", budget=4, deadline=DEADLINE, fair=True)
     solver.update(solver_overrides)
@@ -333,36 +243,51 @@ class TestSessionResolve:
         b = session.solve(spec)
         assert a.seeds == b.seeds
         assert a.repaired_worlds is None
-        assert not a.warm_started
         assert "incremental" not in a.to_dict()
 
     def test_resolve_repairs_and_warm_starts(self):
         session = Session()
         spec = run_spec()
-        cold = session.solve(spec)  # records the warm trace
+        session.solve(spec)
         graph, _ = sbm()
         delta = make_delta(graph)
 
-        warm = session.resolve(spec, delta=delta)
-        assert warm.warm_started
-        assert warm.repaired_worlds is not None
-        assert warm.resampled_edges == delta.edge_count * N_WORLDS
-        assert warm.delta_lineage == (delta.fingerprint(),)
-        assert warm.evaluations <= cold.evaluations + len(warm.seeds)
+        result = session.resolve(spec, delta=delta)
+        assert result.repaired_worlds is not None
+        assert result.resampled_edges == delta.edge_count * N_WORLDS
+        assert result.delta_lineage == (delta.fingerprint(),)
 
-        # a fresh session solving the mutated graph cold agrees exactly
+        payload = json.loads(json.dumps(result.to_dict()))
+        assert payload["incremental"] == {
+            "repaired_worlds": result.repaired_worlds,
+            "resampled_edges": result.resampled_edges,
+            "delta_lineage": [delta.fingerprint()],
+        }
+        assert "delta: repaired" in result.as_text()
+
+    @pytest.mark.parametrize("discount", [None, 0.9], ids=["step", "gamma0.9"])
+    @pytest.mark.parametrize("fair", [True, False], ids=["fair", "unfair"])
+    def test_resolve_equals_cold_solve(self, discount, fair):
+        """A resolve after an earlier solve on the same session reports
+        exactly what a fresh session's solve on the mutated graph does."""
+        spec = run_spec(discount=discount, fair=fair)
+        graph, _ = sbm()
+        session = Session()
+        session.solve(spec)
+        resolved = session.resolve(spec, delta=make_delta(graph))
+
         other = Session()
-        estimator = other.ensemble_for(spec.ensemble)
-        estimator.apply_delta(make_delta(graph))
+        other.ensemble_for(spec.ensemble).apply_delta(make_delta(graph))
         reference = other.solve(spec)
-        assert warm.seeds == reference.seeds
-        assert warm.objective == reference.objective
-        assert warm.group_utilities == reference.group_utilities
 
-        payload = json.loads(json.dumps(warm.to_dict()))
-        assert payload["incremental"]["warm_started"] is True
-        assert payload["incremental"]["delta_lineage"] == [delta.fingerprint()]
-        assert "warm-started" in warm.as_text()
+        def answer(result):
+            payload = result.to_dict()
+            del payload["timings"], payload["incremental"]
+            return payload
+
+        assert answer(resolved) == answer(reference)  # evaluations included
+        for mine, theirs in zip(resolved.trace.steps, reference.trace.steps):
+            assert mine.evaluations == theirs.evaluations
 
     def test_plain_solve_echoes_lineage(self):
         session = Session()
@@ -380,7 +305,6 @@ class TestSessionResolve:
         spec = run_spec()
         graph, _ = sbm()
         result = session.resolve(spec, delta=make_delta(graph))
-        assert not result.warm_started  # no trace recorded yet
         assert result.repaired_worlds is not None
 
     def test_clear_cache_drops_warm_traces(self):
@@ -390,7 +314,9 @@ class TestSessionResolve:
         session.clear_cache()
         graph, _ = sbm()
         result = session.resolve(spec, delta=make_delta(graph))
-        assert not result.warm_started  # trace died with the cache entry
+        # The rebuilt entry was repaired once: its lineage restarts.
+        assert result.delta_lineage == (make_delta(graph).fingerprint(),)
+        assert result.repaired_worlds is not None
 
     def test_rrset_spec_cannot_take_deltas(self):
         session = Session()

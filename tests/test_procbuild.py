@@ -19,7 +19,6 @@ import pytest
 
 from repro.api import EnsembleSpec, ExecutionSpec, RunSpec, Session
 from repro.api.specs import AUTO_WORKERS, SolverSpec, check_build_workers, check_workers
-from repro.config import execution_defaults
 from repro.core.greedy import lazy_greedy
 from repro.core.objectives import TotalInfluenceObjective
 from repro.errors import EstimationError
@@ -113,10 +112,6 @@ class TestValidation:
             assert str(build_err.value) == str(workers_err.value).replace(
                 "workers", "build_workers"
             )
-
-    def test_resolve_none_defers_to_default(self):
-        with execution_defaults.override("build_workers", 3):
-            assert Session().resolve_execution().build_workers == 3
 
 
 @pytest.mark.parametrize("store", STORES)
