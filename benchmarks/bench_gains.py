@@ -11,8 +11,9 @@ default synthetic SBM and committed to ``BENCH_solvers.json``:
   the acceptance bar is >= 5x;
 - the scalar CELF re-evaluation at a 15-seed state, scored from the
   candidate's reach-index entries vs the dense-row reference (fold the
-  candidate's ``(R, n)`` rows, weight, GEMM).  The reach index itself
-  is built with the ensemble; ``bench_estimator.py`` times that build.
+  candidate's ``(R, n)`` rows, mask, float32 GEMM).  The reach index
+  itself is built with the ensemble; ``bench_estimator.py`` times that
+  build.
 
 Every timed pair also asserts bit-identical outputs, so the benchmark
 doubles as an end-to-end equivalence smoke: in CI (``--benchmark-disable``
@@ -34,7 +35,7 @@ from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.influence.deadlines import clip_deadline
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.cover import solve_fair_tcim_cover
-from repro.core.greedy import DEFAULT_BLOCK_SIZE, lazy_greedy
+from repro.core.greedy import lazy_greedy
 from repro.core.objectives import TotalInfluenceObjective
 
 N_WORLDS = 100
@@ -71,18 +72,13 @@ def scalar_first_round(ensemble, state, objective, base_value):
     )
 
 
-def batched_first_round(ensemble, state, objective, base_value, block_size):
-    return np.concatenate(
-        [
-            ensemble.candidate_gains_batch(
-                state,
-                range(start, min(start + block_size, ensemble.n_candidates)),
-                DEFAULT_DEADLINE,
-                objective,
-                base_value=base_value,
-            )
-            for start in range(0, ensemble.n_candidates, block_size)
-        ]
+def batched_first_round(ensemble, state, objective, base_value):
+    return ensemble.candidate_gains_batch(
+        state,
+        range(ensemble.n_candidates),
+        DEFAULT_DEADLINE,
+        objective,
+        base_value=base_value,
     )
 
 
@@ -93,25 +89,18 @@ def test_first_round_batch_vs_scalar(ensemble):
     base = objective.value(ensemble.group_utilities(state, DEFAULT_DEADLINE))
 
     scalar_gains = scalar_first_round(ensemble, state, objective, base)
-    batch_gains = batched_first_round(
-        ensemble, state, objective, base, DEFAULT_BLOCK_SIZE
-    )
+    batch_gains = batched_first_round(ensemble, state, objective, base)
     np.testing.assert_array_equal(batch_gains, scalar_gains)
 
     scalar_s = best_of(
         lambda: scalar_first_round(ensemble, state, objective, base)
     )
-    batch_s = best_of(
-        lambda: batched_first_round(
-            ensemble, state, objective, base, DEFAULT_BLOCK_SIZE
-        )
-    )
+    batch_s = best_of(lambda: batched_first_round(ensemble, state, objective, base))
     speedup = scalar_s / batch_s
     record_bench(
         "celf_first_round",
         {
             "n_candidates": ensemble.n_candidates,
-            "block_size": DEFAULT_BLOCK_SIZE,
             "scalar_s": round(scalar_s, 6),
             "batch_s": round(batch_s, 6),
             "speedup": round(speedup, 2),
@@ -123,34 +112,6 @@ def test_first_round_batch_vs_scalar(ensemble):
     assert batch_s <= scalar_s, (
         f"batched first round slower than scalar: {batch_s:.4f}s vs {scalar_s:.4f}s"
     )
-
-
-def test_block_size_sweep(ensemble):
-    """Speedup vs block size — the tuning data behind DEFAULT_BLOCK_SIZE."""
-    objective = TotalInfluenceObjective()
-    state = ensemble.empty_state()
-    base = objective.value(ensemble.group_utilities(state, DEFAULT_DEADLINE))
-    scalar_s = best_of(
-        lambda: scalar_first_round(ensemble, state, objective, base)
-    )
-    rows = []
-    for block_size in (8, 16, 32, 64, 128, 256):
-        batch_s = best_of(
-            lambda: batched_first_round(
-                ensemble, state, objective, base, block_size
-            )
-        )
-        rows.append(
-            {
-                "block_size": block_size,
-                "batch_s": round(batch_s, 6),
-                "speedup": round(scalar_s / batch_s, 2),
-            }
-        )
-    record_bench(
-        "block_size_sweep", {"scalar_s": round(scalar_s, 6), "blocks": rows}
-    )
-    assert min(r["batch_s"] for r in rows) <= scalar_s
 
 
 def test_state_build_slab_vs_sequential(ensemble):
@@ -294,12 +255,13 @@ def test_deadline_sweep_vs_per_tau(ensemble):
     )
 
 
-def dense_row_utilities(ensemble, rows, state, position, deadline):
+def dense_row_utilities(ensemble, masks, rows, state, position, deadline):
     """The dense-row reference oracle: fold the candidate's ``(R, n)``
-    rows of the dense tensor ``rows`` into the state, weight, GEMM."""
+    rows of the dense tensor ``rows`` into the state, mask the nodes
+    activated by the deadline and count them per group with a float32
+    GEMM against the ``(n, k)`` group masks (exact integer counts)."""
     folded = np.minimum(state.best_time, rows[:, position, :])
-    weights = ensemble._activation_weights(folded, clip_deadline(deadline), None)
-    per_world = weights @ ensemble._masks_f
+    per_world = (folded <= clip_deadline(deadline)).astype(np.float32) @ masks
     return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
 
 
@@ -313,6 +275,7 @@ def test_scalar_oracle_index_vs_dense_rows(ensemble):
     rows = np.stack(
         [world.distances_from(ensemble._candidate_indices) for world in ensemble.worlds]
     )
+    masks = ensemble.assignment.masks(ensemble.graph).T.astype(np.float32)
 
     def index_pass():
         return [
@@ -322,7 +285,7 @@ def test_scalar_oracle_index_vs_dense_rows(ensemble):
 
     def dense_pass():
         return [
-            dense_row_utilities(ensemble, rows, state, p, DEFAULT_DEADLINE)
+            dense_row_utilities(ensemble, masks, rows, state, p, DEFAULT_DEADLINE)
             for p in positions
         ]
 

@@ -35,7 +35,6 @@ from repro.core.cover import (
     solve_tcim_cover,
 )
 from repro.core.greedy import (
-    DEFAULT_BLOCK_SIZE,
     SelectionStep,
     SelectionTrace,
     lazy_greedy,
@@ -74,7 +73,6 @@ __all__ = [
     "trace_tap",
     "lazy_greedy",
     "plain_greedy",
-    "DEFAULT_BLOCK_SIZE",
     "FairnessComparison",
     "compare_solutions",
     "TheoremCheck",

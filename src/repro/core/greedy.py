@@ -7,10 +7,10 @@ classic guarantees the paper's Theorems 1 and 2 build on.
 
 **Selection rule.**  Each round both engines take the largest marginal
 gain and treat gains within ``tol = GAIN_TOLERANCE * max(1, |F(S)|)``
-of it as ties, which go to the lowest candidate position.  Step-model
-utilities are exact counts divided once in float64 (see
-:mod:`repro.influence.ensemble`), so the rounding left in a gain is
-~1e-16 relative — far inside ``tol`` — and the rule picks the same
+of it as ties, which go to the lowest candidate position.  Utilities
+are float64 — step-model ones exact counts divided once (see
+:mod:`repro.influence.ensemble`) — so the rounding left in a gain is
+~1e-16 relative, far inside ``tol``, and the rule picks the same
 candidate however the gain was reached.
 
 :func:`lazy_greedy` is CELF (Leskovec et al. 2007) with per-group
@@ -30,6 +30,9 @@ of two ways, chosen from what the estimator offers, not by a knob:
   :func:`plain_greedy` reports.
 - **Bound rounds** (RR sets, discounted utilities), below.
 
+Either way the first round scores every candidate in one
+``candidate_group_utilities_batch`` call.
+
 In bound rounds it keeps each candidate's per-group marginal vector
 ``delta_c = u(S + c) - u(S)`` from its last oracle call.  Every
 group's utility is submodular in the seed set, so ``delta_c`` only
@@ -45,24 +48,17 @@ keys); while that key is a bound, the candidate is scored by the
 oracle (``candidate_group_utilities``).  Once the top key is a fresh
 gain, CELF scores every stale candidate within ``2 * tol`` of it at a
 lower position than the pick, which could win the tie, so its choice —
-seeds, gains and utilities — is plain greedy's bit for bit.
-Discounted utilities are float32 means, not exact counts, so with
-``discount`` the re-bound is skipped and stale keys keep their last
-oracle gain (classic CELF, which agrees with plain greedy up to
-float32 near-ties).
+seeds, gains and utilities — is plain greedy's bit for bit.  This
+holds for any monotone submodular utility every query path computes
+to the same bits — step-model counts and discounted float64 sums
+alike.
 
-:func:`plain_greedy` rescores every candidate every round: the
-reference oracle for the tests and the CELF ablation bench.
-
-Bulk scoring — CELF's first round, its exact rounds and every
-plain-greedy round — goes through ``candidate_group_utilities_batch``:
-in blocks of :data:`DEFAULT_BLOCK_SIZE` candidates, or in one call per
-round when the state keeps marginal counts (then each row is an O(k)
-read).  Batched rows are bit-identical to the scalar path, so
-``block_size=1`` (the per-candidate reference the equivalence tests
-compare against, which counts each candidate's own entries and shares
-no marginal counts with the engine) changes no seed, gain or utility.
-Both engines run serially on the caller thread.
+:func:`plain_greedy` rescores every open candidate every round through
+the scalar oracle (``candidate_group_utilities``), sharing no marginal
+counts with CELF: the reference for the tests and the CELF ablation
+bench.  Batched rows are bit-identical to scalar ones, so the two
+engines' traces are comparable bit for bit.  Both engines run serially
+on the caller thread.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -84,54 +80,12 @@ from repro.core.objectives import Objective
 #: of the selection rule.
 GAIN_TOLERANCE = 1e-12
 
-#: Default candidate-block size for the batched utility oracle.  On the
-#: synthetic SBM bench (``benchmarks/bench_gains.py``) a whole 500-
-#: candidate first round takes ~0.25 ms at 64; larger blocks only trim
-#: that per-call overhead while scratch buffers grow with the block
-#: (``block_size * R * n`` bytes each).
-DEFAULT_BLOCK_SIZE = 64
-
 StopCondition = Callable[[np.ndarray], bool]
 
 
 def _tie_tolerance(objective_value: float) -> float:
     """Gains this close to the best one tie (see the selection rule)."""
     return GAIN_TOLERANCE * max(1.0, abs(objective_value))
-
-
-def _candidate_utilities(
-    ensemble: UtilityEstimator,
-    state,
-    positions: Sequence[int],
-    deadline: float,
-    discount: Optional[float],
-    block_size: int,
-) -> np.ndarray:
-    """``(len(positions), k)`` group utilities of ``seeds(state) + {c}``.
-
-    Routes through ``candidate_group_utilities_batch`` in
-    ``block_size`` chunks; ``block_size <= 1`` makes per-candidate
-    scalar queries instead.  The rows are identical either way.
-    """
-    if block_size <= 1:
-        rows = [
-            ensemble.candidate_group_utilities(state, int(position), deadline, discount)
-            for position in positions
-        ]
-    elif len(positions) <= block_size:
-        return ensemble.candidate_group_utilities_batch(
-            state, positions, deadline, discount
-        )
-    else:
-        rows = [
-            ensemble.candidate_group_utilities_batch(
-                state, positions[start : start + block_size], deadline, discount
-            )
-            for start in range(0, len(positions), block_size)
-        ]
-    if not rows:
-        return np.empty((0, len(ensemble.group_names)), dtype=np.float64)
-    return np.vstack(rows)
 
 
 @dataclass(frozen=True)
@@ -240,7 +194,6 @@ def lazy_greedy(
     stop: Optional[StopCondition] = None,
     require_stop: bool = False,
     discount: Optional[float] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SelectionTrace:
     """CELF lazy greedy maximisation with per-group bounds.
 
@@ -268,12 +221,9 @@ def lazy_greedy(
         candidates/progress raises :class:`InfeasibleError` (cover
         semantics).  If ``False`` the trace is returned as-is (budget
         semantics).
-    block_size:
-        Candidate block size for the batched utility oracle that scores
-        the CELF first round and bound-round re-evaluations (``1`` —
-        the scalar reference path; exact rounds take one call per
-        round above ``1``).  Never changes the output, only the speed;
-        a test seam, not a tuning knob.
+    discount:
+        Optional time discount ``gamma`` in ``[0, 1]`` (estimators that
+        support it weigh a node activated at ``t`` by ``gamma**t``).
 
     Returns the :class:`SelectionTrace`; ``trace.stopped_reason`` is one
     of ``"budget"``, ``"stop-condition"``, ``"no-gain"``,
@@ -291,23 +241,18 @@ def lazy_greedy(
 
     # Exact rounds when the estimator keeps every candidate's marginal
     # counts on the state (asking builds them before the first pick).
-    # Their rows cost O(k) each and use no scratch, so a round is one
-    # call whatever ``block_size`` (unless it asks for the scalar path).
     marginal_counts = getattr(ensemble, "marginal_counts", None)
     exact = (
         marginal_counts is not None
         and marginal_counts(state, deadline, discount) is not None
     )
-    if exact and block_size > 1:
-        block_size = ensemble.n_candidates
     evaluations = ensemble.n_candidates
-    first = _candidate_utilities(
-        ensemble, state, np.arange(evaluations), deadline, discount, block_size
+    first = ensemble.candidate_group_utilities_batch(
+        state, np.arange(evaluations), deadline, discount
     )
     # Each candidate's per-group marginal vector from its last oracle
     # call; ``utilities + deltas[c]`` bounds its utilities from above.
     deltas = first - utilities
-    use_bounds = discount is None and not exact
     # ``key[c]`` is an oracle gain when ``fresh[c]``, else an upper
     # bound on the current gain; chosen candidates hold -inf.
     key = objective.values(first) - current_value
@@ -325,8 +270,8 @@ def lazy_greedy(
     def score_round() -> None:
         nonlocal evaluations
         open_positions = np.flatnonzero(~chosen)
-        rows = _candidate_utilities(
-            ensemble, state, open_positions, deadline, discount, block_size
+        rows = ensemble.candidate_group_utilities_batch(
+            state, open_positions, deadline, discount
         )
         evaluations += open_positions.size
         key[open_positions] = objective.values(rows) - current_value
@@ -366,7 +311,7 @@ def lazy_greedy(
         utilities = ensemble.group_utilities(state, deadline, discount)
         current_value = objective.value(utilities)
         fresh[:] = False
-        if use_bounds:
+        if not exact:
             key = objective.values(utilities + deltas) - current_value
         key[chosen] = -np.inf
         step = SelectionStep(
@@ -403,16 +348,14 @@ def plain_greedy(
     stop: Optional[StopCondition] = None,
     require_stop: bool = False,
     discount: Optional[float] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SelectionTrace:
-    """Reference greedy: every candidate re-evaluated every round.
+    """Reference greedy: every open candidate re-evaluated every round.
 
     Same selection rule as :func:`lazy_greedy` (see the module
     docstring), quadratically more utility evaluations.  Kept as the
-    test oracle and for the CELF ablation.  Every round's full
-    re-evaluation runs through the batched utility oracle (see
-    :func:`lazy_greedy`'s ``block_size``): in one call per round when
-    the estimator keeps marginal counts, as CELF's exact rounds do.
+    test oracle and for the CELF ablation: every row comes from the
+    scalar oracle ``candidate_group_utilities``, one call per open
+    candidate.
     """
     _check_arguments(ensemble, max_seeds)
     state = ensemble.empty_state()
@@ -424,21 +367,17 @@ def plain_greedy(
         trace.stopped_reason = "stop-condition"
         return trace
 
-    marginal_counts = getattr(ensemble, "marginal_counts", None)
-    if (
-        block_size > 1
-        and marginal_counts is not None
-        and marginal_counts(state, deadline, discount) is not None
-    ):
-        block_size = ensemble.n_candidates
     chosen = np.zeros(ensemble.n_candidates, dtype=bool)
     while trace.size < max_seeds:
         remaining = np.flatnonzero(~chosen)
         if remaining.size == 0:
             trace.stopped_reason = "exhausted"
             break
-        rows = _candidate_utilities(
-            ensemble, state, remaining, deadline, discount, block_size
+        rows = np.stack(
+            [
+                ensemble.candidate_group_utilities(state, int(position), deadline, discount)
+                for position in remaining
+            ]
         )
         gains = objective.values(rows) - current_value
         best = gains.max()

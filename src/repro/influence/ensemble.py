@@ -36,10 +36,12 @@ time, group)``, emitted straight by the frontier BFS
   over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
   — O(k) per additional deadline.
 
-Discounted utilities (``gamma**t`` weights) copy the state's ``(R, n)``
-times into a per-call block, lower them at each candidate's entries
-and take one stacked ``(B, R, n) @ (n, k)`` float32 contraction
-(:meth:`WorldEnsemble.candidate_group_utilities_batch`) — O(B·R·n·k).
+Discounted utilities (``gamma**t`` weights) read the same two
+structures: a seed set's utilities are its histogram weighed by a
+256-entry table of ``gamma**t`` (0 past the deadline), and a
+candidate's row adds, over its own entries, the weight each entry gains
+over the state's time there — O(entries of ``c``), in float64
+(:meth:`WorldEnsemble.candidate_group_utilities_batch`).
 
 Queries run serially on the caller thread.  The speed comes from
 submodularity (lazy CELF re-evaluation), the reach index and the
@@ -58,9 +60,11 @@ Step-model utilities are *exact*: every path counts integers in int64
 (the empty-state table keeps its integer counts in the smallest
 unsigned type holding ``R * n``) and divides the total by ``R`` once,
 so every query path returns the same float64 bits for the same seed
-set, whatever order it counted in.  That is what makes CELF's
-per-group bounds sound (see :mod:`repro.core.greedy`).  Discounted
-utilities are not integers and keep a float32 world mean.
+set, whatever order it counted in.  Discounted utilities are float64
+sums: every path that answers one query adds the same terms in the same
+order, so they too return the same bits however they are asked
+(``discount=1`` gives the step model's bits).  That is what makes
+CELF's per-group bounds sound (see :mod:`repro.core.greedy`).
 """
 
 from __future__ import annotations
@@ -371,19 +375,12 @@ class WorldEnsemble:
             label: pos for pos, label in enumerate(candidate_labels)
         }
 
-        # Group masks (n, k) for masked counting by matrix product, plus
-        # group sizes for normalisation.  A float32 GEMM counts exactly
-        # while a world's totals stay below 2**24.
-        self._masks_bool = assignment.masks(graph)
-        self._masks_f = self._masks_bool.T.astype(
-            np.float32 if self.n < 2**24 else np.float64
-        )
         self.group_names: List[Hashable] = assignment.groups
         self.group_sizes = assignment.sizes().astype(np.float64)
-        # Groups partition the nodes, so each column of the mask matrix
-        # has exactly one True: argmax recovers the group index of every
-        # node (used by the index and the deadline-sweep histogram).
-        self._group_index = self._masks_bool.argmax(axis=0).astype(np.int64)
+        # Groups partition the nodes, so each column of the ``(k, n)``
+        # mask matrix has exactly one True: argmax recovers the group
+        # index of every node (used by the index and the histograms).
+        self._group_index = assignment.masks(graph).argmax(axis=0).astype(np.int64)
 
         # Per-world RNG children, spawned exactly as ``sample_worlds``
         # spawns them.
@@ -737,40 +734,32 @@ class WorldEnsemble:
         if discount is not None and not 0.0 <= discount <= 1.0:
             raise EstimationError(f"discount must be in [0, 1], got {discount}")
 
-    def _activation_weights(self, times: np.ndarray, cutoff: int, discount) -> np.ndarray:
-        """Per-node utility weights for activation times ``times``.
+    def _time_weights(self, cutoff: int, discount) -> np.ndarray:
+        """Utility weight of a node activated at each time ``t``, ``(256,)``
+        float64.
 
         The paper's step model gives weight 1 to every node activated
         by the deadline.  With ``discount=gamma`` (the time-discounting
         extension named in the paper's conclusions), a node activated
         at time ``t <= deadline`` is worth ``gamma**t`` instead — being
-        informed earlier is worth more.  ``gamma=1`` recovers the step
-        model exactly.
-
-        The discounted power is evaluated *only* where ``t <= cutoff``
-        (masked ``np.power``): times past the deadline — including the
-        ``UNREACHABLE`` sentinel rows that dominate sparse states —
-        contribute weight 0 without paying for a transcendental.
+        informed earlier is worth more; ``gamma=1`` is the step model
+        exactly.  Times past the cutoff, ``UNREACHABLE`` included, weigh
+        0.  The whole table is always powered, so each weight has the
+        same bits whatever the cutoff.
         """
-        active = times <= cutoff
-        if discount is None:
-            return active.astype(np.float32)
         self._check_discount(discount)
-        weights = np.zeros(times.shape, dtype=np.float32)
-        np.power(np.float32(discount), times, out=weights, where=active, dtype=np.float32)
+        if discount is None:
+            weights = np.ones(256)
+        else:
+            weights = np.power(float(discount), np.arange(256, dtype=np.float64))
+        weights[cutoff + 1 :] = 0.0
         return weights
 
-    def _world_mean(self, per_world: np.ndarray, discount) -> np.ndarray:
-        """Mean over the world axis (``-2``) of per-world group totals.
-
-        Step model: the totals are exact integer counts, so the float64
-        sum is exact and the one division rounds once — the same bits
-        whichever path counted them.  Discounted totals keep the
-        float32 mean.
-        """
-        if discount is None:
-            return per_world.sum(axis=-2, dtype=np.float64) / self.n_worlds
-        return per_world.mean(axis=-2).astype(np.float64)
+    def _discounted_totals(self, state: InfluenceState, weights: np.ndarray) -> np.ndarray:
+        """Per-group weighted totals (over worlds) of the seed set,
+        ``sum_t hist[g, t] * weights[t]`` — the one expression every
+        discounted query of a state reads, so they agree bit for bit."""
+        return (self._state_time_histogram(state) * weights).sum(axis=1)
 
     def group_utilities(
         self,
@@ -784,18 +773,16 @@ class WorldEnsemble:
         ``[f_tau(S; V_1, G), ..., f_tau(S; V_k, G)]`` (Eq. 1) estimated
         on the ensemble; with ``discount=gamma`` each activated node
         contributes ``gamma**t_v`` instead of 1 (see
-        :meth:`_activation_weights`).
-
-        Step-model utilities are read from the state's histogram
-        (:meth:`_state_counts`); discounted ones take the dense
-        ``(R, n) @ (n, k)`` product.
+        :meth:`_time_weights`).  Both are read from the state's
+        histogram: its exact counts (:meth:`_state_counts`) or its
+        weighted totals (:meth:`_discounted_totals`), divided by ``R``.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
         if discount is None:
             return self._state_counts(state, cutoff) / self.n_worlds
-        weights = self._activation_weights(state.best_time, cutoff, discount)
-        return self._world_mean(weights @ self._masks_f, discount)
+        weights = self._time_weights(cutoff, discount)
+        return self._discounted_totals(state, weights) / self.n_worlds
 
     def _state_counts(self, state: InfluenceState, cutoff: int) -> np.ndarray:
         """Exact per-group totals (over worlds) activated by ``cutoff``.
@@ -803,7 +790,7 @@ class WorldEnsemble:
         The integer cumulative sum of the state's histogram at
         ``cutoff``, cached on the state until the next
         :meth:`add_seed`.  Divided once by ``R`` it gives the same
-        float64 bits as the per-world GEMM counts summed in float64.
+        float64 bits as any other exact count of the same nodes.
         """
         cached = state.counts
         if cached is not None and cached[0] == cutoff:
@@ -825,18 +812,24 @@ class WorldEnsemble:
         when the candidate reaches it by the cutoff and the state does
         not, so ``u(S + c) = (counts_S + bincount(group[newly])) / R``
         over the candidate's own index entries — O(entries of ``c``),
-        the same exact integers every other path counts.  Discounted
-        utilities are the one-row case of
-        :meth:`candidate_group_utilities_batch`.
+        the same exact integers every other path counts.
+
+        Discounted: a node's weight becomes the larger of its weights
+        under the state and under the candidate, so ``u(S + c) =
+        (totals_S + bincount(group, max(0, w[time] - w[best]))) / R``
+        over the same entries, in float64.
         """
         self._check_fresh()
         position = self._check_position(position)
-        if discount is not None:
-            return self.candidate_group_utilities_batch(
-                state, [position], deadline, discount
-            )[0]
         cutoff = _clip_deadline(deadline)
         flat, times, groups = self._reach.entries(position)
+        if discount is not None:
+            weights = self._time_weights(cutoff, discount)
+            gains = weights[times] - weights[state.best_time.reshape(-1)[flat]]
+            np.maximum(gains, 0.0, out=gains)
+            totals = np.bincount(groups, weights=gains, minlength=len(self.group_names))
+            totals += self._discounted_totals(state, weights)
+            return totals / self.n_worlds
         limit = np.uint8(cutoff)  # a uint8 scalar compares without casts
         newly = np.less_equal(times, limit)
         newly &= np.greater(state.best_time.reshape(-1)[flat], limit)
@@ -928,21 +921,15 @@ class WorldEnsemble:
         is bit-identical to
         ``candidate_group_utilities(state, positions[i], ...)``.
 
-        Two regimes, both exact:
-
-        - **step model** (every state): row ``c`` is ``(M[c] +
-          counts_S) / R`` from the state's marginal counts
-          (:meth:`marginal_counts`) — O(k) per candidate, no tensor
-          traffic at all.  ``M`` holds the exact counts the scalar path
+        - **step model**: row ``c`` is ``(M[c] + counts_S) / R`` from
+          the state's marginal counts (:meth:`marginal_counts`) — O(k)
+          per candidate.  ``M`` holds the exact counts the scalar path
           sums entry by entry.
-        - **discounted**: the state's times are copied into each row of
-          a ``(B, R, n)`` block allocated for this call (so concurrent
-          callers share nothing, and nothing outlives the call) and
-          lowered at that candidate's index entries, then one stacked
-          ``(B, R, n) @ (n, k)`` ``np.matmul`` weighs them — the very
-          same float32 GEMM per block row whatever the block (unlike
-          ``einsum``/``tensordot``, whose reduction order changes low
-          bits).
+        - **discounted**: the candidates' entries are gathered and each
+          one's weight gain over the state is added into its row's
+          group bin by one ``bincount`` — O(entries of the block).  A
+          bin receives its candidate's entries in the scalar path's
+          order, so each row has the scalar row's bits.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
@@ -964,21 +951,16 @@ class WorldEnsemble:
             counts = self._state_marginals(state, cutoff, reach)[positions]
             counts += self._state_counts(state, cutoff)
             return counts / self.n_worlds
-        times = np.empty((positions.size, self.n_worlds, self.n), dtype=np.uint8)
-        np.copyto(times, state.best_time[np.newaxis])
-        # Row ``i``'s entries sit at ``i * R * n + flat``: distinct within
-        # a row and across rows, so one gather-minimum-scatter is exact.
-        at, counts = reach.gather(positions)
-        cells = np.repeat(
-            np.arange(positions.size, dtype=np.int64) * (self.n_worlds * self.n), counts
-        )
-        cells += reach.flat[at]
-        lowered = times.reshape(-1)  # a view: the block is contiguous
-        lowered[cells] = np.minimum(lowered[cells], reach.time[at])
-        weights = self._activation_weights(times, cutoff, discount)
-        del times
-        per_world = np.matmul(weights, self._masks_f)  # (B, R, k)
-        return self._world_mean(per_world, discount)
+        weights = self._time_weights(cutoff, discount)
+        at, sizes = reach.gather(positions)
+        gains = weights[reach.time[at]] - weights[state.best_time.reshape(-1)[reach.flat[at]]]
+        np.maximum(gains, 0.0, out=gains)
+        codes = np.repeat(np.arange(0, positions.size * k, k, dtype=np.int64), sizes)
+        codes += reach.group[at]
+        totals = np.bincount(codes, weights=gains, minlength=positions.size * k)
+        totals = totals.reshape(positions.size, k)
+        totals += self._discounted_totals(state, weights)
+        return totals / self.n_worlds
 
     def marginal_counts(
         self,
@@ -1105,12 +1087,10 @@ class WorldEnsemble:
         re-derivation, which is what makes the paper's deadline-sweep
         figures (4c / 5a / 7c) cheap.
 
-        Without ``discount`` the rows are *bit-identical* to the scalar
-        path: both divide the same exact integer counts by ``R`` once.
-        With ``discount`` the histogram weighting accumulates in
-        float64 — at least as accurate as the scalar float32 GEMM but
-        not bit-equal to it (the summation order differs); agreement
-        is within float32 rounding.
+        Every row is *bit-identical* to :meth:`group_utilities`: without
+        ``discount`` both divide the same exact integer counts by ``R``
+        once, with it both weigh the histogram by the same expression
+        (:meth:`_discounted_totals`, O(k·256) per deadline).
         """
         self._check_fresh()
         cutoffs = [_clip_deadline(deadline) for deadline in deadlines]
@@ -1125,11 +1105,9 @@ class WorldEnsemble:
             for i, cutoff in enumerate(cutoffs):
                 out[i] = cumulative[:, cutoff] / self.n_worlds
             return out
-        powers = np.power(float(discount), np.arange(256, dtype=np.float64))
-        powers[UNREACHABLE] = 0.0  # the sentinel never counts
-        cumulative = np.cumsum(hist * powers, axis=1)  # (k, 256) float64
         for i, cutoff in enumerate(cutoffs):
-            out[i] = cumulative[:, cutoff] / self.n_worlds
+            weights = self._time_weights(cutoff, discount)
+            out[i] = self._discounted_totals(state, weights) / self.n_worlds
         return out
 
     def total_utility(self, state: InfluenceState, deadline: float) -> float:
@@ -1156,18 +1134,25 @@ class WorldEnsemble:
     ) -> np.ndarray:
         """Monte-Carlo standard error of each group-utility estimate.
 
-        Shares :meth:`_activation_weights` with the utility queries, so
-        it scores exactly what they score — including the
-        ``discount=gamma`` extension, which the old step-model-only
-        formula silently ignored.
+        The per-world group totals are one ``bincount`` of the state's
+        cells activated by the deadline, weighted by
+        :meth:`_time_weights` — so it scores exactly what the utility
+        queries score, ``discount=gamma`` included — and their float64
+        sample deviation is divided by ``sqrt(R)``.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
-        weights = self._activation_weights(state.best_time, cutoff, discount)
-        per_world = weights @ self._masks_f  # (R, k)
-        return per_world.std(axis=0, ddof=1).astype(np.float64) / math.sqrt(
-            self.n_worlds
-        )
+        weights = self._time_weights(cutoff, discount)
+        best = state.best_time.reshape(-1)
+        cells = np.flatnonzero(best <= cutoff)
+        world, node = np.divmod(cells, self.n)
+        k = len(self.group_names)
+        per_world = np.bincount(
+            world * k + self._group_index[node],
+            weights=weights[best[cells]],
+            minlength=self.n_worlds * k,
+        ).reshape(self.n_worlds, k)
+        return per_world.std(axis=0, ddof=1) / math.sqrt(self.n_worlds)
 
     def memory_bytes(self) -> int:
         """Footprint of the store — the reach index — for reports."""

@@ -4,8 +4,8 @@ One :class:`SolveService` owns one :class:`repro.api.Session` (the
 shared, byte-bounded ensemble cache) and one solver thread pool.  The
 asyncio event loop does admission, deduplication and streaming; the
 actual solves run on worker threads — safe because concurrent queries
-on a shared ensemble use per-thread batch scratch and per-solve worker
-pins (PR 3), so the service adds **no arithmetic and no randomness**:
+on a shared ensemble write only their own arrays, so the service adds
+**no arithmetic and no randomness**:
 every response is bit-identical to ``Session.solve``/``repro solve``
 on the same spec.
 

@@ -25,8 +25,8 @@ from repro.errors import ConfigError
 DEFAULT_PORT = 8351
 
 #: Default solver-thread count: concurrent solves on shared ensembles
-#: are safe (per-thread batch scratch), so a small pool lets distinct
-#: requests overlap without oversubscribing the worker pools below it.
+#: are safe (every query writes only its own arrays), so a small pool
+#: lets distinct requests overlap without oversubscribing the machine.
 DEFAULT_SOLVER_THREADS = 4
 
 #: Default bound on concurrently admitted solve/delta requests; beyond

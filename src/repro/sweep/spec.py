@@ -48,6 +48,7 @@ collide) fails at load, before any world is sampled.  See
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -183,7 +184,8 @@ class SweepSpec:
 
     Validation expands the whole grid eagerly: every cell's
     :class:`RunSpec` must construct and every cell fingerprint must be
-    unique, so a sweep that loads is a sweep that can run.
+    unique, so a sweep that loads is a sweep that can run.  The
+    validated cells are kept, and :meth:`expand` serves copies of them.
     """
 
     base: RunSpec
@@ -282,8 +284,7 @@ class SweepSpec:
 
         # Expand eagerly: every cell must construct, fingerprints must
         # be unique, and the count must be sane — fail at load time.
-        expanded = self.expand()
-        if not expanded:
+        if not self._cells:
             raise ConfigError("sweep expands to no cells")
 
     def _check_override_target(self, path: str) -> None:
@@ -309,12 +310,19 @@ class SweepSpec:
         return combos
 
     def expand(self) -> List[SweepCell]:
-        """Materialise every cell, in canonical order, with derived seeds.
+        """Every cell, in canonical order, with derived seeds.
 
         Deterministic given the spec — the runner, the resume path and
         a single-cell re-run all call this and agree on indices,
-        seeds and fingerprints.
+        seeds and fingerprints.  The cells are copies of the ones
+        validation built, so a caller may change them freely.
         """
+        return copy.deepcopy(list(self._cells))
+
+    @functools.cached_property
+    def _cells(self) -> Tuple[SweepCell, ...]:
+        """Materialise every cell (validation builds this once; the
+        frozen spec cannot change under it)."""
         combos = self._combos()
         total = len(combos) * self.replicates
         if total > MAX_CELLS:
@@ -385,7 +393,7 @@ class SweepSpec:
                 seen[fingerprint] = index
                 cells.append(cell)
                 index += 1
-        return cells
+        return tuple(cells)
 
     def cell_count(self) -> int:
         return (
@@ -406,7 +414,7 @@ class SweepSpec:
             )
         matches = [
             cell
-            for cell in self.expand()
+            for cell in self._cells
             if cell.fingerprint().startswith(fingerprint)
         ]
         if not matches:
@@ -419,7 +427,7 @@ class SweepSpec:
                 f"fingerprint prefix {fingerprint!r} is ambiguous "
                 f"({len(matches)} cells); use more characters"
             )
-        return matches[0]
+        return copy.deepcopy(matches[0])
 
     # ------------------------------------------------------------------
     # serialization

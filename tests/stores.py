@@ -52,21 +52,21 @@ def dense_rows(ensemble) -> np.ndarray:
     )
 
 
+def world_totals(ensemble, times: np.ndarray, cutoff: int, discount=None) -> np.ndarray:
+    """Per-world group totals ``(R, k)`` of ``(R, n)`` activation times by
+    the brute float64 ``(R, n) @ (n, k)`` product: a node activated at
+    ``t <= cutoff`` weighs ``discount**t`` (1 in the step model), any
+    later one 0.  Step-model totals are exact integers."""
+    gamma = 1.0 if discount is None else discount
+    weights = np.where(times <= cutoff, np.power(gamma, times.astype(np.float64)), 0.0)
+    return weights @ ensemble.assignment.masks(ensemble.graph).T.astype(np.float64)
+
+
 def gemm_utilities(ensemble, times: np.ndarray, cutoff: int, discount=None) -> np.ndarray:
-    """Group utilities of ``(R, n)`` activation times by the brute float32
-    ``(R, n) @ (n, k)`` product: exact integer counts summed in float64
-    for the step model, a float32 world mean for discounted weights."""
-    active = times <= cutoff
-    if discount is None:
-        weights = active.astype(np.float32)
-    else:
-        weights = np.zeros(times.shape, dtype=np.float32)
-        np.power(np.float32(discount), times, out=weights, where=active, dtype=np.float32)
-    masks = ensemble.assignment.masks(ensemble.graph).T.astype(np.float32)
-    per_world = weights @ masks
-    if discount is None:
-        return per_world.sum(axis=0, dtype=np.float64) / ensemble.n_worlds
-    return per_world.mean(axis=0).astype(np.float64)
+    """Group utilities of ``(R, n)`` activation times: the world mean of
+    :func:`world_totals` — bit for bit what the step-model queries
+    return, and within float64 rounding of the discounted ones."""
+    return world_totals(ensemble, times, cutoff, discount).sum(axis=0) / ensemble.n_worlds
 
 
 def rows_from_entries(key: np.ndarray, hop: np.ndarray, n_rows: int, n: int) -> np.ndarray:

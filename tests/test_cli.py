@@ -307,8 +307,8 @@ class TestNumericFlagValidation:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_bad_block_size_is_a_usage_error(self, capsys):
-        # The flag is gone: greedy always batches in DEFAULT_BLOCK_SIZE
-        # blocks, so every value is an unrecognized argument.
+        # The flag is gone (the engines have no block size), so every
+        # value is an unrecognized argument.
         for value in ("0", "16", "huge"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(["run", "fig1", "--block-size", value])

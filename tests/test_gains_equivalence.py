@@ -5,18 +5,17 @@ The batched oracle (``candidate_group_utilities_batch`` /
 (``group_utilities_sweep``) exist purely for speed; their contract is
 that the *numbers never change*:
 
-- step-model rows are exact integer counts, and the discounted block
-  fold is an exact elementwise minimum whose stacked ``(B, R, n) @ (n,
-  k)`` matmul runs the same GEMM per block row whatever the block, so
-  batched utilities/gains are bit-identical under every build (the
-  ``dense``/``sparse``/``lazy`` ids of ``tests/stores.py``), block size
-  and discount;
-- the sweep's per-(world, group) time histogram produces exact integer
-  counts, so step-model sweeps are bit-identical too; discounted sweeps
-  accumulate in float64 and agree within float32 rounding (documented);
+- step-model rows are exact integer counts, and a discounted row adds
+  its candidate's entries into each group bin in the scalar path's
+  order, so batched utilities/gains are bit-identical under every build
+  (the ``dense``/``sparse``/``lazy`` ids of ``tests/stores.py``),
+  block and discount;
+- the sweep reads the same per-group time histogram as the scalar
+  query, with the same expression, so sweeps are bit-identical too,
+  discounted or not;
 - consequently the greedy engines produce *identical traces* — seeds,
-  gains, evaluation counts, stop reasons — whether they run batched or
-  scalar (``block_size=1``);
+  gains, evaluation counts, stop reasons — whichever oracle path
+  answers them;
 - concurrent queries on one shared ensemble (per-call buffers) don't
   corrupt each other, and a discounted solve leaves no buffer behind.
 """
@@ -37,7 +36,7 @@ from repro.influence.deadlines import clip_deadline
 from repro.core.greedy import lazy_greedy, plain_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 
-from stores import STORES, build, dense_rows, gemm_utilities
+from stores import STORES, build, dense_rows, gemm_utilities, world_totals
 
 DEADLINES = (2, 2.5, 20, math.inf)
 DISCOUNTS = (None, 0.8)
@@ -72,20 +71,20 @@ class TestBatchedUtilities:
             scalar = scalar_candidate_matrix(
                 ensemble, state, deadline, discount, width
             )
-            for block_size in (17, 64):  # ragged final block included
+            for chunk in (17, 64, width):  # ragged final block included
                 batch = np.vstack(
                     [
                         ensemble.candidate_group_utilities_batch(
                             state,
-                            range(start, min(start + block_size, width)),
+                            range(start, min(start + chunk, width)),
                             deadline,
                             discount,
                         )
-                        for start in range(0, width, block_size)
+                        for start in range(0, width, chunk)
                     ]
                 )
                 np.testing.assert_array_equal(
-                    batch, scalar, err_msg=f"{store} tau={deadline} B={block_size}"
+                    batch, scalar, err_msg=f"{store} tau={deadline} B={chunk}"
                 )
 
     def test_scattered_positions(self, ensembles, store):
@@ -189,9 +188,7 @@ class TestDeadlineSweep:
         )
 
     def test_discounted_sweep_matches_scalar(self, ensembles, store):
-        # Discounted sweeps accumulate the histogram in float64 — more
-        # accurate than the scalar float32 GEMM, hence "allclose", not
-        # "array_equal" (see group_utilities_sweep docstring).
+        # Both weigh the same histogram by the same float64 expression.
         ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:4])
         deadlines = [1, 5, 20, math.inf]
@@ -203,17 +200,16 @@ class TestDeadlineSweep:
                     for deadline in deadlines
                 ]
             )
-            np.testing.assert_allclose(sweep, scalar, rtol=1e-5, atol=1e-5)
+            np.testing.assert_array_equal(sweep, scalar)
 
     def test_discount_one_equals_step_sweep(self, ensembles, store):
-        # gamma=1 recovers the step model mathematically; the step path
-        # mirrors the scalar float32 pipeline while gamma=1 accumulates
-        # in float64, so agreement is to float32 rounding.
+        # gamma=1 weighs every node activated by the deadline 1.0: its
+        # float64 sums are the step model's exact counts.
         ensemble = ensembles[store]
         state = ensemble.state_for(ensemble.candidate_labels[:4])
         step = ensemble.group_utilities_sweep(state, [2, 20])
         gamma_one = ensemble.group_utilities_sweep(state, [2, 20], discount=1.0)
-        np.testing.assert_allclose(gamma_one, step, rtol=1e-6)
+        np.testing.assert_array_equal(gamma_one, step)
 
     def test_sweep_rejects_bad_inputs(self, ensembles, store):
         ensemble = ensembles[store]
@@ -236,32 +232,54 @@ def assert_traces_identical(a, b):
         np.testing.assert_array_equal(step_a.group_utilities, step_b.group_utilities)
 
 
+class SwappedOracle:
+    """An ensemble whose two candidate oracles trade places: batched
+    queries are answered by stacked scalar calls and scalar queries by
+    one-row batches.  Every other attribute is the ensemble's own."""
+
+    def __init__(self, ensemble):
+        self._ensemble = ensemble
+
+    def __getattr__(self, name):
+        return getattr(self._ensemble, name)
+
+    def candidate_group_utilities_batch(self, state, positions, deadline, discount=None):
+        return np.stack(
+            [
+                self._ensemble.candidate_group_utilities(state, int(p), deadline, discount)
+                for p in positions
+            ]
+        )
+
+    def candidate_group_utilities(self, state, position, deadline, discount=None):
+        return self._ensemble.candidate_group_utilities_batch(
+            state, [position], deadline, discount
+        )[0]
+
+
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
 def test_batched_celf_trace_equals_scalar(ensembles, store, discount):
-    """block_size=1 runs the pre-oracle scalar path; traces must match."""
+    """CELF's batched rounds and scalar re-scores, each served by the
+    other oracle path, give the same trace — evaluations included."""
     ensemble = ensembles[store]
     objective = TotalInfluenceObjective()
-    batched = lazy_greedy(
-        ensemble, objective, deadline=20, max_seeds=5, discount=discount,
-        block_size=64,
-    )
-    scalar = lazy_greedy(
-        ensemble, objective, deadline=20, max_seeds=5, discount=discount,
-        block_size=1,
+    batched, scalar = (
+        lazy_greedy(estimator, objective, deadline=20, max_seeds=5, discount=discount)
+        for estimator in (ensemble, SwappedOracle(ensemble))
     )
     assert_traces_identical(batched, scalar)
 
 
 @pytest.mark.parametrize("store", STORES)
 def test_batched_plain_greedy_trace_equals_scalar(ensembles, store):
+    """Plain greedy scores through the scalar oracle; served by one-row
+    batches instead, its trace is the same."""
     ensemble = ensembles[store]
     objective = ConcaveSumObjective()
-    batched = plain_greedy(
-        ensemble, objective, deadline=20, max_seeds=4, block_size=32
-    )
-    scalar = plain_greedy(
-        ensemble, objective, deadline=20, max_seeds=4, block_size=1
+    scalar, batched = (
+        plain_greedy(estimator, objective, deadline=20, max_seeds=4)
+        for estimator in (ensemble, SwappedOracle(ensemble))
     )
     assert_traces_identical(batched, scalar)
 
@@ -309,9 +327,9 @@ def test_empty_state_table_presence_by_backend(ensembles):
 
 
 def test_min_with_block_matches_min_with_per_backend():
-    """The discounted oracle's block fold, on the small bundled example:
-    row ``i`` weighs ``min(best, D[:, c_i, :])``, the candidate's dense
-    row folded into the state."""
+    """The discounted batched oracle on the small bundled example: row
+    ``i`` weighs ``min(best, D[:, c_i, :])``, the candidate's dense row
+    folded into the state, as the float64 brute reference does."""
     graph, assignment = illustrative_graph()
     for store in STORES:
         ensemble = build(graph, assignment, store, n_worlds=40, seed=3)
@@ -323,21 +341,20 @@ def test_min_with_block_matches_min_with_per_backend():
         )
         for row, position in zip(batch, positions):
             folded = np.minimum(state.best_time, rows[:, position, :])
-            np.testing.assert_array_equal(
+            np.testing.assert_allclose(
                 row,
                 gemm_utilities(ensemble, folded, 3, 0.5),
+                rtol=1e-12,
                 err_msg=f"{store} position {position}",
             )
 
 
 def test_discounted_solve_keeps_no_buffers():
-    """The discounted oracle's ``(B, R, n)`` block lives only as long as
-    its call: after a whole discounted solve, traced memory is back
-    within 1 MiB of where it started (one 64-row block here is ~4 MiB)."""
+    """The discounted oracle's gathered entries live only as long as its
+    call: after a whole discounted solve, traced memory is back within
+    1 MiB of where it started."""
     graph, assignment = default_synthetic(seed=0)
     ensemble = WorldEnsemble(graph, assignment, n_worlds=20, seed=7)
-    block = 64 * ensemble.n_worlds * ensemble.n * 6  # uint8 + bool + float32
-    assert block > 2 * 2**20
     objective = TotalInfluenceObjective()
     gc.collect()
     tracemalloc.start()
@@ -524,18 +541,15 @@ def test_concurrent_scalar_queries_share_one_reach_index():
 def test_standard_errors_step_unchanged_and_discount_supported(ensembles):
     ensemble = ensembles["dense"]
     state = ensemble.state_for(ensemble.candidate_labels[:3])
-    # Pre-dedup formula, reproduced verbatim.
-    cutoff = 20
-    active = (state.best_time <= cutoff).astype(np.float32)
-    per_world = active @ ensemble._masks_f
-    legacy = per_world.std(axis=0, ddof=1).astype(np.float64) / math.sqrt(
-        ensemble.n_worlds
-    )
-    np.testing.assert_array_equal(ensemble.standard_errors(state, 20), legacy)
-    # Discounted errors: well-defined, non-negative, and no larger than
-    # the step-model errors per world (weights are <= the step weights).
-    discounted = ensemble.standard_errors(state, 20, discount=0.5)
-    assert (discounted >= 0).all()
-    assert discounted.shape == legacy.shape
+    # The float64 brute reference: per-world group totals of the state's
+    # weighted activation times, their sample deviation over sqrt(R).
+    for discount in (None, 0.5):
+        per_world = world_totals(ensemble, state.best_time, 20, discount)
+        want = per_world.std(axis=0, ddof=1) / math.sqrt(ensemble.n_worlds)
+        got = ensemble.standard_errors(state, 20, discount=discount)
+        if discount is None:  # exact integer totals: the same bits
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
     with pytest.raises(EstimationError, match="discount"):
         ensemble.standard_errors(state, 20, discount=2.0)

@@ -14,8 +14,8 @@ These verify the mathematical structure everything rests on:
 - CELF lazy greedy and plain greedy make bit-identical selections —
   seeds, gains, utilities, objective values and stop reasons — on
   random SBMs under every step-model objective family, deadline and
-  quota stop, on both the world ensemble and the RR-set estimator
-  (discounted runs: up to a float32 near-tie);
+  quota stop, on both the world ensemble and the RR-set estimator, and
+  under a time discount;
 - a stale per-group marginal vector bounds the current gain from above
   (up to the tie tolerance), which is what makes CELF's re-bounds sound;
 - the marginal counts a world-ensemble state keeps (``add_seed``
@@ -23,6 +23,9 @@ These verify the mathematical structure everything rests on:
   from-scratch recount at every step, and the batched rows read from
   them — like the RR estimator's batched rows — equal the scalar
   oracle's rows bit for bit;
+- discounted queries (float64 sums) agree bit for bit on every query
+  path, within 1e-12 of a float64 brute reference, and ``discount=1``
+  is the step model bit for bit;
 - every objective's row-wise ``values`` equals its scalar ``value`` on
   each row bit for bit, so CELF's batched re-bounds and its scalar
   oracle gains are the same arithmetic;
@@ -63,7 +66,7 @@ from repro.influence.exact import exact_utility
 from repro.influence.rrsets import RRSetEstimator
 from repro.influence.utility import disparity
 
-from stores import STORES, build, chunking, dense_rows, gemm_utilities
+from stores import STORES, build, chunking, dense_rows, gemm_utilities, world_totals
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +264,7 @@ def _objective(name, estimator):
         "log": (ConcaveSumObjective(concave=log1p), None),
         "sqrt": (ConcaveSumObjective(concave=sqrt), None),
         "discount": (TotalInfluenceObjective(), 0.8),
+        "discount-log": (ConcaveSumObjective(concave=log1p), 0.9),
     }[name]
 
 
@@ -268,19 +272,15 @@ class TestCelfMatchesPlain:
     """CELF's lazy re-evaluation is an exact shortcut: submodularity
     makes stale per-group marginals upper bounds, so skipping them never
     changes a selection; its exact rounds score every open candidate
-    from the state's marginal counts.  Plain greedy rescoring everything
-    through the scalar oracle (``block_size=1``, which shares no
-    marginal counts with the engine under test) is the reference.
+    from the state's marginal counts.  Plain greedy rescoring every
+    open candidate through the scalar oracle (which shares no marginal
+    counts with the engine under test) is the reference.
 
-    Step-model utilities are exact counts divided once in float64, and
-    both engines break ties within ``GAIN_TOLERANCE`` to the lowest
-    position, so for every step-model objective the traces are equal
-    bit for bit.  Discounted utilities are float32 means: two
-    candidates whose gains tie in exact arithmetic can come out a few
-    float32 ulps apart, in either order depending on the seed set (e.g.
-    ``seed=7, n=10, p_hom=0.1, activation=0.1, discount, tau=1,
-    max_seeds=2``: gains 1.16000003 vs 1.16000018).  There the property
-    is bit-identity up to such a near-tie.
+    Every query path returns the same bits for the same seed set — exact
+    counts divided once for the step model, the same float64 sums for
+    discounted utilities — and both engines break ties within
+    ``GAIN_TOLERANCE`` to the lowest position, so the traces are equal
+    bit for bit for every objective, discounted ones included.
     """
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,7 +290,9 @@ class TestCelfMatchesPlain:
         p_hom=st.sampled_from([0.1, 0.3, 0.6]),
         activation=st.sampled_from([0.1, 0.3, 0.6]),
         kind=st.sampled_from(["worlds", "rrset"]),
-        objective_name=st.sampled_from(["coverage", "discount", "log", "sqrt", "total"]),
+        objective_name=st.sampled_from(
+            ["coverage", "discount", "discount-log", "log", "sqrt", "total"]
+        ),
         tau=st.sampled_from([0, 1, 2, 3, math.inf]),
         quota=st.none() | st.sampled_from([0.1, 0.3, 0.6]),
         max_seeds=st.integers(1, 8),
@@ -299,7 +301,7 @@ class TestCelfMatchesPlain:
         self, seed, n, p_hom, activation, kind, objective_name, tau, quota, max_seeds
     ):
         # RR sets record reachability, not activation times: no discount.
-        assume(not (kind == "rrset" and objective_name == "discount"))
+        assume(not (kind == "rrset" and objective_name.startswith("discount")))
         estimator = _sbm_estimator(kind, seed, n, p_hom, activation)
         objective, discount = _objective(objective_name, estimator)
         population = float(estimator.group_sizes.sum())
@@ -316,16 +318,10 @@ class TestCelfMatchesPlain:
                 max_seeds=max_seeds,
                 stop=stop,
                 discount=discount,
-                block_size=block_size,
             )
-            for engine, block_size in ((lazy_greedy, 64), (plain_greedy, 1))
+            for engine in (lazy_greedy, plain_greedy)
         )
         for ours, reference in zip(celf.steps, plain.steps):
-            if discount is not None and ours.position != reference.position:
-                # float32 eps is 1.2e-7 and utilities reach n <= 40, so a
-                # few ulps of the largest utility stay below 1e-5.
-                assert ours.gain == pytest.approx(reference.gain, rel=1e-5, abs=1e-5)
-                return
             assert ours.position == reference.position
             assert (ours.gain, ours.objective_value) == (
                 reference.gain,
@@ -528,13 +524,14 @@ def _random_index_ensemble(seed: int, n: int, store: str = "dense") -> WorldEnse
 
 
 class TestReachIndexOracle:
-    """Every query reads the reach index: the step-model oracle scores a
-    candidate from its own finite entries and the state's histogram,
-    discounted queries lower a copy of the state at its entries.  Every
-    path must equal the brute reference — fold the candidate's dense
-    ``(R, n)`` rows (scipy's BFS per world), weight, float32 GEMM — bit
-    for bit, and ``add_seed``'s sparse update must leave the same state
-    a full fold plus a fresh histogram would."""
+    """Every query reads the reach index: a candidate is scored from its
+    own finite entries and the state's histogram (step-model counts or
+    discounted float64 weights).  Every path must equal the brute
+    reference — fold the candidate's dense ``(R, n)`` rows (scipy's BFS
+    per world), weight, float64 GEMM — bit for bit in the step model and
+    within 1e-12 under a discount, where the query paths still agree
+    with each other bit for bit; ``add_seed``'s sparse update must leave
+    the same state a full fold plus a fresh histogram would."""
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -568,7 +565,7 @@ class TestReachIndexOracle:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 24),
-        discount=st.sampled_from([None, 0.8, 0.5, 1.0]),
+        discount=st.sampled_from([None, 0.8, 0.5, 1.0, 0.0]),
         data=st.data(),
     )
     def test_every_query_path_equals_gemm(self, seed, n, discount, data):
@@ -579,6 +576,12 @@ class TestReachIndexOracle:
         positions = data.draw(st.lists(st.sampled_from(candidates), max_size=10))
         deadline = data.draw(st.sampled_from([0, 1, 2, 3, math.inf]))
         cutoff = min(deadline, 254)
+        if discount is None:
+            def check(got, want):
+                np.testing.assert_array_equal(got, want)
+        else:
+            def check(got, want):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         best = np.full((ensemble.n_worlds, ensemble.n), 255, dtype=np.uint8)
         for position in seeds:
             best = np.minimum(best, rows[:, position, :])
@@ -588,45 +591,69 @@ class TestReachIndexOracle:
             ensemble.add_seed(added, position)
         for state in (built, added):
             np.testing.assert_array_equal(state.best_time, best)
-            np.testing.assert_array_equal(
-                ensemble.group_utilities(state, deadline, discount),
-                gemm_utilities(ensemble, best, cutoff, discount),
-            )
-            folded = [np.minimum(best, rows[:, p, :]) for p in positions]
-            want = [gemm_utilities(ensemble, times, cutoff, discount) for times in folded]
+            utilities = ensemble.group_utilities(state, deadline, discount)
+            check(utilities, gemm_utilities(ensemble, best, cutoff, discount))
             batch = ensemble.candidate_group_utilities_batch(
                 state, positions, deadline, discount
             )
             assert batch.shape == (len(positions), len(ensemble.group_names))
-            for position, row, expected in zip(positions, batch, want):
-                np.testing.assert_array_equal(row, expected)
+            for position, row in zip(positions, batch):
+                folded = np.minimum(best, rows[:, position, :])
+                check(row, gemm_utilities(ensemble, folded, cutoff, discount))
                 np.testing.assert_array_equal(
                     ensemble.candidate_group_utilities(state, position, deadline, discount),
-                    expected,
+                    row,
                 )
             sweep = ensemble.group_utilities_sweep(state, [deadline, 0, 4], discount)
-            expected = [
-                gemm_utilities(ensemble, best, min(d, 254), discount) for d in (deadline, 0, 4)
-            ]
-            if discount is None:
-                np.testing.assert_array_equal(sweep, np.stack(expected))
-            else:  # the sweep weighs the histogram in float64
-                np.testing.assert_allclose(sweep, np.stack(expected), rtol=1e-6, atol=1e-9)
-            weights = np.zeros(best.shape, dtype=np.float32)
-            np.power(
-                np.float32(1.0 if discount is None else discount),
-                best,
-                out=weights,
-                where=best <= cutoff,
-                dtype=np.float32,
-            )
-            masks = ensemble.assignment.masks(ensemble.graph).T.astype(np.float32)
-            per_world = weights @ masks
-            np.testing.assert_array_equal(
+            np.testing.assert_array_equal(sweep[0], utilities)
+            for row, d in zip(sweep, (deadline, 0, 4)):
+                check(row, gemm_utilities(ensemble, best, min(d, 254), discount))
+            per_world = world_totals(ensemble, best, cutoff, discount)
+            check(
                 ensemble.standard_errors(state, deadline, discount),
-                per_world.std(axis=0, ddof=1).astype(np.float64)
-                / math.sqrt(ensemble.n_worlds),
+                per_world.std(axis=0, ddof=1) / math.sqrt(ensemble.n_worlds),
             )
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 24),
+        data=st.data(),
+    )
+    def test_discount_one_is_the_step_model(self, seed, n, data):
+        """``gamma = 1`` weighs every node activated by the deadline 1: its
+        float64 sums are the step model's exact counts, so every query
+        path — and a whole CELF solve, up to its evaluation count —
+        returns the step model's bits."""
+        ensemble = _random_index_ensemble(seed, n)
+        candidates = range(ensemble.n_candidates)
+        seeds = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4))
+        positions = data.draw(st.lists(st.sampled_from(candidates), max_size=10))
+        deadline = data.draw(st.sampled_from([0, 1, 2, 3, math.inf]))
+        state = ensemble.state_for([ensemble.label(p) for p in seeds])
+        for query in (
+            lambda d: ensemble.group_utilities(state, deadline, d),
+            lambda d: ensemble.candidate_group_utilities_batch(state, positions, deadline, d),
+            lambda d: [
+                ensemble.candidate_group_utilities(state, p, deadline, d) for p in positions
+            ],
+            lambda d: ensemble.group_utilities_sweep(state, [deadline, 0, 4], d),
+            lambda d: ensemble.standard_errors(state, deadline, d),
+        ):
+            np.testing.assert_array_equal(query(1.0), query(None))
+        objective = ConcaveSumObjective(concave=log1p)
+        step, gamma_one = (
+            lazy_greedy(ensemble, objective, deadline, max_seeds=4, discount=d)
+            for d in (None, 1.0)
+        )
+        assert step.stopped_reason == gamma_one.stopped_reason
+        assert [
+            (s.position, s.gain, s.objective_value, s.group_utilities.tolist())
+            for s in step.steps
+        ] == [
+            (s.position, s.gain, s.objective_value, s.group_utilities.tolist())
+            for s in gamma_one.steps
+        ]
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -674,7 +701,7 @@ def _recounted_marginals(ensemble, state, cutoff):
     reaches by ``cutoff`` that ``state`` does not, counted per group."""
     rows = dense_rows(ensemble)
     missing = state.best_time > cutoff
-    groups = ensemble._masks_bool.astype(np.int64)  # (k, n)
+    groups = ensemble.assignment.masks(ensemble.graph).astype(np.int64)  # (k, n)
     return np.stack(
         [
             ((rows[:, c, :] <= cutoff) & missing).sum(axis=0) @ groups.T
@@ -740,7 +767,7 @@ class TestMarginalCounts:
         )
 
     def test_none_without_exact_counts(self):
-        # Discounted utilities are float32 weights, not counts.
+        # Discounted utilities are float64 weights, not counts.
         ensemble = _random_index_ensemble(3, 24)
         assert ensemble.marginal_counts(ensemble.empty_state(), 2, discount=0.9) is None
         assert ensemble.marginal_counts(ensemble.empty_state(), 2) is not None
