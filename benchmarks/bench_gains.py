@@ -292,7 +292,7 @@ def test_scalar_oracle_index_vs_dense_rows(ensemble):
     np.testing.assert_array_equal(np.stack(index_pass()), np.stack(dense_pass()))
     index_us = best_of(index_pass) / ensemble.n_candidates * 1e6
     dense_us = best_of(dense_pass) / ensemble.n_candidates * 1e6
-    reach = ensemble._reach
+    reach = ensemble._oracle.reach
     record_bench(
         "scalar_oracle",
         {

@@ -11,6 +11,7 @@ estimate of the same seed set.  The measured numbers are committed to
 """
 
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,7 @@ def test_rrset_vs_worlds_record(dataset, ensemble, rr_estimator):
     record_bench(
         "rrset_vs_worlds",
         {
+            "cpu_count": os.cpu_count(),
             "graph": {
                 "dataset": "default_synthetic(seed=0)",
                 "nodes": graph.number_of_nodes(),

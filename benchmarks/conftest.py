@@ -8,6 +8,8 @@ checks — the qualitative claims of the paper — still hold.
 :func:`record_bench` merges measured numbers into a results JSON next
 to the benchmarks (``BENCH_solvers.json`` for the solver/gain-oracle
 suite) so speedups are committed alongside the code that claims them.
+A run with ``--benchmark-disable`` (every CI smoke step) measures
+nothing worth committing, so it writes nothing.
 """
 
 from __future__ import annotations
@@ -23,9 +25,20 @@ from repro.experiments.registry import run_experiment
 
 SOLVER_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_solvers.json"
 
+#: The running session's config, kept for :func:`record_bench`.
+_config = None
+
+
+def pytest_configure(config) -> None:
+    global _config
+    _config = config
+
 
 def record_bench(section: str, payload, path: Path = SOLVER_RESULTS_PATH) -> None:
-    """Merge one section of measured results into a bench JSON file."""
+    """Merge one section of measured results into a bench JSON file,
+    unless pytest-benchmark is disabled (``--benchmark-disable``)."""
+    if _config is not None and _config.getoption("benchmark_disable"):
+        return
     results = {}
     if path.exists():
         results = json.loads(path.read_text())

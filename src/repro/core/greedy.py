@@ -20,15 +20,15 @@ saying whether the key is this round's oracle gain.  A round runs one
 of two ways, chosen from what the estimator offers, not by a knob:
 
 - **Exact rounds.**  When the estimator keeps every candidate's exact
-  per-group marginal counts on its state (``marginal_counts``: a world
-  ensemble under the step model — ``add_seed`` keeps them
-  exact, the coverage structure behind CELF and RIS greedy), each
-  round after a pick scores every open candidate with one batched
+  per-group marginal counts on its state (``marginal_counts``: the
+  world ensemble and the RR-set estimator under the step model —
+  ``add_seed`` keeps them exact through the reach index's transpose),
+  each round after a pick scores every open candidate with one batched
   call, O(k) per row, and marks every key fresh.  The pick is then
   read straight from exact gains — plain greedy's rule on plain
   greedy's rows — and ``evaluations`` counts the rows scored, as
   :func:`plain_greedy` reports.
-- **Bound rounds** (RR sets, discounted utilities), below.
+- **Bound rounds** (discounted utilities, which are not counts), below.
 
 Either way the first round scores every candidate in one
 ``candidate_group_utilities_batch`` call.

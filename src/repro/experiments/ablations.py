@@ -4,9 +4,8 @@
   power wrappers alpha in {1, .75, .5, .25} plus log, on the default
   synthetic dataset.  Validates the curvature story quantitatively.
 - **abl_celf** — CELF vs plain greedy: identical seed sets; far fewer
-  utility evaluations where CELF runs bound rounds (discounted
-  utilities), and no more where it scores exact rounds from the
-  state's marginal counts.
+  utility evaluations in bound rounds (discounted solves only), and no
+  more where it scores exact rounds from the state's marginal counts.
 - **abl_samples** — estimate stability vs world count R: the estimated
   fraction for a fixed seed set across independent ensembles.
 - **abl_lt** — the P1-vs-P4 comparison under the Linear Threshold
@@ -86,11 +85,11 @@ def run_abl_h(quick: bool = False, seed: int = 0) -> ExperimentResult:
 def run_abl_celf(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """CELF vs plain greedy: same seeds; fewer evaluations in bound rounds.
 
-    On the step model a world ensemble with a reach index keeps every
-    candidate's exact marginal counts, so CELF scores each round exactly
-    (as many evaluations as plain greedy, O(k) each).  Discounted
-    utilities have no such counts: there CELF runs bound rounds and its
-    lazy re-evaluation saves oracle calls.
+    On the step model both estimators keep every candidate's exact
+    marginal counts on the reach index, so CELF scores each round
+    exactly (as many evaluations as plain greedy, O(k) each).  Bound
+    rounds now run only for discounted solves, whose utilities are not
+    counts: there CELF's lazy re-evaluation saves oracle calls.
     """
     graph, assignment = default_synthetic(seed=seed)
     n_worlds = 40 if quick else 100

@@ -119,8 +119,8 @@ PAPER_EXPECTATIONS: Dict[str, str] = {
     ),
     "abl_celf": (
         "Design ablation: CELF returns the plain-greedy solution (soundness "
-        "relies on submodularity); where it runs bound rounds (discounted "
-        "utilities) it needs far fewer utility evaluations, and with exact "
+        "relies on submodularity); in bound rounds, which only discounted "
+        "solves run, it needs far fewer utility evaluations, and with exact "
         "marginal counts each round scores every candidate in O(k)."
     ),
     "abl_samples": (

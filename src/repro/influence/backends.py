@@ -16,7 +16,8 @@ repair touches.
 estimator — the world ensemble, the RR-set estimator or any other —
 satisfies, which is what the greedy/budget/cover layers are typed
 against; :func:`batch_gains` is the shared body of their
-``candidate_gains_batch``.  The remaining helpers are the small array
+``candidate_gains_batch`` and :func:`check_position` their candidate
+check.  The remaining helpers are the small array
 primitives the index and the repair layer share.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import (
     Any,
+    Collection,
     Dict,
     Hashable,
     Iterable,
@@ -39,6 +41,7 @@ from typing import (
 import numpy as np
 
 from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld
+from repro.errors import EstimationError
 from repro.graph.digraph import NodeId
 
 
@@ -205,25 +208,25 @@ def bfs_rows(
 class UtilityEstimator(Protocol):
     """What the solvers need from an influence estimator.
 
-    :class:`~repro.influence.ensemble.WorldEnsemble` satisfies this from
-    its reach index, and
-    :class:`~repro.influence.rrsets.RRSetEstimator` satisfies it from
-    group-tagged RR sets — both plug into ``lazy_greedy`` /
-    ``plain_greedy`` / the budget and cover solvers unchanged, as can
-    any further estimator implementing the same surface.  The batched
-    oracle (``candidate_group_utilities_batch``) and the deadline sweep
-    (``group_utilities_sweep``) are required: the greedy engines and
-    sweep helpers call them directly.  ``candidate_gains_batch`` turns
-    a batch into objective gains (:func:`batch_gains` is the shared
-    body).  An estimator may also offer ``marginal_counts(state,
-    deadline, discount)`` — every candidate's exact marginal counts,
-    kept by ``add_seed`` (see
-    :meth:`~repro.influence.ensemble.WorldEnsemble.marginal_counts`) —
-    and ``lazy_greedy`` then scores whole rounds exactly instead of
-    re-bounding.  CELF's per-group bounds assume what the paper's
-    estimators guarantee: every group utility is monotone submodular in
-    the seed set, and step-model utilities are exact (the same float64
-    bits on every query path).
+    :class:`~repro.influence.ensemble.WorldEnsemble` (live-edge worlds)
+    and :class:`~repro.influence.rrsets.RRSetEstimator` (group-tagged RR
+    sets) satisfy it from reach indexes through one
+    :class:`~repro.influence.ensemble.ReachOracle` — both plug into
+    ``lazy_greedy`` / ``plain_greedy`` / the budget and cover solvers
+    unchanged, as can any further estimator implementing the same
+    surface.  The batched oracle (``candidate_group_utilities_batch``)
+    and the deadline sweep (``group_utilities_sweep``) are required:
+    the greedy engines and sweep helpers call them directly.
+    ``candidate_gains_batch`` turns a batch into objective gains
+    (:func:`batch_gains` is the shared body).  An estimator may also
+    offer ``marginal_counts(state, deadline, discount)`` — every
+    candidate's exact marginal counts, kept by ``add_seed``, or
+    ``None`` where utilities are not counts — and ``lazy_greedy`` then
+    scores whole rounds exactly instead of re-bounding; both shipped
+    estimators do under the step model.  CELF's per-group bounds assume
+    what the paper's estimators guarantee: every group utility is
+    monotone submodular in the seed set, and step-model utilities are
+    exact (the same float64 bits on every query path).
     """
 
     group_names: List[Hashable]
@@ -288,6 +291,25 @@ class UtilityEstimator(Protocol):
     ) -> np.ndarray: ...
 
     def memory_bytes(self) -> int: ...
+
+
+def check_position(
+    estimator: UtilityEstimator, position: int, seeds: Collection[int] = ()
+) -> int:
+    """``position`` as an ``int``; raises :class:`~repro.errors.
+    EstimationError` unless it names a candidate of ``estimator`` that
+    is not already among the positions ``seeds``."""
+    position = int(position)
+    if not 0 <= position < estimator.n_candidates:
+        raise EstimationError(
+            f"candidate position {position} out of range "
+            f"[0, {estimator.n_candidates})"
+        )
+    if position in seeds:
+        raise EstimationError(
+            f"candidate {estimator.label(position)!r} is already a seed"
+        )
+    return position
 
 
 def batch_gains(

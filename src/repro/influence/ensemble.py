@@ -16,7 +16,10 @@ live-edge worlds only a fraction of a percent of ``D`` is finite, so
 ``D`` is never stored: the ensemble's one store is a candidate-major
 **reach index** holding each candidate's finite entries ``(r * n + v,
 time, group)``, emitted straight by the frontier BFS
-(:func:`~repro.influence.backends.bfs_rows`).  For the step model:
+(:func:`~repro.influence.backends.bfs_rows`).  States and queries over
+it live in :class:`ReachOracle`, which every RR pool of
+:class:`~repro.influence.rrsets.RRSetEstimator` shares.  For the step
+model:
 
 - adding a seed lowers ``best`` and moves histogram bins at the
   candidate's own entries only — O(entries of ``c``);
@@ -50,7 +53,7 @@ never beat the serial path on the measured workloads (see
 ``docs/PERFORMANCE.md``).
 Concurrent queries on one shared ensemble (``repro serve --threads``)
 are safe — every buffer a query writes is its own, and a repair swaps in
-a patched reach index with one assignment.
+the oracle of a patched reach index with one assignment.
 
 This estimator is unbiased for Eq. 1 for every ``tau``
 simultaneously, which is what lets one ensemble serve a whole
@@ -99,6 +102,7 @@ from repro.diffusion.worlds import (
 from repro.influence.backends import (
     batch_gains,
     bfs_rows,
+    check_position,
     compact_uint,
     concat_ranges,
     flat_index_dtype,
@@ -110,31 +114,33 @@ from repro.rng import RngLike, ensure_rng
 
 @dataclass
 class InfluenceState:
-    """Incremental evaluation state for one growing seed set.
+    """Incremental evaluation state for one growing seed set over one
+    reach index (see :class:`ReachOracle`).
 
-    ``best_time[r, v]`` is the earliest activation time of node ``v``
-    in world ``r`` under the current seeds (``UNREACHABLE`` if none).
+    ``best_time[r, v]`` is the earliest activation time of cell ``v``
+    of row ``r`` under the current seeds (``UNREACHABLE`` if none): node
+    ``v`` of world ``r`` in a world ensemble, RR set ``v`` (time 0 once
+    covered) in an RR pool.
 
     ``time_hist`` is the state's per-group activation-time histogram
     (``(k, 256)`` int64, finite times only): ``time_hist[g, t]`` counts,
-    over all worlds, the nodes of group ``g`` first activated at ``t``.
-    ``WorldEnsemble.empty_state`` starts it at zero and
-    ``WorldEnsemble.add_seed`` keeps it up to date, so step-model
-    utilities and deadline sweeps never rescan the ``(R, n)`` state.
-    ``None`` (e.g. after ``state_for``) means "not built yet": the
-    first query that needs it bincounts ``best_time`` once.
+    over all cells, those of group ``g`` first activated at ``t``.
+    ``ReachOracle.empty_state`` starts it at zero and
+    ``ReachOracle.add_seed`` keeps it up to date, so step-model
+    utilities and deadline sweeps never rescan the state.  ``None``
+    (after ``ReachOracle.state_for``) means "not built yet": the first
+    query that needs it bincounts ``best_time`` once.
 
     ``counts`` caches ``(cutoff, per-group activated totals)`` — the
     histogram's cumulative sum at one cutoff — until the next
     ``add_seed``.
 
     ``marginals`` is ``(cutoff, M)`` with ``M`` an int64 ``(C, k)``
-    array: ``M[c, g]`` counts, over all worlds, the group-``g`` nodes
-    candidate ``c`` reaches by ``cutoff`` that the state does not —
-    every candidate's exact marginal counts.  The first step-model
-    batched query at a cutoff builds it (see
-    :meth:`WorldEnsemble.marginal_counts`); ``add_seed`` then keeps it
-    exact in place.
+    array: ``M[c, g]`` counts the group-``g`` cells candidate ``c``
+    reaches by ``cutoff`` that the state does not — every candidate's
+    exact marginal counts.  The first step-model batched query at a
+    cutoff builds it (see :meth:`ReachOracle.marginals`); ``add_seed``
+    then keeps it exact in place.
     """
 
     best_time: np.ndarray
@@ -261,6 +267,278 @@ def assemble_reach(
     return _ReachIndex(
         offsets, flat, time, group, table, starts, code[order], time[order]
     )
+
+
+class ReachOracle:
+    """Seed-set states and utility queries over one reach index.
+
+    The index's cells are ``row * width + col``, and a cell's group is
+    ``col_group[col]``: a world ensemble's ``R x n`` (world, node)
+    cells are grouped by node, and an RR pool
+    (:class:`~repro.influence.rrsets.RRSetEstimator`) is one row of
+    ``theta`` sets, each reached at time 0 by its members and grouped by
+    its target.  Both estimators hold oracles by composition.  Answers
+    are exact int64 counts of activated cells or, given per-time
+    ``weights``, float64 weighted totals; the world ensemble divides
+    them by ``R`` and an RR pool multiplies them by ``n / theta``.
+    A single position is trusted (the estimators validate it; a block
+    is checked by :meth:`rows`), and an oracle never changes: a repair
+    swaps in a new one.
+    """
+
+    def __init__(self, reach: _ReachIndex, col_group: np.ndarray, k: int) -> None:
+        self.reach = reach
+        self.col_group = col_group
+        self.k = k
+
+    def empty_state(self) -> InfluenceState:
+        """State of the empty seed set (with its all-zero histogram)."""
+        width = self.col_group.size
+        rows = (self.reach.node_starts.size - 1) // width
+        return InfluenceState(
+            best_time=np.full((rows, width), UNREACHABLE, dtype=np.uint8),
+            time_hist=np.zeros((self.k, 256), dtype=np.int64),
+        )
+
+    def state_for(self, positions: List[int]) -> InfluenceState:
+        """State of distinct seeds ``positions``: one scatter-minimum of
+        their entries.  ``uint8`` minimum is exact, so the state is
+        bit-identical to one :meth:`add_seed` per seed; its histogram
+        is built on first use."""
+        state = self.empty_state()
+        if positions:
+            reach = self.reach
+            at, _ = reach.gather(np.asarray(positions, dtype=np.int64))
+            np.minimum.at(state.best_time.reshape(-1), reach.flat[at], reach.time[at])
+            state.seed_positions.extend(positions)
+            state.time_hist = None
+        return state
+
+    def add_seed(self, state: InfluenceState, position: int) -> None:
+        """Mutate ``state`` to include candidate ``position`` as a seed.
+
+        Only the candidate's own index entries are visited:
+        ``best_time`` is lowered there, and the state's histogram (when
+        it has one) moves exactly those entries between bins — integer
+        moves, bit-identical to a full rebuild.  When the state keeps
+        marginal counts, every candidate that reaches a newly activated
+        cell by the cutoff loses that cell: the cells' ranges of the
+        index transpose are read and subtracted in one bincount, so
+        over a whole solve each entry is retired at most once.
+        """
+        reach = self.reach
+        flat, times, groups = reach.entries(position)
+        best = state.best_time.reshape(-1)  # a view: states are contiguous
+        previous = best[flat]
+        if state.marginals is not None:
+            self._retire_marginals(state.marginals, flat, times, previous)
+        lower = times < previous
+        times = times[lower]
+        best[flat[lower]] = times
+        if state.time_hist is not None:
+            self._move_hist(state.time_hist, groups[lower], previous[lower], times)
+        state.seed_positions.append(position)
+        state.counts = None
+
+    def _retire_marginals(
+        self,
+        marginals: Tuple[int, np.ndarray],
+        flat: np.ndarray,
+        times: np.ndarray,
+        previous: np.ndarray,
+    ) -> None:
+        """Update ``M`` for a seed whose entries are ``(flat, times)``,
+        with the state's times there before it was added.
+
+        A cell the seed reaches by the cutoff that the state did not
+        (``time <= cutoff < previous``) stops being a marginal gain for
+        every candidate reaching it by the cutoff, the seed included.
+        """
+        cutoff, counts = marginals
+        limit = np.uint8(cutoff)
+        newly = np.less_equal(times, limit)
+        newly &= np.greater(previous, limit)
+        cells = flat[newly]
+        if not cells.size:
+            return
+        reach = self.reach
+        at = concat_ranges(reach.node_starts[cells], reach.node_starts[cells + 1])
+        codes = reach.node_code[at][reach.node_time[at] <= limit]
+        flat_counts = counts.reshape(-1)  # a view: ``M`` is contiguous
+        flat_counts -= np.bincount(codes, minlength=flat_counts.size)
+
+    @staticmethod
+    def _move_hist(
+        hist: np.ndarray,
+        groups: np.ndarray,
+        old_times: np.ndarray,
+        new_times: np.ndarray,
+    ) -> None:
+        """Move histogram counts for entries lowered from old to new times.
+
+        The old time's bin loses the cell and the new time's bin gains
+        it.  Newly reached cells come out of nowhere: their old time is
+        ``UNREACHABLE``, whose bin the histogram pins to zero (no cutoff
+        reaches it), so it is reset after the move.
+        """
+        codes = np.multiply(groups, 256, dtype=np.int64)
+        flat = hist.reshape(-1)
+        flat += np.bincount(codes + new_times, minlength=flat.size)
+        flat -= np.bincount(codes + old_times, minlength=flat.size)
+        hist[:, UNREACHABLE] = 0
+
+    def histogram(self, state: InfluenceState) -> np.ndarray:
+        """Activation-time histogram of the current seed set, ``(k, 256)``:
+        ``hist[g, t]`` counts the cells of group ``g`` activated at
+        exactly time ``t`` (the ``UNREACHABLE`` bin is pinned to zero).
+        Kept by :meth:`add_seed`, so only a ``state_for`` state's first
+        query pays for its one bincount over ``(group, time)`` codes.
+        """
+        if state.time_hist is not None:
+            return state.time_hist
+        group, best = self.col_group, state.best_time
+        finite = best != UNREACHABLE
+        if 4 * np.count_nonzero(finite) < finite.size:
+            # Sparse activation (the common live-edge regime): extract
+            # the few finite cells and bincount only those.
+            idx = np.flatnonzero(finite.ravel())
+            codes = group[idx % group.size] * 256 + best.ravel()[idx]
+        else:
+            # Dense activation: a full-array bincount beats extraction.
+            # The UNREACHABLE cells land in each group's bin 255, zeroed
+            # below (no cutoff ever reaches it — cutoffs are <= 254).
+            codes = (group * 256 + best).ravel()
+        hist = np.bincount(codes, minlength=self.k * 256).reshape(self.k, 256)
+        hist[:, UNREACHABLE] = 0
+        state.time_hist = hist
+        return hist
+
+    def counts(self, state: InfluenceState, cutoff: int) -> np.ndarray:
+        """Exact per-group counts of the cells activated by ``cutoff``:
+        the integer cumulative sum of the state's histogram, cached on
+        the state until the next :meth:`add_seed`.  Normalised once, it
+        gives the same float64 bits as any other exact count of the
+        same cells."""
+        cached = state.counts
+        if cached is not None and cached[0] == cutoff:
+            return cached[1]
+        counts = self.histogram(state)[:, : cutoff + 1].sum(axis=1)
+        state.counts = (cutoff, counts)
+        return counts
+
+    def totals(self, state: InfluenceState, weights: np.ndarray) -> np.ndarray:
+        """Per-group weighted totals of the seed set, ``sum_t hist[g, t]
+        * weights[t]`` — the one expression every discounted query of a
+        state reads, so they agree bit for bit."""
+        return (self.histogram(state) * weights).sum(axis=1)
+
+    def row(
+        self,
+        state: InfluenceState,
+        position: int,
+        cutoff: int,
+        weights: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Counts (or, with ``weights``, totals) of ``S + c`` without
+        mutation, over the candidate's own entries.
+
+        Step model: a cell is newly activated exactly when the candidate
+        reaches it by the cutoff and the state does not, so the row is
+        ``counts_S + bincount(group[newly])``.  Weighted: a cell's weight
+        becomes the larger of its weights under the state and under the
+        candidate, so the row is ``totals_S + bincount(group, max(0,
+        w[time] - w[best]))``, in float64.
+        """
+        flat, times, groups = self.reach.entries(position)
+        best = state.best_time.reshape(-1)[flat]
+        if weights is not None:
+            gains = weights[times] - weights[best]
+            np.maximum(gains, 0.0, out=gains)
+            totals = np.bincount(groups, weights=gains, minlength=self.k)
+            totals += self.totals(state, weights)
+            return totals
+        limit = np.uint8(cutoff)  # a uint8 scalar compares without casts
+        newly = np.less_equal(times, limit)
+        newly &= np.greater(best, limit)
+        counts = np.bincount(groups[newly], minlength=self.k)
+        counts += self.counts(state, cutoff)
+        return counts
+
+    def rows(
+        self,
+        state: InfluenceState,
+        positions: Sequence[int],
+        cutoff: int,
+        weights: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`row` for a whole block of candidate positions (checked
+        here), ``(len(positions), k)``, each row bit-identical to the
+        scalar one.  Step model: row ``c`` is ``M[c] + counts_S`` from
+        the state's marginal counts (:meth:`marginals`), O(k) a row.
+        Weighted: every entry's weight gain over the state is added into
+        its row's group bin by one ``bincount``, O(entries of the
+        block); a bin receives its entries in the scalar path's order.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.ndim != 1:
+            raise EstimationError(
+                f"positions must be one-dimensional, got shape {positions.shape}"
+            )
+        n_candidates, k = self.reach.offsets.size - 1, self.k
+        if positions.size == 0:
+            return np.empty((0, k), dtype=np.int64)
+        bad = (positions < 0) | (positions >= n_candidates)
+        if bad.any():
+            raise EstimationError(
+                f"candidate positions out of range [0, {n_candidates}): "
+                f"{positions[bad]}"
+            )
+        if weights is None:
+            counts = self.marginals(state, cutoff)[positions]
+            counts += self.counts(state, cutoff)
+            return counts
+        reach = self.reach
+        at, sizes = reach.gather(positions)
+        gains = weights[reach.time[at]] - weights[state.best_time.reshape(-1)[reach.flat[at]]]
+        np.maximum(gains, 0.0, out=gains)
+        codes = np.repeat(np.arange(0, positions.size * k, k, dtype=np.int64), sizes)
+        codes += reach.group[at]
+        totals = np.bincount(codes, weights=gains, minlength=positions.size * k)
+        totals = totals.reshape(positions.size, k)
+        totals += self.totals(state, weights)
+        return totals
+
+    def marginals(self, state: InfluenceState, cutoff: int) -> np.ndarray:
+        """The state's exact marginal counts ``M`` at ``cutoff``, cached
+        on it (the state's own array: read it, do not write it).
+
+        ``M[c, g]`` counts the group-``g`` cells candidate ``c`` reaches
+        by the cutoff that the state does not, so ``M[c] + counts_S`` is
+        ``S + c``'s row.  The empty state's ``M`` is the gain table's
+        column at the cutoff; any other state's is one masked bincount
+        over every index entry that reaches its cell by the cutoff while
+        the state does not.  :meth:`add_seed` then keeps it exact.
+        """
+        cached = state.marginals
+        if cached is not None and cached[0] == cutoff:
+            return cached[1]
+        reach, k = self.reach, self.k
+        n_candidates = reach.offsets.size - 1
+        if state.seed_positions:
+            limit = np.uint8(cutoff)
+            live = np.less_equal(reach.time, limit)
+            live &= np.greater(state.best_time.reshape(-1)[reach.flat], limit)
+            owner = np.repeat(
+                np.arange(n_candidates, dtype=np.int64), np.diff(reach.offsets)
+            )
+            codes = owner[live] * k + reach.group[live]
+            counts = np.bincount(codes, minlength=n_candidates * k)
+            counts = counts.reshape(n_candidates, k)
+        else:
+            last = reach.table.shape[2] - 1
+            counts = reach.table[:, :, min(cutoff, last)].astype(np.int64)
+        state.marginals = (cutoff, counts)
+        return counts
 
 
 def make_backend(
@@ -399,15 +677,20 @@ class WorldEnsemble:
         else:
             self.worlds = [sample_lt_world(graph, seed=child) for child in children]
         # The store: every candidate's finite entries, the gain table
-        # and the transpose (see ``_ReachIndex``).
-        self._reach: Optional[_ReachIndex] = make_backend(
-            self.worlds,
-            self._candidate_indices,
+        # and the transpose (see ``_ReachIndex``), and the states and
+        # queries over it.
+        k = len(self.group_names)
+        self._oracle: Optional[ReachOracle] = ReachOracle(
+            make_backend(
+                self.worlds,
+                self._candidate_indices,
+                self._group_index,
+                k,
+                self._max_reach_entries(),
+            ),
             self._group_index,
-            len(self.group_names),
-            self._max_reach_entries(),
+            k,
         )
-        self._sweep_code_base: Optional[np.ndarray] = None  # (n,) int64
         # Streaming-delta bookkeeping: the graph version this store was
         # built (or last repaired) against and the fingerprints of
         # applied deltas.
@@ -471,7 +754,7 @@ class WorldEnsemble:
         Returns the sorted positions of the candidates whose entries
         changed.
         """
-        reach, n, n_worlds = self._reach, self.n, self.n_worlds
+        reach, n, n_worlds = self._oracle.reach, self.n, self.n_worlds
         k = len(self.group_names)
         ids = sorted(tails)
         nodes = np.concatenate([r * n + tails[r] for r in ids])
@@ -518,22 +801,23 @@ class WorldEnsemble:
         )
         changed[np.unique(row[new_at[differs]])] = True
         keep = changed[row]
-        self._reach = self._patched_reach(
-            reach,
-            lo[changed],
-            hi[changed],
-            position[changed],
-            flat[keep],
-            time[keep],
-            counts[changed],
-        )
+        if changed.any():
+            patched = self._patched_reach(
+                reach,
+                lo[changed],
+                hi[changed],
+                position[changed],
+                flat[keep],
+                time[keep],
+                counts[changed],
+            )
+            self._oracle = ReachOracle(patched, self._group_index, k)
         return np.unique(position[changed])
 
     def _note_repair(self, version: int, fingerprint: str) -> None:
         """Record a completed repair (called by the incremental layer):
         the graph version the index now matches and the delta's
-        fingerprint.  (The sweep code base depends only on the group
-        partition and survives.)"""
+        fingerprint."""
         self._graph_version = version
         self._delta_lineage.append(fingerprint)
 
@@ -572,7 +856,7 @@ class WorldEnsemble:
                 ...
         """
         self._closed = True
-        self._reach = None
+        self._oracle = None
 
     def __enter__(self) -> "WorldEnsemble":
         return self
@@ -594,172 +878,66 @@ class WorldEnsemble:
     def label(self, position: int) -> NodeId:
         return self.candidate_labels[position]
 
-    def _check_position(self, position: int) -> int:
-        position = int(position)
-        if not 0 <= position < self.n_candidates:
-            raise EstimationError(
-                f"candidate position {position} out of range "
-                f"[0, {self.n_candidates})"
-            )
-        return position
-
     # ------------------------------------------------------------------
     # state management
     # ------------------------------------------------------------------
     def empty_state(self) -> InfluenceState:
         """State of the empty seed set (with its all-zero histogram)."""
         self._check_fresh()
-        return InfluenceState(
-            best_time=np.full((self.n_worlds, self.n), UNREACHABLE, dtype=np.uint8),
-            time_hist=np.zeros((len(self.group_names), 256), dtype=np.int64),
-        )
+        return self._oracle.empty_state()
 
     def state_for(self, seeds: Iterable[NodeId]) -> InfluenceState:
         """State of an arbitrary seed set (each seed must be a candidate).
 
         Built as one scatter-minimum of all the seeds' index entries
-        instead of one :meth:`add_seed` per seed.  ``uint8`` minimum is
-        exact, so the state is bit-identical to the sequential build;
-        ``evaluate_at`` / :meth:`utilities_for` / the sweep helpers all
-        sit on this.
+        (:meth:`ReachOracle.state_for`), bit-identical to one
+        :meth:`add_seed` per seed; ``evaluate_at`` /
+        :meth:`utilities_for` / the sweep helpers all sit on this.
         """
-        positions: List[int] = []
-        seen = set()
+        positions: Dict[int, None] = {}  # ordered, with O(1) lookups
         for node in seeds:
-            position = self.position(node)
-            if position in seen:
-                raise EstimationError(
-                    f"candidate {self.label(position)!r} is already a seed"
-                )
-            seen.add(position)
-            positions.append(position)
-        state = self.empty_state()
-        if not positions:
-            return state
-        reach = self._reach
-        at, _ = reach.gather(np.asarray(positions, dtype=np.int64))
-        np.minimum.at(state.best_time.reshape(-1), reach.flat[at], reach.time[at])
-        state.seed_positions.extend(positions)
-        state.time_hist = None  # built from best_time on first use
-        return state
+            positions[check_position(self, self.position(node), positions)] = None
+        self._check_fresh()
+        return self._oracle.state_for(list(positions))
 
     def add_seed(self, state: InfluenceState, position: int) -> None:
-        """Mutate ``state`` to include candidate ``position`` as a seed.
-
-        Only the candidate's own index entries are visited:
-        ``best_time`` is lowered there, and the state's histogram (when
-        it has one) moves exactly those entries between bins — integer
-        moves, bit-identical to a full rebuild.  When the state keeps
-        marginal counts, every candidate that reaches a newly activated
-        node by the cutoff loses that node: the nodes' ranges of the
-        index transpose are read and subtracted in one bincount, so
-        over a whole solve each entry is retired at most once.
-        """
+        """Mutate ``state`` to include candidate ``position`` as a seed
+        (:meth:`ReachOracle.add_seed`: O(entries of the seed), plus the
+        retired marginal counts)."""
         self._check_fresh()
-        position = self._check_position(position)
-        if position in state.seed_positions:
-            raise EstimationError(
-                f"candidate {self.label(position)!r} is already a seed"
-            )
-        reach = self._reach
-        flat, times, groups = reach.entries(position)
-        best = state.best_time.reshape(-1)  # a view: states are contiguous
-        previous = best[flat]
-        if state.marginals is not None:
-            self._retire_marginals(state.marginals, reach, flat, times, groups, previous)
-        lower = times < previous
-        times = times[lower]
-        best[flat[lower]] = times
-        if state.time_hist is not None:
-            self._move_hist(state.time_hist, groups[lower], previous[lower], times)
-        state.seed_positions.append(position)
-        state.counts = None
-
-    def _retire_marginals(
-        self,
-        marginals: Tuple[int, np.ndarray],
-        reach: _ReachIndex,
-        flat: np.ndarray,
-        times: np.ndarray,
-        groups: np.ndarray,
-        previous: np.ndarray,
-    ) -> None:
-        """Update ``M`` for a seed whose entries are ``(flat, times,
-        groups)``, with the state's times there before it was added.
-
-        A node the seed reaches by the cutoff that the state did not
-        (``time <= cutoff < previous``) stops being a marginal gain for
-        every candidate reaching it by the cutoff, the seed included.
-        """
-        cutoff, counts = marginals
-        limit = np.uint8(cutoff)
-        newly = np.less_equal(times, limit)
-        newly &= np.greater(previous, limit)
-        nodes = flat[newly]
-        if not nodes.size:
-            return
-        at = concat_ranges(reach.node_starts[nodes], reach.node_starts[nodes + 1])
-        codes = reach.node_code[at][reach.node_time[at] <= limit]
-        cells = counts.reshape(-1)  # a view: ``M`` is contiguous
-        cells -= np.bincount(codes, minlength=cells.size)
-
-    @staticmethod
-    def _move_hist(
-        hist: np.ndarray,
-        groups: np.ndarray,
-        old_times: np.ndarray,
-        new_times: np.ndarray,
-    ) -> None:
-        """Move histogram counts for entries lowered from old to new times.
-
-        The old time's bin loses the node and the new time's bin gains
-        it.  Newly reached nodes come out of nowhere: their old time is
-        ``UNREACHABLE``, whose bin the histogram pins to zero (no cutoff
-        reaches it), so it is reset after the move.
-        """
-        codes = np.multiply(groups, 256, dtype=np.int64)
-        flat = hist.reshape(-1)
-        flat += np.bincount(codes + new_times, minlength=flat.size)
-        flat -= np.bincount(codes + old_times, minlength=flat.size)
-        hist[:, UNREACHABLE] = 0
+        self._oracle.add_seed(state, check_position(self, position, state.seed_positions))
 
     def seeds_of(self, state: InfluenceState) -> List[NodeId]:
         return [self.candidate_labels[p] for p in state.seed_positions]
 
     # ------------------------------------------------------------------
-    # utility queries
+    # utility queries: the oracle's counts and totals, divided by ``R``
     # ------------------------------------------------------------------
     @staticmethod
     def _check_discount(discount) -> None:
         if discount is not None and not 0.0 <= discount <= 1.0:
             raise EstimationError(f"discount must be in [0, 1], got {discount}")
 
-    def _time_weights(self, cutoff: int, discount) -> np.ndarray:
+    def _time_weights(self, cutoff: int, discount) -> Optional[np.ndarray]:
         """Utility weight of a node activated at each time ``t``, ``(256,)``
-        float64.
+        float64, or ``None`` for the step model.
 
         The paper's step model gives weight 1 to every node activated
-        by the deadline.  With ``discount=gamma`` (the time-discounting
-        extension named in the paper's conclusions), a node activated
-        at time ``t <= deadline`` is worth ``gamma**t`` instead — being
-        informed earlier is worth more; ``gamma=1`` is the step model
-        exactly.  Times past the cutoff, ``UNREACHABLE`` included, weigh
-        0.  The whole table is always powered, so each weight has the
-        same bits whatever the cutoff.
+        by the deadline, and the oracle counts those nodes exactly.
+        With ``discount=gamma`` (the time-discounting extension named in
+        the paper's conclusions), a node activated at time ``t <=
+        deadline`` is worth ``gamma**t`` instead — being informed
+        earlier is worth more; ``gamma=1`` gives the step model's bits.
+        Times past the cutoff, ``UNREACHABLE`` included, weigh 0.  The
+        whole table is always powered, so each weight has the same bits
+        whatever the cutoff.
         """
         self._check_discount(discount)
         if discount is None:
-            weights = np.ones(256)
-        else:
-            weights = np.power(float(discount), np.arange(256, dtype=np.float64))
+            return None
+        weights = np.power(float(discount), np.arange(256, dtype=np.float64))
         weights[cutoff + 1 :] = 0.0
         return weights
-
-    def _discounted_totals(self, state: InfluenceState, weights: np.ndarray) -> np.ndarray:
-        """Per-group weighted totals (over worlds) of the seed set,
-        ``sum_t hist[g, t] * weights[t]`` — the one expression every
-        discounted query of a state reads, so they agree bit for bit."""
-        return (self._state_time_histogram(state) * weights).sum(axis=1)
 
     def group_utilities(
         self,
@@ -774,30 +952,15 @@ class WorldEnsemble:
         on the ensemble; with ``discount=gamma`` each activated node
         contributes ``gamma**t_v`` instead of 1 (see
         :meth:`_time_weights`).  Both are read from the state's
-        histogram: its exact counts (:meth:`_state_counts`) or its
-        weighted totals (:meth:`_discounted_totals`), divided by ``R``.
+        histogram: its exact counts or its weighted totals, divided by
+        ``R``.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
-        if discount is None:
-            return self._state_counts(state, cutoff) / self.n_worlds
         weights = self._time_weights(cutoff, discount)
-        return self._discounted_totals(state, weights) / self.n_worlds
-
-    def _state_counts(self, state: InfluenceState, cutoff: int) -> np.ndarray:
-        """Exact per-group totals (over worlds) activated by ``cutoff``.
-
-        The integer cumulative sum of the state's histogram at
-        ``cutoff``, cached on the state until the next
-        :meth:`add_seed`.  Divided once by ``R`` it gives the same
-        float64 bits as any other exact count of the same nodes.
-        """
-        cached = state.counts
-        if cached is not None and cached[0] == cutoff:
-            return cached[1]
-        counts = self._state_time_histogram(state)[:, : cutoff + 1].sum(axis=1)
-        state.counts = (cutoff, counts)
-        return counts
+        if weights is None:
+            return self._oracle.counts(state, cutoff) / self.n_worlds
+        return self._oracle.totals(state, weights) / self.n_worlds
 
     def candidate_group_utilities(
         self,
@@ -806,36 +969,14 @@ class WorldEnsemble:
         deadline: float,
         discount: Optional[float] = None,
     ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {candidate}`` without mutation.
-
-        Step model: a node of world ``r`` is newly activated exactly
-        when the candidate reaches it by the cutoff and the state does
-        not, so ``u(S + c) = (counts_S + bincount(group[newly])) / R``
-        over the candidate's own index entries — O(entries of ``c``),
-        the same exact integers every other path counts.
-
-        Discounted: a node's weight becomes the larger of its weights
-        under the state and under the candidate, so ``u(S + c) =
-        (totals_S + bincount(group, max(0, w[time] - w[best]))) / R``
-        over the same entries, in float64.
-        """
+        """Group utilities of ``seeds(state) + {candidate}`` without
+        mutation: :meth:`ReachOracle.row` over the candidate's own index
+        entries — O(entries of ``c``) — divided by ``R``."""
         self._check_fresh()
-        position = self._check_position(position)
+        position = check_position(self, position)
         cutoff = _clip_deadline(deadline)
-        flat, times, groups = self._reach.entries(position)
-        if discount is not None:
-            weights = self._time_weights(cutoff, discount)
-            gains = weights[times] - weights[state.best_time.reshape(-1)[flat]]
-            np.maximum(gains, 0.0, out=gains)
-            totals = np.bincount(groups, weights=gains, minlength=len(self.group_names))
-            totals += self._discounted_totals(state, weights)
-            return totals / self.n_worlds
-        limit = np.uint8(cutoff)  # a uint8 scalar compares without casts
-        newly = np.less_equal(times, limit)
-        newly &= np.greater(state.best_time.reshape(-1)[flat], limit)
-        counts = np.bincount(groups[newly], minlength=len(self.group_names))
-        counts += self._state_counts(state, cutoff)
-        return counts / self.n_worlds
+        weights = self._time_weights(cutoff, discount)
+        return self._oracle.row(state, position, cutoff, weights) / self.n_worlds
 
     # ------------------------------------------------------------------
     # batched gain oracle
@@ -882,8 +1023,6 @@ class WorldEnsemble:
         rebuilt from the patched entries, so the result equals a fresh
         build array for array.
         """
-        if not position.size:
-            return reach
         n, k = self.n, len(self.group_names)
         time = splice(reach.time, lo, hi, time, counts)
         group = splice(reach.group, lo, hi, self._group_index[flat % n], counts)
@@ -915,52 +1054,14 @@ class WorldEnsemble:
         deadline: float,
         discount: Optional[float] = None,
     ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {c}`` for a whole block.
-
-        Returns a ``(len(positions), k)`` float64 array whose row ``i``
-        is bit-identical to
-        ``candidate_group_utilities(state, positions[i], ...)``.
-
-        - **step model**: row ``c`` is ``(M[c] + counts_S) / R`` from
-          the state's marginal counts (:meth:`marginal_counts`) — O(k)
-          per candidate.  ``M`` holds the exact counts the scalar path
-          sums entry by entry.
-        - **discounted**: the candidates' entries are gathered and each
-          one's weight gain over the state is added into its row's
-          group bin by one ``bincount`` — O(entries of the block).  A
-          bin receives its candidate's entries in the scalar path's
-          order, so each row has the scalar row's bits.
-        """
+        """Group utilities of ``seeds(state) + {c}`` for a whole block,
+        ``(len(positions), k)``, row ``i`` bit-identical to
+        ``candidate_group_utilities(state, positions[i], ...)``:
+        :meth:`ReachOracle.rows` divided by ``R``."""
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.ndim != 1:
-            raise EstimationError(
-                f"positions must be one-dimensional, got shape {positions.shape}"
-            )
-        k = len(self.group_names)
-        if positions.size == 0:
-            return np.empty((0, k), dtype=np.float64)
-        if (positions < 0).any() or (positions >= self.n_candidates).any():
-            raise EstimationError(
-                f"candidate positions out of range [0, {self.n_candidates}): "
-                f"{positions[(positions < 0) | (positions >= self.n_candidates)]}"
-            )
-        reach = self._reach
-        if discount is None:
-            counts = self._state_marginals(state, cutoff, reach)[positions]
-            counts += self._state_counts(state, cutoff)
-            return counts / self.n_worlds
         weights = self._time_weights(cutoff, discount)
-        at, sizes = reach.gather(positions)
-        gains = weights[reach.time[at]] - weights[state.best_time.reshape(-1)[reach.flat[at]]]
-        np.maximum(gains, 0.0, out=gains)
-        codes = np.repeat(np.arange(0, positions.size * k, k, dtype=np.int64), sizes)
-        codes += reach.group[at]
-        totals = np.bincount(codes, weights=gains, minlength=positions.size * k)
-        totals = totals.reshape(positions.size, k)
-        totals += self._discounted_totals(state, weights)
-        return totals / self.n_worlds
+        return self._oracle.rows(state, positions, cutoff, weights) / self.n_worlds
 
     def marginal_counts(
         self,
@@ -968,109 +1069,26 @@ class WorldEnsemble:
         deadline: float,
         discount: Optional[float] = None,
     ) -> Optional[np.ndarray]:
-        """The state's exact marginal counts ``M`` at ``deadline``.
+        """The state's exact marginal counts ``M`` at ``deadline``
+        (:meth:`ReachOracle.marginals`), or ``None`` for discounted
+        utilities, which are not counts.
 
         ``M[c, g]`` counts, over all worlds, the group-``g`` nodes
         candidate ``c`` reaches by the deadline that the state does not,
-        so ``(M[c] + counts_S) / R`` is ``u(S + c)``.  Built on first
-        use and kept on the state; :meth:`add_seed` keeps it exact, so a
-        greedy engine can score every open candidate after each pick in
-        O(k) per candidate.  The array is the state's own — read it, do
-        not write it.  ``None`` for discounted utilities, which are not
-        counts.
+        so ``(M[c] + counts_S) / R`` is ``u(S + c)``; :meth:`add_seed`
+        keeps it exact.  Read it, do not write it.
         """
         self._check_fresh()
         if discount is not None:
             return None
-        return self._state_marginals(state, _clip_deadline(deadline), self._reach)
+        return self._oracle.marginals(state, _clip_deadline(deadline))
 
-    def _state_marginals(
-        self, state: InfluenceState, cutoff: int, reach: _ReachIndex
-    ) -> np.ndarray:
-        """``M`` at ``cutoff``, cached on the state (see
-        :meth:`marginal_counts`).
-
-        The empty state's ``M`` is the gain table's column at the
-        cutoff; any other state's is one masked bincount over every
-        index entry that reaches its node by the cutoff while the state
-        does not.
-        """
-        cached = state.marginals
-        if cached is not None and cached[0] == cutoff:
-            return cached[1]
-        n_candidates, k = self.n_candidates, len(self.group_names)
-        if state.seed_positions:
-            limit = np.uint8(cutoff)
-            live = np.less_equal(reach.time, limit)
-            live &= np.greater(state.best_time.reshape(-1)[reach.flat], limit)
-            owner = np.repeat(
-                np.arange(n_candidates, dtype=np.int64), np.diff(reach.offsets)
-            )
-            codes = owner[live] * k + reach.group[live]
-            counts = np.bincount(codes, minlength=n_candidates * k)
-            counts = counts.reshape(n_candidates, k)
-        else:
-            last = reach.table.shape[2] - 1
-            counts = reach.table[:, :, min(cutoff, last)].astype(np.int64)
-        state.marginals = (cutoff, counts)
-        return counts
-
-    def candidate_gains_batch(
-        self,
-        state: InfluenceState,
-        positions: Sequence[int],
-        deadline: float,
-        objective,
-        discount: Optional[float] = None,
-        base_value: Optional[float] = None,
-    ) -> np.ndarray:
-        """Marginal objective gains for a block of candidates.
-
-        See :func:`~repro.influence.backends.batch_gains`.
-        """
-        return batch_gains(
-            self, state, positions, deadline, objective, discount, base_value
-        )
+    #: Marginal objective gains for a block of candidates.
+    candidate_gains_batch = batch_gains
 
     # ------------------------------------------------------------------
     # deadline sweeps
     # ------------------------------------------------------------------
-    def _state_time_histogram(self, state: InfluenceState) -> np.ndarray:
-        """Activation-time histogram of the current seed set, ``(k, 256)``.
-
-        ``hist[g, t]`` counts, summed over all worlds, the nodes of
-        group ``g`` activated at exactly time ``t`` (finite times only;
-        the ``UNREACHABLE`` bin is pinned to zero).  It's one
-        ``np.bincount`` over fused ``(group, time)`` codes — the code
-        space is just ``k * 256`` (L1-resident counters).  The result
-        is cached on the state and maintained incrementally by
-        :meth:`add_seed`, so only the *first* sweep of a state pays for
-        the full bincount.
-        """
-        if state.time_hist is not None:
-            return state.time_hist
-        if self._sweep_code_base is None:
-            self._sweep_code_base = self._group_index * 256  # (n,) int64
-        n_groups = len(self.group_names)
-        best = state.best_time
-        finite = best != UNREACHABLE
-        n_finite = np.count_nonzero(finite)
-        if 4 * n_finite < finite.size:
-            # Sparse activation (the common live-edge regime): extract
-            # the few finite entries and bincount only those.
-            idx = np.flatnonzero(finite.ravel())
-            codes = self._sweep_code_base[idx % self.n] + best.ravel()[idx]
-        else:
-            # Dense activation: a full-array bincount beats extraction.
-            # The UNREACHABLE entries land in each group's bin 255,
-            # zeroed below (no cutoff ever reaches it — cutoffs are
-            # <= 254).
-            codes = (self._sweep_code_base + best).ravel()
-        hist = np.bincount(codes, minlength=n_groups * 256).reshape(n_groups, 256)
-        hist[:, UNREACHABLE] = 0
-        state.time_hist = hist
-        return hist
-
     def group_utilities_sweep(
         self,
         state: InfluenceState,
@@ -1082,15 +1100,15 @@ class WorldEnsemble:
         Returns a ``(len(deadlines), k)`` float64 array whose row ``i``
         equals ``group_utilities(state, deadlines[i], discount)``.  The
         activation times are bincounted into a per-group time histogram
-        once and every deadline is answered from its cumulative sum —
-        O(k) per additional ``tau`` instead of a full O(R·n·k)
-        re-derivation, which is what makes the paper's deadline-sweep
-        figures (4c / 5a / 7c) cheap.
+        once (:meth:`ReachOracle.histogram`) and every deadline is
+        answered from its cumulative sum — O(k) per additional ``tau``
+        instead of a full O(R·n·k) re-derivation, which is what makes
+        the paper's deadline-sweep figures (4c / 5a / 7c) cheap.
 
         Every row is *bit-identical* to :meth:`group_utilities`: without
         ``discount`` both divide the same exact integer counts by ``R``
         once, with it both weigh the histogram by the same expression
-        (:meth:`_discounted_totals`, O(k·256) per deadline).
+        (:meth:`ReachOracle.totals`, O(k·256) per deadline).
         """
         self._check_fresh()
         cutoffs = [_clip_deadline(deadline) for deadline in deadlines]
@@ -1099,15 +1117,15 @@ class WorldEnsemble:
         out = np.empty((len(cutoffs), k), dtype=np.float64)
         if not cutoffs:
             return out
-        hist = self._state_time_histogram(state)
+        oracle = self._oracle
         if discount is None:
-            cumulative = np.cumsum(hist, axis=1)  # (k, 256) exact ints
+            cumulative = np.cumsum(oracle.histogram(state), axis=1)  # exact ints
             for i, cutoff in enumerate(cutoffs):
                 out[i] = cumulative[:, cutoff] / self.n_worlds
             return out
         for i, cutoff in enumerate(cutoffs):
             weights = self._time_weights(cutoff, discount)
-            out[i] = self._discounted_totals(state, weights) / self.n_worlds
+            out[i] = oracle.totals(state, weights) / self.n_worlds
         return out
 
     def total_utility(self, state: InfluenceState, deadline: float) -> float:
@@ -1136,9 +1154,10 @@ class WorldEnsemble:
 
         The per-world group totals are one ``bincount`` of the state's
         cells activated by the deadline, weighted by
-        :meth:`_time_weights` — so it scores exactly what the utility
-        queries score, ``discount=gamma`` included — and their float64
-        sample deviation is divided by ``sqrt(R)``.
+        :meth:`_time_weights` (1 in the step model) — so it scores
+        exactly what the utility queries score, ``discount=gamma``
+        included — and their float64 sample deviation is divided by
+        ``sqrt(R)``.
         """
         self._check_fresh()
         cutoff = _clip_deadline(deadline)
@@ -1149,14 +1168,14 @@ class WorldEnsemble:
         k = len(self.group_names)
         per_world = np.bincount(
             world * k + self._group_index[node],
-            weights=weights[best[cells]],
+            weights=None if weights is None else weights[best[cells]],
             minlength=self.n_worlds * k,
         ).reshape(self.n_worlds, k)
         return per_world.std(axis=0, ddof=1) / math.sqrt(self.n_worlds)
 
     def memory_bytes(self) -> int:
         """Footprint of the store — the reach index — for reports."""
-        return self._reach.nbytes
+        return self._oracle.reach.nbytes
 
     @property
     def nbytes(self) -> int:
@@ -1166,7 +1185,7 @@ class WorldEnsemble:
         """
         if self._closed:
             return 0
-        return int(self._reach.nbytes + sum(world.nbytes for world in self.worlds))
+        return int(self.memory_bytes() + sum(world.nbytes for world in self.worlds))
 
     def __repr__(self) -> str:
         return (

@@ -28,7 +28,11 @@ Two layers live here:
   vectorised batched reverse BFS over the CSR predecessor matrix (the
   world ensemble's batched-frontier idiom), and ``theta`` is chosen
   adaptively in doubling rounds with stop-and-stare style Chernoff
-  bounds instead of a fixed count.
+  bounds instead of a fixed count.  Each pool is stored as a reach
+  index whose cells are its RR sets, so the world ensemble's
+  :class:`~repro.influence.ensemble.ReachOracle` serves its states and
+  queries — exact marginal counts, and so ``lazy_greedy``'s exact
+  rounds, included.
 
 Deadlines follow the library-wide semantics of
 :mod:`repro.influence.deadlines`: fractional deadlines floor to the
@@ -50,7 +54,19 @@ import numpy as np
 from repro.errors import EstimationError, OptimizationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
-from repro.influence.backends import batch_gains, concat_ranges
+from repro.influence.backends import (
+    batch_gains,
+    check_position,
+    compact_uint,
+    concat_ranges,
+)
+from repro.influence.ensemble import (
+    InfluenceState,
+    ReachOracle,
+    assemble_reach,
+    table_dtype,
+    time_table,
+)
 from repro.influence.deadlines import simulation_horizon
 from repro.rng import RngLike, derive_seed, ensure_rng
 
@@ -300,59 +316,43 @@ def _sample_rr_batch(
 
 @dataclass(frozen=True)
 class RRIndex:
-    """One horizon's group-tagged RR collection, stored inverted.
+    """One horizon's group-tagged RR pool, stored as a reach index.
 
-    Only the candidate -> covered-set-ids index and each set's target
-    group survive sampling; per-set node lists are never materialised,
-    so memory is ``O(sum of candidate memberships)``, not
-    ``O(theta * avg |RR|)``.
+    Each ``(candidate, RR set it belongs to)`` membership is one index
+    entry ``(set id, time 0, group of the set's target)``: the cells are
+    one row of ``theta`` sets, and a seed set's state covers a set at
+    time 0 (see :class:`~repro.influence.ensemble.ReachOracle`).  Per-set
+    node lists are never materialised, so memory is ``O(sum of
+    candidate memberships)``, not ``O(theta * avg |RR|)``.
     """
 
     horizon: Optional[int]
     theta: int
     set_group: np.ndarray  #: (theta,) int64 — group index of each target
-    cand_indptr: np.ndarray  #: (n_candidates + 1,) int64
-    cand_sets: np.ndarray  #: concatenated covered-set ids per candidate
+    oracle: ReachOracle
     rounds: int
     theta_required: float
     opt_lower_bound: float
 
-    def sets_of(self, position: int) -> np.ndarray:
-        """Ids of the RR sets that candidate ``position`` covers."""
-        return self.cand_sets[
-            self.cand_indptr[position] : self.cand_indptr[position + 1]
-        ]
-
     def memory_bytes(self) -> int:
-        return int(
-            self.set_group.nbytes + self.cand_indptr.nbytes + self.cand_sets.nbytes
-        )
-
-
-class _Coverage:
-    """Which RR sets a seed set covers, with per-group hit counts."""
-
-    __slots__ = ("covered", "group_hits")
-
-    def __init__(self, theta: int, n_groups: int):
-        self.covered = np.zeros(theta, dtype=bool)
-        self.group_hits = np.zeros(n_groups, dtype=np.int64)
+        return int(self.set_group.nbytes + self.oracle.reach.nbytes)
 
 
 @dataclass
 class RRState:
     """Seed-set state of :class:`RRSetEstimator`.
 
-    Holds the seed positions plus, lazily per queried horizon, the
-    coverage bitmap and per-group hit counts.  Binding coverage lazily
-    is what lets one state answer ``group_utilities`` at *any*
-    deadline (``BudgetSolution.evaluate_at`` re-queries solved states
-    at new deadlines) — each new horizon replays the seed list against
-    that horizon's RR index.
+    Holds the seed positions plus, lazily per queried horizon, one
+    :class:`~repro.influence.ensemble.InfluenceState` over that
+    horizon's pool.  Binding horizons lazily is what lets one state
+    answer ``group_utilities`` at *any* deadline
+    (``BudgetSolution.evaluate_at`` re-queries solved states at new
+    deadlines) — each new horizon replays the seed list into a state of
+    that horizon's pool.
     """
 
     seed_positions: List[int] = field(default_factory=list)
-    coverage: Dict[int, _Coverage] = field(default_factory=dict)
+    bound: Dict[int, InfluenceState] = field(default_factory=dict)
 
 
 class RRSetEstimator:
@@ -371,9 +371,13 @@ class RRSetEstimator:
     ``theta >= (2 + 2 eps / 3) ln(2 / delta) n / (eps^2 LB)`` is met.
 
     Deadlines bind late: each distinct ``simulation_horizon(deadline)``
-    lazily samples (and caches) its own RR index, so fractional
-    deadlines share the collection of their floor and ``inf`` gets an
-    uncapped reverse BFS.  The IC model only — RR-set sampling flips
+    lazily samples (and caches) its own pool (:class:`RRIndex`), so
+    fractional deadlines share the collection of their floor and
+    ``inf`` gets an uncapped reverse BFS.  Every pool is a reach index
+    of ``(candidate, covered set)`` memberships: the shared
+    :class:`~repro.influence.ensemble.ReachOracle` counts covered sets
+    per target group, and each answer is those counts times ``n /
+    theta``.  The IC model only — RR-set sampling flips
     independent edge coins, which is exactly IC's live-edge measure —
     and no ``discount`` support (RR sets record reachability within
     ``tau``, not activation times); both are rejected up front.
@@ -475,15 +479,6 @@ class RRSetEstimator:
     def label(self, position: int) -> NodeId:
         return self._candidates[int(position)]
 
-    def _check_position(self, position: int) -> int:
-        position = int(position)
-        if not 0 <= position < self.n_candidates:
-            raise EstimationError(
-                f"candidate position {position} out of range "
-                f"[0, {self.n_candidates})"
-            )
-        return position
-
     # ------------------------------------------------------------------
     # adaptive sampling, one RR index per horizon
     # ------------------------------------------------------------------
@@ -582,30 +577,26 @@ class RRSetEstimator:
                 break
             pending = min(theta, self.max_theta - theta)
 
-        cands = (
-            np.concatenate(member_cands)
-            if member_cands
-            else np.empty(0, dtype=np.int64)
-        )
-        sets = (
-            np.concatenate(member_sets)
-            if member_sets
-            else np.empty(0, dtype=np.int64)
-        )
+        cands = np.concatenate(member_cands)
+        set_group = np.concatenate(set_groups)
+        # Candidate-major entries; set ids ascend within a candidate
+        # (the sampler emits them in set order and the sort is stable).
         order = np.argsort(cands, kind="stable")
-        counts = np.bincount(cands, minlength=self.n_candidates)
-        cand_indptr = np.zeros(self.n_candidates + 1, dtype=np.int64)
-        np.cumsum(counts, out=cand_indptr[1:])
+        owner = cands[order]
+        offsets = np.searchsorted(owner, np.arange(self.n_candidates + 1))
+        # Set ids in the smallest type that also holds ``id + 1``.
+        flat = np.concatenate(member_sets)[order].astype(compact_uint(theta + 1))
+        group = set_group[flat].astype(compact_uint(n_groups))
+        time = np.zeros(flat.size, dtype=np.uint8)
+        table = time_table(owner, self.n_candidates, group, time, n_groups, 1)
+        reach = assemble_reach(
+            offsets, flat, time, group, table.astype(table_dtype(1, theta)), theta, n_groups
+        )
         return RRIndex(
             horizon=horizon,
             theta=theta,
-            set_group=(
-                np.concatenate(set_groups)
-                if set_groups
-                else np.empty(0, dtype=np.int64)
-            ),
-            cand_indptr=cand_indptr,
-            cand_sets=sets[order],
+            set_group=set_group,
+            oracle=ReachOracle(reach, set_group, n_groups),
             rounds=rounds,
             theta_required=float(theta_required),
             opt_lower_bound=float(opt_lb),
@@ -635,53 +626,35 @@ class RRSetEstimator:
     def state_for(self, seeds: Iterable[NodeId]) -> RRState:
         """State of an arbitrary seed set (each seed must be a candidate)."""
         self._check_fresh()
-        state = RRState()
+        positions: Dict[int, None] = {}  # ordered, with O(1) lookups
         for node in seeds:
-            position = self.position(node)
-            if position in state.seed_positions:
-                raise EstimationError(
-                    f"candidate {self.label(position)!r} is already a seed"
-                )
-            state.seed_positions.append(position)
-        return state
+            positions[check_position(self, self.position(node), positions)] = None
+        return RRState(list(positions))
 
     def add_seed(self, state: RRState, position: int) -> None:
-        """Mutate ``state`` to include candidate ``position`` as a seed."""
-        position = self._check_position(position)
-        if position in state.seed_positions:
-            raise EstimationError(
-                f"candidate {self.label(position)!r} is already a seed"
-            )
+        """Mutate ``state`` to include candidate ``position`` as a seed,
+        in every horizon it is bound to."""
+        position = check_position(self, position, state.seed_positions)
         state.seed_positions.append(position)
-        for key, coverage in state.coverage.items():
-            self._fold_seed(self._indices[key], coverage, position)
+        for key, bound in state.bound.items():
+            self._indices[key].oracle.add_seed(bound, position)
 
     def seeds_of(self, state: RRState) -> List[NodeId]:
         return [self._candidates[p] for p in state.seed_positions]
 
-    def _fold_seed(
-        self, index: RRIndex, coverage: _Coverage, position: int
-    ) -> None:
-        sets = index.sets_of(position)
-        fresh = sets[~coverage.covered[sets]]
-        if fresh.size:
-            coverage.covered[fresh] = True
-            coverage.group_hits += np.bincount(
-                index.set_group[fresh], minlength=len(self.group_names)
-            )
-
-    def _coverage_for(self, state: RRState, index: RRIndex) -> _Coverage:
+    def _bind(self, state: RRState, deadline: float) -> Tuple[RRIndex, InfluenceState]:
+        """The deadline's pool and ``state``'s state over it, bound on
+        first use by replaying the seeds into the pool's oracle."""
+        index = self._index_for(deadline)
         key = self._horizon_key(index.horizon)
-        coverage = state.coverage.get(key)
-        if coverage is None:
-            coverage = _Coverage(index.theta, len(self.group_names))
-            for position in state.seed_positions:
-                self._fold_seed(index, coverage, position)
-            state.coverage[key] = coverage
-        return coverage
+        bound = state.bound.get(key)
+        if bound is None:
+            bound = state.bound[key] = index.oracle.state_for(state.seed_positions)
+        return index, bound
 
     # ------------------------------------------------------------------
-    # utility queries
+    # utility queries: the oracle's counts of covered sets (every
+    # membership is reached at time 0, so cutoff 0), times ``n / theta``
     # ------------------------------------------------------------------
     def _check_discount(self, discount) -> None:
         if discount is not None:
@@ -704,10 +677,8 @@ class RRSetEstimator:
         number of covered RR sets whose target lies in group ``i``.
         """
         self._check_discount(discount)
-        index = self._index_for(deadline)
-        coverage = self._coverage_for(state, index)
-        scale = self.n / index.theta
-        return coverage.group_hits.astype(np.float64) * scale
+        index, bound = self._bind(state, deadline)
+        return index.oracle.counts(bound, 0) * (self.n / index.theta)
 
     def candidate_group_utilities(
         self,
@@ -716,17 +687,13 @@ class RRSetEstimator:
         deadline: float,
         discount: Optional[float] = None,
     ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {candidate}`` without mutation."""
+        """Group utilities of ``seeds(state) + {candidate}`` without
+        mutation: the sets the candidate newly covers, counted over its
+        own memberships."""
         self._check_discount(discount)
-        position = self._check_position(position)
-        index = self._index_for(deadline)
-        coverage = self._coverage_for(state, index)
-        sets = index.sets_of(position)
-        fresh = sets[~coverage.covered[sets]]
-        hits = coverage.group_hits + np.bincount(
-            index.set_group[fresh], minlength=len(self.group_names)
-        )
-        return hits.astype(np.float64) * (self.n / index.theta)
+        position = check_position(self, position)
+        index, bound = self._bind(state, deadline)
+        return index.oracle.row(bound, position, 0) * (self.n / index.theta)
 
     def candidate_group_utilities_batch(
         self,
@@ -735,57 +702,33 @@ class RRSetEstimator:
         deadline: float,
         discount: Optional[float] = None,
     ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {c}`` for a whole block.
-
-        Row ``i`` is bit-identical to
+        """Group utilities of ``seeds(state) + {c}`` for a whole block,
+        row ``i`` bit-identical to
         ``candidate_group_utilities(state, positions[i], ...)``: the
-        block's covered-set ids are gathered in one ``concat_ranges``
-        pass and the uncovered ones counted by one
-        ``bincount(row * k + group)`` — the same integers the scalar
-        path counts, under one coverage bind and one scale factor.
-        """
+        state's marginal counts plus its covered counts, O(k) per
+        candidate, under one scale factor."""
         self._check_discount(discount)
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.ndim != 1:
-            raise EstimationError(
-                f"positions must be one-dimensional, got shape {positions.shape}"
-            )
-        n_groups = len(self.group_names)
-        if positions.size == 0:
-            return np.empty((0, n_groups), dtype=np.float64)
-        if (positions < 0).any() or (positions >= self.n_candidates).any():
-            raise EstimationError(
-                f"candidate positions out of range [0, {self.n_candidates}): "
-                f"{positions[(positions < 0) | (positions >= self.n_candidates)]}"
-            )
-        index = self._index_for(deadline)
-        coverage = self._coverage_for(state, index)
-        lo = index.cand_indptr[positions]
-        hi = index.cand_indptr[positions + 1]
-        sets = index.cand_sets[concat_ranges(lo, hi)]
-        segment = np.repeat(np.arange(positions.size, dtype=np.int64), hi - lo)
-        fresh = ~coverage.covered[sets]
-        codes = segment[fresh] * n_groups + index.set_group[sets[fresh]]
-        hits = np.bincount(codes, minlength=positions.size * n_groups)
-        hits = hits.reshape(positions.size, n_groups) + coverage.group_hits
-        return hits.astype(np.float64) * (self.n / index.theta)
+        index, bound = self._bind(state, deadline)
+        return index.oracle.rows(bound, positions, 0) * (self.n / index.theta)
 
-    def candidate_gains_batch(
+    def marginal_counts(
         self,
         state: RRState,
-        positions: Sequence[int],
         deadline: float,
-        objective,
         discount: Optional[float] = None,
-        base_value: Optional[float] = None,
     ) -> np.ndarray:
-        """Marginal objective gains for a block of candidates.
+        """Every candidate's exact marginal counts ``M`` at ``deadline``:
+        ``M[c, g]`` counts the uncovered sets of target group ``g`` that
+        ``c`` belongs to, so ``(M[c] + covered) * n / theta`` is ``u(S +
+        c)``.  Kept on the state's bound horizon and exact through
+        :meth:`add_seed`, so ``lazy_greedy`` runs exact rounds.  The
+        array is the state's own — read it, do not write it."""
+        self._check_discount(discount)
+        index, bound = self._bind(state, deadline)
+        return index.oracle.marginals(bound, 0)
 
-        See :func:`~repro.influence.backends.batch_gains`.
-        """
-        return batch_gains(
-            self, state, positions, deadline, objective, discount, base_value
-        )
+    #: Marginal objective gains for a block of candidates.
+    candidate_gains_batch = batch_gains
 
     def group_utilities_sweep(
         self,
@@ -798,8 +741,8 @@ class RRSetEstimator:
         Row ``i`` equals ``group_utilities(state, deadlines[i])``.
         Unlike the world ensemble there is no shared histogram to
         exploit — every distinct ``floor(tau)`` is its own RR pool —
-        but pools and per-state coverage are cached, so a sweep costs
-        one sampling run per *distinct* horizon and O(k) per repeat.
+        but pools and bound states are cached, so a sweep costs one
+        sampling run per *distinct* horizon and O(k) per repeat.
         """
         self._check_discount(discount)
         out = np.empty((len(deadlines), len(self.group_names)), dtype=np.float64)
@@ -853,9 +796,8 @@ def build_rrset_estimator(spec, graph: DiGraph, assignment) -> RRSetEstimator:
     """Build the estimator for ``EnsembleSpec(kind="rrset")``.
 
     :class:`repro.api.Session` calls this for every rrset spec.  The
-    RR estimator owns its storage (a reverse CSR plus inverted coverage
-    indices) and its sampling is already vectorised, so no build-worker
-    knob applies.
+    estimator owns its storage: a reverse CSR plus one reach index per
+    sampled horizon.
     """
     if spec.model != "ic":
         raise EstimationError(

@@ -54,7 +54,7 @@ class TestConstruction:
 
     def test_memory_reporting(self, line_ensemble):
         # p = 1: a reaches 4 nodes, b 3, c 2, d 1 — 10 entries per world.
-        reach = line_ensemble._reach
+        reach = line_ensemble._oracle.reach
         assert reach.flat.size == 8 * 10
         assert line_ensemble.memory_bytes() == reach.nbytes
 
@@ -193,7 +193,7 @@ class TestCacheAccounting:
 
         graph, assignment = synthetic_sbm(n=60, seed=1)
         ensemble = build(graph, assignment, store, n_worlds=6, seed=2)
-        reach = ensemble._reach
+        reach = ensemble._oracle.reach
         worlds = sum(world.nbytes for world in ensemble.worlds)
         assert ensemble.nbytes == worlds + reach.nbytes
         assert reach.nbytes >= reach.table.nbytes + reach.flat.nbytes

@@ -260,7 +260,7 @@ class TestIndexLimit:
         full = WorldEnsemble(graph, assignment, n_worlds=200, seed=9)
         monkeypatch.setattr(WorldEnsemble, "EMPTY_TABLE_BYTE_LIMIT", 1600 * 1024)
         # The limit must cut the index well short, or the test shows nothing.
-        assert 0 < full._max_reach_entries() < full._reach.flat.size // 4
+        assert 0 < full._max_reach_entries() < full._oracle.reach.flat.size // 4
 
         def assemble(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("entries were assembled")

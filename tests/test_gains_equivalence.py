@@ -317,36 +317,36 @@ def test_empty_state_fast_path_bitwise_across_deadlines(ensembles, store):
         )
 
 
-def test_empty_state_table_presence_by_backend(ensembles):
-    # Every build carries the gain table, and chunking never changes it.
-    for store in STORES:
-        assert ensembles[store]._reach.table is not None, store
-        np.testing.assert_array_equal(
-            ensembles[store]._reach.table, ensembles["dense"]._reach.table
-        )
+def test_gain_table_equals_dense_row_counts(ensembles):
+    """The gain table's cell ``[c, g, t]`` counts, over worlds, the
+    group-``g`` nodes candidate ``c`` reaches by hop ``t``."""
+    ensemble = ensembles["dense"]
+    table = ensemble._oracle.reach.table
+    masks = ensemble.assignment.masks(ensemble.graph).astype(np.int64)  # (k, n)
+    rows = dense_rows(ensemble)  # (R, C, n)
+    for cutoff in range(table.shape[2]):
+        reached = (rows <= cutoff).sum(axis=0)  # (C, n)
+        np.testing.assert_array_equal(table[:, :, cutoff], reached @ masks.T)
 
 
-def test_min_with_block_matches_min_with_per_backend():
+def test_discounted_rows_match_min_fold():
     """The discounted batched oracle on the small bundled example: row
     ``i`` weighs ``min(best, D[:, c_i, :])``, the candidate's dense row
     folded into the state, as the float64 brute reference does."""
     graph, assignment = illustrative_graph()
-    for store in STORES:
-        ensemble = build(graph, assignment, store, n_worlds=40, seed=3)
-        rows = dense_rows(ensemble)
-        state = ensemble.state_for(ensemble.candidate_labels[:2])
-        positions = np.arange(ensemble.n_candidates)[::-1]
-        batch = ensemble.candidate_group_utilities_batch(
-            state, positions, 3, discount=0.5
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=40, seed=3)
+    rows = dense_rows(ensemble)
+    state = ensemble.state_for(ensemble.candidate_labels[:2])
+    positions = np.arange(ensemble.n_candidates)[::-1]
+    batch = ensemble.candidate_group_utilities_batch(state, positions, 3, discount=0.5)
+    for row, position in zip(batch, positions):
+        folded = np.minimum(state.best_time, rows[:, position, :])
+        np.testing.assert_allclose(
+            row,
+            gemm_utilities(ensemble, folded, 3, 0.5),
+            rtol=1e-12,
+            err_msg=f"position {position}",
         )
-        for row, position in zip(batch, positions):
-            folded = np.minimum(state.best_time, rows[:, position, :])
-            np.testing.assert_allclose(
-                row,
-                gemm_utilities(ensemble, folded, 3, 0.5),
-                rtol=1e-12,
-                err_msg=f"{store} position {position}",
-            )
 
 
 def test_discounted_solve_keeps_no_buffers():

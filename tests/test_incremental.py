@@ -150,11 +150,11 @@ class TestReachIndexRepair:
     def test_patched_index_equals_fresh_build(self, store):
         graph, groups = sbm()
         ensemble = build(graph, groups, store, n_worlds=N_WORLDS, seed=WORLD_SEED)
-        before = ensemble._reach
+        before = ensemble._oracle.reach
         with chunking(store):
             report = ensemble.apply_delta(make_delta(graph))
         assert report.repaired_worlds > 0
-        patched = ensemble._reach
+        patched = ensemble._oracle.reach
         assert patched is not before  # a patched index, swapped in
 
         fresh_graph, fresh_groups = sbm()
@@ -162,7 +162,7 @@ class TestReachIndexRepair:
         fresh = WorldEnsemble(
             fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED
         )
-        rebuilt = fresh._reach
+        rebuilt = fresh._oracle.reach
         for name in rebuilt._fields:
             np.testing.assert_array_equal(
                 getattr(patched, name), getattr(rebuilt, name), err_msg=name
@@ -245,7 +245,7 @@ class TestSessionResolve:
         assert a.repaired_worlds is None
         assert "incremental" not in a.to_dict()
 
-    def test_resolve_repairs_and_warm_starts(self):
+    def test_resolve_repairs_and_reports_the_delta(self):
         session = Session()
         spec = run_spec()
         session.solve(spec)
@@ -307,7 +307,7 @@ class TestSessionResolve:
         result = session.resolve(spec, delta=make_delta(graph))
         assert result.repaired_worlds is not None
 
-    def test_clear_cache_drops_warm_traces(self):
+    def test_clear_cache_restarts_the_delta_lineage(self):
         session = Session()
         spec = run_spec()
         session.solve(spec)

@@ -54,8 +54,8 @@ def build(build_workers, store="dense", **kwargs):
 
 
 def assert_indexes_identical(a, b):
-    for name in a._reach._fields:
-        mine, theirs = getattr(a._reach, name), getattr(b._reach, name)
+    for name in a._oracle.reach._fields:
+        mine, theirs = getattr(a._oracle.reach, name), getattr(b._oracle.reach, name)
         assert mine.dtype == theirs.dtype, name
         np.testing.assert_array_equal(mine, theirs, err_msg=name)
 

@@ -543,7 +543,7 @@ class TestReachIndexOracle:
     def test_index_oracle_equals_dense_rows(self, seed, n, store, data):
         ensemble = _random_index_ensemble(seed, n, store)
         rows = dense_rows(ensemble)
-        reach = ensemble._reach
+        reach = ensemble._oracle.reach
         last = int(reach.time.max()) if reach.time.size else 0
         cutoffs = (0, 1, max(last // 2, 2), math.inf)
         order = data.draw(st.permutations(range(ensemble.n_candidates)))
@@ -672,7 +672,7 @@ class TestReachIndexOracle:
             ensemble.add_seed(state, position)
             np.minimum(reference, rows[:, position, :], out=reference)
             np.testing.assert_array_equal(state.best_time, reference)
-            fresh = ensemble._state_time_histogram(
+            fresh = ensemble._oracle.histogram(
                 type(state)(best_time=reference.copy())
             )
             np.testing.assert_array_equal(state.time_hist, fresh)
@@ -753,6 +753,38 @@ class TestMarginalCounts:
             ensemble.marginal_counts(rebuilt, deadline), marginals
         )
 
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(10, 40),
+        deadline=st.sampled_from([0, 1, 3, math.inf]),
+        data=st.data(),
+    )
+    def test_rr_maintained_equals_membership_recount(self, seed, n, deadline, data):
+        estimator = _sbm_estimator("rrset", seed, n, 0.3, 0.3)
+        order = data.draw(st.permutations(range(estimator.n_candidates)))
+        n_seeds = data.draw(st.integers(1, 6))
+        state = estimator.empty_state()
+        marginals = estimator.marginal_counts(state, deadline)
+        scale = estimator.n / estimator.diagnostics(deadline)["theta"]
+        everyone = np.arange(estimator.n_candidates)
+        for i, position in enumerate(order[:n_seeds]):
+            estimator.add_seed(state, position)
+            assert estimator.marginal_counts(state, deadline) is marginals
+            want, covered = _rr_membership_recount(estimator, order[: i + 1], deadline)
+            np.testing.assert_array_equal(marginals, want)
+            np.testing.assert_array_equal(
+                estimator.group_utilities(state, deadline), covered * scale
+            )
+            np.testing.assert_array_equal(
+                estimator.candidate_group_utilities_batch(state, everyone, deadline),
+                (want + covered) * scale,
+            )
+        rebuilt = estimator.state_for(estimator.seeds_of(state))
+        np.testing.assert_array_equal(
+            estimator.marginal_counts(rebuilt, deadline), marginals
+        )
+
     def test_copy_shares_no_marginals(self):
         ensemble = _random_index_ensemble(3, 24)
         state = ensemble.empty_state()
@@ -771,6 +803,25 @@ class TestMarginalCounts:
         ensemble = _random_index_ensemble(3, 24)
         assert ensemble.marginal_counts(ensemble.empty_state(), 2, discount=0.9) is None
         assert ensemble.marginal_counts(ensemble.empty_state(), 2) is not None
+
+
+def _rr_membership_recount(estimator, seeds, deadline):
+    """RR marginal counts and covered counts by Python sets: per
+    candidate, the pool's sets it belongs to that no seed covers,
+    counted by target group."""
+    index = estimator._index_for(deadline)
+    reach = index.oracle.reach
+    members = [
+        set(reach.flat[reach.offsets[c] : reach.offsets[c + 1]].tolist())
+        for c in range(estimator.n_candidates)
+    ]
+    covered = set().union(*(members[s] for s in seeds))
+    k = len(estimator.group_names)
+
+    def by_group(sets):
+        return np.bincount(index.set_group[sorted(sets)], minlength=k)
+
+    return np.stack([by_group(sets - covered) for sets in members]), by_group(covered)
 
 
 class TestRRBatchMatchesScalar:
@@ -889,7 +940,7 @@ class TestRepairEqualsFreshBuild:
         fresh = WorldEnsemble(fresh_graph, GroupAssignment.from_graph(fresh_graph), **spec)
         for r, (mine, theirs) in enumerate(zip(ensemble.worlds, fresh.worlds)):
             _assert_same_arrays(mine.adjacency, theirs.adjacency, f"world {r}")
-        patched, rebuilt = ensemble._reach, fresh._reach
+        patched, rebuilt = ensemble._oracle.reach, fresh._oracle.reach
         # The node-major transpose is rebuilt with the patched entries.
         assert {"node_starts", "node_code", "node_time"} <= set(rebuilt._fields)
         for name in rebuilt._fields:

@@ -2,11 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.concave import log1p
+from repro.core.greedy import lazy_greedy, plain_greedy
+from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 from repro.errors import EstimationError, OptimizationError
 from repro.influence.exact import exact_utility
-from repro.influence.rrsets import RRCollection, ris_greedy, sample_rr_sets
+from repro.influence.rrsets import (
+    RRCollection,
+    RRSetEstimator,
+    ris_greedy,
+    sample_rr_sets,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import path_graph, star_graph, two_block_sbm
 
@@ -205,3 +214,75 @@ class TestRisGreedy:
             ris_greedy(collection, budget=10)
         with pytest.raises(OptimizationError):
             ris_greedy(collection, budget=1, candidates=[])
+
+
+class TestPoolsAreReachIndexes:
+    """Every RR pool is a reach index of ``(candidate, covered set)``
+    memberships, and the shared oracle keeps each bound horizon's exact
+    marginal counts, so CELF runs exact rounds on RR sets."""
+
+    @staticmethod
+    def estimator(adaptive):
+        graph, assignment = two_block_sbm(
+            90, 0.7, 0.2, 0.03, activation_probability=0.15, seed=21
+        )
+        if adaptive:
+            return RRSetEstimator(graph, assignment, epsilon=0.3, delta=0.05, seed=22)
+        return RRSetEstimator(graph, assignment, theta=3000, seed=22)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("fair", [False, True], ids=["unfair", "fair"])
+    @pytest.mark.parametrize("quota", [None, 0.6], ids=["budget", "cover"])
+    def test_lazy_greedy_equals_plain_greedy_step_by_step(self, adaptive, fair, quota):
+        estimator = self.estimator(adaptive)
+        assert estimator.marginal_counts(estimator.empty_state(), 4) is not None
+        objective = ConcaveSumObjective(concave=log1p) if fair else TotalInfluenceObjective()
+        population = float(estimator.group_sizes.sum())
+        stop = None
+        if quota is not None:
+            def stop(utilities):
+                return float(utilities.sum()) / population >= quota
+
+        celf, plain = (
+            engine(estimator, objective, deadline=4, max_seeds=8, stop=stop)
+            for engine in (lazy_greedy, plain_greedy)
+        )
+        assert celf.size == plain.size > 1
+        assert celf.stopped_reason == plain.stopped_reason
+        for ours, reference in zip(celf.steps, plain.steps):
+            assert (ours.node, ours.position) == (reference.node, reference.position)
+            assert (ours.gain, ours.objective_value) == (
+                reference.gain,
+                reference.objective_value,
+            )
+            np.testing.assert_array_equal(ours.group_utilities, reference.group_utilities)
+            # Exact rounds score every open candidate, as plain greedy does.
+            assert ours.evaluations == reference.evaluations
+
+    def test_state_bound_to_two_horizons(self):
+        estimator = self.estimator(adaptive=False)
+        seeds = [estimator.label(p) for p in (3, 40)]
+        state = estimator.state_for(seeds)
+        for extra in (None, 7):
+            if extra is not None:
+                estimator.add_seed(state, extra)
+                seeds.append(estimator.label(extra))
+            for deadline in (1, 3):
+                utilities = estimator.group_utilities(state, deadline)
+                np.testing.assert_array_equal(
+                    utilities, estimator.utilities_for(seeds, deadline)
+                )
+                # Every candidate's exact marginal row is that of the
+                # grown seed set.
+                marginals = estimator.marginal_counts(state, deadline)
+                scale = estimator.n / estimator.diagnostics(deadline)["theta"]
+                covered = estimator._bind(state, deadline)[1]
+                for position in (0, 3, 11, 64):
+                    grown = seeds + [estimator.label(position)] * (
+                        estimator.label(position) not in seeds
+                    )
+                    np.testing.assert_array_equal(
+                        (marginals[position] + covered.counts[1]) * scale,
+                        estimator.utilities_for(grown, deadline),
+                    )
+        assert set(state.bound) == {1, 3}
