@@ -10,19 +10,27 @@ traces.  ``celf_exact_rounds`` records step-model CELF solve times
 counts after each pick) against plain greedy with equal evaluation
 counts, and ``celf_bound_rounds`` records the oracle calls CELF's lazy
 re-evaluation saves on discounted solves, where bound rounds run.
+``celf_pick`` records the cost of one exact round (a pick and a
+re-score of every open candidate) on solve-warm's and sweep-cold's
+inputs.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
 
 from conftest import best_of, record_bench
 
+from repro.api import EnsembleSpec, Session
+
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.influence.ensemble import WorldEnsemble
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.cover import DEFAULT_SLACK, solve_fair_tcim_cover, solve_tcim_cover
 from repro.core.concave import log1p, sqrt
-from repro.core.greedy import lazy_greedy, plain_greedy
+from repro.core.greedy import lazy_greedy, plain_greedy, trace_tap
 from repro.core.objectives import (
     ConcaveSumObjective,
     TotalInfluenceObjective,
@@ -203,4 +211,70 @@ def test_celf_bound_rounds_save_evaluations(ensemble):
     record_bench(
         "celf_bound_rounds",
         {"budget": 30, "discount": 0.9, "n_worlds": ensemble.n_worlds, "runs": runs},
+    )
+
+
+#: The exact-round inputs of ``test_celf_pick``: perfbench solve-warm's
+#: two cached ensembles and one of sweep-cold's RR pools.
+PICK_INPUTS = {
+    "synthetic-500/100": EnsembleSpec(dataset="synthetic", n_worlds=100, world_seed=1),
+    "rice-1205/50": EnsembleSpec(dataset="rice", n_worlds=50, world_seed=1),
+    "rrset-400/theta-16000": EnsembleSpec(
+        dataset="synthetic",
+        dataset_params={"n": 400, "majority_fraction": 0.7},
+        kind="rrset",
+        theta=16000,
+        world_seed=1,
+    ),
+}
+
+
+def pick_seconds(estimator, objective, deadline, budget, repeats=9):
+    """Seconds per exact round: the time between consecutive steps of a
+    solve (each a re-score of every open candidate, then a pick), read
+    with a trace tap, so the first round and the solve's set-up are left
+    out.  Each round's time is its best over ``repeats`` solves (a burst
+    of load on a shared host slows a few rounds, not a whole solve's
+    worth), and the rounds' mean is returned."""
+    rounds = []
+    for _ in range(repeats):
+        stamps = []
+        with trace_tap(lambda step: stamps.append(time.perf_counter())):
+            lazy_greedy(estimator, objective, deadline, budget)
+        rounds.append(np.diff(stamps))
+    return float(np.min(rounds, axis=0).mean())
+
+
+def test_celf_pick():
+    """Microseconds per exact CELF round (step model, budget 20, fair
+    log objective, tau 5 and 10) on three inputs; the traces must equal
+    plain greedy's bit for bit, ``evaluations`` included.  Timings are
+    recorded, not asserted."""
+    session = Session()
+    objective = ConcaveSumObjective(log1p)
+    budget = 20
+    runs = []
+    for name, spec in PICK_INPUTS.items():
+        estimator = session.ensemble_for(spec)
+        for tau in (5, 10):
+            celf, plain = (
+                engine(estimator, objective, tau, budget)
+                for engine in (lazy_greedy, plain_greedy)
+            )
+            assert_same_steps(celf, plain)
+            assert celf.total_evaluations == plain.total_evaluations
+            runs.append(
+                {
+                    "input": name,
+                    "tau": tau,
+                    "candidates": estimator.n_candidates,
+                    "picks": celf.size,
+                    "us_per_pick": round(
+                        pick_seconds(estimator, objective, tau, budget) * 1e6, 1
+                    ),
+                }
+            )
+    record_bench(
+        "celf_pick",
+        {"budget": budget, "objective": "log", "cpu_count": os.cpu_count(), "runs": runs},
     )

@@ -21,13 +21,19 @@ of two ways, chosen from what the estimator offers, not by a knob:
 
 - **Exact rounds.**  When the estimator keeps every candidate's exact
   per-group marginal counts on its state (``marginal_counts``: the
-  world ensemble and the RR-set estimator under the step model —
-  ``add_seed`` keeps them exact through the reach index's transpose),
-  each round after a pick scores every open candidate with one batched
-  call, O(k) per row, and marks every key fresh.  The pick is then
-  read straight from exact gains — plain greedy's rule on plain
-  greedy's rows — and ``evaluations`` counts the rows scored, as
-  :func:`plain_greedy` reports.
+  world ensemble and the RR-set estimator under the step model), every
+  key is an exact gain and the pick is read straight from them — plain
+  greedy's rule on plain greedy's rows.  A round is then one fused
+  estimator call, ``add_seed_and_score``: ``add_seed`` keeps ``M`` (through
+  the reach index's transpose) and the state's counts at the deadline
+  current, so the call returns the new utilities and every open
+  candidate's row ``M[c] + counts``, O(k) a row, without rebuilding
+  anything.  The engine keeps the open positions itself.  A pick that
+  ends the solve (the budget is spent, or the stop condition holds on
+  its utilities) scores no rows.  ``evaluations`` counts the rows
+  scored, as :func:`plain_greedy` reports, each round charged to the
+  step it leads to.  An estimator without the fused call runs bound
+  rounds.
 - **Bound rounds** (discounted utilities, which are not counts), below.
 
 Either way the first round scores every candidate in one
@@ -240,24 +246,32 @@ def lazy_greedy(
         return trace
 
     # Exact rounds when the estimator keeps every candidate's marginal
-    # counts on the state (asking builds them before the first pick).
+    # counts on the state (asking builds them before the first pick)
+    # and offers the fused round that reads them.
     marginal_counts = getattr(ensemble, "marginal_counts", None)
+    add_seed_and_score = getattr(ensemble, "add_seed_and_score", None)
     exact = (
         marginal_counts is not None
+        and add_seed_and_score is not None
         and marginal_counts(state, deadline, discount) is not None
     )
     evaluations = ensemble.n_candidates
     first = ensemble.candidate_group_utilities_batch(
         state, np.arange(evaluations), deadline, discount
     )
-    # Each candidate's per-group marginal vector from its last oracle
-    # call; ``utilities + deltas[c]`` bounds its utilities from above.
-    deltas = first - utilities
     # ``key[c]`` is an oracle gain when ``fresh[c]``, else an upper
-    # bound on the current gain; chosen candidates hold -inf.
+    # bound on the current gain; chosen candidates hold -inf.  Exact
+    # rounds score every open candidate each round, so every key is
+    # fresh and ``open_positions`` lists the candidates not chosen.
     key = objective.values(first) - current_value
-    fresh = np.ones(ensemble.n_candidates, dtype=bool)
     chosen = np.zeros(ensemble.n_candidates, dtype=bool)
+    if exact:
+        open_positions = np.arange(ensemble.n_candidates)
+    else:
+        # Each candidate's per-group marginal vector from its last
+        # oracle call; ``utilities + deltas[c]`` bounds its utilities.
+        deltas = first - utilities
+        fresh = np.ones(ensemble.n_candidates, dtype=bool)
 
     def score(position: int) -> None:
         nonlocal evaluations
@@ -267,26 +281,13 @@ def lazy_greedy(
         key[position] = objective.value(row) - current_value
         fresh[position] = True
 
-    def score_round() -> None:
-        nonlocal evaluations
-        open_positions = np.flatnonzero(~chosen)
-        rows = ensemble.candidate_group_utilities_batch(
-            state, open_positions, deadline, discount
-        )
-        evaluations += open_positions.size
-        key[open_positions] = objective.values(rows) - current_value
-        fresh[open_positions] = True
-
     while trace.size < max_seeds:
         top = int(key.argmax())
         if chosen[top]:
             trace.stopped_reason = "exhausted"
             break
-        if not fresh[top]:
-            if exact:
-                score_round()
-            else:
-                score(top)
+        if not exact and not fresh[top]:
+            score(top)
             continue
         best = key[top]
         if best <= GAIN_TOLERANCE:
@@ -298,22 +299,42 @@ def lazy_greedy(
         # at a lower position could still win the tie, so it is scored
         # first and the step looks again.
         tol = _tie_tolerance(current_value)
-        pick = int(np.argmax(fresh & (key >= best - tol)))
-        behind = np.flatnonzero(~fresh[:pick] & (key[:pick] >= best - 2.0 * tol))
-        if behind.size:
-            for position in behind:
-                score(int(position))
-            continue
+        if exact:
+            pick = int(np.argmax(key >= best - tol))
+        else:
+            pick = int(np.argmax(fresh & (key >= best - tol)))
+            behind = np.flatnonzero(~fresh[:pick] & (key[:pick] >= best - 2.0 * tol))
+            if behind.size:
+                for position in behind:
+                    score(int(position))
+                continue
 
         gain = float(key[pick])
-        ensemble.add_seed(state, pick)
         chosen[pick] = True
-        utilities = ensemble.group_utilities(state, deadline, discount)
-        current_value = objective.value(utilities)
-        fresh[:] = False
-        if not exact:
+        if exact:
+            # One fused call adds the pick and reads the new utilities
+            # and, unless the solve ends here (the budget is spent or
+            # ``stop`` holds), every open row; those rows are charged to
+            # the next step.
+            key[pick] = -np.inf
+            open_positions = open_positions[open_positions != pick]
+            utilities, rows = add_seed_and_score(
+                state,
+                pick,
+                deadline,
+                open_positions if trace.size + 1 < max_seeds else None,
+                stop,
+            )
+            current_value = objective.value(utilities)
+            if rows is not None:
+                key[open_positions] = objective.values(rows) - current_value
+        else:
+            ensemble.add_seed(state, pick)
+            utilities = ensemble.group_utilities(state, deadline, discount)
+            current_value = objective.value(utilities)
+            fresh[:] = False
             key = objective.values(utilities + deltas) - current_value
-        key[chosen] = -np.inf
+            key[chosen] = -np.inf
         step = SelectionStep(
             node=ensemble.label(pick),
             position=pick,
@@ -324,7 +345,7 @@ def lazy_greedy(
         )
         trace.steps.append(step)
         _notify_step(step)
-        evaluations = 0
+        evaluations = open_positions.size if exact else 0
         if stop is not None and stop(utilities):
             trace.stopped_reason = "stop-condition"
             break

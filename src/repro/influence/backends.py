@@ -221,9 +221,13 @@ class UtilityEstimator(Protocol):
     (:func:`batch_gains` is the shared body).  An estimator may also
     offer ``marginal_counts(state, deadline, discount)`` — every
     candidate's exact marginal counts, kept by ``add_seed``, or
-    ``None`` where utilities are not counts — and ``lazy_greedy`` then
-    scores whole rounds exactly instead of re-bounding; both shipped
-    estimators do under the step model.  CELF's per-group bounds assume
+    ``None`` where utilities are not counts — together with
+    ``add_seed_and_score(state, position, deadline, open_positions,
+    stop)``, which adds a seed and returns the new utilities and, unless
+    ``open_positions`` is ``None`` or ``stop`` holds on them, the open
+    candidates' rows in one call.  ``lazy_greedy`` then scores whole
+    rounds exactly instead of re-bounding; it needs both methods, and
+    both shipped estimators offer them under the step model.  CELF's per-group bounds assume
     what the paper's estimators guarantee: every group utility is
     monotone submodular in the seed set, and step-model utilities are
     exact (the same float64 bits on every query path).

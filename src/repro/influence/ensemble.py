@@ -34,7 +34,10 @@ model:
   bincount, and ``add_seed`` retires, through the index's node-major
   transpose, the entries of every candidate that reached a node the
   seed newly activates.  So a batched query scores a whole block in
-  O(k) per candidate at *any* state;
+  O(k) per candidate at *any* state.  Such a state keeps its counts at
+  ``M``'s cutoff (``counts + M[seed]`` per pick) instead of its
+  histogram, so one exact CELF round — a pick and every open row — is
+  one call (:meth:`WorldEnsemble.add_seed_and_score`);
 - a whole *deadline sweep* for a fixed seed set is one cumulative sum
   over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
   — O(k) per additional deadline.
@@ -76,6 +79,7 @@ import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -126,14 +130,15 @@ class InfluenceState:
     (``(k, 256)`` int64, finite times only): ``time_hist[g, t]`` counts,
     over all cells, those of group ``g`` first activated at ``t``.
     ``ReachOracle.empty_state`` starts it at zero and
-    ``ReachOracle.add_seed`` keeps it up to date, so step-model
-    utilities and deadline sweeps never rescan the state.  ``None``
-    (after ``ReachOracle.state_for``) means "not built yet": the first
-    query that needs it bincounts ``best_time`` once.
+    ``ReachOracle.add_seed`` moves it, so step-model utilities and
+    deadline sweeps never rescan the state.  ``None`` means "not built"
+    (a state that keeps marginal counts drops it on ``add_seed``): the
+    first query that needs it bincounts ``best_time`` once.
 
     ``counts`` caches ``(cutoff, per-group activated totals)`` — the
-    histogram's cumulative sum at one cutoff — until the next
-    ``add_seed``.
+    histogram's cumulative sum at one cutoff — which ``add_seed`` keeps
+    current at the cutoff of the state's marginal counts and drops
+    otherwise.
 
     ``marginals`` is ``(cutoff, M)`` with ``M`` an int64 ``(C, k)``
     array: ``M[c, g]`` counts the group-``g`` cells candidate ``c``
@@ -150,9 +155,10 @@ class InfluenceState:
     marginals: Optional[Tuple[int, np.ndarray]] = None
 
     def copy(self) -> "InfluenceState":
-        # ``counts`` arrays are replaced, never written in place, so
-        # the copy may share them; ``add_seed`` writes ``marginals`` in
-        # place, so the copy gets its own.
+        # ``add_seed`` writes ``best_time``, ``time_hist`` and ``M`` in
+        # place, so the copy gets its own; it replaces the ``counts``
+        # array (``counts + M[seed]``) and never writes into it, so the
+        # copy may share that one.
         marginals = self.marginals
         if marginals is not None:
             marginals = (marginals[0], marginals[1].copy())
@@ -317,55 +323,77 @@ class ReachOracle:
     def add_seed(self, state: InfluenceState, position: int) -> None:
         """Mutate ``state`` to include candidate ``position`` as a seed.
 
-        Only the candidate's own index entries are visited:
-        ``best_time`` is lowered there, and the state's histogram (when
-        it has one) moves exactly those entries between bins — integer
-        moves, bit-identical to a full rebuild.  When the state keeps
-        marginal counts, every candidate that reaches a newly activated
-        cell by the cutoff loses that cell: the cells' ranges of the
-        index transpose are read and subtracted in one bincount, so
-        over a whole solve each entry is retired at most once.
+        Only the candidate's own index entries are visited, and
+        ``best_time`` is lowered there.  A state without marginal counts
+        moves its histogram (when it has one) at exactly those entries —
+        integer moves, bit-identical to a full rebuild — and drops its
+        cached counts.
+
+        A state with marginal counts ``M`` at a cutoff (an exact CELF
+        round's state) instead keeps its counts there: ``M[position]``
+        counts per group exactly the cells the seed newly activates
+        (``time <= cutoff < previous``), so they become ``counts +
+        M[position]``.  Every candidate reaching one of those cells by
+        the cutoff then loses it from ``M`` (:meth:`_retire_marginals`;
+        over a solve each transpose entry is retired at most once).  No
+        exact-round query reads the histogram, so it is dropped rather
+        than moved.
         """
         reach = self.reach
         flat, times, groups = reach.entries(position)
         best = state.best_time.reshape(-1)  # a view: states are contiguous
         previous = best[flat]
-        if state.marginals is not None:
-            self._retire_marginals(state.marginals, flat, times, previous)
-        lower = times < previous
-        times = times[lower]
-        best[flat[lower]] = times
-        if state.time_hist is not None:
-            self._move_hist(state.time_hist, groups[lower], previous[lower], times)
+        if state.marginals is None:
+            lower = times < previous
+            times = times[lower]
+            if state.time_hist is not None:
+                self._move_hist(state.time_hist, groups[lower], previous[lower], times)
+            best[flat[lower]] = times
+            state.counts = None
+        else:
+            cutoff, marginals = state.marginals
+            state.counts = (cutoff, self.counts(state, cutoff) + marginals[position])
+            self._retire_marginals(marginals, cutoff, flat, times, previous)
+            # Entries list distinct cells, so one assignment is exact.
+            best[flat] = np.minimum(previous, times)
+            state.time_hist = None
         state.seed_positions.append(position)
-        state.counts = None
 
     def _retire_marginals(
         self,
-        marginals: Tuple[int, np.ndarray],
+        marginals: np.ndarray,
+        cutoff: int,
         flat: np.ndarray,
         times: np.ndarray,
         previous: np.ndarray,
     ) -> None:
-        """Update ``M`` for a seed whose entries are ``(flat, times)``,
-        with the state's times there before it was added.
+        """Update ``M`` at ``cutoff`` for a seed whose entries are
+        ``(flat, times)``, with the state's times there before it was
+        added.
 
         A cell the seed reaches by the cutoff that the state did not
         (``time <= cutoff < previous``) stops being a marginal gain for
-        every candidate reaching it by the cutoff, the seed included.
+        every candidate reaching it by the cutoff, the seed included:
+        the transpose entries of those cells are counted into ``M``'s
+        cells by one bincount and subtracted.
         """
-        cutoff, counts = marginals
+        reach = self.reach
         limit = np.uint8(cutoff)
-        newly = np.less_equal(times, limit)
-        newly &= np.greater(previous, limit)
+        # Past the index's last finite time (every RR membership is at
+        # time 0) every entry is reached by the cutoff: no time masks.
+        timely = cutoff >= reach.table.shape[2] - 1
+        newly = np.greater(previous, limit)
+        if not timely:
+            newly &= np.less_equal(times, limit)
         cells = flat[newly]
         if not cells.size:
             return
-        reach = self.reach
         at = concat_ranges(reach.node_starts[cells], reach.node_starts[cells + 1])
-        codes = reach.node_code[at][reach.node_time[at] <= limit]
-        flat_counts = counts.reshape(-1)  # a view: ``M`` is contiguous
-        flat_counts -= np.bincount(codes, minlength=flat_counts.size)
+        codes = reach.node_code[at]
+        if not timely:
+            codes = codes[reach.node_time[at] <= limit]
+        flat_marginals = marginals.reshape(-1)  # a view: ``M`` is contiguous
+        flat_marginals -= np.bincount(codes, minlength=flat_marginals.size)
 
     @staticmethod
     def _move_hist(
@@ -391,8 +419,10 @@ class ReachOracle:
         """Activation-time histogram of the current seed set, ``(k, 256)``:
         ``hist[g, t]`` counts the cells of group ``g`` activated at
         exactly time ``t`` (the ``UNREACHABLE`` bin is pinned to zero).
-        Kept by :meth:`add_seed`, so only a ``state_for`` state's first
-        query pays for its one bincount over ``(group, time)`` codes.
+        Kept by :meth:`add_seed` on states without marginal counts, so
+        only a state that has none (a ``state_for`` state, or an
+        exact-round state after a pick) pays for one bincount over its
+        ``(group, time)`` codes on its first query.
         """
         if state.time_hist is not None:
             return state.time_hist
@@ -416,9 +446,10 @@ class ReachOracle:
     def counts(self, state: InfluenceState, cutoff: int) -> np.ndarray:
         """Exact per-group counts of the cells activated by ``cutoff``:
         the integer cumulative sum of the state's histogram, cached on
-        the state until the next :meth:`add_seed`.  Normalised once, it
-        gives the same float64 bits as any other exact count of the
-        same cells."""
+        the state (and kept current by :meth:`add_seed` at the cutoff of
+        the state's marginal counts).  Normalised once, it gives the
+        same float64 bits as any other exact count of the same
+        cells."""
         cached = state.counts
         if cached is not None and cached[0] == cutoff:
             return cached[1]
@@ -494,9 +525,7 @@ class ReachOracle:
                 f"{positions[bad]}"
             )
         if weights is None:
-            counts = self.marginals(state, cutoff)[positions]
-            counts += self.counts(state, cutoff)
-            return counts
+            return self.marginal_rows(state, positions, cutoff)
         reach = self.reach
         at, sizes = reach.gather(positions)
         gains = weights[reach.time[at]] - weights[state.best_time.reshape(-1)[reach.flat[at]]]
@@ -507,6 +536,15 @@ class ReachOracle:
         totals = totals.reshape(positions.size, k)
         totals += self.totals(state, weights)
         return totals
+
+    def marginal_rows(
+        self, state: InfluenceState, positions: np.ndarray, cutoff: int
+    ) -> np.ndarray:
+        """Step-model rows ``M[c] + counts_S`` of ``positions``, which
+        the caller has checked (:meth:`rows` checks them)."""
+        rows = np.take(self.marginals(state, cutoff), positions, axis=0)
+        rows += self.counts(state, cutoff)
+        return rows
 
     def marginals(self, state: InfluenceState, cutoff: int) -> np.ndarray:
         """The state's exact marginal counts ``M`` at ``cutoff``, cached
@@ -676,6 +714,9 @@ class WorldEnsemble:
             self.worlds: List[LiveEdgeWorld] = sample_ic_worlds(graph, self._world_keys)
         else:
             self.worlds = [sample_lt_world(graph, seed=child) for child in children]
+        # The worlds' kept-edge CSR bytes, counted once here and again
+        # after every repair (``apply_delta``), for :attr:`nbytes`.
+        self._world_bytes = sum(world.nbytes for world in self.worlds)
         # The store: every candidate's finite entries, the gain table
         # and the transpose (see ``_ReachIndex``), and the states and
         # queries over it.
@@ -737,7 +778,10 @@ class WorldEnsemble:
         """
         from repro.influence.incremental import repair_ensemble
 
-        return repair_ensemble(self, delta)
+        try:
+            return repair_ensemble(self, delta)
+        finally:
+            self._world_bytes = sum(world.nbytes for world in self.worlds)
 
     def _repair_rows(self, tails: Dict[int, np.ndarray]) -> np.ndarray:
         """Patch the index after the worlds in ``tails`` changed in place.
@@ -906,6 +950,29 @@ class WorldEnsemble:
         retired marginal counts)."""
         self._check_fresh()
         self._oracle.add_seed(state, check_position(self, position, state.seed_positions))
+
+    def add_seed_and_score(
+        self,
+        state: InfluenceState,
+        position: int,
+        deadline: float,
+        open_positions: Optional[np.ndarray] = None,
+        stop: Optional[Callable[[np.ndarray], bool]] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One exact CELF round (step model): :meth:`add_seed`, then the
+        new group utilities and their rows at ``open_positions`` — each
+        bit-identical to :meth:`group_utilities` and
+        :meth:`candidate_group_utilities_batch`.  The rows are ``None``
+        when the solve ends at this pick: ``open_positions`` is ``None``
+        or ``stop`` holds on the new utilities.  The state keeps its
+        counts and ``M`` at the deadline, so both are reads; the open
+        positions are the engine's own and are not checked."""
+        self.add_seed(state, position)
+        oracle, cutoff = self._oracle, _clip_deadline(deadline)
+        utilities = oracle.counts(state, cutoff) / self.n_worlds
+        if open_positions is None or (stop is not None and stop(utilities)):
+            return utilities, None
+        return utilities, oracle.marginal_rows(state, open_positions, cutoff) / self.n_worlds
 
     def seeds_of(self, state: InfluenceState) -> List[NodeId]:
         return [self.candidate_labels[p] for p in state.seed_positions]
@@ -1181,11 +1248,12 @@ class WorldEnsemble:
     def nbytes(self) -> int:
         """Total resident bytes this ensemble pins: the reach index
         (entries, transpose and gain table) plus the sampled worlds'
-        kept-edge CSRs.  Closed ensembles hold nothing.
+        kept-edge CSRs, counted at build and after each repair.  Closed
+        ensembles hold nothing.
         """
         if self._closed:
             return 0
-        return int(self.memory_bytes() + sum(world.nbytes for world in self.worlds))
+        return int(self.memory_bytes() + self._world_bytes)
 
     def __repr__(self) -> str:
         return (

@@ -47,7 +47,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -641,6 +641,30 @@ class RRSetEstimator:
 
     def seeds_of(self, state: RRState) -> List[NodeId]:
         return [self._candidates[p] for p in state.seed_positions]
+
+    def add_seed_and_score(
+        self,
+        state: RRState,
+        position: int,
+        deadline: float,
+        open_positions: Optional[np.ndarray] = None,
+        stop: Optional[Callable[[np.ndarray], bool]] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One exact CELF round: :meth:`add_seed`, then the new group
+        utilities and their rows at ``open_positions`` — each
+        bit-identical to :meth:`group_utilities` and
+        :meth:`candidate_group_utilities_batch`, read from the deadline
+        pool's state.  The rows are ``None`` when the solve ends at this
+        pick: ``open_positions`` is ``None`` or ``stop`` holds on the new
+        utilities.  The open positions are the engine's own and are not
+        checked."""
+        index, bound = self._bind(state, deadline)
+        self.add_seed(state, position)
+        scale = self.n / index.theta
+        utilities = index.oracle.counts(bound, 0) * scale
+        if open_positions is None or (stop is not None and stop(utilities)):
+            return utilities, None
+        return utilities, index.oracle.marginal_rows(bound, open_positions, 0) * scale
 
     def _bind(self, state: RRState, deadline: float) -> Tuple[RRIndex, InfluenceState]:
         """The deadline's pool and ``state``'s state over it, bound on

@@ -235,15 +235,30 @@ def assert_traces_identical(a, b):
 class SwappedOracle:
     """An ensemble whose two candidate oracles trade places: batched
     queries are answered by stacked scalar calls and scalar queries by
-    one-row batches.  Every other attribute is the ensemble's own."""
+    one-row batches.  The fused exact round is rebuilt from
+    ``add_seed``, ``group_utilities`` and those stacked scalar rows.
+    ``fused_rounds`` counts fused calls and ``rows_scored`` the
+    candidate rows scored.  Every other attribute is the ensemble's
+    own."""
 
     def __init__(self, ensemble):
         self._ensemble = ensemble
+        self.fused_rounds = 0
+        self.rows_scored = 0
 
     def __getattr__(self, name):
         return getattr(self._ensemble, name)
 
+    def add_seed_and_score(self, state, position, deadline, open_positions=None, stop=None):
+        self.fused_rounds += 1
+        self._ensemble.add_seed(state, position)
+        utilities = self._ensemble.group_utilities(state, deadline)
+        if open_positions is None or (stop is not None and stop(utilities)):
+            return utilities, None
+        return utilities, self.candidate_group_utilities_batch(state, open_positions, deadline)
+
     def candidate_group_utilities_batch(self, state, positions, deadline, discount=None):
+        self.rows_scored += len(positions)
         return np.stack(
             [
                 self._ensemble.candidate_group_utilities(state, int(p), deadline, discount)
@@ -252,6 +267,7 @@ class SwappedOracle:
         )
 
     def candidate_group_utilities(self, state, position, deadline, discount=None):
+        self.rows_scored += 1
         return self._ensemble.candidate_group_utilities_batch(
             state, [position], deadline, discount
         )[0]
@@ -261,14 +277,68 @@ class SwappedOracle:
 @pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
 def test_batched_celf_trace_equals_scalar(ensembles, store, discount):
     """CELF's batched rounds and scalar re-scores, each served by the
-    other oracle path, give the same trace — evaluations included."""
+    other oracle path, give the same trace — evaluations included.
+    Step-model solves run every exact round through the swapped fused
+    call."""
     ensemble = ensembles[store]
     objective = TotalInfluenceObjective()
+    swapped = SwappedOracle(ensemble)
     batched, scalar = (
         lazy_greedy(estimator, objective, deadline=20, max_seeds=5, discount=discount)
-        for estimator in (ensemble, SwappedOracle(ensemble))
+        for estimator in (ensemble, swapped)
     )
     assert_traces_identical(batched, scalar)
+    assert swapped.fused_rounds == (scalar.size if discount is None else 0)
+
+
+@pytest.mark.parametrize("discount", DISCOUNTS, ids=["step", "gamma0.8"])
+def test_celf_scores_no_rows_past_its_last_step(ensembles, discount):
+    """Every row CELF scores is charged to a step: a solve that ends on
+    its budget or on its stop condition scores no rows after its last
+    pick."""
+    ensemble = ensembles["dense"]
+    objective = TotalInfluenceObjective()
+    full = lazy_greedy(ensemble, objective, deadline=20, max_seeds=6, discount=discount)
+    quota = full.steps[2].objective_value
+    for stop, reason, size in (
+        (None, "budget", 6),
+        (lambda utilities: objective.value(utilities) >= quota, "stop-condition", 3),
+    ):
+        swapped = SwappedOracle(ensemble)
+        trace = lazy_greedy(
+            swapped, objective, deadline=20, max_seeds=6, stop=stop, discount=discount
+        )
+        assert (trace.stopped_reason, trace.size) == (reason, size)
+        assert swapped.rows_scored == sum(step.evaluations for step in trace.steps)
+
+
+class WithoutFusedRound:
+    """An ensemble that keeps marginal counts but offers no
+    ``add_seed_and_score``, as a custom estimator might."""
+
+    def __init__(self, ensemble):
+        self._ensemble = ensemble
+
+    def __getattr__(self, name):
+        if name == "add_seed_and_score":
+            raise AttributeError(name)
+        return getattr(self._ensemble, name)
+
+
+def test_celf_without_the_fused_round_runs_bound_rounds(ensembles):
+    """Exact rounds need both ``marginal_counts`` and the fused round;
+    with only the first, CELF re-bounds and still picks as plain
+    greedy does."""
+    ensemble = ensembles["dense"]
+    objective = ConcaveSumObjective()
+    bound = lazy_greedy(WithoutFusedRound(ensemble), objective, deadline=20, max_seeds=5)
+    plain = plain_greedy(ensemble, objective, deadline=20, max_seeds=5)
+    assert bound.seeds == plain.seeds
+    assert [s.gain for s in bound.steps] == [s.gain for s in plain.steps]
+    np.testing.assert_array_equal(
+        bound.final_group_utilities, plain.final_group_utilities
+    )
+    assert bound.total_evaluations < plain.total_evaluations
 
 
 @pytest.mark.parametrize("store", STORES)

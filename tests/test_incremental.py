@@ -142,6 +142,26 @@ class TestRepairEqualsRebuild:
         assert np.array_equal(before, after)
 
 
+    def test_nbytes_follows_the_swapped_worlds(self):
+        """``nbytes`` keeps the worlds' bytes as a number; a repair that
+        grows the worlds refreshes it to a fresh recount."""
+        graph, groups = sbm()
+        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
+
+        def recount():
+            return ensemble.memory_bytes() + sum(w.nbytes for w in ensemble.worlds)
+
+        before = ensemble.nbytes
+        assert before == recount()
+        nodes = graph.nodes()
+        inserts = tuple(
+            (nodes[0], v, 0.99) for v in nodes[1:] if not graph.has_edge(nodes[0], v)
+        )[:6]
+        report = ensemble.apply_delta(GraphDelta(inserts=inserts))
+        assert report.repaired_worlds
+        assert ensemble.nbytes == recount() > before
+
+
 class TestReachIndexRepair:
     """The reach index (and the gain table derived from it) is patched
     world by world on repair, never left stale."""

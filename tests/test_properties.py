@@ -23,6 +23,10 @@ These verify the mathematical structure everything rests on:
   from-scratch recount at every step, and the batched rows read from
   them — like the RR estimator's batched rows — equal the scalar
   oracle's rows bit for bit;
+- one fused exact CELF round (``add_seed_and_score``) leaves, on both
+  estimators, the state a fresh ``state_for`` recount builds (best
+  times, counts, ``M``, histogram) and returns its utilities and rows;
+  and a copied state picks independently of its original;
 - discounted queries (float64 sums) agree bit for bit on every query
   path, within 1e-12 of a float64 brute reference, and ``discount=1``
   is the step model bit for bit;
@@ -803,6 +807,128 @@ class TestMarginalCounts:
         ensemble = _random_index_ensemble(3, 24)
         assert ensemble.marginal_counts(ensemble.empty_state(), 2, discount=0.9) is None
         assert ensemble.marginal_counts(ensemble.empty_state(), 2) is not None
+
+
+def _pick_surface(estimator, deadline):
+    """``(oracle, state -> InfluenceState over the deadline's cells)``
+    for a world ensemble or an RR estimator (its deadline pool)."""
+    if isinstance(estimator, RRSetEstimator):
+        return (
+            estimator._index_for(deadline).oracle,
+            lambda state: estimator._bind(state, deadline)[1],
+        )
+    return estimator._oracle, lambda state: state
+
+
+def _assert_state_equals_recount(estimator, state, deadline):
+    """``state``'s best times, counts, ``M`` and (rebuilt) histogram
+    equal those of a fresh ``state_for`` of its seeds."""
+    oracle, cells_of = _pick_surface(estimator, deadline)
+    fresh = estimator.state_for(estimator.seeds_of(state))
+    ours, theirs = cells_of(state), cells_of(fresh)
+    cutoff = 0 if isinstance(estimator, RRSetEstimator) else min(deadline, 254)
+    np.testing.assert_array_equal(ours.best_time, theirs.best_time)
+    assert ours.counts[0] == cutoff
+    np.testing.assert_array_equal(ours.counts[1], oracle.counts(theirs, cutoff))
+    assert ours.marginals[0] == cutoff
+    np.testing.assert_array_equal(
+        ours.marginals[1], estimator.marginal_counts(fresh, deadline)
+    )
+    np.testing.assert_array_equal(oracle.histogram(ours), oracle.histogram(theirs))
+    return fresh
+
+
+class TestFusedPick:
+    """``add_seed_and_score`` — one exact CELF round — leaves the state
+    a fresh ``state_for`` recount would build (best times, counts kept
+    at the cutoff, ``M`` and the histogram rebuilt from the state), and
+    returns that recount's utilities and batched rows bit for bit, on
+    the world ensemble and the RR estimator alike."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 30),
+        kind=st.sampled_from(["worlds", "rrset"]),
+        deadline=st.sampled_from([0, 1, 3, math.inf]),
+        counted=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_pick_equals_a_recount(self, seed, n, kind, deadline, counted, data):
+        if kind == "rrset":
+            estimator = _sbm_estimator("rrset", seed, n + 10, 0.3, 0.3)
+        else:
+            estimator = _random_index_ensemble(seed, n)
+        order = data.draw(st.permutations(range(estimator.n_candidates)))
+        n_seeds = data.draw(st.integers(1, min(6, estimator.n_candidates)))
+        state = estimator.empty_state()
+        if counted:  # lazy_greedy asks for the empty set's utilities first
+            estimator.group_utilities(state, deadline)
+        estimator.marginal_counts(state, deadline)
+        open_positions = np.arange(estimator.n_candidates)
+        for position in order[:n_seeds]:
+            open_positions = open_positions[open_positions != position]
+            utilities, rows = estimator.add_seed_and_score(
+                state, position, deadline, open_positions, stop=lambda u: False
+            )
+            fresh = _assert_state_equals_recount(estimator, state, deadline)
+            np.testing.assert_array_equal(
+                utilities, estimator.group_utilities(fresh, deadline)
+            )
+            np.testing.assert_array_equal(
+                rows,
+                estimator.candidate_group_utilities_batch(fresh, open_positions, deadline),
+            )
+        if open_positions.size:  # the last pick of a solve scores no rows
+            pick, open_positions = open_positions[0], open_positions[1:]
+            if data.draw(st.booleans()):  # the budget is spent
+                utilities, rows = estimator.add_seed_and_score(state, pick, deadline)
+            else:  # the stop condition holds
+                utilities, rows = estimator.add_seed_and_score(
+                    state, pick, deadline, open_positions, stop=lambda u: True
+                )
+            assert rows is None
+            fresh = _assert_state_equals_recount(estimator, state, deadline)
+            np.testing.assert_array_equal(
+                utilities, estimator.group_utilities(fresh, deadline)
+            )
+
+    def test_copy_mid_solve_is_independent(self):
+        ensemble = _random_index_ensemble(3, 24)
+        deadline = 2
+        state = ensemble.empty_state()
+        ensemble.group_utilities(state, deadline)
+        ensemble.marginal_counts(state, deadline)
+        for position in (5, 0):
+            ensemble.add_seed_and_score(state, position, deadline)
+        clone = state.copy()
+        shared = state.counts[1]
+        before = shared.copy()
+        ensemble.add_seed_and_score(clone, 7, deadline)
+        # The pick replaced the counts the copy shares, never wrote them.
+        np.testing.assert_array_equal(shared, before)
+        ensemble.add_seed_and_score(state, 9, deadline)
+        assert ensemble.seeds_of(clone)[-1] not in ensemble.seeds_of(state)
+        assert ensemble.seeds_of(state)[-1] not in ensemble.seeds_of(clone)
+        for side in (state, clone):
+            _assert_state_equals_recount(ensemble, side, deadline)
+
+    def test_copy_of_a_histogram_state_is_independent(self):
+        # A state without marginal counts (a bound round's) moves its
+        # histogram in place on every pick; the copy must own its own.
+        ensemble = _random_index_ensemble(3, 24)
+        oracle = ensemble._oracle
+        state = ensemble.empty_state()
+        for position in (5, 0):
+            ensemble.add_seed(state, position)
+        clone = state.copy()
+        ensemble.add_seed(clone, 7)
+        ensemble.add_seed(state, 9)
+        for side in (state, clone):
+            fresh = ensemble.state_for(ensemble.seeds_of(side))
+            np.testing.assert_array_equal(side.best_time, fresh.best_time)
+            scan = oracle.histogram(type(side)(best_time=side.best_time.copy()))
+            np.testing.assert_array_equal(side.time_hist, scan)
 
 
 def _rr_membership_recount(estimator, seeds, deadline):
