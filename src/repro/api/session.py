@@ -72,21 +72,6 @@ def check_cache_bytes(cache_bytes, allow_none: bool = False):
     return cache_bytes
 
 
-def _estimator_nbytes(estimator: Any) -> int:
-    """Resident bytes of a cached estimator (0 when unaccountable).
-
-    Estimators expose ``nbytes`` (:attr:`WorldEnsemble.nbytes`,
-    ``RRSetEstimator.nbytes``); anything registered without it falls
-    back to ``memory_bytes`` and then to 0 — unaccounted entries are
-    still evictable by the entry-count LRU.
-    """
-    nbytes = getattr(estimator, "nbytes", None)
-    if nbytes is None:
-        probe = getattr(estimator, "memory_bytes", None)
-        nbytes = probe() if callable(probe) else 0
-    return int(nbytes)
-
-
 def _jsonify_label(label: Any) -> Any:
     """Node labels as JSON scalars (graphs use str/int labels; numpy
     integers sneak in from index round-trips)."""
@@ -312,7 +297,7 @@ class Session:
     def _cache_nbytes(self) -> int:
         """Live resident bytes of every cached entry (caller holds the
         lock; entries are few by construction, so summing is cheap)."""
-        return sum(_estimator_nbytes(e) for e in self._ensembles.values())
+        return sum(e.nbytes for e in self._ensembles.values())
 
     def _evict_oldest(self) -> None:
         """Drop the LRU entry (caller holds the lock)."""

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import OptimizationError
 from repro.graph.digraph import NodeId
-from repro.influence.backends import UtilityEstimator
+from repro.influence.ensemble import UtilityEstimator
 from repro.influence.utility import UtilityReport, utility_report
 from repro.core.concave import ConcaveFunction, by_name as _concave_by_name, log1p
 from repro.core.greedy import SelectionTrace, lazy_greedy

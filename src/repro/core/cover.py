@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import OptimizationError
 from repro.graph.digraph import NodeId
-from repro.influence.backends import UtilityEstimator
+from repro.influence.ensemble import UtilityEstimator
 from repro.influence.utility import UtilityReport, utility_report
 from repro.core.greedy import SelectionTrace, lazy_greedy
 from repro.core.objectives import TotalCoverageObjective, TruncatedCoverageObjective

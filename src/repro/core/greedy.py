@@ -17,13 +17,14 @@ candidate however the gain was reached.
 bounds, kept in flat per-candidate arrays rather than a heap: a key
 (an oracle gain or an upper bound on the current gain) and a flag
 saying whether the key is this round's oracle gain.  A round runs one
-of two ways, chosen from what the estimator offers, not by a knob:
+of two ways, chosen by the utilities asked for, not by a knob:
 
-- **Exact rounds.**  When the estimator keeps every candidate's exact
-  per-group marginal counts on its state (``marginal_counts``: the
-  world ensemble and the RR-set estimator under the step model), every
-  key is an exact gain and the pick is read straight from them — plain
-  greedy's rule on plain greedy's rows.  A round is then one fused
+- **Exact rounds.**  Under the step model the estimator
+  (:class:`~repro.influence.ensemble.UtilityEstimator`, over worlds or
+  RR pools) keeps every candidate's exact per-group marginal counts on
+  its state (``marginal_counts``), so every key is an exact gain and
+  the pick is read straight from them — plain greedy's rule on plain
+  greedy's rows.  A round is then one fused
   estimator call, ``add_seed_and_score``: ``add_seed`` keeps ``M`` (through
   the reach index's transpose) and the state's counts at the deadline
   current, so the call returns the new utilities and every open
@@ -32,7 +33,7 @@ of two ways, chosen from what the estimator offers, not by a knob:
   ends the solve (the budget is spent, or the stop condition holds on
   its utilities) scores no rows.  ``evaluations`` counts the rows
   scored, as :func:`plain_greedy` reports, each round charged to the
-  step it leads to.  An estimator without the fused call runs bound
+  step it leads to.  A wrapper that hides the fused call runs bound
   rounds.
 - **Bound rounds** (discounted utilities, which are not counts), below.
 
@@ -78,7 +79,7 @@ import numpy as np
 
 from repro.errors import InfeasibleError, OptimizationError
 from repro.graph.digraph import NodeId
-from repro.influence.backends import UtilityEstimator
+from repro.influence.ensemble import UtilityEstimator
 from repro.core.objectives import Objective
 
 #: Marginal gains below this are treated as zero (Monte Carlo noise
@@ -206,11 +207,9 @@ def lazy_greedy(
     Parameters
     ----------
     ensemble:
-        Pre-built influence estimator — anything satisfying the
-        :class:`~repro.influence.backends.UtilityEstimator` protocol
-        (a :class:`~repro.influence.ensemble.WorldEnsemble`, an
-        :class:`~repro.influence.rrsets.RRSetEstimator`, or a custom
-        estimator).
+        Pre-built :class:`~repro.influence.ensemble.UtilityEstimator`
+        (a :class:`~repro.influence.ensemble.WorldEnsemble` or an
+        :class:`~repro.influence.rrsets.RRSetEstimator`).
     objective:
         Monotone scalarisation of group utilities.
     deadline:

@@ -21,8 +21,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
-from repro.influence.backends import UtilityEstimator
-from repro.influence.ensemble import InfluenceState, WorldEnsemble
+from repro.influence.ensemble import InfluenceState, UtilityEstimator, WorldEnsemble
 from repro.core.budget import BudgetSolution, solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import ConcaveFunction, log1p, sqrt
 from repro.core.greedy import SelectionTrace

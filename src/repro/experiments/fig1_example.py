@@ -20,7 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.datasets.example import BLUE, RED, illustrative_graph
-from repro.influence.backends import UtilityEstimator
+from repro.influence.ensemble import UtilityEstimator
 from repro.core.concave import log1p
 from repro.experiments.common import build_ensemble
 from repro.experiments.runner import ExperimentResult, format_deadline

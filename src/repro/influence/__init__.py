@@ -1,18 +1,22 @@
 """Influence estimation: the time-critical utility ``f_tau`` (Eq. 1).
 
-Four estimators, all agreeing in expectation:
+Three estimators, all agreeing in expectation:
 
-- :class:`~repro.influence.ensemble.WorldEnsemble` — the workhorse:
-  common-random-numbers estimation over ``R`` pre-sampled live-edge
-  worlds, supporting O(R·n) incremental marginal-gain queries (what the
-  greedy solvers call thousands of times).  Its one store is a reach
-  index of every candidate's finite activation entries, emitted by the
-  frontier BFS of :mod:`~repro.influence.backends`.
-- :class:`~repro.influence.rrsets.RRSetEstimator` — group-tagged
-  reverse-reachable sets with IMM/OPIM-style adaptive sampling
-  (``EnsembleSpec(kind="rrset")``): the scalable path when the reach
-  index will not fit, with the per-group surface the fair
-  objectives need.
+- :class:`~repro.influence.ensemble.UtilityEstimator` — the one query
+  surface the solvers call, written once over a reach index
+  (:class:`~repro.influence.ensemble.ReachOracle`) and built two ways:
+
+  - :class:`~repro.influence.ensemble.WorldEnsemble` — the workhorse:
+    common-random-numbers estimation over ``R`` pre-sampled live-edge
+    worlds.  Its reach index lists every candidate's finite activation
+    entries, emitted by the frontier BFS of
+    :mod:`~repro.influence.backends`; answers are counts over ``R``.
+  - :class:`~repro.influence.rrsets.RRSetEstimator` — group-tagged
+    reverse-reachable sets with IMM/OPIM-style adaptive sampling
+    (``EnsembleSpec(kind="rrset")``): the scalable path when the world
+    index will not fit, one reach index of RR-set memberships per
+    horizon; answers are counts times ``n / theta``.
+
 - :func:`~repro.influence.montecarlo.monte_carlo_utility` — naive
   forward-simulation Monte Carlo (the authors' estimator); used for
   cross-validation.
@@ -20,19 +24,17 @@ Four estimators, all agreeing in expectation:
   expectation by enumerating every live-edge world on tiny graphs;
   the ground truth for tests and for the Figure-1 example.
 
-:class:`repro.api.Session` builds one of the first two per
-``EnsembleSpec.kind``.  Solvers are typed against the
-:class:`~repro.influence.backends.UtilityEstimator` protocol, so any
-estimator slots in without touching the solver layer.  Deadline
+:class:`repro.api.Session` builds one of the two reach-index estimators
+per ``EnsembleSpec.kind``, and the solvers are typed against
+:class:`~repro.influence.ensemble.UtilityEstimator`.  Deadline
 rounding is defined once in :mod:`~repro.influence.deadlines`.
 
 Plus the fairness measurements of Section 4:
 :func:`~repro.influence.utility.disparity` implements Eq. 2.
 """
 
-from repro.influence.backends import UtilityEstimator
 from repro.influence.deadlines import clip_deadline, simulation_horizon
-from repro.influence.ensemble import InfluenceState, WorldEnsemble
+from repro.influence.ensemble import InfluenceState, UtilityEstimator, WorldEnsemble
 from repro.influence.exact import exact_group_utilities, exact_utility
 from repro.influence.incremental import (
     EdgePlan,

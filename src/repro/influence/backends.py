@@ -1,4 +1,4 @@
-"""The frontier BFS behind the world ensemble, and the estimator protocol.
+"""The frontier BFS behind the world ensemble, and the array helpers.
 
 The common-random-numbers estimator (:class:`~repro.influence.ensemble.
 WorldEnsemble`) describes candidate ``c`` by its finite activation
@@ -12,37 +12,18 @@ allocates a row's ``n`` distances beyond a bounded chunk.  The same
 call builds the index and, after a graph delta, re-lists the rows a
 repair touches.
 
-:class:`UtilityEstimator` is the solver-facing protocol every
-estimator — the world ensemble, the RR-set estimator or any other —
-satisfies, which is what the greedy/budget/cover layers are typed
-against; :func:`batch_gains` is the shared body of their
-``candidate_gains_batch`` and :func:`check_position` their candidate
-check.  The remaining helpers are the small array
-primitives the index and the repair layer share.
+The other helpers are the small array primitives the reach index
+(:mod:`repro.influence.ensemble`), the RR pools and the repair layer
+share.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Collection,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.diffusion.worlds import UNREACHABLE, LiveEdgeWorld
-from repro.errors import EstimationError
-from repro.graph.digraph import NodeId
 
 
 def compact_uint(size: int) -> np.dtype:
@@ -202,143 +183,3 @@ def bfs_rows(
     hop = packed.astype(np.uint8)  # the low byte: casting wraps modulo 256
     packed >>= 8
     return packed, hop
-
-
-@runtime_checkable
-class UtilityEstimator(Protocol):
-    """What the solvers need from an influence estimator.
-
-    :class:`~repro.influence.ensemble.WorldEnsemble` (live-edge worlds)
-    and :class:`~repro.influence.rrsets.RRSetEstimator` (group-tagged RR
-    sets) satisfy it from reach indexes through one
-    :class:`~repro.influence.ensemble.ReachOracle` — both plug into
-    ``lazy_greedy`` / ``plain_greedy`` / the budget and cover solvers
-    unchanged, as can any further estimator implementing the same
-    surface.  The batched oracle (``candidate_group_utilities_batch``)
-    and the deadline sweep (``group_utilities_sweep``) are required:
-    the greedy engines and sweep helpers call them directly.
-    ``candidate_gains_batch`` turns a batch into objective gains
-    (:func:`batch_gains` is the shared body).  An estimator may also
-    offer ``marginal_counts(state, deadline, discount)`` — every
-    candidate's exact marginal counts, kept by ``add_seed``, or
-    ``None`` where utilities are not counts — together with
-    ``add_seed_and_score(state, position, deadline, open_positions,
-    stop)``, which adds a seed and returns the new utilities and, unless
-    ``open_positions`` is ``None`` or ``stop`` holds on them, the open
-    candidates' rows in one call.  ``lazy_greedy`` then scores whole
-    rounds exactly instead of re-bounding; it needs both methods, and
-    both shipped estimators offer them under the step model.  CELF's per-group bounds assume
-    what the paper's estimators guarantee: every group utility is
-    monotone submodular in the seed set, and step-model utilities are
-    exact (the same float64 bits on every query path).
-    """
-
-    group_names: List[Hashable]
-    group_sizes: np.ndarray
-
-    @property
-    def n_candidates(self) -> int: ...
-
-    def position(self, node: NodeId) -> int: ...
-
-    def label(self, position: int) -> NodeId: ...
-
-    def empty_state(self) -> Any: ...
-
-    def state_for(self, seeds: Iterable[NodeId]) -> Any: ...
-
-    def add_seed(self, state: Any, position: int) -> None: ...
-
-    def seeds_of(self, state: Any) -> List[NodeId]: ...
-
-    def group_utilities(
-        self, state: Any, deadline: float, discount: Optional[float] = None
-    ) -> np.ndarray: ...
-
-    def candidate_group_utilities(
-        self,
-        state: Any,
-        position: int,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray: ...
-
-    def total_utility(self, state: Any, deadline: float) -> float: ...
-
-    def normalized_group_utilities(
-        self, state: Any, deadline: float
-    ) -> np.ndarray: ...
-
-    def candidate_group_utilities_batch(
-        self,
-        state: Any,
-        positions: Sequence[int],
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray: ...
-
-    def candidate_gains_batch(
-        self,
-        state: Any,
-        positions: Sequence[int],
-        deadline: float,
-        objective: Any,
-        discount: Optional[float] = None,
-        base_value: Optional[float] = None,
-    ) -> np.ndarray: ...
-
-    def group_utilities_sweep(
-        self,
-        state: Any,
-        deadlines: Sequence[float],
-        discount: Optional[float] = None,
-    ) -> np.ndarray: ...
-
-    def memory_bytes(self) -> int: ...
-
-
-def check_position(
-    estimator: UtilityEstimator, position: int, seeds: Collection[int] = ()
-) -> int:
-    """``position`` as an ``int``; raises :class:`~repro.errors.
-    EstimationError` unless it names a candidate of ``estimator`` that
-    is not already among the positions ``seeds``."""
-    position = int(position)
-    if not 0 <= position < estimator.n_candidates:
-        raise EstimationError(
-            f"candidate position {position} out of range "
-            f"[0, {estimator.n_candidates})"
-        )
-    if position in seeds:
-        raise EstimationError(
-            f"candidate {estimator.label(position)!r} is already a seed"
-        )
-    return position
-
-
-def batch_gains(
-    estimator: UtilityEstimator,
-    state: Any,
-    positions: Sequence[int],
-    deadline: float,
-    objective: Any,
-    discount: Optional[float] = None,
-    base_value: Optional[float] = None,
-) -> np.ndarray:
-    """Marginal objective gains for a block of candidates.
-
-    The body of every estimator's ``candidate_gains_batch``:
-    ``objective.values`` (see :mod:`repro.core.objectives`) over the
-    batched utilities, minus ``base_value`` — the objective of the
-    current state, computed when not given.  Row-wise values equal
-    ``objective.value`` on each row bit for bit, so gains are exactly
-    ``objective.value(candidate_group_utilities(...)) - base_value``.
-    """
-    utilities = estimator.candidate_group_utilities_batch(
-        state, positions, deadline, discount
-    )
-    if base_value is None:
-        base_value = objective.value(
-            estimator.group_utilities(state, deadline, discount)
-        )
-    return objective.values(utilities) - base_value

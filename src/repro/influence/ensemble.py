@@ -18,8 +18,11 @@ live-edge worlds only a fraction of a percent of ``D`` is finite, so
 time, group)``, emitted straight by the frontier BFS
 (:func:`~repro.influence.backends.bfs_rows`).  States and queries over
 it live in :class:`ReachOracle`, which every RR pool of
-:class:`~repro.influence.rrsets.RRSetEstimator` shares.  For the step
-model:
+:class:`~repro.influence.rrsets.RRSetEstimator` shares, and the surface
+the solvers call is written once over the oracle,
+:class:`UtilityEstimator`: the world ensemble and the RR-set estimator
+are its two builders, and differ in how their entries are built and in
+the normaliser (``1 / R``, or ``n / theta``).  For the step model:
 
 - adding a seed lowers ``best`` and moves histogram bins at the
   candidate's own entries only — O(entries of ``c``);
@@ -29,7 +32,7 @@ model:
   groups of the entries it newly activates (``time <= tau < best``) —
   O(entries of ``c``), without mutating the state;
 - the state also keeps every candidate's marginal counts ``M`` (see
-  :meth:`WorldEnsemble.marginal_counts`): at the empty state they are
+  :meth:`UtilityEstimator.marginal_counts`): at the empty state they are
   a column of the gain table the index build derives with one
   bincount, and ``add_seed`` retires, through the index's node-major
   transpose, the entries of every candidate that reached a node the
@@ -37,7 +40,7 @@ model:
   O(k) per candidate at *any* state.  Such a state keeps its counts at
   ``M``'s cutoff (``counts + M[seed]`` per pick) instead of its
   histogram, so one exact CELF round — a pick and every open row — is
-  one call (:meth:`WorldEnsemble.add_seed_and_score`);
+  one call (:meth:`UtilityEstimator.add_seed_and_score`);
 - a whole *deadline sweep* for a fixed seed set is one cumulative sum
   over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
   — O(k) per additional deadline.
@@ -47,7 +50,7 @@ structures: a seed set's utilities are its histogram weighed by a
 256-entry table of ``gamma**t`` (0 past the deadline), and a
 candidate's row adds, over its own entries, the weight each entry gains
 over the state's time there — O(entries of ``c``), in float64
-(:meth:`WorldEnsemble.candidate_group_utilities_batch`).
+(:meth:`UtilityEstimator.candidate_group_utilities_batch`).
 
 Queries run serially on the caller thread.  The speed comes from
 submodularity (lazy CELF re-evaluation), the reach index and the
@@ -80,6 +83,7 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Hashable,
     Iterable,
@@ -104,9 +108,7 @@ from repro.diffusion.worlds import (
     sample_lt_world,
 )
 from repro.influence.backends import (
-    batch_gains,
     bfs_rows,
-    check_position,
     compact_uint,
     concat_ranges,
     flat_index_dtype,
@@ -283,7 +285,8 @@ class ReachOracle:
     cells are grouped by node, and an RR pool
     (:class:`~repro.influence.rrsets.RRSetEstimator`) is one row of
     ``theta`` sets, each reached at time 0 by its members and grouped by
-    its target.  Both estimators hold oracles by composition.  Answers
+    its target.  Both estimators hold oracles by composition and query
+    them through :class:`UtilityEstimator`.  Answers
     are exact int64 counts of activated cells or, given per-time
     ``weights``, float64 weighted totals; the world ensemble divides
     them by ``R`` and an RR pool multiplies them by ``n / theta``.
@@ -627,7 +630,270 @@ def make_backend(
     return assemble_reach(offsets, flat, time, group, table, span, k)
 
 
-class WorldEnsemble:
+class UtilityEstimator:
+    """Seed-set states and utility queries: the surface the solvers call.
+
+    The repository's two estimators are this class over two builders:
+    :class:`WorldEnsemble` (``R`` live-edge worlds, one reach index
+    whose cells are ``(world, node)`` pairs) and
+    :class:`~repro.influence.rrsets.RRSetEstimator` (one pool of
+    group-tagged RR sets per horizon, each a reach index whose cells
+    are its sets).  Both answer through a :class:`ReachOracle`, so the
+    queries here are written once.  Each reads its inputs from one
+    hook, ``_bind(state, deadline, discount)``, which returns ``(oracle,
+    state over it, cutoff, weights, scale)``: the oracle's exact counts
+    (or, given weights, float64 weighted totals) are then normalised by
+    ``_normalise(x, scale)`` — ``x / R`` over worlds, ``x * (n /
+    theta)`` over an RR pool.
+
+    A builder also supplies ``_state_of`` (the state of distinct seed
+    positions), ``add_seed``, ``group_utilities_sweep``,
+    ``memory_bytes`` and ``nbytes``.  Every query and mutation first
+    checks that the graph has not changed since the index was built
+    (:meth:`_check_fresh`).  CELF's per-group bounds assume what both
+    estimators guarantee: every group utility is monotone submodular in
+    the seed set, and step-model utilities are exact (the same float64
+    bits on every query path).
+    """
+
+    #: How an answer's counts meet ``_bind``'s scale: ``np.true_divide``
+    #: or ``np.multiply``, the ufunc behind the operator, so the bits
+    #: are the operator's own.
+    _normalise: Callable[[np.ndarray, float], np.ndarray]
+
+    #: What a caller should do about a stale estimator (see
+    #: :meth:`_check_fresh`).
+    _STALE_HINT: str
+
+    def __init__(
+        self,
+        graph: DiGraph,
+        assignment: GroupAssignment,
+        candidates: Optional[Iterable[NodeId]] = None,
+    ) -> None:
+        assignment.validate_for(graph)
+        self.graph = graph
+        self.assignment = assignment
+        self.n = graph.number_of_nodes()
+        self.group_names: List[Hashable] = assignment.groups
+        self.group_sizes = assignment.sizes().astype(np.float64)
+        # Groups partition the nodes, so each column of the ``(k, n)``
+        # mask matrix has exactly one True: argmax recovers the group
+        # index of every node (used by the indexes and the histograms).
+        self._group_index = assignment.masks(graph).argmax(axis=0).astype(np.int64)
+        if candidates is None:
+            candidate_labels = graph.nodes()
+        else:
+            candidate_labels = list(candidates)
+            if not candidate_labels:
+                raise EstimationError("candidate set must not be empty")
+            if len(set(candidate_labels)) != len(candidate_labels):
+                raise EstimationError("candidate set contains duplicates")
+        self.candidate_labels: List[NodeId] = candidate_labels
+        self._candidate_indices = graph.indices_of(candidate_labels)
+        self._position_of: Dict[NodeId, int] = {
+            label: pos for pos, label in enumerate(candidate_labels)
+        }
+        # The graph version the index matches (see ``_check_fresh``).
+        self._graph_version = graph.version
+
+    def _check_fresh(self) -> None:
+        """Refuse to serve estimates for a graph the index doesn't match.
+
+        The graph version advances on every mutation; an index sampled
+        at another version (and, for worlds, not repaired since through
+        :meth:`WorldEnsemble.apply_delta`) describes a graph that no
+        longer exists — a silent source of wrong numbers this guard
+        turns into a loud error.
+        """
+        if self.graph.version != self._graph_version:
+            raise EstimationError(
+                f"stale {type(self).__name__}: the graph is at version "
+                f"{self.graph.version} but the estimator matches version "
+                f"{self._graph_version}; {self._STALE_HINT}"
+            )
+
+    # ------------------------------------------------------------------
+    # candidate addressing
+    # ------------------------------------------------------------------
+    @property
+    def n_candidates(self) -> int:
+        return len(self.candidate_labels)
+
+    def position(self, node: NodeId) -> int:
+        """Candidate-array position of ``node`` (raises if not a candidate)."""
+        try:
+            return self._position_of[node]
+        except KeyError:
+            raise EstimationError(f"{node!r} is not in the candidate set") from None
+
+    def label(self, position: int) -> NodeId:
+        return self.candidate_labels[position]
+
+    def check_position(self, position: int, seeds: Collection[int] = ()) -> int:
+        """``position`` as an ``int``; raises :class:`~repro.errors.
+        EstimationError` unless it names a candidate that is not already
+        among the positions ``seeds``."""
+        position = int(position)
+        if not 0 <= position < self.n_candidates:
+            raise EstimationError(
+                f"candidate position {position} out of range "
+                f"[0, {self.n_candidates})"
+            )
+        if position in seeds:
+            raise EstimationError(f"candidate {self.label(position)!r} is already a seed")
+        return position
+
+    # ------------------------------------------------------------------
+    # states
+    # ------------------------------------------------------------------
+    def empty_state(self):
+        """State of the empty seed set."""
+        return self.state_for(())
+
+    def state_for(self, seeds: Iterable[NodeId]):
+        """State of an arbitrary seed set (each seed a distinct
+        candidate), bit-identical to one :meth:`add_seed` per seed;
+        ``evaluate_at`` / :meth:`utilities_for` / the sweep helpers all
+        sit on this."""
+        positions: Dict[int, None] = {}  # ordered, with O(1) lookups
+        for node in seeds:
+            positions[self.check_position(self.position(node), positions)] = None
+        self._check_fresh()
+        return self._state_of(list(positions))
+
+    def seeds_of(self, state) -> List[NodeId]:
+        return [self.candidate_labels[p] for p in state.seed_positions]
+
+    def add_seed_and_score(
+        self,
+        state,
+        position: int,
+        deadline: float,
+        open_positions: Optional[np.ndarray] = None,
+        stop: Optional[Callable[[np.ndarray], bool]] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One exact CELF round (step model): :meth:`add_seed`, then the
+        new group utilities and their rows at ``open_positions`` — each
+        bit-identical to :meth:`group_utilities` and
+        :meth:`candidate_group_utilities_batch`.  The rows are ``None``
+        when the solve ends at this pick: ``open_positions`` is ``None``
+        or ``stop`` holds on the new utilities.  The state keeps its
+        counts and ``M`` at the deadline, so both are reads; the open
+        positions are the engine's own and are not checked."""
+        oracle, bound, cutoff, _, scale = self._bind(state, deadline)
+        self.add_seed(state, position)
+        utilities = self._normalise(oracle.counts(bound, cutoff), scale)
+        if open_positions is None or (stop is not None and stop(utilities)):
+            return utilities, None
+        rows = oracle.marginal_rows(bound, open_positions, cutoff)
+        return utilities, self._normalise(rows, scale)
+
+    # ------------------------------------------------------------------
+    # utility queries: the oracle's counts and totals, normalised
+    # ------------------------------------------------------------------
+    def group_utilities(
+        self,
+        state,
+        deadline: float,
+        discount: Optional[float] = None,
+    ) -> np.ndarray:
+        """Expected per-group utility of the current seed set.
+
+        Order matches :attr:`group_names`.  Without ``discount`` this is
+        ``[f_tau(S; V_1, G), ..., f_tau(S; V_k, G)]`` (Eq. 1); with
+        ``discount=gamma`` (worlds only) each activated node contributes
+        ``gamma**t_v`` instead of 1.  Both are read from the state's
+        histogram: its exact counts or its weighted totals, normalised.
+        """
+        oracle, bound, cutoff, weights, scale = self._bind(state, deadline, discount)
+        if weights is None:
+            return self._normalise(oracle.counts(bound, cutoff), scale)
+        return self._normalise(oracle.totals(bound, weights), scale)
+
+    def candidate_group_utilities(
+        self,
+        state,
+        position: int,
+        deadline: float,
+        discount: Optional[float] = None,
+    ) -> np.ndarray:
+        """Group utilities of ``seeds(state) + {candidate}`` without
+        mutation: :meth:`ReachOracle.row` over the candidate's own index
+        entries — O(entries of ``c``) — normalised."""
+        oracle, bound, cutoff, weights, scale = self._bind(state, deadline, discount)
+        row = oracle.row(bound, self.check_position(position), cutoff, weights)
+        return self._normalise(row, scale)
+
+    def candidate_group_utilities_batch(
+        self,
+        state,
+        positions: Sequence[int],
+        deadline: float,
+        discount: Optional[float] = None,
+    ) -> np.ndarray:
+        """Group utilities of ``seeds(state) + {c}`` for a whole block,
+        ``(len(positions), k)``, row ``i`` bit-identical to
+        ``candidate_group_utilities(state, positions[i], ...)``:
+        :meth:`ReachOracle.rows`, normalised."""
+        oracle, bound, cutoff, weights, scale = self._bind(state, deadline, discount)
+        return self._normalise(oracle.rows(bound, positions, cutoff, weights), scale)
+
+    def marginal_counts(
+        self,
+        state,
+        deadline: float,
+        discount: Optional[float] = None,
+    ) -> Optional[np.ndarray]:
+        """The state's exact marginal counts ``M`` at ``deadline``
+        (:meth:`ReachOracle.marginals`), or ``None`` for discounted
+        utilities, which are not counts.
+
+        ``M[c, g]`` counts the group-``g`` cells candidate ``c`` reaches
+        by the deadline that the state does not, so ``M[c] + counts_S``,
+        normalised, is ``u(S + c)``; :meth:`add_seed` keeps it exact, so
+        ``lazy_greedy`` runs exact rounds.  Read it, do not write it.
+        """
+        oracle, bound, cutoff, weights, _ = self._bind(state, deadline, discount)
+        return None if weights is not None else oracle.marginals(bound, cutoff)
+
+    def candidate_gains_batch(
+        self,
+        state,
+        positions: Sequence[int],
+        deadline: float,
+        objective: Any,
+        discount: Optional[float] = None,
+        base_value: Optional[float] = None,
+    ) -> np.ndarray:
+        """Marginal objective gains for a block of candidates.
+
+        ``objective.values`` (see :mod:`repro.core.objectives`) over the
+        batched utilities, minus ``base_value`` — the objective of the
+        current state, computed when not given.  Row-wise values equal
+        ``objective.value`` on each row bit for bit, so gains are exactly
+        ``objective.value(candidate_group_utilities(...)) - base_value``.
+        """
+        utilities = self.candidate_group_utilities_batch(state, positions, deadline, discount)
+        if base_value is None:
+            base_value = objective.value(self.group_utilities(state, deadline, discount))
+        return objective.values(utilities) - base_value
+
+    def total_utility(self, state, deadline: float) -> float:
+        """Expected activated-by-``deadline`` count over the whole population."""
+        return float(self.group_utilities(state, deadline).sum())
+
+    def utilities_for(self, seeds: Iterable[NodeId], deadline: float) -> np.ndarray:
+        """Group utilities of an explicit seed set (convenience)."""
+        return self.group_utilities(self.state_for(seeds), deadline)
+
+    def normalized_group_utilities(self, state, deadline: float) -> np.ndarray:
+        """Per-group utilities divided by group sizes — the paper's
+        ``f_tau(S; V_i, G) / |V_i|``."""
+        return self.group_utilities(state, deadline) / self.group_sizes
+
+
+class WorldEnsemble(UtilityEstimator):
     """Pre-sampled worlds + their reach index for a (graph, groups) pair.
 
     Parameters
@@ -651,6 +917,8 @@ class WorldEnsemble:
     The reach index is built with the ensemble.  One larger than
     :attr:`EMPTY_TABLE_BYTE_LIMIT` raises :class:`~repro.errors.
     ConfigError` during the BFS, before its entries are assembled.
+    Every answer is the oracle's counts (or weighted totals) divided by
+    ``R``.
     """
 
     #: Ceiling on the reach index's bytes (entries listed twice,
@@ -658,6 +926,11 @@ class WorldEnsemble:
     #: starts).  Past it a world ensemble is the wrong estimator: the
     #: RR-set estimator (``kind="rrset"``) scales by sampling instead.
     EMPTY_TABLE_BYTE_LIMIT = 128 * 1024 * 1024
+
+    _normalise = np.true_divide
+    _STALE_HINT = (
+        "apply mutations through WorldEnsemble.apply_delta (or rebuild the ensemble)"
+    )
 
     def __init__(
         self,
@@ -670,33 +943,9 @@ class WorldEnsemble:
     ) -> None:
         if n_worlds < 1:
             raise EstimationError(f"n_worlds must be >= 1, got {n_worlds}")
-        assignment.validate_for(graph)
-        self.graph = graph
-        self.assignment = assignment
+        super().__init__(graph, assignment, candidates)
         self.model = model
-        self.n = graph.number_of_nodes()
         self.n_worlds = n_worlds
-
-        if candidates is None:
-            candidate_labels = graph.nodes()
-        else:
-            candidate_labels = list(candidates)
-            if not candidate_labels:
-                raise EstimationError("candidate set must not be empty")
-            if len(set(candidate_labels)) != len(candidate_labels):
-                raise EstimationError("candidate set contains duplicates")
-        self.candidate_labels: List[NodeId] = candidate_labels
-        self._candidate_indices = graph.indices_of(candidate_labels)
-        self._position_of: Dict[NodeId, int] = {
-            label: pos for pos, label in enumerate(candidate_labels)
-        }
-
-        self.group_names: List[Hashable] = assignment.groups
-        self.group_sizes = assignment.sizes().astype(np.float64)
-        # Groups partition the nodes, so each column of the ``(k, n)``
-        # mask matrix has exactly one True: argmax recovers the group
-        # index of every node (used by the index and the histograms).
-        self._group_index = assignment.masks(graph).argmax(axis=0).astype(np.int64)
 
         # Per-world RNG children, spawned exactly as ``sample_worlds``
         # spawns them.
@@ -708,7 +957,6 @@ class WorldEnsemble:
         # ``repro.diffusion.worlds.ic_world_key``), so the generators
         # need not outlive the build.
         self._world_keys: Optional[List[int]] = None
-        self._closed = False
         if model == "ic":
             self._world_keys = [ic_world_key(child) for child in children]
             self.worlds: List[LiveEdgeWorld] = sample_ic_worlds(graph, self._world_keys)
@@ -721,7 +969,7 @@ class WorldEnsemble:
         # and the transpose (see ``_ReachIndex``), and the states and
         # queries over it.
         k = len(self.group_names)
-        self._oracle: Optional[ReachOracle] = ReachOracle(
+        self._oracle = ReachOracle(
             make_backend(
                 self.worlds,
                 self._candidate_indices,
@@ -732,10 +980,8 @@ class WorldEnsemble:
             self._group_index,
             k,
         )
-        # Streaming-delta bookkeeping: the graph version this store was
-        # built (or last repaired) against and the fingerprints of
-        # applied deltas.
-        self._graph_version = graph.version
+        # Streaming-delta bookkeeping: the fingerprints of applied
+        # deltas (``_graph_version`` follows each repair).
         self._delta_lineage: List[str] = []
 
     # ------------------------------------------------------------------
@@ -865,121 +1111,37 @@ class WorldEnsemble:
         self._graph_version = version
         self._delta_lineage.append(fingerprint)
 
-    def _check_fresh(self) -> None:
-        """Refuse to serve estimates for a graph the store doesn't match.
-
-        The graph version advances on every mutation;
-        :meth:`apply_delta` re-synchronises the store and records the
-        new version.  Any other mutation path leaves the sampled worlds
-        describing a graph that no longer exists — a silent source of
-        wrong numbers this guard turns into a loud error.
-        """
-        if self.graph.version != self._graph_version:
-            raise EstimationError(
-                f"stale ensemble: the graph is at version "
-                f"{self.graph.version} but the reach index matches "
-                f"version {self._graph_version}; apply mutations through "
-                "WorldEnsemble.apply_delta (or rebuild the ensemble)"
-            )
-
     # ------------------------------------------------------------------
-    # lifecycle
+    # states, and the query hook
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has torn this ensemble down."""
-        return self._closed
-
-    def close(self) -> None:
-        """Drop the ensemble's reach index (idempotent).
-
-        After ``close`` the ensemble must not be queried and holds no
-        store bytes.  Ensembles also work as context managers::
-
-            with WorldEnsemble(graph, groups) as ens:
-                ...
-        """
-        self._closed = True
-        self._oracle = None
-
-    def __enter__(self) -> "WorldEnsemble":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    @property
-    def n_candidates(self) -> int:
-        return len(self.candidate_labels)
-
-    def position(self, node: NodeId) -> int:
-        """Candidate-array position of ``node`` (raises if not a candidate)."""
-        try:
-            return self._position_of[node]
-        except KeyError:
-            raise EstimationError(f"{node!r} is not in the candidate set") from None
-
-    def label(self, position: int) -> NodeId:
-        return self.candidate_labels[position]
-
-    # ------------------------------------------------------------------
-    # state management
-    # ------------------------------------------------------------------
-    def empty_state(self) -> InfluenceState:
-        """State of the empty seed set (with its all-zero histogram)."""
-        self._check_fresh()
-        return self._oracle.empty_state()
-
-    def state_for(self, seeds: Iterable[NodeId]) -> InfluenceState:
-        """State of an arbitrary seed set (each seed must be a candidate).
-
-        Built as one scatter-minimum of all the seeds' index entries
-        (:meth:`ReachOracle.state_for`), bit-identical to one
-        :meth:`add_seed` per seed; ``evaluate_at`` /
-        :meth:`utilities_for` / the sweep helpers all sit on this.
-        """
-        positions: Dict[int, None] = {}  # ordered, with O(1) lookups
-        for node in seeds:
-            positions[check_position(self, self.position(node), positions)] = None
-        self._check_fresh()
-        return self._oracle.state_for(list(positions))
+    def _state_of(self, positions: List[int]) -> InfluenceState:
+        """State of distinct seeds ``positions``: one scatter-minimum of
+        their index entries (:meth:`ReachOracle.state_for`)."""
+        return self._oracle.state_for(positions)
 
     def add_seed(self, state: InfluenceState, position: int) -> None:
         """Mutate ``state`` to include candidate ``position`` as a seed
         (:meth:`ReachOracle.add_seed`: O(entries of the seed), plus the
         retired marginal counts)."""
         self._check_fresh()
-        self._oracle.add_seed(state, check_position(self, position, state.seed_positions))
+        self._oracle.add_seed(state, self.check_position(position, state.seed_positions))
 
-    def add_seed_and_score(
-        self,
-        state: InfluenceState,
-        position: int,
-        deadline: float,
-        open_positions: Optional[np.ndarray] = None,
-        stop: Optional[Callable[[np.ndarray], bool]] = None,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One exact CELF round (step model): :meth:`add_seed`, then the
-        new group utilities and their rows at ``open_positions`` — each
-        bit-identical to :meth:`group_utilities` and
-        :meth:`candidate_group_utilities_batch`.  The rows are ``None``
-        when the solve ends at this pick: ``open_positions`` is ``None``
-        or ``stop`` holds on the new utilities.  The state keeps its
-        counts and ``M`` at the deadline, so both are reads; the open
-        positions are the engine's own and are not checked."""
-        self.add_seed(state, position)
-        oracle, cutoff = self._oracle, _clip_deadline(deadline)
-        utilities = oracle.counts(state, cutoff) / self.n_worlds
-        if open_positions is None or (stop is not None and stop(utilities)):
-            return utilities, None
-        return utilities, oracle.marginal_rows(state, open_positions, cutoff) / self.n_worlds
+    def _bind(
+        self, state: InfluenceState, deadline: float, discount: Optional[float] = None
+    ) -> Tuple[ReachOracle, InfluenceState, int, Optional[np.ndarray], int]:
+        """The query hook (see :class:`UtilityEstimator`): the oracle,
+        ``state`` itself, the deadline's cutoff, the discount's weights
+        and ``R``."""
+        self._check_fresh()
+        cutoff = _clip_deadline(deadline)
+        weights = None if discount is None else self._time_weights(cutoff, discount)
+        return self._oracle, state, cutoff, weights, self.n_worlds
 
-    def seeds_of(self, state: InfluenceState) -> List[NodeId]:
-        return [self.candidate_labels[p] for p in state.seed_positions]
+    # The layer tracer (``perfbench/tracing.py``) wraps these in each
+    # class's own ``__dict__``.
+    candidate_group_utilities = UtilityEstimator.candidate_group_utilities
+    candidate_gains_batch = UtilityEstimator.candidate_gains_batch
 
-    # ------------------------------------------------------------------
-    # utility queries: the oracle's counts and totals, divided by ``R``
-    # ------------------------------------------------------------------
     @staticmethod
     def _check_discount(discount) -> None:
         if discount is not None and not 0.0 <= discount <= 1.0:
@@ -1006,47 +1168,8 @@ class WorldEnsemble:
         weights[cutoff + 1 :] = 0.0
         return weights
 
-    def group_utilities(
-        self,
-        state: InfluenceState,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Expected per-group utility of the current seed set.
-
-        Order matches :attr:`group_names`.  Without ``discount`` this is
-        ``[f_tau(S; V_1, G), ..., f_tau(S; V_k, G)]`` (Eq. 1) estimated
-        on the ensemble; with ``discount=gamma`` each activated node
-        contributes ``gamma**t_v`` instead of 1 (see
-        :meth:`_time_weights`).  Both are read from the state's
-        histogram: its exact counts or its weighted totals, divided by
-        ``R``.
-        """
-        self._check_fresh()
-        cutoff = _clip_deadline(deadline)
-        weights = self._time_weights(cutoff, discount)
-        if weights is None:
-            return self._oracle.counts(state, cutoff) / self.n_worlds
-        return self._oracle.totals(state, weights) / self.n_worlds
-
-    def candidate_group_utilities(
-        self,
-        state: InfluenceState,
-        position: int,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {candidate}`` without
-        mutation: :meth:`ReachOracle.row` over the candidate's own index
-        entries — O(entries of ``c``) — divided by ``R``."""
-        self._check_fresh()
-        position = check_position(self, position)
-        cutoff = _clip_deadline(deadline)
-        weights = self._time_weights(cutoff, discount)
-        return self._oracle.row(state, position, cutoff, weights) / self.n_worlds
-
     # ------------------------------------------------------------------
-    # batched gain oracle
+    # the reach index's budget and repairs
     # ------------------------------------------------------------------
     def _max_reach_entries(self) -> int:
         """How many entries fit under :attr:`EMPTY_TABLE_BYTE_LIMIT`,
@@ -1114,45 +1237,6 @@ class WorldEnsemble:
         flat = splice(reach.flat, lo, hi, flat, counts)
         return assemble_reach(offsets, flat, time, group, table, self.n_worlds * n, k)
 
-    def candidate_group_utilities_batch(
-        self,
-        state: InfluenceState,
-        positions: Sequence[int],
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {c}`` for a whole block,
-        ``(len(positions), k)``, row ``i`` bit-identical to
-        ``candidate_group_utilities(state, positions[i], ...)``:
-        :meth:`ReachOracle.rows` divided by ``R``."""
-        self._check_fresh()
-        cutoff = _clip_deadline(deadline)
-        weights = self._time_weights(cutoff, discount)
-        return self._oracle.rows(state, positions, cutoff, weights) / self.n_worlds
-
-    def marginal_counts(
-        self,
-        state: InfluenceState,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> Optional[np.ndarray]:
-        """The state's exact marginal counts ``M`` at ``deadline``
-        (:meth:`ReachOracle.marginals`), or ``None`` for discounted
-        utilities, which are not counts.
-
-        ``M[c, g]`` counts, over all worlds, the group-``g`` nodes
-        candidate ``c`` reaches by the deadline that the state does not,
-        so ``(M[c] + counts_S) / R`` is ``u(S + c)``; :meth:`add_seed`
-        keeps it exact.  Read it, do not write it.
-        """
-        self._check_fresh()
-        if discount is not None:
-            return None
-        return self._oracle.marginals(state, _clip_deadline(deadline))
-
-    #: Marginal objective gains for a block of candidates.
-    candidate_gains_batch = batch_gains
-
     # ------------------------------------------------------------------
     # deadline sweeps
     # ------------------------------------------------------------------
@@ -1195,21 +1279,6 @@ class WorldEnsemble:
             out[i] = oracle.totals(state, weights) / self.n_worlds
         return out
 
-    def total_utility(self, state: InfluenceState, deadline: float) -> float:
-        """Expected activated-by-``deadline`` count over the whole population."""
-        return float(self.group_utilities(state, deadline).sum())
-
-    def utilities_for(self, seeds: Iterable[NodeId], deadline: float) -> np.ndarray:
-        """Group utilities of an explicit seed set (convenience)."""
-        return self.group_utilities(self.state_for(seeds), deadline)
-
-    def normalized_group_utilities(
-        self, state: InfluenceState, deadline: float
-    ) -> np.ndarray:
-        """Per-group utilities divided by group sizes — the paper's
-        ``f_tau(S; V_i, G) / |V_i|``."""
-        return self.group_utilities(state, deadline) / self.group_sizes
-
     # ------------------------------------------------------------------
     def standard_errors(
         self,
@@ -1248,11 +1317,8 @@ class WorldEnsemble:
     def nbytes(self) -> int:
         """Total resident bytes this ensemble pins: the reach index
         (entries, transpose and gain table) plus the sampled worlds'
-        kept-edge CSRs, counted at build and after each repair.  Closed
-        ensembles hold nothing.
+        kept-edge CSRs, counted at build and after each repair.
         """
-        if self._closed:
-            return 0
         return int(self.memory_bytes() + self._world_bytes)
 
     def __repr__(self) -> str:

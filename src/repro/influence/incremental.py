@@ -180,8 +180,6 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
     ensemble's lineage — after which the ensemble answers every
     query exactly as a fresh build on the mutated graph would.
     """
-    if ensemble.closed:
-        raise EstimationError("cannot repair a closed ensemble")
     if ensemble.model != "ic":
         raise EstimationError(
             "incremental repair requires the keyed IC sampler; "

@@ -18,8 +18,8 @@ Two layers live here:
 - the scalar skeleton (:func:`sample_rr_sets` / :class:`RRCollection` /
   :func:`ris_greedy`) — an independently-coded reference path the test
   suite cross-validates against, kept deliberately simple;
-- :class:`RRSetEstimator`, the real
-  :class:`~repro.influence.backends.UtilityEstimator` behind
+- :class:`RRSetEstimator`, the
+  :class:`~repro.influence.ensemble.UtilityEstimator` behind
   ``EnsembleSpec(kind="rrset")``.  It samples *group-tagged* RR sets
   (each set remembers the group of its uniform target), so per-group
   coverage counts give unbiased estimates of every ``f_tau(S; V_i, G)``
@@ -47,22 +47,18 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EstimationError, OptimizationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
-from repro.influence.backends import (
-    batch_gains,
-    check_position,
-    compact_uint,
-    concat_ranges,
-)
+from repro.influence.backends import compact_uint, concat_ranges
 from repro.influence.ensemble import (
     InfluenceState,
     ReachOracle,
+    UtilityEstimator,
     assemble_reach,
     table_dtype,
     time_table,
@@ -355,8 +351,9 @@ class RRState:
     bound: Dict[int, InfluenceState] = field(default_factory=dict)
 
 
-class RRSetEstimator:
-    """Per-group RIS / IMM-style :class:`UtilityEstimator`.
+class RRSetEstimator(UtilityEstimator):
+    """Per-group RIS / IMM-style :class:`~repro.influence.ensemble.
+    UtilityEstimator`.
 
     Estimates every ``f_tau(S; V_i, G)`` from one pool of group-tagged
     RR sets: a set whose uniform target lies in group ``i`` contributes
@@ -381,7 +378,16 @@ class RRSetEstimator:
     independent edge coins, which is exactly IC's live-edge measure —
     and no ``discount`` support (RR sets record reachability within
     ``tau``, not activation times); both are rejected up front.
+
+    RR sets have no per-edge coin structure to re-threshold (each
+    sample is a sequential reverse BFS whose draw count depends on the
+    edge set), so unlike ``WorldEnsemble`` there is no in-place repair:
+    after a graph mutation the estimator refuses every query and
+    mutation, and a fresh one must be built.
     """
+
+    _normalise = np.multiply
+    _STALE_HINT = "RR indices cannot be repaired in place — build a new RRSetEstimator"
 
     def __init__(
         self,
@@ -397,23 +403,7 @@ class RRSetEstimator:
         n = graph.number_of_nodes()
         if n == 0:
             raise EstimationError("graph is empty")
-        assignment.validate_for(graph)
-        self.graph = graph
-        self.assignment = assignment
-        self.n = n
-        self.group_names = list(assignment.groups)
-        self.group_sizes = assignment.sizes().astype(np.float64)
-
-        if candidates is None:
-            self._candidates = list(graph.nodes())
-        else:
-            self._candidates = list(candidates)
-            if not self._candidates:
-                raise EstimationError("candidate set must not be empty")
-            if len(set(self._candidates)) != len(self._candidates):
-                raise EstimationError("candidate set contains duplicates")
-        candidate_idx = graph.indices_of(self._candidates)
-        self._positions = {label: i for i, label in enumerate(self._candidates)}
+        super().__init__(graph, assignment, candidates)
 
         if epsilon is None:
             epsilon = DEFAULT_EPSILON
@@ -449,35 +439,14 @@ class RRSetEstimator:
         self._rev_indptr = reverse.indptr.astype(np.int64)
         self._rev_indices = reverse.indices.astype(np.int64)
         self._rev_data = np.asarray(reverse.data, dtype=np.float64)
-        # RR samples encode the graph at construction time; serve
-        # nothing once the graph has moved on (see ``_check_fresh``).
-        self._graph_version = graph.version
 
-        masks = assignment.masks(graph)
-        self._group_index = masks.argmax(axis=0).astype(np.int64)
         self._pos_of_node = np.full(n, -1, dtype=np.int64)
-        self._pos_of_node[candidate_idx] = np.arange(
-            len(self._candidates), dtype=np.int64
+        self._pos_of_node[self._candidate_indices] = np.arange(
+            self.n_candidates, dtype=np.int64
         )
 
         self._indices: Dict[int, RRIndex] = {}
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # candidate addressing
-    # ------------------------------------------------------------------
-    @property
-    def n_candidates(self) -> int:
-        return len(self._candidates)
-
-    def position(self, node: NodeId) -> int:
-        try:
-            return self._positions[node]
-        except KeyError:
-            raise EstimationError(f"{node!r} is not in the candidate set") from None
-
-    def label(self, position: int) -> NodeId:
-        return self._candidates[int(position)]
 
     # ------------------------------------------------------------------
     # adaptive sampling, one RR index per horizon
@@ -485,22 +454,6 @@ class RRSetEstimator:
     @staticmethod
     def _horizon_key(horizon: Optional[int]) -> int:
         return -1 if horizon is None else int(horizon)
-
-    def _check_fresh(self) -> None:
-        """Refuse to serve estimates for a graph the samples don't match.
-
-        RR sets have no per-edge coin structure to re-threshold (each
-        sample is a sequential reverse BFS whose draw count depends on
-        the edge set), so unlike ``WorldEnsemble`` there is no in-place
-        repair: after a graph mutation, build a fresh estimator.
-        """
-        if self.graph.version != self._graph_version:
-            raise EstimationError(
-                f"stale RR-set estimator: the graph is at version "
-                f"{self.graph.version} but the samples were drawn at "
-                f"version {self._graph_version}; RR indices cannot be "
-                "repaired in place — build a new RRSetEstimator"
-            )
 
     def _index_for(self, deadline: float) -> RRIndex:
         self._check_fresh()
@@ -616,70 +569,21 @@ class RRSetEstimator:
         }
 
     # ------------------------------------------------------------------
-    # state management
+    # states, and the query hook
     # ------------------------------------------------------------------
-    def empty_state(self) -> RRState:
-        """State of the empty seed set."""
-        self._check_fresh()
-        return RRState()
-
-    def state_for(self, seeds: Iterable[NodeId]) -> RRState:
-        """State of an arbitrary seed set (each seed must be a candidate)."""
-        self._check_fresh()
-        positions: Dict[int, None] = {}  # ordered, with O(1) lookups
-        for node in seeds:
-            positions[check_position(self, self.position(node), positions)] = None
-        return RRState(list(positions))
+    def _state_of(self, positions: List[int]) -> RRState:
+        """State of distinct seeds ``positions``, bound to no pool yet."""
+        return RRState(positions)
 
     def add_seed(self, state: RRState, position: int) -> None:
         """Mutate ``state`` to include candidate ``position`` as a seed,
         in every horizon it is bound to."""
-        position = check_position(self, position, state.seed_positions)
+        self._check_fresh()
+        position = self.check_position(position, state.seed_positions)
         state.seed_positions.append(position)
         for key, bound in state.bound.items():
             self._indices[key].oracle.add_seed(bound, position)
 
-    def seeds_of(self, state: RRState) -> List[NodeId]:
-        return [self._candidates[p] for p in state.seed_positions]
-
-    def add_seed_and_score(
-        self,
-        state: RRState,
-        position: int,
-        deadline: float,
-        open_positions: Optional[np.ndarray] = None,
-        stop: Optional[Callable[[np.ndarray], bool]] = None,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One exact CELF round: :meth:`add_seed`, then the new group
-        utilities and their rows at ``open_positions`` — each
-        bit-identical to :meth:`group_utilities` and
-        :meth:`candidate_group_utilities_batch`, read from the deadline
-        pool's state.  The rows are ``None`` when the solve ends at this
-        pick: ``open_positions`` is ``None`` or ``stop`` holds on the new
-        utilities.  The open positions are the engine's own and are not
-        checked."""
-        index, bound = self._bind(state, deadline)
-        self.add_seed(state, position)
-        scale = self.n / index.theta
-        utilities = index.oracle.counts(bound, 0) * scale
-        if open_positions is None or (stop is not None and stop(utilities)):
-            return utilities, None
-        return utilities, index.oracle.marginal_rows(bound, open_positions, 0) * scale
-
-    def _bind(self, state: RRState, deadline: float) -> Tuple[RRIndex, InfluenceState]:
-        """The deadline's pool and ``state``'s state over it, bound on
-        first use by replaying the seeds into the pool's oracle."""
-        index = self._index_for(deadline)
-        key = self._horizon_key(index.horizon)
-        bound = state.bound.get(key)
-        if bound is None:
-            bound = state.bound[key] = index.oracle.state_for(state.seed_positions)
-        return index, bound
-
-    # ------------------------------------------------------------------
-    # utility queries: the oracle's counts of covered sets (every
-    # membership is reached at time 0, so cutoff 0), times ``n / theta``
-    # ------------------------------------------------------------------
     def _check_discount(self, discount) -> None:
         if discount is not None:
             raise EstimationError(
@@ -688,71 +592,26 @@ class RRSetEstimator:
                 "times); use EnsembleSpec(kind='worlds') for discount runs"
             )
 
-    def group_utilities(
-        self,
-        state: RRState,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Estimated per-group utility of the current seed set.
-
-        Order matches :attr:`group_names`: entry ``i`` is the RIS
-        estimate of ``f_tau(S; V_i, G)`` — ``n / theta`` times the
-        number of covered RR sets whose target lies in group ``i``.
-        """
+    def _bind(
+        self, state: RRState, deadline: float, discount: Optional[float] = None
+    ) -> Tuple[ReachOracle, InfluenceState, int, None, float]:
+        """The query hook (see :class:`~repro.influence.ensemble.
+        UtilityEstimator`): the deadline pool's oracle, ``state``'s state
+        over it — bound on first use by replaying the seeds — cutoff 0
+        (every membership is reached at time 0), no weights (a discount
+        is refused) and ``n / theta``."""
         self._check_discount(discount)
-        index, bound = self._bind(state, deadline)
-        return index.oracle.counts(bound, 0) * (self.n / index.theta)
+        index = self._index_for(deadline)
+        key = self._horizon_key(index.horizon)
+        bound = state.bound.get(key)
+        if bound is None:
+            bound = state.bound[key] = index.oracle.state_for(state.seed_positions)
+        return index.oracle, bound, 0, None, self.n / index.theta
 
-    def candidate_group_utilities(
-        self,
-        state: RRState,
-        position: int,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {candidate}`` without
-        mutation: the sets the candidate newly covers, counted over its
-        own memberships."""
-        self._check_discount(discount)
-        position = check_position(self, position)
-        index, bound = self._bind(state, deadline)
-        return index.oracle.row(bound, position, 0) * (self.n / index.theta)
-
-    def candidate_group_utilities_batch(
-        self,
-        state: RRState,
-        positions: Sequence[int],
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Group utilities of ``seeds(state) + {c}`` for a whole block,
-        row ``i`` bit-identical to
-        ``candidate_group_utilities(state, positions[i], ...)``: the
-        state's marginal counts plus its covered counts, O(k) per
-        candidate, under one scale factor."""
-        self._check_discount(discount)
-        index, bound = self._bind(state, deadline)
-        return index.oracle.rows(bound, positions, 0) * (self.n / index.theta)
-
-    def marginal_counts(
-        self,
-        state: RRState,
-        deadline: float,
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Every candidate's exact marginal counts ``M`` at ``deadline``:
-        ``M[c, g]`` counts the uncovered sets of target group ``g`` that
-        ``c`` belongs to, so ``(M[c] + covered) * n / theta`` is ``u(S +
-        c)``.  Kept on the state's bound horizon and exact through
-        :meth:`add_seed`, so ``lazy_greedy`` runs exact rounds.  The
-        array is the state's own — read it, do not write it."""
-        self._check_discount(discount)
-        index, bound = self._bind(state, deadline)
-        return index.oracle.marginals(bound, 0)
-
-    #: Marginal objective gains for a block of candidates.
-    candidate_gains_batch = batch_gains
+    # The layer tracer (``perfbench/tracing.py``) wraps these in each
+    # class's own ``__dict__``.
+    candidate_group_utilities = UtilityEstimator.candidate_group_utilities
+    candidate_gains_batch = UtilityEstimator.candidate_gains_batch
 
     def group_utilities_sweep(
         self,
@@ -773,23 +632,6 @@ class RRSetEstimator:
         for i, deadline in enumerate(deadlines):
             out[i] = self.group_utilities(state, deadline)
         return out
-
-    def total_utility(self, state: RRState, deadline: float) -> float:
-        """Estimated activated-by-``deadline`` count over the population."""
-        return float(self.group_utilities(state, deadline).sum())
-
-    def utilities_for(
-        self, seeds: Iterable[NodeId], deadline: float
-    ) -> np.ndarray:
-        """Group utilities of an explicit seed set (convenience)."""
-        return self.group_utilities(self.state_for(seeds), deadline)
-
-    def normalized_group_utilities(
-        self, state: RRState, deadline: float
-    ) -> np.ndarray:
-        """Per-group utilities divided by group sizes — the paper's
-        ``f_tau(S; V_i, G) / |V_i|``."""
-        return self.group_utilities(state, deadline) / self.group_sizes
 
     def memory_bytes(self) -> int:
         """Footprint of the reverse CSR plus every sampled RR index."""

@@ -299,8 +299,6 @@ class TestByteBoundedCache:
         ensemble = Session().ensemble_for(ensemble_spec())
         assert ensemble.nbytes >= ensemble.memory_bytes()
         assert ensemble.nbytes >= sum(w.nbytes for w in ensemble.worlds)
-        ensemble.close()
-        assert ensemble.nbytes == 0
 
     def test_cache_builds_counter(self):
         session = Session()

@@ -102,31 +102,24 @@ def test_traces_identical_across_backends(example_ensembles):
 
 
 class TestPaperScaleSynthetic:
-    """The acceptance-criteria check: byte-identical seeds on the
-    Rice-sized synthetic SBM whatever the BFS chunking, with the reach
-    index far below the dense tensor's footprint."""
+    """The acceptance-criteria check: pinned seeds on the Rice-sized
+    synthetic SBM, with the reach index far below the dense tensor's
+    footprint.  One default build: the BFS chunking is held to
+    identical rows by ``test_frontier.py``."""
 
     @pytest.fixture(scope="class")
-    def sbm_ensembles(self):
+    def sbm_ensemble(self):
         graph, assignment = default_synthetic(seed=0)
-        return {
-            store: build(graph, assignment, store, n_worlds=60, seed=9)
-            for store in STORES
-        }
+        return WorldEnsemble(graph, assignment, n_worlds=60, seed=9)
 
-    def test_lazy_greedy_seeds_identical(self, sbm_ensembles):
-        seeds = {
-            store: lazy_greedy(
-                ensemble, TotalInfluenceObjective(), deadline=20, max_seeds=5
-            ).seeds
-            for store, ensemble in sbm_ensembles.items()
-        }
-        assert seeds["dense"] == [264, 96, 19, 226, 329]
-        assert seeds["sparse"] == seeds["dense"]
-        assert seeds["lazy"] == seeds["dense"]
+    def test_lazy_greedy_seeds_identical(self, sbm_ensemble):
+        seeds = lazy_greedy(
+            sbm_ensemble, TotalInfluenceObjective(), deadline=20, max_seeds=5
+        ).seeds
+        assert seeds == [264, 96, 19, 226, 329]
 
-    def test_sparse_memory_below_dense(self, sbm_ensembles):
-        ensemble = sbm_ensembles["dense"]
+    def test_sparse_memory_below_dense(self, sbm_ensemble):
+        ensemble = sbm_ensemble
         dense_bytes = ensemble.n_worlds * ensemble.n_candidates * ensemble.n
         index_bytes = ensemble.memory_bytes()
         assert index_bytes < dense_bytes / 10, (

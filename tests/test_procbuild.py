@@ -156,19 +156,6 @@ class TestLifecycle:
         assert ensembles
         assert listed_segments() <= before
 
-    def test_context_manager_closes(self):
-        graph, assignment = small_graph()
-        with WorldEnsemble(graph, assignment, n_worlds=8, seed=5) as ensemble:
-            assert not ensemble.closed and ensemble.nbytes > 0
-        assert ensemble.closed and ensemble.nbytes == 0
-
-    def test_close_is_idempotent(self):
-        graph, assignment = small_graph()
-        ensemble = WorldEnsemble(graph, assignment, n_worlds=6, seed=5)
-        ensemble.close()
-        ensemble.close()
-        assert ensemble.closed and ensemble.nbytes == 0
-
 
 @pytest.mark.skipif(not _HAS_DEV_SHM, reason="needs /dev/shm to list segments")
 class TestHygiene:

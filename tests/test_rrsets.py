@@ -286,3 +286,25 @@ class TestPoolsAreReachIndexes:
                         estimator.utilities_for(grown, deadline),
                     )
         assert set(state.bound) == {1, 3}
+
+
+class TestStaleness:
+    """RR pools encode the graph they were sampled on and cannot be
+    repaired, so every query and mutation refuses a changed graph."""
+
+    def test_stale_estimator_refuses_queries_and_seeds(self):
+        graph, assignment = two_block_sbm(
+            60, 0.7, 0.2, 0.03, activation_probability=0.15, seed=3
+        )
+        estimator = RRSetEstimator(graph, assignment, theta=400, seed=4)
+        state = estimator.state_for([estimator.label(0)])
+        estimator.group_utilities(state, 2)  # binds a pool while fresh
+        u, v, _ = next(iter(graph.edges()))
+        graph.remove_edge(u, v)
+        with pytest.raises(EstimationError, match="stale"):
+            estimator.add_seed(state, 1)
+        assert state.seed_positions == [0]
+        with pytest.raises(EstimationError, match="stale"):
+            estimator.state_for([estimator.label(1)])
+        with pytest.raises(EstimationError, match="stale"):
+            estimator.group_utilities(state, 2)
