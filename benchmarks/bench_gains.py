@@ -7,8 +7,8 @@ default synthetic SBM and committed to ``BENCH_solvers.json``:
   through ``candidate_gains_batch`` vs the per-candidate scalar loop —
   the acceptance bar is >= 3x;
 - a 6-point deadline sweep through ``group_utilities_sweep`` (one
-  histogram + cumulative sum) vs six scalar ``group_utilities`` calls —
-  the acceptance bar is >= 5x;
+  state, one histogram, read per deadline) vs six ``group_utilities``
+  calls on fresh states — the acceptance bar is >= 5x;
 - the scalar CELF re-evaluation at a 15-seed state, scored from the
   candidate's reach-index entries vs the dense-row reference (fold the
   candidate's ``(R, n)`` rows, mask, float32 GEMM).  The reach index

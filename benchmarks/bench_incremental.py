@@ -19,7 +19,7 @@ world) it is no slower — the repair's work scales with the *rows that
 reach a re-flipped edge*, the rebuild's with every world.  Regenerate
 with::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_incremental.py --benchmark-disable
+    PYTHONPATH=src python -m pytest benchmarks/bench_incremental.py
 """
 
 import os

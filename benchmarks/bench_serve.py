@@ -20,7 +20,7 @@ others — throughput that broke bit-identity would not count.  Numbers
 (plus the measured ``os.cpu_count()``) are committed to
 ``BENCH_serve.json``.  Regenerate with::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_serve.py --benchmark-disable
+    PYTHONPATH=src python -m pytest benchmarks/bench_serve.py
 """
 
 import json

@@ -12,7 +12,7 @@ Both runs produce bit-identical deterministic rows (asserted each
 repeat, so the benchmark doubles as an equivalence smoke).  Numbers
 land in ``BENCH_sweep.json``.  Regenerate with::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_sweep.py --benchmark-disable
+    PYTHONPATH=src python -m pytest benchmarks/bench_sweep.py
 """
 
 import shutil

@@ -17,7 +17,8 @@ candidate however the gain was reached.
 bounds, kept in flat per-candidate arrays rather than a heap: a key
 (an oracle gain or an upper bound on the current gain) and a flag
 saying whether the key is this round's oracle gain.  A round runs one
-of two ways, chosen by the utilities asked for, not by a knob:
+of two ways, chosen by the utility model alone (step or discounted),
+not by a knob:
 
 - **Exact rounds.**  Under the step model the estimator
   (:class:`~repro.influence.ensemble.UtilityEstimator`, over worlds or
@@ -33,8 +34,7 @@ of two ways, chosen by the utilities asked for, not by a knob:
   ends the solve (the budget is spent, or the stop condition holds on
   its utilities) scores no rows.  ``evaluations`` counts the rows
   scored, as :func:`plain_greedy` reports, each round charged to the
-  step it leads to.  A wrapper that hides the fused call runs bound
-  rounds.
+  step it leads to.
 - **Bound rounds** (discounted utilities, which are not counts), below.
 
 Either way the first round scores every candidate in one
@@ -244,16 +244,10 @@ def lazy_greedy(
         trace.stopped_reason = "stop-condition"
         return trace
 
-    # Exact rounds when the estimator keeps every candidate's marginal
-    # counts on the state (asking builds them before the first pick)
-    # and offers the fused round that reads them.
-    marginal_counts = getattr(ensemble, "marginal_counts", None)
-    add_seed_and_score = getattr(ensemble, "add_seed_and_score", None)
-    exact = (
-        marginal_counts is not None
-        and add_seed_and_score is not None
-        and marginal_counts(state, deadline, discount) is not None
-    )
+    # Step-model utilities are exact counts, so every round is exact
+    # (the first round's batch builds the state's marginal counts);
+    # discounted ones are not, so every round is a bound round.
+    exact = discount is None
     evaluations = ensemble.n_candidates
     first = ensemble.candidate_group_utilities_batch(
         state, np.arange(evaluations), deadline, discount
@@ -317,7 +311,7 @@ def lazy_greedy(
             # the next step.
             key[pick] = -np.inf
             open_positions = open_positions[open_positions != pick]
-            utilities, rows = add_seed_and_score(
+            utilities, rows = ensemble.add_seed_and_score(
                 state,
                 pick,
                 deadline,

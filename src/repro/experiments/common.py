@@ -134,7 +134,7 @@ def deadline_sweep_fractions(
     Returns ``(totals, fractions)`` with shapes ``(T,)`` and ``(T, k)``
     for ``T`` deadlines.  Activation times are fixed once the ensemble
     is sampled, so the whole sweep is answered from one
-    ``group_utilities_sweep`` histogram — O(1) per extra deadline.
+    ``group_utilities_sweep`` histogram — O(k·tau) per extra deadline.
     """
     utilities = ensemble.group_utilities_sweep(
         ensemble.state_for(seeds), deadlines

@@ -145,8 +145,8 @@ def run_fig4c(quick: bool = False, seed: int = 0) -> ExperimentResult:
     default deadline across the whole sweep — the cost of deadline
     misspecification.  Activation times are frozen once the worlds are
     sampled, so those columns come from one
-    ``group_utilities_sweep`` histogram per seed set (O(1) per extra
-    tau) instead of per-tau re-derivations.
+    ``group_utilities_sweep`` histogram per seed set (O(k·tau) per
+    extra tau) instead of per-tau re-derivations.
     """
     ensemble = _ensemble(quick, seed)
     result = ExperimentResult(

@@ -39,7 +39,7 @@ def run_fig5a(quick: bool = False, seed: int = 0) -> ExperimentResult:
     The last two columns evaluate the tau=inf-selected seed sets under
     the tight tau=2 deadline — the deadline-misspecification gap.  Both
     deadlines of a fixed seed set come from one
-    ``group_utilities_sweep`` histogram (O(1) per extra tau).
+    ``group_utilities_sweep`` histogram (O(k·tau) per extra tau).
     """
     n_worlds = 50 if quick else 150
     pe_values = PE_SWEEP[::2] if quick else PE_SWEEP

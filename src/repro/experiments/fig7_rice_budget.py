@@ -134,8 +134,8 @@ def run_fig7c(quick: bool = False, seed: int = 0) -> ExperimentResult:
 
     Per-tau re-selected disparities, plus two columns evaluating the
     tau=20-selected seed sets across the whole sweep (one
-    ``group_utilities_sweep`` histogram per seed set — O(1) per extra
-    deadline).
+    ``group_utilities_sweep`` histogram per seed set — O(k·tau) per
+    extra deadline).
     """
     ensemble = _ensemble(quick, seed)
     sweep = DEADLINE_SWEEP[1:-1] if quick else DEADLINE_SWEEP

@@ -41,9 +41,10 @@ the normaliser (``1 / R``, or ``n / theta``).  For the step model:
   ``M``'s cutoff (``counts + M[seed]`` per pick) instead of its
   histogram, so one exact CELF round — a pick and every open row — is
   one call (:meth:`UtilityEstimator.add_seed_and_score`);
-- a whole *deadline sweep* for a fixed seed set is one cumulative sum
-  over the same histogram (:meth:`WorldEnsemble.group_utilities_sweep`)
-  — O(k) per additional deadline.
+- a whole *deadline sweep* for a fixed seed set reads the same
+  histogram's exact counts once per deadline
+  (:meth:`UtilityEstimator.group_utilities_sweep`) — O(k·tau) per
+  additional deadline, with no rescan of the state.
 
 Discounted utilities (``gamma**t`` weights) read the same two
 structures: a seed set's utilities are its histogram weighed by a
@@ -647,10 +648,9 @@ class UtilityEstimator:
     theta)`` over an RR pool.
 
     A builder also supplies ``_state_of`` (the state of distinct seed
-    positions), ``add_seed``, ``group_utilities_sweep``,
-    ``memory_bytes`` and ``nbytes``.  Every query and mutation first
-    checks that the graph has not changed since the index was built
-    (:meth:`_check_fresh`).  CELF's per-group bounds assume what both
+    positions), ``add_seed``, ``memory_bytes`` and ``nbytes``.  Every
+    query and mutation first checks that the graph has not changed
+    since the index was built (:meth:`_check_fresh`).  CELF's per-group bounds assume what both
     estimators guarantee: every group utility is monotone submodular in
     the seed set, and step-model utilities are exact (the same float64
     bits on every query path).
@@ -878,6 +878,22 @@ class UtilityEstimator:
         if base_value is None:
             base_value = objective.value(self.group_utilities(state, deadline, discount))
         return objective.values(utilities) - base_value
+
+    def group_utilities_sweep(
+        self,
+        state,
+        deadlines: Sequence[float],
+        discount: Optional[float] = None,
+    ) -> np.ndarray:
+        """Group utilities of the current seed set at every deadline,
+        ``(len(deadlines), k)`` float64 (``(0, k)`` for none): row ``i``
+        is ``group_utilities(state, deadlines[i], discount)``, bit for
+        bit.  Every row reads the same state, so the seed set is folded
+        once whatever the number of deadlines — what makes the paper's
+        deadline-sweep figures (4c / 5a / 7c) cheap.  Over RR sets each
+        distinct horizon is its own pool, sampled once and cached."""
+        rows = [self.group_utilities(state, deadline, discount) for deadline in deadlines]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.group_names))
 
     def total_utility(self, state, deadline: float) -> float:
         """Expected activated-by-``deadline`` count over the whole population."""
@@ -1142,11 +1158,6 @@ class WorldEnsemble(UtilityEstimator):
     candidate_group_utilities = UtilityEstimator.candidate_group_utilities
     candidate_gains_batch = UtilityEstimator.candidate_gains_batch
 
-    @staticmethod
-    def _check_discount(discount) -> None:
-        if discount is not None and not 0.0 <= discount <= 1.0:
-            raise EstimationError(f"discount must be in [0, 1], got {discount}")
-
     def _time_weights(self, cutoff: int, discount) -> Optional[np.ndarray]:
         """Utility weight of a node activated at each time ``t``, ``(256,)``
         float64, or ``None`` for the step model.
@@ -1161,9 +1172,10 @@ class WorldEnsemble(UtilityEstimator):
         whole table is always powered, so each weight has the same bits
         whatever the cutoff.
         """
-        self._check_discount(discount)
         if discount is None:
             return None
+        if not 0.0 <= discount <= 1.0:
+            raise EstimationError(f"discount must be in [0, 1], got {discount}")
         weights = np.power(float(discount), np.arange(256, dtype=np.float64))
         weights[cutoff + 1 :] = 0.0
         return weights
@@ -1236,48 +1248,6 @@ class WorldEnsemble(UtilityEstimator):
         )
         flat = splice(reach.flat, lo, hi, flat, counts)
         return assemble_reach(offsets, flat, time, group, table, self.n_worlds * n, k)
-
-    # ------------------------------------------------------------------
-    # deadline sweeps
-    # ------------------------------------------------------------------
-    def group_utilities_sweep(
-        self,
-        state: InfluenceState,
-        deadlines: Sequence[float],
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Group utilities of the current seed set at *every* deadline.
-
-        Returns a ``(len(deadlines), k)`` float64 array whose row ``i``
-        equals ``group_utilities(state, deadlines[i], discount)``.  The
-        activation times are bincounted into a per-group time histogram
-        once (:meth:`ReachOracle.histogram`) and every deadline is
-        answered from its cumulative sum — O(k) per additional ``tau``
-        instead of a full O(R·n·k) re-derivation, which is what makes
-        the paper's deadline-sweep figures (4c / 5a / 7c) cheap.
-
-        Every row is *bit-identical* to :meth:`group_utilities`: without
-        ``discount`` both divide the same exact integer counts by ``R``
-        once, with it both weigh the histogram by the same expression
-        (:meth:`ReachOracle.totals`, O(k·256) per deadline).
-        """
-        self._check_fresh()
-        cutoffs = [_clip_deadline(deadline) for deadline in deadlines]
-        self._check_discount(discount)
-        k = len(self.group_names)
-        out = np.empty((len(cutoffs), k), dtype=np.float64)
-        if not cutoffs:
-            return out
-        oracle = self._oracle
-        if discount is None:
-            cumulative = np.cumsum(oracle.histogram(state), axis=1)  # exact ints
-            for i, cutoff in enumerate(cutoffs):
-                out[i] = cumulative[:, cutoff] / self.n_worlds
-            return out
-        for i, cutoff in enumerate(cutoffs):
-            weights = self._time_weights(cutoff, discount)
-            out[i] = oracle.totals(state, weights) / self.n_worlds
-        return out
 
     # ------------------------------------------------------------------
     def standard_errors(

@@ -47,7 +47,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -584,14 +584,6 @@ class RRSetEstimator(UtilityEstimator):
         for key, bound in state.bound.items():
             self._indices[key].oracle.add_seed(bound, position)
 
-    def _check_discount(self, discount) -> None:
-        if discount is not None:
-            raise EstimationError(
-                "the RR-set estimator does not support discounted utilities "
-                "(RR sets record reachability within tau, not activation "
-                "times); use EnsembleSpec(kind='worlds') for discount runs"
-            )
-
     def _bind(
         self, state: RRState, deadline: float, discount: Optional[float] = None
     ) -> Tuple[ReachOracle, InfluenceState, int, None, float]:
@@ -600,7 +592,12 @@ class RRSetEstimator(UtilityEstimator):
         over it — bound on first use by replaying the seeds — cutoff 0
         (every membership is reached at time 0), no weights (a discount
         is refused) and ``n / theta``."""
-        self._check_discount(discount)
+        if discount is not None:
+            raise EstimationError(
+                "the RR-set estimator does not support discounted utilities "
+                "(RR sets record reachability within tau, not activation "
+                "times); use EnsembleSpec(kind='worlds') for discount runs"
+            )
         index = self._index_for(deadline)
         key = self._horizon_key(index.horizon)
         bound = state.bound.get(key)
@@ -612,26 +609,6 @@ class RRSetEstimator(UtilityEstimator):
     # class's own ``__dict__``.
     candidate_group_utilities = UtilityEstimator.candidate_group_utilities
     candidate_gains_batch = UtilityEstimator.candidate_gains_batch
-
-    def group_utilities_sweep(
-        self,
-        state: RRState,
-        deadlines: Sequence[float],
-        discount: Optional[float] = None,
-    ) -> np.ndarray:
-        """Group utilities of the current seed set at every deadline.
-
-        Row ``i`` equals ``group_utilities(state, deadlines[i])``.
-        Unlike the world ensemble there is no shared histogram to
-        exploit — every distinct ``floor(tau)`` is its own RR pool —
-        but pools and bound states are cached, so a sweep costs one
-        sampling run per *distinct* horizon and O(k) per repeat.
-        """
-        self._check_discount(discount)
-        out = np.empty((len(deadlines), len(self.group_names)), dtype=np.float64)
-        for i, deadline in enumerate(deadlines):
-            out[i] = self.group_utilities(state, deadline)
-        return out
 
     def memory_bytes(self) -> int:
         """Footprint of the reverse CSR plus every sampled RR index."""

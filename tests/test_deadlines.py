@@ -19,8 +19,6 @@ from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_utility
 from repro.influence.montecarlo import monte_carlo_utility
 
-from stores import STORES, build
-
 
 class TestClipDeadline:
     def test_integer_passthrough(self):
@@ -70,16 +68,15 @@ class TestEstimatorsShareSemantics:
 
     def test_ensemble_boundary(self, two_group_line):
         graph, assignment = two_group_line
-        for store in STORES:
-            ensemble = build(graph, assignment, store, n_worlds=4, seed=0)
-            np.testing.assert_array_equal(
-                ensemble.utilities_for(["a"], 2.5),
-                ensemble.utilities_for(["a"], 2),
-            )
-            # On the deterministic path a->b->c->d, tau=2.5 reaches
-            # {a, b} (left) and {c} (right); tau=0 only the seed.
-            assert ensemble.utilities_for(["a"], 2.5).tolist() == [2.0, 1.0]
-            assert ensemble.utilities_for(["a"], 0).tolist() == [1.0, 0.0]
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=4, seed=0)
+        np.testing.assert_array_equal(
+            ensemble.utilities_for(["a"], 2.5),
+            ensemble.utilities_for(["a"], 2),
+        )
+        # On the deterministic path a->b->c->d, tau=2.5 reaches
+        # {a, b} (left) and {c} (right); tau=0 only the seed.
+        assert ensemble.utilities_for(["a"], 2.5).tolist() == [2.0, 1.0]
+        assert ensemble.utilities_for(["a"], 0).tolist() == [1.0, 0.0]
 
     def test_monte_carlo_boundary(self, two_group_line):
         graph, _ = two_group_line

@@ -312,33 +312,30 @@ def test_celf_scores_no_rows_past_its_last_step(ensembles, discount):
         assert swapped.rows_scored == sum(step.evaluations for step in trace.steps)
 
 
-class WithoutFusedRound:
-    """An ensemble that keeps marginal counts but offers no
-    ``add_seed_and_score``, as a custom estimator might."""
-
-    def __init__(self, ensemble):
-        self._ensemble = ensemble
-
-    def __getattr__(self, name):
-        if name == "add_seed_and_score":
-            raise AttributeError(name)
-        return getattr(self._ensemble, name)
-
-
-def test_celf_without_the_fused_round_runs_bound_rounds(ensembles):
-    """Exact rounds need both ``marginal_counts`` and the fused round;
-    with only the first, CELF re-bounds and still picks as plain
-    greedy does."""
+@pytest.mark.parametrize("deadline", [5, 20])
+@pytest.mark.parametrize(
+    "objective",
+    [TotalInfluenceObjective(), ConcaveSumObjective()],
+    ids=["unfair", "fair"],
+)
+def test_bound_rounds_at_discount_one_equal_exact_rounds(ensembles, objective, deadline):
+    """``discount=1.0`` weighs every node activated by the deadline 1.0,
+    so its float64 sums are the step model's exact counts: its bound
+    rounds pick what the step model's exact rounds pick — seeds, gains,
+    objectives and per-step utilities bit for bit — while scoring fewer
+    rows."""
     ensemble = ensembles["dense"]
-    objective = ConcaveSumObjective()
-    bound = lazy_greedy(WithoutFusedRound(ensemble), objective, deadline=20, max_seeds=5)
-    plain = plain_greedy(ensemble, objective, deadline=20, max_seeds=5)
-    assert bound.seeds == plain.seeds
-    assert [s.gain for s in bound.steps] == [s.gain for s in plain.steps]
-    np.testing.assert_array_equal(
-        bound.final_group_utilities, plain.final_group_utilities
+    exact = lazy_greedy(ensemble, objective, deadline=deadline, max_seeds=8)
+    bound = lazy_greedy(
+        ensemble, objective, deadline=deadline, max_seeds=8, discount=1.0
     )
-    assert bound.total_evaluations < plain.total_evaluations
+    assert bound.stopped_reason == exact.stopped_reason
+    assert bound.seeds == exact.seeds
+    for step_b, step_e in zip(bound.steps, exact.steps):
+        assert step_b.gain == step_e.gain
+        assert step_b.objective_value == step_e.objective_value
+        np.testing.assert_array_equal(step_b.group_utilities, step_e.group_utilities)
+    assert bound.total_evaluations < exact.total_evaluations
 
 
 @pytest.mark.parametrize("store", STORES)
@@ -368,9 +365,8 @@ def test_batched_celf_matches_plain_greedy_oracle(ensembles):
 
 @pytest.mark.parametrize("store", STORES)
 def test_empty_state_fast_path_bitwise_across_deadlines(ensembles, store):
-    """The first greedy round is served from the cached histogram table
-    (dense/sparse; lazy falls back to the blocked fold) — exact at every
-    representable deadline."""
+    """The first greedy round is served from the gain table's column at
+    the cutoff — exact at every representable deadline."""
     ensemble = ensembles[store]
     state = ensemble.empty_state()
     positions = np.array([0, 3, 250, ensemble.n_candidates - 1])

@@ -65,12 +65,13 @@ from repro.errors import ConfigError, GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import two_block_sbm
 from repro.graph.groups import GroupAssignment
+from repro.influence import backends
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_utility
 from repro.influence.rrsets import RRSetEstimator
 from repro.influence.utility import disparity
 
-from stores import STORES, build, chunking, dense_rows, gemm_utilities, world_totals
+from stores import STORES, build, dense_rows, gemm_utilities, world_totals
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +542,10 @@ class TestReachIndexOracle:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 30),
-        store=st.sampled_from(STORES),
         data=st.data(),
     )
-    def test_index_oracle_equals_dense_rows(self, seed, n, store, data):
-        ensemble = _random_index_ensemble(seed, n, store)
+    def test_index_oracle_equals_dense_rows(self, seed, n, data):
+        ensemble = _random_index_ensemble(seed, n)
         rows = dense_rows(ensemble)
         reach = ensemble._oracle.reach
         last = int(reach.time.max()) if reach.time.size else 0
@@ -562,7 +562,7 @@ class TestReachIndexOracle:
                 np.testing.assert_array_equal(
                     ensemble.candidate_group_utilities(state, position, deadline),
                     gemm_utilities(ensemble, folded, cutoff),
-                    err_msg=f"{store} c={position} tau={deadline}",
+                    err_msg=f"c={position} tau={deadline}",
                 )
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -663,11 +663,10 @@ class TestReachIndexOracle:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 30),
-        store=st.sampled_from(STORES),
         data=st.data(),
     )
-    def test_add_seed_matches_fold_and_fresh_histogram(self, seed, n, store, data):
-        ensemble = _random_index_ensemble(seed, n, store)
+    def test_add_seed_matches_fold_and_fresh_histogram(self, seed, n, data):
+        ensemble = _random_index_ensemble(seed, n)
         rows = dense_rows(ensemble)
         order = data.draw(st.permutations(range(ensemble.n_candidates)))
         state = ensemble.empty_state()
@@ -724,12 +723,11 @@ class TestMarginalCounts:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 30),
-        store=st.sampled_from(STORES),
         deadline=st.sampled_from([0, 1, 3, math.inf]),
         data=st.data(),
     )
-    def test_maintained_equals_recount(self, seed, n, store, deadline, data):
-        ensemble = _random_index_ensemble(seed, n, store)
+    def test_maintained_equals_recount(self, seed, n, deadline, data):
+        ensemble = _random_index_ensemble(seed, n)
         cutoff = min(deadline, 254)
         order = data.draw(st.permutations(range(ensemble.n_candidates)))
         n_seeds = data.draw(st.integers(1, min(6, ensemble.n_candidates)))
@@ -1033,23 +1031,26 @@ class TestRepairEqualsFreshBuild:
     """An ensemble repaired through one to three deltas equals a fresh
     build on the mutated graph array for array: worlds and every reach
     index array, and ``RepairReport.affected`` is exactly the set of
-    candidates whose rows changed (by the dense reference rows)."""
+    candidates whose rows changed (by the dense reference rows),
+    whatever the frontier-BFS chunk budget of the build and repairs."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(3, 14),
-        store=st.sampled_from(STORES),
+        chunk_bytes=st.integers(0, 2000),
         data=st.data(),
     )
-    def test_repaired_equals_fresh(self, seed, n, store, data):
+    def test_repaired_equals_fresh(self, seed, n, chunk_bytes, data):
         graph = _repair_graph(seed, n)
         # A candidate subset leaves some tails reachable from no candidate.
         candidates = data.draw(
             st.lists(st.sampled_from(graph.nodes()), min_size=1, max_size=n, unique=True)
         )
         spec = dict(n_worlds=6, seed=seed + 1, candidates=candidates)
-        with chunking(store):
+        with pytest.MonkeyPatch.context() as patch:
+            # Builds and repairs under any frontier-BFS chunk budget.
+            patch.setattr(backends, "FRONTIER_CHUNK_BYTES", chunk_bytes)
             ensemble = WorldEnsemble(graph, GroupAssignment.from_graph(graph), **spec)
             deltas = []
             for _ in range(data.draw(st.integers(1, 3))):
