@@ -78,7 +78,6 @@ from repro.api import (
     RunSpec,
     Session,
     SolverSpec,
-    default_session,
     spec_template,
 )
 from repro.sweep import (
@@ -133,7 +132,6 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "Session",
-    "default_session",
     "spec_template",
     # scenario sweeps
     "SweepSpec",

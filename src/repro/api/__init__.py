@@ -13,10 +13,11 @@ Turn a solve into a value::
     print(result.disparity, result.spec.to_json())
 
 Specs are frozen, validated eagerly, and JSON-round-trippable
-(:mod:`repro.api.specs`); sessions resolve the explicit config chain
-and cache built world ensembles so many solves over one graph share
-worlds (:mod:`repro.api.session`); datasets are resolved by name
-(:mod:`repro.api.datasets`).  The CLI mirrors this surface:
+(:mod:`repro.api.specs`); a session caches built estimators under
+their ensemble spec's fingerprint, so many solves over one graph share
+worlds, and echoes each request back on its result with the execution
+section it ran under (:mod:`repro.api.session`); datasets are resolved
+by name (:mod:`repro.api.datasets`).  The CLI mirrors this surface:
 ``repro spec init | repro solve -``.
 """
 
@@ -26,10 +27,6 @@ from repro.api.session import (
     RunResult,
     Session,
     check_cache_bytes,
-    default_session,
-    resolve,
-    solve,
-    solve_many,
 )
 from repro.api.specs import (
     ESTIMATOR_KINDS,
@@ -52,10 +49,6 @@ __all__ = [
     "Session",
     "DEFAULT_MAX_CACHED_ENSEMBLES",
     "check_cache_bytes",
-    "default_session",
-    "solve",
-    "solve_many",
-    "resolve",
     "spec_template",
     "dataset_names",
     "register_dataset",

@@ -27,7 +27,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,9 +210,7 @@ class Session:
 
     Thread-safe: the cache is lock-protected and a solve keeps its state
     to itself.  One session per service process (or per
-    tenant/configuration) is the intended shape; :func:`default_session`
-    provides the process-default one the experiment helpers build
-    through, and the sweep runner
+    tenant/configuration) is the intended shape, and the sweep runner
     (:func:`repro.sweep.run_sweep`) funnels a whole scenario grid
     through one session so cells sharing an ensemble fingerprint share
     one world build.
@@ -244,7 +242,7 @@ class Session:
         #: not thrashed); live byte usage is in :attr:`cache_info`.
         self.cache_bytes = check_cache_bytes(cache_bytes, allow_none=True)
         self._lock = threading.RLock()
-        self._ensembles: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._ensembles: "OrderedDict[str, Any]" = OrderedDict()
         # (dataset, params, seed) -> the frozen graph every estimator
         # built from that dataset shares, and each such graph's group
         # assignment; entries live exactly as long as some estimator
@@ -263,7 +261,7 @@ class Session:
     # ------------------------------------------------------------------
     # ensemble cache
     # ------------------------------------------------------------------
-    def _cache_get(self, key: Tuple):
+    def _cache_get(self, key: str):
         with self._lock:
             entry = self._ensembles.get(key)
             if entry is not None:
@@ -273,7 +271,7 @@ class Session:
                 self.cache_misses += 1
             return entry
 
-    def _cache_put(self, key: Tuple, estimator: Any) -> Any:
+    def _cache_put(self, key: str, estimator: Any) -> Any:
         with self._lock:
             existing = self._ensembles.get(key)
             if existing is not None:
@@ -339,7 +337,7 @@ class Session:
             raise ConfigError(
                 f"expected an EnsembleSpec, got {type(spec).__name__}"
             )
-        key = ("spec", spec.fingerprint())
+        key = spec.fingerprint()
         cached = self._cache_get(key)
         if cached is not None:
             return cached, True
@@ -386,54 +384,6 @@ class Session:
         with self._lock:
             graph = self._graphs.setdefault(key, graph)
             return graph, self._assignments.setdefault(graph, assignment)
-
-    def build_ensemble(
-        self,
-        graph,
-        assignment,
-        n_worlds: int,
-        seed,
-        candidates: Optional[Sequence[Any]] = None,
-        model: str = "ic",
-    ) -> WorldEnsemble:
-        """Ensemble construction for callers holding a *graph object*
-        (the experiment layer), through the same cache.
-
-        Graph objects have no content fingerprint, so the cache keys on
-        object identity plus parameters — safe because every cached
-        entry keeps its graph alive (an ``id`` can only be reused after
-        the object is collected, which the cache itself prevents).
-        Non-integer seeds (generators, ``None``) are inherently
-        unreplayable, so those builds bypass the cache.
-        """
-        cacheable = isinstance(seed, int) and not isinstance(seed, bool)
-        key = None
-        if cacheable:
-            key = (
-                "graph",
-                id(graph),
-                id(assignment),
-                int(n_worlds),
-                int(seed),
-                model,
-                None if candidates is None else tuple(candidates),
-            )
-            cached = self._cache_get(key)
-            if cached is not None:
-                return cached
-        ensemble = WorldEnsemble(
-            graph,
-            assignment,
-            n_worlds=n_worlds,
-            candidates=candidates,
-            model=model,
-            seed=seed,
-        )
-        with self._lock:
-            self.cache_builds += 1
-        if key is not None:
-            ensemble = self._cache_put(key, ensemble)
-        return ensemble
 
     # ------------------------------------------------------------------
     # solving
@@ -569,36 +519,3 @@ class Session:
         budgets/deadlines/objectives on common random numbers.
         """
         return [self.solve(spec) for spec in specs]
-
-
-_default_session: Optional[Session] = None
-_default_session_lock = threading.Lock()
-
-
-def default_session() -> Session:
-    """The process-default session (created on first use).
-
-    What the module-level :func:`solve` / :func:`solve_many` and the
-    experiment layer's ``build_ensemble`` run through, so casual use
-    shares one ensemble cache without any setup.
-    """
-    global _default_session
-    with _default_session_lock:
-        if _default_session is None:
-            _default_session = Session()
-        return _default_session
-
-
-def solve(spec: RunSpec) -> RunResult:
-    """``default_session().solve(spec)`` — the one-call library entry."""
-    return default_session().solve(spec)
-
-
-def resolve(spec: RunSpec, delta: Optional[GraphDelta] = None) -> RunResult:
-    """``default_session().resolve(spec, delta)`` — streaming re-solve."""
-    return default_session().resolve(spec, delta)
-
-
-def solve_many(specs: Iterable[RunSpec]) -> List[RunResult]:
-    """``default_session().solve_many(specs)``."""
-    return default_session().solve_many(specs)

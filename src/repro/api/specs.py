@@ -12,8 +12,8 @@ a *value*:
   (P2/P6), fair or unfair, with the paper's knobs (deadline, concave
   wrapper, weights, discount, quota, slack).
 - :class:`ExecutionSpec` — how to run it: two no-op worker counts
-  kept for spec-file compatibility, every field optional (``None``
-  defers down the config chain).
+  kept for spec-file compatibility, every field optional (``None`` by
+  default; a result echoes ``1`` for both, whatever was asked).
   Execution never changes results, which is why it is a separate
   bundle: two runs with equal ensemble+solver specs are comparable
   regardless of execution.

@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SIZE",
         help=(
             "byte bound on the shared ensemble cache — a positive int "
-            "or a k/m/g-suffixed size like 512m; eviction unlinks "
-            "shared-memory segments (default: entry-count LRU only)"
+            "or a k/m/g-suffixed size like 512m; the oldest ensembles "
+            "are evicted until the cache fits (default: entry-count LRU "
+            "only)"
         ),
     )
     serve.add_argument(

@@ -1,18 +1,15 @@
 """Shared helpers for the experiment modules.
 
-Centralises the patterns every figure repeats: building an ensemble,
-solving P1/P4 side by side, reading prefix utilities out of a greedy
-trace (budget sweeps exploit that greedy solutions are nested), and
-evaluating disparity between a chosen pair of groups.
-
-Every ensemble an experiment builds flows through
-:func:`build_ensemble`, which routes construction through the default
-:class:`repro.api.Session` — one shared ensemble cache.
+Centralises the patterns every figure repeats: reading prefix
+utilities out of a greedy trace (budget sweeps exploit that greedy
+solutions are nested), sweeping one seed set over deadlines, and
+evaluating disparity between a chosen pair of groups.  Figures build
+their :class:`~repro.influence.ensemble.WorldEnsemble` directly, one
+per graph, so P1/P4 (or P2/P6) compare on common random numbers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -21,13 +18,9 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
-from repro.influence.ensemble import InfluenceState, UtilityEstimator, WorldEnsemble
-from repro.core.budget import BudgetSolution, solve_fair_tcim_budget, solve_tcim_budget
-from repro.core.concave import ConcaveFunction, log1p, sqrt
+from repro.influence.ensemble import InfluenceState, UtilityEstimator
 from repro.core.greedy import SelectionTrace
 
-#: Deadline sentinel used in sweep tables.
-INF = math.inf
 
 @dataclass(frozen=True)
 class PairDisparity:
@@ -42,48 +35,6 @@ class PairDisparity:
     @property
     def value(self) -> float:
         return abs(self.fraction_a - self.fraction_b)
-
-
-def build_ensemble(
-    graph: DiGraph,
-    assignment: GroupAssignment,
-    n_worlds: int,
-    seed: int,
-    candidates: Optional[Sequence[NodeId]] = None,
-    model: str = "ic",
-) -> WorldEnsemble:
-    """Single point of ensemble construction for every experiment.
-
-    Routes through the default :class:`repro.api.Session`'s ensemble
-    cache, so repeated builds over one ``(graph, assignment)`` pair
-    with identical parameters share worlds.  The cache keeps the last
-    few ensembles (and their reach indexes) alive after an
-    experiment returns; long-lived processes that want the memory back
-    call ``repro.api.default_session().clear_cache()``.
-    """
-    from repro.api.session import default_session
-
-    return default_session().build_ensemble(
-        graph,
-        assignment,
-        n_worlds=n_worlds,
-        seed=seed,
-        candidates=candidates,
-        model=model,
-    )
-
-
-def solve_p1_p4(
-    ensemble: UtilityEstimator,
-    budget: int,
-    deadline: float,
-    concave: ConcaveFunction = log1p,
-) -> Tuple[BudgetSolution, BudgetSolution]:
-    """Solve the unfair and fair budget problems on one ensemble."""
-    return (
-        solve_tcim_budget(ensemble, budget, deadline),
-        solve_fair_tcim_budget(ensemble, budget, deadline, concave=concave),
-    )
 
 
 def prefix_fractions(

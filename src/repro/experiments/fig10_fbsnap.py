@@ -20,8 +20,8 @@ from repro.graph.clustering import spectral_groups
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p, sqrt
 from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
+from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.common import (
-    build_ensemble,
     degree_stratified_candidates,
     max_disparity_pair,
     pair_disparity,
@@ -43,7 +43,7 @@ def _ensemble(quick: bool, seed: int):
         seed=seed + 5,
     )
     n_worlds = 20 if quick else 60
-    return build_ensemble(
+    return WorldEnsemble(
         graph, assignment, n_worlds=n_worlds, seed=seed + 1, candidates=candidates
     )
 

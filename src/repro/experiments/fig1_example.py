@@ -20,9 +20,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.datasets.example import BLUE, RED, illustrative_graph
-from repro.influence.ensemble import UtilityEstimator
+from repro.influence.ensemble import UtilityEstimator, WorldEnsemble
 from repro.core.concave import log1p
-from repro.experiments.common import build_ensemble
 from repro.experiments.runner import ExperimentResult, format_deadline
 
 DEADLINES = (math.inf, 4, 2)
@@ -57,7 +56,7 @@ def run_fig1(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """Regenerate the Figure-1 table."""
     n_worlds = 300 if quick else 2000
     graph, assignment = illustrative_graph()
-    ensemble = build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed)
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed)
     n = graph.number_of_nodes()
     sizes = {g: assignment.size(g) for g in assignment.groups}
     blue_i = ensemble.group_names.index(BLUE)

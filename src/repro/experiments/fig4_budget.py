@@ -18,8 +18,8 @@ import math
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p, sqrt
+from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.common import (
-    build_ensemble,
     deadline_sweep_disparities,
     prefix_fractions,
 )
@@ -33,7 +33,7 @@ DEADLINE_SWEEP = (1, 2, 5, 10, 20, math.inf)
 def _ensemble(quick: bool, seed: int):
     graph, assignment = default_synthetic(seed=seed)
     n_worlds = 60 if quick else 200
-    return build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+    return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
 
 
 def run_fig4a(quick: bool = False, seed: int = 0) -> ExperimentResult:

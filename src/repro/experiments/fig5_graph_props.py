@@ -23,7 +23,8 @@ from repro.datasets.synthetic import (
 )
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p
-from repro.experiments.common import build_ensemble, deadline_sweep_disparities
+from repro.influence.ensemble import WorldEnsemble
+from repro.experiments.common import deadline_sweep_disparities
 from repro.experiments.runner import ExperimentResult
 
 BUDGET = 30
@@ -63,7 +64,7 @@ def run_fig5a(quick: bool = False, seed: int = 0) -> ExperimentResult:
     series = {key: [] for key in ("p1_2", "p4_2", "p1_inf", "p4_inf")}
     for pe in pe_values:
         weighted = graph.with_probability(pe)
-        ensemble = build_ensemble(
+        ensemble = WorldEnsemble(
             weighted, assignment, n_worlds=n_worlds, seed=seed + 1
         )
         row = [pe]
@@ -127,7 +128,7 @@ def run_fig5b(quick: bool = False, seed: int = 0) -> ExperimentResult:
         graph, assignment = synthetic_sbm(
             majority_fraction=fraction, seed=seed
         )
-        ensemble = build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
         p1 = solve_tcim_budget(ensemble, BUDGET, DEFAULT_DEADLINE)
         p4 = solve_fair_tcim_budget(
             ensemble, BUDGET, DEFAULT_DEADLINE, concave=log1p
@@ -164,7 +165,7 @@ def run_fig5c(quick: bool = False, seed: int = 0) -> ExperimentResult:
         graph, assignment = synthetic_sbm(
             p_hom=DEFAULT_P_HOM, p_het=p_het, seed=seed
         )
-        ensemble = build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
         p1 = solve_tcim_budget(ensemble, BUDGET, DEFAULT_DEADLINE)
         p4 = solve_fair_tcim_budget(
             ensemble, BUDGET, DEFAULT_DEADLINE, concave=log1p

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
-from repro.experiments.common import build_ensemble
+from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.runner import ExperimentResult
 
 QUOTA_ITERATIONS = 0.2
@@ -22,7 +22,7 @@ QUOTA_SWEEP = (0.1, 0.2, 0.3)
 def _ensemble(quick: bool, seed: int):
     graph, assignment = default_synthetic(seed=seed)
     n_worlds = 60 if quick else 200
-    return build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+    return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
 
 
 def run_fig6a(quick: bool = False, seed: int = 0) -> ExperimentResult:

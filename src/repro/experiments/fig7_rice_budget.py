@@ -25,8 +25,8 @@ import math
 from repro.datasets.rice import rice_facebook_surrogate
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p, sqrt
+from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.common import (
-    build_ensemble,
     deadline_sweep_disparities,
     pair_disparity,
     prefix_fractions,
@@ -45,7 +45,7 @@ FAIR_WEIGHTS = (1.0, 3.0, 1.0, 1.0)
 def _ensemble(quick: bool, seed: int):
     graph, assignment = rice_facebook_surrogate(seed=seed)
     n_worlds = 40 if quick else 150
-    return build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+    return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
 
 
 def _pair_fractions(ensemble, solution, deadline: float):

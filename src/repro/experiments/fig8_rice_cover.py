@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.datasets.rice import rice_facebook_surrogate
 from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
-from repro.experiments.common import build_ensemble
+from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.runner import ExperimentResult
 
 DEADLINE = 20
@@ -25,7 +25,7 @@ REPORTED = ("V1", "V2")
 def _ensemble(quick: bool, seed: int):
     graph, assignment = rice_facebook_surrogate(seed=seed)
     n_worlds = 40 if quick else 150
-    return build_ensemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+    return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
 
 
 def run_fig8a(quick: bool = False, seed: int = 0) -> ExperimentResult:

@@ -23,7 +23,7 @@ from repro.datasets.instagram import (
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p, sqrt
 from repro.core.cover import solve_fair_tcim_cover, solve_tcim_cover
-from repro.experiments.common import build_ensemble
+from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.runner import ExperimentResult
 
 BUDGET = 30
@@ -35,7 +35,7 @@ def _ensemble(quick: bool, seed: int):
     graph, assignment = instagram_surrogate(scale=scale, seed=seed)
     pool = candidate_pool(graph, scale=scale, seed=seed + 7)
     n_worlds = 30 if quick else 60
-    return build_ensemble(
+    return WorldEnsemble(
         graph, assignment, n_worlds=n_worlds, seed=seed + 1, candidates=pool
     )
 

@@ -471,20 +471,3 @@ class TestEstimatorFactory:
                     problem="budget", deadline=DEADLINE, budget=2, discount=0.9
                 ),
             )
-
-
-class TestExperimentBuildEnsemble:
-    def test_build_ensemble_routes_through_default_session(self):
-        from repro.api.session import default_session
-        from repro.experiments.common import build_ensemble
-
-        graph, groups = synthetic_sbm(seed=0, n=40)
-        session = default_session()
-        before = session.cache_info
-        first = build_ensemble(graph, groups, n_worlds=3, seed=5)
-        again = build_ensemble(graph, groups, n_worlds=3, seed=5)
-        assert first is again  # same graph object + params -> shared worlds
-        after = session.cache_info
-        assert after["hits"] >= before["hits"] + 1
-        different = build_ensemble(graph, groups, n_worlds=4, seed=5)
-        assert different is not first

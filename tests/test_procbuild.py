@@ -44,13 +44,31 @@ def small_graph():
     return two_block_sbm(60, 0.7, 0.15, 0.05, activation_probability=0.6, seed=3)
 
 
+def small_spec(n_worlds, seed, model="ic"):
+    """An ensemble spec over ``small_graph()``'s graph (the ``synthetic``
+    dataset with the same parameters and seed)."""
+    return EnsembleSpec(
+        dataset="synthetic",
+        dataset_params={
+            "n": 60,
+            "majority_fraction": 0.7,
+            "p_hom": 0.15,
+            "p_het": 0.05,
+            "activation_probability": 0.6,
+        },
+        dataset_seed=3,
+        n_worlds=n_worlds,
+        world_seed=seed,
+        model=model,
+    )
+
+
 def build(build_workers, store="dense", **kwargs):
     """A fresh ensemble from a session configured with ``build_workers``,
     built under ``store``'s BFS chunk budget."""
-    graph, assignment = small_graph()
     session = Session(execution=ExecutionSpec(build_workers=build_workers))
     with chunking(store):
-        return session.build_ensemble(graph, assignment, **kwargs)
+        return session.ensemble_for(small_spec(**kwargs))
 
 
 def assert_indexes_identical(a, b):
@@ -160,15 +178,14 @@ class TestLifecycle:
 @pytest.mark.skipif(not _HAS_DEV_SHM, reason="needs /dev/shm to list segments")
 class TestHygiene:
     def test_session_eviction_unlinks(self):
-        graph, assignment = small_graph()
         before = listed_segments()
         session = Session(
             execution=ExecutionSpec(build_workers=2), max_cached_ensembles=1
         )
-        first = session.build_ensemble(graph, assignment, n_worlds=8, seed=1)
+        first = session.ensemble_for(small_spec(n_worlds=8, seed=1))
         # A second build overflows the one-entry cache and evicts the
         # first; the evicted-but-held ensemble still answers queries.
-        session.build_ensemble(graph, assignment, n_worlds=8, seed=2)
+        session.ensemble_for(small_spec(n_worlds=8, seed=2))
         assert session.cache_info["evictions"] == 1
         state = first.state_for(first.candidate_labels[:1])
         assert first.group_utilities(state, 5).shape
@@ -180,7 +197,6 @@ class TestHygiene:
         """A sampler crash mid-build propagates and leaks nothing."""
         import repro.influence.ensemble as ensemble_mod
 
-        graph, assignment = small_graph()
         before = listed_segments()
 
         def exploding_sampler(graph, keys):
