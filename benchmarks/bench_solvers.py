@@ -12,7 +12,8 @@ counts, and ``celf_bound_rounds`` records the oracle calls CELF's lazy
 re-evaluation saves on discounted solves, where bound rounds run.
 ``celf_pick`` records the cost of one exact round (a pick and a
 re-score of every open candidate) on solve-warm's and sweep-cold's
-inputs.
+inputs, for solve-warm's fair budget, unfair budget and fair cover
+classes.
 """
 
 import os
@@ -229,7 +230,7 @@ PICK_INPUTS = {
 }
 
 
-def pick_seconds(estimator, objective, deadline, budget, repeats=9):
+def pick_seconds(estimator, objective, deadline, budget, stop=None, repeats=9):
     """Seconds per exact round: the time between consecutive steps of a
     solve (each a re-score of every open candidate, then a pick), read
     with a trace tap, so the first round and the solve's set-up are left
@@ -240,41 +241,53 @@ def pick_seconds(estimator, objective, deadline, budget, repeats=9):
     for _ in range(repeats):
         stamps = []
         with trace_tap(lambda step: stamps.append(time.perf_counter())):
-            lazy_greedy(estimator, objective, deadline, budget)
+            lazy_greedy(estimator, objective, deadline, budget, stop=stop)
         rounds.append(np.diff(stamps))
     return float(np.min(rounds, axis=0).mean())
 
 
 def test_celf_pick():
-    """Microseconds per exact CELF round (step model, budget 20, fair
-    log objective, tau 5 and 10) on three inputs; the traces must equal
-    plain greedy's bit for bit, ``evaluations`` included.  Timings are
-    recorded, not asserted."""
+    """Microseconds per exact CELF round (step model, tau 5 and 10) on
+    three inputs, for solve-warm's three classes of objective: the fair
+    log budget (P4) and the unfair budget (P1), both at budget 20, and
+    the fair cover (P6) at quota 0.1, which picks until every group
+    meets it.  The traces must equal plain greedy's bit for bit,
+    ``evaluations`` included.  Timings are recorded, not asserted."""
     session = Session()
-    objective = ConcaveSumObjective(log1p)
-    budget = 20
+    budget, quota = 20, 0.1
     runs = []
     for name, spec in PICK_INPUTS.items():
         estimator = session.ensemble_for(spec)
-        for tau in (5, 10):
-            celf, plain = (
-                engine(estimator, objective, tau, budget)
-                for engine in (lazy_greedy, plain_greedy)
-            )
-            assert_same_steps(celf, plain)
-            assert celf.total_evaluations == plain.total_evaluations
-            runs.append(
-                {
-                    "input": name,
-                    "tau": tau,
-                    "candidates": estimator.n_candidates,
-                    "picks": celf.size,
-                    "us_per_pick": round(
-                        pick_seconds(estimator, objective, tau, budget) * 1e6, 1
-                    ),
-                }
-            )
+        cover = TruncatedCoverageObjective(quota, estimator.group_sizes)
+        problems = {
+            "log": (ConcaveSumObjective(log1p), budget, None),
+            "unfair": (TotalInfluenceObjective(), budget, None),
+            "cover": (
+                cover,
+                estimator.n_candidates,
+                lambda u, cover=cover: cover.satisfied(u, slack=DEFAULT_SLACK),
+            ),
+        }
+        for objective_name, (objective, max_seeds, stop) in problems.items():
+            for tau in (5, 10):
+                celf, plain = (
+                    engine(estimator, objective, tau, max_seeds, stop=stop)
+                    for engine in (lazy_greedy, plain_greedy)
+                )
+                assert_same_steps(celf, plain)
+                assert celf.total_evaluations == plain.total_evaluations
+                seconds = pick_seconds(estimator, objective, tau, max_seeds, stop)
+                runs.append(
+                    {
+                        "input": name,
+                        "objective": objective_name,
+                        "tau": tau,
+                        "candidates": estimator.n_candidates,
+                        "picks": celf.size,
+                        "us_per_pick": round(seconds * 1e6, 1),
+                    }
+                )
     record_bench(
         "celf_pick",
-        {"budget": budget, "objective": "log", "cpu_count": os.cpu_count(), "runs": runs},
+        {"budget": budget, "quota": quota, "cpu_count": os.cpu_count(), "runs": runs},
     )

@@ -35,6 +35,8 @@ class ConcaveFunction:
     """A named, non-negative, non-decreasing concave function on [0, inf).
 
     Instances are used both scalar-wise and vectorised (numpy arrays).
+    A float64 array with no negative entry reaches ``fn`` as is, so
+    ``identity`` returns that array itself.
     """
 
     name: str
@@ -43,11 +45,16 @@ class ConcaveFunction:
 
     def __call__(self, z):
         values = np.asarray(z, dtype=np.float64)
-        if (values < -1e-12).any():
-            raise ConfigError(
-                f"H({self.name}) is only defined on non-negative inputs"
-            )
-        result = self.fn(np.maximum(values, 0.0))
+        # Solvers only pass non-negative utilities, so one reduce clears
+        # the block; a negative (or NaN) minimum takes the full check,
+        # which refuses inputs below -1e-12 and clamps the rest to 0.
+        if values.size and not values.min() >= 0.0:
+            if (values < -1e-12).any():
+                raise ConfigError(
+                    f"H({self.name}) is only defined on non-negative inputs"
+                )
+            values = np.maximum(values, 0.0)
+        result = self.fn(values)
         return float(result) if values.ndim == 0 else result
 
     def dominated_by_identity_at(self, z: float) -> bool:

@@ -308,19 +308,19 @@ def lazy_greedy(
             # One fused call adds the pick and reads the new utilities
             # and, unless the solve ends here (the budget is spent or
             # ``stop`` holds), every open row; those rows are charged to
-            # the next step.
+            # the next step.  Short of the budget the call tests ``stop``
+            # itself (no rows means it held), so only the budget's last
+            # pick tests it here.
             key[pick] = -np.inf
             open_positions = open_positions[open_positions != pick]
+            last = trace.size + 1 >= max_seeds
             utilities, rows = ensemble.add_seed_and_score(
-                state,
-                pick,
-                deadline,
-                open_positions if trace.size + 1 < max_seeds else None,
-                stop,
+                state, pick, deadline, None if last else open_positions, stop
             )
             current_value = objective.value(utilities)
             if rows is not None:
                 key[open_positions] = objective.values(rows) - current_value
+            halted = stop is not None and (stop(utilities) if last else rows is None)
         else:
             ensemble.add_seed(state, pick)
             utilities = ensemble.group_utilities(state, deadline, discount)
@@ -328,6 +328,7 @@ def lazy_greedy(
             fresh[:] = False
             key = objective.values(utilities + deltas) - current_value
             key[chosen] = -np.inf
+            halted = stop is not None and stop(utilities)
         step = SelectionStep(
             node=ensemble.label(pick),
             position=pick,
@@ -339,7 +340,7 @@ def lazy_greedy(
         trace.steps.append(step)
         _notify_step(step)
         evaluations = open_positions.size if exact else 0
-        if stop is not None and stop(utilities):
+        if halted:
             trace.stopped_reason = "stop-condition"
             break
     else:

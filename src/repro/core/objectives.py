@@ -18,7 +18,8 @@ Every objective maps a batch of utility rows to one value per row
 (:meth:`Objective.values`, ``(m, k) -> (m,)``); CELF re-bounds all its
 stale candidates with one such call per round.  The scalar
 :meth:`Objective.value` is the same arithmetic on one row, so both
-agree bit for bit.
+agree bit for bit.  Every objective adds its ``k`` group terms with
+:func:`_group_sums`, column by column.
 
 Objectives must be non-decreasing in every coordinate — that is what
 makes CELF's lazy evaluation sound.  :func:`validate_monotone` is a
@@ -33,6 +34,30 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.concave import ConcaveFunction, identity
+
+
+#: Below this many groups numpy's last-axis ``sum`` adds the columns
+#: left to right, exactly as :func:`_group_sums` does; from it on numpy
+#: sums pairwise, so :func:`_group_sums` defers to it.
+_PAIRWISE_GROUPS = 8
+
+
+def _group_sums(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-1)``, bit for bit, as ``k - 1`` column adds.
+
+    A reduction over a short last axis pays a fixed setup that, on the
+    ``(C, k)`` blocks CELF scores every round, costs several times the
+    additions themselves.  Below :data:`_PAIRWISE_GROUPS` groups numpy
+    adds the columns left to right, so adding them in that order here
+    gives the same bits; from there on the reduction itself runs.
+    """
+    k = terms.shape[-1]
+    if not 2 <= k < _PAIRWISE_GROUPS:
+        return terms.sum(axis=-1)
+    total = terms[..., 0] + terms[..., 1]
+    for column in range(2, k):
+        total += terms[..., column]
+    return total
 
 
 class Objective:
@@ -61,7 +86,7 @@ class TotalInfluenceObjective(Objective):
     name = "total-influence"
 
     def values(self, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows, dtype=np.float64).sum(axis=-1)
+        return _group_sums(np.asarray(rows, dtype=np.float64))
 
     def __repr__(self) -> str:
         return "TotalInfluenceObjective()"
@@ -102,7 +127,7 @@ class ConcaveSumObjective(Objective):
                     f"{transformed.shape[-1:]} groups"
                 )
             transformed = transformed * self.weights
-        return transformed.sum(axis=-1)
+        return _group_sums(transformed)
 
     def __repr__(self) -> str:
         return f"ConcaveSumObjective(concave={self.concave.name!r})"
@@ -132,7 +157,7 @@ class TruncatedCoverageObjective(Objective):
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         fractions = np.asarray(rows, dtype=np.float64) / self.group_sizes
-        return np.minimum(fractions, self.quota).sum(axis=-1)
+        return _group_sums(np.minimum(fractions, self.quota))
 
     def satisfied(self, group_utilities: np.ndarray, slack: float = 0.0) -> bool:
         """Whether every group meets the quota (within ``slack``)."""
@@ -164,7 +189,7 @@ class TotalCoverageObjective(Objective):
         return self.quota
 
     def values(self, rows: np.ndarray) -> np.ndarray:
-        totals = np.asarray(rows, dtype=np.float64).sum(axis=-1)
+        totals = _group_sums(np.asarray(rows, dtype=np.float64))
         return np.minimum(totals / self.population, self.quota)
 
     def satisfied(self, group_utilities: np.ndarray, slack: float = 0.0) -> bool:

@@ -194,14 +194,17 @@ class _ReachIndex(NamedTuple):
     same nodes), and counts are in the smallest unsigned type holding
     ``R * n`` (:func:`table_dtype`).
 
-    The transpose lists the same entries by ``i = r * n + v`` (a
-    stable sort, so owners ascend within a node): node ``i`` is reached
-    at hops ``node_time[node_starts[i]:node_starts[i + 1]]`` by the
-    owners those entries' ``node_code`` (``owner * k + group of v``)
-    name — the cell of ``M`` each entry counts in.  ``add_seed`` reads
-    it to retire the marginal counts of every candidate that reached a
-    newly activated node, and a repair reads it to find the rows that
-    reach a re-flipped edge.  The ensemble swaps a whole index —
+    The transpose lists the same entries sorted by ``(i, time)`` with
+    ``i = r * n + v`` (a stable sort, so owners ascend among a node's
+    equal times): node ``i`` is reached at the ascending hops
+    ``node_time[node_starts[i]:node_starts[i + 1]]`` by the owners
+    those entries' ``node_code`` (``owner * k + group of v``) name — the
+    cell of ``M`` each entry counts in.  So the entries that reach a
+    node by a cutoff are a prefix of its range
+    (:meth:`ReachOracle.stops`).  ``add_seed`` reads those prefixes to
+    retire the marginal counts of every candidate that reached a newly
+    activated node, and a repair reads whole ranges to find the rows
+    that reach a re-flipped edge.  The ensemble swaps a whole index —
     transpose included — in with one assignment, so a concurrent reader
     sees either the old index or the new one.
     """
@@ -259,9 +262,9 @@ def assemble_reach(
 ) -> _ReachIndex:
     """The index of candidate-major entries, with its node-major
     transpose: node starts, ``M`` cells and times re-sorted stably by
-    ``r * n + v`` over ``n_nodes = R * n`` nodes.  The cells are formed
-    in their compact dtype, so the transient stays near the index's own
-    size."""
+    ``(r * n + v, time)`` over ``n_nodes = R * n`` nodes.  The cells
+    are formed in their compact dtype, so the transient stays near the
+    index's own size."""
     n_candidates = offsets.size - 1
     code = np.repeat(
         np.arange(n_candidates, dtype=compact_uint(n_candidates * k)), np.diff(offsets)
@@ -271,8 +274,14 @@ def assemble_reach(
     starts = np.zeros(n_nodes + 1, dtype=compact_uint(flat.size + 1))
     starts[1:] = np.cumsum(np.bincount(flat, minlength=n_nodes))
     # In the smallest unsigned key (16 bits on every shipped dataset)
-    # numpy's stable sort is a radix sort, ~10x a timsort.
-    order = np.argsort(flat.astype(compact_uint(n_nodes)), kind="stable")
+    # numpy's stable sort is a radix sort, ~10x a timsort.  A first
+    # stable pass on the uint8 times orders each node's entries by time;
+    # an index whose times are all 0 (an RR pool's) skips it.
+    if table.shape[2] > 1:
+        order = np.argsort(time, kind="stable")
+        order = order[np.argsort(flat[order].astype(compact_uint(n_nodes)), kind="stable")]
+    else:
+        order = np.argsort(flat.astype(compact_uint(n_nodes)), kind="stable")
     return _ReachIndex(
         offsets, flat, time, group, table, starts, code[order], time[order]
     )
@@ -292,14 +301,48 @@ class ReachOracle:
     ``weights``, float64 weighted totals; the world ensemble divides
     them by ``R`` and an RR pool multiplies them by ``n / theta``.
     A single position is trusted (the estimators validate it; a block
-    is checked by :meth:`rows`), and an oracle never changes: a repair
-    swaps in a new one.
+    is checked by :meth:`rows`), and an oracle's answers never change: it
+    only caches what it derives from its index (:meth:`stops`), and a
+    repair swaps in a new oracle.
     """
 
     def __init__(self, reach: _ReachIndex, col_group: np.ndarray, k: int) -> None:
         self.reach = reach
         self.col_group = col_group
         self.k = k
+        # Per cutoff before the index's last finite time: each cell's
+        # in-time stop (see ``stops``), built on first use.
+        self._stops: Dict[int, np.ndarray] = {}
+
+    @property
+    def nbytes(self) -> int:
+        """The index's bytes plus the stops cached so far."""
+        return self.reach.nbytes + sum(s.nbytes for s in tuple(self._stops.values()))
+
+    def stops(self, cutoff: int) -> np.ndarray:
+        """Each cell's end of its in-time transpose range at ``cutoff``,
+        ``(cells,)`` in the node starts' dtype: cell ``i``'s entries
+        with ``time <= cutoff`` are ``node_starts[i]:stops[i]``, as the
+        transpose orders a cell's entries by time.  At or past the
+        index's last finite time that is every entry
+        (``node_starts[1:]``, a view); before it, one pass over the
+        transpose's times builds the stops, cached per cutoff.
+        """
+        reach = self.reach
+        if cutoff >= reach.table.shape[2] - 1:
+            return reach.node_starts[1:]
+        stops = self._stops.get(cutoff)
+        if stops is None:
+            starts = reach.node_starts
+            # ``timely[j]`` counts the in-time entries among the first ``j``.
+            timely = np.zeros(reach.node_time.size + 1, dtype=starts.dtype)
+            in_time = reach.node_time <= np.uint8(cutoff)
+            np.cumsum(in_time, dtype=starts.dtype, out=timely[1:])
+            stops = timely[starts[1:]]
+            stops -= timely[starts[:-1]]
+            stops += starts[:-1]
+            self._stops[cutoff] = stops
+        return stops
 
     def empty_state(self) -> InfluenceState:
         """State of the empty seed set (with its all-zero histogram)."""
@@ -378,26 +421,23 @@ class ReachOracle:
         A cell the seed reaches by the cutoff that the state did not
         (``time <= cutoff < previous``) stops being a marginal gain for
         every candidate reaching it by the cutoff, the seed included:
-        the transpose entries of those cells are counted into ``M``'s
-        cells by one bincount and subtracted.
+        the in-time prefixes of those cells' transpose ranges
+        (:meth:`stops`) are counted into ``M``'s cells by one bincount
+        and subtracted.
         """
         reach = self.reach
         limit = np.uint8(cutoff)
-        # Past the index's last finite time (every RR membership is at
-        # time 0) every entry is reached by the cutoff: no time masks.
-        timely = cutoff >= reach.table.shape[2] - 1
         newly = np.greater(previous, limit)
-        if not timely:
+        # Past the index's last finite time (every RR membership is at
+        # time 0) every entry is reached by the cutoff: no time mask.
+        if cutoff < reach.table.shape[2] - 1:
             newly &= np.less_equal(times, limit)
         cells = flat[newly]
         if not cells.size:
             return
-        at = concat_ranges(reach.node_starts[cells], reach.node_starts[cells + 1])
-        codes = reach.node_code[at]
-        if not timely:
-            codes = codes[reach.node_time[at] <= limit]
+        at = concat_ranges(reach.node_starts[cells], self.stops(cutoff)[cells])
         flat_marginals = marginals.reshape(-1)  # a view: ``M`` is contiguous
-        flat_marginals -= np.bincount(codes, minlength=flat_marginals.size)
+        flat_marginals -= np.bincount(reach.node_code[at], minlength=flat_marginals.size)
 
     @staticmethod
     def _move_hist(
@@ -1280,13 +1320,15 @@ class WorldEnsemble(UtilityEstimator):
         return per_world.std(axis=0, ddof=1) / math.sqrt(self.n_worlds)
 
     def memory_bytes(self) -> int:
-        """Footprint of the store — the reach index — for reports."""
-        return self._oracle.reach.nbytes
+        """Footprint of the store — the reach index and the in-time
+        stops its solves have cached so far (:meth:`ReachOracle.stops`)
+        — for reports."""
+        return self._oracle.nbytes
 
     @property
     def nbytes(self) -> int:
-        """Total resident bytes this ensemble pins: the reach index
-        (entries, transpose and gain table) plus the sampled worlds'
+        """Total resident bytes this ensemble pins: the store (entries,
+        transpose, gain table and cached stops) plus the sampled worlds'
         kept-edge CSRs, counted at build and after each repair.
         """
         return int(self.memory_bytes() + self._world_bytes)

@@ -331,7 +331,7 @@ class RRIndex:
     opt_lower_bound: float
 
     def memory_bytes(self) -> int:
-        return int(self.set_group.nbytes + self.oracle.reach.nbytes)
+        return int(self.set_group.nbytes + self.oracle.nbytes)
 
 
 @dataclass

@@ -75,3 +75,20 @@ def rows_from_entries(key: np.ndarray, hop: np.ndarray, n_rows: int, n: int) -> 
     rows = np.full(n_rows * n, UNREACHABLE, dtype=np.uint8)
     rows[key] = hop
     return rows.reshape(n_rows, n)
+
+
+def assert_stops_bound_in_time(oracle) -> None:
+    """At every cutoff up to one past the index's last finite time, each
+    cell's stop (:meth:`ReachOracle.stops`) splits its transpose range
+    into exactly its entries reached by the cutoff, then the rest."""
+    reach = oracle.reach
+    starts = reach.node_starts.astype(np.int64)
+    cell = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    rank = np.arange(reach.node_time.size)
+    for cutoff in range(reach.table.shape[2] + 1):
+        stops = oracle.stops(cutoff)
+        assert stops.shape == (starts.size - 1,)
+        assert stops.dtype == reach.node_starts.dtype
+        np.testing.assert_array_equal(
+            rank < stops[cell], reach.node_time <= cutoff, err_msg=f"cutoff {cutoff}"
+        )

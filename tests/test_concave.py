@@ -1,5 +1,7 @@
 """Unit tests for the concave wrapper family H."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,43 @@ class TestValidation:
     def test_negative_input_rejected(self):
         with pytest.raises(ConfigError):
             log1p(-1.0)
+
+    @pytest.mark.parametrize("wrapper", [identity, sqrt, log1p, power(0.25)])
+    def test_rounding_negatives_clamp_to_zero(self, wrapper):
+        # Inputs in [-1e-12, 0) are rounding noise: they read as 0.
+        values = wrapper(np.array([4.0, -1e-13, -1e-12, 0.0]))
+        np.testing.assert_array_equal(values, wrapper(np.array([4.0, 0.0, 0.0, 0.0])))
+        assert not np.signbit(values).any()
+        assert wrapper(-5e-13) == wrapper(0.0)
+
+    @pytest.mark.parametrize("wrapper", [identity, sqrt, log1p])
+    def test_lower_inputs_raise_wherever_they_sit(self, wrapper):
+        for bad in (
+            np.array([1.0, 2.0, -2e-12]),
+            np.array([[0.0, 1.0], [-1.0, 3.0]]),
+            np.array([np.nan, -1.0]),  # a NaN does not hide a negative
+        ):
+            with pytest.raises(ConfigError):
+                wrapper(bad)
+
+    @pytest.mark.parametrize("wrapper", [identity, sqrt, log1p])
+    def test_nan_passes_through(self, wrapper):
+        values = wrapper(np.array([1.0, np.nan, -1e-13]))
+        assert values[0] == wrapper(1.0)
+        assert np.isnan(values[1])
+        assert values[2] == wrapper(0.0)
+        assert math.isnan(wrapper(float("nan")))
+
+    @pytest.mark.parametrize("wrapper", [identity, sqrt, log1p, power(0.25)])
+    def test_non_negative_blocks_keep_their_bits(self, wrapper):
+        # The clean path skips the clamp; ``fn`` sees the same values.
+        rng = np.random.default_rng(0)
+        block = rng.uniform(0.0, 50.0, size=(300, 3))
+        block[::7, 1] = 0.0
+        np.testing.assert_array_equal(wrapper(block), wrapper.fn(np.maximum(block, 0.0)))
+
+    def test_empty_input(self):
+        assert sqrt(np.empty((0, 2))).shape == (0, 2)
 
     def test_power_alpha_bounds(self):
         with pytest.raises(ConfigError):

@@ -26,10 +26,10 @@ from repro.errors import ConfigError
 from repro.influence import backends
 from repro.influence import ensemble as ensemble_module
 from repro.influence.backends import bfs_rows
-from repro.influence.ensemble import WorldEnsemble, make_backend
+from repro.influence.ensemble import ReachOracle, WorldEnsemble, make_backend
 from repro.influence.rrsets import _sample_rr_batch
 
-from stores import rows_from_entries
+from stores import assert_stops_bound_in_time, rows_from_entries
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -197,13 +197,29 @@ class TestStores:
         table = np.zeros((n_candidates, k, n_bins), dtype=np.int64)
         np.add.at(table, (c_idx, groups[v_idx], time), 1)
         np.testing.assert_array_equal(reach.table, np.cumsum(table, axis=2))
-        order = np.argsort(flat, kind="stable")
+        # The transpose is ordered by (node, time), owners ascending
+        # among a node's equal times.
+        order = np.lexsort((time, flat))
         np.testing.assert_array_equal(reach.node_code, (c_idx * k + groups[v_idx])[order])
         np.testing.assert_array_equal(reach.node_time, time[order])
         np.testing.assert_array_equal(
             reach.node_starts,
             np.searchsorted(flat[order], np.arange(n_worlds * n + 1)),
         )
+
+
+    @PROPERTY
+    @given(worlds_and_candidates())
+    def test_stops_bound_in_time_entries(self, case):
+        worlds, candidates, groups, k = case
+        reach = make_backend(worlds, candidates, groups, k, 10**9)
+        oracle = ReachOracle(reach, groups, k)
+        assert_stops_bound_in_time(oracle)
+        # Stops before the last finite time are cached and counted.
+        cached = sum(
+            oracle.stops(cutoff).nbytes for cutoff in range(reach.table.shape[2] - 1)
+        )
+        assert oracle.nbytes == reach.nbytes + cached
 
 
 def test_dense_build_memory_stays_within_output_plus_chunk_cap():

@@ -263,3 +263,41 @@ class TestExhausted:
         assert [s.objective_value for s in celf.steps] == [
             s.objective_value for s in plain.steps
         ]
+
+
+class TestStopCalls:
+    """Exact rounds test ``stop`` once a pick: inside the fused call while
+    the budget allows more picks, in the engine after the budget's last
+    one.  The stop reason is plain greedy's in every case."""
+
+    @staticmethod
+    def counted(threshold):
+        calls = []
+
+        def stop(utilities):
+            calls.append(float(utilities.sum()))
+            return utilities.sum() >= threshold
+
+        return stop, calls
+
+    @pytest.mark.parametrize(
+        "threshold, max_seeds, reason",
+        [
+            (math.inf, 2, "budget"),  # never holds
+            (math.inf, 4, "no-gain"),
+            (10.0, 4, "stop-condition"),  # holds before the budget is spent
+            (10.0, 2, "stop-condition"),  # holds at the budget's last pick
+            (6.0, 4, "stop-condition"),  # holds at the first pick
+        ],
+    )
+    def test_one_stop_call_per_pick(self, star_ensemble, threshold, max_seeds, reason):
+        objective = TotalInfluenceObjective()
+        stop, calls = self.counted(threshold)
+        celf = lazy_greedy(star_ensemble, objective, 1, max_seeds, stop=stop)
+        plain = plain_greedy(
+            star_ensemble, objective, 1, max_seeds, stop=self.counted(threshold)[0]
+        )
+        assert celf.stopped_reason == plain.stopped_reason == reason
+        assert celf.seeds == plain.seeds
+        # The empty set's check, then one per pick.
+        assert len(calls) == 1 + celf.size

@@ -18,6 +18,9 @@ import pytest
 
 from repro.api import EnsembleSpec, RunSpec, Session, SolverSpec
 from repro.cli import main as cli_main
+from repro.core.concave import log1p
+from repro.core.greedy import lazy_greedy
+from repro.core.objectives import ConcaveSumObjective
 from repro.datasets.synthetic import synthetic_sbm
 from repro.errors import EstimationError
 from repro.graph.delta import GraphDelta
@@ -26,7 +29,13 @@ from repro.influence.backends import bfs_rows
 from repro.influence.ensemble import WorldEnsemble
 from repro.influence.rrsets import RRSetEstimator
 
-from stores import STORES, build, chunking, rows_from_entries
+from stores import (
+    STORES,
+    assert_stops_bound_in_time,
+    build,
+    chunking,
+    rows_from_entries,
+)
 
 SBM_PARAMS = {"n": 90, "activation_probability": 0.08}
 DATASET_SEED = 3
@@ -160,6 +169,45 @@ class TestRepairEqualsRebuild:
         report = ensemble.apply_delta(GraphDelta(inserts=inserts))
         assert report.repaired_worlds
         assert ensemble.nbytes == recount() > before
+
+
+class TestSolveRepairSolve:
+    def test_repair_drops_the_cached_stops(self):
+        """A solve caches its cutoff's in-time stops on the oracle, and
+        ``nbytes`` counts them; a repair swaps in a new oracle, so the
+        next solve reads the repaired index's stops and equals a fresh
+        build's solve, evaluations included."""
+        cutoff = 2
+        objective = ConcaveSumObjective(log1p)
+        graph, groups = sbm()
+        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
+        # The cutoff must fall before the last finite time, or no stops
+        # are cached and the test shows nothing.
+        assert cutoff < ensemble._oracle.reach.table.shape[2] - 1
+        pristine = ensemble.nbytes
+        lazy_greedy(ensemble, objective, cutoff, 6)
+        stops = ensemble._oracle.stops(cutoff)
+        assert ensemble.nbytes == pristine + stops.nbytes
+
+        ensemble.apply_delta(make_delta(graph))
+        assert cutoff < ensemble._oracle.reach.table.shape[2] - 1
+        assert ensemble._oracle.nbytes == ensemble._oracle.reach.nbytes
+        repaired = lazy_greedy(ensemble, objective, cutoff, 6)
+        stops = ensemble._oracle.stops(cutoff)
+        worlds = sum(world.nbytes for world in ensemble.worlds)
+        assert ensemble.nbytes == ensemble._oracle.reach.nbytes + stops.nbytes + worlds
+        assert_stops_bound_in_time(ensemble._oracle)
+
+        fresh_graph, fresh_groups = sbm()
+        fresh_graph.apply_delta(make_delta(fresh_graph))
+        fresh = WorldEnsemble(fresh_graph, fresh_groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
+        want = lazy_greedy(fresh, objective, cutoff, 6)
+        assert repaired.stopped_reason == want.stopped_reason
+        for got_step, want_step in zip(repaired.steps, want.steps, strict=True):
+            assert got_step.position == want_step.position
+            assert got_step.gain == want_step.gain
+            assert got_step.evaluations == want_step.evaluations
+            assert np.array_equal(got_step.group_utilities, want_step.group_utilities)
 
 
 class TestReachIndexRepair:

@@ -112,3 +112,41 @@ class TestValidateMonotone:
 
         with pytest.raises(ConfigError, match="not coordinate-wise monotone"):
             validate_monotone(Bad(), dimension=2)
+
+
+class TestGroupSums:
+    """Each objective adds its group terms column by column: every row of
+    ``values`` has the bits of ``value`` on that row and of numpy's
+    last-axis ``sum``, for any number of groups."""
+
+    @staticmethod
+    def same_bits(got, want):
+        got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_rows_equal_value_and_numpy_sum(self, k):
+        rng = np.random.default_rng(k)
+        scale = rng.choice([1e-3, 1.0, 1e3, 1e6], size=(400, k))
+        rows = rng.uniform(0.0, 1.0, size=(400, k)) * scale
+        rows[::9] = 0.0
+        weights = rng.uniform(0.5, 2.0, size=k)
+        sizes = rng.uniform(100.0, 2000.0, size=k)
+        cases = [
+            (TotalInfluenceObjective(), rows.sum(axis=-1)),
+            (ConcaveSumObjective(log1p), np.log1p(rows).sum(axis=-1)),
+            (ConcaveSumObjective(sqrt, weights), (np.sqrt(rows) * weights).sum(axis=-1)),
+            (
+                TruncatedCoverageObjective(0.5, sizes),
+                np.minimum(rows / sizes, 0.5).sum(axis=-1),
+            ),
+            (
+                TotalCoverageObjective(0.9, sizes.sum()),
+                np.minimum(rows.sum(axis=-1) / sizes.sum(), 0.9),
+            ),
+        ]
+        for objective, want in cases:
+            values = objective.values(rows)
+            self.same_bits(values, want)
+            self.same_bits(values, [objective.value(row) for row in rows])

@@ -71,7 +71,14 @@ from repro.influence.exact import exact_utility
 from repro.influence.rrsets import RRSetEstimator
 from repro.influence.utility import disparity
 
-from stores import STORES, build, dense_rows, gemm_utilities, world_totals
+from stores import (
+    STORES,
+    assert_stops_bound_in_time,
+    build,
+    dense_rows,
+    gemm_utilities,
+    world_totals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,7 +1039,9 @@ class TestRepairEqualsFreshBuild:
     build on the mutated graph array for array: worlds and every reach
     index array, and ``RepairReport.affected`` is exactly the set of
     candidates whose rows changed (by the dense reference rows),
-    whatever the frontier-BFS chunk budget of the build and repairs."""
+    whatever the frontier-BFS chunk budget of the build and repairs.
+    The in-time stops of the built and of the repaired oracle bound
+    exactly their index's in-time transpose entries."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -1052,6 +1061,8 @@ class TestRepairEqualsFreshBuild:
             # Builds and repairs under any frontier-BFS chunk budget.
             patch.setattr(backends, "FRONTIER_CHUNK_BYTES", chunk_bytes)
             ensemble = WorldEnsemble(graph, GroupAssignment.from_graph(graph), **spec)
+            # Caches the stops at every cutoff before the first repair.
+            assert_stops_bound_in_time(ensemble._oracle)
             deltas = []
             for _ in range(data.draw(st.integers(1, 3))):
                 delta = data.draw(_delta_for(graph))
@@ -1067,6 +1078,8 @@ class TestRepairEqualsFreshBuild:
         fresh = WorldEnsemble(fresh_graph, GroupAssignment.from_graph(fresh_graph), **spec)
         for r, (mine, theirs) in enumerate(zip(ensemble.worlds, fresh.worlds)):
             _assert_same_arrays(mine.adjacency, theirs.adjacency, f"world {r}")
+        # The repaired oracle's in-time stops are its own index's.
+        assert_stops_bound_in_time(ensemble._oracle)
         patched, rebuilt = ensemble._oracle.reach, fresh._oracle.reach
         # The node-major transpose is rebuilt with the patched entries.
         assert {"node_starts", "node_code", "node_time"} <= set(rebuilt._fields)
