@@ -14,6 +14,12 @@ loopback port (no network beyond localhost, no subprocess):
 - **cold vs warm** — the same workload replayed against the
   now-populated cache; the warm pass does zero world builds, so its
   requests/sec floor is the cold pass's (asserted with slack).
+- **stream vs plain CPU** — the server's CPU per warm sequential
+  request (process CPU minus the client thread's), for one cover solve
+  of at least 20 steps sent plain and with ``?stream=1``.  A stream
+  wakes the event loop at most every ``STREAM_FLUSH_SECONDS`` and
+  writes its steps in batches, so it must cost at most
+  ``STREAM_CPU_RATIO`` times the plain solve.
 
 Every response in a deduped batch is asserted byte-identical to the
 others — throughput that broke bit-identity would not count.  Numbers
@@ -42,6 +48,16 @@ SYN_PARAMS = {"n": 200, "activation_probability": 0.08}
 N_WORLDS = 16
 BUDGET = 4
 CLIENT_THREADS = 8
+#: The stream-vs-plain solve: serve-mixed's stream-cover class
+#: (synthetic-500, 100 worlds, tau 10, quota 0.1: 26 steps).
+STREAM_SPEC = RunSpec(
+    ensemble=EnsembleSpec(dataset="synthetic", n_worlds=100, world_seed=1),
+    solver=SolverSpec(problem="cover", deadline=10.0, quota=0.1, budget=None, concave=None),
+)
+STREAM_CPU_RATIO = 1.5
+#: Sequential requests per timed round, and alternating rounds per kind.
+CPU_REQUESTS = 20
+CPU_ROUNDS = 5
 
 
 def spec_payload(world_seed: int) -> bytes:
@@ -161,3 +177,48 @@ def test_throughput_under_dedup_and_cache():
     # runners (and 1-core containers under load) add multi-x noise.
     for point in points:
         assert point["warm_rps"] >= point["cold_rps"] * 0.5, point
+
+
+def test_stream_cpu_matches_plain():
+    payload = json.dumps(STREAM_SPEC.to_dict()).encode()
+    paths = {"plain": "/v1/solve", "stream": "/v1/solve?stream=1"}
+
+    def one(url: str, path: str) -> bytes:
+        request = urllib.request.Request(url + path, data=payload, method="POST")
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+            return response.read()
+
+    server = start_in_thread(ServiceConfig(port=0))
+    try:
+        one(server.url, paths["plain"])  # builds and caches the ensemble
+        steps = len(one(server.url, paths["stream"]).splitlines()) - 1
+        assert steps >= 20
+        cpu = {kind: [] for kind in paths}
+        for _ in range(CPU_ROUNDS):
+            for kind, path in paths.items():
+                process, client = time.process_time(), time.thread_time()
+                for _ in range(CPU_REQUESTS):
+                    one(server.url, path)
+                server_cpu = (time.process_time() - process) - (time.thread_time() - client)
+                cpu[kind].append(server_cpu / CPU_REQUESTS)
+    finally:
+        server.stop()
+
+    # Best round per kind: CPU time only grows under interference.
+    plain, stream = min(cpu["plain"]), min(cpu["stream"])
+    record_bench(
+        "stream_cpu",
+        {
+            "spec": "synthetic-500, 100 worlds, cover tau 10 quota 0.1",
+            "steps": steps,
+            "requests_per_round": CPU_REQUESTS,
+            "rounds": CPU_ROUNDS,
+            "plain_server_cpu_ms": round(plain * 1e3, 3),
+            "stream_server_cpu_ms": round(stream * 1e3, 3),
+            "stream_over_plain": round(stream / plain, 3),
+            "cpu_count": os.cpu_count(),
+        },
+        path=RESULTS_PATH,
+    )
+    assert stream <= STREAM_CPU_RATIO * plain, (plain, stream)

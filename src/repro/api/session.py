@@ -208,9 +208,10 @@ class RunResult:
 class Session:
     """Ensemble cache + ``solve``/``resolve``/``solve_many``.
 
-    Thread-safe: the cache is lock-protected and a solve keeps its state
-    to itself.  One session per service process (or per
-    tenant/configuration) is the intended shape, and the sweep runner
+    Thread-safe: the cache is lock-protected, concurrent misses of one
+    spec share one build, and a solve keeps its state to itself.  One
+    session per service process (or per tenant/configuration) is the
+    intended shape, and the sweep runner
     (:func:`repro.sweep.run_sweep`) funnels a whole scenario grid
     through one session so cells sharing an ensemble fingerprint share
     one world build.
@@ -243,6 +244,8 @@ class Session:
         self.cache_bytes = check_cache_bytes(cache_bytes, allow_none=True)
         self._lock = threading.RLock()
         self._ensembles: "OrderedDict[str, Any]" = OrderedDict()
+        # key -> set when that key's one in-progress build ends.
+        self._building: Dict[str, threading.Event] = {}
         # (dataset, params, seed) -> the frozen graph every estimator
         # built from that dataset shares, and each such graph's group
         # assignment; entries live exactly as long as some estimator
@@ -271,14 +274,9 @@ class Session:
                 self.cache_misses += 1
             return entry
 
-    def _cache_put(self, key: str, estimator: Any) -> Any:
+    def _cache_put(self, key: str, estimator: Any) -> None:
+        """Insert a fresh build and evict down to both bounds."""
         with self._lock:
-            existing = self._ensembles.get(key)
-            if existing is not None:
-                # A concurrent builder won the race; share its worlds
-                # (the whole point of the cache) and drop ours.
-                self._ensembles.move_to_end(key)
-                return existing
             self._ensembles[key] = estimator
             while len(self._ensembles) > self.max_cached_ensembles:
                 self._evict_oldest()
@@ -290,7 +288,6 @@ class Session:
                     and self._cache_nbytes() > self.cache_bytes
                 ):
                     self._evict_oldest()
-            return estimator
 
     def _cache_nbytes(self) -> int:
         """Live resident bytes of every cached entry (caller holds the
@@ -333,29 +330,53 @@ class Session:
         return estimator
 
     def _ensemble_for(self, spec: EnsembleSpec) -> Tuple[Any, bool]:
+        """The estimator and whether it was already cached.
+
+        Builds are single-flight per key: the first caller to miss
+        registers an in-progress event and builds outside the lock,
+        and concurrent callers of the same spec wait on that event and
+        then take the cached entry.  Every call counts exactly one hit
+        or one miss.  If the build raises, its waiters look again and
+        one of them builds in turn.
+        """
         if not isinstance(spec, EnsembleSpec):
             raise ConfigError(
                 f"expected an EnsembleSpec, got {type(spec).__name__}"
             )
         key = spec.fingerprint()
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached, True
+        while True:
+            with self._lock:
+                building = self._building.get(key)
+                if building is None:
+                    cached = self._cache_get(key)
+                    if cached is not None:
+                        return cached, True
+                    building = self._building[key] = threading.Event()
+                    break
+            building.wait()
+        try:
+            estimator = self._build(spec)
+            with self._lock:
+                self.cache_builds += 1
+                self._cache_put(key, estimator)
+        finally:
+            with self._lock:
+                del self._building[key]
+            building.set()
+        return estimator, False
+
+    def _build(self, spec: EnsembleSpec) -> Any:
         graph, assignment = self._dataset(spec)
         if spec.kind == "rrset":
-            estimator = build_rrset_estimator(spec, graph, assignment)
-        else:
-            estimator = WorldEnsemble(
-                graph,
-                assignment,
-                n_worlds=spec.n_worlds,
-                candidates=spec.candidates,
-                model=spec.model,
-                seed=spec.world_seed,
-            )
-        with self._lock:
-            self.cache_builds += 1
-        return self._cache_put(key, estimator), False
+            return build_rrset_estimator(spec, graph, assignment)
+        return WorldEnsemble(
+            graph,
+            assignment,
+            n_worlds=spec.n_worlds,
+            candidates=spec.candidates,
+            model=spec.model,
+            seed=spec.world_seed,
+        )
 
     def _dataset(self, spec: EnsembleSpec) -> Tuple[Any, Any]:
         """The spec's ``(graph, assignment)``, shared by every estimator

@@ -1085,16 +1085,17 @@ class WorldEnsemble(UtilityEstimator):
         finally:
             self._world_bytes = sum(world.nbytes for world in self.worlds)
 
-    def _repair_rows(self, tails: Dict[int, np.ndarray]) -> np.ndarray:
-        """Patch the index after the worlds in ``tails`` changed in place.
+    def _repair_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Patch the index after some worlds changed in place.
 
-        ``tails[r]`` lists the tail nodes of the edges whose coins
-        re-thresholded in world ``r`` (already swapped into
-        :attr:`worlds`).  A BFS from a candidate that, in the *old*
-        world, never reaches one of those tails never reads a changed
-        edge, so its row is unchanged.  The rows that do reach one are
-        the owners the transpose lists at ``r * n + tail``; they are
-        re-run in one :func:`~repro.influence.backends.bfs_rows` call,
+        ``nodes`` holds, sorted and distinct, the codes ``r * n + tail``
+        of the tail nodes of the edges whose coins re-thresholded in
+        world ``r`` (already swapped into :attr:`worlds`).  A BFS from a
+        candidate that, in the *old* world, never reaches one of those
+        tails never reads a changed edge, so its row is unchanged.  The
+        rows that do reach one are the owners the transpose lists at
+        those codes; they are re-run in one
+        :func:`~repro.influence.backends.bfs_rows` call,
         and those whose entries differ are spliced into a new index
         (:meth:`_patched_reach`), swapped in with one assignment.
         Returns the sorted positions of the candidates whose entries
@@ -1102,8 +1103,6 @@ class WorldEnsemble(UtilityEstimator):
         """
         reach, n, n_worlds = self._oracle.reach, self.n, self.n_worlds
         k = len(self.group_names)
-        ids = sorted(tails)
-        nodes = np.concatenate([r * n + tails[r] for r in ids])
         starts = reach.node_starts[nodes].astype(np.int64)
         stops = reach.node_starts[nodes + 1].astype(np.int64)
         owner = reach.node_code[concat_ranges(starts, stops)].astype(np.int64) // k

@@ -21,7 +21,7 @@ u, v)``, independent of every other edge.  Applying a
    pass — the only "resampling" done);
 3. worlds where ``(U < p_old) != (U < p_new)`` somewhere have a changed
    live-edge set; patch exactly those edges in exactly those worlds'
-   adjacency rows;
+   adjacency rows, every world in one vectorised pass;
 4. swap the changed worlds in and hand the tails of their re-flipped
    edges to the ensemble's reach index.  A candidate's row can change
    only if it reaches such a tail in the old world — the owners the
@@ -38,7 +38,7 @@ graph with the same seed — the property the equivalence tests pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -122,51 +122,70 @@ def plan_against(graph: DiGraph, delta: GraphDelta) -> EdgePlan:
     )
 
 
-def patch_world(
-    world: LiveEdgeWorld,
+def patch_worlds(
+    worlds: List[LiveEdgeWorld],
     plan: EdgePlan,
     kept_old: np.ndarray,
     kept_new: np.ndarray,
-) -> LiveEdgeWorld:
-    """The world's live-edge set after re-thresholding the plan's edges.
+) -> List[LiveEdgeWorld]:
+    """The worlds' live-edge sets after re-thresholding the plan's edges.
 
-    Drops edges whose coin kept them under ``p_old`` but not ``p_new``
-    and adds the converse, as single-entry edits of the world's
-    canonical CSR (rows sorted, no duplicates): a dropped edge was live
-    and is cut out, an added one was not and is spliced in at its
-    sorted place.  The patched adjacency is bit-identical to
-    resampling the mutated graph under the world's key.
+    ``kept_old[i]`` / ``kept_new[i]`` say which plan edges world ``i``
+    keeps under ``p_old`` / ``p_new``.  Edges kept under the old
+    probability but not the new one are dropped and the converse are
+    added, as single-entry edits of each world's canonical CSR (rows
+    sorted, no duplicates): a dropped edge was live and is cut out, an
+    added one was not and is spliced in at its sorted place.
+
+    All worlds are edited in one pass: their CSRs are stacked into one
+    of ``len(worlds) * n`` rows, row ``i * n + u`` being world ``i``'s
+    row ``u``, every flipped ``(world, edge)`` pair is placed and
+    spliced there at once, and each world's arrays are sliced back
+    out.  Each patched adjacency is bit-identical to resampling the
+    mutated graph under that world's key.
     """
-    adjacency, n = world.adjacency, world.n
-    indptr = adjacency.indptr
-    flipped = np.flatnonzero(kept_old != kept_new)
-    order = np.argsort(plan.src[flipped] * n + plan.dst[flipped])
-    flipped = flipped[order]
-    src, dst, add = plan.src[flipped], plan.dst[flipped], kept_new[flipped]
-    # Each edit's place in the CSR: its row start plus the rank of its
-    # column among the row's columns (the row's exact slot for a drop,
-    # the sorted insertion slot for an add).  Sorted by edge code, the
-    # edits are ascending, disjoint segments for ``splice``.
-    rows = np.unique(src)
+    n = worlds[0].n
+    adjacencies = [world.adjacency for world in worlds]
+    pointers = np.stack([adjacency.indptr for adjacency in adjacencies]).astype(np.int64)
+    starts = np.concatenate(([0], np.cumsum(pointers[:, -1])))
+    indptr = np.append((pointers[:, :-1] + starts[:-1, None]).ravel(), starts[-1])
+    indices = np.concatenate([adjacency.indices for adjacency in adjacencies])
+    slot, edge = np.nonzero(kept_old != kept_new)
+    row, dst = slot * n + plan.src[edge], plan.dst[edge]
+    order = np.argsort(row * n + dst)
+    row, dst, add = row[order], dst[order], kept_new[slot[order], edge[order]]
+    # Each edit's place in the stacked CSR: its row start plus the rank
+    # of its column among the row's columns (the row's exact slot for a
+    # drop, the sorted insertion slot for an add).  Sorted by edge code,
+    # the edits are ascending, disjoint segments for ``splice``.
+    rows = np.unique(row)
     lo, hi = indptr[rows], indptr[rows + 1]
-    codes = np.repeat(rows * n, hi - lo) + adjacency.indices[concat_ranges(lo, hi)]
-    at = indptr[src] + (
-        np.searchsorted(codes, src * n + dst) - np.searchsorted(codes, src * n)
+    codes = np.repeat(rows * n, hi - lo) + indices[concat_ranges(lo, hi)]
+    at = indptr[row] + (
+        np.searchsorted(codes, row * n + dst) - np.searchsorted(codes, row * n)
     )
-    indices = splice(adjacency.indices, at, at + ~add, dst[add], add.astype(np.int64))
-    shift = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(shift, src + 1, np.where(add, 1, -1))
-    return LiveEdgeWorld(
-        n=n,
-        adjacency=sparse.csr_matrix(
-            (
-                np.ones(indices.size, dtype=adjacency.data.dtype),
-                indices,
-                (indptr + np.cumsum(shift)).astype(indptr.dtype),
+    indices = splice(indices, at, at + ~add, dst[add], add.astype(np.int64))
+    shift = np.zeros(indptr.size, dtype=np.int64)
+    np.add.at(shift, row + 1, np.where(add, 1, -1))
+    indptr += np.cumsum(shift)
+    starts = indptr[::n]
+    pointers = np.append(indptr[:-1].reshape(-1, n), starts[1:, None], axis=1)
+    pointers = (pointers - starts[:-1, None]).astype(adjacencies[0].indptr.dtype)
+    data_dtype = adjacencies[0].data.dtype
+    # Copies, not views: a world outliving its siblings must not pin
+    # the stacked array.
+    return [
+        LiveEdgeWorld(
+            n=n,
+            adjacency=sparse.csr_matrix(
+                (np.ones(hi - lo, dtype=data_dtype), indices[lo:hi].copy(), pointer),
+                shape=adjacency.shape,
             ),
-            shape=adjacency.shape,
-        ),
-    )
+        )
+        for lo, hi, pointer, adjacency in zip(
+            starts[:-1], starts[1:], pointers, adjacencies
+        )
+    ]
 
 
 def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairReport:
@@ -203,8 +222,7 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
     # deliberately do NOT record the new version on the ensemble: the
     # staleness guard then rejects every query on the half-repaired
     # store instead of serving wrong numbers.
-    updates: Dict[int, LiveEdgeWorld] = {}
-    tails: Dict[int, np.ndarray] = {}
+    changed = np.empty(0, dtype=np.int64)
     affected = np.empty(0, dtype=np.int64)
     if plan.n_edges:
         uniforms = keyed_edge_uniforms(
@@ -215,19 +233,25 @@ def repair_ensemble(ensemble: "WorldEnsemble", delta: GraphDelta) -> RepairRepor
         )  # (R, E)
         kept_old = uniforms < plan.p_old
         kept_new = uniforms < plan.p_new
-        flipped = kept_old != kept_new
-        for r in np.flatnonzero(flipped.any(axis=1)).tolist():
-            updates[r] = patch_world(ensemble.worlds[r], plan, kept_old[r], kept_new[r])
-            tails[r] = np.unique(plan.src[flipped[r]])
-        for r, world in updates.items():
-            ensemble.worlds[r] = world
-        if tails:
-            affected = ensemble._repair_rows(tails)
+        world, edge = np.nonzero(kept_old != kept_new)
+        changed = np.unique(world)
+        if changed.size:
+            patched = patch_worlds(
+                [ensemble.worlds[r] for r in changed.tolist()],
+                plan,
+                kept_old[changed],
+                kept_new[changed],
+            )
+            for r, patched_world in zip(changed.tolist(), patched):
+                ensemble.worlds[r] = patched_world
+            affected = ensemble._repair_rows(
+                np.unique(world * ensemble.n + plan.src[edge])
+            )
     ensemble._note_repair(graph.version, delta.fingerprint())
     return RepairReport(
         delta_fingerprint=delta.fingerprint(),
         edges_touched=plan.n_edges,
-        repaired_worlds=len(updates),
+        repaired_worlds=int(changed.size),
         resampled_edges=plan.n_edges * ensemble.n_worlds,
         affected=affected,
     )

@@ -11,24 +11,29 @@ on the same spec.
 
 Three layers of sharing, coarsest first:
 
-1. **Single-flight by spec fingerprint** — concurrent requests whose
+1. **In-flight dedup by spec fingerprint** — concurrent requests whose
    :meth:`RunSpec.fingerprint` matches (ensemble + solver; execution
    is excluded because it never changes results) attach to one
    in-flight solve: one ensemble build, one greedy run, N responses.
-2. **Ensemble-build single-flight** — requests that differ in solver
-   but share an ensemble fingerprint race to build the same worlds;
-   the service funnels them through one build future so the session
-   cache sees one miss and N-1 hits, and the solves then run
-   concurrently against the one shared ensemble.
+2. **The session's build single-flight** — requests that differ in
+   solver but share an ensemble fingerprint each run their own solve,
+   and :class:`Session` lets exactly one of them build the worlds
+   while the others wait for it, so the cache sees one miss and N-1
+   hits and the solves then run concurrently on the one ensemble.
 3. **The session cache itself** — sequential traffic reuses worlds
    across requests, LRU-evicted by entry count and by
    ``cache_bytes``.
 
-Streaming (``POST /v1/solve?stream=1``) taps the greedy engines'
-:func:`repro.core.greedy.trace_tap` on the solving thread and fans
-step events out to every subscribed client as NDJSON — subscribers who
-attach late (deduped onto a running solve) first replay the buffered
-steps, so every client always sees the complete trace.
+A flight is one executor call: ``Session.solve`` under a
+:func:`repro.core.greedy.trace_tap` that only records each greedy
+step.  Streaming (``POST /v1/solve?stream=1``) subscribes to the
+flight: the solving thread wakes the event loop at most every
+:data:`STREAM_FLUSH_SECONDS`, and only while a stream listens, and the
+flight's end always wakes it.  Each wake writes every step a stream
+has not yet sent in one batch, so a short solve's steps arrive
+together with its result.  Every stream keeps its own cursor into the
+flight's steps: one that attaches late (deduped onto a running solve)
+starts from step 0, so every client sees the complete trace.
 """
 
 from __future__ import annotations
@@ -51,12 +56,13 @@ from repro.service.http import (
     error_payload,
     read_request,
     send_json,
-    send_ndjson_line,
+    send_ndjson_lines,
     start_ndjson,
 )
 
-#: Sentinel closing a flight's subscriber queues.
-_STREAM_DONE = object()
+#: Least time between two wakes of the event loop by a streamed
+#: flight's solving thread; the flight's end always wakes it.
+STREAM_FLUSH_SECONDS = 0.05
 
 
 def step_event(step: SelectionStep, index: int) -> Dict[str, Any]:
@@ -73,17 +79,53 @@ def step_event(step: SelectionStep, index: int) -> Dict[str, Any]:
     }
 
 
+def _error_event(status: int, message: str) -> Dict[str, Any]:
+    """An NDJSON stream's error line."""
+    return {"event": "error", **error_payload(status, message)["error"]}
+
+
 class _Flight:
-    """One in-flight solve shared by every deduped request."""
+    """One in-flight solve shared by every deduped request.
 
-    __slots__ = ("key", "future", "steps", "subscribers", "closed")
+    ``tap`` runs on the solving thread; everything else on the loop.
+    """
 
-    def __init__(self, key: str, future: "asyncio.Future[RunResult]") -> None:
+    __slots__ = (
+        "key", "future", "loop", "steps", "listeners", "closed",
+        "wake_pending", "last_wake",
+    )
+
+    def __init__(self, key: str, loop: asyncio.AbstractEventLoop) -> None:
         self.key = key
-        self.future = future
-        self.steps: List[Dict[str, Any]] = []
-        self.subscribers: List["asyncio.Queue[Any]"] = []
+        self.loop = loop
+        self.future: "asyncio.Future[RunResult]" = loop.create_future()
+        self.steps: List[SelectionStep] = []
+        #: One event per stream, set when new steps (or the end) await it.
+        self.listeners: List[asyncio.Event] = []
         self.closed = False
+        self.wake_pending = False
+        self.last_wake = time.monotonic()
+
+    def tap(self, step: SelectionStep) -> None:
+        """Record a step; wake the loop only for a listener, and rarely.
+
+        ``wake_pending`` is read here and cleared by ``wake`` without a
+        lock: a race costs at most one extra or one skipped early wake,
+        and the wake at the flight's end always runs.
+        """
+        self.steps.append(step)
+        if self.listeners and not self.wake_pending:
+            now = time.monotonic()
+            if now - self.last_wake >= STREAM_FLUSH_SECONDS:
+                self.wake_pending = True
+                self.last_wake = now
+                self.loop.call_soon_threadsafe(self.wake)
+
+    def wake(self) -> None:
+        """Tell every stream that steps (or the end) are waiting."""
+        self.wake_pending = False
+        for listener in self.listeners:
+            listener.set()
 
 
 class SolveService:
@@ -126,10 +168,9 @@ class SolveService:
             max_workers=config.solver_threads, thread_name_prefix="repro-solve"
         )
         self._flights: Dict[str, _Flight] = {}
-        self._builds: Dict[Tuple[str, Any], "asyncio.Task[Any]"] = {}
         # Per-ensemble delta locks with their holder + waiter counts;
         # an entry lives only while someone holds or awaits it.
-        self._delta_locks: Dict[Tuple[str, Any], Tuple[asyncio.Lock, int]] = {}
+        self._delta_locks: Dict[Any, Tuple[asyncio.Lock, int]] = {}
         self._active = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -345,7 +386,7 @@ class SolveService:
             # second fails validation against the mutated graph, which is
             # the correct answer, not a cache hit).
             loop = asyncio.get_running_loop()
-            async with self._delta_lock(self._build_key(spec)):
+            async with self._delta_lock(spec.ensemble.fingerprint()):
                 self.counters["solves"] += 1
                 work = loop.run_in_executor(
                     self._executor, self.session.resolve, spec, delta
@@ -364,7 +405,7 @@ class SolveService:
             self._release()
 
     @contextlib.asynccontextmanager
-    async def _delta_lock(self, key: Tuple[str, Any]) -> AsyncIterator[None]:
+    async def _delta_lock(self, key: Any) -> AsyncIterator[None]:
         """Hold ``key``'s delta lock; drop its entry when the last holder
         releases with no waiter left (every ensemble that ever saw a
         delta would otherwise keep one forever)."""
@@ -383,9 +424,6 @@ class SolveService:
     # ------------------------------------------------------------------
     # flights
     # ------------------------------------------------------------------
-    def _build_key(self, spec: RunSpec) -> Tuple[str, Any]:
-        return (spec.ensemble.fingerprint(),)
-
     def _flight_for(self, spec: RunSpec) -> Tuple[_Flight, bool]:
         """The in-flight solve for this spec, joining one when it exists."""
         key = spec.fingerprint()
@@ -394,7 +432,7 @@ class SolveService:
             self.counters["deduped"] += 1
             return flight, False
         loop = asyncio.get_running_loop()
-        flight = _Flight(key, loop.create_future())
+        flight = _Flight(key, loop)
         self._flights[key] = flight
         task = loop.create_task(self._run_flight(flight, spec))
         # The flight future is what waiters consume; keep the runner
@@ -404,77 +442,23 @@ class SolveService:
         )
         return flight, True
 
-    async def _ensure_ensemble(self, spec: RunSpec) -> None:
-        """Single-flight the ensemble build across concurrent requests.
-
-        Requests that share an ensemble fingerprint (any solver spec)
-        funnel through one executor call to ``Session.ensemble_for``;
-        everyone else awaits that future and then hits the session
-        cache.  Without this, N concurrent first requests would build N
-        identical world ensembles and race N-1 of them into the drop
-        path.
-        """
-        key = self._build_key(spec)
-        task = self._builds.get(key)
-        if task is None:
-            loop = asyncio.get_running_loop()
-
-            async def build() -> None:
-                try:
-                    await loop.run_in_executor(
-                        self._executor,
-                        self.session.ensemble_for,
-                        spec.ensemble,
-                    )
-                finally:
-                    self._builds.pop(key, None)
-
-            task = loop.create_task(build())
-            task.add_done_callback(
-                lambda t: t.exception() if not t.cancelled() else None
-            )
-            self._builds[key] = task
-        await asyncio.shield(task)
-
     async def _run_flight(self, flight: _Flight, spec: RunSpec) -> None:
-        loop = asyncio.get_running_loop()
+        def run() -> RunResult:
+            with trace_tap(flight.tap):
+                return self.session.solve(spec)
+
+        self.counters["solves"] += 1
         try:
-            await self._ensure_ensemble(spec)
-            self.counters["solves"] += 1
-
-            def run() -> RunResult:
-                index = 0
-
-                def tap(step: SelectionStep) -> None:
-                    nonlocal index
-                    event = step_event(step, index)
-                    index += 1
-                    loop.call_soon_threadsafe(self._publish_step, flight, event)
-
-                with trace_tap(tap):
-                    return self.session.solve(spec)
-
-            result = await loop.run_in_executor(self._executor, run)
+            result = await flight.loop.run_in_executor(self._executor, run)
         except Exception as exc:
-            if not flight.future.done():
-                flight.future.set_exception(exc)
+            flight.future.set_exception(exc)
             flight.future.exception()  # consumed here even with no waiters
         else:
-            if not flight.future.done():
-                flight.future.set_result(result)
+            flight.future.set_result(result)
         finally:
             flight.closed = True
             self._flights.pop(flight.key, None)
-            for queue in flight.subscribers:
-                queue.put_nowait(_STREAM_DONE)
-
-    def _publish_step(self, flight: _Flight, event: Dict[str, Any]) -> None:
-        """Record one step and fan it out (runs on the event loop)."""
-        if flight.closed:
-            return
-        flight.steps.append(event)
-        for queue in flight.subscribers:
-            queue.put_nowait(event)
+            flight.wake()
 
     async def _bounded(self, awaitable) -> Any:
         """Await under the request timeout; the shared work survives."""
@@ -507,69 +491,66 @@ class SolveService:
     async def _stream_flight(
         self, flight: _Flight, writer: asyncio.StreamWriter
     ) -> None:
-        """NDJSON: buffered steps, then live steps, then the result.
+        """NDJSON: the flight's steps in batches, then the result.
 
-        Subscription and replay both run on the event loop, so no step
-        can slip between the replayed prefix and the live queue.
+        The stream replays from step 0 and then sends, on each wake,
+        every step it has not sent yet; the wake at the flight's end
+        sends the rest with the result line.  Listening and reading
+        both run on the event loop, and a closed flight has recorded
+        its last step, so no step is lost or sent twice.
         """
-        queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        for event in flight.steps:
-            queue.put_nowait(event)
-        if flight.closed:
-            queue.put_nowait(_STREAM_DONE)
-        else:
-            flight.subscribers.append(queue)
+        listener = asyncio.Event()
+        listener.set()  # send what is buffered at once
+        flight.listeners.append(listener)
         deadline = (
             None
             if self.config.request_timeout is None
             else time.monotonic() + self.config.request_timeout
         )
+        sent = 0
         await start_ndjson(writer)
         try:
             while True:
-                if deadline is None:
-                    event = await queue.get()
-                else:
-                    remaining = deadline - time.monotonic()
-                    try:
-                        event = await asyncio.wait_for(
-                            queue.get(), max(remaining, 0.0)
-                        )
-                    except asyncio.TimeoutError:
-                        self.counters["timeouts"] += 1
-                        await send_ndjson_line(
-                            writer,
-                            {
-                                "event": "error",
-                                **error_payload(
-                                    504,
-                                    "stream exceeded the request timeout "
-                                    "(the solve continues)",
-                                )["error"],
-                            },
-                        )
-                        return
-                if event is _STREAM_DONE:
-                    break
-                await send_ndjson_line(writer, event)
-            try:
-                result = await asyncio.shield(flight.future)
-            except ConfigError as exc:
-                await send_ndjson_line(
-                    writer, {"event": "error", **error_payload(400, str(exc))["error"]}
-                )
-                return
-            except ReproError as exc:
-                await send_ndjson_line(
-                    writer, {"event": "error", **error_payload(422, str(exc))["error"]}
-                )
-                return
-            await send_ndjson_line(
-                writer, {"event": "result", "result": result.to_dict()}
-            )
+                try:
+                    await asyncio.wait_for(
+                        listener.wait(),
+                        None if deadline is None
+                        else max(deadline - time.monotonic(), 0.0),
+                    )
+                except asyncio.TimeoutError:
+                    self.counters["timeouts"] += 1
+                    await send_ndjson_lines(writer, [_error_event(
+                        504,
+                        "stream exceeded the request timeout "
+                        "(the solve continues)",
+                    )])
+                    return
+                listener.clear()
+                closed = flight.closed
+                lines = [
+                    step_event(step, index)
+                    for index, step in enumerate(flight.steps[sent:], sent)
+                ]
+                sent += len(lines)
+                if closed:
+                    lines.append(self._final_event(flight))
+                    await send_ndjson_lines(writer, lines)
+                    return
+                if lines:
+                    await send_ndjson_lines(writer, lines)
         finally:
-            if queue in flight.subscribers:
-                flight.subscribers.remove(queue)
+            flight.listeners.remove(listener)
+
+    @staticmethod
+    def _final_event(flight: _Flight) -> Dict[str, Any]:
+        """A finished flight's last NDJSON line: its result or its error."""
+        try:
+            result = flight.future.result()
+        except ConfigError as exc:
+            return _error_event(400, str(exc))
+        except ReproError as exc:
+            return _error_event(422, str(exc))
+        return {"event": "result", "result": result.to_dict()}
 
     # ------------------------------------------------------------------
     # lifecycle

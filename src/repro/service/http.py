@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 #: Reason phrases for every status the service emits.
@@ -170,9 +170,9 @@ async def start_ndjson(writer: asyncio.StreamWriter, status: int = 200) -> None:
     await writer.drain()
 
 
-async def send_ndjson_line(writer: asyncio.StreamWriter, payload: Any) -> None:
-    """Write one NDJSON event and flush it to the client immediately."""
-    writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+async def send_ndjson_lines(writer: asyncio.StreamWriter, payloads: List[Any]) -> None:
+    """Write NDJSON events in one write and flush them to the client."""
+    writer.write("".join(json.dumps(p) + "\n" for p in payloads).encode("utf-8"))
     await writer.drain()
 
 

@@ -10,6 +10,7 @@ sharing an :class:`EnsembleSpec` share one built ensemble.
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -176,6 +177,88 @@ class TestEnsembleCache:
         session.ensemble_for(ensemble_spec())
         session.clear_cache()
         assert session.cache_info["entries"] == 0
+
+
+class TestBuildSingleFlight:
+    """Concurrent callers of one uncached spec share one build."""
+
+    @staticmethod
+    def _race(session, spec, threads=8):
+        """``ensemble_for`` from ``threads`` threads at once; returns
+        each thread's estimator or exception."""
+        start = threading.Barrier(threads)
+
+        def call():
+            start.wait(timeout=30)
+            try:
+                return session.ensemble_for(spec)
+            except RuntimeError as exc:
+                return exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(call) for _ in range(threads)]
+                # A stranded waiter would hang here: time out instead.
+                return [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_eight_threads_one_build(self, monkeypatch):
+        session = Session()
+        build = session._build
+        calls = []
+
+        def slow_build(spec):
+            calls.append(spec)
+            time.sleep(0.2)  # every other thread arrives mid-build
+            return build(spec)
+
+        monkeypatch.setattr(session, "_build", slow_build)
+        results = self._race(session, ensemble_spec(world_seed=61))
+        assert len(calls) == 1
+        assert all(result is results[0] for result in results)
+        assert isinstance(results[0], WorldEnsemble)
+        assert session.cache_builds == 1
+        assert session.cache_misses == 1
+        assert session.cache_hits == 7
+
+    def test_failed_build_does_not_strand_waiters(self, monkeypatch):
+        session = Session()
+        build = session._build
+        calls = []
+
+        def flaky_build(spec):
+            calls.append(spec)
+            if len(calls) == 1:
+                time.sleep(0.2)
+                raise RuntimeError("first build fails")
+            return build(spec)
+
+        monkeypatch.setattr(session, "_build", flaky_build)
+        results = self._race(session, ensemble_spec(world_seed=62))
+        failed = [r for r in results if isinstance(r, RuntimeError)]
+        built = [r for r in results if not isinstance(r, RuntimeError)]
+        # The failing builder raises; its waiters look again, one of
+        # them rebuilds and the rest share that build.
+        assert len(failed) == 1 and len(calls) == 2
+        assert len(built) == 7 and all(r is built[0] for r in built)
+        assert session.cache_builds == 1
+        assert session._building == {}
+
+    def test_every_build_failing_raises_in_every_caller(self, monkeypatch):
+        session = Session()
+
+        def broken_build(spec):
+            time.sleep(0.05)
+            raise RuntimeError("no worlds")
+
+        monkeypatch.setattr(session, "_build", broken_build)
+        results = self._race(session, ensemble_spec(world_seed=63))
+        assert all(isinstance(r, RuntimeError) for r in results)
+        assert session.cache_info["entries"] == 0
+        assert session._building == {}
 
 
 class TestSharedDatasetGraphs:

@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.api import EnsembleSpec, RunSpec, Session, SolverSpec
 from repro.cli import main as cli_main
@@ -22,11 +24,14 @@ from repro.core.concave import log1p
 from repro.core.greedy import lazy_greedy
 from repro.core.objectives import ConcaveSumObjective
 from repro.datasets.synthetic import synthetic_sbm
+from repro.diffusion.worlds import keyed_edge_uniforms, sample_ic_worlds
 from repro.errors import EstimationError
 from repro.graph.delta import GraphDelta
+from repro.graph.digraph import DiGraph
 from repro.influence import backends
 from repro.influence.backends import bfs_rows
 from repro.influence.ensemble import WorldEnsemble
+from repro.influence.incremental import patch_worlds, plan_against
 from repro.influence.rrsets import RRSetEstimator
 
 from stores import (
@@ -208,6 +213,85 @@ class TestSolveRepairSolve:
             assert got_step.gain == want_step.gain
             assert got_step.evaluations == want_step.evaluations
             assert np.array_equal(got_step.group_utilities, want_step.group_utilities)
+
+
+@st.composite
+def graphs_and_deltas(draw):
+    """A small graph, a delta on it, and whether the delta is quiet.
+
+    A loud delta inserts an edge at p = 1 and removes another on the
+    same row, so every world flips, plus random other edits.  A quiet
+    one inserts at p = 0 and reweights edges to their own probability,
+    so no world flips.
+    """
+    n = draw(st.integers(3, 9))
+    graph = DiGraph()
+    for node in range(n):
+        graph.add_node(node, group=("a", "b")[node % 2])
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs) // 2, unique=True))
+    for u, v in edges:
+        graph.add_edge(u, v, draw(st.sampled_from([0.3, 0.7, 1.0])))
+    absent = sorted(set(pairs) - set(edges))
+    if draw(st.booleans()):
+        touched = draw(st.lists(st.sampled_from(edges), max_size=3, unique=True))
+        quiet_inserts = draw(st.lists(st.sampled_from(absent), max_size=3, unique=True))
+        delta = GraphDelta(
+            inserts=tuple((u, v, 0.0) for u, v in quiet_inserts),
+            reweights=tuple((u, v, graph.edge_probability(u, v)) for u, v in touched),
+        )
+        return graph, delta, True
+    u, v_removed = draw(st.sampled_from(edges))
+    row_absent = [(a, b) for a, b in absent if a == u]
+    assume(row_absent)
+    row_insert = draw(st.sampled_from(row_absent))
+    others = [e for e in edges if e != (u, v_removed)]
+    touched = draw(st.lists(st.sampled_from(others), max_size=4, unique=True)) if others else []
+    split = draw(st.integers(0, len(touched)))
+    inserts = draw(
+        st.lists(st.sampled_from([e for e in absent if e != row_insert]), max_size=3, unique=True)
+    ) if len(absent) > 1 else []
+    probability = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+    delta = GraphDelta(
+        inserts=((*row_insert, 1.0),) + tuple((a, b, draw(probability)) for a, b in inserts),
+        removes=((u, v_removed),) + tuple(touched[:split]),
+        reweights=tuple((a, b, draw(probability)) for a, b in touched[split:]),
+    )
+    return graph, delta, False
+
+
+class TestPatchWorlds:
+    """The one-pass patch of every flipped world equals resampling the
+    mutated graph under each world's key, array for array."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        case=graphs_and_deltas(),
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12, unique=True),
+    )
+    def test_patched_worlds_equal_a_fresh_resample(self, case, keys):
+        graph, delta, quiet = case
+        keys = np.asarray(keys, dtype=np.uint64)
+        worlds = sample_ic_worlds(graph, keys)
+        plan = plan_against(graph, delta)
+        uniforms = keyed_edge_uniforms(keys, plan.src, plan.dst, graph.number_of_nodes())
+        kept_old, kept_new = uniforms < plan.p_old, uniforms < plan.p_new
+        changed = np.flatnonzero((kept_old != kept_new).any(axis=1))
+        # A loud delta flips every world, a quiet one none.
+        assert changed.size == (0 if quiet else keys.size)
+        patched = dict(zip(
+            changed.tolist(),
+            patch_worlds(
+                [worlds[r] for r in changed], plan, kept_old[changed], kept_new[changed]
+            ) if changed.size else [],
+        ))
+        graph.apply_delta(delta)
+        for r, fresh in enumerate(sample_ic_worlds(graph, keys)):
+            mine = patched.get(r, worlds[r]).adjacency
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(mine, name), getattr(fresh.adjacency, name)
+                np.testing.assert_array_equal(a, b, err_msg=f"world {r} {name}")
+                assert a.dtype == b.dtype, (r, name)
 
 
 class TestReachIndexRepair:

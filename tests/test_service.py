@@ -30,8 +30,10 @@ from repro.api import (
     SolverSpec,
 )
 from repro.api.datasets import build_dataset
+from repro.core.greedy import trace_tap
 from repro.errors import ConfigError
 from repro.graph.delta import GraphDelta
+import repro.service.app as service_app
 from repro.service import (
     ServiceConfig,
     SolveService,
@@ -198,16 +200,16 @@ class TestDedupAndBatching:
         spec = spec_dict(world_seed=11)
         service = server.service
         results = []
-        # Hold the first request's ensemble build until all six requests
-        # have arrived, so every one of them joins the same flight.
+        # Hold the first request's solve until all six requests have
+        # arrived, so every one of them joins the same flight.
         release = threading.Event()
-        build = service.session.ensemble_for
+        solve = service.session.solve
 
-        def held_build(*args, **kwargs):
+        def held_solve(run):
             release.wait(timeout=60)
-            return build(*args, **kwargs)
+            return solve(run)
 
-        monkeypatch.setattr(service.session, "ensemble_for", held_build)
+        monkeypatch.setattr(service.session, "solve", held_solve)
 
         def worker():
             results.append(post(server.url, "/v1/solve", spec))
@@ -288,6 +290,70 @@ class TestDedupAndBatching:
         assert server.service.counters["solves"] == 1
 
 
+class TestLeanFlights:
+    """A flight costs one executor hop, and its steps wake the event
+    loop only while a stream listens."""
+
+    def test_plain_solve_is_one_hop_with_no_step_wakes(self, server, monkeypatch):
+        service = server.service
+        status, _ = post(server.url, "/v1/solve", spec_dict(world_seed=43))
+        assert status == 200  # the ensemble is cached from here on
+        submits, wakes = [], []
+        submit = service._executor.submit
+
+        def counted_submit(fn, *args, **kwargs):
+            submits.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        wake = service_app._Flight.wake
+
+        def counted_wake(flight):
+            wakes.append(len(flight.steps))
+            wake(flight)
+
+        monkeypatch.setattr(service._executor, "submit", counted_submit)
+        monkeypatch.setattr(service_app._Flight, "wake", counted_wake)
+        status, body = post(server.url, "/v1/solve", spec_dict(world_seed=43, budget=5))
+        assert status == 200
+        assert body["timings"]["ensemble_cached"] is True
+        assert len(submits) == 1
+        # Five steps, one wake: the flight's end, after the last step.
+        assert len(body["seeds"]) == 5
+        assert wakes == [5]
+
+    def test_slow_stream_gets_steps_before_the_solve_ends(self, server, monkeypatch):
+        service = server.service
+        session = service.session
+        solve = session.solve
+
+        def sleepy(step):
+            time.sleep(2 * service_app.STREAM_FLUSH_SECONDS)
+
+        def slow_solve(run):
+            with trace_tap(sleepy):
+                return solve(run)
+
+        monkeypatch.setattr(session, "solve", slow_solve)
+        request = urllib.request.Request(
+            server.url + "/v1/solve?stream=1",
+            data=json.dumps(spec_dict(world_seed=47, budget=6)).encode(),
+            method="POST",
+        )
+        events, open_at_first_step = [], None
+        with urllib.request.urlopen(request) as response:
+            for line in iter(response.readline, b""):
+                events.append(json.loads(line))
+                if open_at_first_step is None:
+                    open_at_first_step = bool(service._flights)
+        # The first step line came while the solve still ran (five more
+        # steps sleep after it), not in one batch with the result.
+        assert events[0]["event"] == "step" and open_at_first_step
+        steps = [e for e in events if e["event"] == "step"]
+        assert [e["index"] for e in steps] == list(range(6))
+        assert events[-1]["event"] == "result"
+        assert [e["node"] for e in steps] == events[-1]["result"]["seeds"]
+
+
 class TestStatsAndHealth:
     def test_healthz_reports_config(self, server):
         status, body = get(server.url, "/v1/healthz")
@@ -310,6 +376,22 @@ class TestStatsAndHealth:
         assert stats["cache"]["hits"] >= 2
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0
         assert stats["in_flight"] == 0
+
+    def test_each_solve_is_one_cache_lookup(self, server):
+        specs = [
+            spec_dict(world_seed=53),
+            spec_dict(world_seed=53, budget=3),
+            spec_dict(world_seed=59),
+            spec_dict(world_seed=53),
+            spec_dict(world_seed=59, fair=False),
+        ]
+        for spec in specs:
+            assert post(server.url, "/v1/solve", spec)[0] == 200
+        status, stats = get(server.url, "/v1/stats")
+        cache = stats["cache"]
+        assert stats["counters"]["solves"] == len(specs)
+        assert cache["hits"] + cache["misses"] == len(specs)
+        assert (cache["hits"], cache["misses"]) == (3, 2)
 
 
 class TestHttpErrors:
