@@ -162,13 +162,13 @@ def _dense_frontier_rows(worlds, world, source):
     out = np.full((world.size, n), UNREACHABLE, dtype=np.uint8)
     out[np.arange(world.size), source] = 0
     ids, local = np.unique(world, return_inverse=True)
-    adjacencies = [worlds[int(r)].adjacency for r in ids]
-    edge_offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
+    named = [worlds[int(r)] for r in ids]
+    edge_offsets = np.cumsum([0] + [w.indices.size for w in named])
     indptr = np.concatenate(
         [np.zeros(1, dtype=np.int64)]
-        + [adj.indptr[1:] + offset for adj, offset in zip(adjacencies, edge_offsets)]
+        + [w.indptr[1:] + offset for w, offset in zip(named, edge_offsets)]
     )
-    indices = np.concatenate([adj.indices for adj in adjacencies])
+    indices = np.concatenate([w.indices for w in named])
     spent = np.cumsum((np.diff(edge_offsets)[local] + 1) * FRONTIER_EDGE_BYTES)
     hops, base = out.reshape(-1), local * n
     lo = 0
@@ -384,8 +384,8 @@ def test_cold_path_bulk_vs_reference():
         for r, (world, expected) in enumerate(
             zip(sample_ic_worlds(graph, keys), _per_world_coo(graph, keys))
         ):
-            for field in ("indptr", "indices", "data"):
-                mine, theirs = getattr(world.adjacency, field), getattr(expected, field)
+            for field in ("indptr", "indices"):
+                mine, theirs = getattr(world, field), getattr(expected, field)
                 np.testing.assert_array_equal(mine, theirs, err_msg=f"{name} {r} {field}")
                 assert mine.dtype == theirs.dtype, (name, r, field)
         case = {

@@ -63,7 +63,6 @@ from repro.api import (
 )
 from repro.api.specs import AUTO_WORKERS, check_build_workers, check_workers
 from repro.errors import ConfigError, EstimationError, ReproError
-from repro.experiments.registry import list_experiments, run_experiment
 from repro.graph.delta import GraphDelta
 from repro.rng import check_seed
 from repro.sweep import SweepSpec, is_sweep_dict, run_cell, run_sweep, sweep_template
@@ -440,6 +439,8 @@ def _read_sweep(path: str) -> SweepSpec:
 
 
 def _cmd_run(args) -> int:
+    from repro.experiments.registry import list_experiments, run_experiment
+
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
     failures = 0
     for experiment_id in ids:
@@ -624,6 +625,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
+        # Imported here, not at module level: solve, sweep and serve
+        # never need the figure modules.
+        from repro.experiments.registry import list_experiments
+
         for experiment_id in list_experiments():
             print(experiment_id)
         return 0

@@ -15,12 +15,18 @@ The Linear Threshold model admits an analogous characterisation where
 every node keeps at most one incoming edge, chosen with probability
 proportional to its weight.
 
-:class:`LiveEdgeWorld` wraps one sampled world as a
-``scipy.sparse.csr_matrix`` and exposes BFS distances through
+:class:`LiveEdgeWorld` holds one sampled world as the two numpy
+arrays of its kept-edge CSR: ``indptr`` (``n + 1`` row starts) and
+``indices`` (each row's kept targets, ascending, no duplicates) — the
+arrays scipy's COO-to-CSR conversion of the kept edges would hold, with
+the same index dtype, and no ``data`` array (every kept edge is a one).
+Sampling, repair and the frontier BFS read and write these arrays
+directly, so the run path never imports scipy.  BFS distances through
 ``scipy.sparse.csgraph`` (:meth:`LiveEdgeWorld.distances_from`,
-:func:`hop_distances`) — the public reference.  The reach index
-behind the greedy solvers is built once per ensemble by a vectorised
-level-synchronous BFS over every ``(world, candidate)`` row at once
+:func:`hop_distances`) remain the public reference, and import scipy
+only when called.  The reach index behind the greedy solvers is built
+once per ensemble by a vectorised level-synchronous BFS over every
+``(world, candidate)`` row at once
 (:func:`repro.influence.backends.bfs_rows`), whose entries are that
 reference's finite distances, and reused across every candidate
 evaluation.
@@ -32,8 +38,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.errors import EstimationError
 from repro.graph.digraph import DiGraph
@@ -63,18 +67,19 @@ SAMPLE_CHUNK_CELLS = 1 << 16
 MAX_KEYED_NODES = 2**32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiveEdgeWorld:
-    """One sampled deterministic world (subgraph of kept edges)."""
+    """One sampled deterministic world (subgraph of kept edges), as CSR
+    arrays: row ``u`` keeps the edges ``u -> indices[indptr[u]:indptr[u + 1]]``."""
 
     n: int
-    adjacency: sparse.csr_matrix  # boolean-ish CSR of kept edges
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def nbytes(self) -> int:
         """Heap bytes held by this world's kept-edge CSR."""
-        adj = self.adjacency
-        return int(adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes)
+        return int(self.indices.nbytes + self.indptr.nbytes)
 
     def distances_from(self, sources: Sequence[int]) -> np.ndarray:
         """Hop distances from each source to every node.
@@ -90,7 +95,7 @@ class LiveEdgeWorld:
             raise EstimationError(
                 f"source index out of range [0, {self.n}): {sources}"
             )
-        return hop_distances(self.adjacency, sources)
+        return hop_distances(self, sources)
 
     def reachable_within(self, sources: Sequence[int], deadline: float) -> np.ndarray:
         """Boolean mask of nodes within ``deadline`` hops of ``sources``."""
@@ -101,17 +106,24 @@ class LiveEdgeWorld:
         return best <= min(deadline, UNREACHABLE - 1)
 
     def kept_edge_count(self) -> int:
-        return int(self.adjacency.nnz)
+        return int(self.indices.size)
 
 
-def hop_distances(adjacency: sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
-    """``uint8`` BFS hop distances from ``sources`` over ``adjacency``.
+def hop_distances(world: LiveEdgeWorld, sources: np.ndarray) -> np.ndarray:
+    """``uint8`` BFS hop distances from ``sources`` over ``world``.
 
-    One scipy C shortest-path call; ``(len(sources), adjacency.shape[1])``
-    with :data:`UNREACHABLE` for unreachable nodes and finite distances
+    One scipy C shortest-path call; ``(len(sources), world.n)`` with
+    :data:`UNREACHABLE` for unreachable nodes and finite distances
     clipped to ``UNREACHABLE - 1``.  The float64 result scipy returns is
-    the call's transient peak, so callers bound ``sources x width``.
+    the call's transient peak, so callers bound ``sources x n``.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    adjacency = sparse.csr_matrix(
+        (np.ones(world.indices.size, dtype=np.int8), world.indices, world.indptr),
+        shape=(world.n, world.n),
+    )
     raw = csgraph.shortest_path(
         adjacency, method="D", directed=True, unweighted=True, indices=sources
     )
@@ -120,6 +132,12 @@ def hop_distances(adjacency: sparse.csr_matrix, sources: np.ndarray) -> np.ndarr
     np.minimum(raw, UNREACHABLE - 1, out=raw, where=finite)
     out[finite] = raw[finite].astype(np.uint8)
     return out
+
+
+def _index_dtype(n: int, nnz: int) -> type:
+    """The CSR index dtype scipy gives an ``n x n`` matrix of ``nnz``
+    entries: ``int32`` while both fit, else ``int64``."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
 def ic_world_key(seed: RngLike = None) -> int:
@@ -217,9 +235,9 @@ def sample_ic_worlds(graph: DiGraph, keys: Iterable[int]) -> List[LiveEdgeWorld]
     The coins of every world are drawn together over the edges in
     ``(u, v)`` order, in chunks of at most :data:`SAMPLE_CHUNK_CELLS`
     ``(world, edge)`` pairs.  One bincount then gives every world's
-    ``indptr``, and each world's CSR indices are a slice of one array of
+    ``indptr``, and each world's ``indices`` are a slice of one array of
     kept targets — already sorted, as a COO-to-CSR conversion would
-    leave them, with the same index dtypes.
+    leave them, with the same index dtype (:func:`_index_dtype`).
     """
     keys = np.asarray(list(keys), dtype=np.uint64)
     n = graph.number_of_nodes()
@@ -229,7 +247,7 @@ def sample_ic_worlds(graph: DiGraph, keys: Iterable[int]) -> List[LiveEdgeWorld]
         order = np.argsort(codes)
         codes, src, dst, prob = codes[order], src[order], dst[order], prob[order]
     offsets = _stream_offsets(codes)
-    index_dtype = np.int32 if max(n, src.size) <= np.iinfo(np.int32).max else np.int64
+    dtype = _index_dtype(n, src.size)
     step = max(1, SAMPLE_CHUNK_CELLS // max(src.size, 1))
     worlds: List[LiveEdgeWorld] = []
     for start in range(0, keys.size, step):
@@ -237,17 +255,15 @@ def sample_ic_worlds(graph: DiGraph, keys: Iterable[int]) -> List[LiveEdgeWorld]
         kept = np.flatnonzero(_keyed_uniforms(chunk, offsets) < prob)
         world, edge = np.divmod(kept, src.size)
         counts = np.bincount(world * n + src[edge], minlength=chunk.size * n)
-        indptr = np.zeros((chunk.size, n + 1), dtype=index_dtype)
+        indptr = np.zeros((chunk.size, n + 1), dtype=dtype)
         np.cumsum(counts.reshape(chunk.size, n), axis=1, out=indptr[:, 1:])
-        indices = dst[edge].astype(index_dtype)
+        indices = dst[edge].astype(dtype)
         bounds = np.zeros(chunk.size + 1, dtype=np.int64)
         np.cumsum(indptr[:, -1], out=bounds[1:])
-        for r in range(chunk.size):
-            targets = indices[bounds[r] : bounds[r + 1]]
-            adjacency = sparse.csr_matrix(
-                (np.ones(targets.size, dtype=np.int8), targets, indptr[r]), shape=(n, n)
-            )
-            worlds.append(LiveEdgeWorld(n=n, adjacency=adjacency))
+        worlds.extend(
+            LiveEdgeWorld(n=n, indptr=indptr[r], indices=indices[bounds[r] : bounds[r + 1]])
+            for r in range(chunk.size)
+        )
     return worlds
 
 
@@ -331,6 +347,11 @@ def sample_worlds(
 
 
 def _world_from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> LiveEdgeWorld:
-    data = np.ones(src.shape[0], dtype=np.int8)
-    adjacency = sparse.csr_matrix((data, (src, dst)), shape=(n, n))
-    return LiveEdgeWorld(n=n, adjacency=adjacency)
+    """The world keeping the distinct edges ``src[i] -> dst[i]``: one
+    lexsort orders them by ``(src, dst)`` and one bincount gives the row
+    starts — scipy's COO-to-CSR conversion, arrays and dtypes alike."""
+    order = np.lexsort((dst, src))
+    dtype = _index_dtype(n, src.size)
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return LiveEdgeWorld(n=n, indptr=indptr, indices=dst[order].astype(dtype))

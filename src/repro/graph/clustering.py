@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
@@ -33,8 +31,12 @@ def spectral_embedding(graph: DiGraph, dimensions: int) -> np.ndarray:
 
     Returns an ``(n, dimensions)`` array.  Works on the symmetrised,
     unweighted version of the graph (spectral grouping concerns ties,
-    not activation probabilities).
+    not activation probabilities).  Imports scipy on first call: it is
+    off every other path's import graph.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
     n = graph.number_of_nodes()
     if dimensions < 1 or dimensions > n:
         raise GraphError(f"dimensions must be in [1, {n}], got {dimensions}")

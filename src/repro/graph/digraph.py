@@ -20,12 +20,16 @@ familiar with that library can navigate it, but it is self-contained.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse
 
 NodeId = Hashable
 #: Per-node ``{neighbour index: probability}`` dicts, by dense index.
@@ -60,8 +64,8 @@ class DiGraph:
         self._edge_count = 0
         self._version = 0
         self._frozen = False
-        # (version, export) pairs for the edge-array and forward /
-        # reverse CSR exports.
+        # (version, export) pairs for the edge-array, forward matrix
+        # and predecessor-array exports.
         self._matrix_cache: Dict[str, Tuple[int, Any]] = {}
 
     @property
@@ -428,38 +432,52 @@ class DiGraph:
     # ------------------------------------------------------------------
     # numerical exports
     # ------------------------------------------------------------------
-    def probability_matrix(self) -> sparse.csr_matrix:
+    def probability_matrix(self) -> "sparse.csr_matrix":
         """Sparse ``n x n`` matrix ``M[i, j] = p`` for edge ``i -> j``.
 
-        Cached on :attr:`version`, so repeated exports of an unmutated
-        graph (every RR-set estimator construction, spectral
-        clustering, ...) rebuild nothing.  Treat the result as
-        read-only — mutating it would poison the cache.
+        Spectral clustering's export, and the only one that imports
+        scipy.  Cached on :attr:`version`, so repeated exports of an
+        unmutated graph rebuild nothing.  Treat the result as read-only
+        — mutating it would poison the cache.
         """
         cached = self._matrix_cache.get("forward")
         if cached is not None and cached[0] == self._version:
             return cached[1]
+        from scipy import sparse
+
         n = len(self._labels)
         src, dst, prob = self.edge_arrays()
         matrix = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
         self._matrix_cache["forward"] = (self._version, matrix)
         return matrix
 
-    def reverse_probability_matrix(self) -> sparse.csr_matrix:
-        """The transpose of :meth:`probability_matrix` as CSR.
+    def predecessor_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The predecessor CSR as arrays ``(indptr, indices, prob)``.
 
-        Row ``v`` lists ``v``'s in-neighbours and their probabilities —
-        the predecessor layout reverse-reachability samplers walk.
-        Cached on :attr:`version` like the forward export (the
-        ``.T.tocsr()`` conversion is the expensive half); treat as
-        read-only.
+        Row ``v`` — ``indices[indptr[v]:indptr[v + 1]]`` — lists ``v``'s
+        in-neighbours in ascending index order, and ``prob`` their edge
+        probabilities: the layout reverse-reachability samplers walk.
+        :meth:`edge_arrays` is grouped by ascending source, so one
+        stable sort by ``dst`` orders the entries by ``(dst, src)`` and
+        one bincount of ``dst`` gives the row starts: entry for entry
+        the ``indptr`` / ``indices`` / ``data`` of
+        :meth:`probability_matrix`'s transpose as CSR, with ``int64``
+        indices.  Cached on :attr:`version` like :meth:`edge_arrays`,
+        and read-only for the same reason.
         """
         cached = self._matrix_cache.get("reverse")
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        matrix = self.probability_matrix().T.tocsr()
-        self._matrix_cache["reverse"] = (self._version, matrix)
-        return matrix
+        n = len(self._labels)
+        src, dst, prob = self.edge_arrays()
+        order = np.argsort(dst, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+        arrays = (indptr, src[order], prob[order])
+        for array in arrays:
+            array.flags.writeable = False
+        self._matrix_cache["reverse"] = (self._version, arrays)
+        return arrays
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edges as parallel arrays ``(sources, targets, probabilities)``.
@@ -470,8 +488,8 @@ class DiGraph:
         position materialises a live-edge world.  A graph built by
         :meth:`from_edge_arrays` holds these arrays as its edges until
         its adjacency dicts are built; otherwise the export is cached on
-        :attr:`version` like :meth:`probability_matrix`.  The arrays are
-        read-only, since mutating them would poison the cache.
+        :attr:`version`.  The arrays are read-only, since mutating them
+        would poison the cache.
         """
         bulk = self._bulk
         if bulk is not None:

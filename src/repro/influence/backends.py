@@ -111,16 +111,20 @@ def bfs_rows(
     if world.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     n = (next(iter(worlds.values())) if isinstance(worlds, dict) else worlds[0]).n
-    ids, local = np.unique(world, return_inverse=True)
-    adjacencies = [worlds[int(r)].adjacency for r in ids]
-    edge_offsets = np.cumsum([0] + [adj.nnz for adj in adjacencies])
+    # The named worlds' CSRs, laid end to end in world order: world
+    # ``r``'s rows start at row ``position[r] * n`` of the joined arrays.
+    named = np.bincount(world)
+    ids = np.flatnonzero(named)
+    position = np.cumsum(named > 0) - 1
+    del named
+    parts = [worlds[int(r)] for r in ids]
+    edge_offsets = np.cumsum([0] + [part.indices.size for part in parts])
     indptr = np.concatenate(
         [np.zeros(1, dtype=np.int64)]
-        + [adj.indptr[1:] + offset for adj, offset in zip(adjacencies, edge_offsets)]
+        + [part.indptr[1:] + offset for part, offset in zip(parts, edge_offsets)]
     )
-    indices = np.concatenate([adj.indices for adj in adjacencies])
-    base = local * n
-    del local
+    indices = np.concatenate([part.indices for part in parts])
+    del parts
     half = FRONTIER_CHUNK_BYTES // 2
     chunk_rows = max(1, half // (5 * n))
     gather_edges = max(1, half // FRONTIER_EDGE_BYTES)
@@ -136,6 +140,7 @@ def bfs_rows(
         # Level-synchronous BFS of rows lo..hi: ``flat`` indexes the
         # chunk's cells, and each level's entries are kept packed as
         # ``flat * 256 + hop`` (one int64 sort orders them).
+        base = position[world[lo:hi]] * n
         flat = np.arange(hi - lo, dtype=np.int64) * n + source[lo:hi]
         reached[flat] = True
         levels = []
@@ -147,7 +152,7 @@ def bfs_rows(
             levels.append(flat * 256 + min(level, UNREACHABLE - 1))
             level += 1
             rows, nodes = np.divmod(flat, n)
-            at = base[rows + lo]
+            at = base[rows]
             at += nodes
             del nodes
             starts, ends = indptr[at], indptr[at + 1]

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import List, TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import EstimationError
 from repro.diffusion.worlds import LiveEdgeWorld, keyed_edge_uniforms
@@ -141,15 +140,14 @@ def patch_worlds(
     of ``len(worlds) * n`` rows, row ``i * n + u`` being world ``i``'s
     row ``u``, every flipped ``(world, edge)`` pair is placed and
     spliced there at once, and each world's arrays are sliced back
-    out.  Each patched adjacency is bit-identical to resampling the
-    mutated graph under that world's key.
+    out.  Each patched world's arrays are bit-identical to resampling
+    the mutated graph under that world's key.
     """
     n = worlds[0].n
-    adjacencies = [world.adjacency for world in worlds]
-    pointers = np.stack([adjacency.indptr for adjacency in adjacencies]).astype(np.int64)
+    pointers = np.stack([world.indptr for world in worlds]).astype(np.int64)
     starts = np.concatenate(([0], np.cumsum(pointers[:, -1])))
     indptr = np.append((pointers[:, :-1] + starts[:-1, None]).ravel(), starts[-1])
-    indices = np.concatenate([adjacency.indices for adjacency in adjacencies])
+    indices = np.concatenate([world.indices for world in worlds])
     slot, edge = np.nonzero(kept_old != kept_new)
     row, dst = slot * n + plan.src[edge], plan.dst[edge]
     order = np.argsort(row * n + dst)
@@ -170,21 +168,12 @@ def patch_worlds(
     indptr += np.cumsum(shift)
     starts = indptr[::n]
     pointers = np.append(indptr[:-1].reshape(-1, n), starts[1:, None], axis=1)
-    pointers = (pointers - starts[:-1, None]).astype(adjacencies[0].indptr.dtype)
-    data_dtype = adjacencies[0].data.dtype
+    pointers = (pointers - starts[:-1, None]).astype(worlds[0].indptr.dtype)
     # Copies, not views: a world outliving its siblings must not pin
     # the stacked array.
     return [
-        LiveEdgeWorld(
-            n=n,
-            adjacency=sparse.csr_matrix(
-                (np.ones(hi - lo, dtype=data_dtype), indices[lo:hi].copy(), pointer),
-                shape=adjacency.shape,
-            ),
-        )
-        for lo, hi, pointer, adjacency in zip(
-            starts[:-1], starts[1:], pointers, adjacencies
-        )
+        LiveEdgeWorld(n=n, indptr=pointer, indices=indices[lo:hi].copy())
+        for lo, hi, pointer in zip(starts[:-1], starts[1:], pointers)
     ]
 
 

@@ -432,13 +432,10 @@ class RRSetEstimator(UtilityEstimator):
         self._seed = int(seed)
 
         # Reverse CSR: row v lists v's in-neighbours and their edge
-        # probabilities — the predecessor matrix the batched BFS walks.
-        # The graph caches it keyed on its version, so several
-        # estimators over one graph share a single build.
-        reverse = graph.reverse_probability_matrix()
-        self._rev_indptr = reverse.indptr.astype(np.int64)
-        self._rev_indices = reverse.indices.astype(np.int64)
-        self._rev_data = np.asarray(reverse.data, dtype=np.float64)
+        # probabilities — the predecessor arrays the batched BFS walks.
+        # The graph caches them keyed on its version, so several
+        # estimators over one graph share a single build (read-only).
+        self._rev_indptr, self._rev_indices, self._rev_data = graph.predecessor_arrays()
 
         self._pos_of_node = np.full(n, -1, dtype=np.int64)
         self._pos_of_node[self._candidate_indices] = np.arange(

@@ -44,6 +44,16 @@ def build(graph, assignment, store: str = "dense", **kwargs) -> WorldEnsemble:
         return WorldEnsemble(graph, assignment, **kwargs)
 
 
+def assert_same_world(mine, theirs, what: str = "") -> None:
+    """``mine`` keeps exactly ``theirs``'s edges: equal ``indptr`` and
+    ``indices``, value for value and dtype for dtype.  ``theirs`` may be
+    a world or a scipy CSR reference."""
+    for name in ("indptr", "indices"):
+        a, b = getattr(mine, name), getattr(theirs, name)
+        np.testing.assert_array_equal(a, b, err_msg=f"{what} {name}")
+        assert a.dtype == b.dtype, f"{what} {name}: {a.dtype} != {b.dtype}"
+
+
 def dense_rows(ensemble) -> np.ndarray:
     """The ``(R, C, n)`` uint8 distance tensor, one scipy BFS per world —
     the reference the index's entries and folds are checked against."""

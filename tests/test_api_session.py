@@ -30,7 +30,7 @@ from repro.errors import ConfigError
 from repro.graph.delta import GraphDelta
 from repro.influence.ensemble import WorldEnsemble
 
-from stores import STORES, chunking
+from stores import STORES, assert_same_world, chunking
 
 #: One small instance shared by every equivalence check below.
 SYN_PARAMS = {"n": 120, "activation_probability": 0.08}
@@ -317,7 +317,7 @@ class TestSharedDatasetGraphs:
         assert len({id(ensemble.graph) for ensemble in ensembles}) == 1
         reference = Session().ensemble_for(specs[5])
         for mine, theirs in zip(ensembles[5].worlds, reference.worlds):
-            assert (mine.adjacency != theirs.adjacency).nnz == 0
+            assert_same_world(mine, theirs)
 
 
 class FakeEstimator:

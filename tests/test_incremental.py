@@ -36,6 +36,7 @@ from repro.influence.rrsets import RRSetEstimator
 
 from stores import (
     STORES,
+    assert_same_world,
     assert_stops_bound_in_time,
     build,
     chunking,
@@ -79,8 +80,7 @@ def make_delta(graph, rng_seed: int = 0, size: int = 3) -> GraphDelta:
 def assert_bit_identical(repaired: WorldEnsemble, fresh: WorldEnsemble, discount):
     """Worlds and every estimation surface agree byte-for-byte."""
     for w1, w2 in zip(repaired.worlds, fresh.worlds):
-        assert np.array_equal(w1.adjacency.indptr, w2.adjacency.indptr)
-        assert np.array_equal(w1.adjacency.indices, w2.adjacency.indices)
+        assert_same_world(w1, w2)
     s1, s2 = repaired.empty_state(), fresh.empty_state()
     positions = list(range(0, repaired.n_candidates, 7))
     batch1 = repaired.candidate_group_utilities_batch(
@@ -287,11 +287,7 @@ class TestPatchWorlds:
         ))
         graph.apply_delta(delta)
         for r, fresh in enumerate(sample_ic_worlds(graph, keys)):
-            mine = patched.get(r, worlds[r]).adjacency
-            for name in ("indptr", "indices", "data"):
-                a, b = getattr(mine, name), getattr(fresh.adjacency, name)
-                np.testing.assert_array_equal(a, b, err_msg=f"world {r} {name}")
-                assert a.dtype == b.dtype, (r, name)
+            assert_same_world(patched.get(r, worlds[r]), fresh, f"world {r}")
 
 
 class TestReachIndexRepair:

@@ -25,7 +25,7 @@ from repro.errors import EstimationError
 from repro.graph.generators import two_block_sbm
 from repro.influence.ensemble import WorldEnsemble
 
-from stores import STORES, chunking
+from stores import STORES, assert_same_world, chunking
 
 BUILD_COUNTS = (1, 2, 4)
 DISCOUNTS = (None, 0.8)
@@ -106,7 +106,7 @@ def assert_worlds_identical(a, b):
     assert len(a.worlds) == len(b.worlds)
     for wa, wb in zip(a.worlds, b.worlds):
         assert wa.n == wb.n
-        assert (wa.adjacency != wb.adjacency).nnz == 0
+        assert_same_world(wa, wb)
 
 
 class TestValidation:

@@ -73,6 +73,7 @@ from repro.influence.utility import disparity
 
 from stores import (
     STORES,
+    assert_same_world,
     assert_stops_bound_in_time,
     build,
     dense_rows,
@@ -1027,13 +1028,6 @@ def _delta_for(draw, graph):
     )
 
 
-def _assert_same_arrays(left, right, what):
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(left, name), getattr(right, name)
-        np.testing.assert_array_equal(a, b, err_msg=f"{what}.{name}")
-        assert a.dtype == b.dtype, f"{what}.{name}: {a.dtype} != {b.dtype}"
-
-
 class TestRepairEqualsFreshBuild:
     """An ensemble repaired through one to three deltas equals a fresh
     build on the mutated graph array for array: worlds and every reach
@@ -1077,7 +1071,7 @@ class TestRepairEqualsFreshBuild:
             fresh_graph.apply_delta(delta)
         fresh = WorldEnsemble(fresh_graph, GroupAssignment.from_graph(fresh_graph), **spec)
         for r, (mine, theirs) in enumerate(zip(ensemble.worlds, fresh.worlds)):
-            _assert_same_arrays(mine.adjacency, theirs.adjacency, f"world {r}")
+            assert_same_world(mine, theirs, f"world {r}")
         # The repaired oracle's in-time stops are its own index's.
         assert_stops_bound_in_time(ensemble._oracle)
         patched, rebuilt = ensemble._oracle.reach, fresh._oracle.reach
@@ -1310,10 +1304,10 @@ class TestSampleIcWorldsEqualsPerWorldReference:
         assert len(sampled) == len(keys)
         for r, (world, key) in enumerate(zip(sampled, keys)):
             reference = _coo_world(graph, key)
-            _assert_same_arrays(world.adjacency, reference, f"world {r}")
-            assert world.adjacency.has_sorted_indices and world.adjacency.has_canonical_format
+            assert_same_world(world, reference, f"world {r}")
+            assert reference.has_sorted_indices and reference.has_canonical_format
             single = worlds_mod.sample_ic_world_from_key(graph, key)
-            _assert_same_arrays(single.adjacency, reference, f"single world {r}")
+            assert_same_world(single, reference, f"single world {r}")
 
     def test_unsorted_edge_arrays_are_covered(self):
         graph = _edge_by_edge(3, ["a"] * 3, [(0, 2, 0.5), (0, 1, 0.5), (2, 0, 0.5)])
@@ -1322,7 +1316,87 @@ class TestSampleIcWorldsEqualsPerWorldReference:
         from repro.diffusion.worlds import sample_ic_worlds
 
         for r, world in enumerate(sample_ic_worlds(graph, range(40))):
-            _assert_same_arrays(world.adjacency, _coo_world(graph, r), f"world {r}")
+            assert_same_world(world, _coo_world(graph, r), f"world {r}")
+
+
+def _scipy_predecessors(graph):
+    """The predecessor CSR as the RR sampler once read it: scipy's
+    transpose of the forward probability matrix, converted to CSR."""
+    from scipy import sparse
+
+    n = graph.number_of_nodes()
+    src, dst, prob = graph.edge_arrays()
+    return sparse.csr_matrix((prob, (src, dst)), shape=(n, n)).T.tocsr()
+
+
+def _assert_predecessors_match_scipy(graph, what):
+    indptr, indices, prob = graph.predecessor_arrays()
+    reference = _scipy_predecessors(graph)
+    for name, mine, theirs in (
+        ("indptr", indptr, reference.indptr),
+        ("indices", indices, reference.indices),
+        ("data", prob, reference.data),
+    ):
+        np.testing.assert_array_equal(mine, theirs, err_msg=f"{what} {name}")
+    assert (indptr.dtype, indices.dtype, prob.dtype) == (np.int64, np.int64, np.float64)
+
+
+class TestNumpyCsrEqualsScipy:
+    """The numpy CSR constructions equal scipy's conversions entry for entry,
+    in order: the RR sampler's predecessor arrays (so RR coins land on
+    the same edges, and RR answers keep their bits) and LT worlds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_edge_lists(), bulk=st.booleans(), data=st.data())
+    def test_predecessor_arrays_equal_scipy_transpose(self, case, bulk, data):
+        graph = (_bulk if bulk else _edge_by_edge)(*case)
+        _assert_predecessors_match_scipy(graph, "built")
+        for step in range(data.draw(st.integers(1, 3))):
+            before, version = graph.predecessor_arrays(), graph.version
+            graph.apply_delta(data.draw(_delta_for(graph)))
+            _assert_predecessors_match_scipy(graph, f"delta {step}")
+            # Cached per version: rebuilt after a mutation, else reused.
+            after = graph.predecessor_arrays()
+            assert (after is before) == (graph.version == version)
+            assert graph.predecessor_arrays() is after
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_edge_lists())
+    def test_world_from_edges_equals_coo_to_csr(self, case):
+        from scipy import sparse
+
+        from repro.diffusion.worlds import _world_from_edges
+
+        n, _, edges = case
+        src = np.asarray([u for u, _, _ in edges], dtype=np.int64)
+        dst = np.asarray([v for _, v, _ in edges], dtype=np.int64)
+        reference = sparse.csr_matrix(
+            (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n)
+        )
+        world = _world_from_edges(n, src, dst)
+        assert world.n == n
+        assert_same_world(world, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_edge_lists(), seed=st.integers(0, 2**32 - 1))
+    def test_lt_worlds_are_canonical(self, case, seed):
+        """An LT world's arrays equal scipy's COO-to-CSR conversion of
+        the edges they hold, and every node keeps at most one in-edge."""
+        from scipy import sparse
+
+        from repro.diffusion.worlds import sample_lt_world
+
+        graph = _edge_by_edge(*case)
+        n = graph.number_of_nodes()
+        world = sample_lt_world(graph, seed=seed)
+        src = np.repeat(np.arange(n), np.diff(world.indptr))
+        assert all(graph.has_edge(int(u), int(v)) for u, v in zip(src, world.indices))
+        assert np.bincount(world.indices, minlength=n).max(initial=0) <= 1
+        reference = sparse.csr_matrix(
+            (np.ones(src.size, dtype=np.int8), (src[::-1], world.indices[::-1])),
+            shape=(n, n),
+        )
+        assert_same_world(world, reference)
 
 
 def _reference_sbm(block_sizes, within, across, activation, group_names, seed):
