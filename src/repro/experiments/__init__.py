@@ -13,9 +13,10 @@ Run from the command line::
     python -m repro.cli list
     python -m repro.cli run fig4a
 
-:mod:`repro.experiments.sweeps` restates the figures' one-axis sweeps
-as :class:`repro.sweep.SweepSpec` values (``figure_sweep("fig4b")``)
-for the ``repro sweep`` engine's tabular/rank-shift pathway.
+:mod:`repro.experiments.sweeps` states the one-axis figure sweeps
+(4b/4c/5b/5c) once, as :class:`repro.sweep.SweepSpec` values
+(``figure_sweep("fig4b")``) whose rows the figure runners render, so
+``repro sweep`` on a figure's spec reproduces the figure's numbers.
 """
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment

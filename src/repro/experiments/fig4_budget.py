@@ -2,10 +2,13 @@
 
 - **fig4a** — total and per-group influenced fractions for P1, P4-log
   and P4-sqrt at the default parameters (B=30, tau=20).
-- **fig4b** — the same quantities sweeping the budget B in {5..30}
-  (greedy prefixes of a single B=30 run, since greedy sets are nested).
+- **fig4b** — the same quantities sweeping the budget B in {5..30}.
 - **fig4c** — Eq.-2 disparity of P1 vs P4 sweeping the deadline
   tau in {1, 2, 5, 10, 20, inf} (seeds re-selected per deadline).
+
+fig4b and fig4c render the rows of their
+:mod:`repro.experiments.sweeps` specs, so ``repro sweep`` on
+``figure_sweep("fig4b")`` / ``("fig4c")`` gives the same numbers.
 
 Dataset: the Section-6.1 stochastic block model (n=500, g=0.7,
 p_hom=0.025, p_het=0.001, p_e=0.05).
@@ -13,32 +16,33 @@ p_hom=0.025, p_het=0.001, p_e=0.05).
 
 from __future__ import annotations
 
-import math
-
+from repro.api.session import Session
 from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p, sqrt
 from repro.influence.ensemble import WorldEnsemble
-from repro.experiments.common import (
-    deadline_sweep_disparities,
-    prefix_fractions,
+from repro.experiments.common import deadline_sweep_disparities
+from repro.experiments.runner import (
+    ExperimentResult,
+    format_deadline,
+    weakly_increasing,
 )
-from repro.experiments.runner import ExperimentResult, format_deadline
-
-BUDGET = 30
-BUDGET_SWEEP = (5, 10, 15, 20, 25, 30)
-DEADLINE_SWEEP = (1, 2, 5, 10, 20, math.inf)
-
-
-def _ensemble(quick: bool, seed: int):
-    graph, assignment = default_synthetic(seed=seed)
-    n_worlds = 60 if quick else 200
-    return WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
+from repro.experiments.sweeps import (
+    BUDGET,
+    BUDGET_SWEEP,
+    DEADLINE_SWEEP,
+    budget_sweep,
+    deadline_sweep,
+    figure_rows,
+)
 
 
 def run_fig4a(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """P1 vs P4-log vs P4-sqrt: total and group influenced fractions."""
-    ensemble = _ensemble(quick, seed)
+    graph, assignment = default_synthetic(seed=seed)
+    ensemble = WorldEnsemble(
+        graph, assignment, n_worlds=60 if quick else 200, seed=seed + 1
+    )
     tau = DEFAULT_DEADLINE
     p1 = solve_tcim_budget(ensemble, BUDGET, tau)
     p4_log = solve_fair_tcim_budget(ensemble, BUDGET, tau, concave=log1p)
@@ -82,33 +86,25 @@ def run_fig4a(quick: bool = False, seed: int = 0) -> ExperimentResult:
 
 def run_fig4b(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """Budget sweep: P1 vs P4-log fractions at B in {5..30}."""
-    ensemble = _ensemble(quick, seed)
-    tau = DEFAULT_DEADLINE
-    p1 = solve_tcim_budget(ensemble, BUDGET, tau)
-    p4 = solve_fair_tcim_budget(ensemble, BUDGET, tau, concave=log1p)
-
+    p1_rows, p4_rows = figure_rows(budget_sweep(quick, seed), Session())
     result = ExperimentResult(
         experiment_id="fig4b",
-        title=f"Synthetic budget problem: varying budget B (tau={tau})",
+        title=f"Synthetic budget problem: varying budget B (tau={DEFAULT_DEADLINE})",
         columns=[
             "B",
             "P1 total", "P1 group1", "P1 group2",
             "P4 total", "P4 group1", "P4 group2",
         ],
-        notes="Budget points are greedy prefixes of one B=30 run (greedy nesting).",
+        notes="Each budget is its own solve; greedy nesting makes them prefixes.",
     )
-    p1_rows = prefix_fractions(ensemble, p1.trace, BUDGET_SWEEP, tau)
-    p4_rows = prefix_fractions(ensemble, p4.trace, BUDGET_SWEEP, tau)
-    p1_gaps = []
-    p4_gaps = []
-    for (b, p1_total, p1_groups), (_, p4_total, p4_groups) in zip(p1_rows, p4_rows):
+    for b, p1, p4 in zip(BUDGET_SWEEP, p1_rows, p4_rows):
         result.add_row(
             b,
-            p1_total, float(p1_groups[0]), float(p1_groups[1]),
-            p4_total, float(p4_groups[0]), float(p4_groups[1]),
+            p1["total_fraction"], *p1["group_fractions"],
+            p4["total_fraction"], *p4["group_fractions"],
         )
-        p1_gaps.append(abs(float(p1_groups[0] - p1_groups[1])))
-        p4_gaps.append(abs(float(p4_groups[0] - p4_groups[1])))
+    p1_gaps = [row["disparity"] for row in p1_rows]
+    p4_gaps = [row["disparity"] for row in p4_rows]
 
     result.check(
         "P1 disparity grows with budget (first vs last point)",
@@ -123,16 +119,8 @@ def run_fig4b(quick: bool = False, seed: int = 0) -> ExperimentResult:
     result.check(
         "total influence grows with budget for both methods",
         all(
-            later >= earlier - 1e-9
-            for earlier, later in zip(
-                [r[1] for r in p1_rows], [r[1] for r in p1_rows][1:]
-            )
-        )
-        and all(
-            later >= earlier - 1e-9
-            for earlier, later in zip(
-                [r[1] for r in p4_rows], [r[1] for r in p4_rows][1:]
-            )
+            weakly_increasing([row["total_fraction"] for row in rows], 1e-9)
+            for rows in (p1_rows, p4_rows)
         ),
     )
     return result
@@ -148,7 +136,9 @@ def run_fig4c(quick: bool = False, seed: int = 0) -> ExperimentResult:
     ``group_utilities_sweep`` histogram per seed set (O(k·tau) per
     extra tau) instead of per-tau re-derivations.
     """
-    ensemble = _ensemble(quick, seed)
+    sweep = deadline_sweep(quick, seed)
+    session = Session()
+    p1_rows, p4_rows = figure_rows(sweep, session)
     result = ExperimentResult(
         experiment_id="fig4c",
         title=f"Synthetic budget problem: varying deadline tau (B={BUDGET})",
@@ -165,44 +155,27 @@ def run_fig4c(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "seeds fixed and sweep only the evaluation deadline."
         ),
     )
-    solutions = {}
-    for tau in DEADLINE_SWEEP:
-        p1 = solve_tcim_budget(ensemble, BUDGET, tau)
-        p4 = solve_fair_tcim_budget(ensemble, BUDGET, tau, concave=log1p)
-        solutions[tau] = (p1, p4)
-    p1_fixed, p4_fixed = solutions[DEFAULT_DEADLINE]
-    p1_fixed_series = deadline_sweep_disparities(
-        ensemble, p1_fixed.seeds, DEADLINE_SWEEP
+    ensemble = session.ensemble_for(sweep.base.ensemble)
+    fixed = DEADLINE_SWEEP.index(DEFAULT_DEADLINE)
+    p1_fixed, p4_fixed = (
+        deadline_sweep_disparities(ensemble, rows[fixed]["seeds"], DEADLINE_SWEEP)
+        for rows in (p1_rows, p4_rows)
     )
-    p4_fixed_series = deadline_sweep_disparities(
-        ensemble, p4_fixed.seeds, DEADLINE_SWEEP
-    )
-    p1_series = []
-    p4_series = []
-    for tau, fixed1, fixed4 in zip(DEADLINE_SWEEP, p1_fixed_series, p4_fixed_series):
-        p1, p4 = solutions[tau]
-        result.add_row(
-            format_deadline(tau),
-            p1.report.disparity,
-            p4.report.disparity,
-            fixed1,
-            fixed4,
-        )
-        p1_series.append(p1.report.disparity)
-        p4_series.append(p4.report.disparity)
+    p1_series = [row["disparity"] for row in p1_rows]
+    p4_series = [row["disparity"] for row in p4_rows]
+    for tau, *values in zip(DEADLINE_SWEEP, p1_series, p4_series, p1_fixed, p4_fixed):
+        result.add_row(format_deadline(tau), *values)
 
     result.check(
         "P4 disparity below P1 disparity at every deadline",
         all(f <= u + 0.02 for f, u in zip(p4_series, p1_series)),
         f"P4 max {max(p4_series):.3f} vs P1 min {min(p1_series):.3f}",
     )
-    rising = all(
-        b >= a - 1e-9 for a, b in zip(p1_series[:3], p1_series[1:3])
-    )
     result.check(
         "P1 disparity rises over the short-deadline range (tau=1..5) then "
         "falls/plateaus for large tau",
-        rising and p1_series[-1] <= max(p1_series) + 1e-9,
+        weakly_increasing(p1_series[:3], 1e-9)
+        and p1_series[-1] <= max(p1_series) + 1e-9,
         f"series {['%.3f' % d for d in p1_series]}",
     )
     return result

@@ -8,30 +8,43 @@
   80:20), P1 vs P4.
 - **fig5c** — disparity vs cliquishness: across/within edge-probability
   ratios 1:1, 3:5, 2:5, 1:25 (p_hom fixed at 0.025), P1 vs P4.
+
+fig5b and fig5c render the rows of their
+:mod:`repro.experiments.sweeps` specs, so ``repro sweep`` on
+``figure_sweep("fig5b")`` / ``("fig5c")`` gives the same numbers.
 """
 
 from __future__ import annotations
 
 import math
+from typing import List, Tuple
 
-from repro.datasets.synthetic import (
-    DEFAULT_DEADLINE,
-    DEFAULT_P_HET,
-    DEFAULT_P_HOM,
-    default_synthetic,
-    synthetic_sbm,
-)
+from repro.api.session import Session
+from repro.datasets.synthetic import DEFAULT_DEADLINE, default_synthetic
 from repro.core.budget import solve_fair_tcim_budget, solve_tcim_budget
 from repro.core.concave import log1p
 from repro.influence.ensemble import WorldEnsemble
 from repro.experiments.common import deadline_sweep_disparities
 from repro.experiments.runner import ExperimentResult
+from repro.experiments.sweeps import (
+    BUDGET,
+    figure_rows,
+    group_mix_sweep,
+    homophily_sweep,
+)
+from repro.sweep.spec import SweepSpec
 
-BUDGET = 30
 PE_SWEEP = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
-RATIO_SWEEP = (0.55, 0.60, 0.70, 0.80)
+#: Labels of the sweeps' RATIO_SWEEP and CLIQUE_SWEEP values.
 RATIO_LABELS = ("55:45", "60:40", "70:30", "80:20")
-CLIQUE_SWEEP = ((0.025, "1:1"), (0.015, "3:5"), (0.01, "2:5"), (0.001, "1:25"))
+CLIQUE_LABELS = ("1:1", "3:5", "2:5", "1:25")
+
+
+def _disparities(sweep: SweepSpec) -> Tuple[List[float], List[float]]:
+    """The P1 and P4 disparity series of a figure sweep."""
+    return tuple(
+        [row["disparity"] for row in rows] for rows in figure_rows(sweep, Session())
+    )
 
 
 def run_fig5a(quick: bool = False, seed: int = 0) -> ExperimentResult:
@@ -116,26 +129,14 @@ def run_fig5a(quick: bool = False, seed: int = 0) -> ExperimentResult:
 
 def run_fig5b(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """Disparity vs group-size imbalance."""
-    n_worlds = 50 if quick else 150
+    p1_series, p4_series = _disparities(group_mix_sweep(quick, seed))
     result = ExperimentResult(
         experiment_id="fig5b",
         title=f"Synthetic: disparity vs group size ratio (B={BUDGET}, tau={DEFAULT_DEADLINE})",
         columns=["ratio", "P1 disparity", "P4 disparity"],
     )
-    p1_series = []
-    p4_series = []
-    for fraction, label in zip(RATIO_SWEEP, RATIO_LABELS):
-        graph, assignment = synthetic_sbm(
-            majority_fraction=fraction, seed=seed
-        )
-        ensemble = WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
-        p1 = solve_tcim_budget(ensemble, BUDGET, DEFAULT_DEADLINE)
-        p4 = solve_fair_tcim_budget(
-            ensemble, BUDGET, DEFAULT_DEADLINE, concave=log1p
-        )
-        result.add_row(label, p1.report.disparity, p4.report.disparity)
-        p1_series.append(p1.report.disparity)
-        p4_series.append(p4.report.disparity)
+    for row in zip(RATIO_LABELS, p1_series, p4_series):
+        result.add_row(*row)
 
     result.check(
         "imbalance produces substantial P1 disparity at every ratio",
@@ -153,26 +154,14 @@ def run_fig5b(quick: bool = False, seed: int = 0) -> ExperimentResult:
 
 def run_fig5c(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """Disparity vs cliquishness (across:within edge-probability ratio)."""
-    n_worlds = 50 if quick else 150
+    p1_series, p4_series = _disparities(homophily_sweep(quick, seed))
     result = ExperimentResult(
         experiment_id="fig5c",
         title=f"Synthetic: disparity vs inter/intra edge ratio (B={BUDGET}, tau={DEFAULT_DEADLINE})",
         columns=["inter:intra", "P1 disparity", "P4 disparity"],
     )
-    p1_series = []
-    p4_series = []
-    for p_het, label in CLIQUE_SWEEP:
-        graph, assignment = synthetic_sbm(
-            p_hom=DEFAULT_P_HOM, p_het=p_het, seed=seed
-        )
-        ensemble = WorldEnsemble(graph, assignment, n_worlds=n_worlds, seed=seed + 1)
-        p1 = solve_tcim_budget(ensemble, BUDGET, DEFAULT_DEADLINE)
-        p4 = solve_fair_tcim_budget(
-            ensemble, BUDGET, DEFAULT_DEADLINE, concave=log1p
-        )
-        result.add_row(label, p1.report.disparity, p4.report.disparity)
-        p1_series.append(p1.report.disparity)
-        p4_series.append(p4.report.disparity)
+    for row in zip(CLIQUE_LABELS, p1_series, p4_series):
+        result.add_row(*row)
 
     result.check(
         "cliquishness raises P1 disparity (most-cliquish >= least-cliquish)",

@@ -1,13 +1,14 @@
-"""One-axis scenario sweeps mirroring the paper's figure sweeps.
+"""The paper's one-axis figure sweeps (Figs. 4b/4c/5b/5c), stated once.
 
-The figure scripts (:mod:`repro.experiments.fig4_budget`,
-:mod:`repro.experiments.fig5_graph_props`) walk one parameter at a
-time — budget, deadline, group mix — with everything else pinned.
-This module re-states those walks as :class:`repro.sweep.SweepSpec`
-values, which buys the figure methodology the sweep engine's whole
-surface for free: tidy row-per-cell output, baseline comparisons and
-rank-shift reporting, resume, and single-cell bit-identical re-runs
-(``repro sweep``).
+Each of those figures walks one parameter — budget, deadline, group
+mix, cliquishness — with everything else pinned, and compares P1 with
+P4.  This module states each walk as a :class:`repro.sweep.SweepSpec`
+over the figure's axis and ``solver.fair: [false, true]``, with no
+baselines.  The figure runners (:mod:`repro.experiments.fig4_budget`,
+:mod:`repro.experiments.fig5_graph_props`) render their tables from
+these specs' rows (:func:`figure_rows`), so ``repro sweep`` on a
+:func:`figure_sweep` reproduces the figure's numbers exactly, with the
+sweep engine's tidy rows, resume and single-cell re-runs on top.
 
 Matching the figures' common-random-numbers design, every sweep here
 sets ``derive_seeds=False``: all cells share the base spec's
@@ -26,50 +27,65 @@ Use :func:`figure_sweep` by id, or dump one to JSON for the CLI::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+import math
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from repro.api.session import Session
 from repro.api.specs import RunSpec
+from repro.datasets.synthetic import DEFAULT_DEADLINE
 from repro.errors import ConfigError
+from repro.sweep.runner import solve_cell
 from repro.sweep.spec import SweepSpec
 
 #: Paper defaults (Section 6.1): n=500, 70:30 groups, p_hom=0.025,
-#: p_het=0.001, p_e=0.05, B=30, tau=20, 200 worlds.
-_BASE = {
-    "ensemble": {
-        "dataset": "synthetic",
-        "dataset_params": {},
-        "n_worlds": 200,
-        "dataset_seed": 0,
-        "world_seed": 1,
-    },
-    "solver": {
-        "problem": "budget",
-        "deadline": 20.0,
-        "fair": True,
-        "budget": 30,
-    },
-}
+#: p_het=0.001, p_e=0.05, B=30, tau=20.
+BUDGET = 30
+BUDGET_SWEEP = (5, 10, 15, 20, 25, 30)
+DEADLINE_SWEEP = (1, 2, 5, 10, 20, math.inf)
+RATIO_SWEEP = (0.55, 0.60, 0.70, 0.80)
+#: p_het at p_hom=0.025: across:within ratios 1:1, 3:5, 2:5, 1:25.
+CLIQUE_SWEEP = (0.025, 0.015, 0.01, 0.001)
 
 
-def _base_spec(quick: bool, seed: int) -> RunSpec:
-    data = {
-        "ensemble": dict(_BASE["ensemble"], dataset_seed=seed, world_seed=seed + 1),
-        "solver": dict(_BASE["solver"]),
-    }
-    if quick:
-        data["ensemble"]["n_worlds"] = 60
-    return RunSpec.from_dict(data)
+def _sweep(
+    name: str,
+    axis: str,
+    values: Sequence[Any],
+    quick: bool,
+    seed: int,
+    n_worlds: Tuple[int, int] = (200, 60),
+) -> SweepSpec:
+    """A P1-vs-P4 sweep of ``axis`` over the paper's defaults;
+    ``n_worlds`` is (full, quick)."""
+    base = RunSpec.from_dict(
+        {
+            "ensemble": {
+                "dataset": "synthetic",
+                "dataset_params": {},
+                "n_worlds": n_worlds[quick],
+                "dataset_seed": seed,
+                "world_seed": seed + 1,
+            },
+            "solver": {
+                "problem": "budget",
+                "deadline": float(DEFAULT_DEADLINE),
+                "budget": BUDGET,
+            },
+        }
+    )
+    return SweepSpec(
+        name=name,
+        base=base,
+        axes={axis: list(values), "solver.fair": [False, True]},
+        baselines=(),
+        derive_seeds=False,
+        seed=seed,
+    )
 
 
 def budget_sweep(quick: bool = False, seed: int = 0) -> SweepSpec:
     """Fig. 4b's axis: budget B in {5..30}, everything else pinned."""
-    return SweepSpec(
-        name="fig4b-budget",
-        base=_base_spec(quick, seed),
-        axes={"solver.budget": [5, 10, 15, 20, 25, 30]},
-        derive_seeds=False,
-        seed=seed,
-    )
+    return _sweep("fig4b-budget", "solver.budget", BUDGET_SWEEP, quick, seed)
 
 
 def deadline_sweep(quick: bool = False, seed: int = 0) -> SweepSpec:
@@ -79,41 +95,51 @@ def deadline_sweep(quick: bool = False, seed: int = 0) -> SweepSpec:
     deadline (strict JSON has no Infinity literal), so it is also the
     axis-value spelling here.
     """
-    return SweepSpec(
-        name="fig4c-deadline",
-        base=_base_spec(quick, seed),
-        axes={"solver.deadline": [1.0, 2.0, 5.0, 10.0, 20.0, "inf"]},
-        derive_seeds=False,
-        seed=seed,
+    values = ["inf" if math.isinf(tau) else float(tau) for tau in DEADLINE_SWEEP]
+    return _sweep("fig4c-deadline", "solver.deadline", values, quick, seed)
+
+
+def group_mix_sweep(quick: bool = False, seed: int = 0) -> SweepSpec:
+    """Fig. 5b's axis: majority fraction in {.55, .60, .70, .80}."""
+    return _sweep(
+        "fig5b-group-mix",
+        "ensemble.dataset_params.majority_fraction",
+        RATIO_SWEEP,
+        quick,
+        seed,
+        n_worlds=(150, 50),
     )
 
 
 def homophily_sweep(quick: bool = False, seed: int = 0) -> SweepSpec:
     """Fig. 5c's axis: cliquishness via p_het at fixed p_hom=0.025."""
-    return SweepSpec(
-        name="fig5c-cliquishness",
-        base=_base_spec(quick, seed),
-        axes={"ensemble.dataset_params.p_het": [0.025, 0.015, 0.01, 0.001]},
-        derive_seeds=False,
-        seed=seed,
+    return _sweep(
+        "fig5c-cliquishness",
+        "ensemble.dataset_params.p_het",
+        CLIQUE_SWEEP,
+        quick,
+        seed,
+        n_worlds=(150, 50),
     )
 
 
-def group_mix_sweep(quick: bool = False, seed: int = 0) -> SweepSpec:
-    """Fig. 5b's axis: majority fraction in {.55, .60, .70, .80}."""
-    return SweepSpec(
-        name="fig5b-group-mix",
-        base=_base_spec(quick, seed),
-        axes={
-            "ensemble.dataset_params.majority_fraction": [0.55, 0.60, 0.70, 0.80]
-        },
-        derive_seeds=False,
-        seed=seed,
-    )
+def figure_rows(
+    sweep: SweepSpec, session: Session
+) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+    """Solve every cell of a figure sweep over ``session``, writing no
+    files, and return the greedy rows ``(P1, P4)``, each in axis order.
+
+    Each cell's row is exactly the one ``repro sweep`` writes, so a
+    figure and its sweep cannot disagree.
+    """
+    rows: Dict[bool, List[Dict[str, Any]]] = {False: [], True: []}
+    for cell in sweep.expand():
+        row = solve_cell(sweep, cell, session)
+        rows[cell.spec.solver.fair].append(row["methods"]["greedy"])
+    return rows[False], rows[True]
 
 
-#: figure id -> SweepSpec builder (quick, seed) — the "1-axis sweep"
-#: pathway next to the figure scripts themselves.
+#: figure id -> SweepSpec builder (quick, seed).
 FIGURE_SWEEPS: Dict[str, Callable[..., SweepSpec]] = {
     "fig4b": budget_sweep,
     "fig4c": deadline_sweep,
@@ -127,7 +153,7 @@ def figure_sweep_ids() -> Tuple[str, ...]:
 
 
 def figure_sweep(figure_id: str, quick: bool = False, seed: int = 0) -> SweepSpec:
-    """The 1-axis :class:`SweepSpec` mirroring a figure's sweep."""
+    """The :class:`SweepSpec` a figure's runner renders."""
     try:
         builder = FIGURE_SWEEPS[figure_id]
     except KeyError:

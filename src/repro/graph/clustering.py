@@ -40,7 +40,8 @@ def spectral_embedding(graph: DiGraph, dimensions: int) -> np.ndarray:
     n = graph.number_of_nodes()
     if dimensions < 1 or dimensions > n:
         raise GraphError(f"dimensions must be in [1, {n}], got {dimensions}")
-    adj = graph.probability_matrix()
+    src, dst, prob = graph.edge_arrays()
+    adj = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
     adj = adj.maximum(adj.T)
     adj.data[:] = 1.0  # unweighted ties
     degrees = np.asarray(adj.sum(axis=1)).ravel()

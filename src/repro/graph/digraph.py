@@ -21,15 +21,12 @@ familiar with that library can navigate it, but it is self-contained.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.errors import GraphError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from scipy import sparse
 
 NodeId = Hashable
 #: Per-node ``{neighbour index: probability}`` dicts, by dense index.
@@ -64,8 +61,8 @@ class DiGraph:
         self._edge_count = 0
         self._version = 0
         self._frozen = False
-        # (version, export) pairs for the edge-array, forward matrix
-        # and predecessor-array exports.
+        # (version, export) pairs for the edge-array and
+        # predecessor-array exports.
         self._matrix_cache: Dict[str, Tuple[int, Any]] = {}
 
     @property
@@ -432,25 +429,6 @@ class DiGraph:
     # ------------------------------------------------------------------
     # numerical exports
     # ------------------------------------------------------------------
-    def probability_matrix(self) -> "sparse.csr_matrix":
-        """Sparse ``n x n`` matrix ``M[i, j] = p`` for edge ``i -> j``.
-
-        Spectral clustering's export, and the only one that imports
-        scipy.  Cached on :attr:`version`, so repeated exports of an
-        unmutated graph rebuild nothing.  Treat the result as read-only
-        — mutating it would poison the cache.
-        """
-        cached = self._matrix_cache.get("forward")
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        from scipy import sparse
-
-        n = len(self._labels)
-        src, dst, prob = self.edge_arrays()
-        matrix = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
-        self._matrix_cache["forward"] = (self._version, matrix)
-        return matrix
-
     def predecessor_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The predecessor CSR as arrays ``(indptr, indices, prob)``.
 
@@ -460,10 +438,10 @@ class DiGraph:
         :meth:`edge_arrays` is grouped by ascending source, so one
         stable sort by ``dst`` orders the entries by ``(dst, src)`` and
         one bincount of ``dst`` gives the row starts: entry for entry
-        the ``indptr`` / ``indices`` / ``data`` of
-        :meth:`probability_matrix`'s transpose as CSR, with ``int64``
-        indices.  Cached on :attr:`version` like :meth:`edge_arrays`,
-        and read-only for the same reason.
+        the ``indptr`` / ``indices`` / ``data`` of the transposed
+        probability matrix as CSR, with ``int64`` indices.  Cached on
+        :attr:`version` like :meth:`edge_arrays`, and read-only for the
+        same reason.
         """
         cached = self._matrix_cache.get("reverse")
         if cached is not None and cached[0] == self._version:

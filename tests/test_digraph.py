@@ -134,12 +134,6 @@ class TestIndexMapping:
 
 
 class TestNumericalExports:
-    def test_probability_matrix(self, tiny_path):
-        matrix = tiny_path.probability_matrix()
-        assert matrix.shape == (4, 4)
-        assert matrix[0, 1] == 1.0
-        assert matrix.nnz == 3
-
     def test_edge_arrays(self):
         graph = DiGraph()
         graph.add_edge("a", "b", 0.2)

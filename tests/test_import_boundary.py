@@ -2,8 +2,8 @@
 
 Every ``repro`` process — a CLI solve, a sweep worker, ``repro serve`` —
 runs on numpy alone: live-edge worlds and the RR predecessor CSR are
-plain arrays, and scipy is imported only inside spectral clustering,
-:meth:`DiGraph.probability_matrix` and the csgraph distance reference.
+plain arrays, and scipy is imported only inside spectral clustering
+and the csgraph distance reference.
 A fresh interpreter imports the public modules, runs a worlds solve (IC
 and LT), an RR solve, a repair through ``resolve``, one sweep cell and
 ``repro list``, and must not have loaded a single scipy module; the

@@ -35,7 +35,6 @@ from repro.influence.incremental import patch_worlds, plan_against
 from repro.influence.rrsets import RRSetEstimator
 
 from stores import (
-    STORES,
     assert_same_world,
     assert_stops_bound_in_time,
     build,
@@ -104,7 +103,10 @@ def assert_bit_identical(repaired: WorldEnsemble, fresh: WorldEnsemble, discount
 
 
 class TestRepairEqualsRebuild:
-    @pytest.mark.parametrize("store", STORES)
+    # Only the default chunk budget: chunk invariance of builds and
+    # repairs is checked by test_frontier's and test_properties'
+    # property tests.
+    @pytest.mark.parametrize("store", ["dense"])
     @pytest.mark.parametrize("discount", [None, 0.9])
     def test_backends_and_discounts(self, store, discount):
         graph, groups = sbm()
@@ -294,7 +296,7 @@ class TestReachIndexRepair:
     """The reach index (and the gain table derived from it) is patched
     world by world on repair, never left stale."""
 
-    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    @pytest.mark.parametrize("store", ["dense"])
     def test_patched_index_equals_fresh_build(self, store):
         graph, groups = sbm()
         ensemble = build(graph, groups, store, n_worlds=N_WORLDS, seed=WORLD_SEED)

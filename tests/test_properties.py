@@ -1120,9 +1120,13 @@ def _bulk(n, groups, edges, default_probability=0.1):
 def _graph_view(graph):
     """Everything observable about a graph.  The exports and the copy
     come first, so a lazy graph's are read before its dicts exist."""
+    from scipy import sparse
+
     exports = [(a.tolist(), a.dtype.str) for a in graph.edge_arrays()]
     degrees = graph.out_degrees().tolist()
-    matrix = graph.probability_matrix()
+    src, dst, prob = graph.edge_arrays()
+    n = graph.number_of_nodes()
+    matrix = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
     copied = graph.copy()
     copy_view = (copied.version, [(a.tolist(), a.dtype.str) for a in copied.edge_arrays()])
     copy_view += (list(copied.edges()), [copied.predecessors(v) for v in copied.nodes()])

@@ -19,6 +19,7 @@ from repro.api import EnsembleSpec, ExecutionSpec, RunSpec, Session
 from repro.api.datasets import build_dataset
 from repro.cli import main
 from repro.errors import ConfigError, ReproError
+from repro.experiments.registry import run_experiment
 from repro.experiments.sweeps import figure_sweep, figure_sweep_ids
 from repro.sweep import (
     MAX_CELLS,
@@ -483,6 +484,22 @@ class TestNewDatasets:
         assert result.seed_count == 2
 
 
+#: The runner columns each figure draws from its sweep's greedy rows,
+#: by method-less suffix ("P1 total" / "P4 total", ...).
+FIGURE_COLUMNS = {
+    "fig4b": ("total", "group1", "group2"),
+    "fig4c": ("disparity",),
+    "fig5b": ("disparity",),
+    "fig5c": ("disparity",),
+}
+
+
+def _greedy_field(greedy, column):
+    if column.startswith("group"):
+        return greedy["group_fractions"][int(column[len("group"):]) - 1]
+    return greedy["total_fraction" if column == "total" else column]
+
+
 class TestFigureSweeps:
     def test_ids_and_specs(self):
         assert set(figure_sweep_ids()) == {"fig4b", "fig4c", "fig5b", "fig5c"}
@@ -490,7 +507,27 @@ class TestFigureSweeps:
             spec = figure_sweep(figure_id, quick=True)
             assert isinstance(spec, SweepSpec)
             assert not spec.derive_seeds  # figures pin seeds (CRN)
-            assert len(spec.axes) == 1
+            # The figure's own axis, then P1 vs P4; no baselines.
+            assert len(spec.axes) == 2
+            assert list(spec.axes)[1] == "solver.fair"
+            assert spec.axes["solver.fair"] == (False, True)
+            assert spec.baselines == ()
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_COLUMNS))
+    def test_runner_renders_its_sweep(self, figure_id, tmp_path):
+        """``repro sweep`` on a figure's spec reproduces the figure: its
+        P1/P4 columns equal the greedy fields of the sweep's rows."""
+        table = run_experiment(figure_id, quick=True)
+        sweep = figure_sweep(figure_id, quick=True)
+        axis = next(iter(sweep.axes))
+        summary = run_sweep(sweep, tmp_path / figure_id)
+        assert summary.computed == len(table.rows) * 2
+        for row in summary.rows:
+            position = sweep.axes[axis].index(row["overrides"][axis])
+            method = "P4" if row["overrides"]["solver.fair"] else "P1"
+            for column in FIGURE_COLUMNS[figure_id]:
+                rendered = table.rows[position][table.columns.index(f"{method} {column}")]
+                assert rendered == _greedy_field(row["methods"]["greedy"], column)
 
     def test_solver_axes_share_one_ensemble(self):
         spec = figure_sweep("fig4b", quick=True)
