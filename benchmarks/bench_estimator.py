@@ -399,23 +399,3 @@ def test_cold_path_bulk_vs_reference():
         sampling[name] = case
     record["world_sampling"] = sampling
     record_bench("cold_path", record, RESULTS_PATH)
-
-
-def test_rr_set_sampling(benchmark, dataset):
-    """RIS substrate: sampling 2000 time-critical RR sets."""
-    from repro.influence.rrsets import sample_rr_sets
-
-    graph, _ = dataset
-    collection = benchmark(sample_rr_sets, graph, 20, 2000, 3)
-    assert collection.count == 2000
-
-
-def test_ris_greedy_p1(benchmark, dataset):
-    """RIS greedy max-cover for P1 (scalable unfair baseline)."""
-    from repro.influence.rrsets import ris_greedy, sample_rr_sets
-
-    graph, _ = dataset
-    collection = sample_rr_sets(graph, 20, 2000, seed=3)
-    seeds, estimate = benchmark(ris_greedy, collection, 10)
-    assert len(seeds) == 10
-    assert estimate > 0

@@ -74,28 +74,6 @@ def prefix_fractions(
     return results
 
 
-def deadline_sweep_fractions(
-    ensemble: UtilityEstimator,
-    seeds: Sequence[NodeId],
-    deadlines: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Total and per-group influenced fractions of one seed set at
-    every deadline.
-
-    Returns ``(totals, fractions)`` with shapes ``(T,)`` and ``(T, k)``
-    for ``T`` deadlines.  Activation times are fixed once the ensemble
-    is sampled, so the whole sweep is answered from one
-    ``group_utilities_sweep`` histogram — O(k·tau) per extra deadline.
-    """
-    utilities = ensemble.group_utilities_sweep(
-        ensemble.state_for(seeds), deadlines
-    )
-    population = float(ensemble.group_sizes.sum())
-    totals = utilities.sum(axis=1) / population
-    fractions = utilities / ensemble.group_sizes[np.newaxis, :]
-    return totals, fractions
-
-
 def deadline_sweep_disparities(
     ensemble: UtilityEstimator,
     seeds: Sequence[NodeId],
@@ -108,14 +86,17 @@ def deadline_sweep_disparities(
     By default the disparity is max-vs-min over all groups (the
     two-group datasets' ``|f_1 - f_2|``); passing ``group_a`` /
     ``group_b`` restricts it to a named pair (the Rice experiments
-    report V1/V2).  One sweep call serves every deadline.
+    report V1/V2).  Activation times are fixed once the ensemble is
+    sampled, so one ``group_utilities_sweep`` histogram serves every
+    deadline — O(k·tau) per extra deadline.
     """
     if (group_a is None) != (group_b is None):
         raise ConfigError(
             "pass both group_a and group_b to restrict the disparity to a "
             "pair, or neither for the max-vs-min disparity"
         )
-    _, fractions = deadline_sweep_fractions(ensemble, seeds, deadlines)
+    utilities = ensemble.group_utilities_sweep(ensemble.state_for(seeds), deadlines)
+    fractions = utilities / ensemble.group_sizes[np.newaxis, :]
     if group_a is None:
         return [
             float(row.max() - row.min()) for row in fractions

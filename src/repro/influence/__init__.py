@@ -44,12 +44,9 @@ from repro.influence.incremental import (
 )
 from repro.influence.montecarlo import monte_carlo_group_utilities, monte_carlo_utility
 from repro.influence.rrsets import (
-    RRCollection,
     RRSetEstimator,
     RRState,
     build_rrset_estimator,
-    ris_greedy,
-    sample_rr_sets,
 )
 from repro.influence.utility import (
     UtilityReport,
@@ -72,12 +69,9 @@ __all__ = [
     "repair_ensemble",
     "monte_carlo_utility",
     "monte_carlo_group_utilities",
-    "RRCollection",
     "RRSetEstimator",
     "RRState",
     "build_rrset_estimator",
-    "sample_rr_sets",
-    "ris_greedy",
     "disparity",
     "normalized_utilities",
     "UtilityReport",

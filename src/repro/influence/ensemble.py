@@ -891,8 +891,10 @@ class UtilityEstimator:
 
         ``M[c, g]`` counts the group-``g`` cells candidate ``c`` reaches
         by the deadline that the state does not, so ``M[c] + counts_S``,
-        normalised, is ``u(S + c)``; :meth:`add_seed` keeps it exact, so
-        ``lazy_greedy`` runs exact rounds.  Read it, do not write it.
+        normalised, is ``u(S + c)``; :meth:`add_seed` keeps it exact.
+        ``lazy_greedy`` never calls this (its exact rounds read the
+        rows :meth:`add_seed_and_score` returns); it exposes ``M`` for
+        inspection.  Read it, do not write it.
         """
         oracle, bound, cutoff, weights, _ = self._bind(state, deadline, discount)
         return None if weights is not None else oracle.marginals(bound, cutoff)

@@ -13,26 +13,22 @@ time-critical variant:
    hit by S}``, and greedy max-cover over the RR sets inherits the
    ``1 - 1/e`` guarantee.
 
-Two layers live here:
-
-- the scalar skeleton (:func:`sample_rr_sets` / :class:`RRCollection` /
-  :func:`ris_greedy`) — an independently-coded reference path the test
-  suite cross-validates against, kept deliberately simple;
-- :class:`RRSetEstimator`, the
-  :class:`~repro.influence.ensemble.UtilityEstimator` behind
-  ``EnsembleSpec(kind="rrset")``.  It samples *group-tagged* RR sets
-  (each set remembers the group of its uniform target), so per-group
-  coverage counts give unbiased estimates of every ``f_tau(S; V_i, G)``
-  at once — the per-group surface classic RIS does not expose, and the
-  reason the fair objectives (P4/P6) work on it.  Sampling is a
-  vectorised batched reverse BFS over the CSR predecessor matrix (the
-  world ensemble's batched-frontier idiom), and ``theta`` is chosen
-  adaptively in doubling rounds with stop-and-stare style Chernoff
-  bounds instead of a fixed count.  Each pool is stored as a reach
-  index whose cells are its RR sets, so the world ensemble's
-  :class:`~repro.influence.ensemble.ReachOracle` serves its states and
-  queries — exact marginal counts, and so ``lazy_greedy``'s exact
-  rounds, included.
+:class:`RRSetEstimator` is the
+:class:`~repro.influence.ensemble.UtilityEstimator` behind
+``EnsembleSpec(kind="rrset")``, and greedy max-cover is ``lazy_greedy``
+run on it.  It samples *group-tagged* RR sets (each set remembers the
+group of its uniform target), so per-group coverage counts give
+unbiased estimates of every ``f_tau(S; V_i, G)`` at once — the
+per-group surface classic RIS does not expose, and the reason the fair
+objectives (P4/P6) work on it.  Sampling is a vectorised batched
+reverse BFS over the CSR predecessor arrays (the world ensemble's
+batched-frontier idiom), and ``theta`` is chosen adaptively in doubling
+rounds with stop-and-stare style Chernoff bounds instead of a fixed
+count.  Each pool is stored as a reach index whose cells are its RR
+sets, so the world ensemble's
+:class:`~repro.influence.ensemble.ReachOracle` serves its states and
+queries — exact marginal counts, and so ``lazy_greedy``'s exact
+rounds, included.
 
 Deadlines follow the library-wide semantics of
 :mod:`repro.influence.deadlines`: fractional deadlines floor to the
@@ -42,16 +38,14 @@ values raise :class:`~repro.errors.EstimationError`.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import EstimationError, OptimizationError
+from repro.errors import EstimationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
 from repro.influence.backends import compact_uint, concat_ranges
@@ -66,163 +60,6 @@ from repro.influence.ensemble import (
 from repro.influence.deadlines import simulation_horizon
 from repro.rng import RngLike, derive_seed, ensure_rng
 
-
-@dataclass(frozen=True)
-class RRCollection:
-    """A batch of sampled reverse-reachable sets for one (graph, tau)."""
-
-    graph: DiGraph
-    deadline: float
-    sets: List[FrozenSet[int]]
-
-    @property
-    def count(self) -> int:
-        return len(self.sets)
-
-    def estimate(self, seeds) -> float:
-        """Unbiased estimate of ``f_tau(S; V, G)`` from the collection."""
-        seed_idx = set(int(i) for i in self.graph.indices_of(list(seeds)))
-        if not seed_idx:
-            return 0.0
-        hits = sum(1 for rr in self.sets if not seed_idx.isdisjoint(rr))
-        return self.graph.number_of_nodes() * hits / self.count
-
-
-def sample_rr_sets(
-    graph: DiGraph,
-    deadline: float,
-    count: int,
-    seed: RngLike = None,
-) -> RRCollection:
-    """Sample ``count`` time-critical RR sets.
-
-    Each set is grown by a reverse BFS of depth ``<= floor(deadline)``
-    from a uniform target, flipping each incoming edge's coin on first
-    traversal (lazy live-edge sampling — only the edges the BFS touches
-    are ever drawn, which is what makes RIS fast on sparse graphs).
-
-    The depth cap routes through
-    :func:`repro.influence.deadlines.simulation_horizon`, so the
-    flooring of fractional deadlines matches every other estimator and
-    NaN / negative deadlines raise
-    :class:`~repro.errors.EstimationError` instead of leaking a bare
-    ``ValueError`` out of ``int()``.
-    """
-    if count < 1:
-        raise EstimationError(f"need at least one RR set, got {count}")
-    horizon = simulation_horizon(deadline)
-    depth_cap = math.inf if horizon is None else horizon
-    rng = ensure_rng(seed)
-    n = graph.number_of_nodes()
-    if n == 0:
-        raise EstimationError("graph is empty")
-
-    # Predecessor cache in dense-index space.
-    pred: List[Tuple[np.ndarray, np.ndarray]] = []
-    for node in graph.nodes():
-        sources = graph.predecessors(node)
-        if sources:
-            probs = np.asarray(
-                [graph.edge_probability(u, node) for u in sources]
-            )
-            pred.append((graph.indices_of(sources), probs))
-        else:
-            pred.append((np.empty(0, dtype=np.int64), np.empty(0)))
-
-    sets: List[FrozenSet[int]] = []
-    targets = rng.integers(0, n, size=count)
-    for target in targets.tolist():
-        visited = {target}
-        queue = deque([(target, 0)])
-        while queue:
-            node, depth = queue.popleft()
-            if depth >= depth_cap:
-                continue
-            sources, probs = pred[node]
-            if sources.size == 0:
-                continue
-            fires = rng.random(sources.size) < probs
-            for source in sources[fires].tolist():
-                if source not in visited:
-                    visited.add(source)
-                    queue.append((source, depth + 1))
-        sets.append(frozenset(visited))
-    return RRCollection(graph=graph, deadline=deadline, sets=sets)
-
-
-def ris_greedy(
-    collection: RRCollection,
-    budget: int,
-    candidates: Optional[List[NodeId]] = None,
-) -> Tuple[List[NodeId], float]:
-    """Greedy max-cover over RR sets: the RIS solution to P1.
-
-    Returns the seed list and the estimated ``f_tau`` of the full set.
-    Stops early when no candidate covers any remaining RR set.
-
-    Selection is CELF-lazy: coverage gains only shrink as RR sets get
-    covered (max-cover is submodular), so stale heap entries are upper
-    bounds and most candidates are never re-counted.  Ties break on
-    first-in-pool order — heap keys are ``(-gain, pool_order)`` and a
-    re-evaluated entry keeps its pool order — so the selected seeds are
-    bit-identical to the old full rescan.
-    """
-    graph = collection.graph
-    if budget < 1:
-        raise OptimizationError(f"budget must be >= 1, got {budget}")
-    pool = graph.nodes() if candidates is None else list(candidates)
-    if not pool:
-        raise OptimizationError("candidate pool is empty")
-    if budget > len(pool):
-        raise OptimizationError(
-            f"budget {budget} exceeds candidate pool of size {len(pool)}"
-        )
-    pool_idx = [int(i) for i in graph.indices_of(pool)]
-    order_of: Dict[int, int] = {}
-    for order, candidate in enumerate(pool_idx):
-        order_of.setdefault(candidate, order)
-
-    # Invert: which RR sets does each candidate hit?
-    coverage_lists: Dict[int, List[int]] = {c: [] for c in order_of}
-    for set_id, rr in enumerate(collection.sets):
-        for node in rr:
-            if node in coverage_lists:
-                coverage_lists[node].append(set_id)
-    coverage = {
-        c: np.asarray(ids, dtype=np.int64) for c, ids in coverage_lists.items()
-    }
-
-    covered = np.zeros(collection.count, dtype=bool)
-    chosen: List[int] = []
-    chosen_set: set = set()
-    # Heap entry: (-gain, pool_order, candidate, n_seeds_when_scored).
-    heap = [
-        (-coverage[c].size, order, c, 0) for c, order in order_of.items()
-    ]
-    heapq.heapify(heap)
-    while heap and len(chosen) < budget:
-        neg_gain, order, candidate, stamp = heapq.heappop(heap)
-        if candidate in chosen_set:
-            continue
-        if stamp != len(chosen):
-            gain = int(np.count_nonzero(~covered[coverage[candidate]]))
-            heapq.heappush(heap, (-gain, order, candidate, len(chosen)))
-            continue
-        if -neg_gain <= 0:
-            break
-        chosen.append(candidate)
-        chosen_set.add(candidate)
-        covered[coverage[candidate]] = True
-
-    estimate = (
-        graph.number_of_nodes() * int(covered.sum()) / collection.count
-    )
-    return graph.labels_of(chosen), estimate
-
-
-# ----------------------------------------------------------------------
-# The real estimator behind EnsembleSpec(kind="rrset")
-# ----------------------------------------------------------------------
 
 #: First doubling round of the adaptive sampler.
 INITIAL_THETA = 256
@@ -267,9 +104,11 @@ def _sample_rr_batch(
     frontier BFS (:func:`~repro.influence.backends.bfs_rows`): the
     ragged in-edge lists of every frontier (set, node) pair are
     gathered at once, all their coins are flipped in one draw, and a
-    single ``np.unique`` dedupes within-level discoveries.  Each (set, node) pair enters the
-    frontier at most once, so each in-edge is flipped at most once per
-    set — exactly the lazy live-edge semantics of the scalar sampler.
+    single ``np.unique`` dedupes within-level discoveries.  Each (set,
+    node) pair enters the frontier at most once, so each in-edge's coin
+    is flipped at most once per set, and only when the BFS reaches the
+    edge's head in fewer than ``depth_cap`` hops: each set walks its own
+    independent IC live-edge world, drawn lazily on the edges it touches.
 
     Returns the membership pairs ``(set_local_id, node)`` of every
     visited node, row-major (so set ids come out ascending).  They are

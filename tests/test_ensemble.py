@@ -11,8 +11,6 @@ from repro.influence.exact import exact_group_utilities
 from repro.graph.digraph import DiGraph
 from repro.graph.groups import GroupAssignment
 
-from stores import build
-
 
 @pytest.fixture
 def line_ensemble(two_group_line):
@@ -187,12 +185,11 @@ class TestCandidatePositions:
 
 
 class TestCacheAccounting:
-    @pytest.mark.parametrize("store", ["dense", "sparse"])
-    def test_nbytes_counts_reach_index(self, store):
+    def test_nbytes_counts_reach_index(self):
         from repro.datasets.synthetic import synthetic_sbm
 
         graph, assignment = synthetic_sbm(n=60, seed=1)
-        ensemble = build(graph, assignment, store, n_worlds=6, seed=2)
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=6, seed=2)
         reach = ensemble._oracle.reach
         worlds = sum(world.nbytes for world in ensemble.worlds)
         assert ensemble.nbytes == worlds + reach.nbytes

@@ -5,185 +5,214 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.budget import solve_tcim_budget
 from repro.core.concave import log1p
 from repro.core.greedy import lazy_greedy, plain_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 from repro.errors import EstimationError, OptimizationError
 from repro.influence.exact import exact_utility
-from repro.influence.rrsets import (
-    RRCollection,
-    RRSetEstimator,
-    ris_greedy,
-    sample_rr_sets,
-)
+from repro.influence.rrsets import RRSetEstimator
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import path_graph, star_graph, two_block_sbm
+from repro.graph.groups import GroupAssignment
+
+
+def estimator_on(graph, **kwargs):
+    """An :class:`RRSetEstimator` over ``graph`` with every node in one
+    group, so its pools hold every node's memberships."""
+    nodes = graph.nodes()
+    assignment = GroupAssignment.from_labels(nodes, ["all"] * len(nodes))
+    return RRSetEstimator(graph, assignment, **kwargs)
+
+
+def set_sizes(estimator, deadline):
+    """Members of each RR set in ``deadline``'s pool (every node must be
+    a candidate): the pool's reach index lists one entry per membership,
+    its cell the set's id."""
+    theta = estimator.diagnostics(deadline)["theta"]
+    reach = estimator._index_for(deadline).oracle.reach
+    return np.bincount(reach.flat, minlength=theta)
 
 
 class TestSampling:
     def test_set_always_contains_target(self):
         graph = path_graph(5, activation_probability=0.5)
-        collection = sample_rr_sets(graph, deadline=2, count=50, seed=0)
-        assert collection.count == 50
-        assert all(len(rr) >= 1 for rr in collection.sets)
+        estimator = estimator_on(graph, theta=50, seed=0)
+        sizes = set_sizes(estimator, 2)
+        assert sizes.size == 50
+        assert (sizes >= 1).all()
+        # All nodes seeded cover every set: exactly n.
+        assert estimator.total_utility(estimator.state_for(graph.nodes()), 2) == 5.0
 
     def test_deadline_zero_gives_singletons(self):
         graph = path_graph(5, activation_probability=1.0)
-        collection = sample_rr_sets(graph, deadline=0, count=30, seed=0)
-        assert all(len(rr) == 1 for rr in collection.sets)
+        estimator = estimator_on(graph, theta=30, seed=0)
+        reach = estimator._index_for(0).oracle.reach
+        assert reach.flat.size == estimator.diagnostics(0)["theta"] == 30
+        assert (set_sizes(estimator, 0) == 1).all()
 
     def test_deterministic_under_seed(self):
         graph = star_graph(20, activation_probability=0.4)
-        a = sample_rr_sets(graph, deadline=2, count=25, seed=7)
-        b = sample_rr_sets(graph, deadline=2, count=25, seed=7)
-        assert a.sets == b.sets
+        a, b = (estimator_on(graph, theta=25, seed=7) for _ in range(2))
+        ours, theirs = (e._index_for(2) for e in (a, b))
+        np.testing.assert_array_equal(ours.set_group, theirs.set_group)
+        for name in ("offsets", "flat"):
+            np.testing.assert_array_equal(
+                getattr(ours.oracle.reach, name), getattr(theirs.oracle.reach, name)
+            )
 
     def test_deadline_limits_depth(self):
         # Path 0->1->2->3 with p=1: RR set of target 3 at tau=1 is {2,3}.
         graph = path_graph(4, activation_probability=1.0)
-        collection = sample_rr_sets(graph, deadline=1, count=200, seed=1)
-        for rr in collection.sets:
-            assert len(rr) <= 2
+        estimator = estimator_on(graph, theta=200, seed=1)
+        assert set_sizes(estimator, 1).max() <= 2
 
     def test_validation(self):
         graph = path_graph(3)
         with pytest.raises(EstimationError):
-            sample_rr_sets(graph, deadline=2, count=0)
+            estimator_on(graph, theta=0)
         with pytest.raises(EstimationError):
-            sample_rr_sets(graph, deadline=-1, count=5)
+            estimator_on(graph, theta=5).diagnostics(-1)
         with pytest.raises(EstimationError):
-            sample_rr_sets(DiGraph(), deadline=1, count=5)
+            RRSetEstimator(DiGraph(), GroupAssignment({0: "all"}), theta=5)
 
 
 class TestDeadlineSemantics:
     """The sampler follows the library-wide deadline rules."""
 
     def test_nan_deadline_is_an_estimation_error(self):
-        # Regression: NaN used to slip past the `deadline < 0` guard
+        # Regression: NaN must not slip past the `deadline < 0` guard
         # and surface as a bare ValueError from int(nan).
-        graph = path_graph(3)
+        estimator = estimator_on(path_graph(3), theta=5)
         with pytest.raises(EstimationError):
-            sample_rr_sets(graph, deadline=float("nan"), count=5)
+            estimator.diagnostics(float("nan"))
 
     def test_fractional_deadline_floors_like_clip_deadline(self):
-        # floor(2.5) == 2, so tau=2.5 and tau=2 draw identical sets.
+        # floor(2.5) == 2, so tau=2.5 and tau=2 draw identical sets,
+        # also on two estimators that share only their seed.
         graph = path_graph(6, activation_probability=0.7)
-        frac = sample_rr_sets(graph, deadline=2.5, count=100, seed=3)
-        whole = sample_rr_sets(graph, deadline=2, count=100, seed=3)
-        assert frac.sets == whole.sets
+        frac = estimator_on(graph, theta=100, seed=3)._index_for(2.5)
+        whole = estimator_on(graph, theta=100, seed=3)._index_for(2)
+        assert frac.horizon == whole.horizon == 2
+        np.testing.assert_array_equal(frac.oracle.reach.flat, whole.oracle.reach.flat)
+        np.testing.assert_array_equal(
+            frac.oracle.reach.offsets, whole.oracle.reach.offsets
+        )
 
     def test_infinite_deadline_reaches_everything(self):
         graph = path_graph(5, activation_probability=1.0)
-        collection = sample_rr_sets(graph, deadline=math.inf, count=50, seed=4)
+        estimator = estimator_on(graph, theta=50, seed=4)
         # Target at index i has i+1 reverse-reachable nodes on a chain.
-        assert any(len(rr) == 5 for rr in collection.sets)
-        assert collection.estimate([0]) == 5.0
+        assert set_sizes(estimator, math.inf).max() == 5
+        assert estimator.total_utility(estimator.state_for([0]), math.inf) == 5.0
 
 
-def _reference_ris_greedy(collection, budget, candidates=None):
-    """The pre-CELF full-rescan selection, kept as the tie oracle."""
-    graph = collection.graph
-    pool = graph.nodes() if candidates is None else list(candidates)
-    pool_idx = [int(i) for i in graph.indices_of(pool)]
-    coverage = {c: [] for c in pool_idx}
-    for set_id, rr in enumerate(collection.sets):
-        for node in rr:
-            if node in coverage:
-                coverage[node].append(set_id)
-    import numpy as np
+def assert_same_steps(celf, plain):
+    """CELF's trace equals plain greedy's, step for step."""
+    assert celf.size == plain.size
+    assert celf.stopped_reason == plain.stopped_reason
+    for ours, reference in zip(celf.steps, plain.steps):
+        assert (ours.node, ours.position) == (reference.node, reference.position)
+        assert (ours.gain, ours.objective_value) == (
+            reference.gain,
+            reference.objective_value,
+        )
+        np.testing.assert_array_equal(ours.group_utilities, reference.group_utilities)
+        # Exact rounds score every open candidate, as plain greedy does.
+        assert ours.evaluations == reference.evaluations
 
-    covered = np.zeros(collection.count, dtype=bool)
-    chosen = []
-    for _ in range(budget):
-        best, best_gain = -1, 0
-        for candidate in pool_idx:
-            if candidate in chosen:
-                continue
-            gain = int(np.count_nonzero(~covered[coverage[candidate]]))
-            if gain > best_gain:
-                best, best_gain = candidate, gain
-        if best < 0:
-            break
-        chosen.append(best)
-        covered[coverage[best]] = True
-    return graph.labels_of(chosen)
+
+def greedy_pair(estimator, deadline, max_seeds):
+    """P1's CELF and plain-greedy traces on ``estimator``."""
+    return tuple(
+        engine(estimator, TotalInfluenceObjective(), deadline=deadline, max_seeds=max_seeds)
+        for engine in (lazy_greedy, plain_greedy)
+    )
 
 
 class TestCelfEquivalence:
-    """The lazy heap must reproduce the full rescan bit-for-bit,
-    including first-in-pool-order tie-breaking."""
+    """CELF on an RR pool must reproduce plain greedy's full rescan
+    bit-for-bit, including first-in-pool-order tie-breaking."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_reference_on_random_graphs(self, seed):
-        graph, _ = two_block_sbm(
+        graph, assignment = two_block_sbm(
             40, 0.6, 0.2, 0.05, activation_probability=0.3, seed=seed
         )
-        collection = sample_rr_sets(graph, deadline=3, count=600, seed=seed)
-        seeds, _ = ris_greedy(collection, budget=6)
-        assert seeds == _reference_ris_greedy(collection, budget=6)
+        estimator = RRSetEstimator(graph, assignment, theta=600, seed=seed)
+        celf, plain = greedy_pair(estimator, deadline=3, max_seeds=6)
+        assert celf.size == 6
+        assert_same_steps(celf, plain)
 
     def test_matches_reference_under_heavy_ties(self):
-        # p=1 stars: every leaf has identical coverage, all-tie rounds.
+        # p=1 stars: every leaf covers only its own targets' sets, and
+        # the hub covers all, so rounds after the first are near-ties.
         graph = star_graph(12, activation_probability=1.0)
-        collection = sample_rr_sets(graph, deadline=1, count=300, seed=5)
+        estimator = estimator_on(graph, theta=300, seed=5)
         for budget in (1, 3, 5):
-            seeds, _ = ris_greedy(collection, budget=budget)
-            assert seeds == _reference_ris_greedy(collection, budget=budget)
+            assert_same_steps(*greedy_pair(estimator, deadline=1, max_seeds=budget))
 
     def test_matches_reference_with_candidate_pool_order(self):
-        graph = star_graph(10, activation_probability=1.0)
-        collection = sample_rr_sets(graph, deadline=1, count=200, seed=6)
         pool = [7, 3, 9, 4]  # ties must resolve to the earliest in pool
-        seeds, _ = ris_greedy(collection, budget=2, candidates=pool)
-        assert seeds == _reference_ris_greedy(collection, 2, candidates=pool)
+        graph = star_graph(10, activation_probability=1.0)
+        estimator = estimator_on(graph, candidates=pool, theta=200, seed=6)
+        assert_same_steps(*greedy_pair(estimator, deadline=1, max_seeds=2))
+        # A p=1 cycle through the pool: each member reaches the others,
+        # so all four cover the same sets and the first in pool wins.
+        cycle = star_graph(10, activation_probability=1.0)
+        for u, v in zip(pool, pool[1:] + pool[:1]):
+            cycle.add_edge(u, v)
+        estimator = estimator_on(cycle, candidates=pool, theta=200, seed=6)
+        celf, plain = greedy_pair(estimator, deadline=math.inf, max_seeds=2)
+        assert_same_steps(celf, plain)
+        assert celf.seeds == [7]
+        assert celf.stopped_reason == "no-gain"
 
 
 class TestEstimation:
     def test_matches_exact_on_chain(self):
         graph = path_graph(4, activation_probability=0.6)
-        collection = sample_rr_sets(graph, deadline=2, count=20_000, seed=2)
-        estimate = collection.estimate([0])
-        exact = exact_utility(graph, [0], 2)
-        assert estimate == pytest.approx(exact, rel=0.1)
+        estimator = estimator_on(graph, theta=20_000, seed=2)
+        estimate = estimator.total_utility(estimator.state_for([0]), 2)
+        assert estimate == pytest.approx(exact_utility(graph, [0], 2), rel=0.1)
 
     def test_matches_exact_star(self):
         graph = star_graph(6, activation_probability=0.5)
-        collection = sample_rr_sets(graph, deadline=1, count=20_000, seed=3)
-        estimate = collection.estimate([0])
-        exact = exact_utility(graph, [0], 1)
-        assert estimate == pytest.approx(exact, rel=0.1)
+        estimator = estimator_on(graph, theta=20_000, seed=3)
+        estimate = estimator.total_utility(estimator.state_for([0]), 1)
+        assert estimate == pytest.approx(exact_utility(graph, [0], 1), rel=0.1)
 
     def test_empty_seed_set(self):
-        graph = path_graph(3)
-        collection = sample_rr_sets(graph, deadline=1, count=10, seed=0)
-        assert collection.estimate([]) == 0.0
+        estimator = estimator_on(path_graph(3), theta=10, seed=0)
+        assert estimator.total_utility(estimator.empty_state(), 1) == 0.0
 
     def test_monotone_in_seeds(self):
-        graph = star_graph(10, activation_probability=0.5)
-        collection = sample_rr_sets(graph, deadline=1, count=500, seed=4)
-        assert collection.estimate([0, 1]) >= collection.estimate([0])
+        estimator = estimator_on(star_graph(10, activation_probability=0.5), theta=500, seed=4)
+        assert estimator.total_utility(estimator.state_for([0, 1]), 1) >= (
+            estimator.total_utility(estimator.state_for([0]), 1)
+        )
 
 
 class TestRisGreedy:
+    """P1 by greedy max-cover over RR sets: ``solve_tcim_budget`` on an
+    :class:`RRSetEstimator`."""
+
     def test_finds_the_hub(self):
         graph = star_graph(20, activation_probability=0.8)
-        collection = sample_rr_sets(graph, deadline=1, count=2000, seed=5)
-        seeds, estimate = ris_greedy(collection, budget=1)
-        assert seeds == [0]
-        assert estimate > 5
+        solution = solve_tcim_budget(estimator_on(graph, theta=2000, seed=5), budget=1, deadline=1)
+        assert solution.seeds == [0]
+        assert solution.report.total_utility > 5
 
     def test_agrees_with_ensemble_greedy(self):
         """RIS-greedy and ensemble-greedy should pick similar-quality
         seed sets for P1 (cross-validation of two estimator stacks)."""
         from repro.influence.ensemble import WorldEnsemble
-        from repro.core.budget import solve_tcim_budget
-        from repro.graph.groups import GroupAssignment
 
         graph, assignment = two_block_sbm(
             80, 0.7, 0.15, 0.02, activation_probability=0.2, seed=6
         )
-        collection = sample_rr_sets(graph, deadline=3, count=4000, seed=7)
-        ris_seeds, _ = ris_greedy(collection, budget=5)
+        estimator = RRSetEstimator(graph, assignment, theta=4000, seed=7)
+        ris_seeds = solve_tcim_budget(estimator, budget=5, deadline=3).seeds
 
         ensemble = WorldEnsemble(graph, assignment, n_worlds=150, seed=8)
         ensemble_solution = solve_tcim_budget(ensemble, budget=5, deadline=3)
@@ -194,26 +223,26 @@ class TestRisGreedy:
 
     def test_early_stop_when_everything_covered(self):
         graph = path_graph(3, activation_probability=1.0)
-        collection = sample_rr_sets(graph, deadline=math.inf, count=100, seed=9)
-        seeds, _ = ris_greedy(collection, budget=3)
+        estimator = estimator_on(graph, theta=100, seed=9)
+        solution = solve_tcim_budget(estimator, budget=3, deadline=math.inf)
         # Node 0 covers every RR set; no second seed adds coverage.
-        assert len(seeds) == 1
+        assert solution.seeds == [0]
+        assert solution.trace.stopped_reason == "no-gain"
 
     def test_candidate_restriction(self):
         graph = star_graph(10, activation_probability=0.9)
-        collection = sample_rr_sets(graph, deadline=1, count=500, seed=10)
-        seeds, _ = ris_greedy(collection, budget=1, candidates=[3, 4])
-        assert seeds[0] in {3, 4}
+        estimator = estimator_on(graph, candidates=[3, 4], theta=500, seed=10)
+        solution = solve_tcim_budget(estimator, budget=1, deadline=1)
+        assert solution.seeds[0] in {3, 4}
 
     def test_validation(self):
-        graph = path_graph(3)
-        collection = sample_rr_sets(graph, deadline=1, count=10, seed=0)
+        estimator = estimator_on(path_graph(3), theta=10, seed=0)
         with pytest.raises(OptimizationError):
-            ris_greedy(collection, budget=0)
+            solve_tcim_budget(estimator, budget=0, deadline=1)
         with pytest.raises(OptimizationError):
-            ris_greedy(collection, budget=10)
-        with pytest.raises(OptimizationError):
-            ris_greedy(collection, budget=1, candidates=[])
+            solve_tcim_budget(estimator, budget=10, deadline=1)
+        with pytest.raises(EstimationError, match="empty"):
+            estimator_on(path_graph(3), candidates=[], theta=10)
 
 
 class TestPoolsAreReachIndexes:
@@ -247,17 +276,8 @@ class TestPoolsAreReachIndexes:
             engine(estimator, objective, deadline=4, max_seeds=8, stop=stop)
             for engine in (lazy_greedy, plain_greedy)
         )
-        assert celf.size == plain.size > 1
-        assert celf.stopped_reason == plain.stopped_reason
-        for ours, reference in zip(celf.steps, plain.steps):
-            assert (ours.node, ours.position) == (reference.node, reference.position)
-            assert (ours.gain, ours.objective_value) == (
-                reference.gain,
-                reference.objective_value,
-            )
-            np.testing.assert_array_equal(ours.group_utilities, reference.group_utilities)
-            # Exact rounds score every open candidate, as plain greedy does.
-            assert ours.evaluations == reference.evaluations
+        assert celf.size > 1
+        assert_same_steps(celf, plain)
 
     def test_state_bound_to_two_horizons(self):
         estimator = self.estimator(adaptive=False)

@@ -25,7 +25,6 @@ from repro.influence.ensemble import WorldEnsemble
 from repro.influence.exact import exact_group_utilities, exact_utility
 from repro.influence.rrsets import RRSetEstimator
 
-from stores import build
 from test_backends_crossval import random_instance
 
 DEADLINES = (0, 1, 2.5, 3, math.inf)
@@ -61,15 +60,14 @@ def test_rrset_matches_exact(instance_seed):
 
 
 @pytest.mark.parametrize("instance_seed", [0, 1])
-@pytest.mark.parametrize("store", ["dense"])
-def test_rrset_matches_world_ensemble(instance_seed, store):
+def test_rrset_matches_world_ensemble(instance_seed):
     """Both estimator stacks agree within combined sampling error.  The
     ensemble is built under the default chunk budget only: that no
     budget changes an entry is checked by ``test_frontier.py::
     test_chunking_never_changes_rows`` and ``TestRepairEqualsFreshBuild``."""
     graph, assignment, labels = random_instance(instance_seed)
     estimator = RRSetEstimator(graph, assignment, theta=30_000, seed=23)
-    ensemble = build(graph, assignment, store, n_worlds=3000, seed=29)
+    ensemble = WorldEnsemble(graph, assignment, n_worlds=3000, seed=29)
     seeds = labels[:2]
     for deadline in DEADLINES:
         rr = estimator.utilities_for(seeds, deadline)
@@ -78,7 +76,7 @@ def test_rrset_matches_world_ensemble(instance_seed, store):
         rr_se = rr_standard_errors(estimator, rr, deadline)
         tolerance = 5.0 * (ens_se + rr_se) + 1e-9
         assert (np.abs(rr - ens) <= tolerance).all(), (
-            f"{store} tau={deadline}: rrset {rr} vs worlds {ens} "
+            f"tau={deadline}: rrset {rr} vs worlds {ens} "
             f"(tolerance {tolerance})"
         )
 
