@@ -11,12 +11,11 @@ vocabulary a :class:`repro.sweep.SweepSpec` validates against.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError, OptimizationError
-from repro.graph.centrality import pagerank
+from repro.errors import ConfigError, GraphError, OptimizationError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.groups import GroupAssignment
 from repro.rng import RngLike, ensure_rng
@@ -83,6 +82,45 @@ def top_degree_seeds(
     return [pool[i] for i in top[:budget]]
 
 
+def _pagerank(
+    graph: DiGraph,
+    damping: float = 0.85,
+    tol: float = 1e-10,
+    max_iterations: int = 200,
+) -> Dict[NodeId, float]:
+    """PageRank by power iteration over :meth:`DiGraph.edge_arrays`.
+
+    Each edge ``u -> v`` passes ``damping * rank[u] / out_degree(u)`` to
+    ``v``; dangling nodes (zero out-degree) redistribute uniformly.
+    Edges come grouped by ascending source, so ``np.add.at`` sums each
+    node's contributions in ascending-source order.  Converges when the
+    L1 change drops below ``tol``; raises :class:`GraphError` if
+    ``max_iterations`` is exhausted first.
+    """
+    if not 0.0 < damping < 1.0:
+        raise ValueError(f"damping must be in (0, 1), got {damping}")
+    n = graph.number_of_nodes()
+    if n == 0:
+        return {}
+    src, dst, _ = graph.edge_arrays()
+    out_deg = np.bincount(src, minlength=n).astype(np.float64)
+    dangling = out_deg == 0
+    src_deg = out_deg[src]
+    rank = np.full(n, 1.0 / n)
+    for _ in range(max_iterations):
+        new = np.full(n, (1.0 - damping) / n)
+        dangling_mass = rank[dangling].sum()
+        new += damping * dangling_mass / n
+        np.add.at(new, dst, damping * rank[src] / src_deg)
+        if np.abs(new - rank).sum() < tol:
+            rank = new
+            break
+        rank = new
+    else:
+        raise GraphError(f"PageRank did not converge in {max_iterations} iterations")
+    return dict(zip(graph.nodes(), rank.tolist()))
+
+
 def pagerank_seeds(
     graph: DiGraph,
     budget: int,
@@ -92,7 +130,7 @@ def pagerank_seeds(
     """Highest PageRank first."""
     pool = _pool(graph, candidates)
     _check_budget(budget, len(pool))
-    scores = pagerank(graph, damping=damping)
+    scores = _pagerank(graph, damping=damping)
     ranked = sorted(pool, key=lambda n: (-scores[n], repr(n)))
     return ranked[:budget]
 

@@ -6,8 +6,10 @@ Facebook-SNAP) are not redistributable / not fetchable offline, so this
 package generates **surrogates matched to the statistics the paper
 reports** — group sizes and within/across-group edge counts — which are
 precisely the structural properties the paper identifies as the causes
-of disparity (Section 4.2).  See DESIGN.md §4 for the substitution
-table.
+of disparity (Section 4.2).  Each surrogate's module docstring
+(:mod:`~repro.datasets.rice`, :mod:`~repro.datasets.instagram`,
+:mod:`~repro.datasets.facebook_snap`) lists the reported statistics it
+plants and what it fills in.
 """
 
 from repro.datasets.example import illustrative_graph

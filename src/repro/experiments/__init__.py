@@ -1,9 +1,9 @@
 """Experiment harness: one module per paper table/figure.
 
 Every experiment is registered in
-:mod:`repro.experiments.registry` under the id used throughout
-DESIGN.md (``fig1``, ``fig4a`` .. ``fig10c``, ``thm1``/``thm2``,
-``abl_*``) and returns an
+:mod:`repro.experiments.registry` under its figure or table id
+(``fig1``, ``fig4a`` .. ``fig10c``, ``thm1``/``thm2``, ``abl_*``;
+``repro list`` prints them) and returns an
 :class:`~repro.experiments.runner.ExperimentResult` whose rows mirror
 the series the paper plots.  ``quick=True`` shrinks sample counts and
 sweeps for CI/benchmark budgets; ``quick=False`` runs at paper scale.

@@ -1,4 +1,4 @@
-"""Ablations on the design choices DESIGN.md calls out.
+"""Ablations on the design choices of the solvers and estimators.
 
 - **abl_h** — the fairness/influence frontier of the concave family:
   power wrappers alpha in {1, .75, .5, .25} plus log, on the default

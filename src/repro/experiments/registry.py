@@ -1,7 +1,7 @@
 """Experiment registry: id -> runnable.
 
-Maps every table/figure id from DESIGN.md's per-experiment index to its
-``run_*`` function.  Both the CLI and the benchmark suite resolve
+Maps every table/figure id (``fig1``, ``fig4a`` .. ``fig10c``,
+``thm1``/``thm2``, ``abl_*``) to its ``run_*`` function.  Both the CLI and the benchmark suite resolve
 experiments through this table.
 """
 

@@ -3,7 +3,8 @@
 ``generate_markdown`` runs every registered experiment and renders a
 section per table/figure: what the paper reports (hand-extracted from
 the paper text/figures), what we measured, and whether the qualitative
-shape checks hold.  The committed EXPERIMENTS.md is produced by::
+shape checks hold.  EXPERIMENTS.md is not committed; generate it
+with::
 
     python -m repro.experiments.report [--quick] [--out EXPERIMENTS.md]
 """
@@ -152,9 +153,10 @@ arXiv:1905.06618), regenerated by this repository's harness.
   for the reduced scale used in CI).
 - Regenerate this file: `python -m repro.experiments.report`.
 - Absolute numbers are **not** expected to match the paper (our
-  real-world datasets are statistics-matched surrogates — see DESIGN.md
-  §4 — and Monte Carlo seeds differ); the *shape checks* under each
-  table encode the qualitative claims that must and do hold.
+  real-world datasets are statistics-matched surrogates — see the
+  `repro.datasets` module docstrings — and Monte Carlo seeds differ);
+  the *shape checks* under each table encode the qualitative claims
+  that must and do hold.
 
 """
 

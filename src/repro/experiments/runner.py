@@ -104,11 +104,6 @@ def format_deadline(deadline: float) -> str:
     return "inf" if math.isinf(deadline) else f"{deadline:g}"
 
 
-def weakly_decreasing(values: Sequence[float], slack: float = 0.0) -> bool:
-    """True when ``values`` never increases by more than ``slack``."""
-    return all(b <= a + slack for a, b in zip(values, values[1:]))
-
-
 def weakly_increasing(values: Sequence[float], slack: float = 0.0) -> bool:
     """True when ``values`` never decreases by more than ``slack``."""
     return all(b >= a - slack for a, b in zip(values, values[1:]))

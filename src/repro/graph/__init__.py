@@ -11,13 +11,8 @@ This package is the foundation everything else builds on:
   the node set into socially salient groups.
 - :mod:`~repro.graph.generators` — synthetic graph families (stochastic
   block model, Erdős–Rényi, Barabási–Albert, deterministic shapes).
-- :mod:`~repro.graph.metrics` — structural statistics (degrees,
-  components, group mixing).
-- :mod:`~repro.graph.centrality` — degree / PageRank / harmonic
-  closeness / Brandes betweenness.
 - :mod:`~repro.graph.clustering` — spectral clustering (used to derive
   the topological groups of the Facebook-SNAP experiment).
-- :mod:`~repro.graph.io` — edge-list and JSON persistence.
 """
 
 from repro.graph.delta import GraphDelta

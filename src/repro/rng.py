@@ -10,7 +10,7 @@ statistically independent and reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -60,11 +60,3 @@ def derive_seed(rng: np.random.Generator) -> int:
     """
     return int(rng.integers(0, 2**63 - 1))
 
-
-def bernoulli(rng: np.random.Generator, p: float, size: Optional[int] = None):
-    """Vectorised Bernoulli(p) draw returning booleans."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if size is None:
-        return bool(rng.random() < p)
-    return rng.random(size) < p

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.errors import OptimizationError
+from repro.api.datasets import build_dataset
 from repro.baselines.heuristics import (
+    _pagerank as pagerank,
     group_proportional_degree_seeds,
     pagerank_seeds,
     random_seeds,
     top_degree_seeds,
 )
-from repro.graph.generators import star_graph, two_block_sbm
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import complete_graph, star_graph, two_block_sbm
 from repro.graph.groups import GroupAssignment
 
 
@@ -67,6 +70,53 @@ class TestPagerankSeeds:
     def test_hub_found(self):
         graph = star_graph(6).reverse()  # leaves point at the hub
         assert pagerank_seeds(graph, 1) == [0]
+
+    def test_synthetic_seeds_pinned(self):
+        # The top-10 of the default synthetic graph (seed 0) as the
+        # per-node power iteration over the adjacency dicts ranked it.
+        # The edge-array iteration adds in the same order, so its
+        # scores, and hence these seeds, must match bit for bit.
+        graph, _ = build_dataset("synthetic", {}, 0)
+        assert pagerank_seeds(graph, 10) == [
+            226, 96, 36, 26, 145, 329, 389, 184, 342, 365
+        ]
+
+    def test_bulk_graph_keeps_only_edge_arrays(self):
+        # The generators build through DiGraph.from_edge_arrays.
+        graph, _ = build_dataset("synthetic", {"n": 80}, 0)
+        pagerank_seeds(graph, 5)
+        assert graph._dicts is None
+
+
+class TestPagerank:
+    def test_sums_to_one(self):
+        graph = complete_graph(5)
+        ranks = pagerank(graph)
+        assert sum(ranks.values()) == pytest.approx(1.0)
+
+    def test_symmetric_graph_uniform(self):
+        graph = complete_graph(4)
+        ranks = pagerank(graph)
+        values = list(ranks.values())
+        assert max(values) - min(values) < 1e-8
+
+    def test_sink_handling(self):
+        # Node 2 is a sink (dangling); PageRank must still normalise.
+        graph = DiGraph()
+        graph.add_edge(0, 1)
+        graph.add_edge(1, 2)
+        ranks = pagerank(graph)
+        assert sum(ranks.values()) == pytest.approx(1.0)
+        assert ranks[2] > ranks[0]
+
+    def test_hub_attracts_rank(self):
+        graph = star_graph(4).reverse()  # leaves point at the hub
+        ranks = pagerank(graph)
+        assert ranks[0] == max(ranks.values())
+
+    def test_invalid_damping(self, tiny_path):
+        with pytest.raises(ValueError):
+            pagerank(tiny_path, damping=1.0)
 
 
 class TestGroupProportional:

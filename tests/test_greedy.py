@@ -13,8 +13,6 @@ from repro.core.concave import log1p
 from repro.core.greedy import lazy_greedy, plain_greedy
 from repro.core.objectives import ConcaveSumObjective, TotalInfluenceObjective
 
-from stores import STORES, build
-
 
 def two_star_graph():
     """Two disjoint directed stars: hub sizes 5 and 3, p = 1.
@@ -153,17 +151,16 @@ class TestCelfMatchesPlain:
         plain = plain_greedy(ensemble, objective, deadline=2, max_seeds=8, discount=0.9)
         assert celf.total_evaluations < plain.total_evaluations
 
-    @pytest.mark.parametrize("store", STORES)
-    def test_exact_rounds_score_every_open_candidate(self, store):
+    def test_exact_rounds_score_every_open_candidate(self):
         # The step model keeps exact marginal counts: every round after
         # a pick scores all open candidates, exactly as plain greedy
-        # does, whatever the BFS chunking the index was built under.
+        # does.
         from repro.graph.generators import two_block_sbm
 
         graph, assignment = two_block_sbm(
             80, 0.6, 0.2, 0.05, activation_probability=0.2, seed=7
         )
-        ensemble = build(graph, assignment, store, n_worlds=20, seed=8)
+        ensemble = WorldEnsemble(graph, assignment, n_worlds=20, seed=8)
         objective = TotalInfluenceObjective()
         celf = lazy_greedy(ensemble, objective, deadline=2, max_seeds=8)
         plain = plain_greedy(ensemble, objective, deadline=2, max_seeds=8)

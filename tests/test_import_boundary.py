@@ -1,4 +1,10 @@
-"""scipy stays off the run path.
+"""Import-graph checks over ``src/repro``.
+
+Every module is imported by another ``repro`` module, bar the
+``python -m`` entry points: a module nothing imports is code nothing
+runs.
+
+scipy stays off the run path.
 
 Every ``repro`` process — a CLI solve, a sweep worker, ``repro serve`` —
 runs on numpy alone: live-edge worlds and the RR predecessor CSR are
@@ -12,6 +18,7 @@ scipy-backed helpers must still work afterwards.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -19,6 +26,40 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules run as ``python -m``, which no other module needs to import.
+ENTRY_POINTS = {"repro.cli", "repro.experiments.report"}
+
+
+def _imported_names(tree: ast.AST):
+    """Dotted names an (absolute-import) module imports, with every
+    parent package and each ``from``-imported name as a submodule
+    candidate."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            targets = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            while target:
+                yield target
+                target = target.rpartition(".")[0]
+
+
+def test_every_module_is_imported_by_another():
+    modules = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    imported = set()
+    for name, path in modules.items():
+        imported.update(
+            target for target in _imported_names(ast.parse(path.read_text()))
+            if target != name
+        )
+    assert sorted(set(modules) - imported - ENTRY_POINTS) == []
 
 SCRIPT = r"""
 import contextlib

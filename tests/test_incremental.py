@@ -4,8 +4,9 @@ The headline contract of :mod:`repro.influence.incremental`: an
 ensemble repaired in place through :meth:`WorldEnsemble.apply_delta` is
 **bit-identical** to a :class:`WorldEnsemble` built from scratch on the
 mutated graph with the same seed — same worlds, same reach index,
-same utilities, under every BFS chunking (the ``dense``/``sparse``/
-``lazy`` ids of ``tests/stores.py``), with and without discounting.
+same utilities, with and without discounting (chunk invariance of
+builds and repairs is checked by ``test_properties`` and
+``test_frontier``).
 :meth:`Session.resolve` is that repair plus the same cold solve
 :meth:`Session.solve` runs, so its result equals a fresh session's
 solve on the mutated graph, ``evaluations`` included.
@@ -37,8 +38,6 @@ from repro.influence.rrsets import RRSetEstimator
 from stores import (
     assert_same_world,
     assert_stops_bound_in_time,
-    build,
-    chunking,
     rows_from_entries,
 )
 
@@ -106,14 +105,12 @@ class TestRepairEqualsRebuild:
     # Only the default chunk budget: chunk invariance of builds and
     # repairs is checked by test_frontier's and test_properties'
     # property tests.
-    @pytest.mark.parametrize("store", ["dense"])
     @pytest.mark.parametrize("discount", [None, 0.9])
-    def test_backends_and_discounts(self, store, discount):
+    def test_backends_and_discounts(self, discount):
         graph, groups = sbm()
-        ensemble = build(graph, groups, store, n_worlds=N_WORLDS, seed=WORLD_SEED)
+        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
         delta = make_delta(graph)
-        with chunking(store):
-            report = ensemble.apply_delta(delta)
+        report = ensemble.apply_delta(delta)
         assert report.edges_touched == delta.edge_count
         assert report.resampled_edges == delta.edge_count * N_WORLDS
         assert report.affected.size
@@ -296,13 +293,11 @@ class TestReachIndexRepair:
     """The reach index (and the gain table derived from it) is patched
     world by world on repair, never left stale."""
 
-    @pytest.mark.parametrize("store", ["dense"])
-    def test_patched_index_equals_fresh_build(self, store):
+    def test_patched_index_equals_fresh_build(self):
         graph, groups = sbm()
-        ensemble = build(graph, groups, store, n_worlds=N_WORLDS, seed=WORLD_SEED)
+        ensemble = WorldEnsemble(graph, groups, n_worlds=N_WORLDS, seed=WORLD_SEED)
         before = ensemble._oracle.reach
-        with chunking(store):
-            report = ensemble.apply_delta(make_delta(graph))
+        report = ensemble.apply_delta(make_delta(graph))
         assert report.repaired_worlds > 0
         patched = ensemble._oracle.reach
         assert patched is not before  # a patched index, swapped in

@@ -72,10 +72,8 @@ from repro.influence.rrsets import RRSetEstimator
 from repro.influence.utility import disparity
 
 from stores import (
-    STORES,
     assert_same_world,
     assert_stops_bound_in_time,
-    build,
     dense_rows,
     gemm_utilities,
     world_totals,
@@ -523,7 +521,7 @@ class TestBruteGreedyConsistency:
 # ---------------------------------------------------------------------------
 # reach-index oracle = dense-row reference
 # ---------------------------------------------------------------------------
-def _random_index_ensemble(seed: int, n: int, store: str = "dense") -> WorldEnsemble:
+def _random_index_ensemble(seed: int, n: int) -> WorldEnsemble:
     rng = np.random.default_rng(seed)
     graph = DiGraph()
     for node in range(n):
@@ -533,7 +531,7 @@ def _random_index_ensemble(seed: int, n: int, store: str = "dense") -> WorldEnse
             if u != v and rng.random() < 0.2:
                 graph.add_edge(u, v, float(rng.uniform(0.1, 0.9)))
     assignment = GroupAssignment.from_graph(graph)
-    return build(graph, assignment, store, n_worlds=12, seed=seed + 1)
+    return WorldEnsemble(graph, assignment, n_worlds=12, seed=seed + 1)
 
 
 class TestReachIndexOracle:
@@ -688,9 +686,8 @@ class TestReachIndexOracle:
             )
             np.testing.assert_array_equal(state.time_hist, fresh)
 
-    @pytest.mark.parametrize("store", STORES)
-    def test_group_utilities_match_gemm(self, store):
-        ensemble = _random_index_ensemble(3, 24, store)
+    def test_group_utilities_match_gemm(self):
+        ensemble = _random_index_ensemble(3, 24)
         state = ensemble.empty_state()
         for position in (5, 0, 17):
             ensemble.add_seed(state, position)

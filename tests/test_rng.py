@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import bernoulli, derive_seed, ensure_rng, spawn
+from repro.rng import derive_seed, ensure_rng, spawn
 
 
 class TestEnsureRng:
@@ -41,22 +41,3 @@ class TestDeriveSeed:
     def test_range(self):
         seed = derive_seed(ensure_rng(3))
         assert 0 <= seed < 2**63
-
-
-class TestBernoulli:
-    def test_scalar(self):
-        value = bernoulli(ensure_rng(0), 0.5)
-        assert isinstance(value, bool)
-
-    def test_vector_rate(self):
-        draws = bernoulli(ensure_rng(1), 0.3, size=10_000)
-        assert draws.dtype == bool
-        assert 0.27 < draws.mean() < 0.33
-
-    def test_extremes(self):
-        assert not bernoulli(ensure_rng(0), 0.0, size=100).any()
-        assert bernoulli(ensure_rng(0), 1.0, size=100).all()
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            bernoulli(ensure_rng(0), 1.2)

@@ -8,7 +8,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     ShapeCheck,
     format_deadline,
-    weakly_decreasing,
     weakly_increasing,
 )
 
@@ -77,8 +76,5 @@ class TestHelpers:
         assert format_deadline(5) == "5"
 
     def test_monotone_helpers(self):
-        assert weakly_decreasing([3, 2, 2, 1])
-        assert not weakly_decreasing([1, 2])
-        assert weakly_decreasing([1, 1.05], slack=0.1)
         assert weakly_increasing([1, 2, 2])
         assert not weakly_increasing([2, 1])
